@@ -11,7 +11,9 @@ The solver embeds the primal-dual pair in the homogeneous self-dual model,
 so infeasible problems terminate with a Farkas certificate instead of
 diverging.  Search directions come from a Mehrotra predictor-corrector with
 Nesterov-Todd scaling; the sparse KKT system is factored with SuperLU plus
-static regularization and iterative refinement.
+static regularization and iterative refinement.  Cone operations work on
+groups of equal-size cones at once, and the KKT matrix keeps one sparsity
+pattern per solve, whose values each iteration refills.
 
 Convergence and infeasibility decisions are made on the original problem
 data.  Ruiz equilibration (uniform across each cone block, so cone geometry
@@ -23,6 +25,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,12 +39,27 @@ MAX_ITERATIONS = "MaxIterations"
 NUMERICAL_FAILURE = "NumericalFailure"
 
 
+class ConeGroup(NamedTuple):
+    """The second-order cones of one size d in a ConeSpec, as index arrays
+    into the stacked vector (all read-only)."""
+
+    size: int
+    index: np.ndarray  # (count, d): row i holds the positions of the i-th cone
+    tail: np.ndarray  # (count, d - 1): index[:, 1:], contiguous
+    columns: np.ndarray  # (d, count): index.T, contiguous
+    part: slice  # these cones in ConeSpec.heads order
+
+
 @dataclass(frozen=True)
 class ConeSpec:
     """Orthant dimension followed by second-order cone sizes, in order."""
 
     orthant: int
     socs: tuple
+
+    def __post_init__(self):
+        if self.orthant < 0 or any(d < 1 for d in self.socs):
+            raise ValueError(f"cone spec needs orthant >= 0 and cone sizes >= 1, got {self.orthant}, {self.socs}")
 
     @property
     def total(self) -> int:
@@ -50,11 +69,62 @@ class ConeSpec:
     def degree(self) -> int:
         return self.orthant + len(self.socs)
 
-    def blocks(self):
-        at = self.orthant
-        for d in self.socs:
-            yield at, d
-            at += d
+    @cached_property
+    def groups(self) -> tuple:
+        """The second-order cones grouped by size, one `ConeGroup` per size.
+
+        Computed once per spec; cone operations gather and scatter through
+        these index arrays for a whole group at a time.
+        """
+        sizes = np.asarray(self.socs, dtype=np.intp)
+        starts = self.orthant + np.cumsum(sizes) - sizes
+        out = []
+        at = 0
+        for d in np.unique(sizes).tolist():
+            index = starts[sizes == d][:, None] + np.arange(d)
+            tail = np.ascontiguousarray(index[:, 1:])
+            arrays = index, tail, np.ascontiguousarray(index.T)
+            for arr in arrays:
+                arr.flags.writeable = False
+            out.append(ConeGroup(d, *arrays, slice(at, at + len(index))))
+            at += len(index)
+        return tuple(out)
+
+    @cached_property
+    def heads(self) -> np.ndarray:
+        """Position of every cone's first entry, group after group.
+
+        Per-cone scalars (norms, determinants, step roots) of all groups are
+        computed once, in one array in this order.
+        """
+        heads = np.concatenate([g.index[:, 0] for g in self.groups] or [np.zeros(0, dtype=np.intp)])
+        heads.flags.writeable = False
+        return heads
+
+    @cached_property
+    def block_diag(self) -> tuple:
+        """CSC structure of a block-diagonal matrix with one block per cone.
+
+        Returns (indptr, indices, first, positions): an orthant coordinate
+        is a 1x1 block, a cone of size d a full d x d block.  `first[k]` is
+        the first row of the block holding row k, so entry (i, k) sits at
+        data position indptr[k] + i - first[k].  `positions` holds, per
+        group, the data positions of entry (i, j) of each of its blocks, as a
+        (d, d, count) array.
+        """
+        m = self.total
+        size = np.ones(m, dtype=np.intp)
+        first = np.arange(m)
+        for g in self.groups:
+            size[g.index] = g.size
+            first[g.index] = g.index[:, :1]
+        indptr = np.concatenate(([0], np.cumsum(size)))
+        offset = np.arange(indptr[-1]) - np.repeat(indptr[:-1], size)
+        indices = np.repeat(first, size) + offset
+        positions = tuple(indptr[g.columns] + np.arange(g.size)[:, None, None] for g in self.groups)
+        # scipy's own index type, so building a matrix on them copies nothing
+        itype = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+        return indptr.astype(itype), indices.astype(itype), first, positions
 
 
 @dataclass
@@ -173,14 +243,38 @@ def canonicalize(program) -> StandardConicForm:
     )
 
 
-# cone algebra on stacked slack vectors
+# Cone algebra on stacked slack vectors.  Nothing loops once per cone.  The
+# Jordan operations, the step length and the residual split each cone into
+# its head (gathered for all cones at once through ConeSpec.heads) and its
+# tail (gathered per group of equal-size cones), so the per-cone scalars are
+# computed once for all groups.  The scaling works on whole blocks, group by
+# group.  Inner products use np.vecdot on contiguous rows, which runs the
+# same dot kernel as `u @ v` on one cone: the results round exactly as a
+# per-cone loop would, and the step length and cone determinants near the
+# boundary are sensitive to the last bit.
+
+
+def _tails(spec: ConeSpec, *vectors) -> list:
+    """Per group, the (count, d - 1) tail blocks of each vector."""
+    return [tuple(v[g.tail] for v in vectors) for g in spec.groups]
+
+
+def _per_cone(parts: list) -> np.ndarray:
+    """Per-group arrays joined into one array in `heads` order."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _det(x0: np.ndarray, tail_sq: np.ndarray) -> np.ndarray:
+    """x0^2 - |x1|^2 in the factored form that stays accurate near the
+    cone boundary, where the difference of squares cancels."""
+    norm = np.sqrt(tail_sq)
+    return (x0 - norm) * (x0 + norm)
 
 
 def cone_identity(spec: ConeSpec) -> np.ndarray:
     e = np.zeros(spec.total)
     e[: spec.orthant] = 1.0
-    for at, _ in spec.blocks():
-        e[at] = 1.0
+    e[spec.heads] = 1.0
     return e
 
 
@@ -189,8 +283,9 @@ def cone_residual(spec: ConeSpec, v: np.ndarray) -> float:
     worst = 0.0
     if spec.orthant:
         worst = max(worst, float(np.max(-v[: spec.orthant], initial=0.0)))
-    for at, d in spec.blocks():
-        worst = max(worst, float(np.linalg.norm(v[at + 1 : at + d]) - v[at]))
+    if spec.groups:
+        norm = np.sqrt(_per_cone([np.vecdot(vt, vt) for vt, in _tails(spec, v)]))
+        worst = max(worst, float((norm - v[spec.heads]).max()))
     return worst
 
 
@@ -198,11 +293,13 @@ def jordan_product(spec: ConeSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.empty(spec.total)
     o = spec.orthant
     out[:o] = u[:o] * v[:o]
-    for at, d in spec.blocks():
-        u0, u1 = u[at], u[at + 1 : at + d]
-        v0, v1 = v[at], v[at + 1 : at + d]
-        out[at] = u0 * v0 + u1 @ v1
-        out[at + 1 : at + d] = u0 * v1 + v0 * u1
+    if spec.groups:
+        heads = spec.heads
+        u0, v0 = u[heads], v[heads]
+        tails = _tails(spec, u, v)
+        out[heads] = u0 * v0 + _per_cone([np.vecdot(ut, vt) for ut, vt in tails])
+        for g, (ut, vt) in zip(spec.groups, tails):
+            out[g.tail] = u0[g.part, None] * vt + v0[g.part, None] * ut
     return out
 
 
@@ -211,58 +308,64 @@ def jordan_solve(spec: ConeSpec, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.empty(spec.total)
     o = spec.orthant
     out[:o] = v[:o] / lam[:o]
-    for at, d in spec.blocks():
-        l0, l1 = lam[at], lam[at + 1 : at + d]
-        v0, v1 = v[at], v[at + 1 : at + d]
-        nl1 = float(np.linalg.norm(l1))
-        det = (l0 - nl1) * (l0 + nl1)
-        u0 = (l0 * v0 - l1 @ v1) / det
-        out[at] = u0
-        out[at + 1 : at + d] = (v1 - u0 * l1) / l0
+    if spec.groups:
+        heads = spec.heads
+        l0, v0 = lam[heads], v[heads]
+        tails = _tails(spec, lam, v)
+        det = _det(l0, _per_cone([np.vecdot(lt, lt) for lt, _ in tails]))
+        u0 = (l0 * v0 - _per_cone([np.vecdot(lt, vt) for lt, vt in tails])) / det
+        out[heads] = u0
+        for g, (lt, vt) in zip(spec.groups, tails):
+            out[g.tail] = (vt - u0[g.part, None] * lt) / l0[g.part, None]
     return out
+
+
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
 
 
 def max_step(spec: ConeSpec, v: np.ndarray, dv: np.ndarray) -> float:
     """Largest t with v + t dv still in K (v strictly interior)."""
     t = np.inf
     o = spec.orthant
-    neg = dv[:o] < 0.0
-    if np.any(neg):
-        t = min(t, float(np.min(-v[:o][neg] / dv[:o][neg])))
-    for at, d in spec.blocks():
-        v0, v1 = v[at], v[at + 1 : at + d]
-        d0, d1 = dv[at], dv[at + 1 : at + d]
-        a = d0 * d0 - d1 @ d1
-        bq = v0 * d0 - v1 @ d1
-        # factored form: v0^2 - |v1|^2 cancels catastrophically near the
-        # boundary, which is exactly where this routine matters
-        nv1 = float(np.linalg.norm(v1))
-        cq = (v0 - nv1) * (v0 + nv1)
-        # roots of a t^2 + 2 bq t + cq = 0; cq > 0 strictly inside
-        if abs(a) < 1e-300:
-            if bq < 0.0:
-                t = min(t, -cq / (2.0 * bq))
-            continue
-        disc = bq * bq - a * cq
-        if disc < 0.0:
-            if a < 0.0:
-                # quadratic opens downward, must cross eventually
-                disc = 0.0
-            else:
-                continue
-        root = math.sqrt(max(disc, 0.0))
-        for cand in ((-bq - root) / a, (-bq + root) / a):
-            if cand > 0.0 and v0 + cand * d0 >= 0.0:
-                t = min(t, cand)
-    return t
+    if o:
+        # v > 0, so the orthant step 1 / max(-dv / v) needs no mask
+        rate = float((-dv[:o] / v[:o]).max())
+        if rate > 0.0:
+            t = 1.0 / rate
+    if not spec.groups:
+        return t
+    heads = spec.heads
+    v0, d0 = v[heads], dv[heads]
+    tails = _tails(spec, v, dv)
+    a = d0 * d0 - _per_cone([np.vecdot(dt, dt) for _, dt in tails])
+    bq = v0 * d0 - _per_cone([np.vecdot(vt, dt) for vt, dt in tails])
+    cq = _det(v0, _per_cone([np.vecdot(vt, vt) for vt, _ in tails]))
+    # roots of a t^2 + 2 bq t + cq = 0; cq > 0 strictly inside
+    disc = bq * bq - a * cq
+    linear = np.abs(a) < 1e-300
+    odd = linear | (disc < 0.0)
+    if odd.any():
+        hit = linear & (bq < 0.0)
+        if hit.any():
+            t = min(t, float((-cq[hit] / (2.0 * bq[hit])).min()))
+        # disc < 0 only by rounding: a quadratic that opens downward must
+        # cross eventually (disc clamped to 0), one that opens upward never.
+        # a = nan keeps a cone's roots from being candidates.
+        a = np.where(odd & (linear | ~(a < 0.0)), np.nan, a)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    cand = (-bq - _PLUS_MINUS * root) / a
+    return min(t, float(np.where((cand > 0.0) & (v0 + cand * d0 >= 0.0), cand, np.inf).min()))
 
 
 class Scaling:
-    """Nesterov-Todd scaling for the product cone.
+    """Nesterov-Todd scaling W of the product cone at a pair (s, z).
 
-    Holds the diagonal orthant part, per-cone (eta, w_bar) pairs, and index
-    templates so the block-diagonal W^2 can be refreshed without rebuilding
-    sparsity structure.
+    W is the diagonal sqrt(s / z) on the orthant and eta * Wbar on each
+    second-order cone, with Wbar = [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]]
+    and W^{-1} = J Wbar J / eta, J = diag(1, -I).  The blocks of W and W^{-1}
+    are kept as one (d, d, count) array per group of equal-size cones, so
+    applying either is one batched product per group.  `w_inv_matrix` writes
+    W^{-1} into the fixed block-diagonal pattern of `ConeSpec.block_diag`.
     """
 
     def __init__(self, spec: ConeSpec, s: np.ndarray, z: np.ndarray):
@@ -270,93 +373,120 @@ class Scaling:
         o = spec.orthant
         self.w_orth = np.sqrt(s[:o] / z[:o])
         self.soc = []
-        for at, d in spec.blocks():
-            s0, s1 = s[at], s[at + 1 : at + d]
-            z0, z1 = z[at], z[at + 1 : at + d]
-            ns1 = float(np.linalg.norm(s1))
-            nz1 = float(np.linalg.norm(z1))
-            s_res = (s0 - ns1) * (s0 + ns1)
-            z_res = (z0 - nz1) * (z0 + nz1)
-            if s_res <= 0.0 or z_res <= 0.0:
+        for g in spec.groups:
+            pair = np.stack((s[g.index], z[g.index]))  # (2, count, d)
+            res = _det(pair[..., 0], np.vecdot(pair[..., 1:], pair[..., 1:]))
+            if (res <= 0.0).any():
                 raise FloatingPointError("scaling point left the cone interior")
-            sbar = np.concatenate(([s0], s1)) / math.sqrt(s_res)
-            zbar = np.concatenate(([z0], z1)) / math.sqrt(z_res)
-            gamma = math.sqrt((1.0 + sbar @ zbar) / 2.0)
-            wbar = np.empty(d)
-            wbar[0] = (sbar[0] + zbar[0]) / (2.0 * gamma)
-            wbar[1:] = (sbar[1:] - zbar[1:]) / (2.0 * gamma)
-            eta = (s_res / z_res) ** 0.25
-            self.soc.append((at, d, eta, wbar))
+            sbar, zbar = pair / np.sqrt(res)[..., None]
+            gamma2 = 2.0 * np.sqrt((1.0 + np.vecdot(sbar, zbar)) / 2.0)
+            wbar = sbar - zbar
+            wbar[:, 0] = sbar[:, 0] + zbar[:, 0]
+            wbar /= gamma2[:, None]
+            # Wbar, one (d, d) slice per cone along the last axis: the outer
+            # product of the tail, over 1 + w0, plus the identity, bordered
+            # by wbar in the first row and column
+            d = g.size
+            w = np.ascontiguousarray(wbar.T)
+            mat = np.empty((d, d, len(g.index)))
+            mat[1:, 1:] = w[1:, None, :] * w[None, 1:, :] / (1.0 + w[0])
+            mat.reshape(d * d, -1)[d + 1 :: d + 1] += 1.0
+            mat[0] = w
+            mat[1:, 0] = w[1:]
+            eta = (res[0] / res[1]) ** 0.25
+            flip = mat.copy()  # J Wbar J
+            flip[0, 1:] *= -1.0
+            flip[1:, 0] *= -1.0
+            self.soc.append((g.columns, eta * mat, flip / eta))
 
-    def _soc_matrix(self, eta, wbar):
-        d = wbar.size
-        W = np.empty((d, d))
-        W[0, 0] = wbar[0]
-        W[0, 1:] = wbar[1:]
-        W[1:, 0] = wbar[1:]
-        W[1:, 1:] = np.eye(d - 1) + np.outer(wbar[1:], wbar[1:]) / (1.0 + wbar[0])
-        return eta * W
+    def _apply(self, v: np.ndarray, orth: np.ndarray, inverse: bool) -> np.ndarray:
+        out = np.empty(self.spec.total)
+        out[: self.spec.orthant] = orth
+        for columns, w, w_inv in self.soc:
+            out[columns] = np.einsum("ijk,jk->ik", w_inv if inverse else w, v[columns])
+        return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty(self.spec.total)
-        o = self.spec.orthant
-        out[:o] = self.w_orth * v[:o]
-        for at, d, eta, wbar in self.soc:
-            out[at : at + d] = self._soc_matrix(eta, wbar) @ v[at : at + d]
-        return out
+        return self._apply(v, self.w_orth * v[: self.spec.orthant], inverse=False)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty(self.spec.total)
-        o = self.spec.orthant
-        out[:o] = v[:o] / self.w_orth
-        for at, d, eta, wbar in self.soc:
-            # W_bar^{-1} = J W_bar J with J = diag(1, -I)
-            Wb = self._soc_matrix(1.0, wbar)
-            block = v[at : at + d].copy()
-            block[1:] *= -1.0
-            block = Wb @ block
-            block[1:] *= -1.0
-            out[at : at + d] = block / eta
-        return out
-
-    def w_squared(self) -> sp.csc_matrix:
-        o = self.spec.orthant
-        rows = list(range(o))
-        cols = list(range(o))
-        data = list(self.w_orth**2)
-        for at, d, eta, wbar in self.soc:
-            # W^2 = eta^2 (2 wbar wbar' - J)
-            J = np.diag(np.concatenate(([1.0], -np.ones(d - 1))))
-            W2 = eta * eta * (2.0 * np.outer(wbar, wbar) - J)
-            for i in range(d):
-                for j in range(d):
-                    rows.append(at + i)
-                    cols.append(at + j)
-                    data.append(W2[i, j])
-        return sp.csc_matrix((data, (rows, cols)), shape=(self.spec.total, self.spec.total))
+        return self._apply(v, v[: self.spec.orthant] / self.w_orth, inverse=True)
 
     def w_inv_matrix(self) -> sp.csc_matrix:
         """Sparse W^{-1}, used to fold the scaling into the KKT matrix.
 
         Factoring with W^{-1}G and an identity (3,3) block instead of G and
         W^2 halves the exponent range of the matrix, which is what keeps the
-        factorization usable when the barrier parameter gets small.
+        factorization usable when the barrier parameter gets small.  The
+        pattern is the same at every iterate, so `data` lines up with the
+        maps that `_KKTSystem` builds once per solve.
         """
-        o = self.spec.orthant
-        rows = list(range(o))
-        cols = list(range(o))
-        data = list(1.0 / self.w_orth)
-        for at, d, eta, wbar in self.soc:
-            Wb = self._soc_matrix(1.0, wbar)
-            sign = np.ones(d)
-            sign[1:] = -1.0
-            Winv = (sign[:, None] * Wb * sign[None, :]) / eta
-            for i in range(d):
-                for j in range(d):
-                    rows.append(at + i)
-                    cols.append(at + j)
-                    data.append(Winv[i, j])
-        return sp.csc_matrix((data, (rows, cols)), shape=(self.spec.total, self.spec.total))
+        indptr, indices, _, positions = self.spec.block_diag
+        data = np.empty(indices.size)
+        data[: self.spec.orthant] = 1.0 / self.w_orth
+        for (_, _, w_inv), at in zip(self.soc, positions):
+            data[at] = w_inv
+        m = self.spec.total
+        return sp.csc_matrix((data, indices, indptr), shape=(m, m))
+
+
+class _KKTSystem:
+    """The KKT matrix of one solve, with a sparsity pattern built once.
+
+            [ 0        A'   (W^{-1}G)' ]
+        M = [ A        0    0          ]
+            [ W^{-1}G  0    -I         ]
+
+    Row i of W^{-1}G combines the rows of G in the block of i, so its
+    pattern is, per cone, the union of the columns its rows touch.  The
+    constructor records each product W^{-1}[i, k] G[k, j] as a (W^{-1} data
+    position, G value, W^{-1}G entry) triple and where each W^{-1}G entry
+    sits in both triangles of M.  `refill` then writes only those values, in
+    place, into `exact` (M in extended precision, for refinement residuals)
+    and `regularized` (M + diag(reg, -reg, -reg), the matrix that is
+    factored).  The diagonal is in the pattern, so the two share it.
+    """
+
+    def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, spec: ConeSpec, reg: float):
+        p, n = A.shape
+        m = G.shape[0]
+        w_indptr, _, first, _ = spec.block_diag
+        row = np.repeat(np.arange(m), np.diff(G.indptr))
+        size = np.diff(w_indptr)[row]
+        entry = np.repeat(np.arange(G.nnz), size)
+        offset = np.arange(entry.size) - np.repeat(np.cumsum(size) - size, size)
+        k = row[entry]
+        self._w_at = w_indptr[k] + offset
+        self._g_vals = G.data[entry]
+        keys, self._target = np.unique((first[k] + offset) * n + G.indices[entry], return_inverse=True)
+        self._nnz = keys.size
+        wg_row, wg_col = n + p + keys // n, keys % n
+
+        A = A.tocoo()
+        N = n + p + m
+        diag = np.arange(N)
+        rows = np.concatenate((diag, n + A.row, A.col, wg_row, wg_col))
+        cols = np.concatenate((diag, A.col, n + A.row, wg_col, wg_row))
+        exact = np.concatenate((np.zeros(n + p), -np.ones(m), A.data, A.data, np.zeros(2 * keys.size)))
+        shift = np.concatenate((np.full(n, reg), np.full(p, -reg), np.full(m, -reg)))
+        order = np.lexsort((rows, cols))
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size)
+        self._slots = slot[N + 2 * A.nnz :]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=N))))
+        regularized = exact.copy()
+        regularized[:N] += shift
+        self.regularized = sp.csc_matrix((regularized[order], rows[order], indptr), shape=(N, N))
+        # M is symmetric, so its CSC arrays read as CSR are M again; the
+        # row-wise CSR product is the faster one
+        self.exact = sp.csr_matrix((exact[order].astype(np.longdouble), rows[order], indptr), shape=(N, N))
+
+    def refill(self, w_inv: sp.csc_matrix):
+        """Write the W^{-1}G values of the current scaling into both matrices."""
+        wg = np.bincount(self._target, weights=w_inv.data[self._w_at] * self._g_vals, minlength=self._nnz)
+        both = np.concatenate((wg, wg))
+        self.regularized.data[self._slots] = both
+        self.exact.data[self._slots] = both
 
 
 def _ruiz_equilibrate(form: StandardConicForm, iters: int):
@@ -372,16 +502,17 @@ def _ruiz_equilibrate(form: StandardConicForm, iters: int):
     d_in = np.ones(m)
     spec = form.cones
 
+    def inverse_sqrt(v):
+        return 1.0 / np.sqrt(np.where(v > 0, v, 1.0))
+
     for _ in range(iters):
         Mabs = abs(sp.vstack([A, G], format="csc"))
-        col_max = Mabs.max(axis=0).toarray().ravel()
-        col_scale = 1.0 / np.sqrt(np.where(col_max > 0, col_max, 1.0))
+        col_scale = inverse_sqrt(Mabs.max(axis=0).toarray().ravel())
         row_max = Mabs.tocsr().max(axis=1).toarray().ravel()
-        eq_scale = 1.0 / np.sqrt(np.where(row_max[:p] > 0, row_max[:p], 1.0))
-        in_scale = 1.0 / np.sqrt(np.where(row_max[p:] > 0, row_max[p:], 1.0))
-        for at, d in spec.blocks():
-            shared = np.max(row_max[p + at : p + at + d])
-            in_scale[at : at + d] = 1.0 / math.sqrt(shared) if shared > 0 else 1.0
+        eq_scale = inverse_sqrt(row_max[:p])
+        in_scale = inverse_sqrt(row_max[p:])
+        for g in spec.groups:
+            in_scale[g.index] = inverse_sqrt(row_max[p + g.index].max(axis=1))[:, None]
         A = sp.diags(eq_scale) @ A @ sp.diags(col_scale)
         G = sp.diags(in_scale) @ G @ sp.diags(col_scale)
         d_col *= col_scale
@@ -510,46 +641,26 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
         rep = verify_kkt(form, xh, yh, zh, sh)
         return rep, (xh, yh, zh, sh)
 
-    I_n = sp.identity(n, format="csc") * settings.reg
+    kkt = _KKTSystem(As, Gs, spec, settings.reg)
 
     for iteration in range(1, settings.max_iter + 1):
         try:
-            scal = Scaling(spec, s, z) if m else None
+            scal = Scaling(spec, s, z)
         except FloatingPointError:
             status = NUMERICAL_FAILURE
             break
-        lam = scal.apply(z) if m else np.zeros(0)
+        lam = scal.apply(z)
         mu = (float(s @ z) + tau * kappa) / nu
 
         # The scaling is folded in as W^{-1}G with an identity third block
         # rather than G with a W^2 block: W^2 squares the boundary-induced
         # dynamic range and makes the factorization unusable at small mu.
-        Winv = scal.w_inv_matrix() if m else sp.csc_matrix((0, 0))
-        Gt = (Winv @ Gs).tocsr() if m else Gs
-        GtT = Gt.T.tocsr()
-        I_m = sp.identity(m, format="csc") * (1.0 + settings.reg)
-        Mreg = sp.bmat(
-            [
-                [I_n, AsT, GtT],
-                [As, -sp.identity(p, format="csc") * settings.reg, None],
-                [Gt, None, -I_m],
-            ],
-            format="csc",
-        )
-        M0 = sp.bmat(
-            [
-                [sp.csc_matrix((n, n)), AsT, GtT],
-                [As, sp.csc_matrix((p, p)), None],
-                [Gt, None, -sp.identity(m, format="csc")],
-            ],
-            format="csc",
-        )
+        kkt.refill(scal.w_inv_matrix())
         try:
-            lu = splu(Mreg)
+            lu = splu(kkt.regularized)
         except RuntimeError:
             status = NUMERICAL_FAILURE
             break
-        M0_ld = M0.astype(np.longdouble)
 
         def solve3(vx, vy, vz):
             # Factor of the regularized matrix, refined against the exact one.
@@ -562,14 +673,14 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
             rhs = np.concatenate([vx, vy, vz])
             rhs_ld = rhs.astype(np.longdouble)
             sol = lu.solve(rhs).astype(np.longdouble)
-            resid = rhs_ld - M0_ld @ sol
+            resid = rhs_ld - kkt.exact @ sol
             best, best_res = sol, float(np.linalg.norm(resid.astype(np.float64)))
             floor = 1e-16 * (float(np.linalg.norm(rhs)) + 1.0)
             for _ in range(settings.refine_steps):
                 if best_res <= floor:
                     break
                 sol = sol + lu.solve(resid.astype(np.float64))
-                resid = rhs_ld - M0_ld @ sol
+                resid = rhs_ld - kkt.exact @ sol
                 res = float(np.linalg.norm(resid.astype(np.float64)))
                 if res < best_res:
                     best, best_res = sol, res
@@ -584,34 +695,40 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
         rz = Gs @ x + s - hs * tau
         rtau = float(cs @ x + bs @ y + hs @ z) + kappa
 
-        u1x, u1y, u1zt = solve3(-cs, bs, scal.apply_inverse(hs) if m else hs)
-        u1z = scal.apply_inverse(u1zt) if m else u1zt
-        denom_tau = float(cs @ u1x + bs @ u1y + hs @ u1z) - kappa / tau
+        # The z parts of both solves stay in scaled form (W z): W^{-1} is
+        # symmetric, so h'z = (W^{-1} h)'(W z), and dz needs one W^{-1}.
+        hs_t = scal.apply_inverse(hs)
+        u1x, u1y, u1zt = solve3(-cs, bs, hs_t)
+        denom_tau = float(cs @ u1x + bs @ u1y + hs_t @ u1zt) - kappa / tau
+        rz_t = scal.apply_inverse(rz)
 
-        def direction(sigma, ds_extra, dkappa_extra):
-            """Build (dx, dy, dz, ds, dtau, dkappa) for given centering."""
-            d_s = sigma * mu * e - jordan_product(spec, lam, lam) + ds_extra if m else np.zeros(0)
+        def direction(sigma, comp_t, dkappa_extra):
+            """Build (dx, dy, dz, ds, dtau, dkappa, W dz) for given centering.
+
+            comp_t solves lam o comp_t = d_s, where d_s is the right-hand side
+            of the complementarity row lam o (W^{-1} ds + W dz) = d_s.
+            """
             d_k = sigma * mu - tau * kappa + dkappa_extra
             fac = 1.0 - sigma
             # third row in scaled variables: W^{-1}G dx - (W dz) = W^{-1}vz
-            rhs_zt = -fac * scal.apply_inverse(rz) - jordan_solve(spec, lam, d_s) if m else -fac * rz
+            rhs_zt = -fac * rz_t - comp_t
             u2x, u2y, u2zt = solve3(-fac * rx, -fac * ry, rhs_zt)
-            u2z = scal.apply_inverse(u2zt) if m else u2zt
-            num = -fac * rtau - d_k / tau - float(cs @ u2x + bs @ u2y + hs @ u2z)
+            num = -fac * rtau - d_k / tau - float(cs @ u2x + bs @ u2y + hs_t @ u2zt)
             dtau = num / denom_tau
             dx = u2x + dtau * u1x
             dy = u2y + dtau * u1y
-            dz = u2z + dtau * u1z
+            dz_t = u2zt + dtau * u1zt
+            dz = scal.apply_inverse(dz_t)
             # ds via the slack feasibility row, not the complementarity row:
             # the latter multiplies dz's solve error by W^2, which is huge for
             # blocks pinched on the cone boundary
-            ds = -fac * rz - Gs @ dx + hs * dtau if m else np.zeros(0)
+            ds = -fac * rz - Gs @ dx + hs * dtau
             dkappa = (d_k - kappa * dtau) / tau
-            return dx, dy, dz, ds, dtau, dkappa
+            return dx, dy, dz, ds, dtau, dkappa, dz_t
 
-        # predictor
-        dxa, dya, dza, dsa, dtaua, dkappaa = direction(0.0, np.zeros(m), 0.0)
-        alpha_a = min(1.0, max_step(spec, s, dsa) if m else np.inf, max_step(spec, z, dza) if m else np.inf)
+        # predictor: d_s = -lam o lam, so comp_t = -lam
+        dxa, dya, dza, dsa, dtaua, dkappaa, dza_t = direction(0.0, -lam, 0.0)
+        alpha_a = min(1.0, max_step(spec, s, dsa), max_step(spec, z, dza))
         if dtaua < 0.0:
             alpha_a = min(alpha_a, -tau / dtaua)
         if dkappaa < 0.0:
@@ -622,16 +739,14 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
         sigma = float(np.clip((mu_aff / mu) ** 3, 0.0, 1.0))
 
         # corrector
-        if m:
-            corr = -jordan_product(spec, scal.apply_inverse(dsa), scal.apply(dza))
-        else:
-            corr = np.zeros(0)
-        dx, dy, dz, ds, dtau, dkappa = direction(sigma, corr, -dtaua * dkappaa)
+        corr = -jordan_product(spec, scal.apply_inverse(dsa), dza_t)
+        d_s = sigma * mu * e - jordan_product(spec, lam, lam) + corr
+        dx, dy, dz, ds, dtau, dkappa, _ = direction(sigma, jordan_solve(spec, lam, d_s), -dtaua * dkappaa)
 
         alpha = min(
             1.0,
-            settings.step_fraction * max_step(spec, s, ds) if m else np.inf,
-            settings.step_fraction * max_step(spec, z, dz) if m else np.inf,
+            settings.step_fraction * max_step(spec, s, ds),
+            settings.step_fraction * max_step(spec, z, dz),
         )
         if dtau < 0.0:
             alpha = min(alpha, settings.step_fraction * (-tau / dtau))

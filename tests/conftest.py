@@ -1,7 +1,14 @@
 import numpy as np
+from hypothesis import settings
 
 from contact_topp.liegroup import Pose, Twist
 from contact_topp.robot import JointDef, JointLimits, Link, LinkInertia, RobotModel
+
+# Property tests draw a fixed sequence of examples and have no per-example
+# deadline: on a shared machine the same example can take twice as long from
+# one run to the next, and a failure must reproduce, not depend on load.
+settings.register_profile("repro", deadline=None, derandomize=True)
+settings.load_profile("repro")
 
 
 def make_limits(n, torque=100.0, velocity=2.0, accel=50.0):

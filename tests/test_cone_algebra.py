@@ -1,0 +1,445 @@
+"""Batched cone algebra and the fixed-pattern KKT build against a per-cone oracle.
+
+The oracle below is the scalar, one-cone-at-a-time implementation the
+solver used before its cone layer was batched by cone size.  It is kept
+here only as an independent reference: every batched operation must agree
+with it to 1e-12 relative on random specs (orthant 0-4, cone sizes 1-5 in
+any order) at strictly interior points, including points close to the
+cone boundary.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contact_topp.solver import (
+    ConeSpec,
+    Scaling,
+    SolverSettings,
+    _KKTSystem,
+    _ruiz_equilibrate,
+    cone_identity,
+    cone_residual,
+    jordan_product,
+    jordan_solve,
+    max_step,
+    solve,
+)
+from test_solver import form
+
+RTOL = 1e-12
+
+
+# -- oracle: one Python iteration per cone ------------------------------------
+
+
+def oracle_blocks(spec):
+    at = spec.orthant
+    for d in spec.socs:
+        yield at, d
+        at += d
+
+
+def oracle_cone_residual(spec, v):
+    worst = 0.0
+    if spec.orthant:
+        worst = max(worst, float(np.max(-v[: spec.orthant], initial=0.0)))
+    for at, d in oracle_blocks(spec):
+        worst = max(worst, float(np.linalg.norm(v[at + 1 : at + d]) - v[at]))
+    return worst
+
+
+def oracle_jordan_product(spec, u, v):
+    out = np.empty(spec.total)
+    o = spec.orthant
+    out[:o] = u[:o] * v[:o]
+    for at, d in oracle_blocks(spec):
+        u0, u1 = u[at], u[at + 1 : at + d]
+        v0, v1 = v[at], v[at + 1 : at + d]
+        out[at] = u0 * v0 + u1 @ v1
+        out[at + 1 : at + d] = u0 * v1 + v0 * u1
+    return out
+
+
+def oracle_jordan_solve(spec, lam, v):
+    out = np.empty(spec.total)
+    o = spec.orthant
+    out[:o] = v[:o] / lam[:o]
+    for at, d in oracle_blocks(spec):
+        l0, l1 = lam[at], lam[at + 1 : at + d]
+        v0, v1 = v[at], v[at + 1 : at + d]
+        nl1 = float(np.linalg.norm(l1))
+        det = (l0 - nl1) * (l0 + nl1)
+        u0 = (l0 * v0 - l1 @ v1) / det
+        out[at] = u0
+        out[at + 1 : at + d] = (v1 - u0 * l1) / l0
+    return out
+
+
+def oracle_max_step(spec, v, dv):
+    t = np.inf
+    o = spec.orthant
+    neg = dv[:o] < 0.0
+    if np.any(neg):
+        t = min(t, float(np.min(-v[:o][neg] / dv[:o][neg])))
+    for at, d in oracle_blocks(spec):
+        v0, v1 = v[at], v[at + 1 : at + d]
+        d0, d1 = dv[at], dv[at + 1 : at + d]
+        a = d0 * d0 - d1 @ d1
+        bq = v0 * d0 - v1 @ d1
+        nv1 = float(np.linalg.norm(v1))
+        cq = (v0 - nv1) * (v0 + nv1)
+        if abs(a) < 1e-300:
+            if bq < 0.0:
+                t = min(t, -cq / (2.0 * bq))
+            continue
+        disc = bq * bq - a * cq
+        if disc < 0.0:
+            if a < 0.0:
+                disc = 0.0
+            else:
+                continue
+        root = math.sqrt(max(disc, 0.0))
+        for cand in ((-bq - root) / a, (-bq + root) / a):
+            if cand > 0.0 and v0 + cand * d0 >= 0.0:
+                t = min(t, cand)
+    return t
+
+
+class OracleScaling:
+    def __init__(self, spec, s, z):
+        self.spec = spec
+        o = spec.orthant
+        self.w_orth = np.sqrt(s[:o] / z[:o])
+        self.soc = []
+        for at, d in oracle_blocks(spec):
+            s0, s1 = s[at], s[at + 1 : at + d]
+            z0, z1 = z[at], z[at + 1 : at + d]
+            ns1 = float(np.linalg.norm(s1))
+            nz1 = float(np.linalg.norm(z1))
+            s_res = (s0 - ns1) * (s0 + ns1)
+            z_res = (z0 - nz1) * (z0 + nz1)
+            sbar = np.concatenate(([s0], s1)) / math.sqrt(s_res)
+            zbar = np.concatenate(([z0], z1)) / math.sqrt(z_res)
+            gamma = math.sqrt((1.0 + sbar @ zbar) / 2.0)
+            wbar = np.empty(d)
+            wbar[0] = (sbar[0] + zbar[0]) / (2.0 * gamma)
+            wbar[1:] = (sbar[1:] - zbar[1:]) / (2.0 * gamma)
+            eta = (s_res / z_res) ** 0.25
+            self.soc.append((at, d, eta, wbar))
+
+    @staticmethod
+    def soc_matrix(eta, wbar):
+        d = wbar.size
+        W = np.empty((d, d))
+        W[0, 0] = wbar[0]
+        W[0, 1:] = wbar[1:]
+        W[1:, 0] = wbar[1:]
+        W[1:, 1:] = np.eye(d - 1) + np.outer(wbar[1:], wbar[1:]) / (1.0 + wbar[0])
+        return eta * W
+
+    def apply(self, v):
+        out = np.empty(self.spec.total)
+        o = self.spec.orthant
+        out[:o] = self.w_orth * v[:o]
+        for at, d, eta, wbar in self.soc:
+            out[at : at + d] = self.soc_matrix(eta, wbar) @ v[at : at + d]
+        return out
+
+    def apply_inverse(self, v):
+        out = np.empty(self.spec.total)
+        o = self.spec.orthant
+        out[:o] = v[:o] / self.w_orth
+        for at, d, eta, wbar in self.soc:
+            Wb = self.soc_matrix(1.0, wbar)
+            block = v[at : at + d].copy()
+            block[1:] *= -1.0
+            block = Wb @ block
+            block[1:] *= -1.0
+            out[at : at + d] = block / eta
+        return out
+
+    def w_inv_dense(self):
+        out = np.zeros((self.spec.total, self.spec.total))
+        o = self.spec.orthant
+        out[range(o), range(o)] = 1.0 / self.w_orth
+        for at, d, eta, wbar in self.soc:
+            sign = np.ones(d)
+            sign[1:] = -1.0
+            out[at : at + d, at : at + d] = sign[:, None] * self.soc_matrix(1.0, wbar) * sign[None, :] / eta
+        return out
+
+
+def oracle_kkt(A, G, w_inv, reg):
+    """Exact and regularized KKT matrices, assembled block by block."""
+    n, p, m = A.shape[1], A.shape[0], G.shape[0]
+    Gt = sp.csr_matrix(w_inv) @ G
+    M0 = sp.bmat(
+        [
+            [sp.csc_matrix((n, n)), A.T, Gt.T],
+            [A, sp.csc_matrix((p, p)), None],
+            [Gt, None, -sp.identity(m)],
+        ],
+        format="csc",
+    ).toarray()
+    shift = np.concatenate([np.full(n, reg), np.full(p, -reg), np.full(m, -reg)])
+    return M0, M0 + np.diag(shift)
+
+
+# -- random instances ---------------------------------------------------------
+
+
+@st.composite
+def specs(draw):
+    orthant = draw(st.integers(0, 4))
+    socs = tuple(draw(st.lists(st.integers(1, 5), min_size=0, max_size=7)))
+    return ConeSpec(orthant=orthant, socs=socs)
+
+
+def interior_point(spec, rng, near_boundary):
+    """A strictly interior point; with near_boundary, some coordinates or
+    cones sit within a relative 1e-3..1e-7 of the boundary."""
+    v = np.empty(spec.total)
+    o = spec.orthant
+    v[:o] = rng.uniform(0.1, 3.0, o)
+    if near_boundary and o:
+        v[:o][rng.random(o) < 0.5] *= 1e-5
+    for at, d in oracle_blocks(spec):
+        tail = rng.normal(size=d - 1) * rng.uniform(0.1, 3.0)
+        norm = float(np.linalg.norm(tail))
+        if near_boundary and d > 1 and rng.random() < 0.5:
+            margin = 10.0 ** rng.uniform(-7.0, -3.0)
+        else:
+            margin = rng.uniform(0.05, 2.0)
+        v[at] = norm * (1.0 + margin) + (margin if norm == 0.0 else 0.0)
+        v[at + 1 : at + d] = tail
+    return v
+
+
+cases = st.tuples(specs(), st.integers(0, 2**32 - 1), st.booleans())
+
+
+def assert_close(got, want):
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * scale)
+
+
+def assert_step_close(got, want):
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert abs(got - want) <= RTOL * abs(want)
+
+
+# -- properties -----------------------------------------------------------------
+
+
+class TestAgainstOracle:
+    @settings(max_examples=150)
+    @given(cases)
+    def test_jordan_product(self, case):
+        spec, seed, _ = case
+        rng = np.random.default_rng(seed)
+        u, v = rng.normal(size=(2, spec.total))
+        assert_close(jordan_product(spec, u, v), oracle_jordan_product(spec, u, v))
+
+    @settings(max_examples=150)
+    @given(cases)
+    def test_jordan_solve(self, case):
+        spec, seed, near = case
+        rng = np.random.default_rng(seed)
+        lam = interior_point(spec, rng, near)
+        v = rng.normal(size=spec.total)
+        assert_close(jordan_solve(spec, lam, v), oracle_jordan_solve(spec, lam, v))
+
+    @settings(max_examples=200)
+    @given(cases)
+    def test_max_step(self, case):
+        spec, seed, near = case
+        rng = np.random.default_rng(seed)
+        v = interior_point(spec, rng, near)
+        dv = rng.normal(size=spec.total) * 10.0 ** rng.uniform(-2.0, 2.0)
+        assert_step_close(max_step(spec, v, dv), oracle_max_step(spec, v, dv))
+
+    @settings(max_examples=150)
+    @given(cases)
+    def test_cone_residual(self, case):
+        spec, seed, near = case
+        rng = np.random.default_rng(seed)
+        inside = interior_point(spec, rng, near)
+        anywhere = rng.normal(size=spec.total)
+        for v in (inside, anywhere):
+            got, want = cone_residual(spec, v), oracle_cone_residual(spec, v)
+            assert abs(got - want) <= RTOL * max(1.0, float(np.max(np.abs(v), initial=0.0)))
+        assert cone_residual(spec, inside) == 0.0
+
+    @settings(max_examples=150)
+    @given(cases)
+    def test_scaling(self, case):
+        spec, seed, near = case
+        rng = np.random.default_rng(seed)
+        s = interior_point(spec, rng, near)
+        z = interior_point(spec, rng, near)
+        v = rng.normal(size=spec.total)
+        scal, ref = Scaling(spec, s, z), OracleScaling(spec, s, z)
+        assert_close(scal.apply(v), ref.apply(v))
+        assert_close(scal.apply_inverse(v), ref.apply_inverse(v))
+        w_inv = scal.w_inv_matrix()
+        assert w_inv.format == "csc" and w_inv.shape == (spec.total, spec.total)
+        assert_close(w_inv.toarray(), ref.w_inv_dense())
+
+    @settings(max_examples=150)
+    @given(cases)
+    def test_nesterov_todd_identities(self, case):
+        spec, seed, near = case
+        rng = np.random.default_rng(seed)
+        s = interior_point(spec, rng, near)
+        z = interior_point(spec, rng, near)
+        v = rng.normal(size=spec.total)
+        scal = Scaling(spec, s, z)
+        # W z = W^{-1} s (the scaled point lambda), and W^{-1} undoes W; W
+        # has condition number up to ~1e7 at the near-boundary points, which
+        # is what the tolerance allows for
+        tol = 1e-12 if not near else 1e-8
+        lam = scal.apply(z)
+        np.testing.assert_allclose(lam, scal.apply_inverse(s), rtol=tol, atol=tol * np.max(np.abs(lam), initial=1.0))
+        np.testing.assert_allclose(scal.w_inv_matrix() @ scal.apply(v), v, rtol=tol, atol=tol * np.max(np.abs(v), initial=1.0))
+
+    @settings(max_examples=60)
+    @given(cases, st.integers(0, 3), st.integers(1, 6))
+    def test_kkt_refill(self, case, p, n):
+        spec, seed, near = case
+        rng = np.random.default_rng(seed)
+        A = sp.random(p, n, density=0.6, random_state=rng, format="csr")
+        G = sp.random(spec.total, n, density=0.5, random_state=rng, format="csr")
+        assert_kkt_matches_oracle(spec, A, G, rng, near)
+
+
+def assert_kkt_matches_oracle(spec, A, G, rng, near=False):
+    """The refilled matrices equal a block-by-block assembly around the same
+    W^{-1} (test_scaling checks W^{-1} itself against the oracle)."""
+    kkt = _KKTSystem(A, G, spec, 1e-11)
+    for _ in range(2):  # the second refill writes over the first
+        w_inv = Scaling(spec, interior_point(spec, rng, near), interior_point(spec, rng, near)).w_inv_matrix()
+        kkt.refill(w_inv)
+        M0, Mreg = oracle_kkt(A, G, w_inv.toarray(), 1e-11)
+        assert_close(kkt.exact.toarray().astype(float), M0)
+        assert_close(kkt.regularized.toarray(), Mreg)
+
+
+# -- edge shapes ------------------------------------------------------------------
+
+
+class TestEdgeShapes:
+    def test_kkt_without_equalities(self):
+        spec = ConeSpec(orthant=2, socs=(3, 2))
+        rng = np.random.default_rng(1)
+        G = sp.random(spec.total, 4, density=0.6, random_state=rng, format="csr")
+        assert_kkt_matches_oracle(spec, sp.csr_matrix((0, 4)), G, rng)
+
+    def test_kkt_pure_lp(self):
+        spec = ConeSpec(orthant=5, socs=())
+        rng = np.random.default_rng(2)
+        A = sp.random(2, 3, density=0.7, random_state=rng, format="csr")
+        G = sp.random(5, 3, density=0.6, random_state=rng, format="csr")
+        assert_kkt_matches_oracle(spec, A, G, rng)
+
+    def test_kkt_without_inequalities(self):
+        spec = ConeSpec(orthant=0, socs=())
+        A = sp.csr_matrix(np.array([[1.0, 2.0]]))
+        assert_kkt_matches_oracle(spec, A, sp.csr_matrix((0, 2)), np.random.default_rng(3))
+
+    def test_solve_without_equalities(self):
+        # min t s.t. ||(3, 4)|| <= t and t <= 10, no A rows
+        prob = form([1.0], G=[[1.0], [-1.0], [0.0], [0.0]], h=[10.0, 0.0, 3.0, 4.0], orthant=1, socs=(3,))
+        assert prob.A.shape[0] == 0
+        report = solve(prob, SolverSettings())
+        assert report.status == "Optimal"
+        assert abs(report.objective - 5.0) <= 1e-7
+
+    def test_solve_pure_lp(self):
+        prob = form([1.0, 2.0], A=[[1.0, 1.0]], b=[1.0], G=-np.eye(2), h=[0.0, 0.0], orthant=2)
+        assert prob.cones.groups == ()
+        report = solve(prob, SolverSettings())
+        assert report.status == "Optimal"
+        assert np.allclose(report.x, [1.0, 0.0], atol=5e-6)
+
+    def test_solve_without_inequalities(self):
+        # x0 + x1 = 3, x0 - x1 = 1 pins x = (2, 1); no G rows, empty cone
+        prob = form([1.0, 2.0], A=[[1.0, 1.0], [1.0, -1.0]], b=[3.0, 1.0])
+        assert prob.G.shape[0] == 0
+        report = solve(prob, SolverSettings())
+        assert report.status == "Optimal"
+        assert np.allclose(report.x, [2.0, 1.0], atol=5e-6)
+
+    def test_pure_lp_cone_ops(self):
+        spec = ConeSpec(orthant=3, socs=())
+        v, dv = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 1.0, -6.0])
+        assert max_step(spec, v, dv) == oracle_max_step(spec, v, dv) == 0.5
+        assert_close(jordan_solve(spec, v, dv), oracle_jordan_solve(spec, v, dv))
+        assert_close(Scaling(spec, v, v[::-1]).w_inv_matrix().toarray(), OracleScaling(spec, v, v[::-1]).w_inv_dense())
+
+    def test_max_step_linear_branch(self):
+        # d0^2 = |d1|^2: the quadratic degenerates to 2 bq t + cq = 0
+        spec = ConeSpec(orthant=0, socs=(3,))
+        v, dv = np.array([2.0, 0.0, 0.0]), np.array([-1.0, 1.0, 0.0])
+        assert max_step(spec, v, dv) == oracle_max_step(spec, v, dv) == 1.0
+
+    def test_max_step_negative_discriminant_downward(self):
+        # disc < 0 arises only by rounding at interior points; a point a
+        # hair outside the cone reaches the branch deterministically, and
+        # with a < 0 the discriminant is clamped to 0
+        spec = ConeSpec(orthant=1, socs=(3,))
+        v, dv = np.array([1.0, 1.0, 1.001, 0.0]), np.array([0.0, 0.0, -0.01, 1.0])
+        b = v[1:]
+        d = dv[1:]
+        a = d[0] ** 2 - d[1:] @ d[1:]
+        bq = b[0] * d[0] - b[1:] @ d[1:]
+        cq = (b[0] - np.linalg.norm(b[1:])) * (b[0] + np.linalg.norm(b[1:]))
+        assert a < 0.0 and bq * bq - a * cq < 0.0
+        got = max_step(spec, v, dv)
+        assert got == oracle_max_step(spec, v, dv)
+        assert math.isclose(got, -bq / a, rel_tol=1e-15)
+
+    def test_max_step_direction_never_leaves(self):
+        spec = ConeSpec(orthant=2, socs=(3, 1))
+        v = np.array([1.0, 1.0, 2.0, 0.0, 0.0, 1.0])
+        dv = np.array([0.0, 3.0, 1.0, 0.5, 0.0, 2.0])
+        assert max_step(spec, v, dv) == oracle_max_step(spec, v, dv) == np.inf
+
+    def test_cone_identity_interleaved(self):
+        spec = ConeSpec(orthant=2, socs=(3, 1, 2, 3))
+        assert np.array_equal(cone_identity(spec), [1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0])
+
+    def test_groups_and_block_pattern(self):
+        spec = ConeSpec(orthant=1, socs=(2, 3, 2))
+        g2, g3 = spec.groups
+        assert (g2.size, g3.size) == (2, 3)
+        assert g2.index.tolist() == [[1, 2], [6, 7]] and g3.index.tolist() == [[3, 4, 5]]
+        assert g3.tail.tolist() == [[4, 5]] and g2.columns.tolist() == [[1, 6], [2, 7]]
+        assert spec.heads.tolist() == [1, 6, 3]
+        assert (g2.part, g3.part) == (slice(0, 2), slice(2, 3))
+        assert not g2.index.flags.writeable and not spec.heads.flags.writeable
+        indptr, indices, first, _ = spec.block_diag
+        assert first.tolist() == [0, 1, 1, 3, 3, 3, 6, 6]
+        pattern = sp.csc_matrix((np.ones(indices.size), indices, indptr)).toarray()
+        blocks = [np.ones((1, 1)), np.ones((2, 2)), np.ones((3, 3)), np.ones((2, 2))]
+        assert np.array_equal(pattern, sp.block_diag(blocks).toarray())
+
+    @pytest.mark.parametrize("orthant,socs", [(-1, ()), (0, (3, 0)), (1, (2, -1))])
+    def test_bad_spec_rejected(self, orthant, socs):
+        with pytest.raises(ValueError, match="cone spec"):
+            ConeSpec(orthant=orthant, socs=socs)
+
+    def test_equilibration_shares_scale_per_cone(self):
+        spec = ConeSpec(orthant=1, socs=(2, 3, 2))
+        G = sp.csr_matrix(np.diag([1.0, 4.0, 0.01, 9.0, 1.0, 0.25, 100.0, 1.0]))
+        prob = form(np.ones(8), G=G.toarray(), h=np.ones(8), orthant=1, socs=spec.socs)
+        _, _, _, _, d_in = _ruiz_equilibrate(prob, 1)
+        for at, d in oracle_blocks(spec):
+            assert np.all(d_in[at : at + d] == d_in[at])
+        assert d_in[1] == 0.5 and d_in[3] == 1.0 / 3.0 and d_in[6] == 0.1

@@ -242,6 +242,42 @@ ANALYTIC_CASES = [
         -1.0,
         [-1.0, -1.0],
     ),
+    # cone sizes interleaved (3, 4, 2, 3, 4): every cone bounds its own t_i
+    # by a distinct norm, ||(3, 4)||, ||(1, 2, 2)||, |-6|, ||(5, 12)|| and
+    # ||(2, 3, u)|| with u = 6 pinned by the equality row, so a cone whose
+    # slack lands in another cone's rows cannot reach this optimum
+    (
+        "interleaved_sizes",
+        form(
+            [1.0, 1.0, 1.0, 1.0, 1.0, 0.0],
+            A=[[0.0, 0.0, 0.0, 0.0, 0.0, 1.0]],
+            b=[6.0],
+            G=[
+                [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # orthant: t1 <= 10
+                [-1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # (t1, 3, 4)
+                [0.0] * 6,
+                [0.0] * 6,
+                [0.0, -1.0, 0.0, 0.0, 0.0, 0.0],  # (t2, 1, 2, 2)
+                [0.0] * 6,
+                [0.0] * 6,
+                [0.0] * 6,
+                [0.0, 0.0, -1.0, 0.0, 0.0, 0.0],  # (t3, -6)
+                [0.0] * 6,
+                [0.0, 0.0, 0.0, -1.0, 0.0, 0.0],  # (t4, 5, 12)
+                [0.0] * 6,
+                [0.0] * 6,
+                [0.0, 0.0, 0.0, 0.0, -1.0, 0.0],  # (t5, 2, 3, u)
+                [0.0] * 6,
+                [0.0] * 6,
+                [0.0, 0.0, 0.0, 0.0, 0.0, -1.0],
+            ],
+            h=[10.0, 0.0, 3.0, 4.0, 0.0, 1.0, 2.0, 2.0, 0.0, -6.0, 0.0, 5.0, 12.0, 0.0, 2.0, 3.0, 0.0],
+            orthant=1,
+            socs=(3, 4, 2, 3, 4),
+        ),
+        34.0,
+        [5.0, 3.0, 6.0, 13.0, 7.0, 6.0],
+    ),
 ]
 
 
