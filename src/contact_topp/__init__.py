@@ -25,7 +25,6 @@ from .scenario import (
     SolverFailureError,
     TrajectoryOutput,
     assemble_scenario,
-    assemble_waiter,
     load_scenario,
     run,
     scenario_from_dict,
@@ -73,7 +72,6 @@ __all__ = [
     "Twist",
     "assemble",
     "assemble_scenario",
-    "assemble_waiter",
     "audit",
     "body_jacobian",
     "build_grid",

@@ -144,7 +144,3 @@ class ContactSpec:
 
     def descriptor(self) -> ConeDescriptor:
         return emit_cone(self.model, self.params)
-
-
-def cone_descriptor_for(contact: ContactSpec) -> ConeDescriptor:
-    return contact.descriptor()

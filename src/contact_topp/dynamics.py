@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contacts import ContactSpec, cone_descriptor_for
+from .contacts import ContactSpec
 from .liegroup import (
     Pose,
     Twist,
@@ -230,6 +230,13 @@ class Scene:
     @property
     def dof(self) -> int:
         return sum(r.model.dof for r in self.robots)
+
+    def limit_arrays(self) -> tuple:
+        """(torque_lower, torque_upper, velocity_max, accel_lower, accel_upper),
+        each stacked over the robots in scene joint order."""
+        limits = [r.model.limits for r in self.robots]
+        names = ("torque_lower", "torque_upper", "velocity_max", "accel_lower", "accel_upper")
+        return tuple(np.concatenate([getattr(lim, name) for lim in limits]) for name in names)
 
     def robot_slices(self) -> list[slice]:
         out = []

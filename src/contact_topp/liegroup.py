@@ -82,21 +82,6 @@ def twist_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpatialVelocity:
-    """Body-frame velocity of a frame, [linear; angular]."""
-
-    linear: np.ndarray
-    angular: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "linear", np.asarray(self.linear, dtype=float).reshape(3))
-        object.__setattr__(self, "angular", np.asarray(self.angular, dtype=float).reshape(3))
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.linear, self.angular])
-
-
-@dataclass(frozen=True)
 class Pose:
     """Element of SE(3): rotation matrix plus translation."""
 

@@ -232,11 +232,11 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"{rwhere}.waypoints: {exc}") from exc
 
-    objects_raw = data.get("objects", [])
-    if len(objects_raw) > 2:
-        raise ScenarioError(f"{where}.objects: at most two objects are supported, got {len(objects_raw)}")
+    if all(np.all(r.path.waypoints == r.path.waypoints[0]) for r in robots):
+        raise ScenarioError(f"{where}.robots: stationary path, every robot's waypoints are all equal")
+
     objects = tuple(
-        _object_from_dict(entry, f"{where}.objects[{i}]") for i, entry in enumerate(objects_raw)
+        _object_from_dict(entry, f"{where}.objects[{i}]") for i, entry in enumerate(data.get("objects", []))
     )
 
     gravity = np.asarray(data.get("gravity", (0.0, 0.0, -9.81)), dtype=float)
@@ -315,53 +315,9 @@ def _list_index(entries, part, where):
     raise ScenarioError(f"parameter path: no entry named {part!r} at {where}")
 
 
-# assembly dispatch
-
-
 def assemble_scenario(scenario: Scenario, grid: Grid | None = None) -> ConicProgram:
     grid = grid if grid is not None else build_grid(scenario.grid_points)
-    settings = TranscriptionSettings(boundary_sdot=scenario.boundary_sdot)
-    if len(scenario.scene.objects) == 2:
-        return assemble_waiter(scenario, grid, settings)
-    return assemble(scenario.scene, grid, settings)
-
-
-def assemble_waiter(
-    scenario: Scenario, grid: Grid | None = None, settings: TranscriptionSettings | None = None
-) -> ConicProgram:
-    """Two-object stack: a grasped carrier and a free object riding on it.
-
-    Validates the topology (carrier held through soft-finger contacts, the
-    rider coupled to the carrier through point contacts carrying the
-    action-reaction pair) before assembling both wrench balances.
-    """
-    scene = scenario.scene
-    if len(scene.objects) != 2:
-        raise ScenarioError(f"waiter assembly needs exactly two objects, got {len(scene.objects)}")
-    carriers = [o for o in scene.objects if o.parent_robot is not None]
-    riders = [o for o in scene.objects if o.parent_object is not None]
-    if len(carriers) != 1 or len(riders) != 1:
-        raise ScenarioError("waiter assembly needs one grasped carrier and one object riding on it")
-    carrier, rider = carriers[0], riders[0]
-    if rider.parent_object != carrier.model.name:
-        raise ScenarioError(
-            f"object {rider.model.name!r} must ride on {carrier.model.name!r}, "
-            f"rides on {rider.parent_object!r}"
-        )
-    grasp = [c for c in carrier.model.contacts if c.kind == "manipulator" and c.model == "sfce"]
-    if not grasp:
-        raise ScenarioError(f"carrier {carrier.model.name!r} has no soft-finger grasp contact")
-    coupling = [
-        c for c in rider.model.contacts if c.kind == "object" and c.against == carrier.model.name
-    ]
-    if len(coupling) != 3 or any(c.model != "pcwf" for c in coupling):
-        raise ScenarioError(
-            f"object {rider.model.name!r} needs exactly three point contacts "
-            f"against {carrier.model.name!r}, found {len(coupling)}"
-        )
-    grid = grid if grid is not None else build_grid(scenario.grid_points)
-    settings = settings if settings is not None else TranscriptionSettings(boundary_sdot=scenario.boundary_sdot)
-    return assemble(scene, grid, settings)
+    return assemble(scenario.scene, grid, TranscriptionSettings(boundary_sdot=scenario.boundary_sdot))
 
 
 # end-to-end run

@@ -175,71 +175,50 @@ class SolveReport:
 
 
 def canonicalize(program) -> StandardConicForm:
-    """Flatten a transcription-level program into standard conic form.
+    """Stack a transcription-level program into standard conic form.
 
     Equality rows map directly.  Each bound row contributes one orthant row
-    per finite side; cone blocks map to second-order cone slices of (G, h).
+    per finite side, its upper side first; cone rows follow, negated, as
+    the second-order cone slices of (G, h).
     """
     n = program.num_vars
     if program.objective.size != n:
         raise ValueError(f"objective has {program.objective.size} entries for {n} variables")
-    for blk in program.cones:
-        if not blk.rows:
-            raise ValueError(f"cone block {blk.label!r} has no rows")
+    eq, bounds, cones = program.equalities, program.bounds, program.cones
+    empty = np.flatnonzero(np.asarray(cones.sizes, dtype=int) < 1)
+    if empty.size:
+        raise ValueError(f"cone block {cones.cone_labels[empty[0]]!r} has no rows")
+    for rows in (eq, bounds, cones):
+        beyond = np.flatnonzero(rows.matrix.indices >= n)
+        if beyond.size:
+            row = rows.labels[np.searchsorted(rows.matrix.indptr, beyond[0], side="right") - 1]
+            raise ValueError(f"row {row!r} references variable {rows.matrix.indices[beyond[0]]}, have {n}")
+    A, B, C = (
+        sp.csr_matrix((r.matrix.data, r.matrix.indices, r.matrix.indptr), shape=(r.matrix.shape[0], n), copy=True)
+        for r in (eq, bounds, cones)
+    )
 
-    def checked(cols, label):
-        for cc in cols:
-            if not 0 <= cc < n:
-                raise ValueError(f"row {label!r} references variable {cc}, have {n}")
-        return cols
-
-    eq_rows, eq_cols, eq_vals, eq_rhs = [], [], [], []
-    for i, row in enumerate(program.equalities):
-        for cc, v in zip(checked(row.cols, row.label), row.vals):
-            eq_rows.append(i)
-            eq_cols.append(cc)
-            eq_vals.append(v)
-        eq_rhs.append(-row.offset)
-    A = sp.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(len(program.equalities), n))
-    b = np.asarray(eq_rhs, dtype=float)
-
-    g_rows, g_cols, g_vals, h_vals, labels = [], [], [], [], []
-
-    def push(cols, vals, rhs, label):
-        i = len(h_vals)
-        for cc, v in zip(checked(cols, label), vals):
-            g_rows.append(i)
-            g_cols.append(cc)
-            g_vals.append(v)
-        h_vals.append(rhs)
-        labels.append(label)
-
-    for row in program.bounds:
-        if np.isfinite(row.upper):
-            # expr <= upper  ->  +vals x <= upper - offset
-            push(row.cols, row.vals, row.upper - row.offset, f"{row.label}:upper")
-        if np.isfinite(row.lower):
-            # expr >= lower  ->  -vals x <= offset - lower
-            push(row.cols, tuple(-v for v in row.vals), row.offset - row.lower, f"{row.label}:lower")
-    orthant = len(h_vals)
-
-    socs = []
-    for blk in program.cones:
-        for r in blk.rows:
-            # slack equals the affine expression: G row = -vals, h = offset
-            push(r.cols, tuple(-v for v in r.vals), r.offset, r.label)
-        socs.append(len(blk.rows))
-    G = sp.csr_matrix((g_vals, (g_rows, g_cols)), shape=(len(h_vals), n))
-    h = np.asarray(h_vals, dtype=float)
+    # one orthant row per finite side of each bound, the upper side first:
+    # expr <= upper  ->  +vals x <= upper - offset
+    # expr >= lower  ->  -vals x <= offset - lower
+    which, side = np.nonzero(np.stack((np.isfinite(bounds.upper), np.isfinite(bounds.lower)), axis=1))
+    is_lower = side == 1
+    G_bounds = B[which]
+    G_bounds.data *= np.repeat(np.where(is_lower, -1.0, 1.0), np.diff(G_bounds.indptr))
+    offset = bounds.offset[which]
+    h_bounds = np.where(is_lower, offset - bounds.lower[which], bounds.upper[which] - offset)
+    labels = [f"{bounds.labels[i]}:{('upper', 'lower')[j]}" for i, j in zip(which.tolist(), side.tolist())]
+    # slack equals the affine expression: G row = -vals, h = offset
+    G = sp.vstack([G_bounds, -C], format="csr")
 
     return StandardConicForm(
         c=program.objective.astype(float).copy(),
         A=A,
-        b=b,
+        b=-eq.offset,
         G=G,
-        h=h,
-        cones=ConeSpec(orthant=orthant, socs=tuple(socs)),
-        row_labels=labels,
+        h=np.concatenate((h_bounds, cones.offset)),
+        cones=ConeSpec(orthant=which.size, socs=tuple(int(d) for d in cones.sizes)),
+        row_labels=labels + list(cones.labels),
     )
 
 
@@ -493,38 +472,39 @@ def _ruiz_equilibrate(form: StandardConicForm, iters: int):
     """Row/column scaling of the stacked constraint matrix.
 
     Rows belonging to one second-order cone share a single scale so the
-    scaled slack stays in the same cone.
+    scaled slack stays in the same cone.  [A; G] is stacked once and its
+    values are scaled in place, by the row scale and then by the column
+    scale, which rounds as the product diag(e) [A; G] diag(c) does; like
+    that product, the result keeps no explicit zeros.
     """
-    A, G = form.A.tocsr(), form.G.tocsr()
-    p, m, n = A.shape[0], G.shape[0], A.shape[1]
+    p, n = form.A.shape
+    M = sp.vstack([form.A, form.G], format="csr")
+    M.eliminate_zeros()
+    row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
     d_col = np.ones(n)
-    d_eq = np.ones(p)
-    d_in = np.ones(m)
+    d_row = np.ones(M.shape[0])
     spec = form.cones
 
     def inverse_sqrt(v):
         return 1.0 / np.sqrt(np.where(v > 0, v, 1.0))
 
     for _ in range(iters):
-        Mabs = abs(sp.vstack([A, G], format="csc"))
-        col_scale = inverse_sqrt(Mabs.max(axis=0).toarray().ravel())
-        row_max = Mabs.tocsr().max(axis=1).toarray().ravel()
-        eq_scale = inverse_sqrt(row_max[:p])
-        in_scale = inverse_sqrt(row_max[p:])
+        mag = np.abs(M.data)
+        col_max = np.zeros(n)
+        np.maximum.at(col_max, M.indices, mag)
+        row_max = np.zeros(M.shape[0])
+        np.maximum.at(row_max, row, mag)
+        col_scale = inverse_sqrt(col_max)
+        row_scale = inverse_sqrt(row_max)
         for g in spec.groups:
-            in_scale[g.index] = inverse_sqrt(row_max[p + g.index].max(axis=1))[:, None]
-        A = sp.diags(eq_scale) @ A @ sp.diags(col_scale)
-        G = sp.diags(in_scale) @ G @ sp.diags(col_scale)
+            row_scale[p + g.index] = inverse_sqrt(row_max[p + g.index].max(axis=1))[:, None]
+        M.data *= row_scale[row]
+        M.data *= col_scale[M.indices]
         d_col *= col_scale
-        d_eq *= eq_scale
-        d_in *= in_scale
-        if (
-            np.all(np.abs(1.0 - col_scale) < 1e-4)
-            and np.all(np.abs(1.0 - eq_scale) < 1e-4)
-            and np.all(np.abs(1.0 - in_scale) < 1e-4)
-        ):
+        d_row *= row_scale
+        if np.all(np.abs(1.0 - col_scale) < 1e-4) and np.all(np.abs(1.0 - row_scale) < 1e-4):
             break
-    return A.tocsr(), G.tocsr(), d_col, d_eq, d_in
+    return M[:p], M[p:], d_col, d_row[:p], d_row[p:]
 
 
 def verify_kkt(form: StandardConicForm, x, y, z, s, tol: float = 1e-6) -> dict:

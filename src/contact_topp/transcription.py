@@ -14,14 +14,22 @@ contact model cannot transmit stay in the variable vector but are pinned to
 zero by equality rows, which keeps the bookkeeping uniform and makes the
 free-scalar count match K(4 + 3u + 4v + n) - 2 for a rest-to-rest profile
 with u point contacts and v soft-finger contacts.
+
+The program holds three row sections (equalities, bounds, cone rows), each
+one sparse matrix with an offset vector and row labels.  `assemble` fills
+them family by family (torque, balance, ..., inv_epigraph) with array
+operations over the samples of all K midpoints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from collections import defaultdict
+from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
 
 from .contacts import ContactSpec
 from .dynamics import Scene, stack_dynamics_in_s
@@ -55,44 +63,69 @@ def interval_b_interpolation(b_lo: float, b_hi: float, s: float, s_lo: float = 0
     return float(b_lo + (b_hi - b_lo) * np.clip(w, 0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class LinearRow:
-    """Sparse affine expression sum(vals * x[cols]) + offset."""
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Affine rows `matrix @ x + offset`, one label per row."""
 
-    cols: tuple[int, ...]
-    vals: tuple[float, ...]
-    offset: float
-    label: str
+    matrix: sp.csr_matrix
+    offset: np.ndarray
+    labels: tuple
+
+    @classmethod
+    def from_lists(cls, cols, vals, offset, labels, width: int, **fields):
+        """Rows from per-row column and value lists (the program-v1 layout).
+
+        The matrix is widened past `width` when a column lies beyond it, so
+        that `canonicalize` can name the offending row.
+        """
+        counts = [len(c) for c in cols]
+        rows = np.repeat(np.arange(len(counts)), counts)
+        flat_cols = np.fromiter(chain.from_iterable(cols), dtype=np.intp, count=rows.size)
+        flat_vals = np.fromiter(chain.from_iterable(vals), dtype=float, count=rows.size)
+        width = max(width, int(flat_cols.max(initial=-1)) + 1)
+        matrix = sp.csr_matrix((flat_vals, (rows, flat_cols)), shape=(len(counts), width))
+        return cls(matrix, np.asarray(offset, dtype=float).reshape(-1), tuple(labels), **fields)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x + self.offset
+
+    def row_dicts(self) -> list:
+        """One {cols, vals, offset, label} dict per row (the program-v1 layout)."""
+        m = self.matrix
+        ends = m.indptr.tolist()
+        return [
+            {"cols": m.indices[a:b].tolist(), "vals": m.data[a:b].tolist(), "offset": off, "label": lab}
+            for a, b, off, lab in zip(ends[:-1], ends[1:], self.offset.tolist(), self.labels)
+        ]
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    """lower <= sum(vals * x[cols]) + offset <= upper, infinities allowed."""
+@dataclass(frozen=True, eq=False)
+class BoundRows(Rows):
+    """lower <= matrix @ x + offset <= upper, infinities allowed."""
 
-    cols: tuple[int, ...]
-    vals: tuple[float, ...]
-    offset: float
-    lower: float
-    upper: float
-    label: str
+    lower: np.ndarray
+    upper: np.ndarray
 
 
-@dataclass(frozen=True)
-class ConeBlock:
-    """Second-order cone: rows[0] >= norm(rows[1:])."""
+@dataclass(frozen=True, eq=False)
+class ConeRows(Rows):
+    """Second-order cones over consecutive rows: in each cone of `sizes`,
+    the first row bounds the norm of the others."""
 
-    rows: tuple[LinearRow, ...]
-    label: str
+    sizes: tuple
+    cone_labels: tuple
 
 
-@dataclass(frozen=True)
-class SpeedNode:
-    """Grid-node speed bookkeeping; pinned nodes carry constants."""
+@dataclass(frozen=True, eq=False)
+class SpeedNodes:
+    """Grid-node speed bookkeeping: the b and c column of every node (-1
+    where the node is pinned) and the constants of pinned nodes (nan where
+    the node is free)."""
 
-    b_col: int | None
-    c_col: int | None
-    b_value: float
-    c_value: float
+    b_col: np.ndarray
+    c_col: np.ndarray
+    b_value: np.ndarray
+    c_value: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,18 +140,25 @@ class ScalingVariables:
     wrenches: dict  # contact id -> (K, 6)
 
 
+def _worst_by_family(worst: dict, labels, violation: np.ndarray):
+    """Fold row violations into `worst`, keyed by the label up to its first '['."""
+    family = np.array([lab.split("[", 1)[0] for lab in labels])
+    for name in dict.fromkeys(family.tolist()):
+        worst[name] = max(worst.get(name, 0.0), float(violation[family == name].max()))
+
+
 @dataclass
 class ConicProgram:
     """Assembled program: linear objective, equality rows, bound rows, cones."""
 
     num_vars: int
     objective: np.ndarray
-    equalities: list
-    bounds: list
-    cones: list
-    pinned_idx: tuple
+    equalities: Rows
+    bounds: BoundRows
+    cones: ConeRows
+    pinned_idx: np.ndarray
     slices: dict
-    nodes: tuple
+    nodes: SpeedNodes
     grid: Grid
     contact_order: tuple
     meta: dict = field(default_factory=dict)
@@ -130,14 +170,14 @@ class ConicProgram:
         x = np.asarray(x, dtype=float).reshape(self.num_vars)
         K = self.grid.intervals
         n = self.meta["dof"]
-        b = np.array([nd.b_value if nd.b_col is None else x[nd.b_col] for nd in self.nodes])
-        c = np.array([nd.c_value if nd.c_col is None else x[nd.c_col] for nd in self.nodes])
+        nd = self.nodes
         tau = x[self.slices["tau"]].reshape(K, n)
         wrenches = {cid: x[self.slices[f"F:{cid}"]].reshape(K, 6) for cid in self.contact_order}
         return ScalingVariables(
             accel=x[self.slices["a"]].copy(),
-            speed_sq=b,
-            speed_aux=c,
+            # pinned nodes read x[-1], which the where discards
+            speed_sq=np.where(nd.b_col >= 0, x[nd.b_col], nd.b_value),
+            speed_aux=np.where(nd.c_col >= 0, x[nd.c_col], nd.c_value),
             inverse_avg=x[self.slices["d"]].copy(),
             torque=tau,
             wrenches=wrenches,
@@ -146,35 +186,27 @@ class ConicProgram:
     def residual_report(self, x: np.ndarray) -> dict:
         """Worst violation of each row family at the point x, keyed by label prefix."""
         x = np.asarray(x, dtype=float).reshape(self.num_vars)
-
-        def expr(row):
-            return sum(v * x[cc] for cc, v in zip(row.cols, row.vals)) + row.offset
-
+        bounds, cones = self.bounds, self.cones
+        v = bounds.values(x)
+        u = cones.values(x)
+        sizes = np.asarray(cones.sizes, dtype=np.intp)
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        head = np.zeros(u.size, dtype=bool)
+        head[np.cumsum(sizes) - sizes] = True
+        tail_norm = np.sqrt(np.bincount(owner[~head], weights=u[~head] ** 2, minlength=sizes.size))
         worst: dict[str, float] = {}
-
-        def note(label, value):
-            fam = label.split("[", 1)[0]
-            worst[fam] = max(worst.get(fam, 0.0), value)
-
-        for row in self.equalities:
-            note(row.label, abs(expr(row)))
-        for row in self.bounds:
-            v = expr(row)
-            viol = max(row.lower - v, v - row.upper, 0.0)
-            note(row.label, viol)
-        for blk in self.cones:
-            head = expr(blk.rows[0])
-            tail = math.sqrt(sum(expr(r) ** 2 for r in blk.rows[1:]))
-            note(blk.label, max(tail - head, 0.0))
+        _worst_by_family(worst, self.equalities.labels, np.abs(self.equalities.values(x)))
+        _worst_by_family(worst, bounds.labels, np.maximum(np.maximum(bounds.lower - v, v - bounds.upper), 0.0))
+        _worst_by_family(worst, cones.cone_labels, np.maximum(tail_norm - u[head], 0.0))
         return worst
 
     def to_json_dict(self) -> dict:
-        def row_dict(row):
-            return {"cols": list(row.cols), "vals": list(row.vals), "offset": row.offset, "label": row.label}
-
         def bound_val(v):
             return None if not np.isfinite(v) else v
 
+        cone_rows = self.cones.row_dicts()
+        ends = np.cumsum(self.cones.sizes, dtype=np.intp).tolist()
+        nd = self.nodes
         return {
             "format": "contact-topp/program-v1",
             "num_vars": self.num_vars,
@@ -182,21 +214,27 @@ class ConicProgram:
                 "cols": np.nonzero(self.objective)[0].tolist(),
                 "vals": self.objective[np.nonzero(self.objective)[0]].tolist(),
             },
-            "equalities": [row_dict(r) for r in self.equalities],
+            "equalities": self.equalities.row_dicts(),
             "bounds": [
-                dict(row_dict(r), lower=bound_val(r.lower), upper=bound_val(r.upper)) for r in self.bounds
+                dict(row, lower=bound_val(lo), upper=bound_val(hi))
+                for row, lo, hi in zip(self.bounds.row_dicts(), self.bounds.lower.tolist(), self.bounds.upper.tolist())
             ],
-            "cones": [{"label": b.label, "rows": [row_dict(r) for r in b.rows]} for b in self.cones],
-            "pinned": list(self.pinned_idx),
+            "cones": [
+                {"label": label, "rows": cone_rows[end - size : end]}
+                for label, size, end in zip(self.cones.cone_labels, self.cones.sizes, ends)
+            ],
+            "pinned": np.asarray(self.pinned_idx).tolist(),
             "slices": {k: [v.start, v.stop] for k, v in self.slices.items()},
             "nodes": [
                 {
-                    "b_col": nd.b_col,
-                    "c_col": nd.c_col,
-                    "b_value": None if nd.b_col is not None else nd.b_value,
-                    "c_value": None if nd.c_col is not None else nd.c_value,
+                    "b_col": None if b_col < 0 else b_col,
+                    "c_col": None if c_col < 0 else c_col,
+                    "b_value": None if b_col >= 0 else b_value,
+                    "c_value": None if c_col >= 0 else c_value,
                 }
-                for nd in self.nodes
+                for b_col, c_col, b_value, c_value in zip(
+                    nd.b_col.tolist(), nd.c_col.tolist(), nd.b_value.tolist(), nd.c_value.tolist()
+                )
             ],
             "grid_intervals": self.grid.intervals,
             "contact_order": list(self.contact_order),
@@ -211,30 +249,40 @@ def program_from_json_dict(data: dict) -> ConicProgram:
     objective = np.zeros(num_vars)
     objective[np.asarray(data["objective"]["cols"], dtype=int)] = data["objective"]["vals"]
 
-    def row(d):
-        return LinearRow(tuple(d["cols"]), tuple(d["vals"]), float(d["offset"]), d["label"])
+    def section(rows, cls=Rows, **fields):
+        return cls.from_lists(
+            [d["cols"] for d in rows],
+            [d["vals"] for d in rows],
+            [d["offset"] for d in rows],
+            [d["label"] for d in rows],
+            num_vars,
+            **fields,
+        )
 
-    def bound(d):
-        lo = -np.inf if d["lower"] is None else float(d["lower"])
-        hi = np.inf if d["upper"] is None else float(d["upper"])
-        return BoundRow(tuple(d["cols"]), tuple(d["vals"]), float(d["offset"]), lo, hi, d["label"])
+    def side(key, missing):
+        return np.array([missing if d[key] is None else float(d[key]) for d in data["bounds"]], dtype=float)
+
+    def node_array(key, missing, dtype):
+        return np.array([missing if d[key] is None else d[key] for d in data["nodes"]], dtype=dtype)
 
     return ConicProgram(
         num_vars=num_vars,
         objective=objective,
-        equalities=[row(d) for d in data["equalities"]],
-        bounds=[bound(d) for d in data["bounds"]],
-        cones=[ConeBlock(tuple(row(r) for r in d["rows"]), d["label"]) for d in data["cones"]],
-        pinned_idx=tuple(data["pinned"]),
+        equalities=section(data["equalities"]),
+        bounds=section(data["bounds"], BoundRows, lower=side("lower", -np.inf), upper=side("upper", np.inf)),
+        cones=section(
+            [r for d in data["cones"] for r in d["rows"]],
+            ConeRows,
+            sizes=tuple(len(d["rows"]) for d in data["cones"]),
+            cone_labels=tuple(d["label"] for d in data["cones"]),
+        ),
+        pinned_idx=np.asarray(data["pinned"], dtype=np.intp),
         slices={k: slice(v[0], v[1]) for k, v in data["slices"].items()},
-        nodes=tuple(
-            SpeedNode(
-                d["b_col"],
-                d["c_col"],
-                np.nan if d["b_value"] is None else float(d["b_value"]),
-                np.nan if d["c_value"] is None else float(d["c_value"]),
-            )
-            for d in data["nodes"]
+        nodes=SpeedNodes(
+            b_col=node_array("b_col", -1, np.intp),
+            c_col=node_array("c_col", -1, np.intp),
+            b_value=node_array("b_value", np.nan, float),
+            c_value=node_array("c_value", np.nan, float),
         ),
         grid=build_grid(int(data["grid_intervals"])),
         contact_order=tuple(data["contact_order"]),
@@ -250,20 +298,43 @@ class TranscriptionSettings:
     constant_tol: float = 1e-9
 
 
-def _stacked_limits(scene: Scene):
-    tl, tu, vm, al, au = [], [], [], [], []
-    for r in scene.robots:
-        lim = r.model.limits
-        tl.append(lim.torque_lower)
-        tu.append(lim.torque_upper)
-        vm.append(lim.velocity_max)
-        al.append(lim.accel_lower)
-        au.append(lim.accel_upper)
-    return tuple(np.concatenate(v) for v in (tl, tu, vm, al, au))
-
-
 def _contact_specs(scene: Scene) -> dict[str, ContactSpec]:
     return {f"{obj.model.name}/{c.name}": c for obj in scene.objects for c in obj.model.contacts}
+
+
+class _Section:
+    """One row section, gathered family by family and stacked once.
+
+    A family is added over an index grid (interval k, joint i, ...): `keep`
+    marks the grid points that get a row, numbered in C order.  Each term is
+    (columns, values, present), broadcastable to the grid shape + (slots,),
+    and only present entries are stored.  The offset and any other per-row
+    field (lower, upper) broadcast over the grid; `label` formats a row from
+    its grid index.
+    """
+
+    def __init__(self):
+        self.size = 0
+        self.entries: list = []
+        self.labels: list = []
+        self.per_row: dict = defaultdict(list)
+
+    def add(self, keep: np.ndarray, terms, offset, label, **per_row):
+        ids = self.size + np.cumsum(keep).reshape(keep.shape) - 1
+        for cols, vals, present in terms:
+            full = keep.shape + np.shape(cols)[-1:]
+            on = np.broadcast_to(present, full) & keep[..., None]
+            self.entries.append([np.broadcast_to(a, full)[on] for a in (ids[..., None], cols, vals)])
+        for name, value in dict(per_row, offset=offset).items():
+            self.per_row[name].append(np.broadcast_to(value, keep.shape)[keep].astype(float))
+        self.labels += [label(*ix) for ix in zip(*np.nonzero(keep))]
+        self.size += int(np.count_nonzero(keep))
+
+    def build(self, cls, width: int, **fields):
+        rows, cols, vals = (np.concatenate(part) for part in zip(*self.entries))
+        matrix = sp.csr_matrix((vals, (rows, cols)), shape=(self.size, width))
+        per_row = {name: np.concatenate(parts) for name, parts in self.per_row.items()}
+        return cls(matrix, labels=tuple(self.labels), **per_row, **fields)
 
 
 def assemble(scene: Scene, grid: Grid, settings: TranscriptionSettings = TranscriptionSettings()) -> ConicProgram:
@@ -274,7 +345,8 @@ def assemble(scene: Scene, grid: Grid, settings: TranscriptionSettings = Transcr
     contact_order = tuple(scene.contact_ids())
     specs = _contact_specs(scene)
     descriptors = {cid: specs[cid].descriptor() for cid in contact_order}
-    tl, tu, vmax, al, au = _stacked_limits(scene)
+    tl, tu, vmax, al, au = scene.limit_arrays()
+    tol = settings.constant_tol
 
     # variable layout, in declaration order
     slices: dict[str, slice] = {}
@@ -285,191 +357,203 @@ def assemble(scene: Scene, grid: Grid, settings: TranscriptionSettings = Transcr
         slices[name] = slice(at, at + count)
         at += count
 
-    claim("a", K)
     sdot0, sdotT = settings.boundary_sdot
-    free_nodes = [k for k in range(K + 1) if (k != 0 or sdot0 is None) and (k != K or sdotT is None)]
-    claim("b", len(free_nodes))
-    claim("c", len(free_nodes))
+    node = np.arange(K + 1)
+    free = ((node != 0) | (sdot0 is None)) & ((node != K) | (sdotT is None))
+    num_free = int(free.sum())
+    claim("a", K)
+    claim("b", num_free)
+    claim("c", num_free)
     claim("d", K)
     claim("tau", K * n)
     for cid in contact_order:
         claim(f"F:{cid}", 6 * K)
     num_vars = at
 
-    nodes = []
-    free_pos = {k: i for i, k in enumerate(free_nodes)}
-    for k in range(K + 1):
-        if k in free_pos:
-            nodes.append(SpeedNode(slices["b"].start + free_pos[k], slices["c"].start + free_pos[k], np.nan, np.nan))
-        else:
-            sd = float(sdot0 if k == 0 else sdotT)
-            nodes.append(SpeedNode(None, None, sd * sd, abs(sd)))
-    nodes = tuple(nodes)
+    rank = np.cumsum(free) - 1
+    sdot = np.full(K + 1, np.nan)
+    sdot[[0, K]] = [np.nan if v is None else v for v in (sdot0, sdotT)]
+    nodes = SpeedNodes(
+        b_col=np.where(free, slices["b"].start + rank, -1),
+        c_col=np.where(free, slices["c"].start + rank, -1),
+        b_value=np.where(free, np.nan, sdot * sdot),
+        c_value=np.where(free, np.nan, np.abs(sdot)),
+    )
 
-    def tau_col(k, i):
-        return slices["tau"].start + k * n + i
+    # the path-dependent data of all K midpoints, stacked along a first axis
+    def stacked(get):
+        return np.array([get(smp) for smp in samples])
 
-    def f_col(cid, k, m):
-        return slices[f"F:{cid}"].start + 6 * k + m
+    dq, ddq = stacked(lambda smp: smp.dq), stacked(lambda smp: smp.ddq)
+    k = np.arange(K)
+    a_col = (slices["a"].start + k)[:, None, None]
+    tau_term = ((slices["tau"].start + n * k[:, None] + np.arange(n))[..., None], 1.0, True)  # (K, n, 1)
 
-    def mid_b_terms(k, coeff):
-        """Columns/constant for coeff * (b^k + b^{k+1})/2."""
-        cols, vals, const = [], [], 0.0
-        for nd in (nodes[k], nodes[k + 1]):
-            if nd.b_col is None:
-                const += 0.5 * coeff * nd.b_value
-            else:
-                cols.append(nd.b_col)
-                vals.append(0.5 * coeff)
-        return cols, vals, const
+    def f_cols(cids):
+        """(K, 6 len(cids)) wrench columns of the contacts, in order."""
+        starts = np.array([slices[f"F:{cid}"].start for cid in cids], dtype=np.intp)
+        return (starts[:, None] + 6 * k[:, None, None] + np.arange(6)).reshape(K, -1)
 
-    equalities: list[LinearRow] = []
-    bounds: list[BoundRow] = []
-    cones: list[ConeBlock] = []
-    pinned: list[int] = []
+    def pair(col, value, w_lo, w_hi):
+        """Entry term and constant of w_lo v^k + w_hi v^{k+1} on every interval.
+
+        v is the node variable with columns `col` (b or c); a pinned node's
+        value folds into the constant.  The weights are (K, ...) arrays; the
+        constant adds the pinned ends to 0.0 in node order.
+        """
+        w_lo, w_hi = np.broadcast_arrays(w_lo, w_hi)
+        per = (K,) + (1,) * (w_lo.ndim - 1)
+        ends = [(e[:-1].reshape(per), e[1:].reshape(per)) for e in (col, free, value)]
+        (c_lo, c_hi), (f_lo, f_hi), (v_lo, v_hi) = ends
+        const = 0.0 + np.where(f_lo, 0.0, w_lo * v_lo) + np.where(f_hi, 0.0, w_hi * v_hi)
+        term = (np.stack((c_lo, c_hi), axis=-1), np.stack((w_lo, w_hi), axis=-1), np.stack((f_lo, f_hi), axis=-1))
+        return term, const
+
+    def mid_b(coeff):
+        """coeff * (b^k + b^{k+1}) / 2, the collocated squared speed."""
+        half = 0.5 * coeff
+        return pair(nodes.b_col, nodes.b_value, half, half)
+
+    def every(*shape):
+        return np.ones(shape, dtype=bool)
+
+    equalities, bounds, cones = _Section(), _Section(), _Section()
 
     # torque-dynamics rows: tau + sum J^T F = Macc a + Mvel b_mid + grav
-    for k, smp in enumerate(samples):
-        for i in range(n):
-            cols = [tau_col(k, i)]
-            vals = [1.0]
-            for cid, J in smp.contact_jacobians.items():
-                for m in range(6):
-                    if J[m, i] != 0.0:
-                        cols.append(f_col(cid, k, m))
-                        vals.append(float(J[m, i]))
-            cols.append(slices["a"].start + k)
-            vals.append(-float(smp.torque_accel_coeff[i]))
-            bc, bv, bconst = mid_b_terms(k, -float(smp.torque_velsq_coeff[i]))
-            cols += bc
-            vals += bv
-            offset = bconst - float(smp.torque_gravity[i])
-            equalities.append(LinearRow(tuple(cols), tuple(vals), offset, f"torque[{k}][{i}]"))
+    jac_ids = tuple(samples[0].contact_jacobians)
+    J = stacked(lambda smp: [smp.contact_jacobians[cid] for cid in jac_ids]).reshape(K, len(jac_ids), 6, n)
+    J = J.transpose(0, 3, 1, 2).reshape(K, n, -1)
+    b_term, b_const = mid_b(-stacked(lambda smp: smp.torque_velsq_coeff))
+    equalities.add(
+        every(K, n),
+        [
+            tau_term,
+            (f_cols(jac_ids)[:, None, :], J, J != 0.0),
+            (a_col, -stacked(lambda smp: smp.torque_accel_coeff)[..., None], True),
+            b_term,
+        ],
+        b_const - stacked(lambda smp: smp.torque_gravity),
+        lambda kk, i: f"torque[{kk}][{i}]",
+    )
 
-    # object wrench balance: sum sign G F - A a - B b_mid + f_ext = 0
-    for k, smp in enumerate(samples):
-        for osmp in smp.objects:
-            for r in range(6):
-                cols, vals = [], []
-                for cid, sign, G in osmp.contact_terms:
-                    for m in range(6):
-                        if G[r, m] != 0.0:
-                            cols.append(f_col(cid, k, m))
-                            vals.append(float(sign * G[r, m]))
-                cols.append(slices["a"].start + k)
-                vals.append(-float(osmp.accel_coeff[r]))
-                bc, bv, bconst = mid_b_terms(k, -float(osmp.velsq_coeff[r]))
-                cols += bc
-                vals += bv
-                offset = bconst + float(osmp.external[r])
-                equalities.append(LinearRow(tuple(cols), tuple(vals), offset, f"balance[{osmp.name}][{k}][{r}]"))
+    # object wrench balance: sum sign G F - A a - B b_mid + f_ext = 0, on a
+    # (k, object, component) grid; each object's terms are present on its rows
+    objects = samples[0].objects
+    terms, offset = [], []
+    for o, first in enumerate(objects):
+        mine = (np.arange(len(objects)) == o)[:, None, None]
+        term_ids = [cid for cid, _, _ in first.contact_terms]
+        signs = np.array([sign for _, sign, _ in first.contact_terms])
+        G = stacked(lambda smp: [g for _, _, g in smp.objects[o].contact_terms]).reshape(K, len(signs), 6, 6)
+        G = G.transpose(0, 2, 1, 3).reshape(K, 1, 6, -1)  # (k, 1, r, (term, m))
+        (b_cols, b_vals, b_present), b_const = mid_b(-stacked(lambda smp: smp.objects[o].velsq_coeff)[:, None])
+        terms += [
+            (f_cols(term_ids)[:, None, None], np.repeat(signs, 6) * G, (G != 0.0) & mine),
+            (a_col[..., None], -stacked(lambda smp: smp.objects[o].accel_coeff)[:, None, :, None], mine),
+            (b_cols, b_vals, b_present & mine),
+        ]
+        offset.append(b_const[:, 0] + stacked(lambda smp: smp.objects[o].external))
+    names = [first.name for first in objects]
+    equalities.add(
+        every(K, len(objects), 6),
+        terms,
+        np.stack(offset, axis=1) if offset else 0.0,
+        lambda kk, o, r: f"balance[{names[o]}][{kk}][{r}]",
+    )
 
     # chain-rule coupling b^{k+1} - b^k = 2 Delta a^k
-    for k in range(K):
-        cols, vals, offset = [], [], 0.0
-        for nd, sgn in ((nodes[k + 1], 1.0), (nodes[k], -1.0)):
-            if nd.b_col is None:
-                offset += sgn * nd.b_value
-            else:
-                cols.append(nd.b_col)
-                vals.append(sgn)
-        cols.append(slices["a"].start + k)
-        vals.append(-2.0 * grid.spacing)
-        equalities.append(LinearRow(tuple(cols), tuple(vals), offset, f"coupling[{k}]"))
+    b_term, b_const = pair(nodes.b_col, nodes.b_value, np.full(K, -1.0), np.full(K, 1.0))
+    equalities.add(every(K), [b_term, (a_col[:, 0], -2.0 * grid.spacing, True)], b_const, lambda kk: f"coupling[{kk}]")
 
     # untransmittable wrench components pinned to zero
+    pinned = []
     for cid in contact_order:
-        for k in range(K):
-            for idx in descriptors[cid].pinned:
-                col = f_col(cid, k, idx)
-                pinned.append(col)
-                equalities.append(LinearRow((col,), (1.0,), 0.0, f"pin[{cid}][{k}][{idx}]"))
+        idx = descriptors[cid].pinned
+        cols = f_cols([cid])[:, list(idx)]
+        pinned.append(cols.ravel())
+        pin = (cols[..., None], 1.0, True)
+        equalities.add(every(*cols.shape), [pin], 0.0, lambda kk, j: f"pin[{cid}][{kk}][{idx[j]}]")
 
     # torque boxes
-    for k in range(K):
-        for i in range(n):
-            if not (np.isfinite(tl[i]) or np.isfinite(tu[i])):
-                continue
-            bounds.append(BoundRow((tau_col(k, i),), (1.0,), 0.0, float(tl[i]), float(tu[i]), f"torque_box[{k}][{i}]"))
+    boxed = np.broadcast_to(np.isfinite(tl) | np.isfinite(tu), (K, n))
+    bounds.add(boxed, [tau_term], 0.0, lambda kk, i: f"torque_box[{kk}][{i}]", lower=tl, upper=tu)
 
-    # joint velocity: (q'_i)^2 b_mid <= vmax_i^2
-    for k, smp in enumerate(samples):
-        for i in range(n):
-            coeff = float(smp.dq[i]) ** 2
-            if not np.isfinite(vmax[i]):
-                continue
-            cap = float(vmax[i]) ** 2
-            cols, vals, const = mid_b_terms(k, coeff)
-            if not cols:
-                if const > cap + settings.constant_tol * max(1.0, cap):
-                    raise ValueError(f"velocity limit of joint {i} violated by fixed boundary speed at interval {k}")
-                continue
-            bounds.append(BoundRow(tuple(cols), tuple(vals), const, -np.inf, cap, f"velocity[{k}][{i}]"))
+    # joint velocity: (q'_i)^2 b_mid <= vmax_i^2; squares go through libm pow,
+    # which rounds as scalar `x ** 2` does (x * x can differ in the last bit)
+    has_b = (free[:-1] | free[1:])[:, None]
+    cap = np.float_power(vmax, 2)
+    b_term, const = mid_b(np.float_power(dq, 2))
+    finite = np.isfinite(vmax)
+    broken = np.argwhere(finite & ~has_b & (const > cap + tol * np.maximum(1.0, cap)))
+    if broken.size:
+        kk, i = broken[0]
+        raise ValueError(f"velocity limit of joint {i} violated by fixed boundary speed at interval {kk}")
+    bounds.add(finite & has_b, [b_term], const, lambda kk, i: f"velocity[{kk}][{i}]", lower=-np.inf, upper=cap)
 
     # joint acceleration: q''_i b_mid + q'_i a in [lo, hi]
-    for k, smp in enumerate(samples):
-        for i in range(n):
-            if not (np.isfinite(al[i]) or np.isfinite(au[i])):
-                continue
-            cols, vals, const = mid_b_terms(k, float(smp.ddq[i]))
-            dq = float(smp.dq[i])
-            if dq != 0.0:
-                cols = list(cols) + [slices["a"].start + k]
-                vals = list(vals) + [dq]
-            if not cols:
-                if const > au[i] + settings.constant_tol or const < al[i] - settings.constant_tol:
-                    raise ValueError(f"acceleration limit of joint {i} violated by constants at interval {k}")
-                continue
-            bounds.append(
-                BoundRow(tuple(cols), tuple(vals), const, float(al[i]), float(au[i]), f"acceleration[{k}][{i}]")
-            )
+    b_term, const = mid_b(ddq)
+    finite = np.isfinite(al) | np.isfinite(au)
+    has_cols = has_b | (dq != 0.0)
+    broken = np.argwhere(finite & ~has_cols & ((const > au + tol) | (const < al - tol)))
+    if broken.size:
+        kk, i = broken[0]
+        raise ValueError(f"acceleration limit of joint {i} violated by constants at interval {kk}")
+    a_term = (a_col, dq[..., None], dq[..., None] != 0.0)
+    bounds.add(finite & has_cols, [b_term, a_term], const, lambda kk, i: f"acceleration[{kk}][{i}]", lower=al, upper=au)
 
     # squared speed stays nonnegative at free nodes
-    for k in free_nodes:
-        bounds.append(BoundRow((nodes[k].b_col,), (1.0,), 0.0, 0.0, np.inf, f"speed_sq_nonneg[{k}]"))
+    b_term = (nodes.b_col[:, None], 1.0, True)
+    bounds.add(free, [b_term], 0.0, lambda kk: f"speed_sq_nonneg[{kk}]", lower=0.0, upper=np.inf)
 
     # normal force caps
     for cid in contact_order:
-        cap = specs[cid].fz_max
-        if cap is None:
-            continue
-        head = descriptors[cid].head_index
-        for k in range(K):
-            bounds.append(BoundRow((f_col(cid, k, head),), (1.0,), 0.0, -np.inf, float(cap), f"normal_cap[{cid}][{k}]"))
+        fz_max = specs[cid].fz_max
+        if fz_max is not None:
+            head = (f_cols([cid])[:, [descriptors[cid].head_index]], 1.0, True)
+            bounds.add(every(K), [head], 0.0, lambda kk: f"normal_cap[{cid}][{kk}]", lower=-np.inf, upper=fz_max)
 
-    # contact friction cones
+    # contact friction cones, one per contact and interval
+    sizes, cone_labels = [], []
     for cid in contact_order:
         desc = descriptors[cid]
-        for k in range(K):
-            rows = [LinearRow((f_col(cid, k, desc.head_index),), (1.0,), 0.0, f"cone_head[{cid}][{k}]")]
-            for idx, w in desc.tail:
-                rows.append(LinearRow((f_col(cid, k, idx),), (float(w),), 0.0, f"cone_tail[{cid}][{k}][{idx}]"))
-            cones.append(ConeBlock(tuple(rows), f"cone[{cid}][{k}]"))
+        idx = [desc.head_index] + [i for i, _ in desc.tail]
+        weights = np.array([1.0] + [float(w) for _, w in desc.tail])
+        cones.add(
+            every(K, len(idx)),
+            [(f_cols([cid])[:, idx, None], weights[:, None], True)],
+            0.0,
+            lambda kk, j: f"cone_tail[{cid}][{kk}][{idx[j]}]" if j else f"cone_head[{cid}][{kk}]",
+        )
+        sizes += [len(idx)] * K
+        cone_labels += [f"cone[{cid}][{kk}]" for kk in range(K)]
 
     # epigraph linking c^k to sqrt(b^k): norm(2c, b - 1) <= b + 1
-    for k in free_nodes:
-        nd = nodes[k]
-        rows = (
-            LinearRow((nd.b_col,), (1.0,), 1.0, f"sqrt_head[{k}]"),
-            LinearRow((nd.c_col,), (2.0,), 0.0, f"sqrt_tail_c[{k}]"),
-            LinearRow((nd.b_col,), (1.0,), -1.0, f"sqrt_tail_b[{k}]"),
-        )
-        cones.append(ConeBlock(rows, f"sqrt_epigraph[{k}]"))
+    at_free = np.flatnonzero(free)
+    parts = ("sqrt_head", "sqrt_tail_c", "sqrt_tail_b")
+    b_free, c_free = nodes.b_col[free], nodes.c_col[free]
+    cones.add(
+        every(at_free.size, 3),
+        [(np.stack((b_free, c_free, b_free), axis=-1)[..., None], np.array([[1.0], [2.0], [1.0]]), True)],
+        np.array([1.0, 0.0, -1.0]),
+        lambda j, r: f"{parts[r]}[{at_free[j]}]",
+    )
+    sizes += [3] * at_free.size
+    cone_labels += [f"sqrt_epigraph[{kk}]" for kk in at_free]
 
-    # epigraph for d >= 1/(c^{k+1} + c^k): norm(2, u - d) <= u + d
-    for k in range(K):
-        cc, cv, cconst = [], [], 0.0
-        for nd in (nodes[k], nodes[k + 1]):
-            if nd.c_col is None:
-                cconst += nd.c_value
-            else:
-                cc.append(nd.c_col)
-                cv.append(1.0)
-        d_col = slices["d"].start + k
-        head = LinearRow(tuple(cc + [d_col]), tuple(cv + [1.0]), cconst, f"inv_head[{k}]")
-        tail_const = LinearRow((), (), 2.0, f"inv_tail_two[{k}]")
-        tail_diff = LinearRow(tuple(cc + [d_col]), tuple(cv + [-1.0]), cconst, f"inv_tail_diff[{k}]")
-        cones.append(ConeBlock((head, tail_const, tail_diff), f"inv_epigraph[{k}]"))
+    # epigraph for d >= 1/(c^{k+1} + c^k): norm(2, u - d) <= u + d with
+    # u = c^k + c^{k+1}, rows (head, constant two, difference)
+    on = np.array([True, False, True])[:, None]
+    (c_cols, c_vals, c_present), c_const = pair(nodes.c_col, nodes.c_value, np.ones((K, 1)), np.ones((K, 1)))
+    parts = ("inv_head", "inv_tail_two", "inv_tail_diff")
+    d_term = ((slices["d"].start + k)[:, None, None], np.array([[1.0], [0.0], [-1.0]]), on)
+    cones.add(
+        every(K, 3),
+        [(c_cols, c_vals, c_present & on), d_term],
+        np.where(on[:, 0], c_const, 2.0),
+        lambda kk, r: f"{parts[r]}[{kk}]",
+    )
+    sizes += [3] * K
+    cone_labels += [f"inv_epigraph[{kk}]" for kk in range(K)]
 
     objective = np.zeros(num_vars)
     objective[slices["d"]] = 2.0 * grid.spacing
@@ -477,10 +561,10 @@ def assemble(scene: Scene, grid: Grid, settings: TranscriptionSettings = Transcr
     return ConicProgram(
         num_vars=num_vars,
         objective=objective,
-        equalities=equalities,
-        bounds=bounds,
-        cones=cones,
-        pinned_idx=tuple(pinned),
+        equalities=equalities.build(Rows, num_vars),
+        bounds=bounds.build(BoundRows, num_vars),
+        cones=cones.build(ConeRows, num_vars, sizes=tuple(sizes), cone_labels=tuple(cone_labels)),
+        pinned_idx=np.concatenate(pinned) if pinned else np.zeros(0, dtype=np.intp),
         slices=slices,
         nodes=nodes,
         grid=grid,

@@ -124,18 +124,6 @@ class _AccelBox:
         return float(lo), float(hi)
 
 
-def _limit_arrays(scene):
-    tl, tu, vm, al, au = [], [], [], [], []
-    for r in scene.robots:
-        lim = r.model.limits
-        tl.append(lim.torque_lower)
-        tu.append(lim.torque_upper)
-        vm.append(lim.velocity_max)
-        al.append(lim.accel_lower)
-        au.append(lim.accel_upper)
-    return tuple(np.concatenate(v) for v in (tl, tu, vm, al, au))
-
-
 def _max_velocity_curve(box: _AccelBox) -> np.ndarray:
     """Largest feasible squared speed at every sample, by bisection.
 
@@ -179,7 +167,7 @@ def topp_phase_plane(scenario, resolution: int | None = None) -> PhasePlaneProfi
     # samples at nodes and interval midpoints: index 2j is node j
     s_all = np.linspace(0.0, 1.0, 2 * N + 1)
     samples = [sample_path_dynamics(scene, float(s)) for s in s_all]
-    box = _AccelBox(samples, _limit_arrays(scene))
+    box = _AccelBox(samples, scene.limit_arrays())
     if box.LB.size == 0:
         raise ValueError("no torque or acceleration limits; the extremal fields are unbounded")
     mvc_all = _max_velocity_curve(box)
@@ -289,7 +277,7 @@ def audit(profile: ScalingVariables, scenario, tolerance: float = 1e-6) -> Audit
     K = profile.accel.size
     grid = build_grid(K)
     samples = [sample_path_dynamics(scene, float(s)) for s in grid.midpoints]
-    tl, tu, vmax, al, au = _limit_arrays(scene)
+    tl, tu, vmax, al, au = scene.limit_arrays()
     n = tl.size
 
     a = profile.accel

@@ -6,9 +6,14 @@ here only as an independent reference: every batched operation must agree
 with it to 1e-12 relative on random specs (orthant 0-4, cone sizes 1-5 in
 any order) at strictly interior points, including points close to the
 cone boundary.
+
+The equilibration is checked the same way against the loop it replaced,
+which rebuilt the stacked matrix and rescaled it by sparse products on every
+pass: scalings and scaled matrices must agree exactly.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from contact_topp.solver import (
     ConeSpec,
     Scaling,
     SolverSettings,
+    StandardConicForm,
     _KKTSystem,
     _ruiz_equilibrate,
     cone_identity,
@@ -29,6 +35,9 @@ from contact_topp.solver import (
     max_step,
     solve,
 )
+from contact_topp.scenario import assemble_scenario, load_scenario
+from contact_topp.solver import canonicalize
+from contact_topp.transcription import build_grid
 from test_solver import form
 
 RTOL = 1e-12
@@ -443,3 +452,81 @@ class TestEdgeShapes:
         for at, d in oracle_blocks(spec):
             assert np.all(d_in[at : at + d] == d_in[at])
         assert d_in[1] == 0.5 and d_in[3] == 1.0 / 3.0 and d_in[6] == 0.1
+
+
+# -- oracle: the equilibration loop with a fresh stack and products per pass --
+
+
+def oracle_ruiz_equilibrate(form, iters):
+    A, G = form.A.tocsr(), form.G.tocsr()
+    p, m, n = A.shape[0], G.shape[0], A.shape[1]
+    d_col = np.ones(n)
+    d_eq = np.ones(p)
+    d_in = np.ones(m)
+    spec = form.cones
+
+    def inverse_sqrt(v):
+        return 1.0 / np.sqrt(np.where(v > 0, v, 1.0))
+
+    for _ in range(iters):
+        Mabs = abs(sp.vstack([A, G], format="csc"))
+        col_scale = inverse_sqrt(Mabs.max(axis=0).toarray().ravel())
+        row_max = Mabs.tocsr().max(axis=1).toarray().ravel()
+        eq_scale = inverse_sqrt(row_max[:p])
+        in_scale = inverse_sqrt(row_max[p:])
+        for at, d in oracle_blocks(spec):
+            in_scale[at : at + d] = inverse_sqrt(row_max[p + at : p + at + d].max())
+        A = sp.diags(eq_scale) @ A @ sp.diags(col_scale)
+        G = sp.diags(in_scale) @ G @ sp.diags(col_scale)
+        d_col *= col_scale
+        d_eq *= eq_scale
+        d_in *= in_scale
+        if (
+            np.all(np.abs(1.0 - col_scale) < 1e-4)
+            and np.all(np.abs(1.0 - eq_scale) < 1e-4)
+            and np.all(np.abs(1.0 - in_scale) < 1e-4)
+        ):
+            break
+    return A.tocsr(), G.tocsr(), d_col, d_eq, d_in
+
+
+def assert_same_equilibration(prob, iters):
+    got = _ruiz_equilibrate(prob, iters)
+    want = oracle_ruiz_equilibrate(prob, iters)
+    for g, w in zip(got[2:], want[2:]):
+        assert g.tobytes() == w.tobytes()
+    for g, w in zip(got[:2], want[:2]):
+        assert g.shape == w.shape
+        assert np.array_equal(g.indptr, w.indptr)
+        assert np.array_equal(g.indices, w.indices)
+        assert g.data.tobytes() == w.data.tobytes()
+
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "scenarios").rglob("*.json"))
+
+
+class TestEquilibrationOracle:
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_shipped_scenarios(self, path):
+        prob = canonicalize(assemble_scenario(load_scenario(path), build_grid(6)))
+        assert_same_equilibration(prob, SolverSettings().equilibrate_iters)
+
+    @settings(max_examples=40)
+    @given(spec=specs(), data=st.data())
+    def test_random_sparse(self, spec, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n, p, m = int(rng.integers(1, 7)), int(rng.integers(0, 4)), spec.total
+
+        def sparse(rows):
+            M = rng.lognormal(0.0, 3.0, size=(rows, n)) * rng.choice([-1.0, 0.0, 1.0], size=(rows, n))
+            mat = sp.csr_matrix(M)
+            # an explicit zero
+            if mat.nnz:
+                mat.data[0] = 0.0
+            return mat
+
+        prob = StandardConicForm(
+            c=np.ones(n), A=sparse(p), b=np.ones(p), G=sparse(m), h=np.ones(m), cones=spec
+        )
+        assert_same_equilibration(prob, data.draw(st.integers(1, 10)))
+

@@ -40,6 +40,7 @@ from contact_topp.scenario import (
     sweep,
     sweep_parallelism,
 )
+from contact_topp.transcription import build_grid
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -209,7 +210,7 @@ def test_set_by_path_missing_leaf():
         set_by_path(data, "robots.0.paint", 1.0)
 
 
-# waiter topology validation
+# waiter and other object stacks
 
 
 def waiter_dict():
@@ -224,26 +225,59 @@ def test_waiter_assembles():
     assert prog.free_scalar_count() == K * (4 + 3 * u + 4 * v + n) - 2
 
 
-def test_waiter_needs_grasped_carrier():
-    data = waiter_dict()
-    # drop the grasp pads: nothing holds the tray
+def without_grasp(data):
+    # nothing holds the tray
     data["objects"][0]["contacts"] = []
-    with pytest.raises(ScenarioError, match="grasp contact"):
-        assemble_scenario(scenario_from_dict(data))
 
 
-def test_waiter_rider_needs_three_point_support():
-    data = waiter_dict()
+def on_two_feet(data):
     data["objects"][1]["contacts"] = data["objects"][1]["contacts"][:2]
-    with pytest.raises(ScenarioError, match="three point contacts"):
-        assemble_scenario(scenario_from_dict(data))
 
 
-def test_waiter_rider_must_sit_on_carrier():
+@pytest.mark.parametrize("variant", [without_grasp, on_two_feet], ids=lambda f: f.__name__)
+def test_waiter_variant_certified_infeasible(variant):
     data = waiter_dict()
-    data["objects"][1]["parent"] = "robot:0"
-    with pytest.raises(ScenarioError, match="carrier"):
-        assemble_scenario(scenario_from_dict(data))
+    variant(data)
+    program, report, _ = solve_scenario(scenario_from_dict(data), RunSettings(grid_override=40))
+    assert report.status == "PrimalInfeasible"
+    assert report.certificate["kind"] == "primal"
+
+
+def test_three_object_stack_assembles():
+    data = waiter_dict()
+    cube = data["objects"][1]
+    top = copy.deepcopy(cube)
+    top["name"] = "cube2"
+    top["parent"] = "object:cube"
+    top["offset"]["translation"] = [0.0, 0.0, 0.05]
+    for c in top["contacts"]:
+        c["against"] = "cube"
+        c["pose_in_other"]["translation"][2] = 0.025
+    data["objects"].append(top)
+    sc = scenario_from_dict(data)
+    prog = assemble_scenario(sc, build_grid(4))
+    (u, v), n = sc.contact_census(), sc.scene.dof
+    assert (u, v) == (6, 2)
+    assert prog.free_scalar_count() == 4 * (4 + 3 * u + 4 * v + n) - 2
+
+
+def test_stationary_path_rejected():
+    data = json.loads((SCENARIOS / "planar_2dof.json").read_text())
+    for robot in data["robots"]:
+        robot["waypoints"] = [robot["waypoints"][0]] * len(robot["waypoints"])
+    with pytest.raises(ScenarioError, match="stationary path"):
+        scenario_from_dict(data)
+
+
+def test_one_moving_robot_is_not_stationary():
+    data = slider_scenario()
+    still = copy.deepcopy(data["robots"][0])
+    still["waypoints"] = [[0.5], [0.5]]
+    data["robots"].append(still)
+    assert len(scenario_from_dict(data).scene.robots) == 2
+    data["robots"][0]["waypoints"] = [[0.5], [0.5]]
+    with pytest.raises(ScenarioError, match="stationary path"):
+        scenario_from_dict(data)
 
 
 # end-to-end runs
@@ -388,6 +422,13 @@ def test_cli_solve_infeasible_exit(tmp_path, capsys):
 def test_cli_missing_file_exit(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "absent.json")]) == 4
     assert "input error" in capsys.readouterr().err
+
+
+def test_cli_stationary_path_exit(tmp_path, capsys):
+    data = slider_scenario(grid_points=8)
+    data["robots"][0]["waypoints"] = [[0.0], [0.0]]
+    assert main(["solve", write_scenario(tmp_path, data), "--out", str(tmp_path)]) == 4
+    assert "stationary path" in capsys.readouterr().err
 
 
 def test_cli_sweep_table(tmp_path, capsys):

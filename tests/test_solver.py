@@ -28,10 +28,10 @@ from contact_topp.solver import (
     verify_kkt,
 )
 from contact_topp.transcription import (
-    BoundRow,
-    ConeBlock,
+    BoundRows,
+    ConeRows,
     ConicProgram,
-    LinearRow,
+    Rows,
     TranscriptionSettings,
     assemble,
     build_grid,
@@ -437,23 +437,54 @@ class TestVerifyKkt:
             assert abs(rep[key] - report.residuals[key]) <= 1e-10
 
 
+def hand_program(num_vars, objective, equalities=(), bounds=(), cones=()):
+    """A program written out row by row.
+
+    Equality rows are (cols, vals, offset, label); bound rows add (lower,
+    upper); cones are (label, rows).
+    """
+
+    def section(entries, cls, **fields):
+        cols, vals, offset, labels = (list(part) for part in zip(*entries)) if entries else ([], [], [], [])
+        return cls.from_lists(cols, vals, offset, labels, num_vars, **fields)
+
+    cone_rows = [row for _, rows in cones for row in rows]
+    return ConicProgram(
+        num_vars=num_vars,
+        objective=np.asarray(objective, dtype=float),
+        equalities=section(list(equalities), Rows),
+        bounds=section(
+            [b[:4] for b in bounds],
+            BoundRows,
+            lower=np.array([b[4] for b in bounds], dtype=float),
+            upper=np.array([b[5] for b in bounds], dtype=float),
+        ),
+        cones=section(
+            cone_rows,
+            ConeRows,
+            sizes=tuple(len(rows) for _, rows in cones),
+            cone_labels=tuple(label for label, _ in cones),
+        ),
+        pinned_idx=np.zeros(0, dtype=int),
+        slices={},
+        nodes=None,
+        grid=None,
+        contact_order=(),
+        meta={},
+    )
+
+
 class TestCanonicalize:
-    def lp_only_program(self):
-        return ConicProgram(
-            num_vars=2,
-            objective=np.array([1.0, 0.0]),
-            equalities=(LinearRow(cols=(0, 1), vals=(1.0, 1.0), offset=-1.0, label="sum"),),
+    def lp_only_program(self, num_vars=2, equalities=(((0, 1), (1.0, 1.0), -1.0, "sum"),), cones=()):
+        return hand_program(
+            num_vars,
+            [1.0, 0.0],
+            equalities=equalities,
             bounds=(
-                BoundRow(cols=(0,), vals=(1.0,), offset=0.0, lower=-1.0, upper=2.0, label="x0"),
-                BoundRow(cols=(1,), vals=(1.0,), offset=0.0, lower=0.0, upper=np.inf, label="x1"),
+                ((0,), (1.0,), 0.0, "x0", -1.0, 2.0),
+                ((1,), (1.0,), 0.0, "x1", 0.0, np.inf),
             ),
-            cones=(),
-            pinned_idx=(),
-            slices={},
-            nodes=(),
-            grid=None,
-            contact_order=(),
-            meta={},
+            cones=cones,
         )
 
     def test_boxes_become_orthant_pairs(self):
@@ -466,27 +497,19 @@ class TestCanonicalize:
         assert prob.b[0] == 1.0
 
     def test_single_cone_block(self):
-        prog = ConicProgram(
-            num_vars=3,
-            objective=np.array([0.0, 0.0, 1.0]),
-            equalities=(),
-            bounds=(),
+        prog = hand_program(
+            3,
+            [0.0, 0.0, 1.0],
             cones=(
-                ConeBlock(
-                    rows=(
-                        LinearRow(cols=(2,), vals=(1.0,), offset=0.0, label="cone"),
-                        LinearRow(cols=(0,), vals=(1.0,), offset=0.0, label="cone"),
-                        LinearRow(cols=(1,), vals=(1.0,), offset=0.0, label="cone"),
+                (
+                    "cone",
+                    (
+                        ((2,), (1.0,), 0.0, "cone"),
+                        ((0,), (1.0,), 0.0, "cone"),
+                        ((1,), (1.0,), 0.0, "cone"),
                     ),
-                    label="cone",
                 ),
             ),
-            pinned_idx=(),
-            slices={},
-            nodes=(),
-            grid=None,
-            contact_order=(),
-            meta={},
         )
         prob = canonicalize(prog)
         assert prob.cones.orthant == 0
@@ -494,56 +517,17 @@ class TestCanonicalize:
         assert prob.G.shape == (3, 3)
 
     def test_objective_length_mismatch_rejected(self):
-        prog = self.lp_only_program()
-        bad = ConicProgram(
-            num_vars=3,
-            objective=prog.objective,
-            equalities=prog.equalities,
-            bounds=prog.bounds,
-            cones=(),
-            pinned_idx=(),
-            slices={},
-            nodes=(),
-            grid=None,
-            contact_order=(),
-            meta={},
-        )
+        bad = self.lp_only_program(num_vars=3)
         with pytest.raises(ValueError, match="objective"):
             canonicalize(bad)
 
     def test_out_of_range_column_rejected(self):
-        prog = self.lp_only_program()
-        bad = ConicProgram(
-            num_vars=2,
-            objective=prog.objective,
-            equalities=(LinearRow(cols=(0, 5), vals=(1.0, 1.0), offset=0.0, label="sum"),),
-            bounds=(),
-            cones=(),
-            pinned_idx=(),
-            slices={},
-            nodes=(),
-            grid=None,
-            contact_order=(),
-            meta={},
-        )
+        bad = self.lp_only_program(equalities=(((0, 5), (1.0, 1.0), 0.0, "sum"),))
         with pytest.raises(ValueError, match="variable 5"):
             canonicalize(bad)
 
     def test_empty_cone_block_rejected(self):
-        prog = self.lp_only_program()
-        bad = ConicProgram(
-            num_vars=2,
-            objective=prog.objective,
-            equalities=(),
-            bounds=(),
-            cones=(ConeBlock(rows=(), label="empty"),),
-            pinned_idx=(),
-            slices={},
-            nodes=(),
-            grid=None,
-            contact_order=(),
-            meta={},
-        )
+        bad = self.lp_only_program(cones=(("empty", ()),))
         with pytest.raises(ValueError, match="no rows"):
             canonicalize(bad)
 
@@ -583,7 +567,7 @@ class TestTimingIntegration:
 
     def test_infinite_limits_drop_rows(self):
         prog, _ = slider_program(10, torque_cap=np.inf, accel_cap=1.0, vel=np.inf)
-        labels = [row.label for row in prog.bounds]
+        labels = prog.bounds.labels
         assert not any(lbl.startswith("torque_box") for lbl in labels)
         assert not any(lbl.startswith("velocity") for lbl in labels)
         assert any(lbl.startswith("acceleration") for lbl in labels)

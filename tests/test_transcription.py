@@ -10,6 +10,7 @@ whole assembly independent of any solver.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from contact_topp.dynamics import ObjectInstance, ObjectModel, RobotInstance, Sc
 from contact_topp.liegroup import Pose, Twist
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, JointLimits, Link, LinkInertia, RobotModel
+from contact_topp.scenario import assemble_scenario, scenario_from_dict
+from contact_topp.solver import canonicalize
 from contact_topp.transcription import (
     ConicProgram,
     TranscriptionSettings,
@@ -141,32 +144,35 @@ class TestRowStructure:
         K = 3
         prog = assemble(grasped_scene(), build_grid(K))
         n = 4
-        torque = sum(1 for r in prog.equalities if r.label.startswith("torque["))
-        balance = sum(1 for r in prog.equalities if r.label.startswith("balance["))
-        coupling = sum(1 for r in prog.equalities if r.label.startswith("coupling["))
-        pins = sum(1 for r in prog.equalities if r.label.startswith("pin["))
+        labels = prog.equalities.labels
+        torque = sum(1 for label in labels if label.startswith("torque["))
+        balance = sum(1 for label in labels if label.startswith("balance["))
+        coupling = sum(1 for label in labels if label.startswith("coupling["))
+        pins = sum(1 for label in labels if label.startswith("pin["))
         assert torque == K * n
         assert balance == K * 6
         assert coupling == K
         assert pins == K * 2 * 2
-        assert len(prog.equalities) == torque + balance + coupling + pins
+        assert prog.equalities.matrix.shape[0] == len(labels) == torque + balance + coupling + pins
 
     def test_row_order_is_deterministic(self):
         p1 = assemble(grasped_scene(), build_grid(3))
         p2 = assemble(grasped_scene(), build_grid(3))
-        assert [r.label for r in p1.equalities] == [r.label for r in p2.equalities]
-        assert [r.label for r in p1.bounds] == [r.label for r in p2.bounds]
-        assert [b.label for b in p1.cones] == [b.label for b in p2.cones]
-        for r1, r2 in zip(p1.equalities, p2.equalities):
-            assert r1.cols == r2.cols
-            assert r1.vals == r2.vals
+        assert p1.equalities.labels == p2.equalities.labels
+        assert p1.bounds.labels == p2.bounds.labels
+        assert p1.cones.cone_labels == p2.cones.cone_labels
+        m1, m2 = p1.equalities.matrix, p2.equalities.matrix
+        assert np.array_equal(m1.indptr, m2.indptr)
+        assert np.array_equal(m1.indices, m2.indices)
+        assert np.array_equal(m1.data, m2.data)
 
     def test_cone_census(self):
         K = 3
         prog = assemble(grasped_scene(), build_grid(K))
-        contact = sum(1 for b in prog.cones if b.label.startswith("cone["))
-        sqrtc = sum(1 for b in prog.cones if b.label.startswith("sqrt_epigraph["))
-        invc = sum(1 for b in prog.cones if b.label.startswith("inv_epigraph["))
+        labels = prog.cones.cone_labels
+        contact = sum(1 for label in labels if label.startswith("cone["))
+        sqrtc = sum(1 for label in labels if label.startswith("sqrt_epigraph["))
+        invc = sum(1 for label in labels if label.startswith("inv_epigraph["))
         assert contact == 2 * K
         assert sqrtc == K - 1  # boundary nodes eliminated
         assert invc == K
@@ -174,7 +180,7 @@ class TestRowStructure:
     def test_contact_free_scene_has_only_epigraph_cones(self):
         prog = assemble(slider_scene(), build_grid(4))
         assert all(
-            b.label.startswith("sqrt_epigraph[") or b.label.startswith("inv_epigraph[") for b in prog.cones
+            label.startswith("sqrt_epigraph[") or label.startswith("inv_epigraph[") for label in prog.cones.cone_labels
         )
 
 
@@ -277,7 +283,7 @@ class TestDumpRoundTrip:
         back = program_from_json_dict(json.loads(blob))
         assert back.num_vars == prog.num_vars
         assert back.free_scalar_count() == prog.free_scalar_count()
-        assert [r.label for r in back.equalities] == [r.label for r in prog.equalities]
+        assert back.equalities.labels == prog.equalities.labels
         x = np.linspace(-1.0, 1.0, prog.num_vars)
         r1 = prog.residual_report(x)
         r2 = back.residual_report(x)
@@ -309,3 +315,73 @@ class TestConstantRowChecks:
         scene = Scene(robots=(RobotInstance(model, path),), objects=())
         with pytest.raises(ValueError, match="velocity limit"):
             assemble(scene, build_grid(1), TranscriptionSettings(boundary_sdot=(5.0, 5.0)))
+
+
+# golden program-v1 dumps, written by the assembly that built one Python
+# object per row; the array assembly must reproduce them row for row
+
+DATA = Path(__file__).resolve().parent / "data"
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+VALUE_TOL = dict(rtol=1e-12, atol=1e-15)
+
+
+def waiter_free_end_program():
+    data = json.loads((SCENARIOS / "waiter" / "tilt_0.json").read_text())
+    data["boundary_sdot"] = [0.0, None]
+    return assemble_scenario(scenario_from_dict(data), build_grid(3))
+
+
+GOLDEN = {
+    "program_grasped_k2.json": lambda: assemble(grasped_scene(), build_grid(2)),
+    # pinned end speeds that are not zero fold into the row constants
+    "program_grasped_k2_moving_ends.json": lambda: assemble(
+        grasped_scene(), build_grid(2), TranscriptionSettings(boundary_sdot=(0.3, 0.5))
+    ),
+    "program_waiter_tilt_0_k3.json": waiter_free_end_program,
+}
+
+
+def assert_rows_match(fresh, golden):
+    """Same rows in the same order; the column order inside a row is free."""
+    assert len(fresh) == len(golden)
+    for new, old in zip(fresh, golden):
+        assert new.keys() == old.keys()
+        assert {k: new[k] for k in new if k not in ("cols", "vals", "offset")} == {
+            k: old[k] for k in old if k not in ("cols", "vals", "offset")
+        }
+        new_map, old_map = dict(zip(new["cols"], new["vals"])), dict(zip(old["cols"], old["vals"]))
+        assert sorted(new_map) == sorted(old_map), new["label"]
+        cols = sorted(old_map)
+        np.testing.assert_allclose([new_map[c] for c in cols], [old_map[c] for c in cols], **VALUE_TOL)
+        np.testing.assert_allclose(new["offset"], old["offset"], **VALUE_TOL)
+
+
+class TestGoldenDumps:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_assembly_matches_row_for_row(self, name):
+        golden = json.loads((DATA / name).read_text())
+        fresh = GOLDEN[name]().to_json_dict()
+        assert fresh.keys() == golden.keys()
+        assert_rows_match(fresh["equalities"], golden["equalities"])
+        assert_rows_match(fresh["bounds"], golden["bounds"])
+        assert [c["label"] for c in fresh["cones"]] == [c["label"] for c in golden["cones"]]
+        for new, old in zip(fresh["cones"], golden["cones"]):
+            assert_rows_match(new["rows"], old["rows"])
+        for key in ("pinned", "slices", "nodes", "num_vars", "objective", "grid_intervals", "contact_order", "meta"):
+            assert fresh[key] == golden[key], key
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_canonicalizes_like_fresh_assembly(self, name):
+        loaded = canonicalize(program_from_json_dict(json.loads((DATA / name).read_text())))
+        fresh = canonicalize(GOLDEN[name]())
+        assert loaded.cones == fresh.cones
+        assert loaded.row_labels == fresh.row_labels
+        for key in ("A", "G"):
+            got, want = getattr(loaded, key), getattr(fresh, key)
+            assert got.shape == want.shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            np.testing.assert_allclose(got.data, want.data, **VALUE_TOL)
+        for key in ("b", "h", "c"):
+            np.testing.assert_allclose(getattr(loaded, key), getattr(fresh, key), **VALUE_TOL)
+
