@@ -2,6 +2,8 @@
 
 Exit codes: 0 optimal (or verification pass), 2 certified infeasible,
 3 numerical failure or iteration limit, 4 bad input, 1 verification fail.
+A sweep exits 4 if any point's value is bad input, else 3 if any point
+failed numerically, else 0 (certified infeasible points included).
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import os
 import sys
 
 from .scenario import (
+    SWEEP_INPUT_ERROR,
     InfeasibleScenarioError,
     RunSettings,
     ScenarioError,
@@ -96,19 +99,28 @@ def _cmd_sweep(args) -> int:
     print(f"{'value':>12}  {'status':<16}  {'T [s]':>12}")
     for pt in points:
         t_str = f"{pt.total_time:.6f}" if pt.total_time is not None else "-"
-        print(f"{pt.value:>12.6g}  {pt.status:<16}  {t_str:>12}")
+        note = f"  {pt.message}" if pt.message else ""
+        print(f"{pt.value:>12.6g}  {pt.status:<16}  {t_str:>12}{note}")
     if args.out:
         payload = {
             "scenario": scenario.name,
             "param": args.param,
             "points": [
-                {"value": p.value, "status": p.status, "total_time": p.total_time, "objective": p.objective}
+                {
+                    "value": p.value,
+                    "status": p.status,
+                    "total_time": p.total_time,
+                    "objective": p.objective,
+                    "message": p.message,
+                }
                 for p in points
             ],
         }
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
         print(f"wrote {args.out}")
+    if any(p.status == SWEEP_INPUT_ERROR for p in points):
+        return EXIT_INPUT
     if any(p.status in ("MaxIterations", "NumericalFailure") for p in points):
         return EXIT_SOLVER_FAILURE
     return EXIT_OK

@@ -18,13 +18,22 @@ import numpy as np
 
 from .contacts import ContactSpec
 from .liegroup import (
+    FD_JACOBIAN_STEP,
     Pose,
     Twist,
+    adjoint_many,
     body_jacobian,
+    body_jacobian_many,
+    compose_many,
     forward_kinematics,
     jacobian_path_derivative,
     pose_exp,
+    pose_exp_many,
     skew,
+    skew_many,
+    space_jacobian_many,
+    twist_bracket_many,
+    wrench_map_many,
 )
 from .paths import JointPath
 from .robot import RobotModel
@@ -424,6 +433,228 @@ def _object_direction(scene: Scene, obj: ObjectInstance, s: float):
     return J @ dq, dJ @ dq + J @ ddq
 
 
-def stack_dynamics_in_s(scene: Scene, s_values) -> list[PathDynamicsSample]:
-    """Sample the path-domain dynamics at each s (typically interval midpoints)."""
-    return [sample_path_dynamics(scene, float(s)) for s in np.asarray(s_values, dtype=float)]
+# ---------------------------------------------------------------------------
+# grid-batched sampling: every coefficient of `sample_path_dynamics` at K
+# path points at once.  The scalar functions above stay the independent
+# oracle that the verification module uses.
+
+
+@dataclass(frozen=True, eq=False)
+class ObjectPathTerms:
+    """One object's balance-row data at K path points (`ObjectSample` stacked)."""
+
+    name: str
+    accel_coeff: np.ndarray  # (K, 6), multiplies sddot
+    velsq_coeff: np.ndarray  # (K, 6), multiplies sdot^2
+    external: np.ndarray  # (K, 6), in the object frame
+    contact_terms: tuple[tuple[str, float, np.ndarray], ...]  # (contact id, sign, (K, 6, 6) map)
+
+
+@dataclass(frozen=True, eq=False)
+class PathDynamics:
+    """All path-dependent dynamics data at K values of s, stacked on axis 0.
+
+    Holds the fields of `PathDynamicsSample` as arrays: (K, n) joint and
+    torque terms, a (K, 6, n) body Jacobian per manipulator contact id and
+    one `ObjectPathTerms` per object.  Constant contact maps may be
+    read-only broadcast views.
+    """
+
+    s: np.ndarray
+    q: np.ndarray
+    dq: np.ndarray
+    ddq: np.ndarray
+    torque_accel_coeff: np.ndarray
+    torque_velsq_coeff: np.ndarray
+    torque_gravity: np.ndarray
+    contact_jacobians: dict
+    objects: tuple[ObjectPathTerms, ...]
+
+    def __len__(self) -> int:
+        return self.s.shape[0]
+
+
+def _ad_many(V: np.ndarray) -> np.ndarray:
+    """(..., 6, 6) commutator matrices of (..., 6) twists, as `_ad`."""
+    Sv, Sw = skew_many(V[..., :3]), skew_many(V[..., 3:])
+    out = np.zeros(V.shape + (6,))
+    out[..., :3, :3] = Sw
+    out[..., :3, 3:] = Sv
+    out[..., 3:, 3:] = Sw
+    return out
+
+
+def _apply(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products M @ V over the leading axes."""
+    return (M @ V[..., None])[..., 0]
+
+
+def _path_torque_terms(model: RobotModel, q, dq, ddq, gravity) -> np.ndarray:
+    """(accel, velsq, gravity) torque coefficients at K path points, (3, K, dof).
+
+    The three inverse-dynamics passes of `sample_path_dynamics`, with
+    (qd, qdd, gravity) = (0, q', 0), (q', q'', 0) and (0, 0, g), run as one
+    Newton-Euler recursion over a (3, K, 6) batch; the K joint adjoints of
+    each link are shared by the three passes.
+    """
+    K, n = q.shape
+    zeros = np.zeros((K, n))
+    qd = np.stack([zeros, dq, zeros])[..., None]  # (3, K, n, 1)
+    qdd = np.stack([dq, ddq, zeros])[..., None]
+    chain = _chain_data(model)
+    V = np.zeros((3, K, 6))
+    Vd = np.zeros((3, K, 6))
+    Vd[2, :, :3] = -np.asarray(gravity, dtype=float)
+    vel, acc, ads_down = [], [], []
+    for i, (A, B, _) in enumerate(chain):
+        R, p = compose_many(*pose_exp_many(Twist.from_array(A), -q[:, i]), B.rotation, B.translation)
+        Ad = adjoint_many(R, p)
+        V = _apply(Ad, V) + A * qd[:, :, i]
+        Vd = _apply(Ad, Vd) + _apply(_ad_many(V), A) * qd[:, :, i] + A * qdd[:, :, i]
+        vel.append(V)
+        acc.append(Vd)
+        ads_down.append(Ad)
+
+    tau = np.zeros((3, K, n))
+    F = np.zeros((3, K, 6))
+    for i in range(n - 1, -1, -1):
+        A, _, G = chain[i]
+        if i + 1 < n:
+            F = _apply(np.swapaxes(ads_down[i + 1], -1, -2), F)
+        F = F + _apply(G, acc[i]) - _apply(np.swapaxes(_ad_many(vel[i]), -1, -2), _apply(G, vel[i]))
+        tau[:, :, i] = F @ A
+    return tau
+
+
+def _world_normal_rotation_many(R_obj: np.ndarray, world_axis: np.ndarray, hint: np.ndarray) -> np.ndarray:
+    """`_world_normal_rotation` at K object orientations, (K, 3, 3)."""
+    z = np.swapaxes(R_obj, -1, -2) @ (world_axis / np.linalg.norm(world_axis))
+    x = hint - (z @ hint)[:, None] * z
+    nx = np.linalg.norm(x, axis=1)
+    if np.any(nx < 1e-9):
+        raise ValueError("contact tangent hint parallel to the world normal")
+    x = x / nx[:, None]
+    return np.stack([x, np.cross(z, x), z], axis=-1)
+
+
+def _direction_terms_many(scene: Scene, s: np.ndarray, dq, ddq, fk, offset: Pose):
+    """Direction and direction-rate of an object frame at K points (`_object_direction`).
+
+    `dq`, `ddq` and `fk` (the output of `space_jacobian_many`) are the lead
+    chain's at the points `s`.
+    """
+    lead = scene.robots[0]
+    R_off, p_off = offset.rotation, offset.translation
+    J = body_jacobian_many(*fk, R_off, p_off)
+    if scene.jacobian_method == "finite_difference":
+        h = FD_JACOBIAN_STEP
+        lo, hi = np.maximum(0.0, s - h), np.minimum(1.0, s + h)
+        J_hi = body_jacobian_many(*space_jacobian_many(lead.model, lead.path.position(hi)), R_off, p_off)
+        J_lo = body_jacobian_many(*space_jacobian_many(lead.model, lead.path.position(lo)), R_off, p_off)
+        dJ = (J_hi - J_lo) / (hi - lo)[:, None, None]
+    elif scene.jacobian_method == "analytic":
+        # column brackets D[k, j, i] = [J_i, J_j] for j >= i, zero below
+        Jc = np.swapaxes(J, 1, 2)  # (K, n, 6)
+        D = twist_bracket_many(Jc[:, None, :, :], Jc[:, :, None, :])
+        n = J.shape[2]
+        D = D * (np.arange(n)[:, None] >= np.arange(n))[None, :, :, None]
+        dJ = np.einsum("kjic,kj->kci", D, dq)
+    else:
+        raise ValueError(f"unknown method {scene.jacobian_method!r}")
+    return _apply(J, dq), _apply(dJ, dq) + _apply(J, ddq)
+
+
+def stack_dynamics_in_s(scene: Scene, s_values) -> PathDynamics:
+    """Sample the path-domain dynamics at every s at once (typically interval midpoints).
+
+    Matches `sample_path_dynamics` at each s, computed as arrays over all
+    points: one spline call per robot path, one batched Newton-Euler
+    recursion per robot, and one batched forward-kinematics and Jacobian
+    pass per robot that carries an object or holds a contact, shared by
+    every object and contact that needs it.
+    """
+    s = np.asarray(s_values, dtype=float).reshape(-1)
+    K = s.size
+    n = scene.dof
+    slices = scene.robot_slices()
+    q, dq, ddq = np.zeros((K, n)), np.zeros((K, n)), np.zeros((K, n))
+    terms = np.zeros((3, K, n))
+    for r, sl in zip(scene.robots, slices):
+        q[:, sl] = r.path.position(s)
+        dq[:, sl] = r.path.derivative(s)
+        ddq[:, sl] = r.path.second_derivative(s)
+        terms[:, :, sl] = _path_torque_terms(r.model, q[:, sl], dq[:, sl], ddq[:, sl], scene.gravity)
+
+    fk: dict[int, tuple] = {}
+
+    def chain_fk(i: int):
+        """(R_ee, p_ee, space Jacobian columns) of robot i at every point."""
+        if i not in fk:
+            fk[i] = space_jacobian_many(scene.robots[i].model, q[:, slices[i]])
+        return fk[i]
+
+    # an object contact also enters, negated, the body it presses against,
+    # through that body's own frame
+    reactions = {obj.model.name: [] for obj in scene.objects}
+    for obj in scene.objects:
+        for c in obj.model.contacts:
+            if c.kind == "object":
+                G = np.broadcast_to(c.pose_in_other.wrench_map(), (K, 6, 6))
+                reactions[c.against].append((f"{obj.model.name}/{c.name}", -1.0, G))
+
+    contact_jacs: dict[str, np.ndarray] = {}
+    objects = []
+    for obj in scene.objects:
+        name = obj.model.name
+        offset = scene.offset_from_ee(name)
+        R_ee, p_ee, _ = chain_fk(0)
+        R_obj, _ = compose_many(R_ee, p_ee, offset.rotation, offset.translation)
+
+        J_dir, J_rate = _direction_terms_many(scene, s, dq[:, slices[0]], ddq[:, slices[0]], chain_fk(0), offset)
+        M = obj.model.spatial_mass()
+        v, w = J_dir[:, :3], J_dir[:, 3:]
+        gyro = np.concatenate([np.cross(w, obj.model.mass * v), np.cross(w, _apply(obj.model.inertia, w))], axis=1)
+        weight = np.zeros((K, 6))
+        weight[:, :3] = np.swapaxes(R_obj, 1, 2) @ (obj.model.mass * scene.gravity)
+
+        contact_terms = []
+        for c in obj.model.contacts:
+            cid = f"{name}/{c.name}"
+            p_c = c.pose.translation
+            if c.frame_mode == "body_fixed":
+                R_c = c.pose.rotation
+                G = np.broadcast_to(c.pose.wrench_map(), (K, 6, 6))
+            else:
+                R_c = _world_normal_rotation_many(R_obj, c.world_axis, c.pose.rotation[:, 0])
+                G = wrench_map_many(R_c, p_c)
+            contact_terms.append((cid, 1.0, G))
+            if c.kind == "manipulator":
+                if c.robot == _grasping_robot(scene, obj):
+                    R_off, p_off = compose_many(offset.rotation, offset.translation, R_c, p_c)
+                else:
+                    tool = scene.robots[c.robot].model.tool_offset
+                    R_off, p_off = compose_many(tool.rotation, tool.translation, R_c, p_c)
+                full = np.zeros((K, 6, n))
+                full[:, :, slices[c.robot]] = body_jacobian_many(*chain_fk(c.robot), R_off, p_off)
+                contact_jacs[cid] = full
+        objects.append(
+            ObjectPathTerms(
+                name=name,
+                accel_coeff=_apply(M, J_dir),
+                velsq_coeff=_apply(M, J_rate) + gyro,
+                external=weight + obj.external_wrench,
+                contact_terms=tuple(contact_terms + reactions[name]),
+            )
+        )
+
+    return PathDynamics(
+        s=s,
+        q=q,
+        dq=dq,
+        ddq=ddq,
+        torque_accel_coeff=terms[0],
+        torque_velsq_coeff=terms[1],
+        torque_gravity=terms[2],
+        contact_jacobians=contact_jacs,
+        objects=tuple(objects),
+    )

@@ -257,3 +257,103 @@ def object_path_kinematics(
     J = body_jacobian(model, q, offset)
     dJ = jacobian_path_derivative(model, path, s, offset, method)
     return J @ dq, dJ @ dq + J @ ddq
+
+
+# ---------------------------------------------------------------------------
+# batched forms: raw (..., 3, 3) rotations and (..., 3) translations over a
+# leading batch of path points, no `Pose` per point.  Each mirrors the scalar
+# function above operation for operation, so the two round alike.
+
+
+def skew_many(v: np.ndarray) -> np.ndarray:
+    """(..., 3, 3) skew matrices of (..., 3) vectors."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape + (3,))
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out[..., 0, 1], out[..., 0, 2] = -z, y
+    out[..., 1, 0], out[..., 1, 2] = z, -x
+    out[..., 2, 0], out[..., 2, 1] = -y, x
+    return out
+
+
+def adjoint_many(R: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(..., 6, 6) twist transforms, as `Pose.adjoint`."""
+    out = np.zeros(np.broadcast_shapes(R.shape[:-2], p.shape[:-1]) + (6, 6))
+    out[..., :3, :3] = R
+    out[..., :3, 3:] = skew_many(p) @ R
+    out[..., 3:, 3:] = R
+    return out
+
+
+def wrench_map_many(R: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(..., 6, 6) contact-to-body wrench maps, as `Pose.wrench_map`."""
+    out = np.zeros(np.broadcast_shapes(R.shape[:-2], p.shape[:-1]) + (6, 6))
+    out[..., :3, :3] = R
+    out[..., 3:, :3] = skew_many(p) @ R
+    out[..., 3:, 3:] = R
+    return out
+
+
+def compose_many(R1, p1, R2, p2) -> tuple[np.ndarray, np.ndarray]:
+    """(R, p) of the composition T1 T2, as `Pose.compose`."""
+    return R1 @ R2, (R1 @ p2[..., None])[..., 0] + p1
+
+
+def inverse_many(R, p) -> tuple[np.ndarray, np.ndarray]:
+    """(R, p) of the inverse, as `Pose.inverse`."""
+    Rt = np.swapaxes(R, -1, -2)
+    return Rt, (-Rt @ p[..., None])[..., 0]
+
+
+def pose_exp_many(twist: Twist, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, p) of `pose_exp(twist, angle)` for every angle in a 1-D array."""
+    angles = np.asarray(angles, dtype=float)
+    w, v = twist.angular, twist.linear
+    wn = np.linalg.norm(w)
+    R = np.broadcast_to(np.eye(3), angles.shape + (3, 3)).copy()
+    p = v * angles[:, None]
+    turning = ~((wn * np.abs(angles) < _EPS) & (wn < 1e-9))
+    if turning.any():
+        axis = w / wn
+        vn = v / wn
+        phi = wn * angles[turning]
+        K = skew(axis)
+        R[turning] = np.eye(3) + np.sin(phi)[:, None, None] * K + (1.0 - np.cos(phi))[:, None, None] * (K @ K)
+        p[turning] = (np.eye(3) - R[turning]) @ np.cross(axis, vn) + axis * (axis @ vn) * phi[:, None]
+    return R, p
+
+
+def twist_bracket_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lie brackets [a, b] of (..., 6) twists, as `twist_bracket`."""
+    va, wa = a[..., :3], a[..., 3:]
+    vb, wb = b[..., :3], b[..., 3:]
+    return np.concatenate([np.cross(wa, vb) + np.cross(va, wb), np.cross(wa, wb)], axis=-1)
+
+
+def space_jacobian_many(model, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward kinematics and space Jacobian at K joint configurations.
+
+    `q` is (K, dof).  Returns (R, p, cols): the end-effector pose of
+    `forward_kinematics` as (K, 3, 3) and (K, 3) arrays, and the (K, 6, dof)
+    space Jacobian columns that `body_jacobian` maps into a reporting frame.
+    """
+    q = np.asarray(q, dtype=float)
+    K = q.shape[0]
+    R = np.broadcast_to(np.eye(3), (K, 3, 3))
+    p = np.zeros((K, 3))
+    cols = np.zeros((K, 6, model.dof))
+    for i, joint in enumerate(model.joints):
+        cols[:, :, i] = adjoint_many(R, p) @ joint.twist.as_array()
+        R, p = compose_many(R, p, *pose_exp_many(joint.twist, q[:, i]))
+    R, p = compose_many(R, p, model.x_ref.rotation, model.x_ref.translation)
+    return R, p, cols
+
+
+def body_jacobian_many(R_ee, p_ee, cols, R_off, p_off) -> np.ndarray:
+    """(K, 6, dof) body Jacobians at the end effector composed with an offset.
+
+    Takes the output of `space_jacobian_many` and an offset given as raw
+    arrays (constant, or one per point); matches `body_jacobian`.
+    """
+    R, p = compose_many(R_ee, p_ee, R_off, p_off)
+    return adjoint_many(*inverse_many(R, p)) @ cols

@@ -35,8 +35,9 @@ class JointPath:
 
     def _check(self, s):
         s = np.asarray(s, dtype=float)
-        if np.any(s < -1e-12) or np.any(s > 1.0 + 1e-12):
-            raise ValueError(f"path parameter {s} outside [0, 1]")
+        bad = (s < -1e-12) | (s > 1.0 + 1e-12)
+        if np.any(bad):
+            raise ValueError(f"path parameter {s[bad].flat[0]} outside [0, 1]")
         return np.clip(s, 0.0, 1.0)
 
     def position(self, s):

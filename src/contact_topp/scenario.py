@@ -502,12 +502,18 @@ def run(scenario: Scenario, settings: RunSettings = RunSettings()) -> Trajectory
 # parameter sweeps
 
 
+# status of a sweep point whose value makes the scenario invalid or cannot be
+# assembled; the point's `message` says why
+SWEEP_INPUT_ERROR = "InputError"
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     value: float
     status: str
     total_time: float | None
     objective: float | None
+    message: str | None = None
 
 
 def _sweep_worker(payload):
@@ -515,12 +521,12 @@ def _sweep_worker(payload):
     data = copy.deepcopy(data)
     for p in params:
         set_by_path(data, p, value)
-    scenario = scenario_from_dict(data)
     settings = RunSettings(grid_override=grid, output_points=2, solver=solver)
     try:
+        scenario = scenario_from_dict(data)
         program, report, solution = solve_scenario(scenario, settings)
     except ValueError as exc:
-        raise ScenarioError(f"sweep value {value}: {exc}") from exc
+        return SweepPoint(value, SWEEP_INPUT_ERROR, None, None, str(exc))
     if report.status == OPTIMAL:
         total = recover_time(solution.speed_sq, program.grid).total
         return SweepPoint(value, report.status, float(total), float(report.objective))
@@ -550,6 +556,11 @@ def sweep(
     threads: int | None = None,
 ) -> list[SweepPoint]:
     """Re-solve the scenario at each parameter value.
+
+    Each point gets its own status: the solver's, or `SWEEP_INPUT_ERROR`
+    with a message when the value makes the scenario invalid or its
+    assembly fails; the other points still solve.  A parameter path that
+    does not resolve aborts the sweep with `ScenarioError`.
 
     With one worker (see `sweep_parallelism`) the points run serially in the
     calling process; with more, they run in a pool of worker processes.

@@ -341,7 +341,7 @@ def assemble(scene: Scene, grid: Grid, settings: TranscriptionSettings = Transcr
     """Build the conic program for the minimum-time profile along the path."""
     K = grid.intervals
     n = scene.dof
-    samples = stack_dynamics_in_s(scene, grid.midpoints)
+    dyn = stack_dynamics_in_s(scene, grid.midpoints)
     contact_order = tuple(scene.contact_ids())
     specs = _contact_specs(scene)
     descriptors = {cid: specs[cid].descriptor() for cid in contact_order}
@@ -380,11 +380,7 @@ def assemble(scene: Scene, grid: Grid, settings: TranscriptionSettings = Transcr
         c_value=np.where(free, np.nan, np.abs(sdot)),
     )
 
-    # the path-dependent data of all K midpoints, stacked along a first axis
-    def stacked(get):
-        return np.array([get(smp) for smp in samples])
-
-    dq, ddq = stacked(lambda smp: smp.dq), stacked(lambda smp: smp.ddq)
+    dq, ddq = dyn.dq, dyn.ddq
     k = np.arange(K)
     a_col = (slices["a"].start + k)[:, None, None]
     tau_term = ((slices["tau"].start + n * k[:, None] + np.arange(n))[..., None], 1.0, True)  # (K, n, 1)
@@ -417,43 +413,47 @@ def assemble(scene: Scene, grid: Grid, settings: TranscriptionSettings = Transcr
     def every(*shape):
         return np.ones(shape, dtype=bool)
 
+    def along(arrays, shape):
+        """(K, terms) + shape: per-term (K,) + shape arrays stacked on axis 1."""
+        return np.stack(arrays, axis=1) if arrays else np.zeros((K, 0) + shape)
+
     equalities, bounds, cones = _Section(), _Section(), _Section()
 
     # torque-dynamics rows: tau + sum J^T F = Macc a + Mvel b_mid + grav
-    jac_ids = tuple(samples[0].contact_jacobians)
-    J = stacked(lambda smp: [smp.contact_jacobians[cid] for cid in jac_ids]).reshape(K, len(jac_ids), 6, n)
+    jac_ids = tuple(dyn.contact_jacobians)
+    J = along([dyn.contact_jacobians[cid] for cid in jac_ids], (6, n))
     J = J.transpose(0, 3, 1, 2).reshape(K, n, -1)
-    b_term, b_const = mid_b(-stacked(lambda smp: smp.torque_velsq_coeff))
+    b_term, b_const = mid_b(-dyn.torque_velsq_coeff)
     equalities.add(
         every(K, n),
         [
             tau_term,
             (f_cols(jac_ids)[:, None, :], J, J != 0.0),
-            (a_col, -stacked(lambda smp: smp.torque_accel_coeff)[..., None], True),
+            (a_col, -dyn.torque_accel_coeff[..., None], True),
             b_term,
         ],
-        b_const - stacked(lambda smp: smp.torque_gravity),
+        b_const - dyn.torque_gravity,
         lambda kk, i: f"torque[{kk}][{i}]",
     )
 
     # object wrench balance: sum sign G F - A a - B b_mid + f_ext = 0, on a
     # (k, object, component) grid; each object's terms are present on its rows
-    objects = samples[0].objects
+    objects = dyn.objects
     terms, offset = [], []
-    for o, first in enumerate(objects):
+    for o, obj in enumerate(objects):
         mine = (np.arange(len(objects)) == o)[:, None, None]
-        term_ids = [cid for cid, _, _ in first.contact_terms]
-        signs = np.array([sign for _, sign, _ in first.contact_terms])
-        G = stacked(lambda smp: [g for _, _, g in smp.objects[o].contact_terms]).reshape(K, len(signs), 6, 6)
+        term_ids = [cid for cid, _, _ in obj.contact_terms]
+        signs = np.array([sign for _, sign, _ in obj.contact_terms])
+        G = along([g for _, _, g in obj.contact_terms], (6, 6))
         G = G.transpose(0, 2, 1, 3).reshape(K, 1, 6, -1)  # (k, 1, r, (term, m))
-        (b_cols, b_vals, b_present), b_const = mid_b(-stacked(lambda smp: smp.objects[o].velsq_coeff)[:, None])
+        (b_cols, b_vals, b_present), b_const = mid_b(-obj.velsq_coeff[:, None])
         terms += [
             (f_cols(term_ids)[:, None, None], np.repeat(signs, 6) * G, (G != 0.0) & mine),
-            (a_col[..., None], -stacked(lambda smp: smp.objects[o].accel_coeff)[:, None, :, None], mine),
+            (a_col[..., None], -obj.accel_coeff[:, None, :, None], mine),
             (b_cols, b_vals, b_present & mine),
         ]
-        offset.append(b_const[:, 0] + stacked(lambda smp: smp.objects[o].external))
-    names = [first.name for first in objects]
+        offset.append(b_const[:, 0] + obj.external)
+    names = [obj.name for obj in objects]
     equalities.add(
         every(K, len(objects), 6),
         terms,

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from contact_topp.contacts import ContactSpec, FrictionParams
@@ -19,6 +22,9 @@ from contact_topp.dynamics import (
 )
 from contact_topp.liegroup import Pose, Twist, body_jacobian, forward_kinematics, pose_exp
 from contact_topp.paths import JointPath
+from contact_topp.robot import JointDef, Link, LinkInertia, RobotModel
+from contact_topp.scenario import load_scenario
+from contact_topp.transcription import build_grid
 
 from conftest import make_limits, planar_arm, spatial_arm
 
@@ -300,7 +306,8 @@ class TestPathDynamicsSampling:
     def test_stack_returns_one_sample_per_point(self):
         scene = grasped_box_scene()
         samples = stack_dynamics_in_s(scene, [0.1, 0.5, 0.9])
-        assert [pytest.approx(x.s) for x in samples] == [0.1, 0.5, 0.9]
+        assert len(samples) == 3
+        assert [pytest.approx(x) for x in samples.s] == [0.1, 0.5, 0.9]
 
 
 class TestSceneValidation:
@@ -337,3 +344,187 @@ class TestSceneValidation:
                 robots=(RobotInstance(spatial_arm(), JointPath(np.zeros((2, 4)))),),
                 objects=(ObjectInstance(model=box, parent_robot=0),),
             )
+
+
+# ---------------------------------------------------------------------------
+# the grid-batched sampler against the scalar one, field by field
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SHIPPED = sorted(p.relative_to(SCENARIOS).as_posix() for p in SCENARIOS.rglob("*.json"))
+BATCH_RTOL = 1e-12
+
+
+def assert_close(got, want, what):
+    """max |got - want| within BATCH_RTOL of the field's largest entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    scale = np.max(np.abs(want), initial=0.0)
+    err = np.max(np.abs(got - want), initial=0.0)
+    assert err <= BATCH_RTOL * scale, f"{what}: error {err:.3e} against magnitude {scale:.3e}"
+
+
+def assert_matches_scalar(scene, s_values):
+    batch = stack_dynamics_in_s(scene, s_values)
+    ref = [sample_path_dynamics(scene, float(s)) for s in s_values]
+    assert len(batch) == len(ref)
+    np.testing.assert_array_equal(batch.s, [r.s for r in ref])
+    for name in ("q", "dq", "ddq", "torque_accel_coeff", "torque_velsq_coeff", "torque_gravity"):
+        assert_close(getattr(batch, name), [getattr(r, name) for r in ref], name)
+    assert list(batch.contact_jacobians) == list(ref[0].contact_jacobians)
+    for cid, J in batch.contact_jacobians.items():
+        assert_close(J, [r.contact_jacobians[cid] for r in ref], f"jacobian {cid}")
+    assert [o.name for o in batch.objects] == [o.name for o in ref[0].objects]
+    for i, obj in enumerate(batch.objects):
+        for name in ("accel_coeff", "velsq_coeff", "external"):
+            assert_close(getattr(obj, name), [getattr(r.objects[i], name) for r in ref], f"{obj.name} {name}")
+        assert [(cid, sign) for cid, sign, _ in obj.contact_terms] == [
+            (cid, sign) for cid, sign, _ in ref[0].objects[i].contact_terms
+        ]
+        for t, (cid, _, G) in enumerate(obj.contact_terms):
+            assert_close(G, [r.objects[i].contact_terms[t][2] for r in ref], f"{obj.name} map {cid}")
+    return batch
+
+
+def random_pose(rng):
+    return Pose.from_quaternion(rng.normal(size=4), rng.uniform(-0.4, 0.4, size=3))
+
+
+def random_chain(rng, kinds):
+    joints, links = [], []
+    for i, kind in enumerate(kinds):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        if kind == "revolute":
+            twist = Twist.revolute(axis, rng.uniform(-0.5, 0.5, size=3))
+        else:
+            twist = Twist.prismatic(axis)
+        joints.append(JointDef(kind, twist))
+        L = rng.normal(size=(3, 3))
+        links.append(
+            Link(
+                home_pose=random_pose(rng),
+                inertia=LinkInertia(rng.uniform(0.2, 3.0), rng.uniform(-0.1, 0.1, size=3), 0.01 * (L @ L.T + np.eye(3))),
+            )
+        )
+    return RobotModel(
+        name="random",
+        joints=tuple(joints),
+        links=tuple(links),
+        x_ref=random_pose(rng),
+        tool_offset=random_pose(rng),
+        limits=make_limits(len(kinds)),
+    )
+
+
+def contact(name, kind, pose, **extra):
+    return ContactSpec(name=name, kind=kind, model="pcwf", pose=pose, params=FrictionParams(mu=0.5), **extra)
+
+
+def slider_box_scene(hint):
+    """A prismatic slider carrying a box that never turns, with one world-normal contact."""
+    slider = RobotModel(
+        name="slider",
+        joints=(JointDef("prismatic", Twist.prismatic([1.0, 0.0, 0.0])),),
+        links=(Link(Pose.identity(), LinkInertia(1.0, np.zeros(3), np.eye(3) * 1e-3)),),
+        x_ref=Pose.identity(),
+        tool_offset=Pose.identity(),
+        limits=make_limits(1),
+    )
+    z = np.cross(hint, [0.3, 0.5, 0.7])
+    R = np.column_stack([hint, np.cross(z / np.linalg.norm(z), hint), z / np.linalg.norm(z)])
+    edge = contact("edge", "environment", Pose(R, [0.0, 0.0, -0.05]), frame_mode="world_normal")
+    box = ObjectModel("box", 1.0, np.eye(3) * 0.01, contacts=(edge,))
+    return Scene(
+        robots=(RobotInstance(slider, JointPath([[0.0], [0.3], [0.5]])),),
+        objects=(ObjectInstance(model=box, parent_robot=0),),
+    )
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_scenarios_match_scalar(self, name):
+        sc = load_scenario(SCENARIOS / name)
+        assert_matches_scalar(sc.scene, build_grid(sc.grid_points).midpoints)
+
+    @pytest.mark.parametrize("name", ["pivoting.json", "pickup.json"])
+    def test_fine_grid_matches_scalar(self, name):
+        sc = load_scenario(SCENARIOS / name)
+        assert_matches_scalar(sc.scene, build_grid(500).midpoints)
+
+    @settings(max_examples=40)
+    @given(
+        kinds=st.lists(st.sampled_from(["revolute", "prismatic"]), min_size=1, max_size=7),
+        boundary=st.sampled_from(["clamped", "natural"]),
+        method=st.sampled_from(["analytic", "finite_difference"]),
+        waypoints=st.integers(2, 4),
+        points=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_chains_match_scalar(self, kinds, boundary, method, waypoints, points, seed):
+        # a random serial chain holding a box through a body-fixed finger,
+        # with a world-normal environment contact on the box
+        rng = np.random.default_rng(seed)
+        arm = random_chain(rng, kinds)
+        finger = contact("finger", "manipulator", random_pose(rng), robot=0)
+        ground = contact("ground", "environment", random_pose(rng), frame_mode="world_normal")
+        box = ObjectModel("box", rng.uniform(0.1, 2.0), np.diag(rng.uniform(0.001, 0.01, size=3)), contacts=(finger, ground))
+        scene = Scene(
+            robots=(RobotInstance(arm, JointPath(rng.normal(scale=0.8, size=(waypoints, len(kinds))), boundary)),),
+            objects=(ObjectInstance(model=box, parent_robot=0, offset=random_pose(rng), external_wrench=rng.normal(size=6)),),
+            gravity=rng.normal(scale=5.0, size=3),
+            jacobian_method=method,
+        )
+        s = np.sort(rng.uniform(0.0, 1.0, size=points))
+        assert_matches_scalar(scene, np.concatenate([[0.0], s, [1.0]]))
+
+    def test_world_normal_contact_frames(self):
+        sc = load_scenario(SCENARIOS / "pivoting.json")
+        batch = assert_matches_scalar(sc.scene, build_grid(40).midpoints)
+        terms = {cid: G for cid, _, G in batch.objects[0].contact_terms}
+        # a world-normal frame turns with the box, a body-fixed one does not
+        assert np.ptp(terms["box/edge_front"], axis=0).max() > 1e-3
+        assert np.ptp(terms["box/pad_left"], axis=0).max() == 0.0
+
+    def test_object_stack_reaction_terms(self):
+        sc = load_scenario(SCENARIOS / "waiter" / "tilt_10.json")
+        batch = assert_matches_scalar(sc.scene, build_grid(20).midpoints)
+        tray = {o.name: o for o in batch.objects}["tray"]
+        reactions = [(cid, sign) for cid, sign, _ in tray.contact_terms if sign < 0]
+        assert reactions == [(f"cube/foot_{i}", -1.0) for i in range(3)]
+
+    def test_two_robot_scene(self):
+        # robot 0 grasps the box; robot 1 presses on it through its own tool
+        arm, planar = spatial_arm(), planar_arm([0.5, 0.4], [1.0, 0.7], tool=Pose(np.eye(3), [0.0, 0.0, 0.05]))
+        rng = np.random.default_rng(5)
+        press = contact("press", "manipulator", Pose(np.eye(3), [0.0, 0.02, 0.0]), robot=1)
+        grip = contact("grip", "manipulator", Pose.identity(), robot=0)
+        box = ObjectModel("box", 0.8, np.diag([0.002, 0.003, 0.004]), contacts=(grip, press))
+        scene = Scene(
+            robots=(
+                RobotInstance(arm, JointPath(rng.normal(scale=0.5, size=(3, 4)))),
+                RobotInstance(planar, JointPath(rng.normal(scale=0.5, size=(4, 2)), boundary="natural")),
+            ),
+            objects=(ObjectInstance(model=box, parent_robot=0),),
+            gravity=GRAV,
+        )
+        batch = assert_matches_scalar(scene, build_grid(30).midpoints)
+        J = batch.contact_jacobians["box/press"]
+        assert np.all(J[:, :, :4] == 0.0) and np.abs(J[:, :, 4:]).max() > 0.1
+
+    def test_parallel_tangent_hint_error_matches(self):
+        scene = slider_box_scene(hint=np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError) as scalar:
+            sample_path_dynamics(scene, 0.3)
+        with pytest.raises(ValueError) as batched:
+            stack_dynamics_in_s(scene, [0.1, 0.3])
+        assert str(batched.value) == str(scalar.value) == "contact tangent hint parallel to the world normal"
+        assert_matches_scalar(slider_box_scene(hint=np.array([1.0, 0.0, 0.0])), [0.1, 0.3])
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25])
+    def test_out_of_range_s_error_matches(self, bad):
+        scene = grasped_box_scene(contacts=two_finger_contacts())
+        with pytest.raises(ValueError) as scalar:
+            sample_path_dynamics(scene, bad)
+        with pytest.raises(ValueError) as batched:
+            stack_dynamics_in_s(scene, [0.5, bad, 0.7])
+        assert str(batched.value) == str(scalar.value) == f"path parameter {bad} outside [0, 1]"

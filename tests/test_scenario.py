@@ -26,6 +26,7 @@ from contact_topp.robot import (
     robot_to_json,
 )
 from contact_topp.scenario import (
+    SWEEP_INPUT_ERROR,
     InfeasibleScenarioError,
     RunSettings,
     ScenarioError,
@@ -373,6 +374,36 @@ def test_sweep_reports_infeasible_points():
     assert pts[1].total_time is None
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_bad_points_get_their_own_status(threads):
+    # -1 is not a valid velocity limit (rejected by the scenario loader); at
+    # K = 1 both speed nodes are fixed, so a boundary speed of 3 breaks the
+    # velocity limit during assembly.  The points around them still solve.
+    sc = scenario_from_dict(slider_scenario(grid_points=8, velocity=1.0))
+    pts = sweep(sc, "robots.0.model.joints.0.velocity_max", [2.0, -1.0, 1.0], threads=threads)
+    assert [p.status for p in pts] == ["Optimal", SWEEP_INPUT_ERROR, "Optimal"]
+    assert "velocity_max must be positive" in pts[1].message
+    assert pts[1].total_time is None and pts[1].objective is None
+    assert pts[0].message is None and pts[0].total_time > 0.0
+    pts = sweep(sc, "boundary_sdot.0", [0.5, 3.0], grid=1, threads=threads)
+    assert [p.status for p in pts] == ["Optimal", SWEEP_INPUT_ERROR]
+    assert "velocity limit of joint 0 violated by fixed boundary speed" in pts[1].message
+
+
+def test_sweep_bad_points_same_serial_and_pool():
+    sc = scenario_from_dict(slider_scenario(grid_points=8, velocity=1.0))
+    values = [2.0, -1.0, 0.0, 1.0]
+    serial = sweep(sc, "robots.0.model.joints.0.velocity_max", values, threads=1)
+    pooled = sweep(sc, "robots.0.model.joints.0.velocity_max", values, threads=2)
+    assert serial == pooled
+
+
+def test_sweep_bad_parameter_path_aborts():
+    sc = scenario_from_dict(slider_scenario(grid_points=8))
+    with pytest.raises(ScenarioError, match="no field 'velocity_cap'"):
+        sweep(sc, "robots.0.model.joints.0.velocity_cap", [1.0, 2.0], threads=1)
+
+
 def test_sweep_parallelism_env(monkeypatch):
     # a many-core machine must not change the default: serial unless asked
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -449,6 +480,20 @@ def test_cli_sweep_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("Optimal") == 2
     assert "T [s]" in out
+
+
+def test_cli_sweep_bad_point_exit(tmp_path, capsys):
+    path = write_scenario(tmp_path, slider_scenario(grid_points=8, velocity=1.0))
+    out_json = tmp_path / "sweep.json"
+    argv = ["sweep", path, "--param", "robots.0.model.joints.0.velocity_max", "--values", "2,-1", "--out", str(out_json)]
+    assert main(argv + ["--threads", "1"]) == 4
+    out = capsys.readouterr().out
+    assert "Optimal" in out
+    assert f"{SWEEP_INPUT_ERROR}" in out and "velocity_max must be positive" in out
+    points = json.loads(out_json.read_text())["points"]
+    assert [p["status"] for p in points] == ["Optimal", SWEEP_INPUT_ERROR]
+    assert points[0]["message"] is None
+    assert "velocity_max must be positive" in points[1]["message"]
 
 
 def test_cli_verify_roundtrip(tmp_path, capsys):
