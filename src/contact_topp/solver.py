@@ -15,9 +15,18 @@ static regularization and iterative refinement.  Cone operations work on
 groups of equal-size cones at once, and the KKT matrix keeps one sparsity
 pattern per solve, whose values each iteration refills.
 
+Before iterating, `solve` presolves the equality rows with a single
+nonzero: each fixes its column, which is substituted into the other rows
+and dropped with its row.  The iteration runs on the smaller problem, and
+every iterate is lifted back to the original columns and rows (the fixed
+values for x, and for the y of each dropped row the value that zeroes its
+column's dual residual).  The KKT pattern is relabelled once per solve by
+reverse Cuthill-McKee, which gives the path-structured matrix a narrow
+band, and factored in that order with partial pivoting.
+
 Convergence and infeasibility decisions are made on the original problem
-data.  Ruiz equilibration (uniform across each cone block, so cone geometry
-is preserved) is applied internally only.
+data, from the lifted iterate.  Ruiz equilibration (uniform across each
+cone block, so cone geometry is preserved) is applied internally only.
 """
 
 from __future__ import annotations
@@ -424,6 +433,14 @@ class _KKTSystem:
     place, into `exact` (M in extended precision, for refinement residuals)
     and `regularized` (M + diag(reg, -reg, -reg), the matrix that is
     factored).  The diagonal is in the pattern, so the two share it.
+
+    Both matrices are stored symmetrically permuted, P M P' with
+    P M P'[i, j] = M[perm[i], perm[j]]: `perm` is the reverse Cuthill-McKee
+    order of the fixed pattern (George & Liu, 1981).  Each grid interval
+    couples only to its neighbours, so in that order M is narrowly banded
+    and SuperLU factors it as it stands (natural column order, partial
+    pivoting kept), with no fill-reducing ordering recomputed per factor.
+    `refined_solve` takes and returns vectors in the original order.
     """
 
     def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, spec: ConeSpec, reg: float):
@@ -448,6 +465,19 @@ class _KKTSystem:
         cols = np.concatenate((diag, A.col, n + A.row, wg_col, wg_row))
         exact = np.concatenate((np.zeros(n + p), -np.ones(m), A.data, A.data, np.zeros(2 * keys.size)))
         shift = np.concatenate((np.full(n, reg), np.full(p, -reg), np.full(m, -reg)))
+
+        if N:
+            # imported here: the package is imported by `topp verify` too,
+            # which never solves, and csgraph adds about 1.3 MB to its RSS
+            from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+            pattern = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(N, N))
+            self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
+        else:
+            self.perm = np.zeros(0, dtype=np.intp)
+        label = np.empty(N, dtype=np.intp)
+        label[self.perm] = diag
+        rows, cols = label[rows], label[cols]
         order = np.lexsort((rows, cols))
         slot = np.empty_like(order)
         slot[order] = np.arange(order.size)
@@ -466,6 +496,42 @@ class _KKTSystem:
         both = np.concatenate((wg, wg))
         self.regularized.data[self._slots] = both
         self.exact.data[self._slots] = both
+
+    def factor(self):
+        """Factor the regularized matrix; SuperLU raises RuntimeError when
+        it is singular."""
+        self._lu = splu(self.regularized, permc_spec="NATURAL")
+
+    def refined_solve(self, rhs: np.ndarray, refine_steps: int) -> np.ndarray:
+        """M v = rhs by the last factor, refined against the exact matrix.
+
+        Near convergence mu falls toward the regularization level and the
+        raw solve is too inaccurate to step with.  Residuals are formed in
+        extended precision: the refinement plateau sits at the residual
+        roundoff times the KKT condition number, and the handful of extra
+        digits is what lets the gap reach tolerance on problems whose cones
+        are all active at the optimum.
+        """
+        perm, lu = self.perm, self._lu
+        rhs = rhs[perm]
+        rhs_ld = rhs.astype(np.longdouble)
+        sol = lu.solve(rhs).astype(np.longdouble)
+        resid = rhs_ld - self.exact @ sol
+        best, best_res = sol, float(np.linalg.norm(resid.astype(np.float64)))
+        floor = 1e-16 * (float(np.linalg.norm(rhs)) + 1.0)
+        for _ in range(refine_steps):
+            if best_res <= floor:
+                break
+            sol = sol + lu.solve(resid.astype(np.float64))
+            resid = rhs_ld - self.exact @ sol
+            res = float(np.linalg.norm(resid.astype(np.float64)))
+            if res < best_res:
+                best, best_res = sol, res
+            else:
+                break
+        out = np.empty(rhs.size)
+        out[perm] = best
+        return out
 
 
 def _ruiz_equilibrate(form: StandardConicForm, iters: int):
@@ -557,23 +623,127 @@ def _check_dual_infeasibility_certificate(form, x, s, tol) -> dict | None:
     return None
 
 
+class _Presolve:
+    """The problem with its pinned columns substituted out.
+
+    An equality row with a single nonzero, a x_j = b_r, fixes x_j = b_r / a
+    (Andersen & Andersen, Math. Prog. 71, 1995).  Nonzeros are counted
+    after dropping explicit zeros, so a row whose only stored entry is 0
+    pins nothing.  A column fixed by exactly one such row is dropped with
+    that row, and its fixed value moves into the right-hand sides b and h
+    of the rows that remain.  Its cost c_j x_j is a constant: it cancels in
+    the duality gap and comes back when the objective is evaluated on the
+    lifted point, so `form` carries no offset.  A column named by two or
+    more singleton rows stays with all of them.  If two of them fix it at
+    values further apart than tol relative, `ray` is the Farkas direction
+    they give; the iteration would otherwise have to find the conflict
+    through a rank-deficient A.
+
+    `form` is the reduced problem; `lift` maps a homogeneous point of it
+    back to the original columns and rows.
+    """
+
+    def __init__(self, form: StandardConicForm, tol: float):
+        n, p = form.c.size, form.A.shape[0]
+        A = form.A.tocsr(copy=True)
+        A.eliminate_zeros()
+        G = form.G.tocsr()
+        single = np.flatnonzero(np.diff(A.indptr) == 1)
+        col = A.indices[A.indptr[single]]
+        pivot = A.data[A.indptr[single]]
+        value = form.b[single] / pivot
+        alone = np.bincount(col, minlength=n)[col] == 1
+        self.rows, self.cols, self.pivots, self.values = single[alone], col[alone], pivot[alone], value[alone]
+        self.ray = _pin_conflict(p, *(a[~alone] for a in (single, col, pivot, value)), tol)
+        self.free = np.setdiff1d(np.arange(n), self.cols)
+        self.kept = np.setdiff1d(np.arange(p), self.rows)
+        self.shape = n, p
+        A_kept = A[self.kept]
+        A_fixed, G_fixed = A_kept[:, self.cols], G[:, self.cols]
+        self._A_fixed_t, self._G_fixed_t = A_fixed.T.tocsr(), G_fixed.T.tocsr()
+        self._c_fixed = form.c[self.cols]
+        self.form = StandardConicForm(
+            c=form.c[self.free],
+            A=A_kept[:, self.free],
+            b=form.b[self.kept] - A_fixed @ self.values,
+            G=G[:, self.free],
+            h=form.h - G_fixed @ self.values,
+            cones=form.cones,
+            row_labels=form.row_labels,
+        )
+
+    def lift(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, tau: float) -> tuple:
+        """(x, y) on the original columns and rows for a reduced point with
+        homogeneous scale tau: a fixed column gets tau times its value, and
+        the y of its row zeroes the column's residual A'y + G'z + tau c.
+        With tau = 0 this lifts a ray, as an infeasibility certificate
+        needs."""
+        n, p = self.shape
+        x_full = np.empty(n)
+        x_full[self.free] = x
+        x_full[self.cols] = tau * self.values
+        y_full = np.empty(p)
+        y_full[self.kept] = y
+        y_full[self.rows] = -(self._A_fixed_t @ y + self._G_fixed_t @ z + tau * self._c_fixed) / self.pivots
+        return x_full, y_full
+
+
+def _pin_conflict(p, rows, cols, pivots, values, tol) -> np.ndarray | None:
+    """y over the p equality rows with A'y = 0 and b'y < 0, from the two
+    singleton rows of one column whose fixed values differ most; None when
+    no column has two values more than tol (1 + |value|) apart, a gap the
+    iteration could close within its feasibility tolerance."""
+    if not rows.size:
+        return None
+    order = np.lexsort((values, cols))
+    rows, cols, pivots, values = (a[order] for a in (rows, cols, pivots, values))
+    first = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
+    last = np.r_[first[1:], cols.size] - 1
+    k = int(np.argmax(values[last] - values[first]))
+    lo, hi = first[k], last[k]
+    if values[hi] - values[lo] <= tol * (1.0 + max(abs(values[lo]), abs(values[hi]))):
+        return None
+    y = np.zeros(p)
+    y[rows[lo]] = 1.0 / pivots[lo]
+    y[rows[hi]] = -1.0 / pivots[hi]
+    return y
+
+
+def _infeasibility_certificate(form, presolve, x, y, z, s, tol) -> tuple | None:
+    """(status, certificate) when the reduced homogeneous point, lifted back
+    as a ray, passes the primal and then the dual certificate check on the
+    original data."""
+    x, y = presolve.lift(x, y, z, 0.0)
+    cert = _check_primal_infeasibility_certificate(form, y, z, tol)
+    if cert is not None:
+        return PRIMAL_INFEASIBLE, cert
+    cert = _check_dual_infeasibility_certificate(form, x, s, tol)
+    if cert is not None:
+        return DUAL_INFEASIBLE, cert
+    return None
+
+
 def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) -> SolveReport:
     """Run the homogeneous self-dual predictor-corrector iteration."""
     t0 = time.perf_counter()
-    n = form.c.size
-    p = form.A.shape[0]
-    m = form.G.shape[0]
     spec = form.cones
-    if spec.total != m:
+    if spec.total != form.G.shape[0]:
         raise ValueError("cone dimensions do not match G")
+    # the iteration runs on the reduced problem; every decision reads the
+    # lifted iterate on the original data
+    presolve = _Presolve(form, settings.tol_infeas)
+    reduced = presolve.form
+    n = reduced.c.size
+    p = reduced.A.shape[0]
+    m = reduced.G.shape[0]
 
     if settings.equilibrate and (p + m) > 0:
-        As, Gs, d_col, d_eq, d_in = _ruiz_equilibrate(form, settings.equilibrate_iters)
+        As, Gs, d_col, d_eq, d_in = _ruiz_equilibrate(reduced, settings.equilibrate_iters)
     else:
-        As, Gs = form.A.tocsr(), form.G.tocsr()
+        As, Gs = reduced.A.tocsr(), reduced.G.tocsr()
         d_col, d_eq, d_in = np.ones(n), np.ones(p), np.ones(m)
-    bs = d_eq * form.b
-    hs = d_in * form.h
+    bs = d_eq * reduced.b
+    hs = d_in * reduced.h
     # Scalar normalization of the right-hand sides and cost keeps the initial
     # homogeneous residuals O(1).  The divisor is clamped: every decade of
     # scaling spent here is a decade lost from the achievable unscaled duality
@@ -586,9 +756,9 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
     rhs_scale = 1.0 / min(max(1.0, rhs_norm), 1e3)
     bs = rhs_scale * bs
     hs = rhs_scale * hs
-    cost_norm = float(np.linalg.norm(d_col * form.c, ord=np.inf))
+    cost_norm = float(np.linalg.norm(d_col * reduced.c, ord=np.inf)) if n else 0.0
     cost_scale = 1.0 / min(max(1.0, cost_norm), 1e3)
-    cs = cost_scale * d_col * form.c
+    cs = cost_scale * d_col * reduced.c
 
     AsT = As.T.tocsr()
     GsT = Gs.T.tocsr()
@@ -603,8 +773,13 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
 
     history: list[dict] = []
     stalls = 0
-    status = MAX_ITERATIONS
     certificate = None
+    if presolve.ray is not None:
+        # conflicting pins are checked like any certificate; one that
+        # passes leaves nothing to iterate
+        certificate = _check_primal_infeasibility_certificate(form, presolve.ray, np.zeros(m), settings.tol_infeas)
+    status = MAX_ITERATIONS if certificate is None else PRIMAL_INFEASIBLE
+    max_iter = settings.max_iter if certificate is None else 0
     last_residuals: dict = {}
     iteration = 0
 
@@ -615,15 +790,19 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
         ss = s / d_in / rhs_scale
         return xs, ys, zs, ss
 
-    def original_residuals():
-        xs, ys, zs, ss = unscaled_point()
-        xh, yh, zh, sh = xs / tau, ys / tau, zs / tau, ss / tau
-        rep = verify_kkt(form, xh, yh, zh, sh)
-        return rep, (xh, yh, zh, sh)
+    def lifted_point():
+        """The iterate divided by tau, on the original columns and rows."""
+        xh, yh, zh, sh = (v / tau for v in unscaled_point())
+        xh, yh = presolve.lift(xh, yh, zh, 1.0)
+        return xh, yh, zh, sh
 
     kkt = _KKTSystem(As, Gs, spec, settings.reg)
 
-    for iteration in range(1, settings.max_iter + 1):
+    def solve3(vx, vy, vz):
+        out = kkt.refined_solve(np.concatenate([vx, vy, vz]), settings.refine_steps)
+        return out[:n], out[n : n + p], out[n + p :]
+
+    for iteration in range(1, max_iter + 1):
         try:
             scal = Scaling(spec, s, z)
         except FloatingPointError:
@@ -637,37 +816,10 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
         # dynamic range and makes the factorization unusable at small mu.
         kkt.refill(scal.w_inv_matrix())
         try:
-            lu = splu(kkt.regularized)
+            kkt.factor()
         except RuntimeError:
             status = NUMERICAL_FAILURE
             break
-
-        def solve3(vx, vy, vz):
-            # Factor of the regularized matrix, refined against the exact one.
-            # Near convergence mu falls toward the regularization level and the
-            # raw solve is too inaccurate to step with.  Residuals are formed
-            # in extended precision: the refinement plateau sits at the
-            # residual roundoff times the KKT condition number, and the handful
-            # of extra digits is what lets the gap reach tolerance on problems
-            # whose cones are all active at the optimum.
-            rhs = np.concatenate([vx, vy, vz])
-            rhs_ld = rhs.astype(np.longdouble)
-            sol = lu.solve(rhs).astype(np.longdouble)
-            resid = rhs_ld - kkt.exact @ sol
-            best, best_res = sol, float(np.linalg.norm(resid.astype(np.float64)))
-            floor = 1e-16 * (float(np.linalg.norm(rhs)) + 1.0)
-            for _ in range(settings.refine_steps):
-                if best_res <= floor:
-                    break
-                sol = sol + lu.solve(resid.astype(np.float64))
-                resid = rhs_ld - kkt.exact @ sol
-                res = float(np.linalg.norm(resid.astype(np.float64)))
-                if res < best_res:
-                    best, best_res = sol, res
-                else:
-                    break
-            out = best.astype(np.float64)
-            return out[:n], out[n : n + p], out[n + p :]
 
         # residuals of the homogeneous model (scaled data)
         rx = AsT @ y + GsT @ z + cs * tau
@@ -747,7 +899,7 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
             status = NUMERICAL_FAILURE
             break
 
-        rep, point = original_residuals()
+        rep = verify_kkt(form, *lifted_point())
         last_residuals = rep
         history.append(
             {
@@ -781,30 +933,14 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
 
         # infeasibility: certificates are only accepted after an independent
         # check on the original data
-        xs, ys, zs, ss = unscaled_point()
-        if tau < settings.tau_kappa_guard * max(1.0, kappa):
-            cert = _check_primal_infeasibility_certificate(form, ys, zs, settings.tol_infeas)
-            if cert is not None:
-                status = PRIMAL_INFEASIBLE
-                certificate = cert
+        guard = tau < settings.tau_kappa_guard * max(1.0, kappa)
+        if guard or (mu < settings.tol_gap * 1e-2 and kappa > tau):
+            found = _infeasibility_certificate(form, presolve, *unscaled_point(), settings.tol_infeas)
+            if found is not None:
+                status, certificate = found
                 break
-            cert = _check_dual_infeasibility_certificate(form, xs, ss, settings.tol_infeas)
-            if cert is not None:
-                status = DUAL_INFEASIBLE
-                certificate = cert
-                break
-            status = NUMERICAL_FAILURE
-            break
-        if mu < settings.tol_gap * 1e-2 and kappa > tau:
-            cert = _check_primal_infeasibility_certificate(form, ys, zs, settings.tol_infeas)
-            if cert is not None:
-                status = PRIMAL_INFEASIBLE
-                certificate = cert
-                break
-            cert = _check_dual_infeasibility_certificate(form, xs, ss, settings.tol_infeas)
-            if cert is not None:
-                status = DUAL_INFEASIBLE
-                certificate = cert
+            if guard:
+                status = NUMERICAL_FAILURE
                 break
 
         stalls = stalls + 1 if alpha < settings.stall_alpha else 0
@@ -812,11 +948,11 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
             status = NUMERICAL_FAILURE
             break
 
-    xs, ys, zs, ss = unscaled_point()
     if status in (OPTIMAL, MAX_ITERATIONS) and tau > 0.0:
-        xh, yh, zh, sh = xs / tau, ys / tau, zs / tau, ss / tau
+        xh, yh, zh, sh = lifted_point()
     else:
-        xh, yh, zh, sh = xs, ys, zs, ss
+        xh, yh, zh, sh = unscaled_point()
+        xh, yh = presolve.lift(xh, yh, zh, tau)
     objective = float(form.c @ xh) if status in (OPTIMAL, MAX_ITERATIONS) else math.nan
     return SolveReport(
         status=status,

@@ -5,7 +5,10 @@ solver used before its cone layer was batched by cone size.  It is kept
 here only as an independent reference: every batched operation must agree
 with it to 1e-12 relative on random specs (orthant 0-4, cone sizes 1-5 in
 any order) at strictly interior points, including points close to the
-cone boundary.
+cone boundary.  The KKT system stores its matrices in its own ordering, so
+the block-by-block oracle is permuted by that ordering before comparing,
+and a solve through the permuted factor is held to a dense solve in the
+original order.
 
 The equilibration is checked the same way against the loop it replaced,
 which rebuilt the stacked matrix and rescaled it by sparse products on every
@@ -41,6 +44,7 @@ from contact_topp.transcription import build_grid
 from test_solver import form
 
 RTOL = 1e-12
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 # -- oracle: one Python iteration per cone ------------------------------------
@@ -330,14 +334,42 @@ class TestAgainstOracle:
 
 def assert_kkt_matches_oracle(spec, A, G, rng, near=False):
     """The refilled matrices equal a block-by-block assembly around the same
-    W^{-1} (test_scaling checks W^{-1} itself against the oracle)."""
+    W^{-1} (test_scaling checks W^{-1} itself against the oracle), permuted
+    symmetrically by the system's recorded ordering."""
     kkt = _KKTSystem(A, G, spec, 1e-11)
+    N = A.shape[1] + A.shape[0] + G.shape[0]
+    assert np.array_equal(np.sort(kkt.perm), np.arange(N))
+    at = np.ix_(kkt.perm, kkt.perm)
     for _ in range(2):  # the second refill writes over the first
         w_inv = Scaling(spec, interior_point(spec, rng, near), interior_point(spec, rng, near)).w_inv_matrix()
         kkt.refill(w_inv)
         M0, Mreg = oracle_kkt(A, G, w_inv.toarray(), 1e-11)
-        assert_close(kkt.exact.toarray().astype(float), M0)
-        assert_close(kkt.regularized.toarray(), Mreg)
+        assert_close(kkt.exact.toarray().astype(float), M0[at])
+        assert_close(kkt.regularized.toarray(), Mreg[at])
+
+
+def bandwidth(M):
+    rows, cols = np.nonzero(M)
+    return int(np.max(np.abs(rows - cols)))
+
+
+def test_refined_solve_in_original_order():
+    """On a path-structured KKT (pivoting at K=10), the factor of the
+    permuted matrix, refined and mapped back, solves M v = rhs as a dense
+    solve in the original order does; the permutation narrows the band."""
+    prob = canonicalize(assemble_scenario(load_scenario(SCENARIOS / "pivoting.json"), build_grid(10)))
+    spec = prob.cones
+    rng = np.random.default_rng(4)
+    kkt = _KKTSystem(prob.A, prob.G, spec, 1e-11)
+    w_inv = Scaling(spec, interior_point(spec, rng, False), interior_point(spec, rng, False)).w_inv_matrix()
+    kkt.refill(w_inv)
+    kkt.factor()
+    M0, _ = oracle_kkt(prob.A, prob.G, w_inv.toarray(), 1e-11)
+    rhs = rng.normal(size=M0.shape[0])
+    want = np.linalg.solve(M0, rhs)
+    got = kkt.refined_solve(rhs, SolverSettings().refine_steps)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
+    assert 4 * bandwidth(kkt.regularized.toarray()) < bandwidth(M0)
 
 
 # -- edge shapes ------------------------------------------------------------------
@@ -502,7 +534,7 @@ def assert_same_equilibration(prob, iters):
         assert g.data.tobytes() == w.data.tobytes()
 
 
-SHIPPED = sorted((Path(__file__).resolve().parents[1] / "scenarios").rglob("*.json"))
+SHIPPED = sorted(SCENARIOS.rglob("*.json"))
 
 
 class TestEquilibrationOracle:

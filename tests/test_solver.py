@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_limits
 from contact_topp.dynamics import RobotInstance, Scene
@@ -23,6 +25,7 @@ from contact_topp.solver import (
     SolverSettings,
     StandardConicForm,
     canonicalize,
+    cone_residual,
     solve,
     solve_conic_program,
     verify_kkt,
@@ -435,6 +438,162 @@ class TestVerifyKkt:
         rep = verify_kkt(prob, report.x, report.y, report.z, report.s)
         for key in ("primal_eq", "primal_in", "dual", "gap"):
             assert abs(rep[key] - report.residuals[key]) <= 1e-10
+
+
+def assert_primal_certificate(prob, cert):
+    """Farkas check on the given data: A'y + G'z ~ 0, b'y + h'z < 0, z in K*."""
+    y, z = cert["y"], cert["z"]
+    assert np.linalg.norm(prob.A.T @ y + prob.G.T @ z, ord=np.inf) <= 1e-7
+    assert float(prob.b @ y + prob.h @ z) <= -1e-8
+    assert cone_residual(prob.cones, z) <= 1e-9
+
+
+def assert_verified(prob, report):
+    """The reported point passes verify_kkt on prob at the solver's tolerances."""
+    rep = verify_kkt(prob, report.x, report.y, report.z, report.s)
+    tol = SolverSettings()
+    assert max(rep["primal_eq"], rep["primal_in"], rep["dual"]) <= tol.tol_feas
+    assert rep["gap"] <= tol.tol_gap
+    assert rep["s_in_cone"] and rep["z_in_cone"]
+
+
+@st.composite
+def pinned_socps(draw):
+    """(problem, pinned columns, their values): a feasible, bounded SOCP whose
+    equality rows are dense, with one singleton row per pinned column
+    inserted among them.  x0 is strictly feasible, the boxes |x| <= 2 bound
+    it, and every pin a x_j = a x0_j fixes its column at the value the
+    presolve divides out, (a x0_j) / a."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_free = draw(st.integers(2, 5))
+    n_pin = draw(st.integers(1, 3))
+    p = draw(st.integers(0, n_free - 1))
+    socs = tuple(draw(st.lists(st.integers(2, 4), max_size=3)))
+    n = n_free + n_pin
+    pinned = np.sort(rng.choice(n, size=n_pin, replace=False))
+    x0 = rng.uniform(-1.0, 1.0, n)
+    A_dense = rng.uniform(0.5, 2.0, (p, n)) * rng.choice([-1.0, 1.0], (p, n))
+    pivots = rng.uniform(0.5, 2.0, n_pin) * rng.choice([-1.0, 1.0], n_pin)
+    singles = np.zeros((n_pin, n))
+    singles[np.arange(n_pin), pinned] = pivots
+    A = np.vstack((A_dense, singles))[rng.permutation(p + n_pin)]
+    G_cone = rng.normal(size=(sum(socs), n))
+    s0 = np.concatenate([[1.0 + rng.uniform(0.1, 1.0)] + list(rng.uniform(-1.0, 1.0, d - 1) / d) for d in socs] or [[]])
+    G = np.vstack((np.eye(n), -np.eye(n), G_cone))
+    h = np.concatenate((np.full(2 * n, 2.0), G_cone @ x0 + s0))
+    prob = form(rng.normal(size=n), G=G, h=h, A=A, b=A @ x0, orthant=2 * n, socs=socs)
+    return prob, pinned, (pivots * x0[pinned]) / pivots
+
+
+def substituted(prob, pinned, values):
+    """prob with the pinned columns and their singleton rows taken out by hand."""
+    free = np.setdiff1d(np.arange(prob.c.size), pinned)
+    A = prob.A.toarray()
+    dense = np.count_nonzero(A, axis=1) > 1
+    return StandardConicForm(
+        c=prob.c[free],
+        A=sp.csr_matrix(A[dense][:, free]),
+        b=prob.b[dense] - A[dense][:, pinned] @ values,
+        G=sp.csr_matrix(prob.G.toarray()[:, free]),
+        h=prob.h - prob.G.toarray()[:, pinned] @ values,
+        cones=prob.cones,
+    )
+
+
+class TestPresolve:
+    @settings(max_examples=25)
+    @given(pinned_socps())
+    def test_matches_hand_substitution(self, case):
+        prob, pinned, values = case
+        report = solve(prob, SolverSettings())
+        hand = solve(substituted(prob, pinned, values), SolverSettings())
+        assert report.status == hand.status == "Optimal"
+        offset = float(prob.c[pinned] @ values)
+        assert abs(report.objective - (hand.objective + offset)) <= 1e-8 * max(1.0, abs(report.objective))
+        free = np.setdiff1d(np.arange(prob.c.size), pinned)
+        assert np.array_equal(report.x[pinned], values)
+        assert np.allclose(report.x[free], hand.x, atol=1e-7)
+        assert (report.x.size, report.y.size, report.z.size, report.s.size) == (
+            prob.c.size, prob.A.shape[0], prob.G.shape[0], prob.G.shape[0]
+        )
+        assert_verified(prob, report)
+
+    def test_every_column_pinned(self):
+        # 2 x0 = 2 and 4 x1 = 4 fix x = (1, 1) inside the disk ||x|| <= 2
+        G = [[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]
+        prob = form([1.0, -3.0], G=G, h=[2.0, 0.0, 0.0], A=np.diag([2.0, 4.0]), b=[2.0, 4.0], socs=(3,))
+        report = solve(prob, SolverSettings())
+        assert report.status == "Optimal"
+        assert np.array_equal(report.x, [1.0, 1.0]) and report.objective == -2.0
+        assert_verified(prob, report)
+
+    def test_every_column_pinned_no_inequalities(self):
+        prob = form([1.0, 2.0], A=[[2.0, 0.0], [0.0, -1.0]], b=[3.0, 1.0])
+        report = solve(prob, SolverSettings())
+        assert report.status == "Optimal"
+        assert np.array_equal(report.x, [1.5, -1.0])
+        assert_verified(prob, report)
+
+    def test_every_column_pinned_outside_cone(self):
+        # x = (1, 1) lies outside the unit disk
+        G = [[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]
+        prob = form([1.0, 1.0], G=G, h=[1.0, 0.0, 0.0], A=np.eye(2), b=[1.0, 1.0], socs=(3,))
+        report = solve(prob, SolverSettings())
+        assert report.status == "PrimalInfeasible"
+        assert_primal_certificate(prob, report.certificate)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_inconsistent_pins(self, seed):
+        # a1 x0 = a1 / 2 and a2 x0 = a2 v with v > 1/2 pin one column twice;
+        # both rows stay, and the same rows with v = 1/2 are feasible
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        G, h = box(n, -rng.uniform(1.0, 5.0), rng.uniform(1.0, 5.0))
+        a = rng.uniform(0.5, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+        A = np.zeros((2, n))
+        A[:, 0] = a
+        c = rng.normal(size=n)
+        prob = form(c, G=G, h=h, A=A, b=a * [0.5, 0.5 + rng.uniform(0.1, 1.0)], orthant=2 * n)
+        report = solve(prob, SolverSettings())
+        assert report.status == "PrimalInfeasible"
+        assert_primal_certificate(prob, report.certificate)
+        consistent = form(c, G=G, h=h, A=A, b=a * 0.5, orthant=2 * n)
+        report = solve(consistent, SolverSettings())
+        assert report.status == "Optimal" and abs(report.x[0] - 0.5) <= 1e-6
+        assert_verified(consistent, report)
+
+    def test_explicit_zero_pins_nothing(self):
+        # the first row stores one entry, an explicit 0: 0 x0 = 0 holds for
+        # every x and must not be divided through
+        G, h = box(2, -1.0, 1.0)
+        A = sp.csr_matrix((np.array([0.0, 1.0, 1.0]), np.array([0, 0, 1]), np.array([0, 1, 3])), shape=(2, 2))
+        prob = form([1.0, 2.0], G=G, h=h, orthant=4)
+        prob.A, prob.b = A, np.array([0.0, 0.5])
+        with np.errstate(divide="raise"):
+            report = solve(prob, SolverSettings())
+        assert report.status == "Optimal"
+        assert np.allclose(report.x, [1.0, -0.5], atol=5e-6)
+        assert_verified(prob, report)
+
+    @pytest.mark.parametrize(
+        "prob,x",
+        [
+            # no equalities besides the pin: min t, ||(3, 4)|| <= t <= 10
+            (form([1.0, 0.0], G=[[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, -1.0]], h=[10.0, 0.0, 3.0, 0.0],
+                  A=[[0.0, 1.0]], b=[4.0], orthant=1, socs=(3,)), [5.0, 4.0]),
+            # pure LP: x0 + x1 = 1, x1 = 0.25, x >= 0
+            (form([1.0, 2.0], A=[[1.0, 1.0], [0.0, 1.0]], b=[1.0, 0.25], G=-np.eye(2), h=[0.0, 0.0], orthant=2),
+             [0.75, 0.25]),
+            # no inequalities: x0 = 2, x0 + x1 = 3
+            (form([1.0, 2.0], A=[[1.0, 0.0], [1.0, 1.0]], b=[2.0, 3.0]), [2.0, 1.0]),
+        ],
+        ids=["no_equalities", "pure_lp", "no_inequalities"],
+    )
+    def test_edge_shapes_with_a_pin(self, prob, x):
+        report = solve(prob, SolverSettings())
+        assert report.status == "Optimal"
+        assert np.allclose(report.x, x, atol=5e-6)
+        assert_verified(prob, report)
 
 
 def hand_program(num_vars, objective, equalities=(), bounds=(), cones=()):
