@@ -77,7 +77,7 @@ def waiter_table(grid):
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--grid", type=int, default=80, help="grid intervals for every solve")
-    ap.add_argument("--threads", type=int, default=None, help="sweep workers (default: TOPP_THREADS or serial)")
+    ap.add_argument("--threads", type=int, default=None, help="sweep workers (default: serial)")
     ap.add_argument("--only", choices=("pickup", "pivoting", "waiter"), default=None)
     args = ap.parse_args()
 

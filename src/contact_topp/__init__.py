@@ -31,15 +31,8 @@ from .scenario import (
     solve_scenario,
     sweep,
 )
-from .solver import SolverSettings, canonicalize, solve, solve_conic_program, verify_kkt
-from .transcription import (
-    ConicProgram,
-    Grid,
-    TranscriptionSettings,
-    assemble,
-    build_grid,
-    recover_time,
-)
+from .solver import canonicalize, solve, solve_conic_program, verify_kkt
+from .transcription import ConicProgram, Grid, assemble, build_grid, recover_time
 from .verification import audit, fd_suite, topp_phase_plane, verification_ledger
 
 __version__ = "0.1.0"
@@ -66,9 +59,7 @@ __all__ = [
     "ScenarioError",
     "Scene",
     "SolverFailureError",
-    "SolverSettings",
     "TrajectoryOutput",
-    "TranscriptionSettings",
     "Twist",
     "assemble",
     "assemble_scenario",

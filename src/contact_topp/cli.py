@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -24,7 +25,7 @@ from .scenario import (
     run,
     sweep,
 )
-from .solver import SolverSettings
+from .solver import TOL
 from .transcription import build_grid
 from .verification import verification_ledger
 
@@ -34,14 +35,16 @@ EXIT_INFEASIBLE = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_INPUT = 4
 
+TOL_HELP = "solver tolerance on feasibility, duality gap and infeasibility certificates (default: %(default)g)"
 
-def _solver_settings(args) -> SolverSettings:
-    if args.tol is None:
-        return SolverSettings()
-    return SolverSettings(tol_feas=args.tol, tol_gap=args.tol, tol_infeas=args.tol)
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ScenarioError(f"--tol must be a positive finite number, got {tol!r}")
 
 
 def _cmd_solve(args) -> int:
+    _check_tol(args.tol)
     scenario = load_scenario(args.scenario)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -54,7 +57,7 @@ def _cmd_solve(args) -> int:
             json.dump(program.to_json_dict(), fh)
         print(f"wrote {stem}.program.json")
 
-    settings = RunSettings(grid_override=args.grid, solver=_solver_settings(args))
+    settings = RunSettings(grid_override=args.grid, tol=args.tol)
     try:
         out = run(scenario, settings)
     except InfeasibleScenarioError as exc:
@@ -81,6 +84,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_tol(args.tol)
     scenario = load_scenario(args.scenario)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -93,7 +97,7 @@ def _cmd_sweep(args) -> int:
         args.param,
         values,
         grid=args.grid,
-        solver=_solver_settings(args),
+        tol=args.tol,
         threads=args.threads,
     )
     print(f"{'value':>12}  {'status':<16}  {'T [s]':>12}")
@@ -159,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--grid", type=int, default=None, help="override the grid interval count")
     p_solve.add_argument("--out", default=None, help="output directory (default: current)")
     p_solve.add_argument("--dump-program", action="store_true", help="also write the assembled conic program")
-    p_solve.add_argument("--tol", type=float, default=None, help="solver feasibility/gap tolerance")
+    p_solve.add_argument("--tol", type=float, default=TOL, help=TOL_HELP)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="re-solve over a list of parameter values")
@@ -172,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--values", required=True, help="comma-separated parameter values")
     p_sweep.add_argument("--grid", type=int, default=None)
-    p_sweep.add_argument("--tol", type=float, default=None)
-    p_sweep.add_argument("--threads", type=int, default=None, help="worker processes (default: TOPP_THREADS or serial)")
+    p_sweep.add_argument("--tol", type=float, default=TOL, help=TOL_HELP)
+    p_sweep.add_argument("--threads", type=int, default=None, help="worker processes (default: serial)")
     p_sweep.add_argument("--out", default=None, help="write sweep results to a JSON file")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -96,13 +96,6 @@ def cone_margin(descriptor: ConeDescriptor, wrench, pin_tol: float = PIN_TOLERAN
     return float(F[descriptor.head_index] - np.sqrt(acc))
 
 
-def normal_force_bound(descriptor: ConeDescriptor, cap: float) -> tuple[int, float]:
-    """Row data for the normal-force cap fz <= cap."""
-    if cap <= 0.0:
-        raise ValueError("normal force cap must be positive")
-    return descriptor.head_index, float(cap)
-
-
 CONTACT_KINDS = ("manipulator", "environment", "object")
 FRAME_MODES = ("body_fixed", "world_normal")
 

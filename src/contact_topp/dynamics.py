@@ -18,7 +18,6 @@ import numpy as np
 
 from .contacts import ContactSpec
 from .liegroup import (
-    FD_JACOBIAN_STEP,
     Pose,
     Twist,
     adjoint_many,
@@ -26,7 +25,7 @@ from .liegroup import (
     body_jacobian_many,
     compose_many,
     forward_kinematics,
-    jacobian_path_derivative,
+    object_path_kinematics,
     pose_exp,
     pose_exp_many,
     skew,
@@ -208,7 +207,6 @@ class Scene:
     robots: tuple[RobotInstance, ...]
     objects: tuple[ObjectInstance, ...] = ()
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
-    jacobian_method: str = "analytic"
 
     def __post_init__(self):
         object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float).reshape(3))
@@ -342,17 +340,17 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamicsSample:
         velsq[sl] = inverse_dynamics(r.model, qi, dqi, ddqi, np.zeros(3))
         grav[sl] = inverse_dynamics(r.model, qi, zeros, zeros, scene.gravity)
 
-    lead = scene.robots[0]
-    q0 = q[slices[0]]
     contact_jacs: dict[str, np.ndarray] = {}
     object_samples = []
     for obj in scene.objects:
         cid_prefix = obj.model.name
         offset = scene.offset_from_ee(cid_prefix)
-        ee_pose = forward_kinematics(lead.model, q0)
+        grasp = _grasping_robot(scene, obj)
+        chain = scene.robots[grasp]
+        ee_pose = forward_kinematics(chain.model, q[slices[grasp]])
         R_obj_world = (ee_pose.compose(offset)).rotation
 
-        J_dir, J_rate = _object_direction(scene, obj, s)
+        J_dir, J_rate = object_path_kinematics(chain.model, chain.path, s, offset)
         A, B = object_net_wrench_coefficients(obj.model, J_dir, J_rate)
         weight = np.concatenate([R_obj_world.T @ (obj.model.mass * scene.gravity), np.zeros(3)])
         external = weight + obj.external_wrench
@@ -364,7 +362,7 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamicsSample:
             terms.append((cid, 1.0, grasp_map(pose_c)))
             if c.kind == "manipulator":
                 holder = scene.robots[c.robot]
-                if c.robot == _grasping_robot(scene, obj):
+                if c.robot == grasp:
                     off = offset.compose(pose_c)
                 else:
                     off = holder.model.tool_offset.compose(pose_c)
@@ -419,18 +417,6 @@ def _grasping_robot(scene: Scene, obj: ObjectInstance) -> int:
     while obj.parent_robot is None:
         obj = scene.object_by_name(obj.parent_object)
     return obj.parent_robot
-
-
-def _object_direction(scene: Scene, obj: ObjectInstance, s: float):
-    """Direction and direction-rate of the object frame, via the lead chain."""
-    lead = scene.robots[0]
-    offset = scene.offset_from_ee(obj.model.name)
-    q = lead.path.position(s)
-    dq = lead.path.derivative(s)
-    ddq = lead.path.second_derivative(s)
-    J = body_jacobian(lead.model, q, offset)
-    dJ = jacobian_path_derivative(lead.model, lead.path, s, offset, scene.jacobian_method)
-    return J @ dq, dJ @ dq + J @ ddq
 
 
 # ---------------------------------------------------------------------------
@@ -537,30 +523,19 @@ def _world_normal_rotation_many(R_obj: np.ndarray, world_axis: np.ndarray, hint:
     return np.stack([x, np.cross(z, x), z], axis=-1)
 
 
-def _direction_terms_many(scene: Scene, s: np.ndarray, dq, ddq, fk, offset: Pose):
-    """Direction and direction-rate of an object frame at K points (`_object_direction`).
+def _direction_terms_many(dq, ddq, fk, offset: Pose):
+    """Direction and direction-rate of an object frame at K points (`object_path_kinematics`).
 
-    `dq`, `ddq` and `fk` (the output of `space_jacobian_many`) are the lead
-    chain's at the points `s`.
+    `dq`, `ddq` and `fk` (the output of `space_jacobian_many`) are the
+    grasping chain's at the K points.
     """
-    lead = scene.robots[0]
-    R_off, p_off = offset.rotation, offset.translation
-    J = body_jacobian_many(*fk, R_off, p_off)
-    if scene.jacobian_method == "finite_difference":
-        h = FD_JACOBIAN_STEP
-        lo, hi = np.maximum(0.0, s - h), np.minimum(1.0, s + h)
-        J_hi = body_jacobian_many(*space_jacobian_many(lead.model, lead.path.position(hi)), R_off, p_off)
-        J_lo = body_jacobian_many(*space_jacobian_many(lead.model, lead.path.position(lo)), R_off, p_off)
-        dJ = (J_hi - J_lo) / (hi - lo)[:, None, None]
-    elif scene.jacobian_method == "analytic":
-        # column brackets D[k, j, i] = [J_i, J_j] for j >= i, zero below
-        Jc = np.swapaxes(J, 1, 2)  # (K, n, 6)
-        D = twist_bracket_many(Jc[:, None, :, :], Jc[:, :, None, :])
-        n = J.shape[2]
-        D = D * (np.arange(n)[:, None] >= np.arange(n))[None, :, :, None]
-        dJ = np.einsum("kjic,kj->kci", D, dq)
-    else:
-        raise ValueError(f"unknown method {scene.jacobian_method!r}")
+    J = body_jacobian_many(*fk, offset.rotation, offset.translation)
+    # column brackets D[k, j, i] = [J_i, J_j] for j >= i, zero below
+    Jc = np.swapaxes(J, 1, 2)  # (K, n, 6)
+    D = twist_bracket_many(Jc[:, None, :, :], Jc[:, :, None, :])
+    n = J.shape[2]
+    D = D * (np.arange(n)[:, None] >= np.arange(n))[None, :, :, None]
+    dJ = np.einsum("kjic,kj->kci", D, dq)
     return _apply(J, dq), _apply(dJ, dq) + _apply(J, ddq)
 
 
@@ -607,10 +582,11 @@ def stack_dynamics_in_s(scene: Scene, s_values) -> PathDynamics:
     for obj in scene.objects:
         name = obj.model.name
         offset = scene.offset_from_ee(name)
-        R_ee, p_ee, _ = chain_fk(0)
+        grasp = _grasping_robot(scene, obj)
+        R_ee, p_ee, _ = chain_fk(grasp)
         R_obj, _ = compose_many(R_ee, p_ee, offset.rotation, offset.translation)
 
-        J_dir, J_rate = _direction_terms_many(scene, s, dq[:, slices[0]], ddq[:, slices[0]], chain_fk(0), offset)
+        J_dir, J_rate = _direction_terms_many(dq[:, slices[grasp]], ddq[:, slices[grasp]], chain_fk(grasp), offset)
         M = obj.model.spatial_mass()
         v, w = J_dir[:, :3], J_dir[:, 3:]
         gyro = np.concatenate([np.cross(w, obj.model.mass * v), np.cross(w, _apply(obj.model.inertia, w))], axis=1)
@@ -629,7 +605,7 @@ def stack_dynamics_in_s(scene: Scene, s_values) -> PathDynamics:
                 G = wrench_map_many(R_c, p_c)
             contact_terms.append((cid, 1.0, G))
             if c.kind == "manipulator":
-                if c.robot == _grasping_robot(scene, obj):
+                if c.robot == grasp:
                     R_off, p_off = compose_many(offset.rotation, offset.translation, R_c, p_c)
                 else:
                     tool = scene.robots[c.robot].model.tool_offset

@@ -243,7 +243,6 @@ def object_path_kinematics(
     path,
     s: float,
     offset: Pose | None = None,
-    method: str = "analytic",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Direction and direction-rate of a grasped frame along the path.
 
@@ -255,7 +254,7 @@ def object_path_kinematics(
     dq = path.derivative(s)
     ddq = path.second_derivative(s)
     J = body_jacobian(model, q, offset)
-    dJ = jacobian_path_derivative(model, path, s, offset, method)
+    dJ = jacobian_path_derivative(model, path, s, offset)
     return J @ dq, dJ @ dq + J @ ddq
 
 

@@ -5,16 +5,15 @@ their joint waypoints, manipulated objects with their contact sets, gravity,
 the grid resolution, and boundary path speeds.  `run` turns a loaded
 scenario into a `TrajectoryOutput` with uniformly resampled trajectories
 and per-contact force series; `sweep` fans out runs over a scalar
-parameter (object mass, friction coefficient, ...) with one process per
-value.
+parameter (object mass, friction coefficient, ...), serially or over a
+pool of worker processes.
 """
 from __future__ import annotations
 
 import copy
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,18 +22,11 @@ from .dynamics import ObjectInstance, ObjectModel, RobotInstance, Scene
 from .liegroup import Pose
 from .paths import BOUNDARY_KINDS, JointPath
 from .robot import _inertia_from_six, _pose_from_json, robot_from_json
-from .solver import (
-    DUAL_INFEASIBLE,
-    OPTIMAL,
-    PRIMAL_INFEASIBLE,
-    SolverSettings,
-    solve_conic_program,
-)
+from .solver import DUAL_INFEASIBLE, OPTIMAL, PRIMAL_INFEASIBLE, TOL, solve_conic_program
 from .transcription import (
     ConicProgram,
     Grid,
     ScalingVariables,
-    TranscriptionSettings,
     assemble,
     build_grid,
     recover_time,
@@ -242,9 +234,12 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     gravity = np.asarray(data.get("gravity", (0.0, 0.0, -9.81)), dtype=float)
     if gravity.shape != (3,):
         raise ScenarioError(f"{where}.gravity: expected 3 entries")
+    # path derivatives of the Jacobian are analytic; files may still name that
     method = data.get("jacobian_derivative", "analytic")
+    if method != "analytic":
+        raise ScenarioError(f"{where}.jacobian_derivative: only 'analytic' is supported, got {method!r}")
     try:
-        scene = Scene(robots=tuple(robots), objects=objects, gravity=gravity, jacobian_method=method)
+        scene = Scene(robots=tuple(robots), objects=objects, gravity=gravity)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
     return Scenario(
@@ -317,7 +312,7 @@ def _list_index(entries, part, where):
 
 def assemble_scenario(scenario: Scenario, grid: Grid | None = None) -> ConicProgram:
     grid = grid if grid is not None else build_grid(scenario.grid_points)
-    return assemble(scenario.scene, grid, TranscriptionSettings(boundary_sdot=scenario.boundary_sdot))
+    return assemble(scenario.scene, grid, scenario.boundary_sdot)
 
 
 # end-to-end run
@@ -327,7 +322,7 @@ def assemble_scenario(scenario: Scenario, grid: Grid | None = None) -> ConicProg
 class RunSettings:
     grid_override: int | None = None
     output_points: int = 801
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    tol: float = TOL
 
 
 @dataclass
@@ -420,7 +415,7 @@ def solve_scenario(scenario: Scenario, settings: RunSettings = RunSettings()):
     """Assemble and solve; returns (program, report, solution-or-None)."""
     grid = build_grid(settings.grid_override or scenario.grid_points)
     program = assemble_scenario(scenario, grid)
-    report, solution = solve_conic_program(program, settings.solver)
+    report, solution = solve_conic_program(program, settings.tol)
     return program, report, solution
 
 
@@ -517,11 +512,11 @@ class SweepPoint:
 
 
 def _sweep_worker(payload):
-    data, params, value, grid, solver = payload
+    data, params, value, grid, tol = payload
     data = copy.deepcopy(data)
     for p in params:
         set_by_path(data, p, value)
-    settings = RunSettings(grid_override=grid, output_points=2, solver=solver)
+    settings = RunSettings(grid_override=grid, output_points=2, tol=tol)
     try:
         scenario = scenario_from_dict(data)
         program, report, solution = solve_scenario(scenario, settings)
@@ -533,26 +528,12 @@ def _sweep_worker(payload):
     return SweepPoint(value, report.status, None, None)
 
 
-def sweep_parallelism(requested: int | None = None) -> int:
-    """Worker count for sweeps.
-
-    An explicit `requested` count of 1 or more wins; otherwise a valid
-    TOPP_THREADS environment value of 1 or more is used; otherwise 1 (serial).
-    """
-    if requested is not None and requested >= 1:
-        return requested
-    cap = os.environ.get("TOPP_THREADS", "")
-    if cap.isdigit() and int(cap) >= 1:
-        return int(cap)
-    return 1
-
-
 def sweep(
     scenario: Scenario,
     param,
     values,
     grid: int | None = None,
-    solver: SolverSettings = SolverSettings(),
+    tol: float = TOL,
     threads: int | None = None,
 ) -> list[SweepPoint]:
     """Re-solve the scenario at each parameter value.
@@ -562,17 +543,18 @@ def sweep(
     assembly fails; the other points still solve.  A parameter path that
     does not resolve aborts the sweep with `ScenarioError`.
 
-    With one worker (see `sweep_parallelism`) the points run serially in the
-    calling process; with more, they run in a pool of worker processes.
+    With `threads` None or 1 the points run serially in the calling
+    process; with more, they run in a pool of up to that many worker
+    processes.
 
     `param` is a dotted path into the scenario dict ("objects.box.mass") or a
     list of such paths all receiving the same value.
     """
     params = [param] if isinstance(param, str) else list(param)
     values = [float(v) for v in values]
-    jobs = [(scenario.source, params, v, grid, solver) for v in values]
-    workers = min(sweep_parallelism(threads), max(len(jobs), 1))
-    if workers <= 1 or len(jobs) <= 1:
+    jobs = [(scenario.source, params, v, grid, tol) for v in values]
+    workers = min(threads or 1, len(jobs))
+    if workers <= 1:
         return [_sweep_worker(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_worker, jobs))

@@ -149,21 +149,22 @@ class StandardConicForm:
     row_labels: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    max_iter: int = 200
-    tol_feas: float = 1e-8
-    tol_gap: float = 1e-8
-    tol_infeas: float = 1e-8
-    reg: float = 1e-11
-    refine_steps: int = 8
-    step_fraction: float = 0.98
-    tau_kappa_guard: float = 1e-10
-    equilibrate: bool = True
-    equilibrate_iters: int = 10
-    stall_alpha: float = 1e-7
-    stall_limit: int = 3
-    verbose: bool = False
+# default tolerance on the relative primal and dual residuals, the relative
+# gap, and the infeasibility certificate residuals
+TOL = 1e-8
+MAX_ITER = 200
+# static regularization of the KKT diagonal
+REG = 1e-11
+# iterative-refinement passes per KKT solve, at most
+REFINE_STEPS = 8
+# fraction of the distance to the cone boundary that a step may cover
+STEP_FRACTION = 0.98
+# tau below this multiple of max(1, kappa) ends the iteration
+TAU_KAPPA_GUARD = 1e-10
+EQUILIBRATE_ITERS = 10
+# STALL_LIMIT consecutive steps shorter than STALL_ALPHA end the iteration
+STALL_ALPHA = 1e-7
+STALL_LIMIT = 3
 
 
 @dataclass
@@ -431,7 +432,7 @@ class _KKTSystem:
     position, G value, W^{-1}G entry) triple and where each W^{-1}G entry
     sits in both triangles of M.  `refill` then writes only those values, in
     place, into `exact` (M in extended precision, for refinement residuals)
-    and `regularized` (M + diag(reg, -reg, -reg), the matrix that is
+    and `regularized` (M + diag(REG, -REG, -REG), the matrix that is
     factored).  The diagonal is in the pattern, so the two share it.
 
     Both matrices are stored symmetrically permuted, P M P' with
@@ -443,7 +444,7 @@ class _KKTSystem:
     `refined_solve` takes and returns vectors in the original order.
     """
 
-    def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, spec: ConeSpec, reg: float):
+    def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, spec: ConeSpec):
         p, n = A.shape
         m = G.shape[0]
         w_indptr, _, first, _ = spec.block_diag
@@ -464,7 +465,7 @@ class _KKTSystem:
         rows = np.concatenate((diag, n + A.row, A.col, wg_row, wg_col))
         cols = np.concatenate((diag, A.col, n + A.row, wg_col, wg_row))
         exact = np.concatenate((np.zeros(n + p), -np.ones(m), A.data, A.data, np.zeros(2 * keys.size)))
-        shift = np.concatenate((np.full(n, reg), np.full(p, -reg), np.full(m, -reg)))
+        shift = np.concatenate((np.full(n, REG), np.full(p, -REG), np.full(m, -REG)))
 
         if N:
             # imported here: the package is imported by `topp verify` too,
@@ -502,7 +503,7 @@ class _KKTSystem:
         it is singular."""
         self._lu = splu(self.regularized, permc_spec="NATURAL")
 
-    def refined_solve(self, rhs: np.ndarray, refine_steps: int) -> np.ndarray:
+    def refined_solve(self, rhs: np.ndarray) -> np.ndarray:
         """M v = rhs by the last factor, refined against the exact matrix.
 
         Near convergence mu falls toward the regularization level and the
@@ -519,7 +520,7 @@ class _KKTSystem:
         resid = rhs_ld - self.exact @ sol
         best, best_res = sol, float(np.linalg.norm(resid.astype(np.float64)))
         floor = 1e-16 * (float(np.linalg.norm(rhs)) + 1.0)
-        for _ in range(refine_steps):
+        for _ in range(REFINE_STEPS):
             if best_res <= floor:
                 break
             sol = sol + lu.solve(resid.astype(np.float64))
@@ -534,7 +535,7 @@ class _KKTSystem:
         return out
 
 
-def _ruiz_equilibrate(form: StandardConicForm, iters: int):
+def _ruiz_equilibrate(form: StandardConicForm, iters: int = EQUILIBRATE_ITERS):
     """Row/column scaling of the stacked constraint matrix.
 
     Rows belonging to one second-order cone share a single scale so the
@@ -595,9 +596,18 @@ def verify_kkt(form: StandardConicForm, x, y, z, s, tol: float = 1e-6) -> dict:
     }
 
 
+def _rounding_bound(*pairs) -> float:
+    """Bound on the rounding error of the sum of dot products u'v over the
+    (u, v) pairs: n eps sum |u|'|v| for n terms in all (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, sec. 3.1).  A potential no
+    larger than this has no sign to certify with."""
+    n = sum(u.size for u, _ in pairs)
+    return n * np.finfo(float).eps * sum(float(np.abs(u) @ np.abs(v)) for u, v in pairs)
+
+
 def _check_primal_infeasibility_certificate(form, y, z, tol) -> dict | None:
     pot = float(form.b @ y + form.h @ z)
-    if pot >= 0.0:
+    if -pot <= _rounding_bound((form.b, y), (form.h, z)):
         return None
     yc, zc = y / -pot, z / -pot
     res = float(np.linalg.norm(form.A.T @ yc + form.G.T @ zc, ord=np.inf))
@@ -610,7 +620,7 @@ def _check_primal_infeasibility_certificate(form, y, z, tol) -> dict | None:
 
 def _check_dual_infeasibility_certificate(form, x, s, tol) -> dict | None:
     pot = float(form.c @ x)
-    if pot >= 0.0:
+    if -pot <= _rounding_bound((form.c, x)):
         return None
     xc = x / -pot
     sc = s / -pot
@@ -723,25 +733,27 @@ def _infeasibility_certificate(form, presolve, x, y, z, s, tol) -> tuple | None:
     return None
 
 
-def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) -> SolveReport:
-    """Run the homogeneous self-dual predictor-corrector iteration."""
+def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
+    """Run the homogeneous self-dual predictor-corrector iteration.
+
+    `tol` bounds the relative residuals and gap of an optimum and the
+    residuals of an infeasibility certificate.
+    """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     t0 = time.perf_counter()
     spec = form.cones
     if spec.total != form.G.shape[0]:
         raise ValueError("cone dimensions do not match G")
     # the iteration runs on the reduced problem; every decision reads the
     # lifted iterate on the original data
-    presolve = _Presolve(form, settings.tol_infeas)
+    presolve = _Presolve(form, tol)
     reduced = presolve.form
     n = reduced.c.size
     p = reduced.A.shape[0]
     m = reduced.G.shape[0]
 
-    if settings.equilibrate and (p + m) > 0:
-        As, Gs, d_col, d_eq, d_in = _ruiz_equilibrate(reduced, settings.equilibrate_iters)
-    else:
-        As, Gs = reduced.A.tocsr(), reduced.G.tocsr()
-        d_col, d_eq, d_in = np.ones(n), np.ones(p), np.ones(m)
+    As, Gs, d_col, d_eq, d_in = _ruiz_equilibrate(reduced)
     bs = d_eq * reduced.b
     hs = d_in * reduced.h
     # Scalar normalization of the right-hand sides and cost keeps the initial
@@ -777,9 +789,9 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
     if presolve.ray is not None:
         # conflicting pins are checked like any certificate; one that
         # passes leaves nothing to iterate
-        certificate = _check_primal_infeasibility_certificate(form, presolve.ray, np.zeros(m), settings.tol_infeas)
+        certificate = _check_primal_infeasibility_certificate(form, presolve.ray, np.zeros(m), tol)
     status = MAX_ITERATIONS if certificate is None else PRIMAL_INFEASIBLE
-    max_iter = settings.max_iter if certificate is None else 0
+    max_iter = MAX_ITER if certificate is None else 0
     last_residuals: dict = {}
     iteration = 0
 
@@ -796,10 +808,10 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
         xh, yh = presolve.lift(xh, yh, zh, 1.0)
         return xh, yh, zh, sh
 
-    kkt = _KKTSystem(As, Gs, spec, settings.reg)
+    kkt = _KKTSystem(As, Gs, spec)
 
     def solve3(vx, vy, vz):
-        out = kkt.refined_solve(np.concatenate([vx, vy, vz]), settings.refine_steps)
+        out = kkt.refined_solve(np.concatenate([vx, vy, vz]))
         return out[:n], out[n : n + p], out[n + p :]
 
     for iteration in range(1, max_iter + 1):
@@ -877,13 +889,13 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
 
         alpha = min(
             1.0,
-            settings.step_fraction * max_step(spec, s, ds),
-            settings.step_fraction * max_step(spec, z, dz),
+            STEP_FRACTION * max_step(spec, s, ds),
+            STEP_FRACTION * max_step(spec, z, dz),
         )
         if dtau < 0.0:
-            alpha = min(alpha, settings.step_fraction * (-tau / dtau))
+            alpha = min(alpha, STEP_FRACTION * (-tau / dtau))
         if dkappa < 0.0:
-            alpha = min(alpha, settings.step_fraction * (-kappa / dkappa))
+            alpha = min(alpha, STEP_FRACTION * (-kappa / dkappa))
         if not np.isfinite(alpha) or alpha <= 0.0:
             status = NUMERICAL_FAILURE
             break
@@ -917,25 +929,16 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
                 "gap": rep["gap"],
             }
         )
-        if settings.verbose:
-            print(
-                f"it {iteration:3d}  mu {mu:9.2e}  pres {max(rep['primal_eq'], rep['primal_in']):9.2e}  "
-                f"dres {rep['dual']:9.2e}  gap {rep['gap']:9.2e}  tau {tau:8.2e}  kappa {kappa:8.2e}"
-            )
 
-        if (
-            max(rep["primal_eq"], rep["primal_in"]) <= settings.tol_feas
-            and rep["dual"] <= settings.tol_feas
-            and rep["gap"] <= settings.tol_gap
-        ):
+        if max(rep["primal_eq"], rep["primal_in"]) <= tol and rep["dual"] <= tol and rep["gap"] <= tol:
             status = OPTIMAL
             break
 
         # infeasibility: certificates are only accepted after an independent
         # check on the original data
-        guard = tau < settings.tau_kappa_guard * max(1.0, kappa)
-        if guard or (mu < settings.tol_gap * 1e-2 and kappa > tau):
-            found = _infeasibility_certificate(form, presolve, *unscaled_point(), settings.tol_infeas)
+        guard = tau < TAU_KAPPA_GUARD * max(1.0, kappa)
+        if guard or (mu < tol * 1e-2 and kappa > tau):
+            found = _infeasibility_certificate(form, presolve, *unscaled_point(), tol)
             if found is not None:
                 status, certificate = found
                 break
@@ -943,8 +946,8 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
                 status = NUMERICAL_FAILURE
                 break
 
-        stalls = stalls + 1 if alpha < settings.stall_alpha else 0
-        if stalls >= settings.stall_limit:
+        stalls = stalls + 1 if alpha < STALL_ALPHA else 0
+        if stalls >= STALL_LIMIT:
             status = NUMERICAL_FAILURE
             break
 
@@ -971,9 +974,9 @@ def solve(form: StandardConicForm, settings: SolverSettings = SolverSettings()) 
     )
 
 
-def solve_conic_program(program, settings: SolverSettings = SolverSettings()):
+def solve_conic_program(program, tol: float = TOL):
     """Canonicalize and solve a transcription-level program."""
     form = canonicalize(program)
-    report = solve(form, settings)
+    report = solve(form, tol)
     solution = program.extract(report.x) if report.status == OPTIMAL else None
     return report, solution

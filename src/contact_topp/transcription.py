@@ -35,6 +35,9 @@ from .contacts import ContactSpec
 from .dynamics import Scene, stack_dynamics_in_s
 
 STALL_TOLERANCE = 1e-9
+# slack allowed to a velocity or acceleration limit row whose value is a
+# constant (fixed boundary speeds) before assembly rejects it
+CONSTANT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,14 +56,6 @@ def build_grid(intervals: int) -> Grid:
     pts = np.linspace(0.0, 1.0, intervals + 1)
     mids = 0.5 * (pts[:-1] + pts[1:])
     return Grid(intervals=intervals, points=pts, midpoints=mids, spacing=1.0 / intervals)
-
-
-def interval_b_interpolation(b_lo: float, b_hi: float, s: float, s_lo: float = 0.0, s_hi: float = 1.0) -> float:
-    """Piecewise-linear squared-speed value inside one grid interval."""
-    if not (s_lo - 1e-12 <= s <= s_hi + 1e-12):
-        raise ValueError(f"s={s} outside interval [{s_lo}, {s_hi}]")
-    w = (s - s_lo) / (s_hi - s_lo)
-    return float(b_lo + (b_hi - b_lo) * np.clip(w, 0.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,14 +285,6 @@ def program_from_json_dict(data: dict) -> ConicProgram:
     )
 
 
-@dataclass(frozen=True)
-class TranscriptionSettings:
-    """Assembly options; None boundary speeds leave that endpoint free."""
-
-    boundary_sdot: tuple = (0.0, 0.0)
-    constant_tol: float = 1e-9
-
-
 def _contact_specs(scene: Scene) -> dict[str, ContactSpec]:
     return {f"{obj.model.name}/{c.name}": c for obj in scene.objects for c in obj.model.contacts}
 
@@ -337,8 +324,12 @@ class _Section:
         return cls(matrix, labels=tuple(self.labels), **per_row, **fields)
 
 
-def assemble(scene: Scene, grid: Grid, settings: TranscriptionSettings = TranscriptionSettings()) -> ConicProgram:
-    """Build the conic program for the minimum-time profile along the path."""
+def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> ConicProgram:
+    """Build the conic program for the minimum-time profile along the path.
+
+    `boundary_sdot` holds the path speeds at s = 0 and s = 1; None leaves
+    that end free.
+    """
     K = grid.intervals
     n = scene.dof
     dyn = stack_dynamics_in_s(scene, grid.midpoints)
@@ -346,7 +337,6 @@ def assemble(scene: Scene, grid: Grid, settings: TranscriptionSettings = Transcr
     specs = _contact_specs(scene)
     descriptors = {cid: specs[cid].descriptor() for cid in contact_order}
     tl, tu, vmax, al, au = scene.limit_arrays()
-    tol = settings.constant_tol
 
     # variable layout, in declaration order
     slices: dict[str, slice] = {}
@@ -357,7 +347,7 @@ def assemble(scene: Scene, grid: Grid, settings: TranscriptionSettings = Transcr
         slices[name] = slice(at, at + count)
         at += count
 
-    sdot0, sdotT = settings.boundary_sdot
+    sdot0, sdotT = boundary_sdot
     node = np.arange(K + 1)
     free = ((node != 0) | (sdot0 is None)) & ((node != K) | (sdotT is None))
     num_free = int(free.sum())
@@ -484,7 +474,7 @@ def assemble(scene: Scene, grid: Grid, settings: TranscriptionSettings = Transcr
     cap = np.float_power(vmax, 2)
     b_term, const = mid_b(np.float_power(dq, 2))
     finite = np.isfinite(vmax)
-    broken = np.argwhere(finite & ~has_b & (const > cap + tol * np.maximum(1.0, cap)))
+    broken = np.argwhere(finite & ~has_b & (const > cap + CONSTANT_TOL * np.maximum(1.0, cap)))
     if broken.size:
         kk, i = broken[0]
         raise ValueError(f"velocity limit of joint {i} violated by fixed boundary speed at interval {kk}")
@@ -494,7 +484,7 @@ def assemble(scene: Scene, grid: Grid, settings: TranscriptionSettings = Transcr
     b_term, const = mid_b(ddq)
     finite = np.isfinite(al) | np.isfinite(au)
     has_cols = has_b | (dq != 0.0)
-    broken = np.argwhere(finite & ~has_cols & ((const > au + tol) | (const < al - tol)))
+    broken = np.argwhere(finite & ~has_cols & ((const > au + CONSTANT_TOL) | (const < al - CONSTANT_TOL)))
     if broken.size:
         kk, i = broken[0]
         raise ValueError(f"acceleration limit of joint {i} violated by constants at interval {kk}")
@@ -569,7 +559,7 @@ def assemble(scene: Scene, grid: Grid, settings: TranscriptionSettings = Transcr
         nodes=nodes,
         grid=grid,
         contact_order=contact_order,
-        meta={"dof": n, "boundary_sdot": list(settings.boundary_sdot)},
+        meta={"dof": n, "boundary_sdot": list(boundary_sdot)},
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contacts import cone_margin
-from .dynamics import inverse_dynamics, sample_path_dynamics
+from .dynamics import _grasping_robot, inverse_dynamics, sample_path_dynamics
 from .liegroup import (
     body_jacobian,
     forward_kinematics,
@@ -423,16 +423,16 @@ def fd_suite(scenario, samples: int = 50, seed: int = 0) -> dict:
     record("jacobian_path_derivative_fd", path_err, 1e-5)
 
     if scene.objects:
-        lead = scene.robots[0]
         dir_err = 0.0
         h = 1e-6
         for obj in scene.objects:
+            grasp = scene.robots[_grasping_robot(scene, obj)]
             offset = scene.offset_from_ee(obj.model.name)
             for s in s_vals:
                 s = float(np.clip(s, h, 1.0 - h))
-                _, rate = object_path_kinematics(lead.model, lead.path, s, offset)
-                d_hi, _ = object_path_kinematics(lead.model, lead.path, s + h, offset)
-                d_lo, _ = object_path_kinematics(lead.model, lead.path, s - h, offset)
+                _, rate = object_path_kinematics(grasp.model, grasp.path, s, offset)
+                d_hi, _ = object_path_kinematics(grasp.model, grasp.path, s + h, offset)
+                d_lo, _ = object_path_kinematics(grasp.model, grasp.path, s - h, offset)
                 dir_err = max(dir_err, float(np.max(np.abs((d_hi - d_lo) / (2 * h) - rate))))
         record("object_direction_rate_fd", dir_err, 1e-5)
 

@@ -31,7 +31,7 @@ from contact_topp.scenario import (
 from contact_topp.solver import solve
 from contact_topp.transcription import assemble, build_grid
 from contact_topp.verification import audit, fd_suite, topp_phase_plane
-from test_solver import ANALYTIC_CASES, SolverSettings, form
+from test_solver import ANALYTIC_CASES, form
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -212,14 +212,14 @@ def test_criterion_07_waiter_tilt_trend():
 def test_criterion_08_solver_analytic_suite():
     assert len(ANALYTIC_CASES) >= 20
     for name, prob, obj, point in ANALYTIC_CASES:
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "Optimal", name
         assert report.residuals["gap"] <= 1e-8, name
         assert abs(report.objective - obj) <= 1e-6 * max(1.0, abs(obj)), name
 
     # both certificate kinds on crafted instances, checked by Farkas algebra
     bad = form([0.0], G=[[-1.0], [1.0]], h=[-1.0, 0.0], orthant=2)
-    rep = solve(bad, SolverSettings())
+    rep = solve(bad)
     assert rep.status == "PrimalInfeasible" and rep.certificate["kind"] == "primal"
     z = rep.certificate["z"]
     assert np.all(z >= -1e-9)
@@ -227,7 +227,7 @@ def test_criterion_08_solver_analytic_suite():
     assert float(bad.h @ z) < 0.0
 
     unb = form([-1.0], G=[[-1.0]], h=[0.0], orthant=1)
-    rep = solve(unb, SolverSettings())
+    rep = solve(unb)
     assert rep.status == "DualInfeasible" and rep.certificate["kind"] == "dual"
     x = rep.certificate["x"]
     assert float(unb.c @ x) < 0.0

@@ -25,9 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contact_topp.solver import (
+    EQUILIBRATE_ITERS,
     ConeSpec,
     Scaling,
-    SolverSettings,
     StandardConicForm,
     _KKTSystem,
     _ruiz_equilibrate,
@@ -336,7 +336,7 @@ def assert_kkt_matches_oracle(spec, A, G, rng, near=False):
     """The refilled matrices equal a block-by-block assembly around the same
     W^{-1} (test_scaling checks W^{-1} itself against the oracle), permuted
     symmetrically by the system's recorded ordering."""
-    kkt = _KKTSystem(A, G, spec, 1e-11)
+    kkt = _KKTSystem(A, G, spec)
     N = A.shape[1] + A.shape[0] + G.shape[0]
     assert np.array_equal(np.sort(kkt.perm), np.arange(N))
     at = np.ix_(kkt.perm, kkt.perm)
@@ -360,14 +360,14 @@ def test_refined_solve_in_original_order():
     prob = canonicalize(assemble_scenario(load_scenario(SCENARIOS / "pivoting.json"), build_grid(10)))
     spec = prob.cones
     rng = np.random.default_rng(4)
-    kkt = _KKTSystem(prob.A, prob.G, spec, 1e-11)
+    kkt = _KKTSystem(prob.A, prob.G, spec)
     w_inv = Scaling(spec, interior_point(spec, rng, False), interior_point(spec, rng, False)).w_inv_matrix()
     kkt.refill(w_inv)
     kkt.factor()
     M0, _ = oracle_kkt(prob.A, prob.G, w_inv.toarray(), 1e-11)
     rhs = rng.normal(size=M0.shape[0])
     want = np.linalg.solve(M0, rhs)
-    got = kkt.refined_solve(rhs, SolverSettings().refine_steps)
+    got = kkt.refined_solve(rhs)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
     assert 4 * bandwidth(kkt.regularized.toarray()) < bandwidth(M0)
 
@@ -398,14 +398,14 @@ class TestEdgeShapes:
         # min t s.t. ||(3, 4)|| <= t and t <= 10, no A rows
         prob = form([1.0], G=[[1.0], [-1.0], [0.0], [0.0]], h=[10.0, 0.0, 3.0, 4.0], orthant=1, socs=(3,))
         assert prob.A.shape[0] == 0
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "Optimal"
         assert abs(report.objective - 5.0) <= 1e-7
 
     def test_solve_pure_lp(self):
         prob = form([1.0, 2.0], A=[[1.0, 1.0]], b=[1.0], G=-np.eye(2), h=[0.0, 0.0], orthant=2)
         assert prob.cones.groups == ()
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "Optimal"
         assert np.allclose(report.x, [1.0, 0.0], atol=5e-6)
 
@@ -413,7 +413,7 @@ class TestEdgeShapes:
         # x0 + x1 = 3, x0 - x1 = 1 pins x = (2, 1); no G rows, empty cone
         prob = form([1.0, 2.0], A=[[1.0, 1.0], [1.0, -1.0]], b=[3.0, 1.0])
         assert prob.G.shape[0] == 0
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "Optimal"
         assert np.allclose(report.x, [2.0, 1.0], atol=5e-6)
 
@@ -541,7 +541,7 @@ class TestEquilibrationOracle:
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
     def test_shipped_scenarios(self, path):
         prob = canonicalize(assemble_scenario(load_scenario(path), build_grid(6)))
-        assert_same_equilibration(prob, SolverSettings().equilibrate_iters)
+        assert_same_equilibration(prob, EQUILIBRATE_ITERS)
 
     @settings(max_examples=40)
     @given(spec=specs(), data=st.data())

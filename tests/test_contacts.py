@@ -19,7 +19,6 @@ from contact_topp.contacts import (
     FrictionParams,
     cone_margin,
     emit_cone,
-    normal_force_bound,
 )
 from contact_topp.liegroup import Pose
 
@@ -163,19 +162,6 @@ class TestMarginProperties:
         lo = cone_margin(emit_cone("sfce", FrictionParams(mu=mu)), w)
         hi = cone_margin(emit_cone("sfce", FrictionParams(mu=mu + bump + 1e-6)), w)
         assert hi >= lo - 1e-12
-
-
-class TestNormalForceBound:
-    def test_returns_head_and_cap(self):
-        desc = emit_cone("pcwf", FrictionParams(mu=0.5))
-        idx, cap = normal_force_bound(desc, 12.0)
-        assert idx == 2
-        assert cap == 12.0
-
-    def test_rejects_nonpositive_cap(self):
-        desc = emit_cone("pcwf", FrictionParams(mu=0.5))
-        with pytest.raises(ValueError):
-            normal_force_bound(desc, 0.0)
 
 
 class TestContactSpec:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contact_topp import scenario as scenario_module
 from contact_topp.cli import main
 from contact_topp.liegroup import Pose, Twist
 from contact_topp.robot import (
@@ -39,7 +40,6 @@ from contact_topp.scenario import (
     set_by_path,
     solve_scenario,
     sweep,
-    sweep_parallelism,
 )
 from contact_topp.transcription import build_grid
 
@@ -154,6 +154,15 @@ def test_bad_parent_string():
         }
     ]
     with pytest.raises(ScenarioError, match="parent"):
+        scenario_from_dict(data)
+
+
+def test_jacobian_derivative_only_analytic():
+    data = slider_scenario()
+    data["jacobian_derivative"] = "analytic"
+    scenario_from_dict(data)
+    data["jacobian_derivative"] = "finite_difference"
+    with pytest.raises(ScenarioError, match="jacobian_derivative: only 'analytic' is supported"):
         scenario_from_dict(data)
 
 
@@ -354,17 +363,30 @@ def test_trajectory_json_roundtrip(tmp_path):
 # sweeps
 
 
-def test_sweep_serial_matches_threaded(monkeypatch):
+def test_sweep_serial_matches_threaded():
     sc = scenario_from_dict(slider_scenario(grid_points=12))
     values = [0.25, 1.0, 4.0]
     serial = sweep(sc, "robots.0.model.joints.0.accel_max", values, threads=1)
-    monkeypatch.setenv("TOPP_THREADS", "2")
-    threaded = sweep(sc, "robots.0.model.joints.0.accel_max", values)
+    threaded = sweep(sc, "robots.0.model.joints.0.accel_max", values, threads=2)
     for a, b, v in zip(serial, threaded, values):
         assert a.status == b.status == "Optimal"
         # accelerate at the swept cap, brake at the fixed one: T = sqrt(2(1+v)/v)
         assert a.total_time == pytest.approx(math.sqrt(2.0 * (1.0 + v) / v), rel=5e-3)
         assert b.total_time == pytest.approx(a.total_time, rel=1e-9)
+
+
+def test_tol_reaches_the_solver(tmp_path, capsys):
+    sc = scenario_from_dict(slider_scenario(grid_points=16))
+    _, loose, _ = solve_scenario(sc, RunSettings(tol=1e-4))
+    _, tight, _ = solve_scenario(sc, RunSettings())
+    assert loose.status == tight.status == "Optimal"
+    assert loose.iterations < tight.iterations
+    assert max(loose.residuals[k] for k in ("primal_eq", "primal_in", "dual", "gap")) <= 1e-4
+    (point,) = sweep(sc, "robots.0.model.joints.0.accel_max", [1.0], tol=1e-4, threads=1)
+    assert point.objective == loose.objective != tight.objective
+    path = write_scenario(tmp_path, slider_scenario(grid_points=16))
+    assert main(["solve", path, "--tol", "1e-4", "--out", str(tmp_path)]) == 0
+    assert f"{loose.iterations} iterations" in capsys.readouterr().out
 
 
 def test_sweep_reports_infeasible_points():
@@ -405,16 +427,18 @@ def test_sweep_bad_parameter_path_aborts():
 
 
 def test_sweep_parallelism_env(monkeypatch):
-    # a many-core machine must not change the default: serial unless asked
+    # neither a many-core machine nor the environment changes the default:
+    # a sweep without `threads` runs serially in the calling process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a sweep without threads started a process pool")
+
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.delenv("TOPP_THREADS", raising=False)
-    assert sweep_parallelism(None) == 1
-    assert sweep_parallelism(3) == 3
     monkeypatch.setenv("TOPP_THREADS", "5")
-    assert sweep_parallelism(None) == 5
-    assert sweep_parallelism(3) == 3
-    monkeypatch.setenv("TOPP_THREADS", "not-a-number")
-    assert sweep_parallelism(None) == 1
+    monkeypatch.setattr(scenario_module, "ProcessPoolExecutor", no_pool)
+    sc = scenario_from_dict(slider_scenario(grid_points=8))
+    for threads in (None, 1):
+        pts = sweep(sc, "robots.0.model.joints.0.accel_max", [0.5, 2.0], threads=threads)
+        assert [p.status for p in pts] == ["Optimal", "Optimal"]
 
 
 # command line
@@ -460,6 +484,24 @@ def test_cli_stationary_path_exit(tmp_path, capsys):
     data["robots"][0]["waypoints"] = [[0.0], [0.0]]
     assert main(["solve", write_scenario(tmp_path, data), "--out", str(tmp_path)]) == 4
     assert "stationary path" in capsys.readouterr().err
+
+
+def test_cli_unsupported_jacobian_derivative_exit(tmp_path, capsys):
+    data = slider_scenario(grid_points=8)
+    data["jacobian_derivative"] = "finite_difference"
+    assert main(["solve", write_scenario(tmp_path, data), "--out", str(tmp_path)]) == 4
+    assert "jacobian_derivative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_cli_bad_tol_exit(tmp_path, capsys, command, tol):
+    argv = [command, write_scenario(tmp_path, slider_scenario(grid_points=8)), "--tol", tol]
+    if command == "sweep":
+        argv += ["--param", "robots.0.model.joints.0.accel_max", "--values", "1.0"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+    assert "--tol must be a positive finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_table(tmp_path, capsys):

@@ -20,10 +20,12 @@ from contact_topp.dynamics import RobotInstance, Scene
 from contact_topp.liegroup import Pose, Twist
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, JointLimits, Link, LinkInertia, RobotModel
+from contact_topp import solver
 from contact_topp.solver import (
     ConeSpec,
-    SolverSettings,
     StandardConicForm,
+    _check_dual_infeasibility_certificate,
+    _check_primal_infeasibility_certificate,
     canonicalize,
     cone_residual,
     solve,
@@ -35,7 +37,6 @@ from contact_topp.transcription import (
     ConeRows,
     ConicProgram,
     Rows,
-    TranscriptionSettings,
     assemble,
     build_grid,
     recover_time,
@@ -306,13 +307,13 @@ def slider_program(K, torque_cap=np.inf, accel_cap=1.0, vel=np.inf, boundary=(0.
     path = JointPath(np.array([[0.0], [1.0]]), boundary="natural")
     scene = Scene(robots=(RobotInstance(slider_robot(torque_cap, accel_cap, vel), path),), objects=())
     grid = build_grid(K)
-    return assemble(scene, grid, TranscriptionSettings(boundary_sdot=boundary)), grid
+    return assemble(scene, grid, boundary), grid
 
 
 class TestAnalyticCatalog:
     @pytest.mark.parametrize("name,prob,obj,point", ANALYTIC_CASES, ids=[c[0] for c in ANALYTIC_CASES])
     def test_reaches_known_optimum(self, name, prob, obj, point):
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "Optimal"
         assert report.residuals["gap"] <= 1e-8
         assert abs(report.objective - obj) <= 1e-6 * max(1.0, abs(obj))
@@ -324,9 +325,33 @@ class TestAnalyticCatalog:
 
 
 class TestCertificates:
+    def test_rounding_level_potential_is_no_primal_certificate(self):
+        # x0 = 0.1 + 0.2 and x0 = 0.3 differ in the last bit only; y = (-1, 1)
+        # has A'y = 0 exactly, but b'y = -5.6e-17 is rounding, not a sign
+        A = [[1.0, 0.0], [1.0, 0.0]]
+        prob = form([0.0, 1.0], G=[[0.0, -1.0]], h=[0.0], A=A, b=[0.1 + 0.2, 0.3], orthant=1)
+        y, z = np.array([-1.0, 1.0]), np.zeros(1)
+        assert float(prob.b @ y) < 0.0
+        assert _check_primal_infeasibility_certificate(prob, y, z, solver.TOL) is None
+        assert solve(prob).status == "Optimal"
+        # the same ray certifies pins that really conflict
+        conflict = form([0.0, 1.0], G=[[0.0, -1.0]], h=[0.0], A=A, b=[0.4, 0.3], orthant=1)
+        cert = _check_primal_infeasibility_certificate(conflict, y, z, solver.TOL)
+        assert cert is not None and np.allclose(cert["y"], y / 0.1)
+
+    def test_rounding_level_potential_is_no_dual_certificate(self):
+        # c'x = 0.3 - (0.1 + 0.2) = -5.6e-17 along x = (1, 1), which keeps
+        # A x = 0 exactly
+        x, s = np.ones(2), np.zeros(0)
+        prob = form([0.3, -(0.1 + 0.2)], A=[[1.0, -1.0]], b=[0.0])
+        assert float(prob.c @ x) < 0.0
+        assert _check_dual_infeasibility_certificate(prob, x, s, solver.TOL) is None
+        unbounded = form([0.3, -0.4], A=[[1.0, -1.0]], b=[0.0])
+        assert _check_dual_infeasibility_certificate(unbounded, x, s, solver.TOL) is not None
+
     def test_contradictory_bounds_primal_certificate(self):
         prob = form([0.0], G=[[-1.0], [1.0]], h=[-1.0, 0.0], orthant=2)
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "PrimalInfeasible"
         cert = report.certificate
         assert cert is not None and cert["kind"] == "primal"
@@ -339,7 +364,7 @@ class TestCertificates:
     def test_short_cone_primal_certificate(self):
         # || (x, 3) || <= 2 has no solution
         prob = form([0.0], G=[[0.0], [-1.0], [0.0]], h=[2.0, 0.0, 3.0], socs=(3,))
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "PrimalInfeasible"
         z = report.certificate["z"]
         assert z[0] >= np.linalg.norm(z[1:]) - 1e-9
@@ -348,7 +373,7 @@ class TestCertificates:
 
     def test_unbounded_orthant_dual_certificate(self):
         prob = form([-1.0], G=[[-1.0]], h=[0.0], orthant=1)
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "DualInfeasible"
         cert = report.certificate
         assert cert["kind"] == "dual"
@@ -359,7 +384,7 @@ class TestCertificates:
 
     def test_unbounded_cone_ray_dual_certificate(self):
         prob = form([-1.0, 0.0], G=[[-1.0, 0.0], [0.0, -1.0]], h=[0.0, 0.0], socs=(2,))
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "DualInfeasible"
         x = report.certificate["x"]
         assert float(prob.c @ x) <= -1e-8
@@ -370,8 +395,8 @@ class TestCertificates:
 class TestSolverProperties:
     def test_deterministic_repeat(self):
         prob = ANALYTIC_CASES[4][1]
-        r1 = solve(prob, SolverSettings())
-        r2 = solve(prob, SolverSettings())
+        r1 = solve(prob)
+        r2 = solve(prob)
         assert r1.iterations == r2.iterations
         assert r1.objective == r2.objective
         assert np.array_equal(r1.x, r2.x)
@@ -379,7 +404,7 @@ class TestSolverProperties:
     @pytest.mark.parametrize("idx", [2, 12, 20])
     def test_weak_duality_along_iterates(self, idx):
         prob = ANALYTIC_CASES[idx][1]
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "Optimal"
         for entry in report.history:
             # weak duality binds for feasible pairs; iterates carry slack
@@ -400,22 +425,24 @@ class TestSolverProperties:
             cones=prob.cones,
             row_labels=prob.row_labels,
         )
-        r1 = solve(prob, SolverSettings())
-        r2 = solve(scaled, SolverSettings())
+        r1 = solve(prob)
+        r2 = solve(scaled)
         assert r1.status == r2.status == "Optimal"
         assert np.max(np.abs(r1.x - r2.x)) <= 1e-6
 
-    def test_max_iterations_carries_last_iterate(self):
+    def test_max_iterations_carries_last_iterate(self, monkeypatch):
         prob = ANALYTIC_CASES[4][1]
-        report = solve(prob, SolverSettings(max_iter=2))
+        monkeypatch.setattr(solver, "MAX_ITER", 2)
+        report = solve(prob)
         assert report.status == "MaxIterations"
         assert report.iterations == 2
         assert report.x.shape == prob.c.shape
         assert np.all(np.isfinite(report.x))
 
-    def test_verbose_settings_accepted(self, capsys):
-        solve(ANALYTIC_CASES[0][1], SolverSettings(verbose=True))
-        assert "it" in capsys.readouterr().out
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_tolerance_that_is_not_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            solve(ANALYTIC_CASES[4][1], tol)
 
 
 class TestVerifyKkt:
@@ -434,7 +461,7 @@ class TestVerifyKkt:
 
     def test_reported_residuals_are_recomputable(self):
         prob = ANALYTIC_CASES[12][1]
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         rep = verify_kkt(prob, report.x, report.y, report.z, report.s)
         for key in ("primal_eq", "primal_in", "dual", "gap"):
             assert abs(rep[key] - report.residuals[key]) <= 1e-10
@@ -451,9 +478,8 @@ def assert_primal_certificate(prob, cert):
 def assert_verified(prob, report):
     """The reported point passes verify_kkt on prob at the solver's tolerances."""
     rep = verify_kkt(prob, report.x, report.y, report.z, report.s)
-    tol = SolverSettings()
-    assert max(rep["primal_eq"], rep["primal_in"], rep["dual"]) <= tol.tol_feas
-    assert rep["gap"] <= tol.tol_gap
+    assert max(rep["primal_eq"], rep["primal_in"], rep["dual"]) <= solver.TOL
+    assert rep["gap"] <= solver.TOL
     assert rep["s_in_cone"] and rep["z_in_cone"]
 
 
@@ -505,8 +531,8 @@ class TestPresolve:
     @given(pinned_socps())
     def test_matches_hand_substitution(self, case):
         prob, pinned, values = case
-        report = solve(prob, SolverSettings())
-        hand = solve(substituted(prob, pinned, values), SolverSettings())
+        report = solve(prob)
+        hand = solve(substituted(prob, pinned, values))
         assert report.status == hand.status == "Optimal"
         offset = float(prob.c[pinned] @ values)
         assert abs(report.objective - (hand.objective + offset)) <= 1e-8 * max(1.0, abs(report.objective))
@@ -522,14 +548,14 @@ class TestPresolve:
         # 2 x0 = 2 and 4 x1 = 4 fix x = (1, 1) inside the disk ||x|| <= 2
         G = [[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]
         prob = form([1.0, -3.0], G=G, h=[2.0, 0.0, 0.0], A=np.diag([2.0, 4.0]), b=[2.0, 4.0], socs=(3,))
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "Optimal"
         assert np.array_equal(report.x, [1.0, 1.0]) and report.objective == -2.0
         assert_verified(prob, report)
 
     def test_every_column_pinned_no_inequalities(self):
         prob = form([1.0, 2.0], A=[[2.0, 0.0], [0.0, -1.0]], b=[3.0, 1.0])
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "Optimal"
         assert np.array_equal(report.x, [1.5, -1.0])
         assert_verified(prob, report)
@@ -538,7 +564,7 @@ class TestPresolve:
         # x = (1, 1) lies outside the unit disk
         G = [[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]
         prob = form([1.0, 1.0], G=G, h=[1.0, 0.0, 0.0], A=np.eye(2), b=[1.0, 1.0], socs=(3,))
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "PrimalInfeasible"
         assert_primal_certificate(prob, report.certificate)
 
@@ -554,11 +580,11 @@ class TestPresolve:
         A[:, 0] = a
         c = rng.normal(size=n)
         prob = form(c, G=G, h=h, A=A, b=a * [0.5, 0.5 + rng.uniform(0.1, 1.0)], orthant=2 * n)
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "PrimalInfeasible"
         assert_primal_certificate(prob, report.certificate)
         consistent = form(c, G=G, h=h, A=A, b=a * 0.5, orthant=2 * n)
-        report = solve(consistent, SolverSettings())
+        report = solve(consistent)
         assert report.status == "Optimal" and abs(report.x[0] - 0.5) <= 1e-6
         assert_verified(consistent, report)
 
@@ -570,7 +596,7 @@ class TestPresolve:
         prob = form([1.0, 2.0], G=G, h=h, orthant=4)
         prob.A, prob.b = A, np.array([0.0, 0.5])
         with np.errstate(divide="raise"):
-            report = solve(prob, SolverSettings())
+            report = solve(prob)
         assert report.status == "Optimal"
         assert np.allclose(report.x, [1.0, -0.5], atol=5e-6)
         assert_verified(prob, report)
@@ -590,7 +616,7 @@ class TestPresolve:
         ids=["no_equalities", "pure_lp", "no_inequalities"],
     )
     def test_edge_shapes_with_a_pin(self, prob, x):
-        report = solve(prob, SolverSettings())
+        report = solve(prob)
         assert report.status == "Optimal"
         assert np.allclose(report.x, x, atol=5e-6)
         assert_verified(prob, report)
@@ -696,14 +722,14 @@ class TestTimingIntegration:
 
     def test_single_interval_bang(self):
         prog, grid = slider_program(1, torque_cap=1.0, accel_cap=np.inf, boundary=(0.0, None))
-        report, values = solve_conic_program(prog, SolverSettings())
+        report, values = solve_conic_program(prog)
         assert report.status == "Optimal"
         assert abs(report.objective - RT2) <= 1e-6
         assert abs(recover_time(values.speed_sq, grid).total - RT2) <= 1e-6
 
     def test_rest_to_rest_triangle(self):
         prog, grid = slider_program(50)
-        report, values = solve_conic_program(prog, SolverSettings())
+        report, values = solve_conic_program(prog)
         assert report.status == "Optimal"
         # discrete optimum is exactly 2: the squared-speed profile is the
         # piecewise-linear tent b(s) = 2 min(s, 1-s) and the interval sums
@@ -712,14 +738,14 @@ class TestTimingIntegration:
 
     def test_velocity_capped_trapezoid(self):
         prog, grid = slider_program(125, vel=0.8)
-        report, values = solve_conic_program(prog, SolverSettings())
+        report, values = solve_conic_program(prog)
         assert report.status == "Optimal"
         # accelerate to the cap, cruise, brake: T = vbar + 1/vbar
         assert abs(recover_time(values.speed_sq, grid).total - 2.05) <= 1e-4
 
     def test_speed_matches_aux_variable_at_optimum(self):
         prog, grid = slider_program(40)
-        report, values = solve_conic_program(prog, SolverSettings())
+        report, values = solve_conic_program(prog)
         assert report.status == "Optimal"
         interior = values.speed_sq[1:-1]
         assert np.max(np.abs(values.speed_aux[1:-1] - np.sqrt(interior))) <= 1e-6

@@ -25,10 +25,8 @@ from contact_topp.scenario import assemble_scenario, scenario_from_dict
 from contact_topp.solver import canonicalize
 from contact_topp.transcription import (
     ConicProgram,
-    TranscriptionSettings,
     assemble,
     build_grid,
-    interval_b_interpolation,
     program_from_json_dict,
     recover_time,
 )
@@ -68,21 +66,6 @@ class TestGrid:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             build_grid(0)
-
-
-class TestInterpolation:
-    def test_constant(self):
-        assert interval_b_interpolation(1.0, 1.0, 0.3) == 1.0
-
-    def test_midpoint_average(self):
-        assert interval_b_interpolation(0.0, 2.0, 0.5) == 1.0
-
-    def test_general_interval(self):
-        assert interval_b_interpolation(1.0, 3.0, 0.35, 0.3, 0.4) == pytest.approx(2.0)
-
-    def test_outside_raises(self):
-        with pytest.raises(ValueError):
-            interval_b_interpolation(0.0, 1.0, 1.5, 0.0, 1.0)
 
 
 def grasped_scene(K_waypoints=5):
@@ -129,7 +112,7 @@ class TestVariableCounting:
 
     def test_free_terminal_speed_adds_one_node(self):
         base = assemble(slider_scene(), build_grid(4))
-        free = assemble(slider_scene(), build_grid(4), TranscriptionSettings(boundary_sdot=(0.0, None)))
+        free = assemble(slider_scene(), build_grid(4), (0.0, None))
         assert free.free_scalar_count() == base.free_scalar_count() + 2
 
     def test_pinned_components_stay_as_variables(self):
@@ -197,12 +180,12 @@ class TestSliderBangSolution:
         return x
 
     def test_optimum_is_feasible(self):
-        prog = assemble(slider_scene(), build_grid(1), TranscriptionSettings(boundary_sdot=(0.0, None)))
+        prog = assemble(slider_scene(), build_grid(1), (0.0, None))
         report = prog.residual_report(self.optimum(prog))
         assert max(report.values()) <= 1e-12
 
     def test_objective_equals_travel_time(self):
-        prog = assemble(slider_scene(), build_grid(1), TranscriptionSettings(boundary_sdot=(0.0, None)))
+        prog = assemble(slider_scene(), build_grid(1), (0.0, None))
         x = self.optimum(prog)
         assert float(prog.objective @ x) == pytest.approx(math.sqrt(2.0), abs=1e-12)
         sol = prog.extract(x)
@@ -210,7 +193,7 @@ class TestSliderBangSolution:
         assert timing.total == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_torque_above_cap_breaks_feasibility(self):
-        prog = assemble(slider_scene(), build_grid(1), TranscriptionSettings(boundary_sdot=(0.0, None)))
+        prog = assemble(slider_scene(), build_grid(1), (0.0, None))
         x = self.optimum(prog)
         x[prog.slices["a"]] = 1.2
         x[prog.slices["tau"]] = 1.2
@@ -221,7 +204,7 @@ class TestSliderBangSolution:
 
 class TestExtraction:
     def test_extract_fills_boundary_constants(self):
-        prog = assemble(slider_scene(), build_grid(4), TranscriptionSettings(boundary_sdot=(0.3, 0.5)))
+        prog = assemble(slider_scene(), build_grid(4), (0.3, 0.5))
         x = np.zeros(prog.num_vars)
         sol = prog.extract(x)
         assert sol.speed_sq[0] == pytest.approx(0.09)
@@ -314,7 +297,7 @@ class TestConstantRowChecks:
         path = JointPath(np.array([[0.0], [1.0]]), boundary="natural")
         scene = Scene(robots=(RobotInstance(model, path),), objects=())
         with pytest.raises(ValueError, match="velocity limit"):
-            assemble(scene, build_grid(1), TranscriptionSettings(boundary_sdot=(5.0, 5.0)))
+            assemble(scene, build_grid(1), (5.0, 5.0))
 
 
 # golden program-v1 dumps, written by the assembly that built one Python
@@ -335,7 +318,7 @@ GOLDEN = {
     "program_grasped_k2.json": lambda: assemble(grasped_scene(), build_grid(2)),
     # pinned end speeds that are not zero fold into the row constants
     "program_grasped_k2_moving_ends.json": lambda: assemble(
-        grasped_scene(), build_grid(2), TranscriptionSettings(boundary_sdot=(0.3, 0.5))
+        grasped_scene(), build_grid(2), (0.3, 0.5)
     ),
     "program_waiter_tilt_0_k3.json": waiter_free_end_program,
 }
