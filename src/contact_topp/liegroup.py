@@ -2,27 +2,75 @@
 
 Spatial vectors are ordered [linear; angular] everywhere: twists are
 (v, w) stacked as a 6-vector, wrenches are (force, moment).
+
+The scalar kinematics (`forward_kinematics`, `body_jacobian` and the
+Newton-Euler recursion in `dynamics`) run their per-joint loops on raw
+rotation/translation pairs rather than `Pose` objects, with the same
+arithmetic as `Pose.compose`, `Pose.inverse`, `Pose.adjoint` and
+`pose_exp`, so they round alike.  Every rotation such a loop produces still
+passes `check_pose`, the orthonormality, determinant and finiteness test
+of every `Pose`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _EPS = 1e-12
 _ORTHO_TOL = 1e-10
+_I3 = np.eye(3)
+_I3.setflags(write=False)
 
 
 def skew(v: np.ndarray) -> np.ndarray:
     """3x3 matrix S(v) with S(v) @ u == cross(v, u)."""
-    x, y, z = v
+    x, y, z = np.asarray(v, dtype=float).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors, with the multiplies and subtracts of `np.cross`."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean (Frobenius) norm, the sum and order of `np.linalg.norm` without its dispatch."""
+    x = x.ravel()
+    return math.sqrt(x @ x)
+
+
+def _det3(R: np.ndarray) -> float:
+    """det R by cofactors along the first row."""
+    r0, r1, r2 = R.tolist()
+    return (
+        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
+    )
+
+
+def check_pose(R: np.ndarray, p: np.ndarray) -> None:
+    """Raise ValueError unless R is a proper rotation and R and p are finite.
+
+    The test of every `Pose`: |R^T R - I|_F within 1e-10 (false for a NaN
+    or infinite R) and det R >= 0.  Past the first test det R is +-1 to
+    within about 1e-10, so the cofactor sum has the sign of any rounding of it.
+    """
+    err = _norm(R.T @ R - _I3)
+    if not err <= _ORTHO_TOL or _det3(R) < 0.0:
+        raise ValueError(f"rotation is not a finite proper rotation (|R^T R - I|_F = {err:.3e})")
+    if not all(map(math.isfinite, p.tolist())):
+        raise ValueError(f"translation is not finite: {p}")
 
 
 def rotation_exp(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation about a unit axis."""
     K = skew(axis)
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    return _I3 + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
 def quaternion_to_rotation(q_wxyz) -> np.ndarray:
@@ -76,9 +124,18 @@ class Twist:
 
 def twist_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Lie bracket [a, b] of two twists given as 6-arrays."""
-    va, wa = a[:3], a[3:]
-    vb, wb = b[:3], b[3:]
-    return np.concatenate([np.cross(wa, vb) + np.cross(va, wb), np.cross(wa, wb)])
+    va0, va1, va2, wa0, wa1, wa2 = a.tolist()
+    vb0, vb1, vb2, wb0, wb1, wb2 = b.tolist()
+    return np.array(
+        [
+            (wa1 * vb2 - wa2 * vb1) + (va1 * wb2 - va2 * wb1),
+            (wa2 * vb0 - wa0 * vb2) + (va2 * wb0 - va0 * wb2),
+            (wa0 * vb1 - wa1 * vb0) + (va0 * wb1 - va1 * wb0),
+            wa1 * wb2 - wa2 * wb1,
+            wa2 * wb0 - wa0 * wb2,
+            wa0 * wb1 - wa1 * wb0,
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -91,9 +148,7 @@ class Pose:
     def __post_init__(self):
         R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         p = np.asarray(self.translation, dtype=float).reshape(3)
-        err = np.linalg.norm(R.T @ R - np.eye(3))
-        if err > _ORTHO_TOL or np.linalg.det(R) < 0.0:
-            raise ValueError(f"rotation is not orthonormal (|R^T R - I|_F = {err:.3e})")
+        check_pose(R, p)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", p)
 
@@ -106,25 +161,17 @@ class Pose:
         return cls(quaternion_to_rotation(q_wxyz), np.asarray(translation, dtype=float))
 
     def compose(self, other: "Pose") -> "Pose":
-        return Pose(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
+        return Pose(*_compose(self.rotation, self.translation, other.rotation, other.translation))
 
     def inverse(self) -> "Pose":
-        return Pose(self.rotation.T, -self.rotation.T @ self.translation)
+        return Pose(*_inverse(self.rotation, self.translation))
 
     def transform_point(self, point) -> np.ndarray:
         return self.rotation @ np.asarray(point, dtype=float) + self.translation
 
     def adjoint(self) -> np.ndarray:
         """6x6 twist transform: V_here = Ad(T_here_other) V_other."""
-        R, p = self.rotation, self.translation
-        out = np.zeros((6, 6))
-        out[:3, :3] = R
-        out[:3, 3:] = skew(p) @ R
-        out[3:, 3:] = R
-        return out
+        return _adjoint(self.rotation, self.translation)
 
     def wrench_map(self) -> np.ndarray:
         """6x6 wrench transform [[R, 0], [S(p)R, R]] (contact-to-body map)."""
@@ -142,34 +189,78 @@ class Pose:
         return out
 
 
+# ---------------------------------------------------------------------------
+# raw (R, p) forms of the `Pose` operations for the scalar per-joint loops.
+# They do not check what they return; the loops pass every pose that the
+# `Pose` form would have constructed through `_checked`.
+
+
+def _compose(R1, p1, R2, p2) -> tuple[np.ndarray, np.ndarray]:
+    """(R, p) of T1 T2, as `Pose.compose`."""
+    return R1 @ R2, R1 @ p2 + p1
+
+
+def _inverse(R, p) -> tuple[np.ndarray, np.ndarray]:
+    """(R, p) of the inverse, as `Pose.inverse`."""
+    return R.T, -R.T @ p
+
+
+def _adjoint(R, p) -> np.ndarray:
+    """6x6 twist transform of (R, p), as `Pose.adjoint`."""
+    out = np.zeros((6, 6))
+    out[:3, :3] = R
+    out[:3, 3:] = skew(p) @ R
+    out[3:, 3:] = R
+    return out
+
+
+def _checked(R, p) -> tuple[np.ndarray, np.ndarray]:
+    """(R, p) unchanged, after the test of the `Pose` constructor."""
+    check_pose(R, p)
+    return R, p
+
+
+def _exp_rp(w: np.ndarray, v: np.ndarray, angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """(R, p) of `pose_exp` for the twist with angular part w and linear part v."""
+    wn = _norm(w)
+    if wn * abs(angle) < _EPS and wn < 1e-9:
+        return np.eye(3), v * angle
+    axis = w / wn
+    vn = v / wn
+    phi = wn * angle
+    R = rotation_exp(axis, phi)
+    p = (_I3 - R) @ _cross3(axis, vn) + axis * (axis @ vn) * phi
+    return R, p
+
+
 def pose_exp(twist: Twist, angle: float) -> Pose:
     """Exponential of a twist scaled by `angle`.
 
     Accepts any finite twist; a (near) zero angular part degenerates to a
     pure translation.
     """
-    w = twist.angular
-    v = twist.linear
-    wn = np.linalg.norm(w)
-    if wn * abs(angle) < _EPS and wn < 1e-9:
-        return Pose(np.eye(3), v * angle)
-    axis = w / wn
-    vn = v / wn
-    phi = wn * angle
-    R = rotation_exp(axis, phi)
-    p = (np.eye(3) - R) @ np.cross(axis, vn) + axis * (axis @ vn) * phi
-    return Pose(R, p)
+    return Pose(*_exp_rp(twist.angular, twist.linear, angle))
+
+
+def _joint_values(model, q) -> np.ndarray:
+    q = np.asarray(q, dtype=float).reshape(-1)
+    if q.shape[0] != model.dof:
+        raise ValueError(f"expected {model.dof} joint values, got {q.shape[0]}")
+    return q
+
+
+def _times_exp(R, p, twist: Twist, angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """(R, p) of T exp(twist * angle) for T = (R, p); both new poses checked."""
+    return _checked(*_compose(R, p, *_checked(*_exp_rp(twist.angular, twist.linear, angle))))
 
 
 def forward_kinematics(model, q) -> Pose:
     """End-effector pose: product of per-joint exponentials times the reference pose."""
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != model.dof:
-        raise ValueError(f"expected {model.dof} joint values, got {q.shape[0]}")
-    T = Pose.identity()
+    q = _joint_values(model, q)
+    R, p = np.eye(3), np.zeros(3)
     for joint, qi in zip(model.joints, q):
-        T = T.compose(pose_exp(joint.twist, qi))
-    return T.compose(model.x_ref)
+        R, p = _times_exp(R, p, joint.twist, qi)
+    return Pose(*_compose(R, p, model.x_ref.rotation, model.x_ref.translation))
 
 
 def body_jacobian(model, q, offset: Pose | None = None) -> np.ndarray:
@@ -178,19 +269,18 @@ def body_jacobian(model, q, offset: Pose | None = None) -> np.ndarray:
     `offset` defaults to the model's tool offset; columns map joint rates to
     the [linear; angular] body velocity of the reporting frame.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != model.dof:
-        raise ValueError(f"expected {model.dof} joint values, got {q.shape[0]}")
+    q = _joint_values(model, q)
     if offset is None:
         offset = model.tool_offset
     # Space Jacobian columns, then map into the reporting frame.
     cols = np.zeros((6, model.dof))
-    T = Pose.identity()
+    R, p = np.eye(3), np.zeros(3)
     for i, (joint, qi) in enumerate(zip(model.joints, q)):
-        cols[:, i] = T.adjoint() @ joint.twist.as_array()
-        T = T.compose(pose_exp(joint.twist, qi))
-    T_report = T.compose(model.x_ref).compose(offset)
-    return T_report.inverse().adjoint() @ cols
+        cols[:, i] = _adjoint(R, p) @ joint.twist.as_array()
+        R, p = _times_exp(R, p, joint.twist, qi)
+    R, p = _checked(*_compose(R, p, model.x_ref.rotation, model.x_ref.translation))
+    R, p = _checked(*_compose(R, p, offset.rotation, offset.translation))
+    return _adjoint(*_checked(*_inverse(R, p))) @ cols
 
 
 FD_JACOBIAN_STEP = 1e-6

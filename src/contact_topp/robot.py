@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +107,27 @@ class RobotModel:
     @property
     def dof(self) -> int:
         return len(self.joints)
+
+    @cached_property
+    def chain_data(self) -> tuple[tuple[np.ndarray, Pose, np.ndarray], ...]:
+        """`build_chain_data` of this model, built on first use and kept.
+
+        The scalar Newton-Euler recursion reads it three times per path point.
+        """
+        return build_chain_data(self)
+
+
+def build_chain_data(model: RobotModel) -> tuple[tuple[np.ndarray, Pose, np.ndarray], ...]:
+    """Per link: the joint screw in the link frame, the home transform to the
+    parent link, and the spatial inertia, as the Newton-Euler recursions use them."""
+    data = []
+    prev_home = Pose.identity()
+    for joint, link in zip(model.joints, model.links):
+        inv_home = link.home_pose.inverse()
+        A = inv_home.adjoint() @ joint.twist.as_array()
+        data.append((A, inv_home.compose(prev_home), link.inertia.spatial_inertia()))
+        prev_home = link.home_pose
+    return tuple(data)
 
 
 def _pose_from_json(entry) -> Pose:

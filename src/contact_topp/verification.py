@@ -10,6 +10,15 @@ code with the transcription:
     satisfies them;
   * a finite-difference suite for the kinematic derivatives and the
     inverse-dynamics substitution identity.
+
+Independence contract: everything here evaluates the dynamics point by point
+through the scalar functions (`sample_path_dynamics`, `inverse_dynamics`,
+`forward_kinematics`, `body_jacobian`, `jacobian_path_derivative`,
+`object_path_kinematics`) and reaches no batched code: no `*_many` helper,
+no `stack_dynamics_in_s`, no `_path_torque_terms`.  The batched sampler that
+the solve uses is therefore checked against a second implementation, and
+`tests/test_scalar_oracle.py` holds this module to that by a static call
+graph of the package.
 """
 from __future__ import annotations
 

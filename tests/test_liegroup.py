@@ -77,6 +77,29 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(R, np.zeros(3))
 
+    def test_rejects_reflection(self):
+        with pytest.raises(ValueError, match="proper rotation"):
+            Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rotation(self, bad):
+        with pytest.raises(ValueError, match="finite proper rotation"):
+            Pose(np.full((3, 3), bad), np.zeros(3))
+        R = np.eye(3)
+        R[1, 2] = bad
+        with pytest.raises(ValueError, match="finite proper rotation"):
+            Pose(R, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_translation(self, bad):
+        with pytest.raises(ValueError, match="translation is not finite"):
+            Pose(np.eye(3), [0.0, bad, 0.0])
+
+    def test_rejects_non_finite_quaternion(self):
+        with pytest.raises(ValueError, match="finite proper rotation"):
+            Pose.from_quaternion([np.nan, 0.0, 0.0, 1.0], np.zeros(3))
+
     def test_compose_inverse(self):
         a = pose_exp(Twist.revolute([0, 0, 1], [0.5, 0.2, 0]), 0.8)
         b = pose_exp(Twist(linear=[0.1, 0, 0.2], angular=[0, 0.6, 0.8]), -0.4)

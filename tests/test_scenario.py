@@ -486,6 +486,18 @@ def test_cli_stationary_path_exit(tmp_path, capsys):
     assert "stationary path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, index", [("quaternion_wxyz", 0), ("translation", 2)])
+def test_cli_non_finite_link_pose_exit(tmp_path, capsys, field, index):
+    # json reads the NaN literal; the pose check must stop it at load
+    data = json.loads((SCENARIOS / "pickup.json").read_text())
+    data["robots"][0]["model"]["links"][1]["home_pose"][field][index] = float("nan")
+    path = write_scenario(tmp_path, data)
+    assert "NaN" in Path(path).read_text()
+    assert main(["solve", path, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "input error: scenario.robots[0].model" in err and "finite" in err
+
+
 def test_cli_unsupported_jacobian_derivative_exit(tmp_path, capsys):
     data = slider_scenario(grid_points=8)
     data["jacobian_derivative"] = "finite_difference"

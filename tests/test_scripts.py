@@ -1,5 +1,6 @@
-"""The trend-study script runs end to end on a coarse grid."""
+"""The scripts run end to end on a coarse grid."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +24,26 @@ def test_run_sweeps_prints_three_tables():
         assert title in done.stdout
     assert "NumericalFailure" not in done.stdout
     assert "MaxIterations" not in done.stdout
+
+
+def test_fingerprint_is_one_stable_json_line():
+    def run():
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "fingerprint.py"), "--grid", "6"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])
+
+    first = run()
+    expected = {"grid"} | {
+        f"{kind}/{name}" for kind in ("samples", "fd_suite", "audit") for name in ("pivoting", "pickup", "arm_7dof")
+    }
+    assert set(first) == expected | {"phase_plane/arm_7dof"}
+    assert first["grid"] == 6
+    assert all(len(v) == 64 and int(v, 16) >= 0 for k, v in first.items() if k != "grid")
+    assert run() == first
