@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print sha256 hashes of the independent oracles' outputs as one JSON line.
 
-    python scripts/fingerprint.py            # K=500, as shipped
-    python scripts/fingerprint.py --grid 10  # quick run
+    python scripts/fingerprint.py                     # K=500, as shipped
+    python scripts/fingerprint.py --grid 10           # quick run
+    python scripts/fingerprint.py --check saved.json  # compare with a saved line
 
 For pivoting, pickup and arm_7dof it hashes, bit for bit:
 
@@ -11,11 +12,14 @@ For pivoting, pickup and arm_7dof it hashes, bit for bit:
   audit/<name>        the `audit` report of the shipped K=500 profile in
                       perfbench/profiles (with --grid, of its first K intervals)
   phase_plane/<name>  `topp_phase_plane` of a contact-free scenario (every
-                      field, the total included; with --grid, at resolution K)
+                      field, the total included; with --grid below 500, at
+                      resolution K)
 
 Two trees whose oracles compute the same floating-point operations print
 the same line, so a change meant to leave the oracles' results alone can be
-checked by running this script on both.
+checked by running this script on both: save the line printed on one tree
+and pass it to --check on the other, with the same --grid.  --check prints
+each key whose hash differs and exits 1 if any does, 0 if none.
 """
 import argparse
 import hashlib
@@ -94,8 +98,7 @@ def phase_plane_hash(sc, resolution) -> str:
     return Digest().add(pp.s, pp.limit_curve, pp.forward, pp.backward, pp.profile, pp.total).hexdigest()
 
 
-def fingerprint(grid: int | None) -> dict:
-    K = grid or PROFILE_K
+def fingerprint(K: int) -> dict:
     out = {"grid": K}
     for name in SCENARIOS:
         sc = load_scenario(os.path.join(ROOT, "scenarios", f"{name}.json"))
@@ -103,18 +106,31 @@ def fingerprint(grid: int | None) -> dict:
         out[f"fd_suite/{name}"] = json_hash(fd_suite(sc, seed=0))
         out[f"audit/{name}"] = json_hash(audit(shipped_profile(name, K), sc).to_json_dict())
         if not sc.scene.objects:
-            out[f"phase_plane/{name}"] = phase_plane_hash(sc, grid)
+            # at K=500 the phase plane keeps its own default resolution, so
+            # "grid" names one line whether or not --grid 500 was given
+            out[f"phase_plane/{name}"] = phase_plane_hash(sc, None if K == PROFILE_K else K)
     return out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--grid", type=int, default=None, help=f"intervals K for a quick run (default: {PROFILE_K})")
+    ap.add_argument("--grid", type=int, default=PROFILE_K, help=f"intervals K for a quick run (default: {PROFILE_K})")
+    ap.add_argument("--check", metavar="FILE", help="compare with the JSON line saved in FILE instead of printing")
     args = ap.parse_args(argv)
-    if args.grid is not None and not 1 <= args.grid <= PROFILE_K:
+    if not 1 <= args.grid <= PROFILE_K:
         ap.error(f"--grid must be between 1 and {PROFILE_K}")
-    print(json.dumps(fingerprint(args.grid)))
-    return 0
+    if args.check is None:
+        print(json.dumps(fingerprint(args.grid)))
+        return 0
+    with open(args.check) as fh:
+        saved = json.loads(fh.read())
+    now = fingerprint(args.grid)
+    differ = sorted(k for k in saved.keys() | now.keys() if saved.get(k) != now.get(k))
+    for key in differ:
+        print(f"differs: {key}: saved {saved.get(key)}, now {now.get(key)}")
+    if not differ:
+        print(f"all {len(now)} keys match")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

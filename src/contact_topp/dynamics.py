@@ -9,6 +9,13 @@ speed sdot = ds/dt,
 and each rigidly-held body satisfies, in its own frame,
 
     sum_contacts sign * G_c F_c + f_ext = A(s) * sddot + B(s) * sdot^2.
+
+`sample_path_dynamics` evaluates this at one s and builds each chain once:
+per robot, the checked joint-to-link adjoints (`_down_adjoints`) feed the
+acceleration, velocity-squared and gravity Newton-Euler passes, and one
+space chain (`liegroup._space_chain`) per robot that carries an object or
+holds a contact feeds the object's pose, direction and rate and every
+contact Jacobian.
 """
 from __future__ import annotations
 
@@ -23,13 +30,13 @@ from .liegroup import (
     _adjoint,
     _checked,
     _compose,
+    _direction_terms,
     _exp_rp,
+    _reporting_frame,
+    _space_chain,
     adjoint_many,
-    body_jacobian,
     body_jacobian_many,
     compose_many,
-    forward_kinematics,
-    object_path_kinematics,
     pose_exp_many,
     skew,
     skew_many,
@@ -56,25 +63,34 @@ def inverse_dynamics(model: RobotModel, q, qd, qdd, gravity) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(-1)
     qd = np.asarray(qd, dtype=float).reshape(-1)
     qdd = np.asarray(qdd, dtype=float).reshape(-1)
-    n = model.dof
-    if not (q.shape[0] == qd.shape[0] == qdd.shape[0] == n):
+    if not (q.shape[0] == qd.shape[0] == qdd.shape[0] == model.dof):
         raise ValueError("q, qd, qdd must all have length dof")
-    g = np.asarray(gravity, dtype=float).reshape(3)
-
     chain = model.chain_data
+    return _newton_euler(chain, _down_adjoints(chain, q), qd, qdd, gravity)
+
+
+def _down_adjoints(chain, q) -> list[np.ndarray]:
+    """Per joint, the checked adjoint taking twists from the parent link into the link frame at q."""
+    ads = []
+    for (A, B, _), qi in zip(chain, q):
+        R, p = _checked(*_exp_rp(A[3:], A[:3], -qi))
+        ads.append(_adjoint(*_checked(*_compose(R, p, B.rotation, B.translation))))
+    return ads
+
+
+def _newton_euler(chain, ads_down, qd, qdd, gravity) -> np.ndarray:
+    """Velocity, acceleration and force recursion of `inverse_dynamics` on given down adjoints."""
+    n = len(chain)
+    g = np.asarray(gravity, dtype=float).reshape(3)
     V = np.zeros(6)
     Vd = np.concatenate([-g, np.zeros(3)])
     vel = []
     acc = []
-    ads_down = []
-    for i, (A, B, _) in enumerate(chain):
-        R, p = _checked(*_exp_rp(A[3:], A[:3], -q[i]))
-        Ad = _adjoint(*_checked(*_compose(R, p, B.rotation, B.translation)))
-        V = Ad @ V + A * qd[i]
-        Vd = Ad @ Vd + (_ad(V) @ A) * qd[i] + A * qdd[i]
+    for (A, _, _), Ad, qdi, qddi in zip(chain, ads_down, qd, qdd):
+        V = Ad @ V + A * qdi
+        Vd = Ad @ Vd + (_ad(V) @ A) * qdi + A * qddi
         vel.append(V)
         acc.append(Vd)
-        ads_down.append(Ad)
 
     tau = np.zeros(n)
     F = np.zeros(6)
@@ -321,15 +337,24 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamicsSample:
     acc = np.zeros(n)
     velsq = np.zeros(n)
     grav = np.zeros(n)
+    rates = []
     for r, sl in zip(scene.robots, slices):
         qi = r.path.position(s)
         dqi = r.path.derivative(s)
         ddqi = r.path.second_derivative(s)
         q[sl], dq[sl], ddq[sl] = qi, dqi, ddqi
+        rates.append((dqi, ddqi))
         zeros = np.zeros(r.model.dof)
-        acc[sl] = inverse_dynamics(r.model, qi, zeros, dqi, np.zeros(3))
-        velsq[sl] = inverse_dynamics(r.model, qi, dqi, ddqi, np.zeros(3))
-        grav[sl] = inverse_dynamics(r.model, qi, zeros, zeros, scene.gravity)
+        chain = r.model.chain_data
+        ads = _down_adjoints(chain, qi)
+        acc[sl] = _newton_euler(chain, ads, zeros, dqi, np.zeros(3))
+        velsq[sl] = _newton_euler(chain, ads, dqi, ddqi, np.zeros(3))
+        grav[sl] = _newton_euler(chain, ads, zeros, zeros, scene.gravity)
+
+    # one space chain per robot that carries an object or holds a contact
+    carriers = {_grasping_robot(scene, obj) for obj in scene.objects}
+    carriers.update(c.robot for obj in scene.objects for c in obj.model.contacts if c.kind == "manipulator")
+    space = {i: _space_chain(scene.robots[i].model, q[slices[i]]) for i in carriers}
 
     contact_jacs: dict[str, np.ndarray] = {}
     object_samples = []
@@ -337,11 +362,10 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamicsSample:
         cid_prefix = obj.model.name
         offset = scene.offset_from_ee(cid_prefix)
         grasp = _grasping_robot(scene, obj)
-        chain = scene.robots[grasp]
-        ee_pose = forward_kinematics(chain.model, q[slices[grasp]])
-        R_obj_world = (ee_pose.compose(offset)).rotation
-
-        J_dir, J_rate = object_path_kinematics(chain.model, chain.path, s, offset)
+        R_ee, p_ee, cols = space[grasp]
+        J_dir, J_rate = _direction_terms(_reporting_frame(R_ee, p_ee, cols, offset), *rates[grasp])
+        # the object pose, checked as the reporting frame of the Jacobian above
+        R_obj_world, _ = _compose(R_ee, p_ee, offset.rotation, offset.translation)
         A, B = object_net_wrench_coefficients(obj.model, J_dir, J_rate)
         weight = np.concatenate([R_obj_world.T @ (obj.model.mass * scene.gravity), np.zeros(3)])
         external = weight + obj.external_wrench
@@ -352,14 +376,12 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamicsSample:
             pose_c = contact_pose_at(scene, obj, c, R_obj_world)
             terms.append((cid, 1.0, grasp_map(pose_c)))
             if c.kind == "manipulator":
-                holder = scene.robots[c.robot]
                 if c.robot == grasp:
                     off = offset.compose(pose_c)
                 else:
-                    off = holder.model.tool_offset.compose(pose_c)
-                Jc = body_jacobian(holder.model, q[slices[c.robot]], off)
+                    off = scene.robots[c.robot].model.tool_offset.compose(pose_c)
                 full = np.zeros((6, n))
-                full[:, slices[c.robot]] = Jc
+                full[:, slices[c.robot]] = _reporting_frame(*space[c.robot], off)
                 contact_jacs[cid] = full
         object_samples.append(
             ObjectSample(

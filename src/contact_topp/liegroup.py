@@ -10,6 +10,13 @@ arithmetic as `Pose.compose`, `Pose.inverse`, `Pose.adjoint` and
 `pose_exp`, so they round alike.  Every rotation such a loop produces still
 passes `check_pose`, the orthonormality, determinant and finiteness test
 of every `Pose`.
+
+One pass over the joints, `_space_chain`, gives the end-effector pose and
+the space Jacobian columns at q; `_reporting_frame` maps those columns
+into any tool frame.  `forward_kinematics`, `body_jacobian` and
+`object_path_kinematics` each run the chain once, and
+`dynamics.sample_path_dynamics` builds and checks it once per robot per
+sample and hands it to every frame it needs.
 """
 from __future__ import annotations
 
@@ -254,13 +261,27 @@ def _times_exp(R, p, twist: Twist, angle: float) -> tuple[np.ndarray, np.ndarray
     return _checked(*_compose(R, p, *_checked(*_exp_rp(twist.angular, twist.linear, angle))))
 
 
+def _space_chain(model, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, p, cols): the checked end-effector pose after `x_ref` and the space Jacobian columns at q."""
+    cols = np.zeros((6, model.dof))
+    R, p = np.eye(3), np.zeros(3)
+    for i, (joint, qi) in enumerate(zip(model.joints, q)):
+        cols[:, i] = _adjoint(R, p) @ joint.twist.as_array()
+        R, p = _times_exp(R, p, joint.twist, qi)
+    R, p = _checked(*_compose(R, p, model.x_ref.rotation, model.x_ref.translation))
+    return R, p, cols
+
+
+def _reporting_frame(R, p, cols, offset: Pose) -> np.ndarray:
+    """Body Jacobian from a `_space_chain`: compose `offset`, invert, apply the adjoint to the columns."""
+    R, p = _checked(*_compose(R, p, offset.rotation, offset.translation))
+    return _adjoint(*_checked(*_inverse(R, p))) @ cols
+
+
 def forward_kinematics(model, q) -> Pose:
     """End-effector pose: product of per-joint exponentials times the reference pose."""
-    q = _joint_values(model, q)
-    R, p = np.eye(3), np.zeros(3)
-    for joint, qi in zip(model.joints, q):
-        R, p = _times_exp(R, p, joint.twist, qi)
-    return Pose(*_compose(R, p, model.x_ref.rotation, model.x_ref.translation))
+    R, p, _ = _space_chain(model, _joint_values(model, q))
+    return Pose(R, p)
 
 
 def body_jacobian(model, q, offset: Pose | None = None) -> np.ndarray:
@@ -269,18 +290,8 @@ def body_jacobian(model, q, offset: Pose | None = None) -> np.ndarray:
     `offset` defaults to the model's tool offset; columns map joint rates to
     the [linear; angular] body velocity of the reporting frame.
     """
-    q = _joint_values(model, q)
-    if offset is None:
-        offset = model.tool_offset
-    # Space Jacobian columns, then map into the reporting frame.
-    cols = np.zeros((6, model.dof))
-    R, p = np.eye(3), np.zeros(3)
-    for i, (joint, qi) in enumerate(zip(model.joints, q)):
-        cols[:, i] = _adjoint(R, p) @ joint.twist.as_array()
-        R, p = _times_exp(R, p, joint.twist, qi)
-    R, p = _checked(*_compose(R, p, model.x_ref.rotation, model.x_ref.translation))
-    R, p = _checked(*_compose(R, p, offset.rotation, offset.translation))
-    return _adjoint(*_checked(*_inverse(R, p))) @ cols
+    chain = _space_chain(model, _joint_values(model, q))
+    return _reporting_frame(*chain, model.tool_offset if offset is None else offset)
 
 
 FD_JACOBIAN_STEP = 1e-6
@@ -299,6 +310,11 @@ def _body_jacobian_q_derivative(J: np.ndarray) -> np.ndarray:
         for j in range(i, n):
             D[j, :, i] = twist_bracket(J[:, i], J[:, j])
     return D
+
+
+def _jacobian_rate(J: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """d/ds of a body Jacobian J along a path with joint direction dq = q'(s)."""
+    return np.einsum("jci,j->ci", _body_jacobian_q_derivative(J), dq)
 
 
 def jacobian_path_derivative(
@@ -321,11 +337,7 @@ def jacobian_path_derivative(
         J_hi = body_jacobian(model, path.position(hi), offset)
         J_lo = body_jacobian(model, path.position(lo), offset)
         return (J_hi - J_lo) / (hi - lo)
-    q = path.position(s)
-    dq = path.derivative(s)
-    J = body_jacobian(model, q, offset)
-    D = _body_jacobian_q_derivative(J)
-    return np.einsum("jci,j->ci", D, dq)
+    return _jacobian_rate(body_jacobian(model, path.position(s), offset), path.derivative(s))
 
 
 def object_path_kinematics(
@@ -340,12 +352,13 @@ def object_path_kinematics(
     J_dir * sdot and its body acceleration contribution splits as
     J_dir * sddot + J_dir_rate * sdot^2.
     """
-    q = path.position(s)
-    dq = path.derivative(s)
-    ddq = path.second_derivative(s)
-    J = body_jacobian(model, q, offset)
-    dJ = jacobian_path_derivative(model, path, s, offset)
-    return J @ dq, dJ @ dq + J @ ddq
+    J = body_jacobian(model, path.position(s), offset)
+    return _direction_terms(J, path.derivative(s), path.second_derivative(s))
+
+
+def _direction_terms(J: np.ndarray, dq: np.ndarray, ddq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_dir, J_dir_rate) of `object_path_kinematics` from the frame's body Jacobian J."""
+    return J @ dq, _jacobian_rate(J, dq) @ dq + J @ ddq
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ nonzero: each fixes its column, which is substituted into the other rows
 and dropped with its row.  The iteration runs on the smaller problem, and
 every iterate is lifted back to the original columns and rows (the fixed
 values for x, and for the y of each dropped row the value that zeroes its
-column's dual residual).  The KKT pattern is relabelled once per solve by
+column's dual residual).  Two equality rows with the same pattern and
+proportional values that disagree give a Farkas ray before any iteration.
+The KKT pattern is relabelled once per solve by
 reverse Cuthill-McKee, which gives the path-structured matrix a narrow
 band, and factored in that order with partial pivoting.
 
@@ -165,6 +167,8 @@ EQUILIBRATE_ITERS = 10
 # STALL_LIMIT consecutive steps shorter than STALL_ALPHA end the iteration
 STALL_ALPHA = 1e-7
 STALL_LIMIT = 3
+# sign, exponent and the top 24 of the 52 mantissa bits of a float64
+_TOP_24_BITS = np.uint64(2**64 - 2**28)
 
 
 @dataclass
@@ -644,9 +648,10 @@ class _Presolve:
     of the rows that remain.  Its cost c_j x_j is a constant: it cancels in
     the duality gap and comes back when the objective is evaluated on the
     lifted point, so `form` carries no offset.  A column named by two or
-    more singleton rows stays with all of them.  If two of them fix it at
-    values further apart than tol relative, `ray` is the Farkas direction
-    they give; the iteration would otherwise have to find the conflict
+    more singleton rows stays with all of them.  Rows stay in place when
+    they repeat another up to a factor; if two such rows disagree by more
+    than tol relative, `ray` is the Farkas direction they give
+    (`_row_conflict`), which the iteration would otherwise have to find
     through a rank-deficient A.
 
     `form` is the reduced problem; `lift` maps a homogeneous point of it
@@ -664,7 +669,7 @@ class _Presolve:
         value = form.b[single] / pivot
         alone = np.bincount(col, minlength=n)[col] == 1
         self.rows, self.cols, self.pivots, self.values = single[alone], col[alone], pivot[alone], value[alone]
-        self.ray = _pin_conflict(p, *(a[~alone] for a in (single, col, pivot, value)), tol)
+        self.ray = _row_conflict(A, form.b, tol)
         self.free = np.setdiff1d(np.arange(n), self.cols)
         self.kept = np.setdiff1d(np.arange(p), self.rows)
         self.shape = n, p
@@ -698,22 +703,40 @@ class _Presolve:
         return x_full, y_full
 
 
-def _pin_conflict(p, rows, cols, pivots, values, tol) -> np.ndarray | None:
-    """y over the p equality rows with A'y = 0 and b'y < 0, from the two
-    singleton rows of one column whose fixed values differ most; None when
-    no column has two values more than tol (1 + |value|) apart, a gap the
-    iteration could close within its feasibility tolerance."""
-    if not rows.size:
+def _row_conflict(A: sp.csr_matrix, b: np.ndarray, tol: float) -> np.ndarray | None:
+    """y with A'y = 0 and b'y < 0 from two equality rows a x = b_r and
+    (k a) x = b_r' that disagree: of all rows with the same nonzero pattern
+    and proportional values, the two whose values b_r / a_j, for the first
+    nonzero a_j of each row, differ most.  Two singleton rows on one column
+    are the case of one nonzero.  None when no such pair is more than
+    tol (1 + |value|) apart, a gap the iteration could close within its
+    feasibility tolerance.
+
+    Rows are matched by a hash of their columns and of their entries
+    divided by the first, cut to 24 significant bits, so rows proportional
+    up to rounding share it; a collision only offers a ray that the
+    certificate check then refuses.
+    """
+    A = A.sorted_indices()
+    nnz = np.diff(A.indptr)
+    rows = np.flatnonzero(nnz)
+    if rows.size < 2:
         return None
-    order = np.lexsort((values, cols))
-    rows, cols, pivots, values = (a[order] for a in (rows, cols, pivots, values))
-    first = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
-    last = np.r_[first[1:], cols.size] - 1
-    k = int(np.argmax(values[last] - values[first]))
-    lo, hi = first[k], last[k]
+    first = A.indptr[rows]
+    pivots = A.data[first]
+    ratios = (A.data / np.repeat(pivots, nnz[rows])).view(np.uint64) & _TOP_24_BITS
+    weights = np.random.default_rng(0).integers(1, 2**63, size=A.shape[1], dtype=np.uint64)
+    keys = np.add.reduceat(weights[A.indices] * (ratios + np.uint64(1)), first)
+    values = b[rows] / pivots
+    order = np.lexsort((values, keys))
+    rows, keys, pivots, values = (a[order] for a in (rows, keys, pivots, values))
+    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    last = np.r_[start[1:], keys.size] - 1
+    k = int(np.argmax(values[last] - values[start]))
+    lo, hi = start[k], last[k]
     if values[hi] - values[lo] <= tol * (1.0 + max(abs(values[lo]), abs(values[hi]))):
         return None
-    y = np.zeros(p)
+    y = np.zeros(A.shape[0])
     y[rows[lo]] = 1.0 / pivots[lo]
     y[rows[hi]] = -1.0 / pivots[hi]
     return y

@@ -3,6 +3,9 @@
 * They round exactly like plain `Pose` products: each function is held, bit
   for bit, to a reference here that composes `Pose` objects joint by joint
   with `np.cross` in the exponential.
+* `sample_path_dynamics` builds each robot's chain once and shares it, and
+  still matches, bit for bit, a reference that rebuilds the chain for every
+  torque term, object term and contact Jacobian.
 * They check every rotation they build, as the `Pose` constructor does.
 * `verification.py` and the scalar sampler share no code with the batched
   sampler, so comparing the two compares two implementations.
@@ -16,12 +19,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import contact_topp
-from contact_topp import liegroup
-from contact_topp.dynamics import inverse_dynamics
-from contact_topp.liegroup import Pose, Twist, body_jacobian, forward_kinematics, rotation_exp, skew
+from contact_topp import dynamics, liegroup
+from contact_topp.contacts import ContactSpec, FrictionParams
+from contact_topp.dynamics import (
+    ObjectInstance,
+    ObjectModel,
+    RobotInstance,
+    Scene,
+    contact_pose_at,
+    grasp_map,
+    inverse_dynamics,
+    object_net_wrench_coefficients,
+    sample_path_dynamics,
+)
+from contact_topp.liegroup import (
+    Pose,
+    Twist,
+    body_jacobian,
+    forward_kinematics,
+    object_path_kinematics,
+    rotation_exp,
+    skew,
+)
+from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, Link, LinkInertia, RobotModel
+from contact_topp.scenario import load_scenario
 
 from conftest import make_limits
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 # ---------------------------------------------------------------------------
 # reference: the same formulas on `Pose` objects
@@ -95,6 +121,52 @@ def ref_inverse_dynamics(model, q, qd, qdd, gravity):
     return tau
 
 
+def ref_jacobian_rate(J, dq):
+    n = J.shape[1]
+    D = np.zeros((n, 6, n))
+    for i in range(n):
+        for j in range(i, n):
+            a, b = J[:, i], J[:, j]
+            D[j, :, i] = np.concatenate([np.cross(a[3:], b[:3]) + np.cross(a[:3], b[3:]), np.cross(a[3:], b[3:])])
+    return np.einsum("jci,j->ci", D, dq)
+
+
+def ref_sample_path_dynamics(scene, s):
+    """(torque terms, contact Jacobians, object samples) of one sample, each
+    robot's chain rebuilt for every term, objects carried by robots only."""
+    n, slices = scene.dof, scene.robot_slices()
+    q, dq, ddq, acc, velsq, grav = (np.zeros(n) for _ in range(6))
+    for r, sl in zip(scene.robots, slices):
+        qi, dqi, ddqi = r.path.position(s), r.path.derivative(s), r.path.second_derivative(s)
+        q[sl], dq[sl], ddq[sl] = qi, dqi, ddqi
+        zeros = np.zeros(r.model.dof)
+        acc[sl] = ref_inverse_dynamics(r.model, qi, zeros, dqi, np.zeros(3))
+        velsq[sl] = ref_inverse_dynamics(r.model, qi, dqi, ddqi, np.zeros(3))
+        grav[sl] = ref_inverse_dynamics(r.model, qi, zeros, zeros, scene.gravity)
+    jacs, objects = {}, []
+    for obj in scene.objects:
+        offset = scene.offset_from_ee(obj.model.name)
+        grasp = obj.parent_robot
+        holder = scene.robots[grasp]
+        R_obj = ref_forward_kinematics(holder.model, q[slices[grasp]]).compose(offset).rotation
+        J = ref_body_jacobian(holder.model, holder.path.position(s), offset)
+        dqg, ddqg = holder.path.derivative(s), holder.path.second_derivative(s)
+        A, B = object_net_wrench_coefficients(obj.model, J @ dqg, ref_jacobian_rate(J, dqg) @ dqg + J @ ddqg)
+        external = np.concatenate([R_obj.T @ (obj.model.mass * scene.gravity), np.zeros(3)]) + obj.external_wrench
+        terms = []
+        for c in obj.model.contacts:
+            cid = f"{obj.model.name}/{c.name}"
+            pose_c = contact_pose_at(scene, obj, c, R_obj)
+            terms.append((cid, 1.0, grasp_map(pose_c)))
+            if c.kind == "manipulator":
+                base = offset if c.robot == grasp else scene.robots[c.robot].model.tool_offset
+                full = np.zeros((6, n))
+                full[:, slices[c.robot]] = ref_body_jacobian(scene.robots[c.robot].model, q[slices[c.robot]], base.compose(pose_c))
+                jacs[cid] = full
+        objects.append((obj.model.name, A, B, external, terms))
+    return (s, q, dq, ddq, acc, velsq, grav), jacs, objects
+
+
 # ---------------------------------------------------------------------------
 # random chains in the style of conftest.planar_arm and spatial_arm
 
@@ -133,6 +205,33 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def contact(name, kind, pose, robot=0, frame_mode="body_fixed"):
+    return ContactSpec(name, kind, "pcwf", pose, FrictionParams(0.6), robot=robot, frame_mode=frame_mode)
+
+
+class ConstantPath:
+    """q(s) = q at rest for every s; unlike a spline it may hold non-finite values."""
+
+    def __init__(self, q):
+        self.q = np.asarray(q, dtype=float)
+        self.dof = self.q.size
+
+    def position(self, s):
+        return self.q.copy()
+
+    def derivative(self, s):
+        return np.zeros(self.dof)
+
+    def second_derivative(self, s):
+        return np.zeros(self.dof)
+
+
+def held_box_scene(arm, path):
+    grip = contact("grip", "manipulator", Pose(np.eye(3), [0.0, 0.02, 0.0]))
+    box = ObjectModel("box", 0.8, np.diag([0.002, 0.003, 0.004]), contacts=(grip,))
+    return Scene(robots=(RobotInstance(arm, path),), objects=(ObjectInstance(model=box, parent_robot=0),))
+
+
 @settings(max_examples=60)
 @given(
     kinds=st.lists(st.sampled_from(["revolute", "prismatic"]), min_size=1, max_size=7),
@@ -158,6 +257,68 @@ def test_scalar_functions_round_like_pose_products(kinds, zero_joints, seed):
     assert same_bits(inverse_dynamics(arm, q, qd, qdd, gravity), ref_inverse_dynamics(arm, q, qd, qdd, gravity))
 
 
+@settings(max_examples=40)
+@given(
+    kinds=st.lists(st.lists(st.sampled_from(["revolute", "prismatic"]), min_size=1, max_size=5), min_size=2, max_size=2),
+    grasp=st.integers(0, 1),
+    tool_offset=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_shares_chains_bit_for_bit(kinds, grasp, tool_offset, seed):
+    # one robot carries a box by one contact, the other robot holds a second
+    # contact on it through its own tool, and a world-normal contact turns with it
+    rng = np.random.default_rng(seed)
+    robots = tuple(
+        RobotInstance(random_arm(rng, k), JointPath(rng.normal(scale=0.8, size=(3, len(k))))) for k in kinds
+    )
+    contacts = (
+        contact("grip", "manipulator", random_pose(rng), robot=grasp),
+        contact("press", "manipulator", random_pose(rng), robot=1 - grasp),
+        contact("ground", "environment", random_pose(rng), frame_mode="world_normal"),
+    )
+    box = ObjectModel("box", rng.uniform(0.1, 2.0), np.diag(rng.uniform(0.001, 0.01, size=3)), contacts=contacts)
+    carried = ObjectInstance(
+        model=box,
+        parent_robot=grasp,
+        offset=None if tool_offset else random_pose(rng),
+        external_wrench=rng.normal(size=6),
+    )
+    scene = Scene(robots=robots, objects=(carried,), gravity=rng.normal(scale=5.0, size=3))
+    s = float(rng.uniform(0.0, 1.0))
+
+    smp = sample_path_dynamics(scene, s)
+    fields, jacs, objects = ref_sample_path_dynamics(scene, s)
+    got = (smp.s, smp.q, smp.dq, smp.ddq, smp.torque_accel_coeff, smp.torque_velsq_coeff, smp.torque_gravity)
+    assert all(same_bits(a, b) for a, b in zip(got, fields))
+    assert list(smp.contact_jacobians) == list(jacs) == ["box/grip", "box/press"]
+    assert all(same_bits(smp.contact_jacobians[cid], jacs[cid]) for cid in jacs)
+    (name, A, B, external, terms), = objects
+    (osmp,) = smp.objects
+    assert osmp.name == name
+    assert same_bits(osmp.accel_coeff, A) and same_bits(osmp.velsq_coeff, B) and same_bits(osmp.external, external)
+    assert [(cid, sign) for cid, sign, _ in osmp.contact_terms] == [(cid, sign) for cid, sign, _ in terms]
+    assert all(same_bits(G, G_ref) for (_, _, G), (_, _, G_ref) in zip(osmp.contact_terms, terms))
+
+
+@pytest.mark.parametrize("name,count", [("pivoting", 6), ("pickup", 14), ("arm_7dof", 7)])
+def test_one_chain_per_robot_per_sample(monkeypatch, name, count):
+    # per sample, one joint exponential per joint for the Newton-Euler
+    # recursion, and one more per joint of a robot that carries an object or
+    # holds a contact (pivoting: 3 joints, pickup and arm_7dof: 7, one robot)
+    scene = load_scenario(SCENARIOS / f"{name}.json").scene
+    calls = []
+    exp_rp = liegroup._exp_rp
+
+    def counted(*args):
+        calls.append(args)
+        return exp_rp(*args)
+
+    monkeypatch.setattr(liegroup, "_exp_rp", counted)
+    monkeypatch.setattr(dynamics, "_exp_rp", counted)
+    sample_path_dynamics(scene, 0.37)
+    assert len(calls) == count
+
+
 def test_chain_data_built_once_per_model():
     arm = random_arm(np.random.default_rng(3), ["revolute", "prismatic", "revolute"])
     assert arm.chain_data is arm.chain_data
@@ -175,6 +336,11 @@ def test_every_joint_rotation_is_checked(monkeypatch):
         body_jacobian(arm, q)
     with pytest.raises(ValueError, match="finite proper rotation"):
         inverse_dynamics(arm, q, np.zeros(3), np.zeros(3), np.zeros(3))
+    path = JointPath([q, q + 0.3])
+    with pytest.raises(ValueError, match="finite proper rotation"):
+        sample_path_dynamics(held_box_scene(arm, path), 0.4)
+    with pytest.raises(ValueError, match="finite proper rotation"):
+        object_path_kinematics(arm, path, 0.4, arm.tool_offset)
 
 
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
@@ -187,6 +353,11 @@ def test_non_finite_joint_value_is_rejected():
             body_jacobian(arm, q)
         with pytest.raises(ValueError, match="finite"):
             inverse_dynamics(arm, q, np.zeros(2), np.zeros(2), np.zeros(3))
+        path = ConstantPath(q)
+        with pytest.raises(ValueError, match="finite"):
+            sample_path_dynamics(held_box_scene(arm, path), 0.4)
+        with pytest.raises(ValueError, match="finite"):
+            object_path_kinematics(arm, path, 0.4, arm.tool_offset)
 
 
 # ---------------------------------------------------------------------------

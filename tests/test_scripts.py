@@ -47,3 +47,26 @@ def test_fingerprint_is_one_stable_json_line():
     assert first["grid"] == 6
     assert all(len(v) == 64 and int(v, 16) >= 0 for k, v in first.items() if k != "grid")
     assert run() == first
+
+
+def test_fingerprint_check_names_each_changed_key(tmp_path):
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS / "fingerprint.py"), "--grid", "6", *args],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+
+    line = json.loads(run().stdout)
+    saved = tmp_path / "saved.json"
+    saved.write_text(json.dumps(line))
+    same = run("--check", str(saved))
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert "differs" not in same.stdout
+
+    line["samples/pickup"] = "0" * 64
+    saved.write_text(json.dumps(line))
+    tampered = run("--check", str(saved))
+    assert tampered.returncode == 1
+    assert [ln.split(":")[1].strip() for ln in tampered.stdout.splitlines() if ln.startswith("differs")] == ["samples/pickup"]

@@ -588,6 +588,29 @@ class TestPresolve:
         assert report.status == "Optimal" and abs(report.x[0] - 0.5) <= 1e-6
         assert_verified(consistent, report)
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_inconsistent_parallel_rows(self, seed):
+        # a fifth row k a0 x = k a0 x0 +- 1 repeats the first up to a factor
+        # and contradicts it; the rows with the shift taken out are feasible
+        rng = np.random.default_rng(seed)
+        A0 = rng.normal(size=(4, 8))
+        A0 = A0 * (rng.random((4, 8)) < 0.4)
+        A0[0, rng.integers(8)] = 1.0
+        A = np.vstack([A0, rng.uniform(-5.0, 5.0) * A0[0]])
+        b = A @ rng.normal(size=8)
+        shift = np.zeros(5)
+        shift[4] = rng.choice([-1.0, 1.0])
+        G, h = box(8, -10.0, 10.0)
+        c = rng.normal(size=8)
+        prob = form(c, G=G, h=h, A=A, b=b + shift, orthant=16)
+        report = solve(prob)
+        assert report.status == "PrimalInfeasible"
+        assert_primal_certificate(prob, report.certificate)
+        consistent = form(c, G=G, h=h, A=A, b=b, orthant=16)
+        report = solve(consistent)
+        assert report.status == "Optimal"
+        assert_verified(consistent, report)
+
     def test_explicit_zero_pins_nothing(self):
         # the first row stores one entry, an explicit 0: 0 x0 = 0 holds for
         # every x and must not be divided through
