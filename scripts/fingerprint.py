@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print sha256 hashes of the independent oracles' outputs as one JSON line.
+"""Print sha256 hashes of the independent oracles' outputs and the solver's
+results as one JSON line.
 
     python scripts/fingerprint.py                     # K=500, as shipped
     python scripts/fingerprint.py --grid 10           # quick run
@@ -15,13 +16,27 @@ For pivoting, pickup and arm_7dof it hashes, bit for bit:
                       field, the total included; with --grid below 500, at
                       resolution K)
 
-Two trees whose oracles compute the same floating-point operations print
-the same line, so a change meant to leave the oracles' results alone can be
-checked by running this script on both: save the line printed on one tree
-and pass it to --check on the other, with the same --grid.  --check prints
-each key whose hash differs and exits 1 if any does, 0 if none.
+and for every shipped scenario (scenarios/*.json and scenarios/waiter/*.json)
+it solves at K intervals and records:
+
+  solve/<name>/status      the solver's status
+  solve/<name>/iterations  its iteration count
+  solve/<name>/T           the total time T as `float.hex`, null unless Optimal
+  solve/<name>/x           sha256 of the solver's x (its shape and bytes)
+
+The line also carries `blas_threads`, the OPENBLAS_NUM_THREADS setting it
+was taken under ("unset" when there is none): the last bits of long dot
+products, and so of a solve with many rows, depend on the BLAS thread count.
+
+Two trees that compute the same floating-point operations print the same
+line, so a change meant to leave results alone can be checked by running
+this script on both: save the line printed on one tree and pass it to
+--check on the other, with the same --grid and the same OPENBLAS_NUM_THREADS.
+--check prints each key that differs and exits 1 if any does, 0 if none; a
+saved line taken under another BLAS setting is flagged as such.
 """
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -33,8 +48,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from contact_topp.dynamics import sample_path_dynamics  # noqa: E402
-from contact_topp.scenario import load_scenario, profile_from_json_dict  # noqa: E402
-from contact_topp.transcription import ScalingVariables, build_grid  # noqa: E402
+from contact_topp.scenario import RunSettings, load_scenario, profile_from_json_dict, solve_scenario  # noqa: E402
+from contact_topp.transcription import ScalingVariables, build_grid, recover_time  # noqa: E402
 from contact_topp.verification import audit, fd_suite, topp_phase_plane  # noqa: E402
 
 SCENARIOS = ("pivoting", "pickup", "arm_7dof")
@@ -98,8 +113,27 @@ def phase_plane_hash(sc, resolution) -> str:
     return Digest().add(pp.s, pp.limit_curve, pp.forward, pp.backward, pp.profile, pp.total).hexdigest()
 
 
+def shipped_scenarios() -> list:
+    """Names of the shipped scenario files, relative to scenarios/ without .json."""
+    base = os.path.join(ROOT, "scenarios")
+    paths = glob.glob(os.path.join(base, "*.json")) + glob.glob(os.path.join(base, "waiter", "*.json"))
+    return sorted(os.path.relpath(p, base)[: -len(".json")].replace(os.sep, "/") for p in paths)
+
+
+def solve_keys(name: str, K: int) -> dict:
+    sc = load_scenario(os.path.join(ROOT, "scenarios", f"{name}.json"))
+    program, report, solution = solve_scenario(sc, RunSettings(grid_override=K))
+    T = None if solution is None else float(recover_time(solution.speed_sq, program.grid).total).hex()
+    return {
+        f"solve/{name}/status": report.status,
+        f"solve/{name}/iterations": report.iterations,
+        f"solve/{name}/T": T,
+        f"solve/{name}/x": Digest().add(report.x).hexdigest(),
+    }
+
+
 def fingerprint(K: int) -> dict:
-    out = {"grid": K}
+    out = {"grid": K, "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
     for name in SCENARIOS:
         sc = load_scenario(os.path.join(ROOT, "scenarios", f"{name}.json"))
         out[f"samples/{name}"] = samples_hash(sc.scene, K)
@@ -109,6 +143,8 @@ def fingerprint(K: int) -> dict:
             # at K=500 the phase plane keeps its own default resolution, so
             # "grid" names one line whether or not --grid 500 was given
             out[f"phase_plane/{name}"] = phase_plane_hash(sc, None if K == PROFILE_K else K)
+    for name in shipped_scenarios():
+        out.update(solve_keys(name, K))
     return out
 
 
@@ -125,6 +161,11 @@ def main(argv=None) -> int:
     with open(args.check) as fh:
         saved = json.loads(fh.read())
     now = fingerprint(args.grid)
+    if saved.get("blas_threads") != now["blas_threads"]:
+        print(
+            f"settings differ: OPENBLAS_NUM_THREADS saved {saved.get('blas_threads')}, now {now['blas_threads']}; "
+            "solve keys can differ for that reason alone"
+        )
     differ = sorted(k for k in saved.keys() | now.keys() if saved.get(k) != now.get(k))
     for key in differ:
         print(f"differs: {key}: saved {saved.get(key)}, now {now.get(key)}")

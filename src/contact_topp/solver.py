@@ -22,6 +22,10 @@ every iterate is lifted back to the original columns and rows (the fixed
 values for x, and for the y of each dropped row the value that zeroes its
 column's dual residual).  Two equality rows with the same pattern and
 proportional values that disagree give a Farkas ray before any iteration.
+The presolve also drops every orthant row that is a positive multiple of
+another orthant row with a right-hand side at least as loose, which can
+never bind; such a row lifts to z = 0 and the slack s = h - G x its
+constraint leaves.
 The KKT pattern is relabelled once per solve by
 reverse Cuthill-McKee, which gives the path-structured matrix a narrow
 band, and factored in that order with partial pivoting.
@@ -169,6 +173,9 @@ STALL_ALPHA = 1e-7
 STALL_LIMIT = 3
 # sign, exponent and the top 24 of the 52 mantissa bits of a float64
 _TOP_24_BITS = np.uint64(2**64 - 2**28)
+# relative distance within which an entry counts as lam times its
+# counterpart in a parallel row: a few roundings of lam and of the entries
+PARALLEL_RTOL = 8 * np.finfo(float).eps
 
 
 @dataclass
@@ -638,21 +645,29 @@ def _check_dual_infeasibility_certificate(form, x, s, tol) -> dict | None:
 
 
 class _Presolve:
-    """The problem with its pinned columns substituted out.
+    """The problem with its pinned columns substituted out and its
+    dominated inequality rows dropped.
 
     An equality row with a single nonzero, a x_j = b_r, fixes x_j = b_r / a
     (Andersen & Andersen, Math. Prog. 71, 1995).  Nonzeros are counted
-    after dropping explicit zeros, so a row whose only stored entry is 0
-    pins nothing.  A column fixed by exactly one such row is dropped with
-    that row, and its fixed value moves into the right-hand sides b and h
-    of the rows that remain.  Its cost c_j x_j is a constant: it cancels in
-    the duality gap and comes back when the objective is evaluated on the
-    lifted point, so `form` carries no offset.  A column named by two or
-    more singleton rows stays with all of them.  Rows stay in place when
-    they repeat another up to a factor; if two such rows disagree by more
-    than tol relative, `ray` is the Farkas direction they give
-    (`_row_conflict`), which the iteration would otherwise have to find
-    through a rank-deficient A.
+    after dropping explicit zeros from A and G, so a row whose only stored
+    entry is 0 pins nothing.  A column fixed by exactly one such row is
+    dropped with that row, and its fixed value moves into the right-hand
+    sides b and h of the rows that remain.  Its cost c_j x_j is a constant:
+    it cancels in the duality gap and comes back when the objective is
+    evaluated on the lifted point, so `form` carries no offset.  A column
+    named by two or more singleton rows stays with all of them.  Equality
+    rows stay in place when they repeat another up to a factor; if two such
+    rows disagree by more than tol relative, `ray` is the Farkas direction
+    they give (`_row_conflict`), which the iteration would otherwise have to
+    find through a rank-deficient A.
+
+    An orthant row G_d x <= h_d that is a positive multiple of another,
+    G_d = lam G_k with lam > 0 and h_d >= lam h_k, is implied by it and is
+    dropped (Brearley, Mitra & Williams, Math. Prog. 8, 1975; see
+    `_dominated_rows`).  Such rows cannot bind, and left in they get huge
+    equilibration scales that cost the iteration its last digits.  Cone
+    rows are never dropped.
 
     `form` is the reduced problem; `lift` maps a homogeneous point of it
     back to the original columns and rows.
@@ -662,7 +677,8 @@ class _Presolve:
         n, p = form.c.size, form.A.shape[0]
         A = form.A.tocsr(copy=True)
         A.eliminate_zeros()
-        G = form.G.tocsr()
+        G = form.G.tocsr(copy=True)
+        G.eliminate_zeros()
         single = np.flatnonzero(np.diff(A.indptr) == 1)
         col = A.indices[A.indptr[single]]
         pivot = A.data[A.indptr[single]]
@@ -670,29 +686,35 @@ class _Presolve:
         alone = np.bincount(col, minlength=n)[col] == 1
         self.rows, self.cols, self.pivots, self.values = single[alone], col[alone], pivot[alone], value[alone]
         self.ray = _row_conflict(A, form.b, tol)
-        self.free = np.setdiff1d(np.arange(n), self.cols)
-        self.kept = np.setdiff1d(np.arange(p), self.rows)
+        self.free = _complement(self.cols, n)
+        self.kept = _complement(self.rows, p)
         self.shape = n, p
-        A_kept = A[self.kept]
-        A_fixed, G_fixed = A_kept[:, self.cols], G[:, self.cols]
+        orthant = form.cones.orthant
+        self.g_dropped = _dominated_rows(G[:orthant], form.h[:orthant])
+        self.g_kept = _complement(self.g_dropped, G.shape[0])
+        self._G_dropped, self._h_dropped = G[self.g_dropped], form.h[self.g_dropped]
+        A_kept, G_kept = A[self.kept], G[self.g_kept]
+        A_fixed, G_fixed = A_kept[:, self.cols], G_kept[:, self.cols]
         self._A_fixed_t, self._G_fixed_t = A_fixed.T.tocsr(), G_fixed.T.tocsr()
         self._c_fixed = form.c[self.cols]
+        labels = form.row_labels
         self.form = StandardConicForm(
             c=form.c[self.free],
             A=A_kept[:, self.free],
             b=form.b[self.kept] - A_fixed @ self.values,
-            G=G[:, self.free],
-            h=form.h - G_fixed @ self.values,
-            cones=form.cones,
-            row_labels=form.row_labels,
+            G=G_kept[:, self.free],
+            h=form.h[self.g_kept] - G_fixed @ self.values,
+            cones=ConeSpec(orthant=orthant - self.g_dropped.size, socs=form.cones.socs),
+            row_labels=np.asarray(labels, dtype=object)[self.g_kept].tolist() if labels else [],
         )
 
-    def lift(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, tau: float) -> tuple:
-        """(x, y) on the original columns and rows for a reduced point with
-        homogeneous scale tau: a fixed column gets tau times its value, and
-        the y of its row zeroes the column's residual A'y + G'z + tau c.
-        With tau = 0 this lifts a ray, as an infeasibility certificate
-        needs."""
+    def lift(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, s: np.ndarray, tau: float) -> tuple:
+        """(x, y, z, s) on the original columns and rows for a reduced point
+        with homogeneous scale tau: a fixed column gets tau times its value,
+        and the y of its row zeroes the column's residual A'y + G'z + tau c.
+        A dropped inequality row gets z = 0 and the slack s = tau h - G x
+        that its constraint leaves.  With tau = 0 this lifts a ray, as an
+        infeasibility certificate needs."""
         n, p = self.shape
         x_full = np.empty(n)
         x_full[self.free] = x
@@ -700,7 +722,38 @@ class _Presolve:
         y_full = np.empty(p)
         y_full[self.kept] = y
         y_full[self.rows] = -(self._A_fixed_t @ y + self._G_fixed_t @ z + tau * self._c_fixed) / self.pivots
-        return x_full, y_full
+        m = self.g_kept.size + self.g_dropped.size
+        z_full = np.zeros(m)
+        z_full[self.g_kept] = z
+        s_full = np.empty(m)
+        s_full[self.g_kept] = s
+        s_full[self.g_dropped] = tau * self._h_dropped - self._G_dropped @ x_full
+        return x_full, y_full, z_full, s_full
+
+
+def _complement(index: np.ndarray, size: int) -> np.ndarray:
+    """The sorted positions below size that index does not name."""
+    keep = np.ones(size, dtype=bool)
+    keep[index] = False
+    return np.flatnonzero(keep)
+
+
+def _parallel_keys(M: sp.csr_matrix) -> tuple:
+    """(rows, pivots, keys) of the nonempty rows of M, whose column indices
+    must be sorted: a pivot is a row's first stored entry, and a key hashes
+    the row's columns and its entries divided by the pivot, cut to 24
+    significant bits.  Rows with the same nonzero pattern and values
+    proportional up to rounding share a key; the key only proposes such
+    rows, and a collision must be caught by whatever acts on them.
+    """
+    nnz = np.diff(M.indptr)
+    rows = np.flatnonzero(nnz)
+    first = M.indptr[rows]
+    pivots = M.data[first]
+    ratios = (M.data / np.repeat(pivots, nnz[rows])).view(np.uint64) & _TOP_24_BITS
+    weights = np.random.default_rng(0).integers(1, 2**63, size=M.shape[1], dtype=np.uint64)
+    keys = np.add.reduceat(weights[M.indices] * (ratios + np.uint64(1)), first)
+    return rows, pivots, keys
 
 
 def _row_conflict(A: sp.csr_matrix, b: np.ndarray, tol: float) -> np.ndarray | None:
@@ -712,21 +765,12 @@ def _row_conflict(A: sp.csr_matrix, b: np.ndarray, tol: float) -> np.ndarray | N
     tol (1 + |value|) apart, a gap the iteration could close within its
     feasibility tolerance.
 
-    Rows are matched by a hash of their columns and of their entries
-    divided by the first, cut to 24 significant bits, so rows proportional
-    up to rounding share it; a collision only offers a ray that the
-    certificate check then refuses.
+    Rows are matched by `_parallel_keys`; a collision only offers a ray
+    that the certificate check then refuses.
     """
-    A = A.sorted_indices()
-    nnz = np.diff(A.indptr)
-    rows = np.flatnonzero(nnz)
+    rows, pivots, keys = _parallel_keys(A.sorted_indices())
     if rows.size < 2:
         return None
-    first = A.indptr[rows]
-    pivots = A.data[first]
-    ratios = (A.data / np.repeat(pivots, nnz[rows])).view(np.uint64) & _TOP_24_BITS
-    weights = np.random.default_rng(0).integers(1, 2**63, size=A.shape[1], dtype=np.uint64)
-    keys = np.add.reduceat(weights[A.indices] * (ratios + np.uint64(1)), first)
     values = b[rows] / pivots
     order = np.lexsort((values, keys))
     rows, keys, pivots, values = (a[order] for a in (rows, keys, pivots, values))
@@ -742,11 +786,49 @@ def _row_conflict(A: sp.csr_matrix, b: np.ndarray, tol: float) -> np.ndarray | N
     return y
 
 
+def _dominated_rows(G: sp.csr_matrix, h: np.ndarray) -> np.ndarray:
+    """Sorted indices of the rows of G x <= h implied by another row.
+
+    Rows with the same `_parallel_keys` key and pivot sign form a candidate
+    group; the sign keeps a row apart from its negation, the other side of
+    a range.  Each group keeps its row with the least h / |pivot|, the
+    tightest.  Another row d of the group is dropped only when, against
+    that keeper k, it has the same columns, lam = pivot_d / pivot_k > 0,
+    every entry within PARALLEL_RTOL of lam G_k, and h_d >= lam h_k.
+    G must hold no explicit zeros.
+    """
+    G = G.sorted_indices()
+    rows, pivots, keys = _parallel_keys(G)
+    keys = keys + (pivots < 0.0)
+    order = np.lexsort((h[rows] / np.abs(pivots), keys))
+    rows, keys, pivots = rows[order], keys[order], pivots[order]
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    keeper = np.maximum.accumulate(np.where(new, np.arange(rows.size), 0))[~new]
+    d, k = rows[~new], rows[keeper]
+    lam = pivots[~new] / pivots[keeper]
+    nnz = np.diff(G.indptr)
+    same = (nnz[d] == nnz[k]) & (lam > 0.0)
+    d, k, lam = d[same], k[same], lam[same]
+    # entry j of pair i sits at indptr + j on both rows
+    size = nnz[d]
+    start = np.cumsum(size) - size
+    offset = np.arange(size.sum()) - np.repeat(start, size)
+    at_d = np.repeat(G.indptr[d], size) + offset
+    at_k = np.repeat(G.indptr[k], size) + offset
+    g_d = G.data[at_d]
+    match = (G.indices[at_d] == G.indices[at_k]) & (
+        np.abs(g_d - np.repeat(lam, size) * G.data[at_k]) <= PARALLEL_RTOL * np.abs(g_d)
+    )
+    whole = np.logical_and.reduceat(match, start)
+    return np.sort(d[whole & (h[d] >= lam * h[k])])
+
+
 def _infeasibility_certificate(form, presolve, x, y, z, s, tol) -> tuple | None:
     """(status, certificate) when the reduced homogeneous point, lifted back
     as a ray, passes the primal and then the dual certificate check on the
     original data."""
-    x, y = presolve.lift(x, y, z, 0.0)
+    x, y, z, s = presolve.lift(x, y, z, s, 0.0)
     cert = _check_primal_infeasibility_certificate(form, y, z, tol)
     if cert is not None:
         return PRIMAL_INFEASIBLE, cert
@@ -765,16 +847,15 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     t0 = time.perf_counter()
-    spec = form.cones
-    if spec.total != form.G.shape[0]:
+    if form.cones.total != form.G.shape[0]:
         raise ValueError("cone dimensions do not match G")
     # the iteration runs on the reduced problem; every decision reads the
     # lifted iterate on the original data
     presolve = _Presolve(form, tol)
     reduced = presolve.form
+    spec = reduced.cones
     n = reduced.c.size
     p = reduced.A.shape[0]
-    m = reduced.G.shape[0]
 
     As, Gs, d_col, d_eq, d_in = _ruiz_equilibrate(reduced)
     bs = d_eq * reduced.b
@@ -812,7 +893,7 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
     if presolve.ray is not None:
         # conflicting pins are checked like any certificate; one that
         # passes leaves nothing to iterate
-        certificate = _check_primal_infeasibility_certificate(form, presolve.ray, np.zeros(m), tol)
+        certificate = _check_primal_infeasibility_certificate(form, presolve.ray, np.zeros(form.G.shape[0]), tol)
     status = MAX_ITERATIONS if certificate is None else PRIMAL_INFEASIBLE
     max_iter = MAX_ITER if certificate is None else 0
     last_residuals: dict = {}
@@ -827,9 +908,7 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
 
     def lifted_point():
         """The iterate divided by tau, on the original columns and rows."""
-        xh, yh, zh, sh = (v / tau for v in unscaled_point())
-        xh, yh = presolve.lift(xh, yh, zh, 1.0)
-        return xh, yh, zh, sh
+        return presolve.lift(*(v / tau for v in unscaled_point()), 1.0)
 
     kkt = _KKTSystem(As, Gs, spec)
 
@@ -977,8 +1056,7 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
     if status in (OPTIMAL, MAX_ITERATIONS) and tau > 0.0:
         xh, yh, zh, sh = lifted_point()
     else:
-        xh, yh, zh, sh = unscaled_point()
-        xh, yh = presolve.lift(xh, yh, zh, tau)
+        xh, yh, zh, sh = presolve.lift(*unscaled_point(), tau)
     objective = float(form.c @ xh) if status in (OPTIMAL, MAX_ITERATIONS) else math.nan
     return SolveReport(
         status=status,

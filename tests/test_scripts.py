@@ -1,11 +1,16 @@
 """The scripts run end to end on a coarse grid."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SHIPPED = (
+    "arm_7dof", "double_integrator", "pickup", "pivoting", "planar_2dof",
+    *(f"waiter/tilt_{t}" for t in ("0", "10", "15", "17_5", "20")),
+)
 
 
 def test_run_sweeps_prints_three_tables():
@@ -40,12 +45,13 @@ def test_fingerprint_is_one_stable_json_line():
         return json.loads(lines[0])
 
     first = run()
-    expected = {"grid"} | {
+    hashes = {
         f"{kind}/{name}" for kind in ("samples", "fd_suite", "audit") for name in ("pivoting", "pickup", "arm_7dof")
-    }
-    assert set(first) == expected | {"phase_plane/arm_7dof"}
+    } | {"phase_plane/arm_7dof"}
+    solves = {f"solve/{name}/{field}" for name in SHIPPED for field in ("status", "iterations", "T", "x")}
+    assert set(first) == {"grid", "blas_threads"} | hashes | solves
     assert first["grid"] == 6
-    assert all(len(v) == 64 and int(v, 16) >= 0 for k, v in first.items() if k != "grid")
+    assert all(len(first[k]) == 64 and int(first[k], 16) >= 0 for k in hashes)
     assert run() == first
 
 
@@ -70,3 +76,33 @@ def test_fingerprint_check_names_each_changed_key(tmp_path):
     tampered = run("--check", str(saved))
     assert tampered.returncode == 1
     assert [ln.split(":")[1].strip() for ln in tampered.stdout.splitlines() if ln.startswith("differs")] == ["samples/pickup"]
+
+
+def test_fingerprint_solve_keys_name_their_blas_setting(tmp_path):
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS / "fingerprint.py"), "--grid", "6", *args],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+
+    line = json.loads(run().stdout)
+    assert line["blas_threads"] == "1"
+    for name in SHIPPED:
+        status, T = line[f"solve/{name}/status"], line[f"solve/{name}/T"]
+        assert status in ("Optimal", "PrimalInfeasible")
+        assert line[f"solve/{name}/iterations"] > 0
+        assert (T is None) == (status != "Optimal")
+        assert T is None or float.fromhex(T) > 0.0
+        assert len(line[f"solve/{name}/x"]) == 64
+
+    # a line taken under another BLAS setting is flagged, not just diffed
+    line["blas_threads"] = "2"
+    saved = tmp_path / "saved.json"
+    saved.write_text(json.dumps(line))
+    other = run("--check", str(saved))
+    assert other.returncode == 1
+    assert "settings differ: OPENBLAS_NUM_THREADS saved 2, now 1" in other.stdout
+    assert [ln.split(":")[1].strip() for ln in other.stdout.splitlines() if ln.startswith("differs")] == ["blas_threads"]

@@ -8,6 +8,7 @@ solved to the default gap tolerance.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from contact_topp.liegroup import Pose, Twist
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, JointLimits, Link, LinkInertia, RobotModel
 from contact_topp import solver
+from contact_topp.scenario import assemble_scenario, load_scenario
 from contact_topp.solver import (
     ConeSpec,
     StandardConicForm,
+    _Presolve,
     _check_dual_infeasibility_certificate,
     _check_primal_infeasibility_certificate,
     canonicalize,
@@ -643,6 +646,168 @@ class TestPresolve:
         assert report.status == "Optimal"
         assert np.allclose(report.x, x, atol=5e-6)
         assert_verified(prob, report)
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def shipped_form(name, K):
+    return canonicalize(assemble_scenario(load_scenario(SCENARIOS / f"{name}.json"), build_grid(K)))
+
+
+def dropped(prob):
+    return _Presolve(prob, solver.TOL).g_dropped.tolist()
+
+
+@st.composite
+def dominated_forms(draw):
+    """(base, augmented, extra positions): a feasible, bounded LP
+    or SOCP, and the same problem with positive multiples of some of its
+    orthant rows added among them, each h shifted up by a random slack, so
+    that every added row is implied by the row it copies.  No two orthant
+    rows of the base are parallel, so exactly the added rows are
+    dominated."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 5))
+    p = draw(st.integers(0, n - 1))
+    q = draw(st.integers(0, 3))
+    socs = tuple(draw(st.lists(st.integers(2, 4), max_size=2)))
+    x0 = rng.uniform(-1.0, 1.0, n)
+    A = rng.uniform(0.5, 2.0, (p, n)) * rng.choice([-1.0, 1.0], (p, n))
+    R = rng.normal(size=(q, n))
+    orth = np.vstack((np.eye(n), -np.eye(n), R))
+    h_orth = np.concatenate((np.full(2 * n, 2.0), R @ x0 + rng.uniform(0.1, 1.0, q)))
+    G_cone = rng.normal(size=(sum(socs), n))
+    s0 = np.concatenate([[1.0 + rng.uniform(0.1, 1.0)] + list(rng.uniform(-1.0, 1.0, d - 1) / d) for d in socs] or [[]])
+    c = rng.normal(size=n)
+
+    def make(G_o, h_o):
+        return form(c, G=np.vstack((G_o, G_cone)), h=np.concatenate((h_o, G_cone @ x0 + s0)), A=A, b=A @ x0,
+                    orthant=len(h_o), socs=socs)
+
+    copies = rng.integers(len(h_orth), size=draw(st.integers(1, 4)))
+    lam = rng.uniform(0.1, 10.0, copies.size)
+    slack = rng.uniform(0.01, 1.0, copies.size)
+    G_all = np.vstack((orth, lam[:, None] * orth[copies]))
+    h_all = np.concatenate((h_orth, lam * h_orth[copies] + slack))
+    order = rng.permutation(len(h_all))
+    extra = np.flatnonzero(order >= len(h_orth))
+    return make(orth, h_orth), make(G_all[order], h_all[order]), extra
+
+
+def contradicted(prob, row):
+    """prob with one more orthant row, g x >= h + 1 for its orthant row g x <= h."""
+    G, o = prob.G.toarray(), prob.cones.orthant
+    flip = np.vstack((G[:o], -G[row], G[o:]))
+    h = np.concatenate((prob.h[:o], [-prob.h[row] - 1.0], prob.h[o:]))
+    return form(prob.c, G=flip, h=h, A=prob.A.toarray(), b=prob.b, orthant=o + 1, socs=prob.cones.socs)
+
+
+class TestDominatedRows:
+    @settings(max_examples=25)
+    @given(dominated_forms())
+    def test_matches_form_without_the_rows(self, case):
+        base, aug, extra = case
+        assert dropped(aug) == extra.tolist()
+        want, got = solve(base), solve(aug)
+        assert got.status == want.status == "Optimal"
+        assert abs(got.objective - want.objective) <= solver.TOL * max(1.0, abs(want.objective))
+        assert np.all(got.z[extra] == 0.0) and np.all(got.s[extra] >= 0.0)
+        assert (got.z.size, got.s.size) == (aug.G.shape[0],) * 2
+        assert_verified(aug, got)
+
+    @settings(max_examples=10)
+    @given(dominated_forms(), st.integers(0, 2**16))
+    def test_infeasible_variant_certificate(self, case, pick):
+        _, aug, extra = case
+        kept = np.setdiff1d(np.arange(aug.cones.orthant), extra)
+        row = int(kept[pick % kept.size])
+        bad = contradicted(aug, row)
+        # the new row can itself dominate a box side, -x_j <= 2 say
+        gone = dropped(bad)
+        assert set(extra.tolist()) <= set(gone)
+        report = solve(bad)
+        assert report.status == "PrimalInfeasible"
+        assert np.all(report.certificate["z"][gone] == 0.0)
+        assert_primal_certificate(bad, report.certificate)
+        assert _check_primal_infeasibility_certificate(bad, report.certificate["y"], report.certificate["z"],
+                                                       solver.TOL) is not None
+
+    def test_stored_zero_groups_with_its_twin(self):
+        # row 1 stores (2, 0, 4): with the zero taken out it is twice row 0
+        G = sp.csr_matrix(
+            (np.array([1.0, 2.0, 2.0, 0.0, 4.0, -1.0, -1.0, -1.0]), np.array([0, 2, 0, 1, 2, 0, 1, 2]),
+             np.array([0, 2, 5, 6, 7, 8])),
+            shape=(5, 3),
+        )
+        prob = form([1.0, 1.0, 1.0], G=np.zeros((5, 3)), h=[1.0, 3.0, 0.0, 0.0, 0.0], orthant=5)
+        prob.G = G
+        assert dropped(prob) == [1]
+        report = solve(prob)
+        assert report.status == "Optimal" and report.z[1] == 0.0
+        assert_verified(prob, report)
+
+    @pytest.mark.parametrize(
+        "G,h",
+        [
+            # one side of a range: -2 (x0 + 2 x1) <= 5
+            ([[1.0, 2.0], [-2.0, -4.0]], [1.0, 5.0]),
+            # proportional only beyond rounding
+            ([[1.0, 2.0], [2.0, 4.0 * (1.0 + 1e-12)]], [1.0, 5.0]),
+            # the same ratios on other columns
+            ([[1.0, 2.0, 0.0], [0.0, 2.0, 4.0]], [1.0, 5.0]),
+        ],
+        ids=["negation", "beyond_rounding", "other_columns"],
+    )
+    def test_rows_that_stay(self, G, h):
+        G = np.asarray(G)
+        prob = form(np.ones(G.shape[1]), G=G, h=h, orthant=len(h))
+        assert dropped(prob) == []
+
+    def test_cone_rows_stay(self):
+        # the cone's head is twice the orthant row x0 + x1 <= 1 with a looser
+        # h, and the second cone repeats the first
+        G = [[1.0, 1.0], [-2.0, -2.0], [-1.0, 0.0], [-2.0, -2.0], [-1.0, 0.0]]
+        prob = form([1.0, 1.0], G=G, h=[1.0, 5.0, 0.0, 5.0, 0.0], orthant=1, socs=(2, 2))
+        assert dropped(prob) == []
+        cone_only = form([1.0, 1.0], G=G[1:], h=[5.0, 0.0, 5.0, 0.0], socs=(2, 2))
+        assert dropped(cone_only) == []
+
+    def test_exact_tie_keeps_one(self):
+        # x0 + 2 x1 <= 3 and 2 x0 + 4 x1 <= 6 are one constraint
+        G = [[1.0, 2.0], [2.0, 4.0], [-1.0, 0.0], [0.0, -1.0]]
+        prob = form([-1.0, -1.0], G=G, h=[3.0, 6.0, 0.0, 0.0], orthant=4)
+        assert dropped(prob) == [1]
+        report = solve(prob)
+        assert report.status == "Optimal" and abs(report.objective + 3.0) <= 1e-8
+        assert_verified(prob, report)
+
+    def test_tightest_row_is_kept(self):
+        G = [[2.0, 4.0], [1.0, 2.0], [3.0, 6.0], [-1.0, 0.0], [0.0, -1.0]]
+        prob = form([-1.0, -1.0], G=G, h=[7.0, 3.0, 9.5, 0.0, 0.0], orthant=5)
+        assert dropped(prob) == [0, 2]
+
+    @pytest.mark.parametrize("name", ["pickup", "waiter/tilt_15"])
+    def test_shipped_form_without_parallel_rows_is_unchanged(self, name):
+        prob = shipped_form(name, 80)
+        pre = _Presolve(prob, solver.TOL)
+        assert pre.g_dropped.size == 0
+        # the reduced G and h are those of the pin substitution alone
+        G = prob.G.tocsr()
+        assert pre.form.cones == prob.cones and pre.form.row_labels == prob.row_labels
+        assert (pre.form.G != G[:, pre.free]).nnz == 0
+        assert np.array_equal(pre.form.h, prob.h - G[:, pre.cols] @ pre.values)
+
+    @pytest.mark.parametrize("name,count", [("pivoting", 160), ("arm_7dof", 480)])
+    def test_shipped_velocity_rows_dropped(self, name, count):
+        # all of an interval's velocity rows are proportional; one per
+        # interval stays
+        prob = shipped_form(name, 80)
+        pre = _Presolve(prob, solver.TOL)
+        assert pre.g_dropped.size == count
+        assert all(prob.row_labels[i].startswith("velocity[") for i in pre.g_dropped)
+        kept = [label for label in pre.form.row_labels if label.startswith("velocity[")]
+        assert len(kept) == 80 and len({label.split("]")[0] for label in kept}) == 80
 
 
 def hand_program(num_vars, objective, equalities=(), bounds=(), cones=()):
