@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run the three trend studies and print their tables.
+"""Run the three trend studies and print their tables: each point's status,
+minimum time T and solver iteration count.
 
   pickup   grasped-box mass sweep: minimum time grows with payload until the
            grip force cap makes the task infeasible
@@ -29,18 +30,19 @@ ROOT = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 def show(title, header, rows):
     print(f"\n{title}")
-    print(f"  {header[0]:>10s}  {header[1]:<16s}  {header[2]:>10s}")
-    for value, status, total in rows:
+    print(f"  {header:>10s}  {'status':<16s}  {'T':>10s}  {'iterations':>10s}")
+    for value, status, total, iterations in rows:
         t = "-" if total is None else f"{total:.4f}"
-        print(f"  {value:>10}  {status:<16s}  {t:>10s}")
+        it = "-" if iterations is None else str(iterations)
+        print(f"  {value:>10}  {status:<16s}  {t:>10s}  {it:>10s}")
 
 
 def pickup_table(grid, threads):
     sc = load_scenario(os.path.join(ROOT, "pickup.json"))
     masses = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
     pts = sweep(sc, "objects.box.mass", masses, grid=grid, threads=threads)
-    show("pickup: box mass [kg] vs minimum time [s]", ("mass", "status", "T"),
-         [(f"{p.value:g}", p.status, p.total_time) for p in pts])
+    show("pickup: box mass [kg] vs minimum time [s]", "mass",
+         [(f"{p.value:g}", p.status, p.total_time, p.iterations) for p in pts])
 
 
 def pivoting_table(grid, threads):
@@ -51,8 +53,8 @@ def pivoting_table(grid, threads):
         "objects.box.contacts.edge_back.friction.mu",
     ]
     pts = sweep(sc, params, mus, grid=grid, threads=threads)
-    show("pivoting: edge friction vs minimum time [s]", ("mu_env", "status", "T"),
-         [(f"{p.value:g}", p.status, p.total_time) for p in pts])
+    show("pivoting: edge friction vs minimum time [s]", "mu_env",
+         [(f"{p.value:g}", p.status, p.total_time, p.iterations) for p in pts])
     ts = [p.total_time for p in pts if p.total_time is not None]
     if len(ts) == len(mus):
         print(f"  spread (max-min)/min = {(max(ts) - min(ts)) / min(ts):.2e}")
@@ -66,12 +68,10 @@ def waiter_table(grid):
         tilt = os.path.basename(path)[5:-5].replace("_", ".")
         try:
             out = run(sc, RunSettings(grid_override=grid, output_points=2))
-            rows.append((tilt, out.status, out.total_time))
-        except InfeasibleScenarioError as exc:
-            rows.append((tilt, exc.report.status, None))
-        except SolverFailureError as exc:
-            rows.append((tilt, exc.report.status, None))
-    show("waiter: tray tilt [deg] vs minimum time [s]", ("tilt", "status", "T"), rows)
+            rows.append((tilt, out.status, out.total_time, out.meta["iterations"]))
+        except (InfeasibleScenarioError, SolverFailureError) as exc:
+            rows.append((tilt, exc.report.status, None, exc.report.iterations))
+    show("waiter: tray tilt [deg] vs minimum time [s]", "tilt", rows)
 
 
 def main():

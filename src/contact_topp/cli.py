@@ -115,6 +115,7 @@ def _cmd_sweep(args) -> int:
                     "status": p.status,
                     "total_time": p.total_time,
                     "objective": p.objective,
+                    "iterations": p.iterations,
                     "message": p.message,
                 }
                 for p in points

@@ -105,27 +105,6 @@ def _newton_euler(chain, ads_down, qd, qdd, gravity) -> np.ndarray:
     return tau
 
 
-def mass_matrix(model: RobotModel, q) -> np.ndarray:
-    """Joint-space mass matrix assembled column by column from unit accelerations."""
-    n = model.dof
-    zeros = np.zeros(n)
-    M = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        M[:, i] = inverse_dynamics(model, q, zeros, e, np.zeros(3))
-    return M
-
-
-def coriolis_vector(model: RobotModel, q, qd) -> np.ndarray:
-    """C(q, qd) qd: velocity-product torques."""
-    return inverse_dynamics(model, q, qd, np.zeros(model.dof), np.zeros(3))
-
-
-def gravity_vector(model: RobotModel, q, gravity) -> np.ndarray:
-    return inverse_dynamics(model, q, np.zeros(model.dof), np.zeros(model.dof), gravity)
-
-
 def grasp_map(contact_pose: Pose) -> np.ndarray:
     """Wrench map from a contact frame into the body frame holding it."""
     return contact_pose.wrench_map()

@@ -173,9 +173,6 @@ class Pose:
     def inverse(self) -> "Pose":
         return Pose(*_inverse(self.rotation, self.translation))
 
-    def transform_point(self, point) -> np.ndarray:
-        return self.rotation @ np.asarray(point, dtype=float) + self.translation
-
     def adjoint(self) -> np.ndarray:
         """6x6 twist transform: V_here = Ad(T_here_other) V_other."""
         return _adjoint(self.rotation, self.translation)

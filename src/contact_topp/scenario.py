@@ -71,17 +71,6 @@ class Scenario:
     boundary_sdot: tuple
     source: dict
 
-    def contact_census(self) -> tuple[int, int]:
-        """(number of point contacts u, number of soft-finger contacts v)."""
-        u = v = 0
-        for obj in self.scene.objects:
-            for c in obj.model.contacts:
-                if c.model == "pcwf":
-                    u += 1
-                else:
-                    v += 1
-        return u, v
-
 
 def _need(mapping, key, where):
     if not isinstance(mapping, dict):
@@ -504,10 +493,14 @@ SWEEP_INPUT_ERROR = "InputError"
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One point of a sweep.  `iterations` is the solver's iteration count,
+    None when the point never reached the solver (`SWEEP_INPUT_ERROR`)."""
+
     value: float
     status: str
     total_time: float | None
     objective: float | None
+    iterations: int | None
     message: str | None = None
 
 
@@ -521,11 +514,11 @@ def _sweep_worker(payload):
         scenario = scenario_from_dict(data)
         program, report, solution = solve_scenario(scenario, settings)
     except ValueError as exc:
-        return SweepPoint(value, SWEEP_INPUT_ERROR, None, None, str(exc))
+        return SweepPoint(value, SWEEP_INPUT_ERROR, None, None, None, str(exc))
     if report.status == OPTIMAL:
         total = recover_time(solution.speed_sq, program.grid).total
-        return SweepPoint(value, report.status, float(total), float(report.objective))
-    return SweepPoint(value, report.status, None, None)
+        return SweepPoint(value, report.status, float(total), float(report.objective), report.iterations)
+    return SweepPoint(value, report.status, None, None, report.iterations)
 
 
 def sweep(

@@ -33,6 +33,10 @@ band, and factored in that order with partial pivoting.
 Convergence and infeasibility decisions are made on the original problem
 data, from the lifted iterate.  Ruiz equilibration (uniform across each
 cone block, so cone geometry is preserved) is applied internally only.
+A certificate is tried at every iterate with kappa > tau and accepted only
+when the lifted ray passes its check; until mu < tol * 1e-2 or tau
+collapses, the ray must also cancel to tol against the size of its own
+terms, which no scaling of the data can fake.
 """
 
 from __future__ import annotations
@@ -616,20 +620,32 @@ def _rounding_bound(*pairs) -> float:
     return n * np.finfo(float).eps * sum(float(np.abs(u) @ np.abs(v)) for u, v in pairs)
 
 
-def _check_primal_infeasibility_certificate(form, y, z, tol) -> dict | None:
+# Each certificate check normalizes the ray to potential -1 and asks for
+# residuals below tol times a data scale.  Those residuals shrink with the
+# ray when b and h (primal) or c (dual) are large: an early iterate of a
+# feasible problem with |h| ~ 1e8 or |c| ~ 1e4 passes.  With `relative`
+# set, the residual must also be below tol times the size of the terms it
+# sums (sum |M| |v| for each product M v), a test that no diagonal scaling
+# of the data moves and that such an iterate fails.
+
+
+def _check_primal_infeasibility_certificate(form, y, z, tol, relative: bool = False) -> dict | None:
     pot = float(form.b @ y + form.h @ z)
     if -pot <= _rounding_bound((form.b, y), (form.h, z)):
         return None
     yc, zc = y / -pot, z / -pot
     res = float(np.linalg.norm(form.A.T @ yc + form.G.T @ zc, ord=np.inf))
     scale = max(1.0, float(abs(form.A).max() if form.A.nnz else 1.0), float(abs(form.G).max() if form.G.nnz else 1.0))
+    bound = scale
+    if relative:
+        bound = min(bound, float(np.max(abs(form.A.T) @ np.abs(yc) + abs(form.G.T) @ np.abs(zc), initial=0.0)))
     cone_err = cone_residual(form.cones, zc)
-    if res <= tol * scale and cone_err <= tol * scale:
+    if res <= tol * bound and cone_err <= tol * scale:
         return {"kind": "primal", "y": yc, "z": zc, "residual": res, "cone_residual": cone_err}
     return None
 
 
-def _check_dual_infeasibility_certificate(form, x, s, tol) -> dict | None:
+def _check_dual_infeasibility_certificate(form, x, s, tol, relative: bool = False) -> dict | None:
     pot = float(form.c @ x)
     if -pot <= _rounding_bound((form.c, x)):
         return None
@@ -639,7 +655,12 @@ def _check_dual_infeasibility_certificate(form, x, s, tol) -> dict | None:
     res_in = float(np.linalg.norm(form.G @ xc + sc, ord=np.inf)) if form.G.shape[0] else 0.0
     cone_err = cone_residual(form.cones, sc)
     scale = max(1.0, float(np.linalg.norm(form.c, ord=np.inf)))
-    if max(res_eq, res_in) <= tol * scale and cone_err <= tol * scale:
+    bound = scale
+    if relative:
+        size_eq = float(np.max(abs(form.A) @ np.abs(xc), initial=0.0))
+        size_in = float(np.max(abs(form.G) @ np.abs(xc) + np.abs(sc), initial=0.0))
+        bound = min(bound, max(size_eq, size_in))
+    if max(res_eq, res_in) <= tol * bound and cone_err <= tol * scale:
         return {"kind": "dual", "x": xc, "s": sc, "residual": max(res_eq, res_in), "cone_residual": cone_err}
     return None
 
@@ -824,15 +845,15 @@ def _dominated_rows(G: sp.csr_matrix, h: np.ndarray) -> np.ndarray:
     return np.sort(d[whole & (h[d] >= lam * h[k])])
 
 
-def _infeasibility_certificate(form, presolve, x, y, z, s, tol) -> tuple | None:
+def _infeasibility_certificate(form, presolve, x, y, z, s, tol, relative) -> tuple | None:
     """(status, certificate) when the reduced homogeneous point, lifted back
     as a ray, passes the primal and then the dual certificate check on the
-    original data."""
+    original data (`relative` as in those checks)."""
     x, y, z, s = presolve.lift(x, y, z, s, 0.0)
-    cert = _check_primal_infeasibility_certificate(form, y, z, tol)
+    cert = _check_primal_infeasibility_certificate(form, y, z, tol, relative)
     if cert is not None:
         return PRIMAL_INFEASIBLE, cert
-    cert = _check_dual_infeasibility_certificate(form, x, s, tol)
+    cert = _check_dual_infeasibility_certificate(form, x, s, tol, relative)
     if cert is not None:
         return DUAL_INFEASIBLE, cert
     return None
@@ -842,7 +863,11 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
     """Run the homogeneous self-dual predictor-corrector iteration.
 
     `tol` bounds the relative residuals and gap of an optimum and the
-    residuals of an infeasibility certificate.
+    residuals of an infeasibility certificate.  A certificate is tried at
+    every iterate with kappa > tau: a ray that fails its check is refused
+    and the iteration goes on, so a refused attempt leaves the solve as it
+    was.  When tau collapses (the guard) and no ray passes, the solve ends
+    in NumericalFailure.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
@@ -1036,11 +1061,15 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
             status = OPTIMAL
             break
 
-        # infeasibility: certificates are only accepted after an independent
-        # check on the original data
+        # infeasibility: a certificate is tried at every iterate that leans
+        # toward a ray (kappa > tau) and is accepted only after an
+        # independent check on the original data; a ray not yet accurate
+        # enough is refused and the iteration goes on.  Before mu is small
+        # or tau has collapsed, the ray must also pass the scale-free test.
         guard = tau < TAU_KAPPA_GUARD * max(1.0, kappa)
-        if guard or (mu < tol * 1e-2 and kappa > tau):
-            found = _infeasibility_certificate(form, presolve, *unscaled_point(), tol)
+        if guard or kappa > tau:
+            early = not (guard or mu < tol * 1e-2)
+            found = _infeasibility_certificate(form, presolve, *unscaled_point(), tol, early)
             if found is not None:
                 status, certificate = found
                 break

@@ -295,9 +295,10 @@ class _Section:
     A family is added over an index grid (interval k, joint i, ...): `keep`
     marks the grid points that get a row, numbered in C order.  Each term is
     (columns, values, present), broadcastable to the grid shape + (slots,),
-    and only present entries are stored.  The offset and any other per-row
-    field (lower, upper) broadcast over the grid; `label` formats a row from
-    its grid index.
+    and only present entries are stored; `build` drops those whose value is
+    zero, so no matrix carries an explicit zero.  The offset and any other
+    per-row field (lower, upper) broadcast over the grid; `label` formats a
+    row from its grid index.
     """
 
     def __init__(self):
@@ -320,6 +321,7 @@ class _Section:
     def build(self, cls, width: int, **fields):
         rows, cols, vals = (np.concatenate(part) for part in zip(*self.entries))
         matrix = sp.csr_matrix((vals, (rows, cols)), shape=(self.size, width))
+        matrix.eliminate_zeros()
         per_row = {name: np.concatenate(parts) for name, parts in self.per_row.items()}
         return cls(matrix, labels=tuple(self.labels), **per_row, **fields)
 
@@ -571,19 +573,6 @@ class PathTiming:
     node_times: np.ndarray
     grid: Grid
     speed_sq: np.ndarray
-
-    def time_of(self, s: float) -> float:
-        s = float(np.clip(s, 0.0, 1.0))
-        pts = self.grid.points
-        k = min(int(np.searchsorted(pts, s, side="right")) - 1, self.grid.intervals - 1)
-        k = max(k, 0)
-        ds = s - pts[k]
-        b_lo, b_hi = self.speed_sq[k], self.speed_sq[k + 1]
-        slope = (b_hi - b_lo) / self.grid.spacing
-        if abs(slope) < 1e-300:
-            return float(self.node_times[k] + ds / math.sqrt(max(b_lo, 1e-300)))
-        b_here = max(b_lo + slope * ds, 0.0)
-        return float(self.node_times[k] + 2.0 * (math.sqrt(b_here) - math.sqrt(max(b_lo, 0.0))) / slope)
 
     def s_of(self, t: float) -> float:
         t = float(np.clip(t, 0.0, self.total))

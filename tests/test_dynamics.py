@@ -11,11 +11,8 @@ from contact_topp.dynamics import (
     ObjectModel,
     RobotInstance,
     Scene,
-    coriolis_vector,
     grasp_map,
-    gravity_vector,
     inverse_dynamics,
-    mass_matrix,
     object_net_wrench_coefficients,
     sample_path_dynamics,
     stack_dynamics_in_s,
@@ -31,6 +28,23 @@ from conftest import make_limits, planar_arm, spatial_arm
 GRAV = np.array([0.0, 0.0, -9.81])
 
 
+# M(q), C(q, qd) qd and g(q) of the equation of motion, each one RNEA call
+# (or one per column) with the other terms zeroed
+
+
+def mass_matrix(model, q):
+    n = model.dof
+    return np.column_stack([inverse_dynamics(model, q, np.zeros(n), e, np.zeros(3)) for e in np.eye(n)])
+
+
+def coriolis_vector(model, q, qd):
+    return inverse_dynamics(model, q, qd, np.zeros(model.dof), np.zeros(3))
+
+
+def gravity_vector(model, q, gravity):
+    return inverse_dynamics(model, q, np.zeros(model.dof), np.zeros(model.dof), gravity)
+
+
 def link_frame_pose(model, q, i):
     T = Pose.identity()
     for joint, qj in zip(model.joints[: i + 1], q[: i + 1]):
@@ -43,7 +57,8 @@ def total_energy(model, q, qd, gravity):
     kinetic = 0.5 * qd @ M @ qd
     potential = 0.0
     for i, link in enumerate(model.links):
-        com_world = link_frame_pose(model, q, i).transform_point(link.inertia.com)
+        frame = link_frame_pose(model, q, i)
+        com_world = frame.rotation @ link.inertia.com + frame.translation
         potential -= link.inertia.mass * (gravity @ com_world)
     return kinetic + potential
 

@@ -82,6 +82,12 @@ def slider_scenario(grid_points=12, **kwargs):
     }
 
 
+def contact_census(sc):
+    """(number of point contacts u, number of soft-finger contacts v)."""
+    models = [c.model for obj in sc.scene.objects for c in obj.model.contacts]
+    return models.count("pcwf"), len(models) - models.count("pcwf")
+
+
 # loader
 
 
@@ -90,7 +96,7 @@ def test_loads_minimal_scenario():
     assert sc.name == "slider_case"
     assert sc.grid_points == 12
     assert sc.boundary_sdot == (0.0, 0.0)
-    assert sc.contact_census() == (0, 0)
+    assert contact_census(sc) == (0, 0)
 
 
 def test_missing_field_is_named():
@@ -230,8 +236,8 @@ def waiter_dict():
 def test_waiter_assembles():
     sc = scenario_from_dict(waiter_dict())
     prog = assemble_scenario(sc)
-    assert sc.contact_census() == (3, 2)
-    K, (u, v), n = sc.grid_points, sc.contact_census(), sc.scene.dof
+    assert contact_census(sc) == (3, 2)
+    K, (u, v), n = sc.grid_points, contact_census(sc), sc.scene.dof
     assert prog.free_scalar_count() == K * (4 + 3 * u + 4 * v + n) - 2
 
 
@@ -266,7 +272,7 @@ def test_three_object_stack_assembles():
     data["objects"].append(top)
     sc = scenario_from_dict(data)
     prog = assemble_scenario(sc, build_grid(4))
-    (u, v), n = sc.contact_census(), sc.scene.dof
+    (u, v), n = contact_census(sc), sc.scene.dof
     assert (u, v) == (6, 2)
     assert prog.free_scalar_count() == 4 * (4 + 3 * u + 4 * v + n) - 2
 
@@ -394,6 +400,8 @@ def test_sweep_reports_infeasible_points():
     pts = sweep(sc, "robots.0.model.joints.0.velocity_max", [0.9, 1e-9], threads=1)
     assert pts[0].status == "Optimal"
     assert pts[1].total_time is None
+    # both points report the solver's iteration count
+    assert pts[0].iterations > 0 and pts[1].iterations > 0
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -405,8 +413,8 @@ def test_sweep_bad_points_get_their_own_status(threads):
     pts = sweep(sc, "robots.0.model.joints.0.velocity_max", [2.0, -1.0, 1.0], threads=threads)
     assert [p.status for p in pts] == ["Optimal", SWEEP_INPUT_ERROR, "Optimal"]
     assert "velocity_max must be positive" in pts[1].message
-    assert pts[1].total_time is None and pts[1].objective is None
-    assert pts[0].message is None and pts[0].total_time > 0.0
+    assert pts[1].total_time is None and pts[1].objective is None and pts[1].iterations is None
+    assert pts[0].message is None and pts[0].total_time > 0.0 and pts[0].iterations > 0
     pts = sweep(sc, "boundary_sdot.0", [0.5, 3.0], grid=1, threads=threads)
     assert [p.status for p in pts] == ["Optimal", SWEEP_INPUT_ERROR]
     assert "velocity limit of joint 0 violated by fixed boundary speed" in pts[1].message
@@ -547,6 +555,7 @@ def test_cli_sweep_bad_point_exit(tmp_path, capsys):
     points = json.loads(out_json.read_text())["points"]
     assert [p["status"] for p in points] == ["Optimal", SWEEP_INPUT_ERROR]
     assert points[0]["message"] is None
+    assert points[0]["iterations"] > 0 and points[1]["iterations"] is None
     assert "velocity_max must be positive" in points[1]["message"]
 
 

@@ -29,6 +29,12 @@ def test_run_sweeps_prints_three_tables():
         assert title in done.stdout
     assert "NumericalFailure" not in done.stdout
     assert "MaxIterations" not in done.stdout
+    # every point row ends with the solver's iteration count
+    statuses = ("Optimal", "PrimalInfeasible")
+    rows = [line.split() for line in done.stdout.splitlines() if any(s in line.split() for s in statuses)]
+    assert len(rows) == 6 + 4 + 5
+    assert all(len(row) == 4 and int(row[3]) > 0 for row in rows)
+    assert done.stdout.count("iterations") == 3
 
 
 def test_fingerprint_is_one_stable_json_line():

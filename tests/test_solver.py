@@ -22,7 +22,7 @@ from contact_topp.liegroup import Pose, Twist
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, JointLimits, Link, LinkInertia, RobotModel
 from contact_topp import solver
-from contact_topp.scenario import assemble_scenario, load_scenario
+from contact_topp.scenario import assemble_scenario, load_scenario, sweep
 from contact_topp.solver import (
     ConeSpec,
     StandardConicForm,
@@ -808,6 +808,134 @@ class TestDominatedRows:
         assert all(prob.row_labels[i].startswith("velocity[") for i in pre.g_dropped)
         kept = [label for label in pre.form.row_labels if label.startswith("velocity[")]
         assert len(kept) == 80 and len({label.split("]")[0] for label in kept}) == 80
+
+
+def interior_point(rng, orthant, socs):
+    """A point strictly inside the orthant times the second-order cones."""
+    heads = [np.r_[1.0 + rng.uniform(0.1, 1.0), rng.uniform(-1.0, 1.0, d - 1) / d] for d in socs]
+    return np.concatenate([rng.uniform(0.1, 1.0, orthant)] + heads)
+
+
+def planted_form(seed, margin):
+    """An LP or SOCP with a planted Farkas ray (y, z): A'y + G'z = 0 with z
+    strictly inside the cone and b'y + h'z = margin z's0 for an interior s0.
+    margin < 0 makes the ray a certificate; margin > 0 leaves x0 feasible
+    with slack margin s0.  The cost is A'y1 + G'z1 with z1 interior, so the
+    dual is strictly feasible: no form has a dual infeasibility ray and a
+    feasible one is bounded."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    p = int(rng.integers(0, n))
+    o = int(rng.integers(2, 6))
+    socs = tuple(int(d) for d in rng.integers(2, 5, size=rng.integers(0, 3)))
+    z = interior_point(rng, o, socs)
+    y = rng.normal(size=p)
+    A = rng.normal(size=(p, n))
+    G = rng.normal(size=(z.size, n))
+    G -= np.outer(z, A.T @ y + G.T @ z) / (z @ z)
+    c = -(A.T @ rng.normal(size=p) + G.T @ interior_point(rng, o, socs))
+    x0 = rng.normal(size=n)
+    return form(c, G=G, h=G @ x0 + margin * interior_point(rng, o, socs), A=A, b=A @ x0, orthant=o, socs=socs)
+
+
+def badly_scaled(prob, scale):
+    """prob with its cost or its right-hand sides blown up, per `scale`."""
+    c_scale, rhs_scale = {"none": (1.0, 1.0), "cost": (1e4, 1.0), "rhs": (1.0, 1e8)}[scale]
+    return StandardConicForm(c=c_scale * prob.c, A=prob.A, b=rhs_scale * prob.b, G=prob.G, h=rhs_scale * prob.h,
+                             cones=prob.cones)
+
+
+def solve_counting_attempts(prob):
+    """(report, number of certificate attempts) for one solve."""
+    attempts = []
+    tried = solver._infeasibility_certificate
+
+    def counted(*args):
+        attempts.append(args)
+        return tried(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_infeasibility_certificate", counted)
+        return solve(prob), len(attempts)
+
+
+def solve_without_attempts(prob):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_infeasibility_certificate", lambda *args: None)
+        return solve(prob)
+
+
+def assert_same_solve(got, want):
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    assert got.x.tobytes() == want.x.tobytes()
+    assert float(got.objective).hex() == float(want.objective).hex()
+
+
+class TestEarlyCertificates:
+    """A certificate is tried at every iterate with kappa > tau."""
+
+    @settings(max_examples=20)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["none", "cost"]))
+    def test_planted_ray_is_certified(self, seed, scale):
+        prob = badly_scaled(planted_form(seed, -1.0), scale)
+        report = solve(prob)
+        assert report.status == "PrimalInfeasible"
+        assert_primal_certificate(prob, report.certificate)
+
+    @settings(max_examples=20)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["none", "cost", "rhs"]))
+    def test_attempts_leave_feasible_solves_alone(self, seed, scale):
+        # a refused attempt changes nothing: the solve is the one that never
+        # tries a certificate, bit for bit
+        prob = badly_scaled(planted_form(seed, 1.0), scale)
+        want = solve_without_attempts(prob)
+        assert want.status == "Optimal"
+        assert_same_solve(solve(prob), want)
+
+    def test_badly_scaled_feasible_forms_are_tried_and_refused(self):
+        # the absolute residual test alone accepts early rays of these
+        # bounded, feasible forms; the scale-free test refuses them
+        tried = 0
+        for seed in range(8):
+            for scale in ("cost", "rhs"):
+                report, attempts = solve_counting_attempts(badly_scaled(planted_form(seed, 1.0), scale))
+                assert report.status == "Optimal", (seed, scale)
+                tried += attempts
+        assert tried > 0
+
+    def test_relative_test_refuses_a_ray_that_only_the_scale_hides(self):
+        # -1e9 - 1 <= x <= -1e9 is feasible; z = (1, 1 - 1e-6) has potential
+        # about -1e3, so G'z / -pot = 1e-9 passes the absolute test while
+        # G'z is 5e-7 of its terms
+        prob = form([0.0], G=[[1.0], [-1.0]], h=[-1e9, 1e9 + 1.0], orthant=2)
+        y, z = np.zeros(0), np.array([1.0, 1.0 - 1e-6])
+        assert _check_primal_infeasibility_certificate(prob, y, z, solver.TOL) is not None
+        assert _check_primal_infeasibility_certificate(prob, y, z, solver.TOL, relative=True) is None
+        # the same test refuses the dual ray x = -1 of a bounded problem
+        # whose cost is large
+        prob = form([1e6], G=[[-1.0], [1.0]], h=[0.0, 1.0], orthant=2)
+        x, s = np.array([-1.0]), np.array([1.0 - 1e-6, 1.0])
+        assert _check_dual_infeasibility_certificate(prob, x, s, solver.TOL) is not None
+        assert _check_dual_infeasibility_certificate(prob, x, s, solver.TOL, relative=True) is None
+
+    def test_pivoting_attempt_at_iteration_one_changes_nothing(self):
+        prob = shipped_form("pivoting", 80)
+        got, attempts = solve_counting_attempts(prob)
+        assert got.status == "Optimal" and attempts >= 1
+        assert_same_solve(got, solve_without_attempts(prob))
+
+    @pytest.mark.parametrize("name,most", [("waiter/tilt_17_5", 9), ("waiter/tilt_20", 8)])
+    def test_waiter_tilts_certified_early(self, name, most):
+        report = solve(shipped_form(name, 80))
+        assert report.status == "PrimalInfeasible" and report.certificate["kind"] == "primal"
+        assert report.iterations <= most
+
+    def test_heavy_pickup_certified_early(self):
+        sc = load_scenario(SCENARIOS / "pickup.json")
+        (point,) = sweep(sc, "objects.box.mass", [1.75], grid=80)
+        assert point.status == "PrimalInfeasible"
+        assert point.iterations <= 8
 
 
 def hand_program(num_vars, objective, equalities=(), bounds=(), cones=()):

@@ -21,7 +21,7 @@ from contact_topp.dynamics import ObjectInstance, ObjectModel, RobotInstance, Sc
 from contact_topp.liegroup import Pose, Twist
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, JointLimits, Link, LinkInertia, RobotModel
-from contact_topp.scenario import assemble_scenario, scenario_from_dict
+from contact_topp.scenario import assemble_scenario, load_scenario, scenario_from_dict
 from contact_topp.solver import canonicalize
 from contact_topp.transcription import (
     ConicProgram,
@@ -222,13 +222,25 @@ class TestExtraction:
         assert np.allclose(sol.wrenches[cid][1], x[sl][6:12])
 
 
+def time_of(timing, s):
+    """Closed-form time at path position s: the inverse of `PathTiming.s_of`."""
+    pts = timing.grid.points
+    k = min(max(int(np.searchsorted(pts, s, side="right")) - 1, 0), timing.grid.intervals - 1)
+    b_lo, b_hi = timing.speed_sq[k], timing.speed_sq[k + 1]
+    slope = (b_hi - b_lo) / timing.grid.spacing
+    ds = s - pts[k]
+    if slope == 0.0:
+        return timing.node_times[k] + ds / math.sqrt(b_lo)
+    return timing.node_times[k] + 2.0 * (math.sqrt(b_lo + slope * ds) - math.sqrt(b_lo)) / slope
+
+
 class TestRecoverTime:
     def test_unit_speed(self):
         g = build_grid(10)
         timing = recover_time(np.ones(11), g)
         assert timing.total == pytest.approx(1.0)
         for s in (0.0, 0.23, 0.77, 1.0):
-            assert timing.time_of(s) == pytest.approx(s, abs=1e-12)
+            assert time_of(timing, s) == pytest.approx(s, abs=1e-12)
 
     def test_double_speed(self):
         timing = recover_time(np.full(5, 4.0), build_grid(4))
@@ -249,7 +261,7 @@ class TestRecoverTime:
         b[0] = 0.0
         timing = recover_time(b, build_grid(8))
         for s in np.linspace(0.01, 1.0, 17):
-            assert timing.s_of(timing.time_of(s)) == pytest.approx(s, abs=1e-9)
+            assert timing.s_of(time_of(timing, s)) == pytest.approx(s, abs=1e-9)
 
     def test_node_times_match_interval_formula(self):
         b = np.array([0.0, 0.5, 2.0, 1.0])
@@ -301,7 +313,9 @@ class TestConstantRowChecks:
 
 
 # golden program-v1 dumps, written by the assembly that built one Python
-# object per row; the array assembly must reproduce them row for row
+# object per row; the array assembly must reproduce them row for row.  That
+# assembly stored some zero coefficients, which today's drops: a stored zero
+# and a missing entry are the same row.
 
 DATA = Path(__file__).resolve().parent / "data"
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -332,11 +346,25 @@ def assert_rows_match(fresh, golden):
         assert {k: new[k] for k in new if k not in ("cols", "vals", "offset")} == {
             k: old[k] for k in old if k not in ("cols", "vals", "offset")
         }
-        new_map, old_map = dict(zip(new["cols"], new["vals"])), dict(zip(old["cols"], old["vals"]))
+        new_map = dict(zip(new["cols"], new["vals"]))
+        old_map = {c: v for c, v in zip(old["cols"], old["vals"]) if v != 0.0}
         assert sorted(new_map) == sorted(old_map), new["label"]
         cols = sorted(old_map)
         np.testing.assert_allclose([new_map[c] for c in cols], [old_map[c] for c in cols], **VALUE_TOL)
         np.testing.assert_allclose(new["offset"], old["offset"], **VALUE_TOL)
+
+
+SHIPPED = sorted(SCENARIOS.glob("*.json")) + sorted(SCENARIOS.glob("waiter/*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_shipped_programs_store_no_zeros(path):
+    # a zero coefficient is no entry: the assembled matrices carry none, so
+    # dumps and nonzero counts hold only the real coupling
+    program = assemble_scenario(load_scenario(str(path)), build_grid(16))
+    for rows in (program.equalities, program.bounds, program.cones):
+        assert rows.matrix.nnz > 0
+        assert np.count_nonzero(rows.matrix.data == 0.0) == 0, rows.labels[0]
 
 
 class TestGoldenDumps:
@@ -360,7 +388,8 @@ class TestGoldenDumps:
         assert loaded.cones == fresh.cones
         assert loaded.row_labels == fresh.row_labels
         for key in ("A", "G"):
-            got, want = getattr(loaded, key), getattr(fresh, key)
+            got, want = getattr(loaded, key).copy(), getattr(fresh, key)
+            got.eliminate_zeros()
             assert got.shape == want.shape
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
