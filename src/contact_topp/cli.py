@@ -20,6 +20,7 @@ from .scenario import (
     ScenarioError,
     SolverFailureError,
     assemble_scenario,
+    check_profile,
     load_scenario,
     profile_from_json_dict,
     run,
@@ -38,13 +39,13 @@ EXIT_INPUT = 4
 TOL_HELP = "solver tolerance on feasibility, duality gap and infeasibility certificates (default: %(default)g)"
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ScenarioError(f"--tol must be a positive finite number, got {tol!r}")
+def _check_positive(option: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ScenarioError(f"{option} must be a positive finite number, got {value!r}")
 
 
 def _cmd_solve(args) -> int:
-    _check_tol(args.tol)
+    _check_positive("--tol", args.tol)
     scenario = load_scenario(args.scenario)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -84,7 +85,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _check_tol(args.tol)
+    _check_positive("--tol", args.tol)
     scenario = load_scenario(args.scenario)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -132,6 +133,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_positive("--tolerance", args.tolerance)
     scenario = load_scenario(args.scenario)
     try:
         with open(args.output) as fh:
@@ -140,7 +142,8 @@ def _cmd_verify(args) -> int:
         raise ScenarioError(f"trajectory file {args.output!r} does not exist") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"trajectory file {args.output!r} is not valid JSON: {exc}") from exc
-    profile, _, _ = profile_from_json_dict(dump)
+    profile, intervals, _ = profile_from_json_dict(dump)
+    check_profile(profile, intervals, scenario)
     ledger = verification_ledger(scenario, profile, tolerance=args.tolerance)
     text = json.dumps(ledger, indent=2)
     if args.out:

@@ -15,7 +15,9 @@ per robot, the checked joint-to-link adjoints (`_down_adjoints`) feed the
 acceleration, velocity-squared and gravity Newton-Euler passes, and one
 space chain (`liegroup._space_chain`) per robot that carries an object or
 holds a contact feeds the object's pose, direction and rate and every
-contact Jacobian.
+contact Jacobian.  The acceleration (qd, qdd) = (0, q') and gravity (0, 0)
+passes run at rest, where `_newton_euler` leaves out the velocity products,
+exact zeros that change no bit of the torques.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .liegroup import (
     _adjoint,
     _checked,
     _compose,
+    _cross3,
     _direction_terms,
     _exp_rp,
     _reporting_frame,
@@ -79,16 +82,28 @@ def _down_adjoints(chain, q) -> list[np.ndarray]:
 
 
 def _newton_euler(chain, ads_down, qd, qdd, gravity) -> np.ndarray:
-    """Velocity, acceleration and force recursion of `inverse_dynamics` on given down adjoints."""
+    """Velocity, acceleration and force recursion of `inverse_dynamics` on given down adjoints.
+
+    With no nonzero joint rate every link twist V stays exactly zero, and so
+    do the velocity products (ad(V) A) qd_i and ad(V)^T G V.  Neither can
+    change a bit of the sum it enters: the first is added to a
+    matrix-vector product, which numpy and BLAS sum from +0 and so never
+    give -0, and the second is such a product, a +0 that is subtracted.
+    The recursion then leaves both out.
+    """
     n = len(chain)
     g = np.asarray(gravity, dtype=float).reshape(3)
+    moving = bool(qd.any())
     V = np.zeros(6)
     Vd = np.concatenate([-g, np.zeros(3)])
     vel = []
     acc = []
     for (A, _, _), Ad, qdi, qddi in zip(chain, ads_down, qd, qdd):
-        V = Ad @ V + A * qdi
-        Vd = Ad @ Vd + (_ad(V) @ A) * qdi + A * qddi
+        if moving:
+            V = Ad @ V + A * qdi
+            Vd = Ad @ Vd + (_ad(V) @ A) * qdi + A * qddi
+        else:
+            Vd = Ad @ Vd + A * qddi
         vel.append(V)
         acc.append(Vd)
 
@@ -100,7 +115,9 @@ def _newton_euler(chain, ads_down, qd, qdd, gravity) -> np.ndarray:
             F = ads_down[i + 1].T @ F
         else:
             F = np.zeros(6)
-        F = F + G @ acc[i] - _ad(vel[i]).T @ (G @ vel[i])
+        F = F + G @ acc[i]
+        if moving:
+            F = F - _ad(vel[i]).T @ (G @ vel[i])
         tau[i] = A @ F
     return tau
 
@@ -149,7 +166,7 @@ def object_net_wrench_coefficients(
     """
     M = obj.spatial_mass()
     v, w = j_dir[:3], j_dir[3:]
-    gyro = np.concatenate([np.cross(w, obj.mass * v), np.cross(w, obj.inertia @ w)])
+    gyro = np.concatenate([_cross3(w, obj.mass * v), _cross3(w, obj.inertia @ w)])
     return M @ j_dir, M @ j_dir_rate + gyro
 
 
@@ -295,7 +312,7 @@ def _world_normal_rotation(R_obj: np.ndarray, world_axis: np.ndarray, hint: np.n
     if nx < 1e-9:
         raise ValueError("contact tangent hint parallel to the world normal")
     x = x / nx
-    return np.column_stack([x, np.cross(z, x), z])
+    return np.column_stack([x, _cross3(z, x), z])
 
 
 def contact_pose_at(scene: Scene, obj: ObjectInstance, contact: ContactSpec, R_obj_world: np.ndarray) -> Pose:

@@ -14,7 +14,8 @@ of every `Pose`.
 One pass over the joints, `_space_chain`, gives the end-effector pose and
 the space Jacobian columns at q; `_reporting_frame` maps those columns
 into any tool frame.  `forward_kinematics`, `body_jacobian` and
-`object_path_kinematics` each run the chain once, and
+`object_path_kinematics` each run the chain once (`forward_kinematics`
+without the columns, which it would drop), and
 `dynamics.sample_path_dynamics` builds and checks it once per robot per
 sample and hands it to every frame it needs.
 """
@@ -258,12 +259,16 @@ def _times_exp(R, p, twist: Twist, angle: float) -> tuple[np.ndarray, np.ndarray
     return _checked(*_compose(R, p, *_checked(*_exp_rp(twist.angular, twist.linear, angle))))
 
 
-def _space_chain(model, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, p, cols): the checked end-effector pose after `x_ref` and the space Jacobian columns at q."""
-    cols = np.zeros((6, model.dof))
+def _space_chain(model, q, columns: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(R, p, cols): the checked end-effector pose after `x_ref` and the space Jacobian columns at q.
+
+    With `columns` false the columns are not built and `cols` is None.
+    """
+    cols = np.zeros((6, model.dof)) if columns else None
     R, p = np.eye(3), np.zeros(3)
     for i, (joint, qi) in enumerate(zip(model.joints, q)):
-        cols[:, i] = _adjoint(R, p) @ joint.twist.as_array()
+        if columns:
+            cols[:, i] = _adjoint(R, p) @ joint.twist.as_array()
         R, p = _times_exp(R, p, joint.twist, qi)
     R, p = _checked(*_compose(R, p, model.x_ref.rotation, model.x_ref.translation))
     return R, p, cols
@@ -277,7 +282,7 @@ def _reporting_frame(R, p, cols, offset: Pose) -> np.ndarray:
 
 def forward_kinematics(model, q) -> Pose:
     """End-effector pose: product of per-joint exponentials times the reference pose."""
-    R, p, _ = _space_chain(model, _joint_values(model, q))
+    R, p, _ = _space_chain(model, _joint_values(model, q), columns=False)
     return Pose(R, p)
 
 

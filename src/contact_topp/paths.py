@@ -34,8 +34,13 @@ class JointPath:
         return self.waypoints.shape[1]
 
     def _check(self, s):
+        """s clipped to [0, 1]; ValueError if it, or any entry of it, is NaN or more than 1e-12 outside."""
+        if isinstance(s, float):
+            if not -1e-12 <= s <= 1.0 + 1e-12:
+                raise ValueError(f"path parameter {s} outside [0, 1]")
+            return min(max(s, 0.0), 1.0)
         s = np.asarray(s, dtype=float)
-        bad = (s < -1e-12) | (s > 1.0 + 1e-12)
+        bad = ~((s >= -1e-12) & (s <= 1.0 + 1e-12))
         if np.any(bad):
             raise ValueError(f"path parameter {s[bad].flat[0]} outside [0, 1]")
         return np.clip(s, 0.0, 1.0)

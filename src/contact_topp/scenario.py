@@ -385,19 +385,57 @@ class TrajectoryOutput:
 
 def profile_from_json_dict(data: dict) -> tuple[ScalingVariables, int, tuple]:
     """Rebuild the raw solve profile from a trajectory JSON dump."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"trajectory: expected an object, got {type(data).__name__}")
     if data.get("format") != TRAJECTORY_FORMAT:
         raise ScenarioError(f"unsupported trajectory format {data.get('format')!r}")
-    p = data["profile"]
-    profile = ScalingVariables(
-        accel=np.asarray(p["accel"], dtype=float),
-        speed_sq=np.asarray(p["speed_sq"], dtype=float),
-        speed_aux=np.asarray(p["speed_aux"], dtype=float),
-        inverse_avg=np.asarray(p["inverse_avg"], dtype=float),
-        torque=np.asarray(p["torque"], dtype=float),
-        wrenches={cid: np.asarray(w, dtype=float) for cid, w in p["wrenches"].items()},
-    )
-    boundary = tuple(None if v is None else float(v) for v in data["boundary_sdot"])
-    return profile, int(data["grid_intervals"]), boundary
+    try:
+        p = data["profile"]
+        profile = ScalingVariables(
+            accel=np.asarray(p["accel"], dtype=float),
+            speed_sq=np.asarray(p["speed_sq"], dtype=float),
+            speed_aux=np.asarray(p["speed_aux"], dtype=float),
+            inverse_avg=np.asarray(p["inverse_avg"], dtype=float),
+            torque=np.asarray(p["torque"], dtype=float),
+            wrenches={cid: np.asarray(w, dtype=float) for cid, w in p["wrenches"].items()},
+        )
+        boundary = tuple(None if v is None else float(v) for v in data["boundary_sdot"])
+        return profile, int(data["grid_intervals"]), boundary
+    except KeyError as exc:
+        raise ScenarioError(f"trajectory has no field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"trajectory has a malformed field: {exc}") from exc
+
+
+def check_profile(profile: ScalingVariables, intervals: int, scenario: Scenario) -> None:
+    """Raise ScenarioError naming the first field of a solve profile that does not fit the scenario.
+
+    At K = `intervals` (at least 1): accel and inverse_avg hold K values,
+    speed_sq and speed_aux K + 1, torque is (K, dof), and the wrenches are
+    keyed by exactly the scenario's contact ids, each (K, 6).
+    """
+    K = intervals
+    if K < 1:
+        raise ScenarioError(f"trajectory grid_intervals must be at least 1, got {K}")
+
+    def fit(name, value, shape):
+        if value.shape != shape:
+            raise ScenarioError(
+                f"trajectory profile {name} has shape {value.shape}; scenario {scenario.name!r} at K = {K} needs {shape}"
+            )
+
+    for name, size in (("accel", K), ("speed_sq", K + 1), ("speed_aux", K + 1), ("inverse_avg", K)):
+        fit(name, getattr(profile, name), (size,))
+    fit("torque", profile.torque, (K, scenario.scene.dof))
+    ids = scenario.scene.contact_ids()
+    for cid in ids:
+        if cid not in profile.wrenches:
+            raise ScenarioError(f"trajectory has no wrenches for contact {cid!r} of scenario {scenario.name!r}")
+    for cid in profile.wrenches:
+        if cid not in ids:
+            raise ScenarioError(f"trajectory has wrenches for {cid!r}, which is not a contact of scenario {scenario.name!r}")
+    for cid in ids:
+        fit(f"wrenches[{cid!r}]", profile.wrenches[cid], (K, 6))
 
 
 def solve_scenario(scenario: Scenario, settings: RunSettings = RunSettings()):

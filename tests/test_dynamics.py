@@ -575,7 +575,7 @@ class TestBatchedSampler:
         assert str(batched.value) == str(scalar.value) == "contact tangent hint parallel to the world normal"
         assert_matches_scalar(slider_box_scene(hint=np.array([1.0, 0.0, 0.0])), [0.1, 0.3])
 
-    @pytest.mark.parametrize("bad", [1.5, -0.25])
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
     def test_out_of_range_s_error_matches(self, bad):
         scene = grasped_box_scene(contacts=two_finger_contacts())
         with pytest.raises(ValueError) as scalar:

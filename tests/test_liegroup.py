@@ -241,3 +241,24 @@ class TestObjectPathKinematics:
             assert np.max(np.abs((Jp - Jm) / (2 * h) - J_rate)) < 1e-4
             J = body_jacobian(arm, path.position(s), offset)
             assert np.allclose(J_dir, J @ path.derivative(s), atol=1e-12)
+
+
+class TestJointPathRange:
+    """A float s is checked on the float itself, an array entry by entry; both say the same."""
+
+    path = JointPath(np.array([[0.0, 1.0], [1.0, 0.5], [0.2, 0.3]]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), np.float64("nan"), float("inf"), -1e-9, 1.0 + 1e-9])
+    def test_float_and_array_reject_alike(self, bad):
+        for f in (self.path.position, self.path.derivative, self.path.second_derivative):
+            with pytest.raises(ValueError) as scalar:
+                f(bad)
+            with pytest.raises(ValueError) as array:
+                f(np.array([0.5, bad, 0.7]))
+            assert str(scalar.value) == str(array.value) == f"path parameter {bad} outside [0, 1]"
+
+    @pytest.mark.parametrize("s", [0.0, -0.0, -1e-13, 0.37, 1.0, 1.0 + 1e-13])
+    def test_float_path_keeps_the_bits(self, s):
+        for f in (self.path.position, self.path.derivative, self.path.second_derivative):
+            got, want = f(s), f(np.asarray(s))
+            assert got.shape == want.shape == (2,) and got.tobytes() == want.tobytes()

@@ -44,6 +44,7 @@ from contact_topp.liegroup import (
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, Link, LinkInertia, RobotModel
 from contact_topp.scenario import load_scenario
+from contact_topp.verification import fd_suite
 
 from conftest import make_limits
 
@@ -259,15 +260,34 @@ def test_scalar_functions_round_like_pose_products(kinds, zero_joints, seed):
 
 @settings(max_examples=40)
 @given(
-    kinds=st.lists(st.lists(st.sampled_from(["revolute", "prismatic"]), min_size=1, max_size=5), min_size=2, max_size=2),
-    grasp=st.integers(0, 1),
-    tool_offset=st.booleans(),
+    kinds=st.lists(st.sampled_from(["revolute", "prismatic"]), min_size=1, max_size=7),
+    zero_joints=st.integers(0, 2**7 - 1),
+    qdd_zero=st.booleans(),
+    gravity_zero=st.booleans(),
+    negative_zeros=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_sample_shares_chains_bit_for_bit(kinds, grasp, tool_offset, seed):
-    # one robot carries a box by one contact, the other robot holds a second
-    # contact on it through its own tool, and a world-normal contact turns with it
+def test_inverse_dynamics_at_rest_round_like_pose_products(kinds, zero_joints, qdd_zero, gravity_zero, negative_zeros, seed):
+    # qd = 0 skips the velocity products; what is left must keep every bit,
+    # the sign bits of exact zero torques included (qd = qdd = g = 0)
     rng = np.random.default_rng(seed)
+    arm = random_arm(rng, kinds)
+    n = len(kinds)
+    q = rng.uniform(-np.pi, np.pi, size=n)
+    q[[bool(zero_joints >> i & 1) for i in range(n)]] = 0.0
+    zero = -0.0 if negative_zeros else 0.0
+    qd = np.full(n, zero)
+    qdd = np.full(n, zero) if qdd_zero else rng.normal(size=n)
+    gravity = np.full(3, zero) if gravity_zero else rng.normal(scale=5.0, size=3)
+    tau = inverse_dynamics(arm, q, qd, qdd, gravity)
+    assert same_bits(tau, ref_inverse_dynamics(arm, q, qd, qdd, gravity))
+    if qdd_zero and gravity_zero:
+        assert not tau.any()
+
+
+def two_robot_box_scene(rng, kinds, grasp, tool_offset, gravity_zero=False):
+    """One robot carries a box by one contact, the other robot holds a second
+    contact on it through its own tool, and a world-normal contact turns with it."""
     robots = tuple(
         RobotInstance(random_arm(rng, k), JointPath(rng.normal(scale=0.8, size=(3, len(k))))) for k in kinds
     )
@@ -283,9 +303,11 @@ def test_sample_shares_chains_bit_for_bit(kinds, grasp, tool_offset, seed):
         offset=None if tool_offset else random_pose(rng),
         external_wrench=rng.normal(size=6),
     )
-    scene = Scene(robots=robots, objects=(carried,), gravity=rng.normal(scale=5.0, size=3))
-    s = float(rng.uniform(0.0, 1.0))
+    gravity = np.zeros(3) if gravity_zero else rng.normal(scale=5.0, size=3)
+    return Scene(robots=robots, objects=(carried,), gravity=gravity)
 
+
+def assert_sample_matches_reference(scene, s):
     smp = sample_path_dynamics(scene, s)
     fields, jacs, objects = ref_sample_path_dynamics(scene, s)
     got = (smp.s, smp.q, smp.dq, smp.ddq, smp.torque_accel_coeff, smp.torque_velsq_coeff, smp.torque_gravity)
@@ -298,6 +320,40 @@ def test_sample_shares_chains_bit_for_bit(kinds, grasp, tool_offset, seed):
     assert same_bits(osmp.accel_coeff, A) and same_bits(osmp.velsq_coeff, B) and same_bits(osmp.external, external)
     assert [(cid, sign) for cid, sign, _ in osmp.contact_terms] == [(cid, sign) for cid, sign, _ in terms]
     assert all(same_bits(G, G_ref) for (_, _, G), (_, _, G_ref) in zip(osmp.contact_terms, terms))
+    return smp
+
+
+@settings(max_examples=40)
+@given(
+    kinds=st.lists(st.lists(st.sampled_from(["revolute", "prismatic"]), min_size=1, max_size=5), min_size=2, max_size=2),
+    grasp=st.integers(0, 1),
+    tool_offset=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_shares_chains_bit_for_bit(kinds, grasp, tool_offset, seed):
+    rng = np.random.default_rng(seed)
+    scene = two_robot_box_scene(rng, kinds, grasp, tool_offset)
+    assert_sample_matches_reference(scene, float(rng.uniform(0.0, 1.0)))
+
+
+@settings(max_examples=30)
+@given(
+    kinds=st.lists(st.lists(st.sampled_from(["revolute", "prismatic"]), min_size=1, max_size=5), min_size=2, max_size=2),
+    grasp=st.integers(0, 1),
+    gravity_zero=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_at_path_ends_bit_for_bit(kinds, grasp, gravity_zero, seed):
+    # a clamped path has q'(0) = 0 exactly, so at s = 0 the acceleration pass
+    # (qd, qdd) = (0, q') runs at rest and gives exact zero torques, whose
+    # sign bits count; at s = 1 q' is zero only to rounding
+    rng = np.random.default_rng(seed)
+    scene = two_robot_box_scene(rng, kinds, grasp, False, gravity_zero)
+    start = assert_sample_matches_reference(scene, 0.0)
+    assert not start.dq.any() and not start.torque_accel_coeff.any()
+    if gravity_zero:
+        assert not start.torque_gravity.any()
+    assert_sample_matches_reference(scene, 1.0)
 
 
 @pytest.mark.parametrize("name,count", [("pivoting", 6), ("pickup", 14), ("arm_7dof", 7)])
@@ -317,6 +373,44 @@ def test_one_chain_per_robot_per_sample(monkeypatch, name, count):
     monkeypatch.setattr(dynamics, "_exp_rp", counted)
     sample_path_dynamics(scene, 0.37)
     assert len(calls) == count
+
+
+@pytest.mark.parametrize("name,dof", [("pivoting", 3), ("pickup", 7), ("arm_7dof", 7)])
+def test_velocity_products_only_in_the_moving_pass(monkeypatch, name, dof):
+    # of the three Newton-Euler passes per sample only the velocity-squared
+    # one has a nonzero joint rate; it builds two commutators per joint
+    scene = load_scenario(SCENARIOS / f"{name}.json").scene
+    calls = []
+    ad = dynamics._ad
+
+    def counted(V):
+        calls.append(V)
+        return ad(V)
+
+    monkeypatch.setattr(dynamics, "_ad", counted)
+    sample_path_dynamics(scene, 0.37)
+    assert len(calls) == 2 * dof
+
+
+def test_fd_suite_adjoint_count(monkeypatch):
+    # arm_7dof, 50 points, 13 of them for the Jacobian check: 8 adjoints per
+    # body Jacobian (7 columns and the reporting frame), none in forward
+    # kinematics, 7 per inverse-dynamics call
+    #   13 * 8 (body_jacobian_fd) + 50 * 3 * 8 (jacobian_path_derivative_fd) + 50 * 4 * 7 (rnea_substitution)
+    # (the chain data, 7 more once per model, is built before counting)
+    sc = load_scenario(SCENARIOS / "arm_7dof.json")
+    sc.scene.robots[0].model.chain_data
+    calls = []
+    adjoint = liegroup._adjoint
+
+    def counted(R, p):
+        calls.append(R)
+        return adjoint(R, p)
+
+    monkeypatch.setattr(liegroup, "_adjoint", counted)
+    monkeypatch.setattr(dynamics, "_adjoint", counted)
+    assert fd_suite(sc, seed=0)["passed"]
+    assert len(calls) == 13 * 8 + 50 * 3 * 8 + 50 * 4 * 7 == 2704
 
 
 def test_chain_data_built_once_per_model():

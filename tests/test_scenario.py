@@ -568,3 +568,75 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
     ledger = json.loads(capsys.readouterr().out)
     assert ledger["passed"] is True
     assert ledger["audit"]["worst"] <= 1e-6
+
+
+PROFILES = Path(__file__).resolve().parents[1] / "perfbench" / "profiles"
+
+
+@pytest.mark.parametrize(
+    "scenario, profile, message",
+    [
+        ("pickup", "pivoting", "profile torque has shape (500, 3); scenario 'pickup' at K = 500 needs (500, 7)"),
+        ("arm_7dof", "pivoting", "profile torque has shape (500, 3); scenario 'arm_7dof' at K = 500 needs (500, 7)"),
+        ("arm_7dof", "pickup", "wrenches for 'box/finger_left', which is not a contact of scenario 'arm_7dof'"),
+        ("pickup", "arm_7dof", "no wrenches for contact 'box/finger_left' of scenario 'pickup'"),
+    ],
+)
+def test_cli_verify_profile_of_another_scenario_exit(capsys, scenario, profile, message):
+    argv = ["verify", str(SCENARIOS / f"{scenario}.json"), str(PROFILES / f"{profile}.k500.json")]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input error: trajectory") and message in err
+
+
+def short_speed_sq(dump):
+    dump["profile"]["speed_sq"].pop()
+    return dump
+
+
+def short_wrench(dump):
+    dump["profile"]["wrenches"]["box/finger_right"].pop()
+    return dump
+
+
+def empty_grid(dump):
+    dump["grid_intervals"] = 0
+    return dump
+
+
+def without_profile(dump):
+    del dump["profile"]
+    return dump
+
+
+def ragged_torque(dump):
+    dump["profile"]["torque"][3].pop()
+    return dump
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (short_speed_sq, "profile speed_sq has shape (500,); scenario 'pickup' at K = 500 needs (501,)"),
+        (short_wrench, "profile wrenches['box/finger_right'] has shape (499, 6); scenario 'pickup' at K = 500 needs (500, 6)"),
+        (empty_grid, "trajectory grid_intervals must be at least 1, got 0"),
+        (without_profile, "trajectory has no field 'profile'"),
+        (ragged_torque, "trajectory has a malformed field: setting an array element"),
+        (lambda dump: [dump], "trajectory: expected an object, got list"),
+    ],
+)
+def test_cli_verify_spoiled_trajectory_exit(tmp_path, capsys, spoil, message):
+    dump = spoil(json.loads((PROFILES / "pickup.k500.json").read_text()))
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(dump))
+    assert main(["verify", str(SCENARIOS / "pickup.json"), str(path)]) == 4
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
+def test_cli_verify_bad_tolerance_exit(tmp_path, capsys, tolerance):
+    # rejected before the scenario or the trajectory is read
+    argv = ["verify", str(tmp_path / "absent.json"), str(tmp_path / "absent.trajectory.json"), "--tolerance", tolerance]
+    assert main(argv + ["--out", str(tmp_path / "ledger.json")]) == 4
+    assert "--tolerance must be a positive finite number" in capsys.readouterr().err
+    assert not (tmp_path / "ledger.json").exists()
