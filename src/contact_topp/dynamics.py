@@ -1,4 +1,4 @@
-"""Rigid-body dynamics: recursive Newton-Euler, grasp maps, path-domain sampling.
+"""Rigid-body dynamics: recursive Newton-Euler, the scene's contact table, path-domain sampling.
 
 The torque-side identity used throughout: along a geometric path q(s) with
 speed sdot = ds/dt,
@@ -18,6 +18,13 @@ holds a contact feeds the object's pose, direction and rate and every
 contact Jacobian.  The acceleration (qd, qdd) = (0, q') and gravity (0, 0)
 passes run at rest, where `_newton_euler` leaves out the velocity products,
 exact zeros that change no bit of the torques.
+
+The contact topology is resolved once, when a `Scene` is built:
+`Scene.grasp` gives each object the robot that carries it and its constant
+pose in that robot's end-effector frame, and `Scene.contacts` gives each
+contact its "<object>/<contact>" id, its owner and its friction cone.  Both
+samplers, the transcription, the trajectory output and the audit read that
+table; the scalar and the batched numerics stay two implementations.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contacts import ContactSpec
+from .contacts import ConeDescriptor, ContactSpec
 from .liegroup import (
     Pose,
     Twist,
@@ -122,11 +129,6 @@ def _newton_euler(chain, ads_down, qd, qdd, gravity) -> np.ndarray:
     return tau
 
 
-def grasp_map(contact_pose: Pose) -> np.ndarray:
-    """Wrench map from a contact frame into the body frame holding it."""
-    return contact_pose.wrench_map()
-
-
 @dataclass(frozen=True)
 class ObjectModel:
     """Rigid body manipulated through contacts; frame at the center of mass."""
@@ -204,12 +206,33 @@ class ObjectInstance:
 
 
 @dataclass(frozen=True)
+class SceneContact:
+    """One contact of a scene: its id, the object that owns it, its spec and friction cone."""
+
+    cid: str  # "<object>/<contact>", the key of its wrench in programs and trajectories
+    owner: str  # name of the object the contact belongs to
+    spec: ContactSpec
+    cone: ConeDescriptor
+
+
+@dataclass(frozen=True)
 class Scene:
-    """Everything the transcription needs: robots, objects, gravity."""
+    """Everything the transcription needs: robots, objects, gravity.
+
+    Construction checks the contact topology and resolves it once, into two
+    derived fields:
+
+      grasp     object name -> (index of the robot that carries the object,
+                through any chain of object parents; constant pose of the
+                object frame in that robot's end-effector frame)
+      contacts  every contact of every object, in file order
+    """
 
     robots: tuple[RobotInstance, ...]
     objects: tuple[ObjectInstance, ...] = ()
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
+    grasp: dict[str, tuple[int, Pose]] = field(init=False, compare=False)
+    contacts: tuple[SceneContact, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float).reshape(3))
@@ -225,8 +248,23 @@ class Scene:
                 raise ValueError(f"object {obj.model.name!r} references missing robot")
             if obj.parent_object is not None and obj.parent_object not in by_name:
                 raise ValueError(f"object {obj.model.name!r} references missing parent object")
+
+        grasp = {}
         for obj in self.objects:
-            self.offset_from_ee(obj.model.name)  # raises on attachment cycles
+            chain = [obj]
+            while chain[-1].parent_robot is None:
+                if chain[-1].offset is None:
+                    raise ValueError(f"object {chain[-1].model.name!r} with object parent needs an explicit offset")
+                if len(chain) > len(self.objects):
+                    raise ValueError("attachment cycle in object parents")
+                chain.append(by_name[chain[-1].parent_object])
+            root = chain.pop()
+            offset = root.offset if root.offset is not None else self.robots[root.parent_robot].model.tool_offset
+            for rider in reversed(chain):
+                offset = offset.compose(rider.offset)
+            grasp[obj.model.name] = (root.parent_robot, offset)
+
+        contacts = []
         for obj in self.objects:
             for c in obj.model.contacts:
                 if c.kind == "manipulator" and not (0 <= c.robot < len(self.robots)):
@@ -236,6 +274,9 @@ class Scene:
                         raise ValueError(f"contact {c.name!r} references missing object {c.against!r}")
                     if c.pose_in_other is None:
                         raise ValueError(f"object contact {c.name!r} needs pose_in_other")
+                contacts.append(SceneContact(f"{obj.model.name}/{c.name}", obj.model.name, c, c.descriptor()))
+        object.__setattr__(self, "grasp", grasp)
+        object.__setattr__(self, "contacts", tuple(contacts))
 
     @property
     def dof(self) -> int:
@@ -255,27 +296,6 @@ class Scene:
             out.append(slice(at, at + r.model.dof))
             at += r.model.dof
         return out
-
-    def object_by_name(self, name: str) -> ObjectInstance:
-        for obj in self.objects:
-            if obj.model.name == name:
-                return obj
-        raise KeyError(name)
-
-    def offset_from_ee(self, name: str, _depth: int = 0) -> Pose:
-        """Constant pose of an object frame relative to the grasping robot's ee."""
-        if _depth > len(self.objects):
-            raise ValueError("attachment cycle in object parents")
-        obj = self.object_by_name(name)
-        if obj.parent_robot is not None:
-            own = obj.offset if obj.offset is not None else self.robots[obj.parent_robot].model.tool_offset
-            return own
-        if obj.offset is None:
-            raise ValueError(f"object {name!r} with object parent needs an explicit offset")
-        return self.offset_from_ee(obj.parent_object, _depth + 1).compose(obj.offset)
-
-    def contact_ids(self) -> list[str]:
-        return [f"{obj.model.name}/{c.name}" for obj in self.objects for c in obj.model.contacts]
 
 
 @dataclass(frozen=True)
@@ -315,8 +335,8 @@ def _world_normal_rotation(R_obj: np.ndarray, world_axis: np.ndarray, hint: np.n
     return np.column_stack([x, _cross3(z, x), z])
 
 
-def contact_pose_at(scene: Scene, obj: ObjectInstance, contact: ContactSpec, R_obj_world: np.ndarray) -> Pose:
-    """Pose of a contact frame in its owning object's frame at the current sample."""
+def contact_pose_at(contact: ContactSpec, R_obj_world: np.ndarray) -> Pose:
+    """Pose of a contact frame in its owning object's frame, the object turned by R_obj_world."""
     if contact.frame_mode == "body_fixed":
         return contact.pose
     R = _world_normal_rotation(R_obj_world, contact.world_axis, contact.pose.rotation[:, 0])
@@ -348,66 +368,39 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamicsSample:
         grav[sl] = _newton_euler(chain, ads, zeros, zeros, scene.gravity)
 
     # one space chain per robot that carries an object or holds a contact
-    carriers = {_grasping_robot(scene, obj) for obj in scene.objects}
-    carriers.update(c.robot for obj in scene.objects for c in obj.model.contacts if c.kind == "manipulator")
+    carriers = {robot for robot, _ in scene.grasp.values()}
+    carriers.update(sc.spec.robot for sc in scene.contacts if sc.spec.kind == "manipulator")
     space = {i: _space_chain(scene.robots[i].model, q[slices[i]]) for i in carriers}
 
-    contact_jacs: dict[str, np.ndarray] = {}
-    object_samples = []
+    frames, balance = {}, {}
     for obj in scene.objects:
-        cid_prefix = obj.model.name
-        offset = scene.offset_from_ee(cid_prefix)
-        grasp = _grasping_robot(scene, obj)
+        name = obj.model.name
+        grasp, offset = scene.grasp[name]
         R_ee, p_ee, cols = space[grasp]
         J_dir, J_rate = _direction_terms(_reporting_frame(R_ee, p_ee, cols, offset), *rates[grasp])
         # the object pose, checked as the reporting frame of the Jacobian above
-        R_obj_world, _ = _compose(R_ee, p_ee, offset.rotation, offset.translation)
+        frames[name], _ = _compose(R_ee, p_ee, offset.rotation, offset.translation)
         A, B = object_net_wrench_coefficients(obj.model, J_dir, J_rate)
-        weight = np.concatenate([R_obj_world.T @ (obj.model.mass * scene.gravity), np.zeros(3)])
-        external = weight + obj.external_wrench
+        weight = np.concatenate([frames[name].T @ (obj.model.mass * scene.gravity), np.zeros(3)])
+        balance[name] = (A, B, weight + obj.external_wrench)
 
-        terms = []
-        for c in obj.model.contacts:
-            cid = f"{cid_prefix}/{c.name}"
-            pose_c = contact_pose_at(scene, obj, c, R_obj_world)
-            terms.append((cid, 1.0, grasp_map(pose_c)))
-            if c.kind == "manipulator":
-                if c.robot == grasp:
-                    off = offset.compose(pose_c)
-                else:
-                    off = scene.robots[c.robot].model.tool_offset.compose(pose_c)
-                full = np.zeros((6, n))
-                full[:, slices[c.robot]] = _reporting_frame(*space[c.robot], off)
-                contact_jacs[cid] = full
-        object_samples.append(
-            ObjectSample(
-                name=cid_prefix,
-                accel_coeff=A,
-                velsq_coeff=B,
-                external=external,
-                contact_terms=tuple(terms),
-            )
-        )
-
-    # Reaction terms: an object contact also appears, negated, on the body it
-    # presses against, through that body's own frame.
-    extra = {name: [] for name in (o.model.name for o in scene.objects)}
-    for obj in scene.objects:
-        for c in obj.model.contacts:
-            if c.kind == "object":
-                cid = f"{obj.model.name}/{c.name}"
-                extra[c.against].append((cid, -1.0, grasp_map(c.pose_in_other)))
-    if any(extra.values()):
-        object_samples = [
-            ObjectSample(
-                name=os.name,
-                accel_coeff=os.accel_coeff,
-                velsq_coeff=os.velsq_coeff,
-                external=os.external,
-                contact_terms=os.contact_terms + tuple(extra[os.name]),
-            )
-            for os in object_samples
-        ]
+    # an object contact also enters, negated, the body it presses against,
+    # through that body's own frame
+    contact_terms = {name: [] for name in balance}
+    reactions = {name: [] for name in balance}
+    contact_jacs: dict[str, np.ndarray] = {}
+    for sc in scene.contacts:
+        c = sc.spec
+        pose_c = contact_pose_at(c, frames[sc.owner])
+        contact_terms[sc.owner].append((sc.cid, 1.0, pose_c.wrench_map()))
+        if c.kind == "object":
+            reactions[c.against].append((sc.cid, -1.0, c.pose_in_other.wrench_map()))
+        if c.kind == "manipulator":
+            grasp, offset = scene.grasp[sc.owner]
+            base = offset if c.robot == grasp else scene.robots[c.robot].model.tool_offset
+            full = np.zeros((6, n))
+            full[:, slices[c.robot]] = _reporting_frame(*space[c.robot], base.compose(pose_c))
+            contact_jacs[sc.cid] = full
 
     return PathDynamicsSample(
         s=s,
@@ -418,14 +411,11 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamicsSample:
         torque_velsq_coeff=velsq,
         torque_gravity=grav,
         contact_jacobians=contact_jacs,
-        objects=tuple(object_samples),
+        objects=tuple(
+            ObjectSample(name, A, B, external, tuple(contact_terms[name] + reactions[name]))
+            for name, (A, B, external) in balance.items()
+        ),
     )
-
-
-def _grasping_robot(scene: Scene, obj: ObjectInstance) -> int:
-    while obj.parent_robot is None:
-        obj = scene.object_by_name(obj.parent_object)
-    return obj.parent_robot
 
 
 # ---------------------------------------------------------------------------
@@ -580,60 +570,45 @@ def stack_dynamics_in_s(scene: Scene, s_values) -> PathDynamics:
             fk[i] = space_jacobian_many(scene.robots[i].model, q[:, slices[i]])
         return fk[i]
 
-    # an object contact also enters, negated, the body it presses against,
-    # through that body's own frame
-    reactions = {obj.model.name: [] for obj in scene.objects}
-    for obj in scene.objects:
-        for c in obj.model.contacts:
-            if c.kind == "object":
-                G = np.broadcast_to(c.pose_in_other.wrench_map(), (K, 6, 6))
-                reactions[c.against].append((f"{obj.model.name}/{c.name}", -1.0, G))
-
-    contact_jacs: dict[str, np.ndarray] = {}
-    objects = []
+    frames, balance = {}, {}
     for obj in scene.objects:
         name = obj.model.name
-        offset = scene.offset_from_ee(name)
-        grasp = _grasping_robot(scene, obj)
+        grasp, offset = scene.grasp[name]
         R_ee, p_ee, _ = chain_fk(grasp)
-        R_obj, _ = compose_many(R_ee, p_ee, offset.rotation, offset.translation)
+        frames[name], _ = compose_many(R_ee, p_ee, offset.rotation, offset.translation)
 
         J_dir, J_rate = _direction_terms_many(dq[:, slices[grasp]], ddq[:, slices[grasp]], chain_fk(grasp), offset)
         M = obj.model.spatial_mass()
         v, w = J_dir[:, :3], J_dir[:, 3:]
         gyro = np.concatenate([np.cross(w, obj.model.mass * v), np.cross(w, _apply(obj.model.inertia, w))], axis=1)
         weight = np.zeros((K, 6))
-        weight[:, :3] = np.swapaxes(R_obj, 1, 2) @ (obj.model.mass * scene.gravity)
+        weight[:, :3] = np.swapaxes(frames[name], 1, 2) @ (obj.model.mass * scene.gravity)
+        balance[name] = (_apply(M, J_dir), _apply(M, J_rate) + gyro, weight + obj.external_wrench)
 
-        contact_terms = []
-        for c in obj.model.contacts:
-            cid = f"{name}/{c.name}"
-            p_c = c.pose.translation
-            if c.frame_mode == "body_fixed":
-                R_c = c.pose.rotation
-                G = np.broadcast_to(c.pose.wrench_map(), (K, 6, 6))
-            else:
-                R_c = _world_normal_rotation_many(R_obj, c.world_axis, c.pose.rotation[:, 0])
-                G = wrench_map_many(R_c, p_c)
-            contact_terms.append((cid, 1.0, G))
-            if c.kind == "manipulator":
-                if c.robot == grasp:
-                    R_off, p_off = compose_many(offset.rotation, offset.translation, R_c, p_c)
-                else:
-                    tool = scene.robots[c.robot].model.tool_offset
-                    R_off, p_off = compose_many(tool.rotation, tool.translation, R_c, p_c)
-                full = np.zeros((K, 6, n))
-                full[:, :, slices[c.robot]] = body_jacobian_many(*chain_fk(c.robot), R_off, p_off)
-                contact_jacs[cid] = full
-        objects.append(
-            ObjectPathTerms(
-                name=name,
-                accel_coeff=_apply(M, J_dir),
-                velsq_coeff=_apply(M, J_rate) + gyro,
-                external=weight + obj.external_wrench,
-                contact_terms=tuple(contact_terms + reactions[name]),
-            )
-        )
+    # an object contact also enters, negated, the body it presses against,
+    # through that body's own frame
+    contact_terms = {name: [] for name in balance}
+    reactions = {name: [] for name in balance}
+    contact_jacs: dict[str, np.ndarray] = {}
+    for sc in scene.contacts:
+        c = sc.spec
+        p_c = c.pose.translation
+        if c.frame_mode == "body_fixed":
+            R_c = c.pose.rotation
+            G = np.broadcast_to(c.pose.wrench_map(), (K, 6, 6))
+        else:
+            R_c = _world_normal_rotation_many(frames[sc.owner], c.world_axis, c.pose.rotation[:, 0])
+            G = wrench_map_many(R_c, p_c)
+        contact_terms[sc.owner].append((sc.cid, 1.0, G))
+        if c.kind == "object":
+            reactions[c.against].append((sc.cid, -1.0, np.broadcast_to(c.pose_in_other.wrench_map(), (K, 6, 6))))
+        if c.kind == "manipulator":
+            grasp, offset = scene.grasp[sc.owner]
+            base = offset if c.robot == grasp else scene.robots[c.robot].model.tool_offset
+            R_off, p_off = compose_many(base.rotation, base.translation, R_c, p_c)
+            full = np.zeros((K, 6, n))
+            full[:, :, slices[c.robot]] = body_jacobian_many(*chain_fk(c.robot), R_off, p_off)
+            contact_jacs[sc.cid] = full
 
     return PathDynamics(
         s=s,
@@ -644,5 +619,8 @@ def stack_dynamics_in_s(scene: Scene, s_values) -> PathDynamics:
         torque_velsq_coeff=terms[1],
         torque_gravity=terms[2],
         contact_jacobians=contact_jacs,
-        objects=tuple(objects),
+        objects=tuple(
+            ObjectPathTerms(name, A, B, external, tuple(contact_terms[name] + reactions[name]))
+            for name, (A, B, external) in balance.items()
+        ),
     )

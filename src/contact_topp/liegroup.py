@@ -296,10 +296,6 @@ def body_jacobian(model, q, offset: Pose | None = None) -> np.ndarray:
     return _reporting_frame(*chain, model.tool_offset if offset is None else offset)
 
 
-FD_JACOBIAN_STEP = 1e-6
-JACOBIAN_DERIVATIVE_METHODS = ("analytic", "finite_difference")
-
-
 def _body_jacobian_q_derivative(J: np.ndarray) -> np.ndarray:
     """All partials dJ[:, i]/dq_j for a body Jacobian, via column brackets.
 
@@ -319,27 +315,9 @@ def _jacobian_rate(J: np.ndarray, dq: np.ndarray) -> np.ndarray:
     return np.einsum("jci,j->ci", _body_jacobian_q_derivative(J), dq)
 
 
-def jacobian_path_derivative(
-    model,
-    path,
-    s: float,
-    offset: Pose | None = None,
-    method: str = "analytic",
-) -> np.ndarray:
-    """d/ds of the body Jacobian along a joint path.
-
-    `method` selects between the analytic column-bracket formula and a
-    central finite difference with step FD_JACOBIAN_STEP.
-    """
-    if method not in JACOBIAN_DERIVATIVE_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "finite_difference":
-        h = FD_JACOBIAN_STEP
-        lo, hi = max(0.0, s - h), min(1.0, s + h)
-        J_hi = body_jacobian(model, path.position(hi), offset)
-        J_lo = body_jacobian(model, path.position(lo), offset)
-        return (J_hi - J_lo) / (hi - lo)
-    return _jacobian_rate(body_jacobian(model, path.position(s), offset), path.derivative(s))
+def jacobian_path_derivative(model, path, s: float) -> np.ndarray:
+    """d/ds of the tool-frame body Jacobian along a joint path, by the column-bracket formula."""
+    return _jacobian_rate(body_jacobian(model, path.position(s)), path.derivative(s))
 
 
 def object_path_kinematics(

@@ -11,8 +11,11 @@ class JointPath:
     """C2 cubic-spline path through joint waypoints on s in [0, 1].
 
     Breakpoints are uniform. `boundary` picks the end conditions:
-    "clamped" pins q'(0) = q'(1) = 0, "natural" pins the second derivative
-    instead (two waypoints then give an exactly linear path).
+    "clamped" asks for q'(0) = q'(1) = 0, "natural" pins the second
+    derivative instead (two waypoints then give an exactly linear path).
+    A clamped path gives q'(0) exactly 0, but q'(1) only to rounding: the
+    last cubic piece is evaluated a full step from its own breakpoint, and
+    on waypoints in [-pi, pi] entries up to about 1e-13 remain.
     """
 
     def __init__(self, waypoints, boundary: str = "clamped"):

@@ -427,7 +427,7 @@ def check_profile(profile: ScalingVariables, intervals: int, scenario: Scenario)
     for name, size in (("accel", K), ("speed_sq", K + 1), ("speed_aux", K + 1), ("inverse_avg", K)):
         fit(name, getattr(profile, name), (size,))
     fit("torque", profile.torque, (K, scenario.scene.dof))
-    ids = scenario.scene.contact_ids()
+    ids = [sc.cid for sc in scenario.scene.contacts]
     for cid in ids:
         if cid not in profile.wrenches:
             raise ScenarioError(f"trajectory has no wrenches for contact {cid!r} of scenario {scenario.name!r}")
@@ -481,17 +481,10 @@ def run(scenario: Scenario, settings: RunSettings = RunSettings()) -> Trajectory
     qdd = ddq * b[:, None] + dq * sddot[:, None]
     tau = solution.torque[k_idx]
 
-    descriptors = {
-        f"{obj.model.name}/{c.name}": c.descriptor()
-        for obj in scene.objects
-        for c in obj.model.contacts
-    }
     wrench = {cid: solution.wrenches[cid][k_idx] for cid in program.contact_order}
     margin = {
-        cid: np.array(
-            [cone_margin(descriptors[cid], w, pin_tol=OUTPUT_PIN_TOL) for w in wrench[cid]]
-        )
-        for cid in program.contact_order
+        sc.cid: np.array([cone_margin(sc.cone, w, pin_tol=OUTPUT_PIN_TOL) for w in wrench[sc.cid]])
+        for sc in scene.contacts
     }
 
     return TrajectoryOutput(

@@ -31,7 +31,6 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .contacts import ContactSpec
 from .dynamics import Scene, stack_dynamics_in_s
 
 STALL_TOLERANCE = 1e-9
@@ -285,10 +284,6 @@ def program_from_json_dict(data: dict) -> ConicProgram:
     )
 
 
-def _contact_specs(scene: Scene) -> dict[str, ContactSpec]:
-    return {f"{obj.model.name}/{c.name}": c for obj in scene.objects for c in obj.model.contacts}
-
-
 class _Section:
     """One row section, gathered family by family and stacked once.
 
@@ -335,9 +330,7 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
     K = grid.intervals
     n = scene.dof
     dyn = stack_dynamics_in_s(scene, grid.midpoints)
-    contact_order = tuple(scene.contact_ids())
-    specs = _contact_specs(scene)
-    descriptors = {cid: specs[cid].descriptor() for cid in contact_order}
+    contact_order = tuple(sc.cid for sc in scene.contacts)
     tl, tu, vmax, al, au = scene.limit_arrays()
 
     # variable layout, in declaration order
@@ -459,8 +452,8 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
 
     # untransmittable wrench components pinned to zero
     pinned = []
-    for cid in contact_order:
-        idx = descriptors[cid].pinned
+    for sc in scene.contacts:
+        cid, idx = sc.cid, sc.cone.pinned
         cols = f_cols([cid])[:, list(idx)]
         pinned.append(cols.ravel())
         pin = (cols[..., None], 1.0, True)
@@ -498,16 +491,16 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
     bounds.add(free, [b_term], 0.0, lambda kk: f"speed_sq_nonneg[{kk}]", lower=0.0, upper=np.inf)
 
     # normal force caps
-    for cid in contact_order:
-        fz_max = specs[cid].fz_max
+    for sc in scene.contacts:
+        cid, fz_max = sc.cid, sc.spec.fz_max
         if fz_max is not None:
-            head = (f_cols([cid])[:, [descriptors[cid].head_index]], 1.0, True)
+            head = (f_cols([cid])[:, [sc.cone.head_index]], 1.0, True)
             bounds.add(every(K), [head], 0.0, lambda kk: f"normal_cap[{cid}][{kk}]", lower=-np.inf, upper=fz_max)
 
     # contact friction cones, one per contact and interval
     sizes, cone_labels = [], []
-    for cid in contact_order:
-        desc = descriptors[cid]
+    for sc in scene.contacts:
+        cid, desc = sc.cid, sc.cone
         idx = [desc.head_index] + [i for i, _ in desc.tail]
         weights = np.array([1.0] + [float(w) for _, w in desc.tail])
         cones.add(

@@ -18,7 +18,11 @@ through the scalar functions (`sample_path_dynamics`, `inverse_dynamics`,
 no `stack_dynamics_in_s`, no `_path_torque_terms`.  The batched sampler that
 the solve uses is therefore checked against a second implementation, and
 `tests/test_scalar_oracle.py` holds this module to that by a static call
-graph of the package.
+graph of the package.  What the oracles do share with the solve is the
+scene's contact table (`Scene.grasp` and `Scene.contacts`): which robot
+carries each object, the contact ids and the friction cones.  The finite
+differences (`_fd_body_jacobian`, `_fd_jacobian_path_derivative`) live
+here, beside the one suite that uses them.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contacts import cone_margin
-from .dynamics import _grasping_robot, inverse_dynamics, sample_path_dynamics
+from .dynamics import inverse_dynamics, sample_path_dynamics
 from .liegroup import (
     body_jacobian,
     forward_kinematics,
@@ -356,13 +360,9 @@ def audit(profile: ScalingVariables, scenario, tolerance: float = 1e-6) -> Audit
         note("boundary_speed", K - 1, abs(b[-1] - sdotT**2) / (1.0 + sdotT**2))
 
     # contact cone families, straight from the cone models
-    descriptors = {
-        f"{obj.model.name}/{c_.name}": (c_.descriptor(), c_.fz_max)
-        for obj in scene.objects
-        for c_ in obj.model.contacts
-    }
-    for cid, (desc, fz_cap) in descriptors.items():
-        W = profile.wrenches[cid]
+    for sc in scene.contacts:
+        desc, fz_cap = sc.cone, sc.spec.fz_max
+        W = profile.wrenches[sc.cid]
         for k in range(K):
             F = W[k]
             scale = 1.0 + float(np.max(np.abs(F)))
@@ -404,6 +404,19 @@ def _fd_body_jacobian(model, q, h=1e-6) -> np.ndarray:
     return J
 
 
+def _fd_jacobian_path_derivative(model, path, s: float) -> np.ndarray:
+    """Central-difference d/ds of the tool-frame body Jacobian along a joint path.
+
+    The step of 1e-6 is cut at the ends of [0, 1], where the difference
+    turns one-sided.
+    """
+    h = 1e-6
+    lo, hi = max(0.0, s - h), min(1.0, s + h)
+    J_hi = body_jacobian(model, path.position(hi))
+    J_lo = body_jacobian(model, path.position(lo))
+    return (J_hi - J_lo) / (hi - lo)
+
+
 def fd_suite(scenario, samples: int = 50, seed: int = 0) -> dict:
     """Finite-difference cross-checks at fixed-seed random path points.
 
@@ -425,8 +438,8 @@ def fd_suite(scenario, samples: int = 50, seed: int = 0) -> dict:
             q = r.path.position(float(s))
             jac_err = max(jac_err, float(np.max(np.abs(body_jacobian(r.model, q) - _fd_body_jacobian(r.model, q)))))
         for s in s_vals:
-            dJ_an = jacobian_path_derivative(r.model, r.path, float(s), method="analytic")
-            dJ_fd = jacobian_path_derivative(r.model, r.path, float(s), method="finite_difference")
+            dJ_an = jacobian_path_derivative(r.model, r.path, float(s))
+            dJ_fd = _fd_jacobian_path_derivative(r.model, r.path, float(s))
             path_err = max(path_err, float(np.max(np.abs(dJ_an - dJ_fd))))
     record("body_jacobian_fd", jac_err, 1e-5)
     record("jacobian_path_derivative_fd", path_err, 1e-5)
@@ -434,14 +447,13 @@ def fd_suite(scenario, samples: int = 50, seed: int = 0) -> dict:
     if scene.objects:
         dir_err = 0.0
         h = 1e-6
-        for obj in scene.objects:
-            grasp = scene.robots[_grasping_robot(scene, obj)]
-            offset = scene.offset_from_ee(obj.model.name)
+        for robot, offset in scene.grasp.values():
+            holder = scene.robots[robot]
             for s in s_vals:
                 s = float(np.clip(s, h, 1.0 - h))
-                _, rate = object_path_kinematics(grasp.model, grasp.path, s, offset)
-                d_hi, _ = object_path_kinematics(grasp.model, grasp.path, s + h, offset)
-                d_lo, _ = object_path_kinematics(grasp.model, grasp.path, s - h, offset)
+                _, rate = object_path_kinematics(holder.model, holder.path, s, offset)
+                d_hi, _ = object_path_kinematics(holder.model, holder.path, s + h, offset)
+                d_lo, _ = object_path_kinematics(holder.model, holder.path, s - h, offset)
                 dir_err = max(dir_err, float(np.max(np.abs((d_hi - d_lo) / (2 * h) - rate))))
         record("object_direction_rate_fd", dir_err, 1e-5)
 

@@ -11,7 +11,6 @@ from contact_topp.dynamics import (
     ObjectModel,
     RobotInstance,
     Scene,
-    grasp_map,
     inverse_dynamics,
     object_net_wrench_coefficients,
     sample_path_dynamics,
@@ -148,7 +147,7 @@ class TestInverseDynamics:
 class TestGraspMap:
     def test_block_structure(self):
         pose = pose_exp(Twist(linear=[0.1, 0.2, -0.1], angular=[0.3, -0.2, 0.5]), 1.0)
-        G = grasp_map(pose)
+        G = pose.wrench_map()
         R = pose.rotation
         assert np.allclose(G[:3, :3], R)
         assert np.allclose(G[3:, 3:], R)
@@ -156,16 +155,16 @@ class TestGraspMap:
 
     def test_round_trip_with_inverse(self):
         pose = pose_exp(Twist(linear=[0.1, 0.2, -0.1], angular=[0.3, -0.2, 0.5]), 0.7)
-        G = grasp_map(pose)
-        G_inv = grasp_map(pose.inverse())
+        G = pose.wrench_map()
+        G_inv = pose.inverse().wrench_map()
         assert np.allclose(G @ G_inv, np.eye(6), atol=1e-12)
 
     def test_identity_pose(self):
-        assert np.allclose(grasp_map(Pose.identity()), np.eye(6))
+        assert np.allclose(Pose.identity().wrench_map(), np.eye(6))
 
     def test_pure_force_moment_arm(self):
         pose = Pose(np.eye(3), [0.0, 0.2, 0.0])
-        F = grasp_map(pose) @ np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        F = pose.wrench_map() @ np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
         # force z at offset +y produces +x moment
         assert np.allclose(F, [0.0, 0.0, 1.0, 0.2, 0.0, 0.0], atol=1e-12)
 
@@ -197,7 +196,7 @@ class TestObjectCoefficients:
         arm = scene.robots[0].model
         path = scene.robots[0].path
         obj = scene.objects[0]
-        offset = scene.offset_from_ee("box")
+        _, offset = scene.grasp["box"]
 
         def s_of_t(t):
             return 0.45 + 0.25 * np.sin(t)
@@ -289,7 +288,7 @@ class TestPathDynamicsSampling:
         arm = scene.robots[0].model
         sample = sample_path_dynamics(scene, 0.37)
         q = scene.robots[0].path.position(0.37)
-        offset = scene.offset_from_ee("box")
+        _, offset = scene.grasp["box"]
         J_obj = body_jacobian(arm, q, offset)
         for c in scene.objects[0].model.contacts:
             Jc = sample.contact_jacobians[f"box/{c.name}"]
@@ -301,7 +300,7 @@ class TestPathDynamicsSampling:
         scene = grasped_box_scene(contacts=two_finger_contacts())
         sample = sample_path_dynamics(scene, 0.52)
         q = scene.robots[0].path.position(0.52)
-        J_obj = body_jacobian(scene.robots[0].model, q, scene.offset_from_ee("box"))
+        J_obj = body_jacobian(scene.robots[0].model, q, scene.grasp["box"][1])
         rng = np.random.default_rng(8)
         F = {cid: rng.normal(size=6) for cid in sample.contact_jacobians}
         torque = sum(sample.contact_jacobians[cid].T @ F[cid] for cid in F)
@@ -359,6 +358,33 @@ class TestSceneValidation:
                 robots=(RobotInstance(spatial_arm(), JointPath(np.zeros((2, 4)))),),
                 objects=(ObjectInstance(model=box, parent_robot=0),),
             )
+
+    @pytest.mark.parametrize(
+        "parents,contact_robot,message",
+        [
+            ({"a": ("object", "b", True), "b": ("object", "a", True)}, 0, "attachment cycle in object parents"),
+            ({"a": ("object", "ghost", True)}, 0, "object 'a' references missing parent object"),
+            ({"a": ("robot", 0, True), "b": ("object", "a", False)}, 0, "object 'b' with object parent needs an explicit offset"),
+            ({"a": ("robot", 1, True)}, 0, "object 'a' references missing robot"),
+            ({"a": ("robot", 0, True)}, 1, "contact 'grip' references missing robot"),
+        ],
+    )
+    def test_topology_errors(self, parents, contact_robot, message):
+        objects = []
+        for name, (kind, parent, has_offset) in parents.items():
+            grip = ContactSpec("grip", "manipulator", "pcwf", Pose.identity(), FrictionParams(mu=0.5), robot=contact_robot)
+            model = ObjectModel(name, 1.0, np.eye(3) * 0.01, contacts=(grip,))
+            objects.append(
+                ObjectInstance(
+                    model=model,
+                    parent_robot=parent if kind == "robot" else None,
+                    parent_object=parent if kind == "object" else None,
+                    offset=Pose(np.eye(3), [0.0, 0.0, 0.1]) if has_offset else None,
+                )
+            )
+        with pytest.raises(ValueError) as err:
+            Scene(robots=(RobotInstance(spatial_arm(), JointPath(np.zeros((2, 4)))),), objects=tuple(objects))
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +530,49 @@ class TestBatchedSampler:
         # a world-normal frame turns with the box, a body-fixed one does not
         assert np.ptp(terms["box/edge_front"], axis=0).max() > 1e-3
         assert np.ptp(terms["box/pad_left"], axis=0).max() == 0.0
+
+    def test_object_on_object_on_robot(self):
+        # a cup rides a plate that rides a tray the arm holds: the grasp
+        # offset of each is the nested composition, and each object contact
+        # enters the body under it as a reaction
+        rng = np.random.default_rng(17)
+        arm = random_chain(rng, ["revolute", "prismatic", "revolute", "revolute"])
+        offsets = [random_pose(rng) for _ in range(3)]
+        grip = contact("grip", "manipulator", random_pose(rng), robot=0)
+        on_tray = contact("foot", "object", random_pose(rng), against="tray", pose_in_other=random_pose(rng))
+        on_plate = contact("foot", "object", random_pose(rng), against="plate", pose_in_other=random_pose(rng))
+        wall = contact("wall", "environment", random_pose(rng), frame_mode="world_normal")
+        models = [
+            ObjectModel(name, rng.uniform(0.1, 2.0), np.diag(rng.uniform(0.001, 0.01, size=3)), contacts=cs)
+            for name, cs in (("tray", (grip,)), ("plate", (on_tray,)), ("cup", (on_plate, wall)))
+        ]
+        scene = Scene(
+            robots=(RobotInstance(arm, JointPath(rng.normal(scale=0.8, size=(4, 4)))),),
+            # listed top down, so a parent may come after the object on it
+            objects=(
+                ObjectInstance(model=models[2], parent_object="plate", offset=offsets[2]),
+                ObjectInstance(model=models[1], parent_object="tray", offset=offsets[1]),
+                ObjectInstance(model=models[0], parent_robot=0, offset=offsets[0]),
+            ),
+            gravity=rng.normal(scale=5.0, size=3),
+        )
+        nested = {
+            "tray": offsets[0],
+            "plate": offsets[0].compose(offsets[1]),
+            "cup": offsets[0].compose(offsets[1]).compose(offsets[2]),
+        }
+        assert list(scene.grasp) == ["cup", "plate", "tray"]
+        for name, want in nested.items():
+            robot, got = scene.grasp[name]
+            assert robot == 0
+            assert got.rotation.tobytes() == want.rotation.tobytes()
+            assert got.translation.tobytes() == want.translation.tobytes()
+        assert [(c.cid, c.owner) for c in scene.contacts] == [
+            ("cup/foot", "cup"), ("cup/wall", "cup"), ("plate/foot", "plate"), ("tray/grip", "tray")
+        ]
+        batch = assert_matches_scalar(scene, np.concatenate([[0.0], build_grid(12).midpoints, [1.0]]))
+        reactions = {o.name: [(cid, sign) for cid, sign, _ in o.contact_terms if sign < 0] for o in batch.objects}
+        assert reactions == {"cup": [], "plate": [("cup/foot", -1.0)], "tray": [("plate/foot", -1.0)]}
 
     def test_object_stack_reaction_terms(self):
         sc = load_scenario(SCENARIOS / "waiter" / "tilt_10.json")

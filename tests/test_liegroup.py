@@ -16,6 +16,7 @@ from contact_topp.liegroup import (
 )
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, Link, LinkInertia, RobotModel
+from contact_topp.verification import _fd_jacobian_path_derivative
 
 from conftest import make_limits, planar_arm, spatial_arm
 
@@ -202,8 +203,8 @@ class TestJacobianPathDerivative:
         arm = spatial_arm()
         path = self.path_for(arm)
         for s in (0.12, 0.5, 0.83):
-            dJ_a = jacobian_path_derivative(arm, path, s, method="analytic")
-            dJ_fd = jacobian_path_derivative(arm, path, s, method="finite_difference")
+            dJ_a = jacobian_path_derivative(arm, path, s)
+            dJ_fd = _fd_jacobian_path_derivative(arm, path, s)
             assert np.max(np.abs(dJ_a - dJ_fd)) < 1e-5
 
     def test_one_dof_derivative_is_zero(self):
@@ -262,3 +263,19 @@ class TestJointPathRange:
         for f in (self.path.position, self.path.derivative, self.path.second_derivative):
             got, want = f(s), f(np.asarray(s))
             assert got.shape == want.shape == (2,) and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=50)
+@given(
+    waypoints=st.integers(2, 7),
+    dof=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_clamped_path_end_rates(waypoints, dof, seed):
+    # q'(0) is the spline's own end condition; q'(1) is a cubic piece summed
+    # a full step from its breakpoint, zero only to rounding
+    path = JointPath(np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(waypoints, dof)), boundary="clamped")
+    for s in (0.0, np.array([0.0])):
+        assert not path.derivative(s).any()
+    for s in (1.0, np.array([1.0])):
+        assert np.max(np.abs(path.derivative(s))) <= 1e-12

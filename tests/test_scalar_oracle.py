@@ -27,7 +27,6 @@ from contact_topp.dynamics import (
     RobotInstance,
     Scene,
     contact_pose_at,
-    grasp_map,
     inverse_dynamics,
     object_net_wrench_coefficients,
     sample_path_dynamics,
@@ -146,9 +145,9 @@ def ref_sample_path_dynamics(scene, s):
         grav[sl] = ref_inverse_dynamics(r.model, qi, zeros, zeros, scene.gravity)
     jacs, objects = {}, []
     for obj in scene.objects:
-        offset = scene.offset_from_ee(obj.model.name)
         grasp = obj.parent_robot
         holder = scene.robots[grasp]
+        offset = holder.model.tool_offset if obj.offset is None else obj.offset
         R_obj = ref_forward_kinematics(holder.model, q[slices[grasp]]).compose(offset).rotation
         J = ref_body_jacobian(holder.model, holder.path.position(s), offset)
         dqg, ddqg = holder.path.derivative(s), holder.path.second_derivative(s)
@@ -157,8 +156,8 @@ def ref_sample_path_dynamics(scene, s):
         terms = []
         for c in obj.model.contacts:
             cid = f"{obj.model.name}/{c.name}"
-            pose_c = contact_pose_at(scene, obj, c, R_obj)
-            terms.append((cid, 1.0, grasp_map(pose_c)))
+            pose_c = contact_pose_at(c, R_obj)
+            terms.append((cid, 1.0, pose_c.wrench_map()))
             if c.kind == "manipulator":
                 base = offset if c.robot == grasp else scene.robots[c.robot].model.tool_offset
                 full = np.zeros((6, n))

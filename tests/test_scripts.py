@@ -51,9 +51,12 @@ def test_fingerprint_is_one_stable_json_line():
         return json.loads(lines[0])
 
     first = run()
-    hashes = {
-        f"{kind}/{name}" for kind in ("samples", "fd_suite", "audit") for name in ("pivoting", "pickup", "arm_7dof")
-    } | {"phase_plane/arm_7dof"}
+    profiled = ("pivoting", "pickup", "arm_7dof")
+    hashes = (
+        {f"{kind}/{name}" for kind in ("samples", "fd_suite") for name in (*profiled, "waiter/tilt_10")}
+        | {f"audit/{name}" for name in profiled}
+        | {"phase_plane/arm_7dof"}
+    )
     solves = {f"solve/{name}/{field}" for name in SHIPPED for field in ("status", "iterations", "T", "x")}
     assert set(first) == {"grid", "blas_threads"} | hashes | solves
     assert first["grid"] == 6
