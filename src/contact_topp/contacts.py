@@ -77,23 +77,36 @@ def emit_cone(model: str, params: FrictionParams) -> ConeDescriptor:
     raise ValueError(f"unknown friction model {model!r}")
 
 
-def cone_margin(descriptor: ConeDescriptor, wrench, pin_tol: float = PIN_TOLERANCE) -> float:
+def cone_margin(descriptor: ConeDescriptor, wrench, pin_tol: float = PIN_TOLERANCE) -> float | np.ndarray:
     """Slack of the cone constraint: fz minus the weighted tangential norm.
 
     Nonnegative iff the wrench is inside the cone. Raises if a pinned
-    component is nonzero beyond pin_tol (scaled by the wrench magnitude).
+    component is nonzero beyond pin_tol (scaled by the wrench magnitude),
+    naming the first such wrench's first such component.  One wrench (6
+    entries) gives a float, a (..., 6) array of them an array of shape
+    (...).
     """
-    F = np.asarray(wrench, dtype=float).reshape(6)
-    scale = max(1.0, float(np.max(np.abs(F))))
-    for idx in descriptor.pinned:
-        if abs(F[idx]) > pin_tol * scale:
-            raise ValueError(
-                f"pinned wrench component {idx} is {F[idx]:.3e}, beyond tolerance"
-            )
+    F = np.asarray(wrench, dtype=float)
+    if F.shape[-1:] != (6,):
+        F = F.reshape(6)
+    # components first: parts[i] is component i of every wrench
+    parts = F.transpose(-1, *range(F.ndim - 1))
+    if pin_tol < np.inf:  # an infinite tolerance admits every wrench
+        mag = np.abs(parts)
+        pinned = list(descriptor.pinned)
+        # fmax keeps the scale at 1 where an entry is NaN, as max(1.0, nan) does
+        beyond = mag[pinned] > pin_tol * np.fmax(mag.max(axis=0), 1.0)
+        if beyond.any():
+            *at, j = np.argwhere(beyond.transpose(*range(1, beyond.ndim), 0))[0]
+            idx = pinned[j]
+            raise ValueError(f"pinned wrench component {idx} is {F[(*at, idx)]:.3e}, beyond tolerance")
     acc = 0.0
     for idx, weight in descriptor.tail:
-        acc += (weight * F[idx]) ** 2
-    return float(F[descriptor.head_index] - np.sqrt(acc))
+        # float_power calls the C library's pow, as the ** of one float
+        # does, so a batch keeps the bits of one wrench at a time
+        acc = acc + np.float_power(weight * parts[idx], 2.0)
+    margin = parts[descriptor.head_index] - np.sqrt(acc)
+    return float(margin) if np.ndim(margin) == 0 else margin
 
 
 CONTACT_KINDS = ("manipulator", "environment", "object")

@@ -465,7 +465,7 @@ def run(scenario: Scenario, settings: RunSettings = RunSettings()) -> Trajectory
 
     m = max(2, int(settings.output_points))
     t = np.linspace(0.0, timing.total, m)
-    s = np.array([timing.s_of(tj) for tj in t])
+    s = timing.s_of(t)
     s[0], s[-1] = 0.0, 1.0
     K = grid.intervals
     k_idx = np.clip(np.searchsorted(grid.points, s, side="right") - 1, 0, K - 1)
@@ -482,10 +482,7 @@ def run(scenario: Scenario, settings: RunSettings = RunSettings()) -> Trajectory
     tau = solution.torque[k_idx]
 
     wrench = {cid: solution.wrenches[cid][k_idx] for cid in program.contact_order}
-    margin = {
-        sc.cid: np.array([cone_margin(sc.cone, w, pin_tol=OUTPUT_PIN_TOL) for w in wrench[sc.cid]])
-        for sc in scene.contacts
-    }
+    margin = {sc.cid: cone_margin(sc.cone, wrench[sc.cid], pin_tol=OUTPUT_PIN_TOL) for sc in scene.contacts}
 
     return TrajectoryOutput(
         scenario_name=scenario.name,

@@ -11,9 +11,14 @@ The solver embeds the primal-dual pair in the homogeneous self-dual model,
 so infeasible problems terminate with a Farkas certificate instead of
 diverging.  Search directions come from a Mehrotra predictor-corrector with
 Nesterov-Todd scaling; the sparse KKT system is factored with SuperLU plus
-static regularization and iterative refinement.  Cone operations work on
-groups of equal-size cones at once, and the KKT matrix keeps one sparsity
-pattern per solve, whose values each iteration refills.
+static regularization.  Each iteration factors once and solves three times
+with that factor.  The two solves a step is built from, the tau direction
+u1 (it enters every dtau) and the corrector, are refined against the
+exact matrix.  The predictor is one plain triangular solve: it only sets
+the predictor step length, the centering sigma and the corrector's
+second-order term, none of which needs the last digits.  Cone operations
+work on groups of equal-size cones at once, and the KKT matrix keeps one
+sparsity pattern per solve, whose values each iteration refills.
 
 Before iterating, `solve` presolves the equality rows with a single
 nonzero: each fixes its column, which is substituted into the other rows
@@ -37,6 +42,11 @@ A certificate is tried at every iterate with kappa > tau and accepted only
 when the lifted ray passes its check; until mu < tol * 1e-2 or tau
 collapses, the ray must also cancel to tol against the size of its own
 terms, which no scaling of the data can fake.
+
+Every long dot product and 2-norm goes through `_dot`, which sums in
+numpy's fixed pairwise order.  `u @ v` on two vectors calls BLAS ddot,
+and OpenBLAS splits a long one across threads, so its last bits, and a
+solve's T, would depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -180,6 +190,17 @@ _TOP_24_BITS = np.uint64(2**64 - 2**28)
 # relative distance within which an entry counts as lam times its
 # counterpart in a parallel row: a few roundings of lam and of the entries
 PARALLEL_RTOL = 8 * np.finfo(float).eps
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u'v, summed pairwise by numpy in an order fixed by the length alone
+    (BLAS ddot, which `u @ v` calls, splits by thread count)."""
+    return float(np.add.reduce(u * v))
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm sqrt(v'v), as np.linalg.norm forms it, through `_dot`."""
+    return math.sqrt(_dot(v, v))
 
 
 @dataclass
@@ -516,7 +537,16 @@ class _KKTSystem:
     def factor(self):
         """Factor the regularized matrix; SuperLU raises RuntimeError when
         it is singular."""
-        self._lu = splu(self.regularized, permc_spec="NATURAL")
+        # One-column panels: on these narrowly banded matrices the default
+        # multi-column panel fills dense work arrays it barely uses, which
+        # costs a quarter of the factor time.
+        self._lu = splu(self.regularized, permc_spec="NATURAL", panel_size=1)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M v = rhs by one triangular solve with the last factor, unrefined."""
+        out = np.empty(rhs.size)
+        out[self.perm] = self._lu.solve(rhs[self.perm])
+        return out
 
     def refined_solve(self, rhs: np.ndarray) -> np.ndarray:
         """M v = rhs by the last factor, refined against the exact matrix.
@@ -526,21 +556,23 @@ class _KKTSystem:
         extended precision: the refinement plateau sits at the residual
         roundoff times the KKT condition number, and the handful of extra
         digits is what lets the gap reach tolerance on problems whose cones
-        are all active at the optimum.
+        are all active at the optimum.  The iteration refines the two
+        directions a step is made of, u1 and the corrector; the predictor,
+        which only sizes the centering, takes the plain `_KKTSystem.solve`.
         """
         perm, lu = self.perm, self._lu
         rhs = rhs[perm]
         rhs_ld = rhs.astype(np.longdouble)
         sol = lu.solve(rhs).astype(np.longdouble)
         resid = rhs_ld - self.exact @ sol
-        best, best_res = sol, float(np.linalg.norm(resid.astype(np.float64)))
-        floor = 1e-16 * (float(np.linalg.norm(rhs)) + 1.0)
+        best, best_res = sol, _norm(resid.astype(np.float64))
+        floor = 1e-16 * (_norm(rhs) + 1.0)
         for _ in range(REFINE_STEPS):
             if best_res <= floor:
                 break
             sol = sol + lu.solve(resid.astype(np.float64))
             resid = rhs_ld - self.exact @ sol
-            res = float(np.linalg.norm(resid.astype(np.float64)))
+            res = _norm(resid.astype(np.float64))
             if res < best_res:
                 best, best_res = sol, res
             else:
@@ -592,22 +624,22 @@ def _ruiz_equilibrate(form: StandardConicForm, iters: int = EQUILIBRATE_ITERS):
 def verify_kkt(form: StandardConicForm, x, y, z, s, tol: float = 1e-6) -> dict:
     """Recompute optimality residuals from scratch on the given data."""
     c, A, b, G, h = form.c, form.A, form.b, form.G, form.h
-    pres_eq = float(np.linalg.norm(A @ x - b)) if A.shape[0] else 0.0
-    pres_in = float(np.linalg.norm(G @ x + s - h)) if G.shape[0] else 0.0
-    dres = float(np.linalg.norm(A.T @ y + G.T @ z + c))
-    pcost = float(c @ x)
-    dcost = float(-(b @ y) - (h @ z))
+    pres_eq = _norm(A @ x - b)
+    pres_in = _norm(G @ x + s - h)
+    dres = _norm(A.T @ y + G.T @ z + c)
+    pcost = _dot(c, x)
+    dcost = -_dot(b, y) - _dot(h, z)
     gap = abs(pcost - dcost)
     return {
-        "primal_eq": pres_eq / (1.0 + (float(np.linalg.norm(b)) if b.size else 0.0)),
-        "primal_in": pres_in / (1.0 + (float(np.linalg.norm(h)) if h.size else 0.0)),
-        "dual": dres / (1.0 + float(np.linalg.norm(c))),
+        "primal_eq": pres_eq / (1.0 + _norm(b)),
+        "primal_in": pres_in / (1.0 + _norm(h)),
+        "dual": dres / (1.0 + _norm(c)),
         "gap": gap / max(1.0, abs(pcost)),
         "pcost": pcost,
         "dcost": dcost,
         "s_in_cone": cone_residual(form.cones, s) <= tol,
         "z_in_cone": cone_residual(form.cones, z) <= tol,
-        "comp": float(s @ z),
+        "comp": _dot(s, z),
     }
 
 
@@ -617,7 +649,7 @@ def _rounding_bound(*pairs) -> float:
     and Stability of Numerical Algorithms, 2002, sec. 3.1).  A potential no
     larger than this has no sign to certify with."""
     n = sum(u.size for u, _ in pairs)
-    return n * np.finfo(float).eps * sum(float(np.abs(u) @ np.abs(v)) for u, v in pairs)
+    return n * np.finfo(float).eps * sum(_dot(np.abs(u), np.abs(v)) for u, v in pairs)
 
 
 # Each certificate check normalizes the ray to potential -1 and asks for
@@ -630,7 +662,7 @@ def _rounding_bound(*pairs) -> float:
 
 
 def _check_primal_infeasibility_certificate(form, y, z, tol, relative: bool = False) -> dict | None:
-    pot = float(form.b @ y + form.h @ z)
+    pot = _dot(form.b, y) + _dot(form.h, z)
     if -pot <= _rounding_bound((form.b, y), (form.h, z)):
         return None
     yc, zc = y / -pot, z / -pot
@@ -646,7 +678,7 @@ def _check_primal_infeasibility_certificate(form, y, z, tol, relative: bool = Fa
 
 
 def _check_dual_infeasibility_certificate(form, x, s, tol, relative: bool = False) -> dict | None:
-    pot = float(form.c @ x)
+    pot = _dot(form.c, x)
     if -pot <= _rounding_bound((form.c, x)):
         return None
     xc = x / -pot
@@ -937,8 +969,9 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
 
     kkt = _KKTSystem(As, Gs, spec)
 
-    def solve3(vx, vy, vz):
-        out = kkt.refined_solve(np.concatenate([vx, vy, vz]))
+    def solve3(vx, vy, vz, refine=True):
+        rhs = np.concatenate([vx, vy, vz])
+        out = kkt.refined_solve(rhs) if refine else kkt.solve(rhs)
         return out[:n], out[n : n + p], out[n + p :]
 
     for iteration in range(1, max_iter + 1):
@@ -948,7 +981,7 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
             status = NUMERICAL_FAILURE
             break
         lam = scal.apply(z)
-        mu = (float(s @ z) + tau * kappa) / nu
+        mu = (_dot(s, z) + tau * kappa) / nu
 
         # The scaling is folded in as W^{-1}G with an identity third block
         # rather than G with a W^2 block: W^2 squares the boundary-induced
@@ -964,27 +997,28 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
         rx = AsT @ y + GsT @ z + cs * tau
         ry = As @ x - bs * tau
         rz = Gs @ x + s - hs * tau
-        rtau = float(cs @ x + bs @ y + hs @ z) + kappa
+        rtau = _dot(cs, x) + _dot(bs, y) + _dot(hs, z) + kappa
 
         # The z parts of both solves stay in scaled form (W z): W^{-1} is
         # symmetric, so h'z = (W^{-1} h)'(W z), and dz needs one W^{-1}.
         hs_t = scal.apply_inverse(hs)
         u1x, u1y, u1zt = solve3(-cs, bs, hs_t)
-        denom_tau = float(cs @ u1x + bs @ u1y + hs_t @ u1zt) - kappa / tau
+        denom_tau = _dot(cs, u1x) + _dot(bs, u1y) + _dot(hs_t, u1zt) - kappa / tau
         rz_t = scal.apply_inverse(rz)
 
-        def direction(sigma, comp_t, dkappa_extra):
+        def direction(sigma, comp_t, dkappa_extra, refine=True):
             """Build (dx, dy, dz, ds, dtau, dkappa, W dz) for given centering.
 
             comp_t solves lam o comp_t = d_s, where d_s is the right-hand side
             of the complementarity row lam o (W^{-1} ds + W dz) = d_s.
+            With refine=False the solve is one plain triangular solve.
             """
             d_k = sigma * mu - tau * kappa + dkappa_extra
             fac = 1.0 - sigma
             # third row in scaled variables: W^{-1}G dx - (W dz) = W^{-1}vz
             rhs_zt = -fac * rz_t - comp_t
-            u2x, u2y, u2zt = solve3(-fac * rx, -fac * ry, rhs_zt)
-            num = -fac * rtau - d_k / tau - float(cs @ u2x + bs @ u2y + hs_t @ u2zt)
+            u2x, u2y, u2zt = solve3(-fac * rx, -fac * ry, rhs_zt, refine)
+            num = -fac * rtau - d_k / tau - (_dot(cs, u2x) + _dot(bs, u2y) + _dot(hs_t, u2zt))
             dtau = num / denom_tau
             dx = u2x + dtau * u1x
             dy = u2y + dtau * u1y
@@ -997,15 +1031,16 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
             dkappa = (d_k - kappa * dtau) / tau
             return dx, dy, dz, ds, dtau, dkappa, dz_t
 
-        # predictor: d_s = -lam o lam, so comp_t = -lam
-        dxa, dya, dza, dsa, dtaua, dkappaa, dza_t = direction(0.0, -lam, 0.0)
+        # predictor: d_s = -lam o lam, so comp_t = -lam.  It only sizes
+        # sigma and the second-order term, so its solve is not refined.
+        dxa, dya, dza, dsa, dtaua, dkappaa, dza_t = direction(0.0, -lam, 0.0, refine=False)
         alpha_a = min(1.0, max_step(spec, s, dsa), max_step(spec, z, dza))
         if dtaua < 0.0:
             alpha_a = min(alpha_a, -tau / dtaua)
         if dkappaa < 0.0:
             alpha_a = min(alpha_a, -kappa / dkappaa)
         mu_aff = (
-            float((s + alpha_a * dsa) @ (z + alpha_a * dza)) + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
+            _dot(s + alpha_a * dsa, z + alpha_a * dza) + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
         ) / nu
         sigma = float(np.clip((mu_aff / mu) ** 3, 0.0, 1.0))
 
@@ -1086,7 +1121,7 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
         xh, yh, zh, sh = lifted_point()
     else:
         xh, yh, zh, sh = presolve.lift(*unscaled_point(), tau)
-    objective = float(form.c @ xh) if status in (OPTIMAL, MAX_ITERATIONS) else math.nan
+    objective = _dot(form.c, xh) if status in (OPTIMAL, MAX_ITERATIONS) else math.nan
     return SolveReport(
         status=status,
         x=xh,

@@ -23,7 +23,6 @@ operations over the samples of all K midpoints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from collections import defaultdict
 from itertools import chain
@@ -567,19 +566,23 @@ class PathTiming:
     grid: Grid
     speed_sq: np.ndarray
 
-    def s_of(self, t: float) -> float:
-        t = float(np.clip(t, 0.0, self.total))
-        times = self.node_times
-        k = min(int(np.searchsorted(times, t, side="right")) - 1, self.grid.intervals - 1)
-        k = max(k, 0)
-        dt = t - times[k]
+    def s_of(self, t) -> float | np.ndarray:
+        """Path position at time t, a float or an array of times (clipped to
+        [0, total]); an array gives an array of the same shape."""
+        t = np.clip(np.asarray(t, dtype=float), 0.0, self.total)
+        k = np.clip(np.searchsorted(self.node_times, t, side="right") - 1, 0, self.grid.intervals - 1)
+        dt = t - self.node_times[k]
         b_lo, b_hi = self.speed_sq[k], self.speed_sq[k + 1]
         slope = (b_hi - b_lo) / self.grid.spacing
-        root_lo = math.sqrt(max(b_lo, 0.0))
-        if abs(slope) < 1e-300:
-            return float(self.grid.points[k] + root_lo * dt)
-        root_here = max(root_lo + 0.5 * slope * dt, 0.0)
-        return float(np.clip(self.grid.points[k] + (root_here**2 - b_lo) / slope, 0.0, 1.0))
+        root_lo = np.sqrt(np.maximum(b_lo, 0.0))
+        flat = np.abs(slope) < 1e-300
+        slope = np.where(flat, 1.0, slope)
+        root_here = np.maximum(root_lo + 0.5 * slope * dt, 0.0)
+        # float_power calls the C library's pow, as a float's ** does, so
+        # every s keeps the bits a point-by-point evaluation gives
+        curved = np.clip(self.grid.points[k] + (np.float_power(root_here, 2.0) - b_lo) / slope, 0.0, 1.0)
+        s = np.where(flat, self.grid.points[k] + root_lo * dt, curved)
+        return float(s) if s.ndim == 0 else s
 
 
 def recover_time(speed_sq, grid: Grid) -> PathTiming:

@@ -7,6 +7,8 @@ margin, positive homogeneity, monotonicity in the friction coefficient) are
 checked with hypothesis.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,55 @@ class TestMarginOracle:
         with pytest.raises(ValueError):
             cone_margin(desc, w)
         assert np.isfinite(cone_margin(desc, w, pin_tol=1e-5))
+
+
+def ref_cone_margin(descriptor, wrench, pin_tol):
+    """`cone_margin` of one wrench, written one Python float at a time."""
+    F = [float(v) for v in wrench]
+    scale = max(1.0, max(abs(v) for v in F))
+    for idx in descriptor.pinned:
+        if abs(F[idx]) > pin_tol * scale:
+            raise ValueError(f"pinned wrench component {idx} is {F[idx]:.3e}, beyond tolerance")
+    acc = 0.0
+    for idx, weight in descriptor.tail:
+        acc += (weight * F[idx]) ** 2
+    return F[descriptor.head_index] - math.sqrt(acc)
+
+
+class TestBatchedMargin:
+    """A (..., 6) batch gives, bit for bit, the margins of a loop over its wrenches."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["pcwf", "sfce"]), st.sampled_from([1e-6, np.inf]))
+    def test_matches_point_loop(self, seed, model, pin_tol):
+        rng = np.random.default_rng(seed)
+        desc = emit_cone(model, FrictionParams(*rng.uniform(0.05, 3.0, size=4)))
+        W = rng.standard_normal((4, 50, 6)) * 10.0 ** rng.uniform(-3, 4, size=(4, 50, 1))
+        if pin_tol < np.inf:
+            W[..., list(desc.pinned)] *= rng.choice([0.0, 1e-12], size=(4, 50, len(desc.pinned)))
+        got = cone_margin(desc, W, pin_tol=pin_tol)
+        want = np.array([[ref_cone_margin(desc, w, pin_tol) for w in row] for row in W])
+        assert got.shape == (4, 50)
+        assert got.tobytes() == want.tobytes()
+        one = cone_margin(desc, W[0, 0], pin_tol=pin_tol)
+        assert type(one) is float and one == want[0, 0]
+
+    @pytest.mark.parametrize("model", ["pcwf", "sfce"])
+    def test_pin_error_names_the_first_offender(self, model):
+        desc = emit_cone(model, FrictionParams(mu=0.5))
+        rng = np.random.default_rng(3)
+        W = rng.standard_normal((20, 6))
+        W[:, list(desc.pinned)] = 0.0
+        W[7, desc.pinned[-1]] = 0.25
+        W[7, desc.pinned[0]] = -0.5
+        W[12, desc.pinned[0]] = 3.0
+        with pytest.raises(ValueError) as loop:
+            [ref_cone_margin(desc, w, PIN_TOLERANCE) for w in W]
+        for batch_shape in ((20, 6), (4, 5, 6)):
+            with pytest.raises(ValueError) as batch:
+                cone_margin(desc, W.reshape(batch_shape))
+            assert str(batch.value) == str(loop.value)
+        assert f"component {desc.pinned[0]} is -5.000e-01" in str(batch.value)
 
 
 @st.composite

@@ -8,11 +8,15 @@ solved to the default gap tolerance.
 """
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -936,6 +940,106 @@ class TestEarlyCertificates:
         (point,) = sweep(sc, "objects.box.mass", [1.75], grid=80)
         assert point.status == "PrimalInfeasible"
         assert point.iterations <= 8
+
+
+# status and iteration count of every shipped scenario at K=16
+SHIPPED_K16 = {
+    "arm_7dof": ("Optimal", 14),
+    "double_integrator": ("Optimal", 11),
+    "pickup": ("Optimal", 15),
+    "pivoting": ("Optimal", 16),
+    "planar_2dof": ("Optimal", 13),
+    "waiter/tilt_0": ("Optimal", 14),
+    "waiter/tilt_10": ("Optimal", 13),
+    "waiter/tilt_15": ("Optimal", 16),
+    "waiter/tilt_17_5": ("PrimalInfeasible", 9),
+    "waiter/tilt_20": ("PrimalInfeasible", 8),
+}
+
+
+def test_shipped_k16_table_names_every_scenario():
+    shipped = sorted(str(p.relative_to(SCENARIOS).with_suffix("")) for p in SCENARIOS.rglob("*.json"))
+    assert sorted(SHIPPED_K16) == shipped
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_K16))
+def test_shipped_k16_status_and_iterations(name):
+    report = solve(shipped_form(name, 16))
+    assert (report.status, report.iterations) == SHIPPED_K16[name]
+
+
+class TestKKTSolves:
+    def test_one_factor_two_refined_one_plain_solve_per_iteration(self):
+        calls = {"factor": 0, "refined_solve": 0, "solve": 0}
+
+        def counting(name):
+            original = getattr(solver._KKTSystem, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as m:
+            for name in calls:
+                m.setattr(solver._KKTSystem, name, counting(name))
+            report = solve(shipped_form("pivoting", 16))
+        assert report.status == "Optimal"
+        k = report.iterations
+        assert calls == {"factor": k, "refined_solve": 2 * k, "solve": k}
+
+    def test_factor_uses_one_column_panels(self, monkeypatch):
+        # perfbench's trace times the factor through this module-level name
+        seen = []
+
+        def recording(matrix, **options):
+            seen.append(options)
+            return splu(matrix, **options)
+
+        monkeypatch.setattr(solver, "splu", recording)
+        report = solve(ANALYTIC_CASES[4][1])
+        assert len(seen) == report.iterations
+        assert all(options == {"permc_spec": "NATURAL", "panel_size": 1} for options in seen)
+
+
+# Solves a banded LP with 23 996 inequality rows, above the length at which
+# OpenBLAS splits a dot product across threads, and prints
+# "<rows> <status> <objective as float.hex> <sha256 of x>".
+LARGE_LP = """
+import hashlib
+import numpy as np
+import scipy.sparse as sp
+from contact_topp.solver import ConeSpec, StandardConicForm, solve
+
+n = 6000
+rng = np.random.default_rng(0)
+# two random rows on each window of three neighbouring columns, and a box
+window = np.arange(n - 2)
+rows = np.repeat(np.arange(2 * window.size), 3)
+cols = np.repeat(np.tile(window, 2), 3) + np.tile(np.arange(3), 2 * window.size)
+band = sp.csr_matrix((rng.standard_normal(rows.size), (rows, cols)), shape=(2 * window.size, n))
+G = sp.vstack([band, sp.eye(n), -sp.eye(n)], format="csr")
+x0 = rng.uniform(-0.5, 0.5, n)
+h = np.concatenate([band @ x0 + rng.uniform(0.1, 1.0, band.shape[0]), np.ones(2 * n)])
+form = StandardConicForm(c=rng.standard_normal(n), A=sp.csr_matrix((0, n)), b=np.zeros(0), G=G, h=h,
+                         cones=ConeSpec(orthant=G.shape[0], socs=()))
+report = solve(form)
+print(G.shape[0], report.status, float(report.objective).hex(), hashlib.sha256(report.x.tobytes()).hexdigest())
+"""
+
+
+def test_large_lp_bits_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    lines = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", LARGE_LP], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        lines.append(done.stdout.split())
+    rows, status, objective, x_hash = lines[0]
+    assert int(rows) > 20_000 and status == "Optimal"
+    assert lines[1] == lines[0]
 
 
 def hand_program(num_vars, objective, equalities=(), bounds=(), cones=()):

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_limits, spatial_arm
 from contact_topp.contacts import ContactSpec, FrictionParams
@@ -234,6 +236,21 @@ def time_of(timing, s):
     return timing.node_times[k] + 2.0 * (math.sqrt(b_lo + slope * ds) - math.sqrt(b_lo)) / slope
 
 
+def ref_s_of(timing, t):
+    """`PathTiming.s_of` at one time, written one Python float at a time."""
+    t = min(max(float(t), 0.0), timing.total)
+    k = min(max(int(np.searchsorted(timing.node_times, t, side="right")) - 1, 0), timing.grid.intervals - 1)
+    dt = t - float(timing.node_times[k])
+    b_lo, b_hi = float(timing.speed_sq[k]), float(timing.speed_sq[k + 1])
+    slope = (b_hi - b_lo) / timing.grid.spacing
+    root_lo = math.sqrt(max(b_lo, 0.0))
+    s_k = float(timing.grid.points[k])
+    if abs(slope) < 1e-300:
+        return s_k + root_lo * dt
+    root_here = max(root_lo + 0.5 * slope * dt, 0.0)
+    return min(max(s_k + (root_here**2 - b_lo) / slope, 0.0), 1.0)
+
+
 class TestRecoverTime:
     def test_unit_speed(self):
         g = build_grid(10)
@@ -262,6 +279,26 @@ class TestRecoverTime:
         timing = recover_time(b, build_grid(8))
         for s in np.linspace(0.01, 1.0, 17):
             assert timing.s_of(time_of(timing, s)) == pytest.approx(s, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_s_of_array_matches_point_loop(self, seed):
+        # random profiles with stops, flat stretches and wide speed ranges;
+        # times before 0 and past the end included
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 40))
+        b = (rng.random(K + 1) + 1e-3) * 10.0 ** rng.uniform(-3, 3)
+        b[rng.random(K + 1) < 0.3] = b[0]
+        # stops at even nodes only, so no interval has two
+        b[(rng.random(K + 1) < 0.3) & (np.arange(K + 1) % 2 == 0)] = 0.0
+        timing = recover_time(b, build_grid(K))
+        # x * x and the pow of a float's ** differ in the last bit now and
+        # then, and s shows it at about 2 in 10 000 times
+        t = np.concatenate((np.linspace(0.0, timing.total, 1000), rng.uniform(-0.1, 1.1, 1000) * timing.total))
+        got = timing.s_of(t)
+        assert got.shape == t.shape
+        assert got.tobytes() == np.array([ref_s_of(timing, tj) for tj in t]).tobytes()
+        assert timing.s_of(float(t[7])) == got[7]
 
     def test_node_times_match_interval_formula(self):
         b = np.array([0.0, 0.5, 2.0, 1.0])
