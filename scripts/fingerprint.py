@@ -30,6 +30,9 @@ it solves at K intervals and records:
   solve/<name>/iterations  its iteration count
   solve/<name>/T           the total time T as `float.hex`, null unless Optimal
   solve/<name>/x           sha256 of the solver's x (its shape and bytes)
+  solve/<name>/history     sha256 of the solver's iteration history (every
+                           iteration's mu, sigma, alpha, tau, kappa, costs and
+                           residuals), each float written as `float.hex`
 
 The line also carries `blas_threads`, the OPENBLAS_NUM_THREADS setting it
 was taken under ("unset" when there is none): the last bits of long dot
@@ -116,6 +119,10 @@ def shipped_profile(name: str, K: int) -> ScalingVariables:
     )
 
 
+def history_hash(history: list) -> str:
+    return json_hash([{k: float.hex(v) if isinstance(v, float) else v for k, v in row.items()} for row in history])
+
+
 def phase_plane_hash(sc, resolution) -> str:
     pp = topp_phase_plane(sc, resolution)
     return Digest().add(pp.s, pp.limit_curve, pp.forward, pp.backward, pp.profile, pp.total).hexdigest()
@@ -137,6 +144,7 @@ def solve_keys(name: str, K: int) -> dict:
         f"solve/{name}/iterations": report.iterations,
         f"solve/{name}/T": T,
         f"solve/{name}/x": Digest().add(report.x).hexdigest(),
+        f"solve/{name}/history": history_hash(report.history),
     }
 
 

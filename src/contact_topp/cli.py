@@ -26,7 +26,7 @@ from .scenario import (
     run,
     sweep,
 )
-from .solver import TOL
+from .solver import MAX_ITERATIONS, NUMERICAL_FAILURE, TOL
 from .transcription import build_grid
 from .verification import verification_ledger
 
@@ -44,8 +44,14 @@ def _check_positive(option: str, value: float) -> None:
         raise ScenarioError(f"{option} must be a positive finite number, got {value!r}")
 
 
+def _check_count(option: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise ScenarioError(f"{option} must be at least 1, got {value}")
+
+
 def _cmd_solve(args) -> int:
     _check_positive("--tol", args.tol)
+    _check_count("--grid", args.grid)
     scenario = load_scenario(args.scenario)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -86,6 +92,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _check_positive("--tol", args.tol)
+    _check_count("--grid", args.grid)
+    _check_count("--threads", args.threads)
     scenario = load_scenario(args.scenario)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -127,7 +135,7 @@ def _cmd_sweep(args) -> int:
         print(f"wrote {args.out}")
     if any(p.status == SWEEP_INPUT_ERROR for p in points):
         return EXIT_INPUT
-    if any(p.status in ("MaxIterations", "NumericalFailure") for p in points):
+    if any(p.status in (MAX_ITERATIONS, NUMERICAL_FAILURE) for p in points):
         return EXIT_SOLVER_FAILURE
     return EXIT_OK
 

@@ -35,12 +35,6 @@ from .transcription import (
 SCENARIO_FORMAT = "contact-topp/scenario-v1"
 TRAJECTORY_FORMAT = "contact-topp/trajectory-v1"
 
-# pinned wrench components out of the solver are zero only to solver
-# tolerance, so margin evaluation on emitted trajectories uses a looser
-# pin check than the exact-arithmetic default
-OUTPUT_PIN_TOL = 1e-6
-
-
 class ScenarioError(ValueError):
     """Schema or invariant violation in a scenario file."""
 
@@ -440,7 +434,7 @@ def check_profile(profile: ScalingVariables, intervals: int, scenario: Scenario)
 
 def solve_scenario(scenario: Scenario, settings: RunSettings = RunSettings()):
     """Assemble and solve; returns (program, report, solution-or-None)."""
-    grid = build_grid(settings.grid_override or scenario.grid_points)
+    grid = build_grid(scenario.grid_points if settings.grid_override is None else settings.grid_override)
     program = assemble_scenario(scenario, grid)
     report, solution = solve_conic_program(program, settings.tol)
     return program, report, solution
@@ -482,7 +476,7 @@ def run(scenario: Scenario, settings: RunSettings = RunSettings()) -> Trajectory
     tau = solution.torque[k_idx]
 
     wrench = {cid: solution.wrenches[cid][k_idx] for cid in program.contact_order}
-    margin = {sc.cid: cone_margin(sc.cone, wrench[sc.cid], pin_tol=OUTPUT_PIN_TOL) for sc in scene.contacts}
+    margin = {sc.cid: cone_margin(sc.cone, wrench[sc.cid]) for sc in scene.contacts}
 
     return TrajectoryOutput(
         scenario_name=scenario.name,

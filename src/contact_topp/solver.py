@@ -20,6 +20,15 @@ second-order term, none of which needs the last digits.  Cone operations
 work on groups of equal-size cones at once, and the KKT matrix keeps one
 sparsity pattern per solve, whose values each iteration refills.
 
+`solve` runs in named phases.  Once per solve: `_Presolve` (below),
+`_Scaled` (equilibration and the scalar normalization of the data) and
+`_KKTSystem` (the fixed KKT pattern and its ordering).  Each iteration:
+`Scaling` at the iterate; `_KKTSystem.refill` and `factor`; `_Newton`,
+the residuals and the tau direction u1 at the iterate; its `direction`
+for the predictor and then the corrector, each sized by `_step_length`;
+`_Point.step`; and the convergence and certificate checks on the lifted
+iterate.
+
 Before iterating, `solve` presolves the equality rows with a single
 nonzero: each fixes its column, which is substituted into the other rows
 and dropped with its row.  The iteration runs on the smaller problem, and
@@ -582,6 +591,11 @@ class _KKTSystem:
         return out
 
 
+def _inverse_sqrt(v: np.ndarray) -> np.ndarray:
+    """1 / sqrt(v), with 1 where v is not positive."""
+    return 1.0 / np.sqrt(np.where(v > 0, v, 1.0))
+
+
 def _ruiz_equilibrate(form: StandardConicForm, iters: int = EQUILIBRATE_ITERS):
     """Row/column scaling of the stacked constraint matrix.
 
@@ -598,20 +612,16 @@ def _ruiz_equilibrate(form: StandardConicForm, iters: int = EQUILIBRATE_ITERS):
     d_col = np.ones(n)
     d_row = np.ones(M.shape[0])
     spec = form.cones
-
-    def inverse_sqrt(v):
-        return 1.0 / np.sqrt(np.where(v > 0, v, 1.0))
-
     for _ in range(iters):
         mag = np.abs(M.data)
         col_max = np.zeros(n)
         np.maximum.at(col_max, M.indices, mag)
         row_max = np.zeros(M.shape[0])
         np.maximum.at(row_max, row, mag)
-        col_scale = inverse_sqrt(col_max)
-        row_scale = inverse_sqrt(row_max)
+        col_scale = _inverse_sqrt(col_max)
+        row_scale = _inverse_sqrt(row_max)
         for g in spec.groups:
-            row_scale[p + g.index] = inverse_sqrt(row_max[p + g.index].max(axis=1))[:, None]
+            row_scale[p + g.index] = _inverse_sqrt(row_max[p + g.index].max(axis=1))[:, None]
         M.data *= row_scale[row]
         M.data *= col_scale[M.indices]
         d_col *= col_scale
@@ -891,6 +901,141 @@ def _infeasibility_certificate(form, presolve, x, y, z, s, tol, relative) -> tup
     return None
 
 
+class _Point(NamedTuple):
+    """A point (x, y, z, s, tau, kappa) of the homogeneous model, or a
+    direction from one."""
+
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    s: np.ndarray
+    tau: float
+    kappa: float
+
+    def step(self, alpha: float, d: _Point) -> _Point:
+        return _Point(*(v + alpha * dv for v, dv in zip(self, d)))
+
+    def mu(self, nu: int) -> float:
+        """(s'z + tau kappa) / nu, nu the degree of the cone plus one."""
+        return (_dot(self.s, self.z) + self.tau * self.kappa) / nu
+
+
+class _Scaled:
+    """The reduced problem as the iteration sees it: Ruiz-equilibrated
+    (`_ruiz_equilibrate`), with its right-hand sides and its cost divided by
+    clamped scalars.
+
+    The scalars keep the initial homogeneous residuals O(1).  The divisor
+    is clamped: every decade of scaling spent here is a decade lost from
+    the achievable unscaled duality gap, so outlier data (say a 1e6 box
+    limit on an O(1) problem) is tamed only partially rather than at the
+    expense of the 1e-8 gap target.
+    """
+
+    def __init__(self, form: StandardConicForm):
+        self.A, self.G, self.d_col, self.d_eq, self.d_in = _ruiz_equilibrate(form)
+        self.AT, self.GT = self.A.T.tocsr(), self.G.T.tocsr()
+        bs = self.d_eq * form.b
+        hs = self.d_in * form.h
+        rhs_norm = float(np.abs(np.concatenate((bs, hs))).max(initial=0.0))
+        self.rhs_scale = 1.0 / min(max(1.0, rhs_norm), 1e3)
+        self.b = self.rhs_scale * bs
+        self.h = self.rhs_scale * hs
+        cost_norm = float(np.abs(self.d_col * form.c).max(initial=0.0))
+        self.cost_scale = 1.0 / min(max(1.0, cost_norm), 1e3)
+        self.c = self.cost_scale * self.d_col * form.c
+
+    def unscale(self, point: _Point) -> tuple:
+        """(x, y, z, s) of a point, on the reduced problem's own data."""
+        return (
+            self.d_col * point.x / self.rhs_scale,
+            self.d_eq * point.y / self.cost_scale,
+            self.d_in * point.z / self.cost_scale,
+            point.s / self.d_in / self.rhs_scale,
+        )
+
+
+class _Newton:
+    """The Newton systems of the homogeneous model at one iterate.
+
+    Built once the KKT matrix of the iterate's scaling is factored.  It
+    holds the residuals of the model, the tau direction u1 (the solve with
+    right-hand side (-c, b, W^{-1} h), which enters every dtau) and dtau's
+    denominator; `direction` then costs one more solve.  The z parts of
+    the solves stay in scaled form (W z): W^{-1} is symmetric, so
+    h'z = (W^{-1} h)'(W z), and dz needs one W^{-1}.
+    """
+
+    def __init__(self, data: _Scaled, kkt: _KKTSystem, scal: Scaling, point: _Point, mu: float):
+        self.data, self.kkt, self.scal, self.point, self.mu = data, kkt, scal, point, mu
+        x, y, z, s, tau, kappa = point
+        self.rx = data.AT @ y + data.GT @ z + data.c * tau
+        self.ry = data.A @ x - data.b * tau
+        self.rz = data.G @ x + s - data.h * tau
+        self.rtau = _dot(data.c, x) + _dot(data.b, y) + _dot(data.h, z) + kappa
+        self.h_t = scal.apply_inverse(data.h)
+        self.u1 = self._solve(-data.c, data.b, self.h_t)
+        self.denom_tau = self._potential(self.u1) - kappa / tau
+        self.rz_t = scal.apply_inverse(self.rz)
+
+    def _solve(self, vx, vy, vz, refine=True) -> tuple:
+        rhs = np.concatenate([vx, vy, vz])
+        out = self.kkt.refined_solve(rhs) if refine else self.kkt.solve(rhs)
+        n, p = self.data.c.size, self.data.b.size
+        return out[:n], out[n : n + p], out[n + p :]
+
+    def _potential(self, u: tuple) -> float:
+        data = self.data
+        return _dot(data.c, u[0]) + _dot(data.b, u[1]) + _dot(self.h_t, u[2])
+
+    def direction(self, sigma: float, comp_t: np.ndarray, dkappa_extra: float, refine: bool = True) -> tuple:
+        """(d, W dz) for centering sigma, d a `_Point` direction.
+
+        comp_t solves lam o comp_t = d_s, where d_s is the right-hand side
+        of the complementarity row lam o (W^{-1} ds + W dz) = d_s.  With
+        refine=False the solve is one plain triangular solve.
+        """
+        data, tau, kappa = self.data, self.point.tau, self.point.kappa
+        d_k = sigma * self.mu - tau * kappa + dkappa_extra
+        fac = 1.0 - sigma
+        # third row in scaled variables: W^{-1}G dx - (W dz) = W^{-1}vz
+        u2 = self._solve(-fac * self.rx, -fac * self.ry, -fac * self.rz_t - comp_t, refine)
+        dtau = (-fac * self.rtau - d_k / tau - self._potential(u2)) / self.denom_tau
+        dx, dy, dz_t = (v2 + dtau * v1 for v2, v1 in zip(u2, self.u1))
+        # ds via the slack feasibility row, not the complementarity row:
+        # the latter multiplies dz's solve error by W^2, which is huge for
+        # blocks pinched on the cone boundary
+        ds = -fac * self.rz - data.G @ dx + data.h * dtau
+        dkappa = (d_k - kappa * dtau) / tau
+        return _Point(dx, dy, self.scal.apply_inverse(dz_t), ds, dtau, dkappa), dz_t
+
+
+def _step_length(spec: ConeSpec, point: _Point, d: _Point, fraction: float) -> float:
+    """The longest step along d, at most 1, that covers at most `fraction`
+    of the distance from point to the boundary of K x K x R+ x R+."""
+    alpha = min(1.0, fraction * max_step(spec, point.s, d.s), fraction * max_step(spec, point.z, d.z))
+    if d.tau < 0.0:
+        alpha = min(alpha, fraction * (-point.tau / d.tau))
+    if d.kappa < 0.0:
+        alpha = min(alpha, fraction * (-point.kappa / d.kappa))
+    return alpha
+
+
+def _check_form(form: StandardConicForm) -> None:
+    """Raise ValueError naming the first field of form whose size disagrees
+    with the size of c or with the row counts of A and G."""
+    n, p, m = form.c.size, form.A.shape[0], form.G.shape[0]
+    for size, want, message in (
+        (form.A.shape[1], n, "A has {} columns, c has {} entries"),
+        (form.b.size, p, "b has {} entries, A has {} rows"),
+        (form.G.shape[1], n, "G has {} columns, c has {} entries"),
+        (form.h.size, m, "h has {} entries, G has {} rows"),
+        (form.cones.total, m, "the cones span {} rows, G has {} rows"),
+    ):
+        if size != want:
+            raise ValueError(message.format(size, want))
+
+
 def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
     """Run the homogeneous self-dual predictor-corrector iteration.
 
@@ -904,44 +1049,15 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     t0 = time.perf_counter()
-    if form.cones.total != form.G.shape[0]:
-        raise ValueError("cone dimensions do not match G")
+    _check_form(form)
     # the iteration runs on the reduced problem; every decision reads the
     # lifted iterate on the original data
     presolve = _Presolve(form, tol)
-    reduced = presolve.form
-    spec = reduced.cones
-    n = reduced.c.size
-    p = reduced.A.shape[0]
-
-    As, Gs, d_col, d_eq, d_in = _ruiz_equilibrate(reduced)
-    bs = d_eq * reduced.b
-    hs = d_in * reduced.h
-    # Scalar normalization of the right-hand sides and cost keeps the initial
-    # homogeneous residuals O(1).  The divisor is clamped: every decade of
-    # scaling spent here is a decade lost from the achievable unscaled duality
-    # gap, so outlier data (say a 1e6 box limit on an O(1) problem) is tamed
-    # only partially rather than at the expense of the 1e-8 gap target.
-    rhs_norm = max(
-        float(np.linalg.norm(bs, ord=np.inf)) if bs.size else 0.0,
-        float(np.linalg.norm(hs, ord=np.inf)) if hs.size else 0.0,
-    )
-    rhs_scale = 1.0 / min(max(1.0, rhs_norm), 1e3)
-    bs = rhs_scale * bs
-    hs = rhs_scale * hs
-    cost_norm = float(np.linalg.norm(d_col * reduced.c, ord=np.inf)) if n else 0.0
-    cost_scale = 1.0 / min(max(1.0, cost_norm), 1e3)
-    cs = cost_scale * d_col * reduced.c
-
-    AsT = As.T.tocsr()
-    GsT = Gs.T.tocsr()
-
+    spec = presolve.form.cones
+    data = _Scaled(presolve.form)
+    kkt = _KKTSystem(data.A, data.G, spec)
     e = cone_identity(spec)
-    x = np.zeros(n)
-    y = np.zeros(p)
-    z = e.copy()
-    s = e.copy()
-    tau, kappa = 1.0, 1.0
+    point = _Point(np.zeros(data.c.size), np.zeros(data.b.size), e, e, 1.0, 1.0)
     nu = spec.degree + 1
 
     history: list[dict] = []
@@ -952,37 +1068,17 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
         # passes leaves nothing to iterate
         certificate = _check_primal_infeasibility_certificate(form, presolve.ray, np.zeros(form.G.shape[0]), tol)
     status = MAX_ITERATIONS if certificate is None else PRIMAL_INFEASIBLE
-    max_iter = MAX_ITER if certificate is None else 0
     last_residuals: dict = {}
     iteration = 0
 
-    def unscaled_point():
-        xs = d_col * x / rhs_scale
-        ys = d_eq * y / cost_scale
-        zs = d_in * z / cost_scale
-        ss = s / d_in / rhs_scale
-        return xs, ys, zs, ss
-
-    def lifted_point():
-        """The iterate divided by tau, on the original columns and rows."""
-        return presolve.lift(*(v / tau for v in unscaled_point()), 1.0)
-
-    kkt = _KKTSystem(As, Gs, spec)
-
-    def solve3(vx, vy, vz, refine=True):
-        rhs = np.concatenate([vx, vy, vz])
-        out = kkt.refined_solve(rhs) if refine else kkt.solve(rhs)
-        return out[:n], out[n : n + p], out[n + p :]
-
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, (MAX_ITER if certificate is None else 0) + 1):
         try:
-            scal = Scaling(spec, s, z)
+            scal = Scaling(spec, point.s, point.z)
         except FloatingPointError:
             status = NUMERICAL_FAILURE
             break
-        lam = scal.apply(z)
-        mu = (_dot(s, z) + tau * kappa) / nu
-
+        lam = scal.apply(point.z)
+        mu = point.mu(nu)
         # The scaling is folded in as W^{-1}G with an identity third block
         # rather than G with a W^2 block: W^2 squares the boundary-induced
         # dynamic range and makes the factorization unusable at small mu.
@@ -992,105 +1088,32 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
         except RuntimeError:
             status = NUMERICAL_FAILURE
             break
-
-        # residuals of the homogeneous model (scaled data)
-        rx = AsT @ y + GsT @ z + cs * tau
-        ry = As @ x - bs * tau
-        rz = Gs @ x + s - hs * tau
-        rtau = _dot(cs, x) + _dot(bs, y) + _dot(hs, z) + kappa
-
-        # The z parts of both solves stay in scaled form (W z): W^{-1} is
-        # symmetric, so h'z = (W^{-1} h)'(W z), and dz needs one W^{-1}.
-        hs_t = scal.apply_inverse(hs)
-        u1x, u1y, u1zt = solve3(-cs, bs, hs_t)
-        denom_tau = _dot(cs, u1x) + _dot(bs, u1y) + _dot(hs_t, u1zt) - kappa / tau
-        rz_t = scal.apply_inverse(rz)
-
-        def direction(sigma, comp_t, dkappa_extra, refine=True):
-            """Build (dx, dy, dz, ds, dtau, dkappa, W dz) for given centering.
-
-            comp_t solves lam o comp_t = d_s, where d_s is the right-hand side
-            of the complementarity row lam o (W^{-1} ds + W dz) = d_s.
-            With refine=False the solve is one plain triangular solve.
-            """
-            d_k = sigma * mu - tau * kappa + dkappa_extra
-            fac = 1.0 - sigma
-            # third row in scaled variables: W^{-1}G dx - (W dz) = W^{-1}vz
-            rhs_zt = -fac * rz_t - comp_t
-            u2x, u2y, u2zt = solve3(-fac * rx, -fac * ry, rhs_zt, refine)
-            num = -fac * rtau - d_k / tau - (_dot(cs, u2x) + _dot(bs, u2y) + _dot(hs_t, u2zt))
-            dtau = num / denom_tau
-            dx = u2x + dtau * u1x
-            dy = u2y + dtau * u1y
-            dz_t = u2zt + dtau * u1zt
-            dz = scal.apply_inverse(dz_t)
-            # ds via the slack feasibility row, not the complementarity row:
-            # the latter multiplies dz's solve error by W^2, which is huge for
-            # blocks pinched on the cone boundary
-            ds = -fac * rz - Gs @ dx + hs * dtau
-            dkappa = (d_k - kappa * dtau) / tau
-            return dx, dy, dz, ds, dtau, dkappa, dz_t
+        newton = _Newton(data, kkt, scal, point, mu)
 
         # predictor: d_s = -lam o lam, so comp_t = -lam.  It only sizes
         # sigma and the second-order term, so its solve is not refined.
-        dxa, dya, dza, dsa, dtaua, dkappaa, dza_t = direction(0.0, -lam, 0.0, refine=False)
-        alpha_a = min(1.0, max_step(spec, s, dsa), max_step(spec, z, dza))
-        if dtaua < 0.0:
-            alpha_a = min(alpha_a, -tau / dtaua)
-        if dkappaa < 0.0:
-            alpha_a = min(alpha_a, -kappa / dkappaa)
-        mu_aff = (
-            _dot(s + alpha_a * dsa, z + alpha_a * dza) + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
-        ) / nu
+        pred, pred_z_t = newton.direction(0.0, -lam, 0.0, refine=False)
+        mu_aff = point.step(_step_length(spec, point, pred, 1.0), pred).mu(nu)
         sigma = float(np.clip((mu_aff / mu) ** 3, 0.0, 1.0))
 
         # corrector
-        corr = -jordan_product(spec, scal.apply_inverse(dsa), dza_t)
+        corr = -jordan_product(spec, scal.apply_inverse(pred.s), pred_z_t)
         d_s = sigma * mu * e - jordan_product(spec, lam, lam) + corr
-        dx, dy, dz, ds, dtau, dkappa, _ = direction(sigma, jordan_solve(spec, lam, d_s), -dtaua * dkappaa)
-
-        alpha = min(
-            1.0,
-            STEP_FRACTION * max_step(spec, s, ds),
-            STEP_FRACTION * max_step(spec, z, dz),
-        )
-        if dtau < 0.0:
-            alpha = min(alpha, STEP_FRACTION * (-tau / dtau))
-        if dkappa < 0.0:
-            alpha = min(alpha, STEP_FRACTION * (-kappa / dkappa))
+        d, _ = newton.direction(sigma, jordan_solve(spec, lam, d_s), -pred.tau * pred.kappa)
+        alpha = _step_length(spec, point, d, STEP_FRACTION)
         if not np.isfinite(alpha) or alpha <= 0.0:
             status = NUMERICAL_FAILURE
             break
-
-        x = x + alpha * dx
-        y = y + alpha * dy
-        z = z + alpha * dz
-        s = s + alpha * ds
-        tau += alpha * dtau
-        kappa += alpha * dkappa
-
-        if not (np.all(np.isfinite(x)) and np.isfinite(tau) and tau > 0.0):
+        point = point.step(alpha, d)
+        tau, kappa = point.tau, point.kappa
+        if not (np.all(np.isfinite(point.x)) and np.isfinite(tau) and tau > 0.0):
             status = NUMERICAL_FAILURE
             break
 
-        rep = verify_kkt(form, *lifted_point())
+        rep = verify_kkt(form, *presolve.lift(*(v / tau for v in data.unscale(point)), 1.0))
         last_residuals = rep
-        history.append(
-            {
-                "iteration": iteration,
-                "mu": mu,
-                "sigma": sigma,
-                "alpha": float(alpha),
-                "tau": tau,
-                "kappa": kappa,
-                "pcost": rep["pcost"],
-                "dcost": rep["dcost"],
-                "primal_eq": rep["primal_eq"],
-                "primal_in": rep["primal_in"],
-                "dual": rep["dual"],
-                "gap": rep["gap"],
-            }
-        )
+        step = {"iteration": iteration, "mu": mu, "sigma": sigma, "alpha": float(alpha), "tau": tau, "kappa": kappa}
+        history.append({**step, **{k: rep[k] for k in ("pcost", "dcost", "primal_eq", "primal_in", "dual", "gap")}})
 
         if max(rep["primal_eq"], rep["primal_in"]) <= tol and rep["dual"] <= tol and rep["gap"] <= tol:
             status = OPTIMAL
@@ -1104,7 +1127,7 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
         guard = tau < TAU_KAPPA_GUARD * max(1.0, kappa)
         if guard or kappa > tau:
             early = not (guard or mu < tol * 1e-2)
-            found = _infeasibility_certificate(form, presolve, *unscaled_point(), tol, early)
+            found = _infeasibility_certificate(form, presolve, *data.unscale(point), tol, early)
             if found is not None:
                 status, certificate = found
                 break
@@ -1117,23 +1140,14 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
             status = NUMERICAL_FAILURE
             break
 
-    if status in (OPTIMAL, MAX_ITERATIONS) and tau > 0.0:
-        xh, yh, zh, sh = lifted_point()
+    x, y, z, s = data.unscale(point)
+    if status in (OPTIMAL, MAX_ITERATIONS) and point.tau > 0.0:
+        x, y, z, s = presolve.lift(*(v / point.tau for v in (x, y, z, s)), 1.0)
     else:
-        xh, yh, zh, sh = presolve.lift(*unscaled_point(), tau)
-    objective = _dot(form.c, xh) if status in (OPTIMAL, MAX_ITERATIONS) else math.nan
+        x, y, z, s = presolve.lift(x, y, z, s, point.tau)
+    objective = _dot(form.c, x) if status in (OPTIMAL, MAX_ITERATIONS) else math.nan
     return SolveReport(
-        status=status,
-        x=xh,
-        y=yh,
-        z=zh,
-        s=sh,
-        tau=tau,
-        kappa=kappa,
-        objective=objective,
-        iterations=iteration,
-        residuals=last_residuals,
-        history=history,
+        status, x, y, z, s, point.tau, point.kappa, objective, iteration, last_residuals, history,
         wall_time=time.perf_counter() - t0,
         certificate=certificate,
     )

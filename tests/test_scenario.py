@@ -341,6 +341,20 @@ def test_run_infeasible_raises_with_certificate():
     assert exc.value.report.certificate is not None
 
 
+@pytest.mark.parametrize("name", ["pivoting", "pickup", "waiter/tilt_10"])
+def test_run_pinned_wrench_components_are_exact_zeros(name):
+    # the presolve substitutes every pin row, so a pinned component comes
+    # out as tau * 0, and `run` checks its margins at the default pin
+    # tolerance
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    out = run(sc, RunSettings(grid_override=16, output_points=11))
+    assert out.status == "Optimal" and sc.scene.contacts
+    for contact in sc.scene.contacts:
+        pinned = list(contact.cone.pinned)
+        assert np.all(out.profile.wrenches[contact.cid][:, pinned] == 0.0)
+        assert np.all(out.wrench[contact.cid][:, pinned] == 0.0)
+
+
 def test_trajectory_csv(tmp_path):
     sc = scenario_from_dict(slider_scenario(grid_points=16, accel=1.0))
     out = run(sc, RunSettings(output_points=101))
@@ -522,6 +536,35 @@ def test_cli_bad_tol_exit(tmp_path, capsys, command, tol):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 4
     assert "--tol must be a positive finite number" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--grid", "0"], "--grid must be at least 1, got 0"),
+        (["solve", "--grid", "-3"], "--grid must be at least 1, got -3"),
+        (["solve", "--dump-program", "--grid", "0"], "--grid must be at least 1, got 0"),
+        (["sweep", "--grid", "0"], "--grid must be at least 1, got 0"),
+        (["sweep", "--threads", "-2"], "--threads must be at least 1, got -2"),
+        (["sweep", "--threads", "0"], "--threads must be at least 1, got 0"),
+    ],
+    ids=["solve-grid-0", "solve-grid-neg", "dump-program-grid-0", "sweep-grid-0", "sweep-threads-neg", "sweep-threads-0"],
+)
+def test_cli_count_below_one_exit(tmp_path, capsys, argv, message):
+    command, *options = argv
+    argv = [command, write_scenario(tmp_path, slider_scenario(grid_points=8)), *options]
+    if command == "sweep":
+        argv += ["--param", "robots.0.model.joints.0.accel_max", "--values", "1.0"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert f"input error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_override_zero_is_not_the_scenario_grid():
+    sc = scenario_from_dict(slider_scenario(grid_points=8))
+    with pytest.raises(ValueError, match="at least one interval"):
+        solve_scenario(sc, RunSettings(grid_override=0))
 
 
 def test_cli_sweep_table(tmp_path, capsys):

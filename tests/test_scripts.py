@@ -57,7 +57,7 @@ def test_fingerprint_is_one_stable_json_line():
         | {f"audit/{name}" for name in profiled}
         | {"phase_plane/arm_7dof"}
     )
-    solves = {f"solve/{name}/{field}" for name in SHIPPED for field in ("status", "iterations", "T", "x")}
+    solves = {f"solve/{name}/{field}" for name in SHIPPED for field in ("status", "iterations", "T", "x", "history")}
     assert set(first) == {"grid", "blas_threads"} | hashes | solves
     assert first["grid"] == 6
     assert all(len(first[k]) == 64 and int(first[k], 16) >= 0 for k in hashes)
@@ -106,6 +106,7 @@ def test_fingerprint_solve_keys_name_their_blas_setting(tmp_path):
         assert (T is None) == (status != "Optimal")
         assert T is None or float.fromhex(T) > 0.0
         assert len(line[f"solve/{name}/x"]) == 64
+        assert len(line[f"solve/{name}/history"]) == 64
 
     # a line taken under another BLAS setting is flagged, not just diffed
     line["blas_threads"] = "2"

@@ -7,6 +7,7 @@ shared with the acceptance suite, which requires at least twenty of these
 solved to the default gap tolerance.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -450,6 +451,23 @@ class TestSolverProperties:
     def test_rejects_tolerance_that_is_not_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="tol must be a positive finite number"):
             solve(ANALYTIC_CASES[4][1], tol)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("b", np.array([1.0, 0.0]), "b has 2 entries, A has 1 rows"),
+            ("h", np.array([0.0]), "h has 1 entries, G has 2 rows"),
+            ("c", np.array([1.0, 1.0, 0.0]), "A has 2 columns, c has 3 entries"),
+            ("G", sp.csr_matrix(-np.eye(2, 3)), "G has 3 columns, c has 2 entries"),
+        ],
+        ids=["b-long", "h-short", "c-long", "G-wide"],
+    )
+    def test_rejects_a_form_whose_shapes_disagree(self, field, value, message):
+        # min x0 + x1 subject to x0 + x1 = 1, x >= 0, with one field resized
+        prob = form([1.0, 1.0], G=-np.eye(2), h=[0.0, 0.0], A=[[1.0, 1.0]], b=[1.0], orthant=2)
+        assert solve(prob).status == "Optimal"
+        with pytest.raises(ValueError, match=message):
+            solve(dataclasses.replace(prob, **{field: value}))
 
 
 class TestVerifyKkt:
