@@ -26,6 +26,10 @@ no other oracle key.
 and for every shipped scenario (scenarios/*.json and scenarios/waiter/*.json)
 it solves at K intervals and records:
 
+  form/<name>              sha256 of the presolved form the iteration runs
+                           on (c, A, b, G, h, the cones and the row labels),
+                           so a change to the transcription or the presolve
+                           that leaves the solver's input alone says so
   solve/<name>/status      the solver's status
   solve/<name>/iterations  its iteration count
   solve/<name>/T           the total time T as `float.hex`, null unless Optimal
@@ -59,6 +63,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from contact_topp.dynamics import sample_path_dynamics  # noqa: E402
 from contact_topp.scenario import RunSettings, load_scenario, profile_from_json_dict, solve_scenario  # noqa: E402
+from contact_topp.solver import TOL, _Presolve, canonicalize  # noqa: E402
 from contact_topp.transcription import ScalingVariables, build_grid, recover_time  # noqa: E402
 from contact_topp.verification import audit, fd_suite, topp_phase_plane  # noqa: E402
 
@@ -135,11 +140,20 @@ def shipped_scenarios() -> list:
     return sorted(os.path.relpath(p, base)[: -len(".json")].replace(os.sep, "/") for p in paths)
 
 
+def form_hash(program) -> str:
+    form = _Presolve(canonicalize(program), TOL).form
+    d = Digest().add(form.c, form.b, form.h)
+    for M in (form.A, form.G):
+        d.add(repr(M.shape), M.data, M.indices, M.indptr)
+    return d.add(repr((form.cones.orthant, form.cones.socs)), json.dumps(list(form.row_labels))).hexdigest()
+
+
 def solve_keys(name: str, K: int) -> dict:
     sc = load_scenario(os.path.join(ROOT, "scenarios", f"{name}.json"))
     program, report, solution = solve_scenario(sc, RunSettings(grid_override=K))
     T = None if solution is None else float(recover_time(solution.speed_sq, program.grid).total).hex()
     return {
+        f"form/{name}": form_hash(program),
         f"solve/{name}/status": report.status,
         f"solve/{name}/iterations": report.iterations,
         f"solve/{name}/T": T,

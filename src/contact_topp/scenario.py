@@ -560,11 +560,14 @@ def sweep(
 
     With `threads` None or 1 the points run serially in the calling
     process; with more, they run in a pool of up to that many worker
-    processes.
+    processes.  `threads` below 1 raises `ScenarioError` before any point
+    is solved.
 
     `param` is a dotted path into the scenario dict ("objects.box.mass") or a
     list of such paths all receiving the same value.
     """
+    if threads is not None and threads < 1:
+        raise ScenarioError(f"threads must be at least 1, got {threads}")
     params = [param] if isinstance(param, str) else list(param)
     values = [float(v) for v in values]
     jobs = [(scenario.source, params, v, grid, tol) for v in values]

@@ -36,10 +36,6 @@ every iterate is lifted back to the original columns and rows (the fixed
 values for x, and for the y of each dropped row the value that zeroes its
 column's dual residual).  Two equality rows with the same pattern and
 proportional values that disagree give a Farkas ray before any iteration.
-The presolve also drops every orthant row that is a positive multiple of
-another orthant row with a right-hand side at least as loose, which can
-never bind; such a row lifts to z = 0 and the slack s = h - G x its
-constraint leaves.
 The KKT pattern is relabelled once per solve by
 reverse Cuthill-McKee, which gives the path-structured matrix a narrow
 band, and factored in that order with partial pivoting.
@@ -196,9 +192,6 @@ STALL_ALPHA = 1e-7
 STALL_LIMIT = 3
 # sign, exponent and the top 24 of the 52 mantissa bits of a float64
 _TOP_24_BITS = np.uint64(2**64 - 2**28)
-# relative distance within which an entry counts as lam times its
-# counterpart in a parallel row: a few roundings of lam and of the entries
-PARALLEL_RTOL = 8 * np.finfo(float).eps
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -708,29 +701,21 @@ def _check_dual_infeasibility_certificate(form, x, s, tol, relative: bool = Fals
 
 
 class _Presolve:
-    """The problem with its pinned columns substituted out and its
-    dominated inequality rows dropped.
+    """The problem with its pinned columns substituted out.
 
     An equality row with a single nonzero, a x_j = b_r, fixes x_j = b_r / a
     (Andersen & Andersen, Math. Prog. 71, 1995).  Nonzeros are counted
-    after dropping explicit zeros from A and G, so a row whose only stored
-    entry is 0 pins nothing.  A column fixed by exactly one such row is
-    dropped with that row, and its fixed value moves into the right-hand
-    sides b and h of the rows that remain.  Its cost c_j x_j is a constant:
-    it cancels in the duality gap and comes back when the objective is
+    after dropping explicit zeros from A, so a row whose only stored entry
+    is 0 pins nothing.  A column fixed by exactly one such row is dropped
+    with that row, and its fixed value moves into the right-hand sides b
+    and h of the rows that remain.  Its cost c_j x_j is a constant: it
+    cancels in the duality gap and comes back when the objective is
     evaluated on the lifted point, so `form` carries no offset.  A column
     named by two or more singleton rows stays with all of them.  Equality
     rows stay in place when they repeat another up to a factor; if two such
     rows disagree by more than tol relative, `ray` is the Farkas direction
     they give (`_row_conflict`), which the iteration would otherwise have to
-    find through a rank-deficient A.
-
-    An orthant row G_d x <= h_d that is a positive multiple of another,
-    G_d = lam G_k with lam > 0 and h_d >= lam h_k, is implied by it and is
-    dropped (Brearley, Mitra & Williams, Math. Prog. 8, 1975; see
-    `_dominated_rows`).  Such rows cannot bind, and left in they get huge
-    equilibration scales that cost the iteration its last digits.  Cone
-    rows are never dropped.
+    find through a rank-deficient A.  Inequality and cone rows all stay.
 
     `form` is the reduced problem; `lift` maps a homogeneous point of it
     back to the original columns and rows.
@@ -740,8 +725,7 @@ class _Presolve:
         n, p = form.c.size, form.A.shape[0]
         A = form.A.tocsr(copy=True)
         A.eliminate_zeros()
-        G = form.G.tocsr(copy=True)
-        G.eliminate_zeros()
+        G = form.G.tocsr()
         single = np.flatnonzero(np.diff(A.indptr) == 1)
         col = A.indices[A.indptr[single]]
         pivot = A.data[A.indptr[single]]
@@ -752,31 +736,25 @@ class _Presolve:
         self.free = _complement(self.cols, n)
         self.kept = _complement(self.rows, p)
         self.shape = n, p
-        orthant = form.cones.orthant
-        self.g_dropped = _dominated_rows(G[:orthant], form.h[:orthant])
-        self.g_kept = _complement(self.g_dropped, G.shape[0])
-        self._G_dropped, self._h_dropped = G[self.g_dropped], form.h[self.g_dropped]
-        A_kept, G_kept = A[self.kept], G[self.g_kept]
-        A_fixed, G_fixed = A_kept[:, self.cols], G_kept[:, self.cols]
+        A_kept = A[self.kept]
+        A_fixed, G_fixed = A_kept[:, self.cols], G[:, self.cols]
         self._A_fixed_t, self._G_fixed_t = A_fixed.T.tocsr(), G_fixed.T.tocsr()
         self._c_fixed = form.c[self.cols]
-        labels = form.row_labels
         self.form = StandardConicForm(
             c=form.c[self.free],
             A=A_kept[:, self.free],
             b=form.b[self.kept] - A_fixed @ self.values,
-            G=G_kept[:, self.free],
-            h=form.h[self.g_kept] - G_fixed @ self.values,
-            cones=ConeSpec(orthant=orthant - self.g_dropped.size, socs=form.cones.socs),
-            row_labels=np.asarray(labels, dtype=object)[self.g_kept].tolist() if labels else [],
+            G=G[:, self.free],
+            h=form.h - G_fixed @ self.values,
+            cones=form.cones,
+            row_labels=form.row_labels,
         )
 
     def lift(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, s: np.ndarray, tau: float) -> tuple:
         """(x, y, z, s) on the original columns and rows for a reduced point
         with homogeneous scale tau: a fixed column gets tau times its value,
-        and the y of its row zeroes the column's residual A'y + G'z + tau c.
-        A dropped inequality row gets z = 0 and the slack s = tau h - G x
-        that its constraint leaves.  With tau = 0 this lifts a ray, as an
+        and the y of its row zeroes the column's residual A'y + G'z + tau c;
+        z and s pass through.  With tau = 0 this lifts a ray, as an
         infeasibility certificate needs."""
         n, p = self.shape
         x_full = np.empty(n)
@@ -785,13 +763,7 @@ class _Presolve:
         y_full = np.empty(p)
         y_full[self.kept] = y
         y_full[self.rows] = -(self._A_fixed_t @ y + self._G_fixed_t @ z + tau * self._c_fixed) / self.pivots
-        m = self.g_kept.size + self.g_dropped.size
-        z_full = np.zeros(m)
-        z_full[self.g_kept] = z
-        s_full = np.empty(m)
-        s_full[self.g_kept] = s
-        s_full[self.g_dropped] = tau * self._h_dropped - self._G_dropped @ x_full
-        return x_full, y_full, z_full, s_full
+        return x_full, y_full, z, s
 
 
 def _complement(index: np.ndarray, size: int) -> np.ndarray:
@@ -847,44 +819,6 @@ def _row_conflict(A: sp.csr_matrix, b: np.ndarray, tol: float) -> np.ndarray | N
     y[rows[lo]] = 1.0 / pivots[lo]
     y[rows[hi]] = -1.0 / pivots[hi]
     return y
-
-
-def _dominated_rows(G: sp.csr_matrix, h: np.ndarray) -> np.ndarray:
-    """Sorted indices of the rows of G x <= h implied by another row.
-
-    Rows with the same `_parallel_keys` key and pivot sign form a candidate
-    group; the sign keeps a row apart from its negation, the other side of
-    a range.  Each group keeps its row with the least h / |pivot|, the
-    tightest.  Another row d of the group is dropped only when, against
-    that keeper k, it has the same columns, lam = pivot_d / pivot_k > 0,
-    every entry within PARALLEL_RTOL of lam G_k, and h_d >= lam h_k.
-    G must hold no explicit zeros.
-    """
-    G = G.sorted_indices()
-    rows, pivots, keys = _parallel_keys(G)
-    keys = keys + (pivots < 0.0)
-    order = np.lexsort((h[rows] / np.abs(pivots), keys))
-    rows, keys, pivots = rows[order], keys[order], pivots[order]
-    new = np.ones(rows.size, dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    keeper = np.maximum.accumulate(np.where(new, np.arange(rows.size), 0))[~new]
-    d, k = rows[~new], rows[keeper]
-    lam = pivots[~new] / pivots[keeper]
-    nnz = np.diff(G.indptr)
-    same = (nnz[d] == nnz[k]) & (lam > 0.0)
-    d, k, lam = d[same], k[same], lam[same]
-    # entry j of pair i sits at indptr + j on both rows
-    size = nnz[d]
-    start = np.cumsum(size) - size
-    offset = np.arange(size.sum()) - np.repeat(start, size)
-    at_d = np.repeat(G.indptr[d], size) + offset
-    at_k = np.repeat(G.indptr[k], size) + offset
-    g_d = G.data[at_d]
-    match = (G.indices[at_d] == G.indices[at_k]) & (
-        np.abs(g_d - np.repeat(lam, size) * G.data[at_k]) <= PARALLEL_RTOL * np.abs(g_d)
-    )
-    whole = np.logical_and.reduceat(match, start)
-    return np.sort(d[whole & (h[d] >= lam * h[k])])
 
 
 def _infeasibility_certificate(form, presolve, x, y, z, s, tol, relative) -> tuple | None:

@@ -15,6 +15,12 @@ zero by equality rows, which keeps the bookkeeping uniform and makes the
 free-scalar count match K(4 + 3u + 4v + n) - 2 for a rest-to-rest profile
 with u point contacts and v soft-finger contacts.
 
+The joint velocity limits |q'_i| sdot <= vmax_i, taken over all joints, are
+one bound on b at each midpoint (the maximum-velocity curve of classic
+TOPP), so each interval gets one velocity row: that of the joint whose
+(q'_i)^2 b_mid <= vmax_i^2 leaves b_mid the least room, the lowest i on a
+tie.  A joint with q'_i = 0 there bounds nothing and gets no row.
+
 The program holds three row sections (equalities, bounds, cone rows), each
 one sparse matrix with an offset vector and row labels.  `assemble` fills
 them family by family (torque, balance, ..., inv_epigraph) with array
@@ -463,16 +469,24 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
     bounds.add(boxed, [tau_term], 0.0, lambda kk, i: f"torque_box[{kk}][{i}]", lower=tl, upper=tu)
 
     # joint velocity: (q'_i)^2 b_mid <= vmax_i^2; squares go through libm pow,
-    # which rounds as scalar `x ** 2` does (x * x can differ in the last bit)
+    # which rounds as scalar `x ** 2` does (x * x can differ in the last bit).
+    # Over all joints these are one bound on b_mid, so an interval keeps only
+    # the row of the least (cap_i - const_i) / half_i, the lowest i on a tie;
+    # a joint with q'_i = 0 bounds nothing and gets no row
     has_b = (free[:-1] | free[1:])[:, None]
     cap = np.float_power(vmax, 2)
-    b_term, const = mid_b(np.float_power(dq, 2))
+    half = 0.5 * np.float_power(dq, 2)
+    b_term, const = pair(nodes.b_col, nodes.b_value, half, half)
     finite = np.isfinite(vmax)
     broken = np.argwhere(finite & ~has_b & (const > cap + CONSTANT_TOL * np.maximum(1.0, cap)))
     if broken.size:
         kk, i = broken[0]
         raise ValueError(f"velocity limit of joint {i} violated by fixed boundary speed at interval {kk}")
-    bounds.add(finite & has_b, [b_term], const, lambda kk, i: f"velocity[{kk}][{i}]", lower=-np.inf, upper=cap)
+    bounding = finite & has_b & (half != 0.0)
+    ratio = np.divide(cap - const, half, out=np.full((K, n), np.inf), where=bounding)
+    binding = bounding & (ratio == ratio.min(axis=1, keepdims=True, initial=np.inf))
+    binding &= np.cumsum(binding, axis=1) == 1
+    bounds.add(binding, [b_term], const, lambda kk, i: f"velocity[{kk}][{i}]", lower=-np.inf, upper=cap)
 
     # joint acceleration: q''_i b_mid + q'_i a in [lo, hi]
     b_term, const = mid_b(ddq)

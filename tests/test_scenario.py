@@ -448,6 +448,17 @@ def test_sweep_bad_parameter_path_aborts():
         sweep(sc, "robots.0.model.joints.0.velocity_cap", [1.0, 2.0], threads=1)
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_sweep_rejects_threads_below_one(threads, monkeypatch):
+    def no_solve(payload):
+        raise AssertionError("a point was solved")
+
+    monkeypatch.setattr(scenario_module, "_sweep_worker", no_solve)
+    sc = scenario_from_dict(slider_scenario(grid_points=8))
+    with pytest.raises(ScenarioError, match=f"threads must be at least 1, got {threads}"):
+        sweep(sc, "robots.0.model.joints.0.accel_max", [0.5, 2.0], threads=threads)
+
+
 def test_sweep_parallelism_env(monkeypatch):
     # neither a many-core machine nor the environment changes the default:
     # a sweep without `threads` runs serially in the calling process

@@ -57,10 +57,11 @@ def test_fingerprint_is_one_stable_json_line():
         | {f"audit/{name}" for name in profiled}
         | {"phase_plane/arm_7dof"}
     )
+    forms = {f"form/{name}" for name in SHIPPED}
     solves = {f"solve/{name}/{field}" for name in SHIPPED for field in ("status", "iterations", "T", "x", "history")}
-    assert set(first) == {"grid", "blas_threads"} | hashes | solves
+    assert set(first) == {"grid", "blas_threads"} | hashes | forms | solves
     assert first["grid"] == 6
-    assert all(len(first[k]) == 64 and int(first[k], 16) >= 0 for k in hashes)
+    assert all(len(first[k]) == 64 and int(first[k], 16) >= 0 for k in hashes | forms)
     assert run() == first
 
 

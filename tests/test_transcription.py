@@ -8,6 +8,7 @@ row and reproduce the objective, which pins down signs and scalings of the
 whole assembly independent of any solver.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -17,13 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_limits, spatial_arm
+from conftest import make_limits, planar_arm, spatial_arm
 from contact_topp.contacts import ContactSpec, FrictionParams
-from contact_topp.dynamics import ObjectInstance, ObjectModel, RobotInstance, Scene
+from contact_topp.dynamics import ObjectInstance, ObjectModel, RobotInstance, Scene, sample_path_dynamics
 from contact_topp.liegroup import Pose, Twist
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, JointLimits, Link, LinkInertia, RobotModel
-from contact_topp.scenario import assemble_scenario, load_scenario, scenario_from_dict
+from contact_topp.scenario import RunSettings, assemble_scenario, load_scenario, scenario_from_dict, solve_scenario
 from contact_topp.solver import canonicalize
 from contact_topp.transcription import (
     ConicProgram,
@@ -32,6 +33,10 @@ from contact_topp.transcription import (
     program_from_json_dict,
     recover_time,
 )
+from contact_topp.verification import audit
+
+DATA = Path(__file__).resolve().parent / "data"
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def slider_robot(torque_cap=1.0):
@@ -349,13 +354,74 @@ class TestConstantRowChecks:
             assemble(scene, build_grid(1), (5.0, 5.0))
 
 
+def velocity_rows(program):
+    """{interval: [joints]} of the program's velocity rows."""
+    rows = {}
+    for label in program.bounds.labels:
+        if label.startswith("velocity["):
+            k, i = (int(part.strip("[")) for part in label[len("velocity"):].split("]")[:2])
+            rows.setdefault(k, []).append(i)
+    return rows
+
+
+def arm_7dof_with_velocity_max(vmax):
+    data = json.loads((SCENARIOS / "arm_7dof.json").read_text())
+    for joint, v in zip(data["robots"][0]["model"]["joints"], vmax):
+        joint["velocity_max"] = v
+    return scenario_from_dict(data)
+
+
+class TestVelocityRows:
+    @pytest.mark.parametrize("name", ["pivoting", "arm_7dof"])
+    def test_one_row_per_interval(self, name):
+        program = assemble_scenario(load_scenario(SCENARIOS / f"{name}.json"), build_grid(80))
+        rows = velocity_rows(program)
+        assert sorted(rows) == list(range(80))
+        assert all(len(joints) == 1 for joints in rows.values())
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.rglob("*.json")), ids=lambda p: p.stem)
+    def test_row_is_the_least_room_of_the_scalar_samples(self, path):
+        # vmax_i^2 / q'_i^2 from the scalar sampler, over the joints that
+        # have a finite limit and move
+        sc = load_scenario(path)
+        grid = build_grid(16)
+        rows = velocity_rows(assemble_scenario(sc, grid))
+        vmax = sc.scene.limit_arrays()[2]
+        for k, s in enumerate(grid.midpoints):
+            dq = sample_path_dynamics(sc.scene, float(s)).dq
+            room = {i: vmax[i] ** 2 / dq[i] ** 2 for i in range(dq.size) if np.isfinite(vmax[i]) and dq[i] != 0.0}
+            if not room:
+                assert k not in rows
+                continue
+            (i,) = rows[k]
+            assert room[i] <= min(room.values()) * (1.0 + 1e-12), (k, i)
+
+    def test_stationary_joint_gets_no_row(self):
+        # joint 1 holds still, so its tiny limit bounds nothing
+        limits = make_limits(2)
+        limits = dataclasses.replace(limits, velocity_max=np.array([2.0, 1e-3]))
+        path = JointPath(np.array([[0.0, 0.3], [0.5, 0.3], [1.0, 0.3]]), boundary="natural")
+        scene = Scene(robots=(RobotInstance(planar_arm([0.5, 0.5], [1.0, 1.0], limits=limits), path),), objects=())
+        grid = build_grid(8)
+        assert sample_path_dynamics(scene, 0.3).dq[1] == 0.0
+        assert velocity_rows(assemble(scene, grid)) == {k: [0] for k in range(8)}
+
+    @settings(max_examples=8)
+    @given(st.lists(st.sampled_from([None, 0.5, 1.0, 2.0]) | st.floats(0.3, 3.0), min_size=7, max_size=7))
+    def test_dropped_rows_never_bind(self, vmax):
+        # the audit measures every joint's limit, so a joint whose row was
+        # not emitted would show here
+        sc = arm_7dof_with_velocity_max(vmax)
+        _, report, solution = solve_scenario(sc, RunSettings(grid_override=16))
+        assert report.status == "Optimal"
+        assert audit(solution, sc).families["velocity_limits"] <= 1e-6
+
+
 # golden program-v1 dumps, written by the assembly that built one Python
 # object per row; the array assembly must reproduce them row for row.  That
 # assembly stored some zero coefficients, which today's drops: a stored zero
 # and a missing entry are the same row.
 
-DATA = Path(__file__).resolve().parent / "data"
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 VALUE_TOL = dict(rtol=1e-12, atol=1e-15)
 
 
@@ -373,6 +439,23 @@ GOLDEN = {
     ),
     "program_waiter_tilt_0_k3.json": waiter_free_end_program,
 }
+
+
+def golden_program(name):
+    """The golden dump with each interval's velocity rows cut to the one
+    `assemble` keeps: the least (upper - offset) / coefficient, the lowest
+    joint on a tie, and no row whose coefficients are all zero."""
+    data = json.loads((DATA / name).read_text())
+    best = {}
+    for row in data["bounds"]:
+        if row["label"].startswith("velocity[") and any(row["vals"]):
+            room = (row["upper"] - row["offset"]) / next(v for v in row["vals"] if v != 0.0)
+            interval = row["label"].split("]")[0]
+            if interval not in best or room < best[interval][0]:
+                best[interval] = (room, row["label"])
+    kept = {label for _, label in best.values()}
+    data["bounds"] = [r for r in data["bounds"] if not r["label"].startswith("velocity[") or r["label"] in kept]
+    return data
 
 
 def assert_rows_match(fresh, golden):
@@ -407,7 +490,7 @@ def test_shipped_programs_store_no_zeros(path):
 class TestGoldenDumps:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_assembly_matches_row_for_row(self, name):
-        golden = json.loads((DATA / name).read_text())
+        golden = golden_program(name)
         fresh = GOLDEN[name]().to_json_dict()
         assert fresh.keys() == golden.keys()
         assert_rows_match(fresh["equalities"], golden["equalities"])
@@ -420,7 +503,7 @@ class TestGoldenDumps:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_canonicalizes_like_fresh_assembly(self, name):
-        loaded = canonicalize(program_from_json_dict(json.loads((DATA / name).read_text())))
+        loaded = canonicalize(program_from_json_dict(golden_program(name)))
         fresh = canonicalize(GOLDEN[name]())
         assert loaded.cones == fresh.cones
         assert loaded.row_labels == fresh.row_labels
