@@ -3,7 +3,7 @@
 results as one JSON line.
 
     python scripts/fingerprint.py                     # K=500, as shipped
-    python scripts/fingerprint.py --grid 10           # quick run
+    python scripts/fingerprint.py --grid 10           # quick run (K >= 2)
     python scripts/fingerprint.py --check saved.json  # compare with a saved line
 
 For pivoting, pickup, arm_7dof and waiter/tilt_10 it hashes, bit for bit:
@@ -26,10 +26,10 @@ no other oracle key.
 and for every shipped scenario (scenarios/*.json and scenarios/waiter/*.json)
 it solves at K intervals and records:
 
-  form/<name>              sha256 of the presolved form the iteration runs
+  form/<name>              sha256 of the canonical form the iteration runs
                            on (c, A, b, G, h, the cones and the row labels),
-                           so a change to the transcription or the presolve
-                           that leaves the solver's input alone says so
+                           so a change to the transcription that leaves the
+                           solver's input alone says so
   solve/<name>/status      the solver's status
   solve/<name>/iterations  its iteration count
   solve/<name>/T           the total time T as `float.hex`, null unless Optimal
@@ -63,7 +63,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from contact_topp.dynamics import sample_path_dynamics  # noqa: E402
 from contact_topp.scenario import RunSettings, load_scenario, profile_from_json_dict, solve_scenario  # noqa: E402
-from contact_topp.solver import TOL, _Presolve, canonicalize  # noqa: E402
+from contact_topp.solver import canonicalize  # noqa: E402
 from contact_topp.transcription import ScalingVariables, build_grid, recover_time  # noqa: E402
 from contact_topp.verification import audit, fd_suite, topp_phase_plane  # noqa: E402
 
@@ -141,7 +141,7 @@ def shipped_scenarios() -> list:
 
 
 def form_hash(program) -> str:
-    form = _Presolve(canonicalize(program), TOL).form
+    form = canonicalize(program)
     d = Digest().add(form.c, form.b, form.h)
     for M in (form.A, form.G):
         d.add(repr(M.shape), M.data, M.indices, M.indptr)
@@ -184,8 +184,10 @@ def main(argv=None) -> int:
     ap.add_argument("--grid", type=int, default=PROFILE_K, help=f"intervals K for a quick run (default: {PROFILE_K})")
     ap.add_argument("--check", metavar="FILE", help="compare with the JSON line saved in FILE instead of printing")
     args = ap.parse_args(argv)
-    if not 1 <= args.grid <= PROFILE_K:
-        ap.error(f"--grid must be between 1 and {PROFILE_K}")
+    # one interval between two speeds fixed at zero is a degenerate stall,
+    # which assembly rejects for every shipped scenario
+    if not 2 <= args.grid <= PROFILE_K:
+        ap.error(f"--grid must be between 2 and {PROFILE_K}")
     if args.check is None:
         print(json.dumps(fingerprint(args.grid)))
         return 0

@@ -294,8 +294,13 @@ def _list_index(entries, part, where):
 
 
 def assemble_scenario(scenario: Scenario, grid: Grid | None = None) -> ConicProgram:
+    """The scenario's conic program; a scenario that assembly rejects (a
+    fixed boundary speed that breaks a limit, say) raises ScenarioError."""
     grid = grid if grid is not None else build_grid(scenario.grid_points)
-    return assemble(scenario.scene, grid, scenario.boundary_sdot)
+    try:
+        return assemble(scenario.scene, grid, scenario.boundary_sdot)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 # end-to-end run
@@ -500,7 +505,7 @@ def run(scenario: Scenario, settings: RunSettings = RunSettings()) -> Trajectory
             "iterations": report.iterations,
             "wall_time": report.wall_time,
             "residuals": {k: float(v) for k, v in report.residuals.items()},
-            "free_scalars": program.free_scalar_count(),
+            "free_scalars": program.num_vars,
         },
     )
 

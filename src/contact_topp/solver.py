@@ -20,31 +20,27 @@ second-order term, none of which needs the last digits.  Cone operations
 work on groups of equal-size cones at once, and the KKT matrix keeps one
 sparsity pattern per solve, whose values each iteration refills.
 
-`solve` runs in named phases.  Once per solve: `_Presolve` (below),
-`_Scaled` (equilibration and the scalar normalization of the data) and
-`_KKTSystem` (the fixed KKT pattern and its ordering).  Each iteration:
+`solve` runs in named phases.  Once per solve: `_Scaled` (equilibration
+and the scalar normalization of the data), `_KKTSystem` (the fixed KKT
+pattern and its ordering) and `_row_conflict` (below).  Each iteration:
 `Scaling` at the iterate; `_KKTSystem.refill` and `factor`; `_Newton`,
 the residuals and the tau direction u1 at the iterate; its `direction`
 for the predictor and then the corrector, each sized by `_step_length`;
-`_Point.step`; and the convergence and certificate checks on the lifted
-iterate.
+`_Point.step`; and the convergence and certificate checks on the
+unscaled iterate.
 
-Before iterating, `solve` presolves the equality rows with a single
-nonzero: each fixes its column, which is substituted into the other rows
-and dropped with its row.  The iteration runs on the smaller problem, and
-every iterate is lifted back to the original columns and rows (the fixed
-values for x, and for the y of each dropped row the value that zeroes its
-column's dual residual).  Two equality rows with the same pattern and
-proportional values that disagree give a Farkas ray before any iteration.
-The KKT pattern is relabelled once per solve by
-reverse Cuthill-McKee, which gives the path-structured matrix a narrow
+Before iterating, `solve` looks for two equality rows with the same
+pattern and proportional values that disagree: they give a Farkas ray
+before any iteration, which the iteration would otherwise have to find
+through a rank-deficient A.  The KKT pattern is relabelled once per solve
+by reverse Cuthill-McKee, which gives the path-structured matrix a narrow
 band, and factored in that order with partial pivoting.
 
 Convergence and infeasibility decisions are made on the original problem
-data, from the lifted iterate.  Ruiz equilibration (uniform across each
+data, from the unscaled iterate.  Ruiz equilibration (uniform across each
 cone block, so cone geometry is preserved) is applied internally only.
 A certificate is tried at every iterate with kappa > tau and accepted only
-when the lifted ray passes its check; until mu < tol * 1e-2 or tau
+when the unscaled ray passes its check; until mu < tol * 1e-2 or tau
 collapses, the ray must also cancel to tol against the size of its own
 terms, which no scaling of the data can fake.
 
@@ -700,79 +696,6 @@ def _check_dual_infeasibility_certificate(form, x, s, tol, relative: bool = Fals
     return None
 
 
-class _Presolve:
-    """The problem with its pinned columns substituted out.
-
-    An equality row with a single nonzero, a x_j = b_r, fixes x_j = b_r / a
-    (Andersen & Andersen, Math. Prog. 71, 1995).  Nonzeros are counted
-    after dropping explicit zeros from A, so a row whose only stored entry
-    is 0 pins nothing.  A column fixed by exactly one such row is dropped
-    with that row, and its fixed value moves into the right-hand sides b
-    and h of the rows that remain.  Its cost c_j x_j is a constant: it
-    cancels in the duality gap and comes back when the objective is
-    evaluated on the lifted point, so `form` carries no offset.  A column
-    named by two or more singleton rows stays with all of them.  Equality
-    rows stay in place when they repeat another up to a factor; if two such
-    rows disagree by more than tol relative, `ray` is the Farkas direction
-    they give (`_row_conflict`), which the iteration would otherwise have to
-    find through a rank-deficient A.  Inequality and cone rows all stay.
-
-    `form` is the reduced problem; `lift` maps a homogeneous point of it
-    back to the original columns and rows.
-    """
-
-    def __init__(self, form: StandardConicForm, tol: float):
-        n, p = form.c.size, form.A.shape[0]
-        A = form.A.tocsr(copy=True)
-        A.eliminate_zeros()
-        G = form.G.tocsr()
-        single = np.flatnonzero(np.diff(A.indptr) == 1)
-        col = A.indices[A.indptr[single]]
-        pivot = A.data[A.indptr[single]]
-        value = form.b[single] / pivot
-        alone = np.bincount(col, minlength=n)[col] == 1
-        self.rows, self.cols, self.pivots, self.values = single[alone], col[alone], pivot[alone], value[alone]
-        self.ray = _row_conflict(A, form.b, tol)
-        self.free = _complement(self.cols, n)
-        self.kept = _complement(self.rows, p)
-        self.shape = n, p
-        A_kept = A[self.kept]
-        A_fixed, G_fixed = A_kept[:, self.cols], G[:, self.cols]
-        self._A_fixed_t, self._G_fixed_t = A_fixed.T.tocsr(), G_fixed.T.tocsr()
-        self._c_fixed = form.c[self.cols]
-        self.form = StandardConicForm(
-            c=form.c[self.free],
-            A=A_kept[:, self.free],
-            b=form.b[self.kept] - A_fixed @ self.values,
-            G=G[:, self.free],
-            h=form.h - G_fixed @ self.values,
-            cones=form.cones,
-            row_labels=form.row_labels,
-        )
-
-    def lift(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, s: np.ndarray, tau: float) -> tuple:
-        """(x, y, z, s) on the original columns and rows for a reduced point
-        with homogeneous scale tau: a fixed column gets tau times its value,
-        and the y of its row zeroes the column's residual A'y + G'z + tau c;
-        z and s pass through.  With tau = 0 this lifts a ray, as an
-        infeasibility certificate needs."""
-        n, p = self.shape
-        x_full = np.empty(n)
-        x_full[self.free] = x
-        x_full[self.cols] = tau * self.values
-        y_full = np.empty(p)
-        y_full[self.kept] = y
-        y_full[self.rows] = -(self._A_fixed_t @ y + self._G_fixed_t @ z + tau * self._c_fixed) / self.pivots
-        return x_full, y_full, z, s
-
-
-def _complement(index: np.ndarray, size: int) -> np.ndarray:
-    """The sorted positions below size that index does not name."""
-    keep = np.ones(size, dtype=bool)
-    keep[index] = False
-    return np.flatnonzero(keep)
-
-
 def _parallel_keys(M: sp.csr_matrix) -> tuple:
     """(rows, pivots, keys) of the nonempty rows of M, whose column indices
     must be sorted: a pivot is a row's first stored entry, and a key hashes
@@ -821,11 +744,10 @@ def _row_conflict(A: sp.csr_matrix, b: np.ndarray, tol: float) -> np.ndarray | N
     return y
 
 
-def _infeasibility_certificate(form, presolve, x, y, z, s, tol, relative) -> tuple | None:
-    """(status, certificate) when the reduced homogeneous point, lifted back
-    as a ray, passes the primal and then the dual certificate check on the
-    original data (`relative` as in those checks)."""
-    x, y, z, s = presolve.lift(x, y, z, s, 0.0)
+def _infeasibility_certificate(form, x, y, z, s, tol, relative) -> tuple | None:
+    """(status, certificate) when the homogeneous point, read as a ray,
+    passes the primal and then the dual certificate check on the unscaled
+    data (`relative` as in those checks)."""
     cert = _check_primal_infeasibility_certificate(form, y, z, tol, relative)
     if cert is not None:
         return PRIMAL_INFEASIBLE, cert
@@ -855,7 +777,7 @@ class _Point(NamedTuple):
 
 
 class _Scaled:
-    """The reduced problem as the iteration sees it: Ruiz-equilibrated
+    """The problem as the iteration sees it: Ruiz-equilibrated
     (`_ruiz_equilibrate`), with its right-hand sides and its cost divided by
     clamped scalars.
 
@@ -880,7 +802,7 @@ class _Scaled:
         self.c = self.cost_scale * self.d_col * form.c
 
     def unscale(self, point: _Point) -> tuple:
-        """(x, y, z, s) of a point, on the reduced problem's own data."""
+        """(x, y, z, s) of a point, on the problem's own data."""
         return (
             self.d_col * point.x / self.rhs_scale,
             self.d_eq * point.y / self.cost_scale,
@@ -984,11 +906,9 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     t0 = time.perf_counter()
     _check_form(form)
-    # the iteration runs on the reduced problem; every decision reads the
-    # lifted iterate on the original data
-    presolve = _Presolve(form, tol)
-    spec = presolve.form.cones
-    data = _Scaled(presolve.form)
+    # every decision reads the unscaled iterate on the original data
+    spec = form.cones
+    data = _Scaled(form)
     kkt = _KKTSystem(data.A, data.G, spec)
     e = cone_identity(spec)
     point = _Point(np.zeros(data.c.size), np.zeros(data.b.size), e, e, 1.0, 1.0)
@@ -997,10 +917,14 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
     history: list[dict] = []
     stalls = 0
     certificate = None
-    if presolve.ray is not None:
-        # conflicting pins are checked like any certificate; one that
+    # a stored zero is no coefficient: it must never become a pivot
+    A = form.A.tocsr(copy=True)
+    A.eliminate_zeros()
+    ray = _row_conflict(A, form.b, tol)
+    if ray is not None:
+        # conflicting rows are checked like any certificate; one that
         # passes leaves nothing to iterate
-        certificate = _check_primal_infeasibility_certificate(form, presolve.ray, np.zeros(form.G.shape[0]), tol)
+        certificate = _check_primal_infeasibility_certificate(form, ray, np.zeros(form.G.shape[0]), tol)
     status = MAX_ITERATIONS if certificate is None else PRIMAL_INFEASIBLE
     last_residuals: dict = {}
     iteration = 0
@@ -1044,7 +968,7 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
             status = NUMERICAL_FAILURE
             break
 
-        rep = verify_kkt(form, *presolve.lift(*(v / tau for v in data.unscale(point)), 1.0))
+        rep = verify_kkt(form, *(v / tau for v in data.unscale(point)))
         last_residuals = rep
         step = {"iteration": iteration, "mu": mu, "sigma": sigma, "alpha": float(alpha), "tau": tau, "kappa": kappa}
         history.append({**step, **{k: rep[k] for k in ("pcost", "dcost", "primal_eq", "primal_in", "dual", "gap")}})
@@ -1061,7 +985,7 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
         guard = tau < TAU_KAPPA_GUARD * max(1.0, kappa)
         if guard or kappa > tau:
             early = not (guard or mu < tol * 1e-2)
-            found = _infeasibility_certificate(form, presolve, *data.unscale(point), tol, early)
+            found = _infeasibility_certificate(form, *data.unscale(point), tol, early)
             if found is not None:
                 status, certificate = found
                 break
@@ -1076,9 +1000,7 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
 
     x, y, z, s = data.unscale(point)
     if status in (OPTIMAL, MAX_ITERATIONS) and point.tau > 0.0:
-        x, y, z, s = presolve.lift(*(v / point.tau for v in (x, y, z, s)), 1.0)
-    else:
-        x, y, z, s = presolve.lift(x, y, z, s, point.tau)
+        x, y, z, s = (v / point.tau for v in (x, y, z, s))
     objective = _dot(form.c, x) if status in (OPTIMAL, MAX_ITERATIONS) else math.nan
     return SolveReport(
         status, x, y, z, s, point.tau, point.kappa, objective, iteration, last_residuals, history,

@@ -9,11 +9,13 @@ linear objective with second-order cone epigraphs.
 
 All dynamics rows are collocated at interval midpoints, where b enters as
 the average of the two surrounding node values.  Joint torques and contact
-wrenches are decision variables at every midpoint; wrench components that a
-contact model cannot transmit stay in the variable vector but are pinned to
-zero by equality rows, which keeps the bookkeeping uniform and makes the
-free-scalar count match K(4 + 3u + 4v + n) - 2 for a rest-to-rest profile
-with u point contacts and v soft-finger contacts.
+wrenches are decision variables at every midpoint.  A contact stores only
+the wrench components its model transmits, in ascending order: a point
+contact with friction (pcwf) the forces 0, 1, 2, a soft finger (sfce) those
+and the twisting moment 5.  The others are zero by construction and take
+no column, so a rest-to-rest profile with u point contacts and v soft
+fingers has K(4 + 3u + 4v + n) - 2 variables; `extract` puts the zeros
+back into each (K, 6) wrench.
 
 The joint velocity limits |q'_i| sdot <= vmax_i, taken over all joints, are
 one bound on b at each midpoint (the maximum-velocity curve of classic
@@ -155,15 +157,12 @@ class ConicProgram:
     equalities: Rows
     bounds: BoundRows
     cones: ConeRows
-    pinned_idx: np.ndarray
     slices: dict
     nodes: SpeedNodes
     grid: Grid
     contact_order: tuple
+    components: dict  # contact id -> the wrench components it stores
     meta: dict = field(default_factory=dict)
-
-    def free_scalar_count(self) -> int:
-        return self.num_vars - len(self.pinned_idx)
 
     def extract(self, x: np.ndarray) -> ScalingVariables:
         x = np.asarray(x, dtype=float).reshape(self.num_vars)
@@ -171,7 +170,11 @@ class ConicProgram:
         n = self.meta["dof"]
         nd = self.nodes
         tau = x[self.slices["tau"]].reshape(K, n)
-        wrenches = {cid: x[self.slices[f"F:{cid}"]].reshape(K, 6) for cid in self.contact_order}
+        wrenches = {}
+        for cid in self.contact_order:
+            stored = list(self.components[cid])
+            wrenches[cid] = np.zeros((K, 6))
+            wrenches[cid][:, stored] = x[self.slices[f"F:{cid}"]].reshape(K, len(stored))
         return ScalingVariables(
             accel=x[self.slices["a"]].copy(),
             # pinned nodes read x[-1], which the where discards
@@ -222,7 +225,6 @@ class ConicProgram:
                 {"label": label, "rows": cone_rows[end - size : end]}
                 for label, size, end in zip(self.cones.cone_labels, self.cones.sizes, ends)
             ],
-            "pinned": np.asarray(self.pinned_idx).tolist(),
             "slices": {k: [v.start, v.stop] for k, v in self.slices.items()},
             "nodes": [
                 {
@@ -237,6 +239,7 @@ class ConicProgram:
             ],
             "grid_intervals": self.grid.intervals,
             "contact_order": list(self.contact_order),
+            "components": {cid: list(stored) for cid, stored in self.components.items()},
             "meta": dict(self.meta),
         }
 
@@ -275,7 +278,6 @@ def program_from_json_dict(data: dict) -> ConicProgram:
             sizes=tuple(len(d["rows"]) for d in data["cones"]),
             cone_labels=tuple(d["label"] for d in data["cones"]),
         ),
-        pinned_idx=np.asarray(data["pinned"], dtype=np.intp),
         slices={k: slice(v[0], v[1]) for k, v in data["slices"].items()},
         nodes=SpeedNodes(
             b_col=node_array("b_col", -1, np.intp),
@@ -285,6 +287,7 @@ def program_from_json_dict(data: dict) -> ConicProgram:
         ),
         grid=build_grid(int(data["grid_intervals"])),
         contact_order=tuple(data["contact_order"]),
+        components={cid: tuple(stored) for cid, stored in data["components"].items()},
         meta=dict(data.get("meta", {})),
     )
 
@@ -336,6 +339,8 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
     n = scene.dof
     dyn = stack_dynamics_in_s(scene, grid.midpoints)
     contact_order = tuple(sc.cid for sc in scene.contacts)
+    # the components each contact transmits: those its cone does not pin
+    components = {sc.cid: tuple(i for i in range(6) if i not in sc.cone.pinned) for sc in scene.contacts}
     tl, tu, vmax, al, au = scene.limit_arrays()
 
     # variable layout, in declaration order
@@ -357,7 +362,7 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
     claim("d", K)
     claim("tau", K * n)
     for cid in contact_order:
-        claim(f"F:{cid}", 6 * K)
+        claim(f"F:{cid}", K * len(components[cid]))
     num_vars = at
 
     rank = np.cumsum(free) - 1
@@ -376,9 +381,16 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
     tau_term = ((slices["tau"].start + n * k[:, None] + np.arange(n))[..., None], 1.0, True)  # (K, n, 1)
 
     def f_cols(cids):
-        """(K, 6 len(cids)) wrench columns of the contacts, in order."""
-        starts = np.array([slices[f"F:{cid}"].start for cid in cids], dtype=np.intp)
-        return (starts[:, None] + 6 * k[:, None, None] + np.arange(6)).reshape(K, -1)
+        """(K, total stored) wrench columns of the contacts, in order."""
+        widths = [len(components[cid]) for cid in cids]
+        cols = [slices[f"F:{cid}"].start + m * k[:, None] + np.arange(m) for cid, m in zip(cids, widths)]
+        return np.concatenate(cols, axis=1) if cols else np.zeros((K, 0), dtype=np.intp)
+
+    def stored(blocks, cids, shape):
+        """Per-contact blocks (K,) + shape + (6,), each cut to its contact's
+        stored components on the last axis, joined along it."""
+        parts = [block[..., list(components[cid])] for block, cid in zip(blocks, cids)]
+        return np.concatenate(parts, axis=-1) if parts else np.zeros((K,) + shape + (0,))
 
     def pair(col, value, w_lo, w_hi):
         """Entry term and constant of w_lo v^k + w_hi v^{k+1} on every interval.
@@ -403,16 +415,11 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
     def every(*shape):
         return np.ones(shape, dtype=bool)
 
-    def along(arrays, shape):
-        """(K, terms) + shape: per-term (K,) + shape arrays stacked on axis 1."""
-        return np.stack(arrays, axis=1) if arrays else np.zeros((K, 0) + shape)
-
     equalities, bounds, cones = _Section(), _Section(), _Section()
 
     # torque-dynamics rows: tau + sum J^T F = Macc a + Mvel b_mid + grav
     jac_ids = tuple(dyn.contact_jacobians)
-    J = along([dyn.contact_jacobians[cid] for cid in jac_ids], (6, n))
-    J = J.transpose(0, 3, 1, 2).reshape(K, n, -1)
+    J = stored([dyn.contact_jacobians[cid].transpose(0, 2, 1) for cid in jac_ids], jac_ids, (n,))
     b_term, b_const = mid_b(-dyn.torque_velsq_coeff)
     equalities.add(
         every(K, n),
@@ -433,12 +440,11 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
     for o, obj in enumerate(objects):
         mine = (np.arange(len(objects)) == o)[:, None, None]
         term_ids = [cid for cid, _, _ in obj.contact_terms]
-        signs = np.array([sign for _, sign, _ in obj.contact_terms])
-        G = along([g for _, _, g in obj.contact_terms], (6, 6))
-        G = G.transpose(0, 2, 1, 3).reshape(K, 1, 6, -1)  # (k, 1, r, (term, m))
+        signs = np.repeat([sign for _, sign, _ in obj.contact_terms], [len(components[cid]) for cid in term_ids])
+        G = stored([g for _, _, g in obj.contact_terms], term_ids, (6,))[:, None]  # (k, 1, r, stored)
         (b_cols, b_vals, b_present), b_const = mid_b(-obj.velsq_coeff[:, None])
         terms += [
-            (f_cols(term_ids)[:, None, None], np.repeat(signs, 6) * G, (G != 0.0) & mine),
+            (f_cols(term_ids)[:, None, None], signs * G, (G != 0.0) & mine),
             (a_col[..., None], -obj.accel_coeff[:, None, :, None], mine),
             (b_cols, b_vals, b_present & mine),
         ]
@@ -455,14 +461,12 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
     b_term, b_const = pair(nodes.b_col, nodes.b_value, np.full(K, -1.0), np.full(K, 1.0))
     equalities.add(every(K), [b_term, (a_col[:, 0], -2.0 * grid.spacing, True)], b_const, lambda kk: f"coupling[{kk}]")
 
-    # untransmittable wrench components pinned to zero
-    pinned = []
-    for sc in scene.contacts:
-        cid, idx = sc.cid, sc.cone.pinned
-        cols = f_cols([cid])[:, list(idx)]
-        pinned.append(cols.ravel())
-        pin = (cols[..., None], 1.0, True)
-        equalities.add(every(*cols.shape), [pin], 0.0, lambda kk, j: f"pin[{cid}][{kk}][{idx[j]}]")
+    # an interval whose two end speeds are both fixed at zero is never
+    # traversed: d^k >= 1/(c^k + c^{k+1}) has no solution (c_value is nan
+    # at free nodes, so only fixed pairs can sum to zero)
+    stalled = np.flatnonzero(nodes.c_value[:-1] + nodes.c_value[1:] == 0.0)
+    if stalled.size:
+        raise ValueError(f"degenerate stall: both end speeds are fixed at zero on interval {stalled[0]}")
 
     # torque boxes
     boxed = np.broadcast_to(np.isfinite(tl) | np.isfinite(tu), (K, n))
@@ -507,7 +511,7 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
     for sc in scene.contacts:
         cid, fz_max = sc.cid, sc.spec.fz_max
         if fz_max is not None:
-            head = (f_cols([cid])[:, [sc.cone.head_index]], 1.0, True)
+            head = (f_cols([cid])[:, [components[cid].index(sc.cone.head_index)]], 1.0, True)
             bounds.add(every(K), [head], 0.0, lambda kk: f"normal_cap[{cid}][{kk}]", lower=-np.inf, upper=fz_max)
 
     # contact friction cones, one per contact and interval
@@ -516,9 +520,10 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
         cid, desc = sc.cid, sc.cone
         idx = [desc.head_index] + [i for i, _ in desc.tail]
         weights = np.array([1.0] + [float(w) for _, w in desc.tail])
+        pos = [components[cid].index(i) for i in idx]
         cones.add(
             every(K, len(idx)),
-            [(f_cols([cid])[:, idx, None], weights[:, None], True)],
+            [(f_cols([cid])[:, pos, None], weights[:, None], True)],
             0.0,
             lambda kk, j: f"cone_tail[{cid}][{kk}][{idx[j]}]" if j else f"cone_head[{cid}][{kk}]",
         )
@@ -562,11 +567,11 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
         equalities=equalities.build(Rows, num_vars),
         bounds=bounds.build(BoundRows, num_vars),
         cones=cones.build(ConeRows, num_vars, sizes=tuple(sizes), cone_labels=tuple(cone_labels)),
-        pinned_idx=np.concatenate(pinned) if pinned else np.zeros(0, dtype=np.intp),
         slices=slices,
         nodes=nodes,
         grid=grid,
         contact_order=contact_order,
+        components=components,
         meta={"dof": n, "boundary_sdot": list(boundary_sdot)},
     )
 

@@ -118,7 +118,7 @@ def test_criterion_03_variable_count_formula():
     for K, u, v, n in [(10, 0, 1, 3), (250, 2, 1, 7), (50, 3, 2, 14)]:
         prog = assemble(scene_for(u, v, n), build_grid(K))
         expect = K * (4 + 3 * u + 4 * v + n) - 2
-        assert prog.free_scalar_count() == expect, (K, u, v, n)
+        assert prog.num_vars == expect, (K, u, v, n)
     ok("criterion 3: free scalars K(4+3u+4v+n)-2 for (10,0,1,3), (250,2,1,7), (50,3,2,14)")
 
 

@@ -238,7 +238,7 @@ def test_waiter_assembles():
     prog = assemble_scenario(sc)
     assert contact_census(sc) == (3, 2)
     K, (u, v), n = sc.grid_points, contact_census(sc), sc.scene.dof
-    assert prog.free_scalar_count() == K * (4 + 3 * u + 4 * v + n) - 2
+    assert prog.num_vars == K * (4 + 3 * u + 4 * v + n) - 2
 
 
 def without_grasp(data):
@@ -274,7 +274,7 @@ def test_three_object_stack_assembles():
     prog = assemble_scenario(sc, build_grid(4))
     (u, v), n = contact_census(sc), sc.scene.dof
     assert (u, v) == (6, 2)
-    assert prog.free_scalar_count() == 4 * (4 + 3 * u + 4 * v + n) - 2
+    assert prog.num_vars == 4 * (4 + 3 * u + 4 * v + n) - 2
 
 
 def test_stationary_path_rejected():
@@ -343,9 +343,8 @@ def test_run_infeasible_raises_with_certificate():
 
 @pytest.mark.parametrize("name", ["pivoting", "pickup", "waiter/tilt_10"])
 def test_run_pinned_wrench_components_are_exact_zeros(name):
-    # the presolve substitutes every pin row, so a pinned component comes
-    # out as tau * 0, and `run` checks its margins at the default pin
-    # tolerance
+    # a pinned component has no column, so it comes out as an exact zero,
+    # and `run` checks its margins at the default pin tolerance
     sc = load_scenario(SCENARIOS / f"{name}.json")
     out = run(sc, RunSettings(grid_override=16, output_points=11))
     assert out.status == "Optimal" and sc.scene.contacts
@@ -429,9 +428,11 @@ def test_sweep_bad_points_get_their_own_status(threads):
     assert "velocity_max must be positive" in pts[1].message
     assert pts[1].total_time is None and pts[1].objective is None and pts[1].iterations is None
     assert pts[0].message is None and pts[0].total_time > 0.0 and pts[0].iterations > 0
-    pts = sweep(sc, "boundary_sdot.0", [0.5, 3.0], grid=1, threads=threads)
-    assert [p.status for p in pts] == ["Optimal", SWEEP_INPUT_ERROR]
+    pts = sweep(sc, "boundary_sdot.0", [0.5, 3.0, 0.0], grid=1, threads=threads)
+    assert [p.status for p in pts] == ["Optimal", SWEEP_INPUT_ERROR, SWEEP_INPUT_ERROR]
     assert "velocity limit of joint 0 violated by fixed boundary speed" in pts[1].message
+    # with both end speeds fixed at zero, the one interval is never traversed
+    assert "degenerate stall" in pts[2].message
 
 
 def test_sweep_bad_points_same_serial_and_pool():
@@ -517,6 +518,26 @@ def test_cli_stationary_path_exit(tmp_path, capsys):
     data["robots"][0]["waypoints"] = [[0.0], [0.0]]
     assert main(["solve", write_scenario(tmp_path, data), "--out", str(tmp_path)]) == 4
     assert "stationary path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["solve", "dump_program"])
+def test_cli_assembly_rejection_exit(tmp_path, capsys, dump):
+    # on one interval both speeds are fixed, and 0.5 breaks a joint's speed
+    # cap: assembly rejects the scenario, which is bad input, not a crash
+    data = json.loads((SCENARIOS / "pivoting.json").read_text())
+    data["boundary_sdot"] = [0.3, 0.5]
+    argv = ["solve", write_scenario(tmp_path, data), "--grid", "1", "--out", str(tmp_path)]
+    assert main(argv + ["--dump-program"] * dump) == 4
+    err = capsys.readouterr().err
+    assert "input error: velocity limit of joint 1 violated by fixed boundary speed" in err
+
+
+def test_cli_rest_to_rest_single_interval_exit(tmp_path, capsys):
+    shipped = sorted(SCENARIOS.glob("*.json")) + sorted(SCENARIOS.glob("waiter/*.json"))
+    assert len(shipped) == 10
+    for path in shipped:
+        assert main(["solve", str(path), "--grid", "1", "--out", str(tmp_path)]) == 4, path.stem
+        assert "input error: degenerate stall" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, index", [("quaternion_wxyz", 0), ("translation", 2)])

@@ -8,6 +8,7 @@ row and reproduce the objective, which pins down signs and scalings of the
 whole assembly independent of any solver.
 """
 
+import bisect
 import dataclasses
 import json
 import math
@@ -108,25 +109,27 @@ def grasped_scene(K_waypoints=5):
 
 class TestVariableCounting:
     def test_contact_free_rest_to_rest(self):
-        # free scalars K(4 + n) - 2 with n = 1
+        # K(4 + n) - 2 variables with n = 1
         prog = assemble(slider_scene(), build_grid(5))
-        assert prog.free_scalar_count() == 5 * (4 + 1) - 2
+        assert prog.num_vars == 5 * (4 + 1) - 2
 
     def test_soft_finger_pair(self):
         # v = 2 soft-finger cones, n = 4: K(4 + 4*2 + 4) - 2
         prog = assemble(grasped_scene(), build_grid(3))
-        assert prog.free_scalar_count() == 3 * (4 + 8 + 4) - 2
+        assert prog.num_vars == 3 * (4 + 8 + 4) - 2
 
     def test_free_terminal_speed_adds_one_node(self):
         base = assemble(slider_scene(), build_grid(4))
         free = assemble(slider_scene(), build_grid(4), (0.0, None))
-        assert free.free_scalar_count() == base.free_scalar_count() + 2
+        assert free.num_vars == base.num_vars + 2
 
-    def test_pinned_components_stay_as_variables(self):
+    def test_pinned_components_take_no_columns(self):
         prog = assemble(grasped_scene(), build_grid(3))
-        # two sfce contacts pin 2 components each across 3 midpoints
-        assert len(prog.pinned_idx) == 2 * 2 * 3
-        assert prog.num_vars == prog.free_scalar_count() + len(prog.pinned_idx)
+        # a soft finger stores the forces and the twisting moment, 4 of 6
+        for cid in prog.contact_order:
+            assert prog.components[cid] == (0, 1, 2, 5)
+            width = prog.slices[f"F:{cid}"]
+            assert width.stop - width.start == 3 * 4
 
 
 class TestRowStructure:
@@ -138,12 +141,10 @@ class TestRowStructure:
         torque = sum(1 for label in labels if label.startswith("torque["))
         balance = sum(1 for label in labels if label.startswith("balance["))
         coupling = sum(1 for label in labels if label.startswith("coupling["))
-        pins = sum(1 for label in labels if label.startswith("pin["))
         assert torque == K * n
         assert balance == K * 6
         assert coupling == K
-        assert pins == K * 2 * 2
-        assert prog.equalities.matrix.shape[0] == len(labels) == torque + balance + coupling + pins
+        assert prog.equalities.matrix.shape[0] == len(labels) == torque + balance + coupling
 
     def test_row_order_is_deterministic(self):
         p1 = assemble(grasped_scene(), build_grid(3))
@@ -225,8 +226,12 @@ class TestExtraction:
         sol = prog.extract(x)
         cid = prog.contact_order[0]
         sl = prog.slices[f"F:{cid}"]
-        assert np.allclose(sol.wrenches[cid][0], x[sl][:6])
-        assert np.allclose(sol.wrenches[cid][1], x[sl][6:12])
+        stored = list(prog.components[cid])
+        assert np.array_equal(sol.wrenches[cid][0, stored], x[sl][:4])
+        assert np.array_equal(sol.wrenches[cid][1, stored], x[sl][4:8])
+        # the soft finger's untransmitted moments come out as exact zeros
+        assert sol.wrenches[cid].shape == (2, 6)
+        assert np.all(sol.wrenches[cid][:, [3, 4]] == 0.0)
 
 
 def time_of(timing, s):
@@ -319,7 +324,7 @@ class TestDumpRoundTrip:
         blob = json.dumps(prog.to_json_dict())
         back = program_from_json_dict(json.loads(blob))
         assert back.num_vars == prog.num_vars
-        assert back.free_scalar_count() == prog.free_scalar_count()
+        assert back.components == prog.components
         assert back.equalities.labels == prog.equalities.labels
         x = np.linspace(-1.0, 1.0, prog.num_vars)
         r1 = prog.residual_report(x)
@@ -352,6 +357,14 @@ class TestConstantRowChecks:
         scene = Scene(robots=(RobotInstance(model, path),), objects=())
         with pytest.raises(ValueError, match="velocity limit"):
             assemble(scene, build_grid(1), (5.0, 5.0))
+
+    def test_rest_to_rest_single_interval_is_a_degenerate_stall(self):
+        # c^0 + c^1 = 0 leaves the epigraph of d >= 1/(c^0 + c^1) empty
+        with pytest.raises(ValueError, match="degenerate stall"):
+            assemble(slider_scene(), build_grid(1))
+        # one fixed end moving, or one end free, leaves the interval passable
+        for ends in ((0.0, 0.5), (0.0, None)):
+            assert assemble(slider_scene(), build_grid(1), ends).num_vars > 0
 
 
 def velocity_rows(program):
@@ -442,10 +455,38 @@ GOLDEN = {
 
 
 def golden_program(name):
-    """The golden dump with each interval's velocity rows cut to the one
-    `assemble` keeps: the least (upper - offset) / coefficient, the lowest
-    joint on a tie, and no row whose coefficients are all zero."""
+    """The golden dump in today's layout.
+
+    Each interval's velocity rows are cut to the one `assemble` keeps: the
+    least (upper - offset) / coefficient, the lowest joint on a tie, and no
+    row whose coefficients are all zero.  The golden gave every contact six
+    wrench columns and pinned the untransmitted ones with `pin[` rows; those
+    rows go, each pinned column leaves every row it is in, and every later
+    column moves down by the pinned columns before it.  The dump's `pinned`
+    list gives way to each contact's stored components.
+    """
     data = json.loads((DATA / name).read_text())
+    pinned = sorted(data.pop("pinned"))
+
+    def renumber(col):
+        return col - bisect.bisect_left(pinned, col)
+
+    def kept_entries(row):
+        keep = [(c, v) for c, v in zip(row["cols"], row["vals"]) if c not in pinned]
+        return dict(row, cols=[renumber(c) for c, _ in keep], vals=[v for _, v in keep])
+
+    data["components"] = {}
+    for cid in data["contact_order"]:
+        start, stop = data["slices"][f"F:{cid}"]
+        gone = {(c - start) % 6 for c in pinned if start <= c < stop}
+        data["components"][cid] = [i for i in range(6) if i not in gone]
+    data["slices"] = {key: [renumber(a), renumber(b)] for key, (a, b) in data["slices"].items()}
+    data["num_vars"] -= len(pinned)
+    data["objective"]["cols"] = [renumber(c) for c in data["objective"]["cols"]]
+    data["equalities"] = [kept_entries(r) for r in data["equalities"] if not r["label"].startswith("pin[")]
+    data["bounds"] = [kept_entries(r) for r in data["bounds"]]
+    for cone in data["cones"]:
+        cone["rows"] = [kept_entries(r) for r in cone["rows"]]
     best = {}
     for row in data["bounds"]:
         if row["label"].startswith("velocity[") and any(row["vals"]):
@@ -478,6 +519,29 @@ SHIPPED = sorted(SCENARIOS.glob("*.json")) + sorted(SCENARIOS.glob("waiter/*.jso
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_shipped_wrench_columns_are_the_transmitted_components(path):
+    # a point contact stores 3 components per interval, a soft finger 4, and
+    # no row pins one of the others to zero
+    sc = load_scenario(str(path))
+    K = 16
+    program = assemble_scenario(sc, build_grid(K))
+    for contact in sc.scene.contacts:
+        width = {"pcwf": 3, "sfce": 4}[contact.cone.model]
+        columns = program.slices[f"F:{contact.cid}"]
+        assert columns.stop - columns.start == K * width
+    assert not any(label.startswith("pin[") for label in program.equalities.labels)
+
+
+@pytest.mark.parametrize("K", [2, 16])
+def test_shipped_programs_have_no_singleton_equality_rows(K):
+    # K=80 is checked on the canonical form by
+    # test_solver.py::TestPresolve::test_shipped_form_is_the_pin_substitution
+    for path in SHIPPED:
+        rows = assemble_scenario(load_scenario(str(path)), build_grid(K)).equalities.matrix
+        assert np.all(np.diff(rows.indptr) != 1), (path.stem, K)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_programs_store_no_zeros(path):
     # a zero coefficient is no entry: the assembled matrices carry none, so
     # dumps and nonzero counts hold only the real coupling
@@ -498,7 +562,7 @@ class TestGoldenDumps:
         assert [c["label"] for c in fresh["cones"]] == [c["label"] for c in golden["cones"]]
         for new, old in zip(fresh["cones"], golden["cones"]):
             assert_rows_match(new["rows"], old["rows"])
-        for key in ("pinned", "slices", "nodes", "num_vars", "objective", "grid_intervals", "contact_order", "meta"):
+        for key in ("components", "slices", "nodes", "num_vars", "objective", "grid_intervals", "contact_order", "meta"):
             assert fresh[key] == golden[key], key
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
