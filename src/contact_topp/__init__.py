@@ -14,7 +14,7 @@ from .dynamics import (
     inverse_dynamics,
     sample_path_dynamics,
 )
-from .liegroup import Pose, Twist, body_jacobian, forward_kinematics
+from .liegroup import Pose, Twist, body_jacobian, forward_kinematics, pose_exp
 from .paths import JointPath
 from .robot import JointDef, JointLimits, Link, LinkInertia, RobotModel, robot_from_json, robot_to_json
 from .scenario import (
@@ -73,6 +73,7 @@ __all__ = [
     "forward_kinematics",
     "inverse_dynamics",
     "load_scenario",
+    "pose_exp",
     "recover_time",
     "robot_from_json",
     "robot_to_json",

@@ -4,11 +4,15 @@ Wrenches live in the contact frame, [fx, fy, fz, tx, ty, tz], with z the
 inward normal. Two models are supported:
 
   "pcwf": point contact with friction; moments transmit nothing, so
-          components 3, 4, 5 are pinned to zero and the cone reads
+          components 3, 4, 5 are pinned (not transmitted) and the cone reads
           sqrt((fx/ex)^2 + (fy/ey)^2) / mu <= fz.
-  "sfce": soft finger patch; tangential moments pin (components 3, 4) while
-          torsion about the normal enters the cone with its own scale,
-          sqrt((fx/ex)^2 + (fy/ey)^2 + (tz/ez)^2) / mu <= fz.
+  "sfce": soft finger patch; tangential moments (components 3, 4) are
+          pinned while torsion about the normal enters the cone with its own
+          scale, sqrt((fx/ex)^2 + (fy/ey)^2 + (tz/ez)^2) / mu <= fz.
+
+The transcription gives a pinned component no variable, so a solved wrench
+holds an exact zero there; `verification.audit` checks the pinned
+components of a profile read from a file.
 """
 from __future__ import annotations
 
@@ -19,7 +23,6 @@ import numpy as np
 from .liegroup import Pose
 
 CONE_MODELS = ("pcwf", "sfce")
-PIN_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,18 +43,14 @@ class ConeDescriptor:
     """One second-order cone over selected wrench components.
 
     head_index carries the normal force; each (index, weight) tail entry
-    contributes (weight * F[index])^2 under the norm; pinned components must
-    vanish identically.
+    contributes (weight * F[index])^2 under the norm; pinned components are
+    not transmitted and enter no cone.
     """
 
     model: str
     head_index: int
     tail: tuple[tuple[int, float], ...]
     pinned: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return 1 + len(self.tail)
 
 
 def emit_cone(model: str, params: FrictionParams) -> ConeDescriptor:
@@ -77,29 +76,18 @@ def emit_cone(model: str, params: FrictionParams) -> ConeDescriptor:
     raise ValueError(f"unknown friction model {model!r}")
 
 
-def cone_margin(descriptor: ConeDescriptor, wrench, pin_tol: float = PIN_TOLERANCE) -> float | np.ndarray:
+def cone_margin(descriptor: ConeDescriptor, wrench) -> float | np.ndarray:
     """Slack of the cone constraint: fz minus the weighted tangential norm.
 
-    Nonnegative iff the wrench is inside the cone. Raises if a pinned
-    component is nonzero beyond pin_tol (scaled by the wrench magnitude),
-    naming the first such wrench's first such component.  One wrench (6
-    entries) gives a float, a (..., 6) array of them an array of shape
-    (...).
+    Nonnegative iff the wrench is inside the cone; the pinned components
+    are not read.  One wrench (6 entries) gives a float, a (..., 6) array
+    of them an array of shape (...).
     """
     F = np.asarray(wrench, dtype=float)
     if F.shape[-1:] != (6,):
         F = F.reshape(6)
     # components first: parts[i] is component i of every wrench
     parts = F.transpose(-1, *range(F.ndim - 1))
-    if pin_tol < np.inf:  # an infinite tolerance admits every wrench
-        mag = np.abs(parts)
-        pinned = list(descriptor.pinned)
-        # fmax keeps the scale at 1 where an entry is NaN, as max(1.0, nan) does
-        beyond = mag[pinned] > pin_tol * np.fmax(mag.max(axis=0), 1.0)
-        if beyond.any():
-            *at, j = np.argwhere(beyond.transpose(*range(1, beyond.ndim), 0))[0]
-            idx = pinned[j]
-            raise ValueError(f"pinned wrench component {idx} is {F[(*at, idx)]:.3e}, beyond tolerance")
     acc = 0.0
     for idx, weight in descriptor.tail:
         # float_power calls the C library's pow, as the ** of one float

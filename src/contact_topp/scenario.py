@@ -74,6 +74,24 @@ def _need(mapping, key, where):
     return mapping[key]
 
 
+def _convert(convert, value, where):
+    """convert(value), a failure to convert raised as ScenarioError naming `where`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _list(value, where) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def _pose(entry, where) -> Pose:
     try:
         return _pose_from_json(entry)
@@ -120,7 +138,7 @@ def _object_from_dict(entry, where) -> ObjectInstance:
     parent = _need(entry, "parent", where)
     contacts = tuple(
         _contact_from_dict(c, f"{where}.contacts[{i}]")
-        for i, c in enumerate(entry.get("contacts", []))
+        for i, c in enumerate(_list(entry.get("contacts", []), f"{where}.contacts"))
     )
     try:
         model = ObjectModel(
@@ -142,7 +160,7 @@ def _object_from_dict(entry, where) -> ObjectInstance:
     else:
         raise ScenarioError(f"{where}.parent: expected 'robot:<index>' or 'object:<name>', got {parent!r}")
     offset = entry.get("offset")
-    ext = np.asarray(entry.get("external_wrench", np.zeros(6)), dtype=float)
+    ext = _convert(_floats, entry.get("external_wrench", np.zeros(6)), f"{where}.external_wrench")
     if ext.shape != (6,):
         raise ScenarioError(f"{where}.external_wrench: expected 6 entries")
     try:
@@ -163,25 +181,35 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     if fmt != SCENARIO_FORMAT:
         raise ScenarioError(f"{where}.format: unsupported {fmt!r}, expected {SCENARIO_FORMAT!r}")
     name = str(_need(data, "name", where))
-    grid_points = int(_need(data, "grid_points", where))
-    if grid_points < 1:
-        raise ScenarioError(f"{where}.grid_points: must be a positive interval count")
+    raw_points = _need(data, "grid_points", where)
+    grid_points = _convert(int, raw_points, f"{where}.grid_points")
+    if grid_points != raw_points or grid_points < 1:
+        raise ScenarioError(f"{where}.grid_points: must be a positive whole interval count, got {raw_points!r}")
 
-    raw_boundary = data.get("boundary_sdot", (0.0, 0.0))
-    if len(raw_boundary) != 2:
+    boundary = _convert(
+        lambda raw: tuple(None if v is None else float(v) for v in raw),
+        data.get("boundary_sdot", (0.0, 0.0)),
+        f"{where}.boundary_sdot",
+    )
+    if len(boundary) != 2:
         raise ScenarioError(f"{where}.boundary_sdot: expected two entries (null leaves an end free)")
-    boundary = tuple(None if v is None else float(v) for v in raw_boundary)
 
     path_boundary = data.get("path_boundary", "clamped")
     if path_boundary not in BOUNDARY_KINDS:
         raise ScenarioError(f"{where}.path_boundary: unknown kind {path_boundary!r}")
 
     scale = data.get("limit_scale", {})
+    if not isinstance(scale, dict):
+        raise ScenarioError(f"{where}.limit_scale: expected an object, got {type(scale).__name__}")
     unknown = set(scale) - {"torque", "velocity", "acceleration"}
     if unknown:
         raise ScenarioError(f"{where}.limit_scale: unknown keys {sorted(unknown)}")
+    factors = {
+        key: _convert(float, scale.get(key, 1.0), f"{where}.limit_scale.{key}")
+        for key in ("torque", "velocity", "acceleration")
+    }
 
-    robots_raw = _need(data, "robots", where)
+    robots_raw = _list(_need(data, "robots", where), f"{where}.robots")
     if not robots_raw:
         raise ScenarioError(f"{where}.robots: need at least one robot")
     robots = []
@@ -192,29 +220,21 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"{rwhere}.model: {exc}") from exc
         if scale:
-            model = replace(
-                model,
-                limits=model.limits.scaled(
-                    torque=float(scale.get("torque", 1.0)),
-                    velocity=float(scale.get("velocity", 1.0)),
-                    acceleration=float(scale.get("acceleration", 1.0)),
-                ),
-            )
-        waypoints = np.asarray(_need(entry, "waypoints", rwhere), dtype=float)
+            model = replace(model, limits=model.limits.scaled(**factors))
+        waypoints = _need(entry, "waypoints", rwhere)
         try:
             path = JointPath(waypoints, boundary=path_boundary)
             robots.append(RobotInstance(model=model, path=path))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{rwhere}.waypoints: {exc}") from exc
 
     if all(np.all(r.path.waypoints == r.path.waypoints[0]) for r in robots):
         raise ScenarioError(f"{where}.robots: stationary path, every robot's waypoints are all equal")
 
-    objects = tuple(
-        _object_from_dict(entry, f"{where}.objects[{i}]") for i, entry in enumerate(data.get("objects", []))
-    )
+    objects_raw = _list(data.get("objects", []), f"{where}.objects")
+    objects = tuple(_object_from_dict(entry, f"{where}.objects[{i}]") for i, entry in enumerate(objects_raw))
 
-    gravity = np.asarray(data.get("gravity", (0.0, 0.0, -9.81)), dtype=float)
+    gravity = _convert(_floats, data.get("gravity", (0.0, 0.0, -9.81)), f"{where}.gravity")
     if gravity.shape != (3,):
         raise ScenarioError(f"{where}.gravity: expected 3 entries")
     # path derivatives of the Jacobian are analytic; files may still name that
@@ -536,7 +556,7 @@ def _sweep_worker(payload):
     data = copy.deepcopy(data)
     for p in params:
         set_by_path(data, p, value)
-    settings = RunSettings(grid_override=grid, output_points=2, tol=tol)
+    settings = RunSettings(grid_override=grid, tol=tol)
     try:
         scenario = scenario_from_dict(data)
         program, report, solution = solve_scenario(scenario, settings)

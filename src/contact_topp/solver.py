@@ -223,24 +223,11 @@ def canonicalize(program) -> StandardConicForm:
 
     Equality rows map directly.  Each bound row contributes one orthant row
     per finite side, its upper side first; cone rows follow, negated, as
-    the second-order cone slices of (G, h).
+    the second-order cone slices of (G, h).  Each section's matrix is used
+    as it is; `solve` checks the sizes of the form.
     """
-    n = program.num_vars
-    if program.objective.size != n:
-        raise ValueError(f"objective has {program.objective.size} entries for {n} variables")
     eq, bounds, cones = program.equalities, program.bounds, program.cones
-    empty = np.flatnonzero(np.asarray(cones.sizes, dtype=int) < 1)
-    if empty.size:
-        raise ValueError(f"cone block {cones.cone_labels[empty[0]]!r} has no rows")
-    for rows in (eq, bounds, cones):
-        beyond = np.flatnonzero(rows.matrix.indices >= n)
-        if beyond.size:
-            row = rows.labels[np.searchsorted(rows.matrix.indptr, beyond[0], side="right") - 1]
-            raise ValueError(f"row {row!r} references variable {rows.matrix.indices[beyond[0]]}, have {n}")
-    A, B, C = (
-        sp.csr_matrix((r.matrix.data, r.matrix.indices, r.matrix.indptr), shape=(r.matrix.shape[0], n), copy=True)
-        for r in (eq, bounds, cones)
-    )
+    A, B, C = eq.matrix, bounds.matrix, cones.matrix
 
     # one orthant row per finite side of each bound, the upper side first:
     # expr <= upper  ->  +vals x <= upper - offset

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import defaultdict
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,29 +65,15 @@ def build_grid(intervals: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class Rows:
-    """Affine rows `matrix @ x + offset`, one label per row."""
+    """Affine rows `matrix @ x + offset`, one label per row.
+
+    The matrix is `num_vars` columns wide and stores no zero; `canonicalize`
+    reads it as it is, and `row_dicts` writes it out for the program dump.
+    """
 
     matrix: sp.csr_matrix
     offset: np.ndarray
     labels: tuple
-
-    @classmethod
-    def from_lists(cls, cols, vals, offset, labels, width: int, **fields):
-        """Rows from per-row column and value lists (the program-v1 layout).
-
-        The matrix is widened past `width` when a column lies beyond it, so
-        that `canonicalize` can name the offending row.
-        """
-        counts = [len(c) for c in cols]
-        rows = np.repeat(np.arange(len(counts)), counts)
-        flat_cols = np.fromiter(chain.from_iterable(cols), dtype=np.intp, count=rows.size)
-        flat_vals = np.fromiter(chain.from_iterable(vals), dtype=float, count=rows.size)
-        width = max(width, int(flat_cols.max(initial=-1)) + 1)
-        matrix = sp.csr_matrix((flat_vals, (rows, flat_cols)), shape=(len(counts), width))
-        return cls(matrix, np.asarray(offset, dtype=float).reshape(-1), tuple(labels), **fields)
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x + self.offset
 
     def row_dicts(self) -> list:
         """One {cols, vals, offset, label} dict per row (the program-v1 layout)."""
@@ -141,13 +126,6 @@ class ScalingVariables:
     wrenches: dict  # contact id -> (K, 6)
 
 
-def _worst_by_family(worst: dict, labels, violation: np.ndarray):
-    """Fold row violations into `worst`, keyed by the label up to its first '['."""
-    family = np.array([lab.split("[", 1)[0] for lab in labels])
-    for name in dict.fromkeys(family.tolist()):
-        worst[name] = max(worst.get(name, 0.0), float(violation[family == name].max()))
-
-
 @dataclass
 class ConicProgram:
     """Assembled program: linear objective, equality rows, bound rows, cones."""
@@ -184,23 +162,6 @@ class ConicProgram:
             torque=tau,
             wrenches=wrenches,
         )
-
-    def residual_report(self, x: np.ndarray) -> dict:
-        """Worst violation of each row family at the point x, keyed by label prefix."""
-        x = np.asarray(x, dtype=float).reshape(self.num_vars)
-        bounds, cones = self.bounds, self.cones
-        v = bounds.values(x)
-        u = cones.values(x)
-        sizes = np.asarray(cones.sizes, dtype=np.intp)
-        owner = np.repeat(np.arange(sizes.size), sizes)
-        head = np.zeros(u.size, dtype=bool)
-        head[np.cumsum(sizes) - sizes] = True
-        tail_norm = np.sqrt(np.bincount(owner[~head], weights=u[~head] ** 2, minlength=sizes.size))
-        worst: dict[str, float] = {}
-        _worst_by_family(worst, self.equalities.labels, np.abs(self.equalities.values(x)))
-        _worst_by_family(worst, bounds.labels, np.maximum(np.maximum(bounds.lower - v, v - bounds.upper), 0.0))
-        _worst_by_family(worst, cones.cone_labels, np.maximum(tail_norm - u[head], 0.0))
-        return worst
 
     def to_json_dict(self) -> dict:
         def bound_val(v):
@@ -242,54 +203,6 @@ class ConicProgram:
             "components": {cid: list(stored) for cid, stored in self.components.items()},
             "meta": dict(self.meta),
         }
-
-
-def program_from_json_dict(data: dict) -> ConicProgram:
-    if data.get("format") != "contact-topp/program-v1":
-        raise ValueError(f"unsupported program dump format {data.get('format')!r}")
-    num_vars = int(data["num_vars"])
-    objective = np.zeros(num_vars)
-    objective[np.asarray(data["objective"]["cols"], dtype=int)] = data["objective"]["vals"]
-
-    def section(rows, cls=Rows, **fields):
-        return cls.from_lists(
-            [d["cols"] for d in rows],
-            [d["vals"] for d in rows],
-            [d["offset"] for d in rows],
-            [d["label"] for d in rows],
-            num_vars,
-            **fields,
-        )
-
-    def side(key, missing):
-        return np.array([missing if d[key] is None else float(d[key]) for d in data["bounds"]], dtype=float)
-
-    def node_array(key, missing, dtype):
-        return np.array([missing if d[key] is None else d[key] for d in data["nodes"]], dtype=dtype)
-
-    return ConicProgram(
-        num_vars=num_vars,
-        objective=objective,
-        equalities=section(data["equalities"]),
-        bounds=section(data["bounds"], BoundRows, lower=side("lower", -np.inf), upper=side("upper", np.inf)),
-        cones=section(
-            [r for d in data["cones"] for r in d["rows"]],
-            ConeRows,
-            sizes=tuple(len(d["rows"]) for d in data["cones"]),
-            cone_labels=tuple(d["label"] for d in data["cones"]),
-        ),
-        slices={k: slice(v[0], v[1]) for k, v in data["slices"].items()},
-        nodes=SpeedNodes(
-            b_col=node_array("b_col", -1, np.intp),
-            c_col=node_array("c_col", -1, np.intp),
-            b_value=node_array("b_value", np.nan, float),
-            c_value=node_array("c_value", np.nan, float),
-        ),
-        grid=build_grid(int(data["grid_intervals"])),
-        contact_order=tuple(data["contact_order"]),
-        components={cid: tuple(stored) for cid, stored in data["components"].items()},
-        meta=dict(data.get("meta", {})),
-    )
 
 
 class _Section:

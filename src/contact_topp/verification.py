@@ -366,7 +366,7 @@ def audit(profile: ScalingVariables, scenario, tolerance: float = 1e-6) -> Audit
         for k in range(K):
             F = W[k]
             scale = 1.0 + float(np.max(np.abs(F)))
-            margin = cone_margin(desc, F, pin_tol=np.inf)
+            margin = cone_margin(desc, F)
             note("cone_membership", k, max(-margin, 0.0) / scale)
             pin_err = max((abs(F[idx]) for idx in desc.pinned), default=0.0)
             note("pinned_components", k, pin_err / scale)

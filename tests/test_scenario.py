@@ -435,6 +435,16 @@ def test_sweep_bad_points_get_their_own_status(threads):
     assert "degenerate stall" in pts[2].message
 
 
+def test_sweep_malformed_value_is_input_error():
+    # a value of the wrong shape for its field is the point's bad input
+    sc = scenario_from_dict(slider_scenario(grid_points=8))
+    pts = sweep(sc, "grid_points", [8, 2.5], threads=1)
+    assert [p.status for p in pts] == ["Optimal", SWEEP_INPUT_ERROR]
+    assert "scenario.grid_points: must be a positive whole interval count, got 2.5" in pts[1].message
+    (pt,) = sweep(sc, "boundary_sdot", [5.0], threads=1)
+    assert pt.status == SWEEP_INPUT_ERROR and pt.message.startswith("scenario.boundary_sdot: ")
+
+
 def test_sweep_bad_points_same_serial_and_pool():
     sc = scenario_from_dict(slider_scenario(grid_points=8, velocity=1.0))
     values = [2.0, -1.0, 0.0, 1.0]
@@ -715,3 +725,26 @@ def test_cli_verify_bad_tolerance_exit(tmp_path, capsys, tolerance):
     assert main(argv + ["--out", str(tmp_path / "ledger.json")]) == 4
     assert "--tolerance must be a positive finite number" in capsys.readouterr().err
     assert not (tmp_path / "ledger.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        pytest.param("grid_points", "ten", "grid_points", id="grid_points_text"),
+        pytest.param("grid_points", 2.5, "grid_points", id="grid_points_fraction"),
+        pytest.param("boundary_sdot", ["a", 0], "boundary_sdot", id="boundary_sdot_text"),
+        pytest.param("boundary_sdot", 5, "boundary_sdot", id="boundary_sdot_number"),
+        pytest.param("limit_scale", 3, "limit_scale", id="limit_scale_number"),
+        pytest.param("limit_scale", {"torque": "big"}, "limit_scale.torque", id="limit_scale_text"),
+        pytest.param("robots", 3, "robots", id="robots_number"),
+        pytest.param("waypoints", [["a"]], "robots[0].waypoints", id="waypoints_text"),
+        pytest.param("objects", 3, "objects", id="objects_number"),
+        pytest.param("gravity", ["x", 0, 0], "gravity", id="gravity_text"),
+    ],
+)
+def test_cli_malformed_field_exit(tmp_path, capsys, key, value, field):
+    # a field of the wrong type is bad input named by its path, not a crash
+    data = json.loads((SCENARIOS / "double_integrator.json").read_text())
+    (data["robots"][0] if key == "waypoints" else data)[key] = value
+    assert main(["solve", write_scenario(tmp_path, data), "--grid", "4", "--out", str(tmp_path)]) == 4
+    assert f"input error: scenario.{field}: " in capsys.readouterr().err

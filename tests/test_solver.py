@@ -1019,12 +1019,18 @@ def hand_program(num_vars, objective, equalities=(), bounds=(), cones=()):
     """A program written out row by row.
 
     Equality rows are (cols, vals, offset, label); bound rows add (lower,
-    upper); cones are (label, rows).
+    upper); cones are (label, rows).  A section's matrix is widened past
+    num_vars when a row names a column beyond it.
     """
 
     def section(entries, cls, **fields):
-        cols, vals, offset, labels = (list(part) for part in zip(*entries)) if entries else ([], [], [], [])
-        return cls.from_lists(cols, vals, offset, labels, num_vars, **fields)
+        rows = [i for i, entry in enumerate(entries) for _ in entry[0]]
+        cols = [c for entry in entries for c in entry[0]]
+        vals = [v for entry in entries for v in entry[1]]
+        shape = (len(entries), max([num_vars] + [c + 1 for c in cols]))
+        matrix = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+        offset = np.array([entry[2] for entry in entries], dtype=float)
+        return cls(matrix, offset, tuple(entry[3] for entry in entries), **fields)
 
     cone_rows = [row for _, rows in cones for row in rows]
     return ConicProgram(
@@ -1096,18 +1102,18 @@ class TestCanonicalize:
 
     def test_objective_length_mismatch_rejected(self):
         bad = self.lp_only_program(num_vars=3)
-        with pytest.raises(ValueError, match="objective"):
-            canonicalize(bad)
+        with pytest.raises(ValueError, match="A has 3 columns, c has 2 entries"):
+            solve_conic_program(bad)
 
     def test_out_of_range_column_rejected(self):
         bad = self.lp_only_program(equalities=(((0, 5), (1.0, 1.0), 0.0, "sum"),))
-        with pytest.raises(ValueError, match="variable 5"):
-            canonicalize(bad)
+        with pytest.raises(ValueError, match="A has 6 columns, c has 2 entries"):
+            solve_conic_program(bad)
 
     def test_empty_cone_block_rejected(self):
         bad = self.lp_only_program(cones=(("empty", ()),))
-        with pytest.raises(ValueError, match="no rows"):
-            canonicalize(bad)
+        with pytest.raises(ValueError, match="cone sizes >= 1"):
+            solve_conic_program(bad)
 
 
 class TestTimingIntegration:

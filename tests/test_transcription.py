@@ -26,12 +26,11 @@ from contact_topp.liegroup import Pose, Twist
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, JointLimits, Link, LinkInertia, RobotModel
 from contact_topp.scenario import RunSettings, assemble_scenario, load_scenario, scenario_from_dict, solve_scenario
-from contact_topp.solver import canonicalize
+from contact_topp.solver import canonicalize, cone_residual
 from contact_topp.transcription import (
     ConicProgram,
     assemble,
     build_grid,
-    program_from_json_dict,
     recover_time,
 )
 from contact_topp.verification import audit
@@ -189,8 +188,9 @@ class TestSliderBangSolution:
 
     def test_optimum_is_feasible(self):
         prog = assemble(slider_scene(), build_grid(1), (0.0, None))
-        report = prog.residual_report(self.optimum(prog))
-        assert max(report.values()) <= 1e-12
+        form, x = canonicalize(prog), self.optimum(prog)
+        assert np.max(np.abs(form.A @ x - form.b)) <= 1e-12
+        assert cone_residual(form.cones, form.h - form.G @ x) <= 1e-12
 
     def test_objective_equals_travel_time(self):
         prog = assemble(slider_scene(), build_grid(1), (0.0, None))
@@ -206,8 +206,11 @@ class TestSliderBangSolution:
         x[prog.slices["a"]] = 1.2
         x[prog.slices["tau"]] = 1.2
         x[prog.slices["b"]] = 2.4
-        report = prog.residual_report(x)
-        assert report["torque_box"] > 0.1
+        form = canonicalize(prog)
+        slack = (form.h - form.G @ x)[: form.cones.orthant]
+        worst = int(np.argmin(slack))
+        assert form.row_labels[worst].startswith("torque_box[")
+        assert slack[worst] < -0.1
 
 
 class TestExtraction:
@@ -316,26 +319,6 @@ class TestRecoverTime:
         timing = recover_time(b, g)
         manual = np.cumsum([2 * g.spacing / (np.sqrt(b[k]) + np.sqrt(b[k + 1])) for k in range(3)])
         assert np.allclose(timing.node_times[1:], manual)
-
-
-class TestDumpRoundTrip:
-    def test_json_round_trip_preserves_rows(self):
-        prog = assemble(grasped_scene(), build_grid(2))
-        blob = json.dumps(prog.to_json_dict())
-        back = program_from_json_dict(json.loads(blob))
-        assert back.num_vars == prog.num_vars
-        assert back.components == prog.components
-        assert back.equalities.labels == prog.equalities.labels
-        x = np.linspace(-1.0, 1.0, prog.num_vars)
-        r1 = prog.residual_report(x)
-        r2 = back.residual_report(x)
-        assert r1.keys() == r2.keys()
-        for k in r1:
-            assert r1[k] == pytest.approx(r2[k], rel=1e-12, abs=1e-12)
-
-    def test_format_tag_checked(self):
-        with pytest.raises(ValueError, match="format"):
-            program_from_json_dict({"format": "something-else"})
 
 
 class TestConstantRowChecks:
@@ -564,20 +547,3 @@ class TestGoldenDumps:
             assert_rows_match(new["rows"], old["rows"])
         for key in ("components", "slices", "nodes", "num_vars", "objective", "grid_intervals", "contact_order", "meta"):
             assert fresh[key] == golden[key], key
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_golden_canonicalizes_like_fresh_assembly(self, name):
-        loaded = canonicalize(program_from_json_dict(golden_program(name)))
-        fresh = canonicalize(GOLDEN[name]())
-        assert loaded.cones == fresh.cones
-        assert loaded.row_labels == fresh.row_labels
-        for key in ("A", "G"):
-            got, want = getattr(loaded, key).copy(), getattr(fresh, key)
-            got.eliminate_zeros()
-            assert got.shape == want.shape
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            np.testing.assert_allclose(got.data, want.data, **VALUE_TOL)
-        for key in ("b", "h", "c"):
-            np.testing.assert_allclose(getattr(loaded, key), getattr(fresh, key), **VALUE_TOL)
-
