@@ -8,6 +8,7 @@ failed numerically, else 0 (certified infeasible points included).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -118,17 +119,7 @@ def _cmd_sweep(args) -> int:
         payload = {
             "scenario": scenario.name,
             "param": args.param,
-            "points": [
-                {
-                    "value": p.value,
-                    "status": p.status,
-                    "total_time": p.total_time,
-                    "objective": p.objective,
-                    "iterations": p.iterations,
-                    "message": p.message,
-                }
-                for p in points
-            ],
+            "points": [dataclasses.asdict(p) for p in points],
         }
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)

@@ -10,21 +10,25 @@ and each rigidly-held body satisfies, in its own frame,
 
     sum_contacts sign * G_c F_c + f_ext = A(s) * sddot + B(s) * sdot^2.
 
-`sample_path_dynamics` evaluates this at one s and builds each chain once:
-per robot, the checked joint-to-link adjoints (`_down_adjoints`) feed the
-acceleration, velocity-squared and gravity Newton-Euler passes, and one
-space chain (`liegroup._space_chain`) per robot that carries an object or
-holds a contact feeds the object's pose, direction and rate and every
+Two samplers return these coefficients in one record, `PathDynamics`:
+`stack_dynamics_in_s` at K values of s for the transcription, and
+`sample_path_dynamics` at one s, the scalar oracle of the verification
+module, which builds each chain once: per robot, the checked joint-to-link
+adjoints (`_down_adjoints`) feed the acceleration, velocity-squared and
+gravity Newton-Euler passes, and one space chain (`liegroup._space_chain`)
+per carrier robot feeds the object's pose, direction and rate and every
 contact Jacobian.  The acceleration (qd, qdd) = (0, q') and gravity (0, 0)
 passes run at rest, where `_newton_euler` leaves out the velocity products,
 exact zeros that change no bit of the torques.
 
 The contact topology is resolved once, when a `Scene` is built:
 `Scene.grasp` gives each object the robot that carries it and its constant
-pose in that robot's end-effector frame, and `Scene.contacts` gives each
-contact its "<object>/<contact>" id, its owner and its friction cone.  Both
-samplers, the transcription, the trajectory output and the audit read that
-table; the scalar and the batched numerics stay two implementations.
+pose in that robot's end-effector frame, `Scene.contacts` gives each
+contact its "<object>/<contact>" id, its owner and its friction cone,
+`Scene.carriers` names the robots whose end-effector chain a sample needs
+and `Scene.ee_offsets` the end-effector frame of each manipulator contact.
+Both samplers, the transcription, the trajectory output and the audit read
+that table; the scalar and the batched numerics stay two implementations.
 """
 from __future__ import annotations
 
@@ -219,13 +223,18 @@ class SceneContact:
 class Scene:
     """Everything the transcription needs: robots, objects, gravity.
 
-    Construction checks the contact topology and resolves it once, into two
+    Construction checks the contact topology and resolves it once, into four
     derived fields:
 
-      grasp     object name -> (index of the robot that carries the object,
-                through any chain of object parents; constant pose of the
-                object frame in that robot's end-effector frame)
-      contacts  every contact of every object, in file order
+      grasp       object name -> (index of the robot that carries the object,
+                  through any chain of object parents; constant pose of the
+                  object frame in that robot's end-effector frame)
+      contacts    every contact of every object, in file order
+      carriers    the robots whose end-effector chain a sample needs, each
+                  object's carrier and each manipulator contact's robot
+      ee_offsets  manipulator contact id -> the frame its pose is given in,
+                  in its robot's end-effector frame: the owner's grasp offset
+                  when that robot carries the owner, else its tool offset
     """
 
     robots: tuple[RobotInstance, ...]
@@ -233,6 +242,8 @@ class Scene:
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
     grasp: dict[str, tuple[int, Pose]] = field(init=False, compare=False)
     contacts: tuple[SceneContact, ...] = field(init=False, compare=False)
+    carriers: tuple[int, ...] = field(init=False, compare=False)
+    ee_offsets: dict[str, Pose] = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float).reshape(3))
@@ -264,19 +275,27 @@ class Scene:
                 offset = offset.compose(rider.offset)
             grasp[obj.model.name] = (root.parent_robot, offset)
 
-        contacts = []
+        contacts, ee_offsets = [], {}
+        carriers = {robot for robot, _ in grasp.values()}
         for obj in self.objects:
             for c in obj.model.contacts:
-                if c.kind == "manipulator" and not (0 <= c.robot < len(self.robots)):
-                    raise ValueError(f"contact {c.name!r} references missing robot")
+                cid = f"{obj.model.name}/{c.name}"
+                if c.kind == "manipulator":
+                    if not (0 <= c.robot < len(self.robots)):
+                        raise ValueError(f"contact {c.name!r} references missing robot")
+                    carrier, offset = grasp[obj.model.name]
+                    carriers.add(c.robot)
+                    ee_offsets[cid] = offset if c.robot == carrier else self.robots[c.robot].model.tool_offset
                 if c.kind == "object":
                     if c.against not in by_name:
                         raise ValueError(f"contact {c.name!r} references missing object {c.against!r}")
                     if c.pose_in_other is None:
                         raise ValueError(f"object contact {c.name!r} needs pose_in_other")
-                contacts.append(SceneContact(f"{obj.model.name}/{c.name}", obj.model.name, c, c.descriptor()))
+                contacts.append(SceneContact(cid, obj.model.name, c, c.descriptor()))
         object.__setattr__(self, "grasp", grasp)
         object.__setattr__(self, "contacts", tuple(contacts))
+        object.__setattr__(self, "carriers", tuple(sorted(carriers)))
+        object.__setattr__(self, "ee_offsets", ee_offsets)
 
     @property
     def dof(self) -> int:
@@ -298,30 +317,41 @@ class Scene:
         return out
 
 
-@dataclass(frozen=True)
-class ObjectSample:
-    """One object's balance-row data at one path point."""
+@dataclass(frozen=True, eq=False)
+class ObjectPathTerms:
+    """One object's balance-row data at one path point, or at K points on a leading axis."""
 
     name: str
-    accel_coeff: np.ndarray  # 6, multiplies sddot
-    velsq_coeff: np.ndarray  # 6, multiplies sdot^2
-    external: np.ndarray  # 6, in the object frame
-    contact_terms: tuple[tuple[str, float, np.ndarray], ...]  # (contact id, sign, 6x6 map)
+    accel_coeff: np.ndarray  # 6 or (K, 6), multiplies sddot
+    velsq_coeff: np.ndarray  # 6 or (K, 6), multiplies sdot^2
+    external: np.ndarray  # 6 or (K, 6), in the object frame
+    contact_terms: tuple[tuple[str, float, np.ndarray], ...]  # (contact id, sign, 6x6 or (K, 6, 6) map)
 
 
-@dataclass(frozen=True)
-class PathDynamicsSample:
-    """All path-dependent dynamics data at one value of s."""
+@dataclass(frozen=True, eq=False)
+class PathDynamics:
+    """All path-dependent dynamics data at one value of s, or at K values stacked on axis 0.
 
-    s: float
+    `sample_path_dynamics` returns the one-point form: s a float, (n,)
+    joint and torque terms, a (6, n) body Jacobian at the contact frame per
+    manipulator contact id and one `ObjectPathTerms` per object.
+    `stack_dynamics_in_s` returns the same fields with a leading K axis,
+    where constant contact maps may be read-only broadcast views, and
+    `len()` counts its points.
+    """
+
+    s: float | np.ndarray
     q: np.ndarray
     dq: np.ndarray
     ddq: np.ndarray
-    torque_accel_coeff: np.ndarray  # n, multiplies sddot
-    torque_velsq_coeff: np.ndarray  # n, multiplies sdot^2
-    torque_gravity: np.ndarray  # n
-    contact_jacobians: dict  # contact id -> (6, n) body Jacobian at the contact frame
-    objects: tuple[ObjectSample, ...]
+    torque_accel_coeff: np.ndarray  # multiplies sddot
+    torque_velsq_coeff: np.ndarray  # multiplies sdot^2
+    torque_gravity: np.ndarray
+    contact_jacobians: dict
+    objects: tuple[ObjectPathTerms, ...]
+
+    def __len__(self) -> int:
+        return self.s.shape[0]
 
 
 def _world_normal_rotation(R_obj: np.ndarray, world_axis: np.ndarray, hint: np.ndarray) -> np.ndarray:
@@ -343,7 +373,7 @@ def contact_pose_at(contact: ContactSpec, R_obj_world: np.ndarray) -> Pose:
     return Pose(R, contact.pose.translation)
 
 
-def sample_path_dynamics(scene: Scene, s: float) -> PathDynamicsSample:
+def sample_path_dynamics(scene: Scene, s: float) -> PathDynamics:
     """Evaluate every path-dependent coefficient of the dynamics at one s."""
     n = scene.dof
     slices = scene.robot_slices()
@@ -367,10 +397,7 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamicsSample:
         velsq[sl] = _newton_euler(chain, ads, dqi, ddqi, np.zeros(3))
         grav[sl] = _newton_euler(chain, ads, zeros, zeros, scene.gravity)
 
-    # one space chain per robot that carries an object or holds a contact
-    carriers = {robot for robot, _ in scene.grasp.values()}
-    carriers.update(sc.spec.robot for sc in scene.contacts if sc.spec.kind == "manipulator")
-    space = {i: _space_chain(scene.robots[i].model, q[slices[i]]) for i in carriers}
+    space = {i: _space_chain(scene.robots[i].model, q[slices[i]]) for i in scene.carriers}
 
     frames, balance = {}, {}
     for obj in scene.objects:
@@ -396,13 +423,11 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamicsSample:
         if c.kind == "object":
             reactions[c.against].append((sc.cid, -1.0, c.pose_in_other.wrench_map()))
         if c.kind == "manipulator":
-            grasp, offset = scene.grasp[sc.owner]
-            base = offset if c.robot == grasp else scene.robots[c.robot].model.tool_offset
             full = np.zeros((6, n))
-            full[:, slices[c.robot]] = _reporting_frame(*space[c.robot], base.compose(pose_c))
+            full[:, slices[c.robot]] = _reporting_frame(*space[c.robot], scene.ee_offsets[sc.cid].compose(pose_c))
             contact_jacs[sc.cid] = full
 
-    return PathDynamicsSample(
+    return PathDynamics(
         s=s,
         q=q,
         dq=dq,
@@ -412,7 +437,7 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamicsSample:
         torque_gravity=grav,
         contact_jacobians=contact_jacs,
         objects=tuple(
-            ObjectSample(name, A, B, external, tuple(contact_terms[name] + reactions[name]))
+            ObjectPathTerms(name, A, B, external, tuple(contact_terms[name] + reactions[name]))
             for name, (A, B, external) in balance.items()
         ),
     )
@@ -422,41 +447,6 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamicsSample:
 # grid-batched sampling: every coefficient of `sample_path_dynamics` at K
 # path points at once.  The scalar functions above stay the independent
 # oracle that the verification module uses.
-
-
-@dataclass(frozen=True, eq=False)
-class ObjectPathTerms:
-    """One object's balance-row data at K path points (`ObjectSample` stacked)."""
-
-    name: str
-    accel_coeff: np.ndarray  # (K, 6), multiplies sddot
-    velsq_coeff: np.ndarray  # (K, 6), multiplies sdot^2
-    external: np.ndarray  # (K, 6), in the object frame
-    contact_terms: tuple[tuple[str, float, np.ndarray], ...]  # (contact id, sign, (K, 6, 6) map)
-
-
-@dataclass(frozen=True, eq=False)
-class PathDynamics:
-    """All path-dependent dynamics data at K values of s, stacked on axis 0.
-
-    Holds the fields of `PathDynamicsSample` as arrays: (K, n) joint and
-    torque terms, a (K, 6, n) body Jacobian per manipulator contact id and
-    one `ObjectPathTerms` per object.  Constant contact maps may be
-    read-only broadcast views.
-    """
-
-    s: np.ndarray
-    q: np.ndarray
-    dq: np.ndarray
-    ddq: np.ndarray
-    torque_accel_coeff: np.ndarray
-    torque_velsq_coeff: np.ndarray
-    torque_gravity: np.ndarray
-    contact_jacobians: dict
-    objects: tuple[ObjectPathTerms, ...]
-
-    def __len__(self) -> int:
-        return self.s.shape[0]
 
 
 def _ad_many(V: np.ndarray) -> np.ndarray:
@@ -562,22 +552,16 @@ def stack_dynamics_in_s(scene: Scene, s_values) -> PathDynamics:
         ddq[:, sl] = r.path.second_derivative(s)
         terms[:, :, sl] = _path_torque_terms(r.model, q[:, sl], dq[:, sl], ddq[:, sl], scene.gravity)
 
-    fk: dict[int, tuple] = {}
-
-    def chain_fk(i: int):
-        """(R_ee, p_ee, space Jacobian columns) of robot i at every point."""
-        if i not in fk:
-            fk[i] = space_jacobian_many(scene.robots[i].model, q[:, slices[i]])
-        return fk[i]
-
+    # (R_ee, p_ee, space Jacobian columns) of each carrier robot at every point
+    fk = {i: space_jacobian_many(scene.robots[i].model, q[:, slices[i]]) for i in scene.carriers}
     frames, balance = {}, {}
     for obj in scene.objects:
         name = obj.model.name
         grasp, offset = scene.grasp[name]
-        R_ee, p_ee, _ = chain_fk(grasp)
+        R_ee, p_ee, _ = fk[grasp]
         frames[name], _ = compose_many(R_ee, p_ee, offset.rotation, offset.translation)
 
-        J_dir, J_rate = _direction_terms_many(dq[:, slices[grasp]], ddq[:, slices[grasp]], chain_fk(grasp), offset)
+        J_dir, J_rate = _direction_terms_many(dq[:, slices[grasp]], ddq[:, slices[grasp]], fk[grasp], offset)
         M = obj.model.spatial_mass()
         v, w = J_dir[:, :3], J_dir[:, 3:]
         gyro = np.concatenate([np.cross(w, obj.model.mass * v), np.cross(w, _apply(obj.model.inertia, w))], axis=1)
@@ -603,11 +587,10 @@ def stack_dynamics_in_s(scene: Scene, s_values) -> PathDynamics:
         if c.kind == "object":
             reactions[c.against].append((sc.cid, -1.0, np.broadcast_to(c.pose_in_other.wrench_map(), (K, 6, 6))))
         if c.kind == "manipulator":
-            grasp, offset = scene.grasp[sc.owner]
-            base = offset if c.robot == grasp else scene.robots[c.robot].model.tool_offset
+            base = scene.ee_offsets[sc.cid]
             R_off, p_off = compose_many(base.rotation, base.translation, R_c, p_c)
             full = np.zeros((K, 6, n))
-            full[:, :, slices[c.robot]] = body_jacobian_many(*chain_fk(c.robot), R_off, p_off)
+            full[:, :, slices[c.robot]] = body_jacobian_many(*fk[c.robot], R_off, p_off)
             contact_jacs[sc.cid] = full
 
     return PathDynamics(

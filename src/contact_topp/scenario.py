@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -82,6 +84,14 @@ def _convert(convert, value, where):
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+def _whole(value, where, what="a whole number", least=-math.inf) -> int:
+    """`value` as an int; a bool, text, fraction or value below `least` raised as ScenarioError naming `where`."""
+    if isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value):
+        if value == int(value) and value >= least:
+            return int(value)
+    raise ScenarioError(f"{where}: must be {what}, got {value!r}")
+
+
 def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -121,7 +131,7 @@ def _contact_from_dict(entry, where) -> ContactSpec:
             pose=pose,
             params=params,
             fz_max=None if fz_max is None else float(fz_max),
-            robot=int(entry.get("robot", 0)),
+            robot=_whole(entry.get("robot", 0), f"{where}.robot"),
             against=entry.get("against"),
             pose_in_other=None if pose_in_other is None else _pose(pose_in_other, f"{where}.pose_in_other"),
             frame_mode=entry.get("frame_mode", "body_fixed"),
@@ -181,10 +191,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     if fmt != SCENARIO_FORMAT:
         raise ScenarioError(f"{where}.format: unsupported {fmt!r}, expected {SCENARIO_FORMAT!r}")
     name = str(_need(data, "name", where))
-    raw_points = _need(data, "grid_points", where)
-    grid_points = _convert(int, raw_points, f"{where}.grid_points")
-    if grid_points != raw_points or grid_points < 1:
-        raise ScenarioError(f"{where}.grid_points: must be a positive whole interval count, got {raw_points!r}")
+    grid_points = _whole(_need(data, "grid_points", where), f"{where}.grid_points", "a positive whole interval count", 1)
 
     boundary = _convert(
         lambda raw: tuple(None if v is None else float(v) for v in raw),

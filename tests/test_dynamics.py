@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ from contact_topp.contacts import ContactSpec, FrictionParams
 from contact_topp.dynamics import (
     ObjectInstance,
     ObjectModel,
+    ObjectPathTerms,
+    PathDynamics,
     RobotInstance,
     Scene,
     inverse_dynamics,
@@ -405,32 +408,45 @@ def assert_close(got, want, what, atol=0.0):
 
 
 def assert_matches_scalar(scene, s_values):
+    """Every field of the batched record within BATCH_RTOL of the scalar records, point by point."""
     batch = stack_dynamics_in_s(scene, s_values)
     ref = [sample_path_dynamics(scene, float(s)) for s in s_values]
+    assert all(isinstance(r, PathDynamics) for r in ref)
     assert len(batch) == len(ref)
-    np.testing.assert_array_equal(batch.s, [r.s for r in ref])
-    for name in ("q", "dq", "ddq", "torque_accel_coeff", "torque_gravity"):
-        assert_close(getattr(batch, name), [getattr(r, name) for r in ref], name)
     # the velocity-product pass works on terms of size |M q'| |q'|; where its
     # sum vanishes (one joint on a straight path: q'' = 0 and no Coriolis
     # term) both samplers hold only rounding of that size
     accel = np.max(np.abs([r.torque_accel_coeff for r in ref]), initial=0.0)
     speed = np.max(np.abs([r.dq for r in ref]), initial=0.0)
     velsq_atol = 16 * np.finfo(float).eps * accel * speed
-    assert_close(batch.torque_velsq_coeff, [r.torque_velsq_coeff for r in ref], "torque_velsq_coeff", velsq_atol)
-    assert list(batch.contact_jacobians) == list(ref[0].contact_jacobians)
-    for cid, J in batch.contact_jacobians.items():
-        assert_close(J, [r.contact_jacobians[cid] for r in ref], f"jacobian {cid}")
-    assert [o.name for o in batch.objects] == [o.name for o in ref[0].objects]
-    for i, obj in enumerate(batch.objects):
-        for name in ("accel_coeff", "velsq_coeff", "external"):
-            assert_close(getattr(obj, name), [getattr(r.objects[i], name) for r in ref], f"{obj.name} {name}")
-        assert [(cid, sign) for cid, sign, _ in obj.contact_terms] == [
-            (cid, sign) for cid, sign, _ in ref[0].objects[i].contact_terms
-        ]
-        for t, (cid, _, G) in enumerate(obj.contact_terms):
-            assert_close(G, [r.objects[i].contact_terms[t][2] for r in ref], f"{obj.name} map {cid}")
+    for f in fields(PathDynamics):
+        got, want = getattr(batch, f.name), [getattr(r, f.name) for r in ref]
+        if f.name == "s":
+            np.testing.assert_array_equal(got, want)
+        elif f.name == "contact_jacobians":
+            assert list(got) == list(want[0])
+            for cid, J in got.items():
+                assert_close(J, [w[cid] for w in want], f"jacobian {cid}")
+        elif f.name == "objects":
+            assert [o.name for o in got] == [o.name for o in want[0]]
+            for i, obj in enumerate(got):
+                assert_object_matches_scalar(obj, [w[i] for w in want])
+        else:
+            assert_close(got, want, f.name, velsq_atol if f.name == "torque_velsq_coeff" else 0.0)
     return batch
+
+
+def assert_object_matches_scalar(obj, ref):
+    for f in fields(ObjectPathTerms):
+        got, want = getattr(obj, f.name), [getattr(r, f.name) for r in ref]
+        if f.name == "name":
+            assert want == [got] * len(ref)
+        elif f.name == "contact_terms":
+            assert [(cid, sign) for cid, sign, _ in got] == [(cid, sign) for cid, sign, _ in want[0]]
+            for t, (cid, _, G) in enumerate(got):
+                assert_close(G, [w[t][2] for w in want], f"{obj.name} map {cid}")
+        else:
+            assert_close(got, want, f"{obj.name} {f.name}")
 
 
 def random_pose(rng):
@@ -620,14 +636,14 @@ class TestBatchedSampler:
             scene = Scene(robots=tuple(robots), objects=(ObjectInstance(model=box, parent_robot=arm_at),), gravity=GRAV)
             if sampler == "batched":
                 batch = stack_dynamics_in_s(scene, s)
-                return {f: getattr(batch.objects[0], f) for f in fields}, batch.contact_jacobians
+                return {f: getattr(batch.objects[0], f) for f in balance_fields}, batch.contact_jacobians
             ref = [sample_path_dynamics(scene, float(si)) for si in s]
-            box_terms = {f: np.array([getattr(r.objects[0], f) for r in ref]) for f in fields}
+            box_terms = {f: np.array([getattr(r.objects[0], f) for r in ref]) for f in balance_fields}
             return box_terms, {cid: np.array([r.contact_jacobians[cid] for r in ref]) for cid in ref[0].contact_jacobians}
 
-        fields = ("accel_coeff", "velsq_coeff", "external")
+        balance_fields = ("accel_coeff", "velsq_coeff", "external")
         (box_first, jac_first), (box_second, jac_second) = sample(0), sample(1)
-        for name in fields:
+        for name in balance_fields:
             assert_close(box_second[name], box_first[name], f"box {name}")
         # joint columns: spatial arm then planar arm in the first scene, the
         # other way round in the second

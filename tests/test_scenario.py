@@ -7,6 +7,7 @@ assertion closed-form.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from contact_topp.scenario import (
     RunSettings,
     ScenarioError,
     Scenario,
+    SweepPoint,
     assemble_scenario,
     load_scenario,
     profile_from_json_dict,
@@ -638,6 +640,7 @@ def test_cli_sweep_bad_point_exit(tmp_path, capsys):
     assert "Optimal" in out
     assert f"{SWEEP_INPUT_ERROR}" in out and "velocity_max must be positive" in out
     points = json.loads(out_json.read_text())["points"]
+    assert all(list(p) == [f.name for f in dataclasses.fields(SweepPoint)] for p in points)
     assert [p["status"] for p in points] == ["Optimal", SWEEP_INPUT_ERROR]
     assert points[0]["message"] is None
     assert points[0]["iterations"] > 0 and points[1]["iterations"] is None
@@ -732,6 +735,7 @@ def test_cli_verify_bad_tolerance_exit(tmp_path, capsys, tolerance):
     [
         pytest.param("grid_points", "ten", "grid_points", id="grid_points_text"),
         pytest.param("grid_points", 2.5, "grid_points", id="grid_points_fraction"),
+        pytest.param("grid_points", True, "grid_points", id="grid_points_bool"),
         pytest.param("boundary_sdot", ["a", 0], "boundary_sdot", id="boundary_sdot_text"),
         pytest.param("boundary_sdot", 5, "boundary_sdot", id="boundary_sdot_number"),
         pytest.param("limit_scale", 3, "limit_scale", id="limit_scale_number"),
@@ -748,3 +752,34 @@ def test_cli_malformed_field_exit(tmp_path, capsys, key, value, field):
     (data["robots"][0] if key == "waypoints" else data)[key] = value
     assert main(["solve", write_scenario(tmp_path, data), "--grid", "4", "--out", str(tmp_path)]) == 4
     assert f"input error: scenario.{field}: " in capsys.readouterr().err
+
+
+CONTACT_ROBOT = "objects.0.contacts.0.robot"
+
+
+@pytest.mark.parametrize("value", [0.7, True], ids=["fraction", "bool"])
+def test_cli_non_whole_contact_robot_exit(tmp_path, capsys, value):
+    # a robot index of 0.7 is not robot 0
+    data = json.loads((SCENARIOS / "pickup.json").read_text())
+    set_by_path(data, CONTACT_ROBOT, value)
+    assert main(["solve", write_scenario(tmp_path, data), "--grid", "4", "--out", str(tmp_path)]) == 4
+    message = f"input error: scenario.objects[0].contacts[0].robot: must be a whole number, got {value!r}"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("robot, grid_points", [(0, 12), (0.0, 12.0)])
+def test_whole_number_fields_load(robot, grid_points):
+    data = json.loads((SCENARIOS / "pickup.json").read_text())
+    set_by_path(data, CONTACT_ROBOT, robot)
+    set_by_path(data, "grid_points", grid_points)
+    sc = scenario_from_dict(data)
+    assert type(sc.grid_points) is int and sc.grid_points == 12
+    robot = sc.scene.contacts[0].spec.robot
+    assert type(robot) is int and robot == 0
+
+
+def test_sweep_non_whole_robot_is_input_error():
+    sc = load_scenario(SCENARIOS / "pickup.json")
+    pts = sweep(sc, CONTACT_ROBOT, [0.0, 0.7], grid=8, threads=1)
+    assert [p.status for p in pts] == ["Optimal", SWEEP_INPUT_ERROR]
+    assert "scenario.objects[0].contacts[0].robot: must be a whole number, got 0.7" in pts[1].message
