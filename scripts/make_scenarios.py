@@ -3,8 +3,12 @@
 
 Everything here is deterministic: robot models are written out long-hand,
 paths come from closed-form geometry or damped-least-squares IK on the
-package's own kinematics.  Regenerating overwrites scenarios/ in place.
+package's own kinematics.  Regenerating overwrites scenarios/ in place;
+`--out DIR` writes the same files under DIR instead:
+
+    python scripts/make_scenarios.py [--out DIR]
 """
+import argparse
 import json
 import math
 import os
@@ -25,7 +29,7 @@ from contact_topp.robot import (
     robot_to_json,
 )
 
-OUT = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def pose_json(R=None, t=(0.0, 0.0, 0.0)):
@@ -388,24 +392,27 @@ def waiter(tilt_deg):
     return out
 
 
-def write(data, *parts):
-    path = os.path.join(OUT, *parts)
+def write(data, out, *parts):
+    path = os.path.join(out, *parts)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
-    print(f"wrote {os.path.relpath(path, os.path.join(OUT, '..'))}")
+    print(f"wrote {os.path.relpath(path)}")
 
 
-def main():
-    write(double_integrator(), "double_integrator.json")
-    write(planar_2dof(), "planar_2dof.json")
-    write(arm_7dof(), "arm_7dof.json")
-    write(pickup(), "pickup.json")
-    write(pivoting(), "pivoting.json")
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=SCENARIOS, help="directory to write into (default: the shipped scenarios/)")
+    out = parser.parse_args(argv).out
+    write(double_integrator(), out, "double_integrator.json")
+    write(planar_2dof(), out, "planar_2dof.json")
+    write(arm_7dof(), out, "arm_7dof.json")
+    write(pickup(), out, "pickup.json")
+    write(pivoting(), out, "pivoting.json")
     for tilt in (0.0, 10.0, 15.0, 17.5, 20.0):
         label = f"{tilt:g}".replace(".", "_")
-        write(waiter(tilt), "waiter", f"tilt_{label}.json")
+        write(waiter(tilt), out, "waiter", f"tilt_{label}.json")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 BOUNDARY_KINDS = ("clamped", "natural")
+
+# at np.linspace's breakpoint j (1 / (m - 1)), s (m - 1) is within 1.5 eps of j
+_SNAP = 4 * np.finfo(float).eps
 
 
 class JointPath:
@@ -13,9 +16,10 @@ class JointPath:
     Breakpoints are uniform. `boundary` picks the end conditions:
     "clamped" asks for q'(0) = q'(1) = 0, "natural" pins the second
     derivative instead (two waypoints then give an exactly linear path).
-    A clamped path gives q'(0) exactly 0, but q'(1) only to rounding: the
-    last cubic piece is evaluated a full step from its own breakpoint, and
-    on waypoints in [-pi, pi] entries up to about 1e-13 remain.
+    Each cubic piece is kept in power form about its own left breakpoint,
+    and the last one also about s = 1, so every breakpoint is evaluated at
+    a zero offset: q there is the waypoint bit for bit, and a clamped
+    path has q'(0) and q'(1) exactly 0.
     """
 
     def __init__(self, waypoints, boundary: str = "clamped"):
@@ -27,10 +31,18 @@ class JointPath:
         self.waypoints = W
         self.boundary = boundary
         self.breakpoints = np.linspace(0.0, 1.0, W.shape[0])
-        bc = ((1, np.zeros(W.shape[1])), (1, np.zeros(W.shape[1]))) if boundary == "clamped" else "natural"
-        self._spline = CubicSpline(self.breakpoints, W, axis=0, bc_type=bc)
-        self._d1 = self._spline.derivative(1)
-        self._d2 = self._spline.derivative(2)
+        # row i of each table holds the coefficients of piece i in powers of
+        # t = s (m - 1) - i, from its end values and slopes; row m - 1 is the
+        # last piece again, expanded about s = 1
+        D = _slopes(W, boundary == "clamped")
+        step = np.diff(W, axis=0)
+        C2 = np.concatenate([3.0 * step - 2.0 * D[:-1] - D[1:], D[-2:-1] + 2.0 * D[-1:] - 3.0 * step[-1:]])
+        C3 = D[:-1] + D[1:] - 2.0 * step
+        C3 = np.concatenate([C3, C3[-1:]])
+        n = W.shape[0] - 1
+        self._q = np.array([W, D, C2, C3])
+        self._dq = n * np.array([D, 2.0 * C2, 3.0 * C3])
+        self._ddq = n * n * np.array([2.0 * C2, 6.0 * C3])
 
     @property
     def dof(self) -> int:
@@ -48,11 +60,52 @@ class JointPath:
             raise ValueError(f"path parameter {s[bad].flat[0]} outside [0, 1]")
         return np.clip(s, 0.0, 1.0)
 
+    def _piece(self, s):
+        """Piece index i and offset t = s (m - 1) - i in [0, 1); an s within rounding of a breakpoint has t = 0."""
+        x = self._check(s) * (self.waypoints.shape[0] - 1)
+        if isinstance(x, float):
+            j = round(x)
+            if abs(x - j) <= _SNAP * j:
+                return j, 0.0
+            i = int(x)
+            return i, x - i
+        j = np.rint(x)
+        on = np.abs(x - j) <= _SNAP * j
+        i = np.where(on, j, x).astype(np.intp)
+        return i, np.where(on, 0.0, x - i)[..., None]
+
     def position(self, s):
-        return self._spline(self._check(s))
+        return _horner(self._q, *self._piece(s))
 
     def derivative(self, s):
-        return self._d1(self._check(s))
+        return _horner(self._dq, *self._piece(s))
 
     def second_derivative(self, s):
-        return self._d2(self._check(s))
+        return _horner(self._ddq, *self._piece(s))
+
+
+def _slopes(W, clamped: bool):
+    """dq/dt at each waypoint, t in breakpoint steps: the C2 cubic's tridiagonal system (de Boor, ch. IV)."""
+    m = W.shape[0]
+    band = np.ones((3, m))
+    band[1] = 4.0
+    rhs = np.empty_like(W)
+    rhs[1:-1] = 3.0 * (W[2:] - W[:-2])
+    if clamped:
+        band[1, [0, -1]] = 1.0
+        band[0, 1] = band[2, -2] = 0.0
+        rhs[[0, -1]] = 0.0
+    else:
+        band[1, [0, -1]] = 2.0
+        rhs[0] = 3.0 * (W[1] - W[0])
+        rhs[-1] = 3.0 * (W[-1] - W[-2])
+    return solve_banded((1, 1), band, rhs)
+
+
+def _horner(table, i, t):
+    """The sum over k of table[k, i] t**k, by Horner's rule."""
+    c = table[:, i]
+    out = c[-1]
+    for k in range(len(c) - 2, -1, -1):
+        out = c[k] + t * out
+    return out

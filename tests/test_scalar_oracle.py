@@ -343,16 +343,16 @@ def test_sample_shares_chains_bit_for_bit(kinds, grasp, tool_offset, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sample_at_path_ends_bit_for_bit(kinds, grasp, gravity_zero, seed):
-    # a clamped path has q'(0) = 0 exactly, so at s = 0 the acceleration pass
-    # (qd, qdd) = (0, q') runs at rest and gives exact zero torques, whose
-    # sign bits count; at s = 1 q' is zero only to rounding
+    # a clamped path has q'(0) = q'(1) = 0 exactly, so at either end the
+    # acceleration pass (qd, qdd) = (0, q') runs at rest and gives exact zero
+    # torques, whose sign bits count
     rng = np.random.default_rng(seed)
     scene = two_robot_box_scene(rng, kinds, grasp, False, gravity_zero)
-    start = assert_sample_matches_reference(scene, 0.0)
-    assert not start.dq.any() and not start.torque_accel_coeff.any()
-    if gravity_zero:
-        assert not start.torque_gravity.any()
-    assert_sample_matches_reference(scene, 1.0)
+    for s in (0.0, 1.0):
+        end = assert_sample_matches_reference(scene, s)
+        assert not end.dq.any() and not end.torque_accel_coeff.any()
+        if gravity_zero:
+            assert not end.torque_gravity.any()
 
 
 @pytest.mark.parametrize("name,count", [("pivoting", 6), ("pickup", 14), ("arm_7dof", 7)])

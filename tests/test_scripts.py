@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 SHIPPED = (
     "arm_7dof", "double_integrator", "pickup", "pivoting", "planar_2dof",
     *(f"waiter/tilt_{t}" for t in ("0", "10", "15", "17_5", "20")),
@@ -117,3 +118,18 @@ def test_fingerprint_solve_keys_name_their_blas_setting(tmp_path):
     assert other.returncode == 1
     assert "settings differ: OPENBLAS_NUM_THREADS saved 2, now 1" in other.stdout
     assert [ln.split(":")[1].strip() for ln in other.stdout.splitlines() if ln.startswith("differs")] == ["blas_threads"]
+
+
+def test_make_scenarios_reproduces_the_shipped_files(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "make_scenarios.py"), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    shipped = ROOT / "scenarios"
+    files = sorted(p.relative_to(shipped) for p in shipped.rglob("*") if p.is_file())
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()) == files
+    for name in files:
+        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name

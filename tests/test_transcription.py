@@ -9,6 +9,7 @@ whole assembly independent of any solver.
 """
 
 import bisect
+import copy
 import dataclasses
 import json
 import math
@@ -490,11 +491,14 @@ def assert_rows_match(fresh, golden):
         assert {k: new[k] for k in new if k not in ("cols", "vals", "offset")} == {
             k: old[k] for k in old if k not in ("cols", "vals", "offset")
         }
+        # a column absent from a row reads as 0, so an entry that is zero only
+        # to rounding (below VALUE_TOL's atol) may be present on one side alone
         new_map = dict(zip(new["cols"], new["vals"]))
-        old_map = {c: v for c, v in zip(old["cols"], old["vals"]) if v != 0.0}
-        assert sorted(new_map) == sorted(old_map), new["label"]
-        cols = sorted(old_map)
-        np.testing.assert_allclose([new_map[c] for c in cols], [old_map[c] for c in cols], **VALUE_TOL)
+        old_map = dict(zip(old["cols"], old["vals"]))
+        cols = sorted(new_map.keys() | old_map.keys())
+        np.testing.assert_allclose(
+            [new_map.get(c, 0.0) for c in cols], [old_map.get(c, 0.0) for c in cols], err_msg=new["label"], **VALUE_TOL
+        )
         np.testing.assert_allclose(new["offset"], old["offset"], **VALUE_TOL)
 
 
@@ -547,3 +551,21 @@ class TestGoldenDumps:
             assert_rows_match(new["rows"], old["rows"])
         for key in ("components", "slices", "nodes", "num_vars", "objective", "grid_intervals", "contact_order", "meta"):
             assert fresh[key] == golden[key], key
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_comparator_sees_one_real_coefficient(self, change):
+        # the smallest real coefficient in the goldens is 1.25e-6, far above
+        # the rounding-level entries the comparator reads as 0
+        golden = golden_program("program_waiter_tilt_0_k3.json")
+        rows = golden["equalities"]
+        edited = copy.deepcopy(rows)
+        row = edited[next(k for k, r in enumerate(rows) if r["label"].startswith("balance[") and len(r["cols"]) > 1)]
+        if change == "drop":
+            k = int(np.argmax(np.abs(row["vals"])))
+            del row["cols"][k], row["vals"][k]
+        else:
+            row["cols"].append(next(c for c in range(golden["num_vars"]) if c not in row["cols"]))
+            row["vals"].append(1.25e-6)
+        assert_rows_match(rows, rows)
+        with pytest.raises(AssertionError):
+            assert_rows_match(edited, rows)
