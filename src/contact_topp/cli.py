@@ -2,8 +2,12 @@
 
 Exit codes: 0 optimal (or verification pass), 2 certified infeasible,
 3 numerical failure or iteration limit, 4 bad input, 1 verification fail.
-A sweep exits 4 if any point's value is bad input, else 3 if any point
-failed numerically, else 0 (certified infeasible points included).
+Bad input is a usage error (an unknown command or option, a missing or
+malformed argument), a missing or unreadable file, a file that is not
+JSON, a scenario or trajectory field that breaks its rule, or an output
+directory that cannot be made.  A sweep exits 4 if any point's value is
+bad input, else 3 if any point failed numerically, else 0 (certified
+infeasible points included).
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from .scenario import (
     check_profile,
     load_scenario,
     profile_from_json_dict,
+    read_json,
     run,
     sweep,
 )
@@ -55,7 +60,10 @@ def _cmd_solve(args) -> int:
     _check_count("--grid", args.grid)
     scenario = load_scenario(args.scenario)
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out {out_dir!r} cannot be made a directory: {exc}") from exc
     stem = os.path.join(out_dir, scenario.name)
 
     if args.dump_program:
@@ -134,14 +142,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     _check_positive("--tolerance", args.tolerance)
     scenario = load_scenario(args.scenario)
-    try:
-        with open(args.output) as fh:
-            dump = json.load(fh)
-    except FileNotFoundError:
-        raise ScenarioError(f"trajectory file {args.output!r} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"trajectory file {args.output!r} is not valid JSON: {exc}") from exc
-    profile, intervals, _ = profile_from_json_dict(dump)
+    profile, intervals, _ = profile_from_json_dict(read_json(args.output, "trajectory"))
     check_profile(profile, intervals, scenario)
     ledger = verification_ledger(scenario, profile, tolerance=args.tolerance)
     text = json.dumps(ledger, indent=2)
@@ -154,8 +155,18 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ledger["passed"] else EXIT_VERIFY_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_INPUT, not
+    argparse's 2, which here means certified infeasible.  Subparsers are
+    built from the parent's class, so they share it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"input error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="topp",
         description="Time-optimal path timing through contact-consistent conic optimization.",
     )

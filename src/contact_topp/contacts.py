@@ -34,8 +34,9 @@ class FrictionParams:
 
     def __post_init__(self):
         for name in ("mu", "ex", "ey", "ez"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -130,11 +131,14 @@ class ContactSpec:
             raise ValueError(f"unknown friction model {self.model!r}")
         if self.frame_mode not in FRAME_MODES:
             raise ValueError(f"unknown frame mode {self.frame_mode!r}")
-        if self.fz_max is not None and self.fz_max <= 0.0:
-            raise ValueError("fz_max must be positive when given")
+        if self.fz_max is not None and not self.fz_max > 0.0:
+            raise ValueError(f"fz_max must be positive when given, got {self.fz_max}")
         if self.kind == "object" and self.frame_mode != "body_fixed":
             raise ValueError("object-object contacts must be body_fixed")
-        object.__setattr__(self, "world_axis", np.asarray(self.world_axis, dtype=float).reshape(3))
+        axis = np.asarray(self.world_axis, dtype=float).reshape(3)
+        if not (np.isfinite(axis).all() and axis.any()):
+            raise ValueError(f"world_axis must be finite and nonzero, got {axis}")
+        object.__setattr__(self, "world_axis", axis)
 
     def descriptor(self) -> ConeDescriptor:
         return emit_cone(self.model, self.params)

@@ -143,9 +143,11 @@ class ObjectModel:
     contacts: tuple[ContactSpec, ...] = ()
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError("object mass must be positive")
+        if not (np.isfinite(self.mass) and self.mass > 0.0):
+            raise ValueError(f"object mass must be positive and finite, got {self.mass}")
         I = np.asarray(self.inertia, dtype=float).reshape(3, 3)
+        if not np.isfinite(I).all():
+            raise ValueError("object inertia must be finite")
         if np.linalg.norm(I - I.T) > 1e-9:
             raise ValueError("object inertia must be symmetric")
         if np.any(np.linalg.eigvalsh(I) < -1e-12):
@@ -205,6 +207,8 @@ class ObjectInstance:
         object.__setattr__(
             self, "external_wrench", np.asarray(self.external_wrench, dtype=float).reshape(6)
         )
+        if not np.isfinite(self.external_wrench).all():
+            raise ValueError(f"external_wrench must be finite, got {self.external_wrench}")
         if (self.parent_robot is None) == (self.parent_object is None):
             raise ValueError("object needs exactly one parent (robot or object)")
 
@@ -247,6 +251,8 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float).reshape(3))
+        if not np.isfinite(self.gravity).all():
+            raise ValueError(f"gravity must be finite, got {self.gravity}")
         if not self.robots:
             raise ValueError("scene needs at least one robot")
         by_name = {}

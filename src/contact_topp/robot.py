@@ -19,6 +19,8 @@ class JointDef:
     def __post_init__(self):
         if self.kind not in JOINT_TYPES:
             raise ValueError(f"unknown joint type {self.kind!r}")
+        if not np.isfinite(self.twist.as_array()).all():
+            raise ValueError(f"joint twist must be finite, got {self.twist.as_array()}")
 
 
 @dataclass(frozen=True)
@@ -34,12 +36,13 @@ class JointLimits:
     def __post_init__(self):
         for name in ("torque_lower", "torque_upper", "velocity_max", "accel_lower", "accel_upper"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(-1))
-        if np.any(self.torque_upper < self.torque_lower):
-            raise ValueError("torque_upper < torque_lower")
-        if np.any(self.velocity_max <= 0.0):
+        # each test fails on NaN; an infinite bound leaves that side open
+        if not np.all(self.torque_lower <= self.torque_upper):
+            raise ValueError("torque bounds must be numbers with torque_min <= torque_max")
+        if not np.all(self.velocity_max > 0.0):
             raise ValueError("velocity_max must be positive")
-        if np.any(self.accel_upper < self.accel_lower):
-            raise ValueError("accel_upper < accel_lower")
+        if not np.all(self.accel_lower <= self.accel_upper):
+            raise ValueError("acceleration bounds must be numbers with accel_min <= accel_max")
 
     def scaled(self, torque: float = 1.0, velocity: float = 1.0, acceleration: float = 1.0) -> "JointLimits":
         return JointLimits(
@@ -62,8 +65,10 @@ class LinkInertia:
     def __post_init__(self):
         object.__setattr__(self, "com", np.asarray(self.com, dtype=float).reshape(3))
         I = np.asarray(self.inertia, dtype=float).reshape(3, 3)
-        if self.mass <= 0.0:
-            raise ValueError("link mass must be positive")
+        if not (np.isfinite(self.mass) and self.mass > 0.0):
+            raise ValueError(f"link mass must be positive and finite, got {self.mass}")
+        if not (np.isfinite(self.com).all() and np.isfinite(I).all()):
+            raise ValueError("link com and inertia must be finite")
         if np.linalg.norm(I - I.T) > 1e-9:
             raise ValueError("inertia tensor must be symmetric")
         if np.any(np.linalg.eigvalsh(I) < -1e-12):

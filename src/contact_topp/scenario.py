@@ -7,13 +7,20 @@ scenario into a `TrajectoryOutput` with uniformly resampled trajectories
 and per-contact force series; `sweep` fans out runs over a scalar
 parameter (object mass, friction coefficient, ...), serially or over a
 pool of worker processes.
+
+One place turns a bad field into a `ScenarioError`: `_reading(where)`
+wraps each read of a field, and the model classes' own checks raise in
+its block, so the error names the field's path ("scenario.robots[0].model:
+...").  `read_json` reads both file kinds, scenarios and trajectory dumps.
 """
 from __future__ import annotations
 
 import copy
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from numbers import Real
 
@@ -68,6 +75,37 @@ class Scenario:
     source: dict
 
 
+@contextmanager
+def _reading(where):
+    """Raise a bad field read or converted in the block as ScenarioError naming `where`.
+
+    A KeyError, TypeError, ValueError (UnicodeDecodeError and JSON decode
+    errors included), OverflowError or OSError becomes
+    ScenarioError(f"{where}: {exc}"), a KeyError reading "missing field
+    'key'"; a ScenarioError passes unchanged.
+    """
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ScenarioError(f"{where}: {detail}") from exc
+
+
+def read_json(path, what: str):
+    """The JSON value in file `path`; ScenarioError naming the `what` file if
+    it does not exist, cannot be read as UTF-8 text, or is not valid JSON."""
+    where = f"{what} file {path!r}"
+    if not os.path.exists(path):
+        raise ScenarioError(f"{where} does not exist")
+    with _reading(f"{where} is not readable"):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    with _reading(f"{where} is not valid JSON"):
+        return json.loads(text)
+
+
 def _need(mapping, key, where):
     if not isinstance(mapping, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(mapping).__name__}")
@@ -76,12 +114,13 @@ def _need(mapping, key, where):
     return mapping[key]
 
 
-def _convert(convert, value, where):
-    """convert(value), a failure to convert raised as ScenarioError naming `where`."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+def _name(mapping, where) -> str:
+    """mapping["name"], a non-empty string with no path separator: it names
+    output files and joins object and contact names into contact ids."""
+    name = _need(mapping, "name", where)
+    if not isinstance(name, str) or not name or any(c in name for c in "/\\\0"):
+        raise ScenarioError(f"{where}.name: must be a non-empty string without '/', '\\' or NUL, got {name!r}")
+    return name
 
 
 def _whole(value, where, what="a whole number", least=-math.inf) -> int:
@@ -92,10 +131,6 @@ def _whole(value, where, what="a whole number", least=-math.inf) -> int:
     raise ScenarioError(f"{where}: must be {what}, got {value!r}")
 
 
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
 def _list(value, where) -> list:
     if not isinstance(value, list):
         raise ScenarioError(f"{where}: expected a list, got {type(value).__name__}")
@@ -103,33 +138,30 @@ def _list(value, where) -> list:
 
 
 def _pose(entry, where) -> Pose:
-    try:
+    with _reading(where):
         return _pose_from_json(entry)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: bad pose ({exc})") from exc
 
 
 def _contact_from_dict(entry, where) -> ContactSpec:
-    name = _need(entry, "name", where)
+    name = _name(entry, where)
     kind = _need(entry, "kind", where)
     model = _need(entry, "model", where)
     pose = _pose(_need(entry, "pose", where), f"{where}.pose")
     fr = _need(entry, "friction", where)
-    try:
-        params = FrictionParams(
-            mu=float(_need(fr, "mu", f"{where}.friction")),
-            ex=float(fr.get("ex", 1.0)),
-            ey=float(fr.get("ey", 1.0)),
-            ez=float(fr.get("ez", 1.0)),
-        )
-        fz_max = entry.get("fz_max")
-        pose_in_other = entry.get("pose_in_other")
+    fz_max = entry.get("fz_max")
+    pose_in_other = entry.get("pose_in_other")
+    with _reading(where):
         return ContactSpec(
             name=name,
             kind=kind,
             model=model,
             pose=pose,
-            params=params,
+            params=FrictionParams(
+                mu=float(_need(fr, "mu", f"{where}.friction")),
+                ex=float(fr.get("ex", 1.0)),
+                ey=float(fr.get("ey", 1.0)),
+                ez=float(fr.get("ez", 1.0)),
+            ),
             fz_max=None if fz_max is None else float(fz_max),
             robot=_whole(entry.get("robot", 0), f"{where}.robot"),
             against=entry.get("against"),
@@ -137,30 +169,22 @@ def _contact_from_dict(entry, where) -> ContactSpec:
             frame_mode=entry.get("frame_mode", "body_fixed"),
             world_axis=np.asarray(entry.get("world_axis", (0.0, 0.0, 1.0)), dtype=float),
         )
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _object_from_dict(entry, where) -> ObjectInstance:
-    name = _need(entry, "name", where)
+    name = _name(entry, where)
     parent = _need(entry, "parent", where)
     contacts = tuple(
         _contact_from_dict(c, f"{where}.contacts[{i}]")
         for i, c in enumerate(_list(entry.get("contacts", []), f"{where}.contacts"))
     )
-    try:
+    with _reading(where):
         model = ObjectModel(
             name=name,
             mass=float(_need(entry, "mass", where)),
             inertia=_inertia_from_six(_need(entry, "inertia", where)),
             contacts=contacts,
         )
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
 
     kind, _, ref = str(parent).partition(":")
     if kind == "robot" and ref.lstrip("-").isdigit():
@@ -170,10 +194,11 @@ def _object_from_dict(entry, where) -> ObjectInstance:
     else:
         raise ScenarioError(f"{where}.parent: expected 'robot:<index>' or 'object:<name>', got {parent!r}")
     offset = entry.get("offset")
-    ext = _convert(_floats, entry.get("external_wrench", np.zeros(6)), f"{where}.external_wrench")
+    with _reading(f"{where}.external_wrench"):
+        ext = np.asarray(entry.get("external_wrench", np.zeros(6)), dtype=float)
     if ext.shape != (6,):
         raise ScenarioError(f"{where}.external_wrench: expected 6 entries")
-    try:
+    with _reading(where):
         return ObjectInstance(
             model=model,
             parent_robot=parent_robot,
@@ -181,8 +206,6 @@ def _object_from_dict(entry, where) -> ObjectInstance:
             offset=None if offset is None else _pose(offset, f"{where}.offset"),
             external_wrench=ext,
         )
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
@@ -190,16 +213,18 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     fmt = _need(data, "format", where)
     if fmt != SCENARIO_FORMAT:
         raise ScenarioError(f"{where}.format: unsupported {fmt!r}, expected {SCENARIO_FORMAT!r}")
-    name = str(_need(data, "name", where))
+    name = _name(data, where)
     grid_points = _whole(_need(data, "grid_points", where), f"{where}.grid_points", "a positive whole interval count", 1)
 
-    boundary = _convert(
-        lambda raw: tuple(None if v is None else float(v) for v in raw),
-        data.get("boundary_sdot", (0.0, 0.0)),
-        f"{where}.boundary_sdot",
-    )
+    with _reading(f"{where}.boundary_sdot"):
+        boundary = tuple(None if v is None else float(v) for v in data.get("boundary_sdot", (0.0, 0.0)))
     if len(boundary) != 2:
         raise ScenarioError(f"{where}.boundary_sdot: expected two entries (null leaves an end free)")
+    # the transcription fixes b = sdot^2 at a given end; NaN fails both tests
+    if not all(v is None or (v >= 0.0 and math.isfinite(v * v)) for v in boundary):
+        raise ScenarioError(
+            f"{where}.boundary_sdot: each entry must be null or a number >= 0 with a finite square, got {list(boundary)}"
+        )
 
     path_boundary = data.get("path_boundary", "clamped")
     if path_boundary not in BOUNDARY_KINDS:
@@ -211,10 +236,10 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     unknown = set(scale) - {"torque", "velocity", "acceleration"}
     if unknown:
         raise ScenarioError(f"{where}.limit_scale: unknown keys {sorted(unknown)}")
-    factors = {
-        key: _convert(float, scale.get(key, 1.0), f"{where}.limit_scale.{key}")
-        for key in ("torque", "velocity", "acceleration")
-    }
+    factors = {}
+    for key in ("torque", "velocity", "acceleration"):
+        with _reading(f"{where}.limit_scale.{key}"):
+            factors[key] = float(scale.get(key, 1.0))
 
     robots_raw = _list(_need(data, "robots", where), f"{where}.robots")
     if not robots_raw:
@@ -222,18 +247,14 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     robots = []
     for i, entry in enumerate(robots_raw):
         rwhere = f"{where}.robots[{i}]"
-        try:
+        with _reading(f"{rwhere}.model"):
             model = robot_from_json(_need(entry, "model", rwhere))
-        except ValueError as exc:
-            raise ScenarioError(f"{rwhere}.model: {exc}") from exc
         if scale:
-            model = replace(model, limits=model.limits.scaled(**factors))
+            with _reading(f"{where}.limit_scale"):
+                model = replace(model, limits=model.limits.scaled(**factors))
         waypoints = _need(entry, "waypoints", rwhere)
-        try:
-            path = JointPath(waypoints, boundary=path_boundary)
-            robots.append(RobotInstance(model=model, path=path))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{rwhere}.waypoints: {exc}") from exc
+        with _reading(f"{rwhere}.waypoints"):
+            robots.append(RobotInstance(model=model, path=JointPath(waypoints, boundary=path_boundary)))
 
     if all(np.all(r.path.waypoints == r.path.waypoints[0]) for r in robots):
         raise ScenarioError(f"{where}.robots: stationary path, every robot's waypoints are all equal")
@@ -241,17 +262,16 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     objects_raw = _list(data.get("objects", []), f"{where}.objects")
     objects = tuple(_object_from_dict(entry, f"{where}.objects[{i}]") for i, entry in enumerate(objects_raw))
 
-    gravity = _convert(_floats, data.get("gravity", (0.0, 0.0, -9.81)), f"{where}.gravity")
+    with _reading(f"{where}.gravity"):
+        gravity = np.asarray(data.get("gravity", (0.0, 0.0, -9.81)), dtype=float)
     if gravity.shape != (3,):
         raise ScenarioError(f"{where}.gravity: expected 3 entries")
     # path derivatives of the Jacobian are analytic; files may still name that
     method = data.get("jacobian_derivative", "analytic")
     if method != "analytic":
         raise ScenarioError(f"{where}.jacobian_derivative: only 'analytic' is supported, got {method!r}")
-    try:
+    with _reading(where):
         scene = Scene(robots=tuple(robots), objects=objects, gravity=gravity)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
     return Scenario(
         name=name,
         scene=scene,
@@ -262,14 +282,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ScenarioError(f"scenario file {path!r} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file {path!r} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_json(path, "scenario"))
 
 
 # parameter paths for sweeps: dotted segments, each resolving a dict key, a
@@ -438,7 +451,8 @@ def check_profile(profile: ScalingVariables, intervals: int, scenario: Scenario)
 
     At K = `intervals` (at least 1): accel and inverse_avg hold K values,
     speed_sq and speed_aux K + 1, torque is (K, dof), and the wrenches are
-    keyed by exactly the scenario's contact ids, each (K, 6).
+    keyed by exactly the scenario's contact ids, each (K, 6).  Every entry
+    is finite.
     """
     K = intervals
     if K < 1:
@@ -449,6 +463,8 @@ def check_profile(profile: ScalingVariables, intervals: int, scenario: Scenario)
             raise ScenarioError(
                 f"trajectory profile {name} has shape {value.shape}; scenario {scenario.name!r} at K = {K} needs {shape}"
             )
+        if not np.isfinite(value).all():
+            raise ScenarioError(f"trajectory profile {name} has a non-finite entry")
 
     for name, size in (("accel", K), ("speed_sq", K + 1), ("speed_aux", K + 1), ("inverse_avg", K)):
         fit(name, getattr(profile, name), (size,))

@@ -26,6 +26,7 @@ here, beside the one suite that uses them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,7 +284,8 @@ def audit(profile: ScalingVariables, scenario, tolerance: float = 1e-6) -> Audit
     """Re-derive every constraint family from the raw models and measure it.
 
     Each violation is normalized by 1 plus the magnitudes of the terms in
-    its row, so the report is scale-free.  Nothing here touches the
+    its row, so the report is scale-free.  A NaN violation, from a NaN in
+    the profile, counts as an infinite one.  Nothing here touches the
     assembled matrices; agreement is evidence both sides are right.
     """
     scene = scenario.scene
@@ -303,6 +305,8 @@ def audit(profile: ScalingVariables, scenario, tolerance: float = 1e-6) -> Audit
     flagged: dict[str, list] = {}
 
     def note(family, k, violation):
+        if math.isnan(violation):
+            violation = math.inf
         families[family] = max(families.get(family, 0.0), violation)
         if violation > tolerance:
             flagged.setdefault(family, []).append(k)
@@ -421,7 +425,9 @@ def fd_suite(scenario, samples: int = 50, seed: int = 0) -> dict:
     """Finite-difference cross-checks at fixed-seed random path points.
 
     Returns a machine-readable ledger: one entry per check with its max
-    error, tolerance, and verdict.  Deterministic for a given seed.
+    error, tolerance, and verdict.  The maxima are taken with np.maximum,
+    which keeps a NaN error, so it fails its check.  Deterministic for a
+    given seed.
     """
     scene = scenario.scene
     rng = np.random.default_rng(seed)
@@ -436,11 +442,11 @@ def fd_suite(scenario, samples: int = 50, seed: int = 0) -> dict:
     for r in scene.robots:
         for s in s_vals[:: max(1, samples // 12)]:
             q = r.path.position(float(s))
-            jac_err = max(jac_err, float(np.max(np.abs(body_jacobian(r.model, q) - _fd_body_jacobian(r.model, q)))))
+            jac_err = np.maximum(jac_err, np.max(np.abs(body_jacobian(r.model, q) - _fd_body_jacobian(r.model, q))))
         for s in s_vals:
             dJ_an = jacobian_path_derivative(r.model, r.path, float(s))
             dJ_fd = _fd_jacobian_path_derivative(r.model, r.path, float(s))
-            path_err = max(path_err, float(np.max(np.abs(dJ_an - dJ_fd))))
+            path_err = np.maximum(path_err, np.max(np.abs(dJ_an - dJ_fd)))
     record("body_jacobian_fd", jac_err, 1e-5)
     record("jacobian_path_derivative_fd", path_err, 1e-5)
 
@@ -454,7 +460,7 @@ def fd_suite(scenario, samples: int = 50, seed: int = 0) -> dict:
                 _, rate = object_path_kinematics(holder.model, holder.path, s, offset)
                 d_hi, _ = object_path_kinematics(holder.model, holder.path, s + h, offset)
                 d_lo, _ = object_path_kinematics(holder.model, holder.path, s - h, offset)
-                dir_err = max(dir_err, float(np.max(np.abs((d_hi - d_lo) / (2 * h) - rate))))
+                dir_err = np.maximum(dir_err, np.max(np.abs((d_hi - d_lo) / (2 * h) - rate)))
         record("object_direction_rate_fd", dir_err, 1e-5)
 
     sub_err = 0.0
@@ -470,7 +476,7 @@ def fd_suite(scenario, samples: int = 50, seed: int = 0) -> dict:
             velsq = inverse_dynamics(r.model, q, dq, ddq, np.zeros(3))
             grav = inverse_dynamics(r.model, q, zeros, zeros, scene.gravity)
             stitched = acc * sdd + velsq * sd * sd + grav
-            sub_err = max(sub_err, float(np.max(np.abs(direct - stitched))))
+            sub_err = np.maximum(sub_err, np.max(np.abs(direct - stitched)))
     record("rnea_substitution", sub_err, 1e-9)
 
     return {

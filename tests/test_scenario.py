@@ -783,3 +783,154 @@ def test_sweep_non_whole_robot_is_input_error():
     pts = sweep(sc, CONTACT_ROBOT, [0.0, 0.7], grid=8, threads=1)
     assert [p.status for p in pts] == ["Optimal", SWEEP_INPUT_ERROR]
     assert "scenario.objects[0].contacts[0].robot: must be a whole number, got 0.7" in pts[1].message
+
+
+def pickup_with_every_field():
+    """pickup.json with its optional fields written out at their defaults."""
+    data = json.loads((SCENARIOS / "pickup.json").read_text())
+    data["limit_scale"] = {"torque": 1.0, "velocity": 1.0, "acceleration": 1.0}
+    box = data["objects"][0]
+    box["external_wrench"] = [0.0] * 6
+    box["contacts"][0]["friction"].update(ex=1.0, ey=1.0)
+    box["contacts"][0]["world_axis"] = [0.0, 0.0, 1.0]
+    return data
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("robots.0.model", [1, 2], "scenario.robots[0].model: list indices must be integers"),
+        ("robots.0.model.joints", 3, "scenario.robots[0].model: 'int' object is not iterable"),
+        ("robots.0.model.joints.0", "x", "scenario.robots[0].model: string indices must be integers"),
+        ("robots.0.model.x_ref", 5, "scenario.robots[0].model: 'int' object is not subscriptable"),
+        ("objects.0.name", ["a"], "scenario.objects[0].name: must be a non-empty string"),
+        ("objects.0.contacts.1.name", "a/b", "scenario.objects[0].contacts[1].name: must be a non-empty string"),
+        ("name", "../escaped", "scenario.name: must be a non-empty string without '/'"),
+        ("name", "", "scenario.name: must be a non-empty string"),
+        ("name", "a/b", "scenario.name: must be a non-empty string"),
+        ("name", "a\\b", "scenario.name: must be a non-empty string"),
+        ("name", ["a"], "scenario.name: must be a non-empty string"),
+        # a NaN passes a test written `x <= 0`; each range test here fails it
+        ("robots.0.model.joints.0.torque_max", NAN, "scenario.robots[0].model: torque bounds"),
+        ("robots.0.model.joints.0.torque_min", NAN, "scenario.robots[0].model: torque bounds"),
+        ("robots.0.model.joints.0.velocity_max", NAN, "scenario.robots[0].model: velocity_max must be positive"),
+        ("robots.0.model.joints.0.accel_max", NAN, "scenario.robots[0].model: acceleration bounds"),
+        ("objects.0.contacts.0.fz_max", NAN, "scenario.objects[0].contacts[0]: fz_max must be positive"),
+        ("limit_scale.torque", NAN, "scenario.limit_scale: torque bounds"),
+        ("limit_scale.velocity", -1.0, "scenario.limit_scale: velocity_max must be positive"),
+        ("gravity.2", NAN, "scenario: gravity must be finite"),
+        ("objects.0.mass", NAN, "scenario.objects[0]: object mass must be positive and finite"),
+        ("objects.0.mass", math.inf, "scenario.objects[0]: object mass must be positive and finite"),
+        ("objects.0.inertia.0", NAN, "scenario.objects[0]: object inertia must be finite"),
+        ("objects.0.external_wrench.0", NAN, "scenario.objects[0]: external_wrench must be finite"),
+        ("objects.0.contacts.0.friction.mu", NAN, "scenario.objects[0].contacts[0]: mu must be positive and finite"),
+        ("objects.0.contacts.0.friction.mu", math.inf, "scenario.objects[0].contacts[0]: mu must be positive and finite"),
+        ("objects.0.contacts.0.friction.ex", NAN, "scenario.objects[0].contacts[0]: ex must be positive and finite"),
+        ("objects.0.contacts.0.world_axis.0", NAN, "scenario.objects[0].contacts[0]: world_axis must be finite and nonzero"),
+        ("robots.0.model.links.0.mass", NAN, "scenario.robots[0].model: link mass must be positive and finite"),
+        ("robots.0.model.links.0.com.0", NAN, "scenario.robots[0].model: link com and inertia must be finite"),
+        ("robots.0.model.joints.0.twist.5", NAN, "scenario.robots[0].model: joint twist must be finite"),
+        ("boundary_sdot.0", NAN, "scenario.boundary_sdot: each entry must be null or a number >= 0"),
+        ("boundary_sdot.1", 1e308, "scenario.boundary_sdot: each entry must be null or a number >= 0"),
+        ("boundary_sdot.0", -1.0, "scenario.boundary_sdot: each entry must be null or a number >= 0"),
+    ],
+)
+def test_cli_bad_field_exit(tmp_path, capsys, path, value, message):
+    # a field that breaks its rule is bad input named by its path, never a
+    # traceback, a numerical failure or an Optimal that drops the field
+    data = pickup_with_every_field()
+    set_by_path(data, path, value)
+    out = tmp_path / "out"
+    assert main(["solve", write_scenario(tmp_path, data), "--grid", "4", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"input error: {message}" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.json"]
+
+
+def test_infinite_and_null_limits_are_unbounded():
+    data = json.loads((SCENARIOS / "pickup.json").read_text())
+    joint = data["robots"][0]["model"]["joints"][0]
+    joint.update(torque_min=-math.inf, torque_max=None, velocity_max=math.inf, accel_max=None)
+    set_by_path(data, "objects.0.contacts.0.fz_max", math.inf)
+    sc = scenario_from_dict(data)
+    limits = sc.scene.robots[0].model.limits
+    assert (limits.torque_lower[0], limits.torque_upper[0]) == (-math.inf, math.inf)
+    assert limits.velocity_max[0] == math.inf and limits.accel_upper[0] == math.inf
+    assert sc.scene.contacts[0].spec.fz_max == math.inf
+
+
+def test_sweep_nan_value_is_input_error():
+    sc = load_scenario(SCENARIOS / "pickup.json")
+    pts = sweep(sc, "objects.box.mass", [NAN], grid=4, threads=1)
+    assert [p.status for p in pts] == [SWEEP_INPUT_ERROR]
+    assert "object mass must be positive and finite" in pts[0].message
+
+
+def test_cli_out_is_a_file_exit(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["solve", str(SCENARIOS / "double_integrator.json"), "--grid", "4", "--out", str(out)]) == 4
+    assert f"input error: --out {str(out)!r} cannot be made a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("kind", ["directory", "binary"])
+def test_cli_unreadable_file_exit(tmp_path, capsys, command, kind):
+    bad = tmp_path / "bad.json"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe\x00\x01")
+    argv = ["solve", str(bad)] if command == "solve" else ["verify", str(SCENARIOS / "pickup.json"), str(bad)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+    what = "scenario" if command == "solve" else "trajectory"
+    assert f"input error: {what} file {str(bad)!r} is not readable: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "case.json", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
+        (["solve"], "the following arguments are required: scenario"),
+        (["sweep", "case.json", "--values", "1"], "the following arguments are required: --param"),
+        (["pack", "case.json"], "argument command: invalid choice: 'pack'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["grid-text", "no-scenario", "sweep-no-param", "unknown-command", "no-command"],
+)
+def test_cli_usage_error_exit(capsys, argv, message):
+    # argparse's own code is 2, which here means certified infeasible
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage: topp") and f"input error: {message}" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_cli_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: topp")
+
+
+@pytest.mark.parametrize("field", ["accel", "speed_sq", "speed_aux", "inverse_avg", "torque", "wrenches"])
+def test_cli_verify_nan_profile_exit(tmp_path, capsys, field):
+    # a NaN compares false with every tolerance; verify must not pass it
+    dump = json.loads((PROFILES / "pickup.k500.json").read_text())
+    profile = dump["profile"]
+    if field == "torque":
+        profile["torque"][7][2] = NAN
+    elif field == "wrenches":
+        profile["wrenches"]["box/finger_left"][7][2] = NAN
+    else:
+        profile[field][7] = NAN
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(dump))
+    assert main(["verify", str(SCENARIOS / "pickup.json"), str(path)]) == 4
+    name = "wrenches['box/finger_left']" if field == "wrenches" else field
+    assert f"input error: trajectory profile {name} has a non-finite entry" in capsys.readouterr().err

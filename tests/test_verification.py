@@ -218,3 +218,35 @@ def test_ledger_without_profile():
     led = verification_ledger(sc)
     assert "audit" not in led
     assert led["passed"] is True
+
+
+# a NaN compares false with every tolerance, and max(0.0, nan) is 0.0: the
+# audit and the fd suite must count it as a failure, not drop it
+
+
+@pytest.mark.parametrize(
+    "field, index",
+    [("torque", (5, 0)), ("accel", (3,)), ("speed_sq", (4,)), ("inverse_avg", (2,))],
+)
+def test_audit_fails_a_nan_profile(solved_slider, field, index):
+    sc, sol = solved_slider
+    bad = copy.deepcopy(sol)
+    getattr(bad, field)[index] = math.nan
+    rep = audit(bad, sc)
+    assert not rep.passed()
+    assert rep.worst == math.inf and rep.flagged
+
+
+def test_audit_fails_a_nan_wrench():
+    sc = load_scenario(str(SCENARIOS / "pickup.json"))
+    _, rep, sol = solve_scenario(sc, RunSettings(grid_override=8))
+    assert rep.status == "Optimal" and audit(sol, sc).passed()
+    sol.wrenches["box/finger_left"][3, 0] = math.nan
+    assert not audit(sol, sc).passed()
+
+
+def test_fd_suite_fails_a_nan_error(monkeypatch):
+    sc = load_scenario(str(SCENARIOS / "planar_2dof.json"))
+    monkeypatch.setattr(verification, "_fd_body_jacobian", lambda model, q: np.full((6, q.size), math.nan))
+    check = fd_suite(sc, samples=10, seed=0)["checks"]["body_jacobian_fd"]
+    assert math.isnan(check["max_error"]) and not check["passed"]
