@@ -5,9 +5,11 @@ Exit codes: 0 optimal (or verification pass), 2 certified infeasible,
 Bad input is a usage error (an unknown command or option, a missing or
 malformed argument), a missing or unreadable file, a file that is not
 JSON, a scenario or trajectory field that breaks its rule, or an output
-directory that cannot be made.  A sweep exits 4 if any point's value is
-bad input, else 3 if any point failed numerically, else 0 (certified
-infeasible points included).
+directory that cannot be made (`solve --out`) or an output file that
+cannot be written (`sweep --out` and `verify --out` naming a directory or
+a file in a missing directory), which is checked before any work.  A
+sweep exits 4 if any point's value is bad input, else 3 if any point
+failed numerically, else 0 (certified infeasible points included).
 """
 from __future__ import annotations
 
@@ -53,6 +55,17 @@ def _check_positive(option: str, value: float) -> None:
 def _check_count(option: str, value: int | None) -> None:
     if value is not None and value < 1:
         raise ScenarioError(f"{option} must be at least 1, got {value}")
+
+
+def _check_out_file(path: str | None) -> None:
+    """Reject an --out file that cannot be written, before any work is done."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise ScenarioError(f"--out {path!r} is a directory; it must name a file")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ScenarioError(f"--out {path!r} cannot be written: no directory {parent!r}")
 
 
 def _cmd_solve(args) -> int:
@@ -103,6 +116,7 @@ def _cmd_sweep(args) -> int:
     _check_positive("--tol", args.tol)
     _check_count("--grid", args.grid)
     _check_count("--threads", args.threads)
+    _check_out_file(args.out)
     scenario = load_scenario(args.scenario)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -141,6 +155,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_positive("--tolerance", args.tolerance)
+    _check_out_file(args.out)
     scenario = load_scenario(args.scenario)
     profile, intervals, _ = profile_from_json_dict(read_json(args.output, "trajectory"))
     check_profile(profile, intervals, scenario)

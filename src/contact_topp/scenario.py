@@ -107,9 +107,7 @@ def read_json(path, what: str):
 
 
 def _need(mapping, key, where):
-    if not isinstance(mapping, dict):
-        raise ScenarioError(f"{where}: expected an object, got {type(mapping).__name__}")
-    if key not in mapping:
+    if key not in _object(mapping, where):
         raise ScenarioError(f"{where}: missing field {key!r}")
     return mapping[key]
 
@@ -125,10 +123,17 @@ def _name(mapping, where) -> str:
 
 def _whole(value, where, what="a whole number", least=-math.inf) -> int:
     """`value` as an int; a bool, text, fraction or value below `least` raised as ScenarioError naming `where`."""
-    if isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value):
+    # an int too large for a float is whole, and math.isfinite cannot take it
+    if isinstance(value, Real) and not isinstance(value, bool) and (isinstance(value, int) or math.isfinite(value)):
         if value == int(value) and value >= least:
             return int(value)
     raise ScenarioError(f"{where}: must be {what}, got {value!r}")
+
+
+def _object(value, where) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
 
 
 def _list(value, where) -> list:
@@ -230,9 +235,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     if path_boundary not in BOUNDARY_KINDS:
         raise ScenarioError(f"{where}.path_boundary: unknown kind {path_boundary!r}")
 
-    scale = data.get("limit_scale", {})
-    if not isinstance(scale, dict):
-        raise ScenarioError(f"{where}.limit_scale: expected an object, got {type(scale).__name__}")
+    scale = _object(data.get("limit_scale", {}), f"{where}.limit_scale")
     unknown = set(scale) - {"torque", "velocity", "acceleration"}
     if unknown:
         raise ScenarioError(f"{where}.limit_scale: unknown keys {sorted(unknown)}")
@@ -423,10 +426,13 @@ class TrajectoryOutput:
 
 
 def profile_from_json_dict(data: dict) -> tuple[ScalingVariables, int, tuple]:
-    """Rebuild the raw solve profile from a trajectory JSON dump."""
-    if not isinstance(data, dict):
-        raise ScenarioError(f"trajectory: expected an object, got {type(data).__name__}")
-    if data.get("format") != TRAJECTORY_FORMAT:
+    """Rebuild the raw solve profile from a trajectory JSON dump.
+
+    `grid_intervals` is read by the `grid_points` rule (a whole number, not
+    a bool, text or fraction) and `profile.wrenches` must be an object; a
+    field that breaks its rule is reported as malformed.
+    """
+    if _object(data, "trajectory").get("format") != TRAJECTORY_FORMAT:
         raise ScenarioError(f"unsupported trajectory format {data.get('format')!r}")
     try:
         p = data["profile"]
@@ -436,10 +442,10 @@ def profile_from_json_dict(data: dict) -> tuple[ScalingVariables, int, tuple]:
             speed_aux=np.asarray(p["speed_aux"], dtype=float),
             inverse_avg=np.asarray(p["inverse_avg"], dtype=float),
             torque=np.asarray(p["torque"], dtype=float),
-            wrenches={cid: np.asarray(w, dtype=float) for cid, w in p["wrenches"].items()},
+            wrenches={cid: np.asarray(w, dtype=float) for cid, w in _object(p["wrenches"], "profile.wrenches").items()},
         )
         boundary = tuple(None if v is None else float(v) for v in data["boundary_sdot"])
-        return profile, int(data["grid_intervals"]), boundary
+        return profile, _whole(data["grid_intervals"], "grid_intervals"), boundary
     except KeyError as exc:
         raise ScenarioError(f"trajectory has no field {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -529,10 +529,10 @@ def recover_time(speed_sq, grid: Grid) -> PathTiming:
         raise ValueError("speed profile length does not match the grid")
     roots = np.sqrt(b)
     scale = max(1.0, float(roots.max()))
-    times = np.zeros(grid.intervals + 1)
-    for k in range(grid.intervals):
-        denom = roots[k] + roots[k + 1]
-        if denom <= STALL_TOLERANCE * scale:
-            raise ValueError(f"degenerate stall: both speed values vanish on interval {k}")
-        times[k + 1] = times[k] + 2.0 * grid.spacing / denom
+    denom = roots[:-1] + roots[1:]
+    stalled = np.flatnonzero(denom <= STALL_TOLERANCE * scale)
+    if stalled.size:
+        raise ValueError(f"degenerate stall: both speed values vanish on interval {stalled[0]}")
+    # cumsum adds in order, as a running total does
+    times = np.concatenate([[0.0], np.cumsum(2.0 * grid.spacing / denom)])
     return PathTiming(total=float(times[-1]), node_times=times, grid=grid, speed_sq=b)

@@ -18,15 +18,17 @@ through the scalar functions (`sample_path_dynamics`, `inverse_dynamics`,
 no `stack_dynamics_in_s`, no `_path_torque_terms`.  The batched sampler that
 the solve uses is therefore checked against a second implementation, and
 `tests/test_scalar_oracle.py` holds this module to that by a static call
-graph of the package.  What the oracles do share with the solve is the
-scene's contact table (`Scene.grasp` and `Scene.contacts`): which robot
-carries each object, the contact ids and the friction cones.  The finite
-differences (`_fd_body_jacobian`, `_fd_jacobian_path_derivative`) live
-here, beside the one suite that uses them.
+graph of the package.  Sampled point by point, the fields are then stacked
+(`_stacked`) and each constraint family is measured over the whole grid at
+once, rounded as a loop over the points would be.  What the oracles do
+share with the solve is the scene's contact table (`Scene.grasp` and
+`Scene.contacts`): which robot carries each object, the contact ids and the
+friction cones.  The finite differences (`_fd_body_jacobian`,
+`_fd_jacobian_path_derivative`) live here, beside the one suite that uses
+them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,11 @@ B_CAP = 1e12
 # below this, a row's acceleration coefficient counts as zero (the row
 # constrains the squared speed only)
 SLOPE_TOL = 1e-11
+
+
+def _stacked(samples, name) -> np.ndarray:
+    """Field `name` of every sample, stacked on a leading axis."""
+    return np.array([getattr(smp, name) for smp in samples])
 
 
 # ---------------------------------------------------------------------------
@@ -74,36 +81,26 @@ class _AccelBox:
 
     def __init__(self, samples, limits):
         tl, tu, vmax, al, au = limits
-        M, C, G, LB, UB = [], [], [], [], []
-        n = tl.size
-        for i in range(n):
-            if np.isfinite(tl[i]) or np.isfinite(tu[i]):
-                M.append([smp.torque_accel_coeff[i] for smp in samples])
-                C.append([smp.torque_velsq_coeff[i] for smp in samples])
-                G.append([smp.torque_gravity[i] for smp in samples])
-                LB.append(tl[i])
-                UB.append(tu[i])
-            if np.isfinite(al[i]) or np.isfinite(au[i]):
-                M.append([smp.dq[i] for smp in samples])
-                C.append([smp.ddq[i] for smp in samples])
-                G.append([0.0] * len(samples))
-                LB.append(al[i])
-                UB.append(au[i])
-        P = len(samples)
-        self.M = np.asarray(M, dtype=float).T.reshape(P, -1)
-        self.C = np.asarray(C, dtype=float).T.reshape(P, -1)
-        self.G = np.asarray(G, dtype=float).T.reshape(P, -1)
-        self.LB = np.asarray(LB, dtype=float)
-        self.UB = np.asarray(UB, dtype=float)
+        # joint i owns a torque row (2i) and an acceleration row (2i + 1),
+        # kept when either of its limits is finite
+        rows = np.column_stack([np.isfinite(tl) | np.isfinite(tu), np.isfinite(al) | np.isfinite(au)]).ravel()
 
-        caps = np.full(P, B_CAP)
-        for i in range(n):
-            if not np.isfinite(vmax[i]):
-                continue
-            dq2 = np.array([smp.dq[i] ** 2 for smp in samples])
-            with np.errstate(divide="ignore"):
-                caps = np.minimum(caps, np.where(dq2 > 0.0, vmax[i] ** 2 / np.maximum(dq2, 1e-300), B_CAP))
-        self.velocity_cap = caps
+        def pick(torque_term, accel_term):
+            return np.stack([torque_term, accel_term], axis=-1).reshape(len(samples), -1)[:, rows]
+
+        dq = _stacked(samples, "dq")
+        self.M = pick(_stacked(samples, "torque_accel_coeff"), dq)
+        self.C = pick(_stacked(samples, "torque_velsq_coeff"), _stacked(samples, "ddq"))
+        self.G = pick(_stacked(samples, "torque_gravity"), np.zeros_like(dq))
+        self.LB = np.column_stack([tl, al]).ravel()[rows]
+        self.UB = np.column_stack([tu, au]).ravel()[rows]
+
+        capped = np.isfinite(vmax)
+        # float_power calls the C library's pow, as the ** of one float does
+        dq2 = np.float_power(dq[:, capped], 2.0)
+        with np.errstate(divide="ignore"):
+            ratio = np.where(dq2 > 0.0, np.float_power(vmax[capped], 2.0) / np.maximum(dq2, 1e-300), B_CAP)
+        self.velocity_cap = np.min(ratio, axis=1, initial=B_CAP)
 
     @staticmethod
     def _bounds(M, C, G, LB, UB, b):
@@ -235,12 +232,12 @@ def topp_phase_plane(scenario, resolution: int | None = None) -> PhasePlaneProfi
     profile = np.minimum(np.minimum(forward, backward), mvc)
     roots = np.sqrt(np.maximum(profile, 0.0))
     scale = max(1.0, float(roots.max()))
-    total = 0.0
-    for j in range(N):
-        denom = roots[j] + roots[j + 1]
-        if denom <= 1e-9 * scale:
-            raise ValueError(f"profile stalls near s = {j * h:.6g}; the path is not traversable")
-        total += 2.0 * h / denom
+    denom = roots[:-1] + roots[1:]
+    stalled = np.flatnonzero(denom <= 1e-9 * scale)
+    if stalled.size:
+        raise ValueError(f"profile stalls near s = {stalled[0] * h:.6g}; the path is not traversable")
+    # cumsum adds in order, as a running total does
+    total = np.cumsum(2.0 * h / denom)[-1]
     return PhasePlaneProfile(
         s=s_all[::2],
         limit_curve=mvc,
@@ -287,97 +284,99 @@ def audit(profile: ScalingVariables, scenario, tolerance: float = 1e-6) -> Audit
     its row, so the report is scale-free.  A NaN violation, from a NaN in
     the profile, counts as an infinite one.  Nothing here touches the
     assembled matrices; agreement is evidence both sides are right.
+
+    Sampled point by point at the K interval midpoints, each family is then
+    measured on all intervals at once, node k booked on interval min(k, K - 1).
+    `flagged` lists families in `families` order, intervals as measured.
     """
     scene = scenario.scene
     K = profile.accel.size
     grid = build_grid(K)
     samples = [sample_path_dynamics(scene, float(s)) for s in grid.midpoints]
     tl, tu, vmax, al, au = scene.limit_arrays()
-    n = tl.size
 
-    a = profile.accel
-    b = profile.speed_sq
-    c = profile.speed_aux
-    d = profile.inverse_avg
-    b_mid = 0.5 * (b[:-1] + b[1:])
+    a, b, c, d = profile.accel, profile.speed_sq, profile.speed_aux, profile.inverse_avg
+    T, W = profile.torque, profile.wrenches
+    a_k, b_k = a[:, None], 0.5 * (b[:-1] + b[1:])[:, None]  # sddot and the mid-interval sdot^2 as columns
 
     families: dict[str, float] = {}
     flagged: dict[str, list] = {}
 
-    def note(family, k, violation):
-        if math.isnan(violation):
-            violation = math.inf
-        families[family] = max(families.get(family, 0.0), violation)
-        if violation > tolerance:
-            flagged.setdefault(family, []).append(k)
+    def note(family, violations, intervals=None):
+        """Book row i's violation (a 2-D row's worst entry) on interval intervals[i], by default i."""
+        v = np.asarray(violations, dtype=float).reshape(len(violations), -1).max(axis=1)
+        v = np.where(np.isnan(v), np.inf, v)
+        families[family] = max(families.get(family, 0.0), float(v.max()))
+        hit = (np.arange(v.size) if intervals is None else np.asarray(intervals))[v > tolerance]
+        if hit.size:
+            flagged.setdefault(family, []).extend(hit.tolist())
 
-    for k, smp in enumerate(samples):
-        contact_pull = np.zeros(n)
-        for cid, J in smp.contact_jacobians.items():
-            contact_pull += J.T @ profile.wrenches[cid][k]
-        inertial = smp.torque_accel_coeff * a[k] + smp.torque_velsq_coeff * b_mid[k] + smp.torque_gravity
-        resid = profile.torque[k] + contact_pull - inertial
-        scale = 1.0 + np.abs(profile.torque[k]) + np.abs(contact_pull) + np.abs(inertial)
-        note("torque_dynamics", k, float(np.max(np.abs(resid) / scale)))
+    # J'F and G F stay one matrix-vector product per interval, whose rounding
+    # a stacked product need not keep
+    pull = np.zeros(T.shape)
+    for cid in samples[0].contact_jacobians:
+        pull += np.array([smp.contact_jacobians[cid].T @ w for smp, w in zip(samples, W[cid])])
+    inertial = _stacked(samples, "torque_accel_coeff") * a_k + _stacked(samples, "torque_velsq_coeff") * b_k
+    inertial = inertial + _stacked(samples, "torque_gravity")
+    scale = 1.0 + np.abs(T) + np.abs(pull) + np.abs(inertial)
+    note("torque_dynamics", np.abs(T + pull - inertial) / scale)
+    del pull, inertial  # freed here, the (K, n) arrays add little to the samples' memory
 
-        for osmp in smp.objects:
-            total = osmp.external - osmp.accel_coeff * a[k] - osmp.velsq_coeff * b_mid[k]
-            mag = np.abs(total)
-            for cid, sign, Gmap in osmp.contact_terms:
-                term = sign * (Gmap @ profile.wrenches[cid][k])
-                total = total + term
-                mag = mag + np.abs(term)
-            note(f"balance[{osmp.name}]", k, float(np.max(np.abs(total) / (1.0 + mag))))
+    for j, name in enumerate(o.name for o in samples[0].objects):
+        terms = [smp.objects[j] for smp in samples]
+        total = _stacked(terms, "external") - _stacked(terms, "accel_coeff") * a_k - _stacked(terms, "velsq_coeff") * b_k
+        mag = np.abs(total)
+        for t, (cid, sign, _) in enumerate(terms[0].contact_terms):
+            term = sign * np.array([o.contact_terms[t][2] @ w for o, w in zip(terms, W[cid])])
+            total = total + term
+            mag = mag + np.abs(term)
+        note(f"balance[{name}]", np.abs(total) / (1.0 + mag))
 
-        viol = np.maximum(profile.torque[k] - tu, tl - profile.torque[k])
-        cap = np.where(np.isfinite(tu), np.abs(tu), 0.0) + np.where(np.isfinite(tl), np.abs(tl), 0.0)
-        note("torque_limits", k, float(np.max(np.maximum(viol, 0.0) / (1.0 + cap))))
+    def bounded(limit, value):
+        """`value` where `limit` is finite, 0 where it leaves a side open."""
+        return np.where(np.isfinite(limit), value, 0.0)
 
-        vel = smp.dq**2 * b_mid[k]
-        vel_viol = np.where(np.isfinite(vmax), vel - vmax**2, 0.0)
-        note("velocity_limits", k, float(np.max(np.maximum(vel_viol, 0.0) / (1.0 + np.where(np.isfinite(vmax), vmax**2, 0.0)))))
+    viol = np.maximum(T - tu, tl - T)
+    note("torque_limits", np.maximum(viol, 0.0) / (1.0 + (bounded(tu, np.abs(tu)) + bounded(tl, np.abs(tl)))))
 
-        acc = smp.ddq * b_mid[k] + smp.dq * a[k]
-        acc_viol = np.maximum(
-            np.where(np.isfinite(au), acc - au, 0.0), np.where(np.isfinite(al), al - acc, 0.0)
-        )
-        acc_cap = np.where(np.isfinite(au), np.abs(au), 0.0) + np.where(np.isfinite(al), np.abs(al), 0.0)
-        note("acceleration_limits", k, float(np.max(np.maximum(acc_viol, 0.0) / (1.0 + acc_cap))))
+    dq = _stacked(samples, "dq")
+    viol = bounded(vmax, dq**2 * b_k - vmax**2)
+    note("velocity_limits", np.maximum(viol, 0.0) / (1.0 + bounded(vmax, vmax**2)))
+
+    acc = _stacked(samples, "ddq") * b_k + dq * a_k
+    viol = np.maximum(bounded(au, acc - au), bounded(al, al - acc))
+    note("acceleration_limits", np.maximum(viol, 0.0) / (1.0 + (bounded(au, np.abs(au)) + bounded(al, np.abs(al)))))
 
     # speed-profile families
-    for k in range(K):
-        resid = abs(b[k + 1] - b[k] - 2.0 * grid.spacing * a[k])
-        scale = 1.0 + abs(b[k + 1]) + abs(b[k]) + 2.0 * grid.spacing * abs(a[k])
-        note("speed_coupling", k, resid / scale)
-        csum = c[k] + c[k + 1]
-        inv = 1.0 / csum if csum > 1e-12 else np.inf
-        note("time_epigraph", k, max(inv - d[k], 0.0) / (1.0 + abs(d[k])))
-    for k in range(K + 1):
-        note("speed_nonneg", min(k, K - 1), max(-b[k], 0.0))
-        root = np.sqrt(max(b[k], 0.0))
-        note("speed_aux", min(k, K - 1), max(c[k] - root, -c[k], 0.0) / (1.0 + root))
+    step = 2.0 * grid.spacing
+    note("speed_coupling", np.abs(b[1:] - b[:-1] - step * a) / (1.0 + np.abs(b[1:]) + np.abs(b[:-1]) + step * np.abs(a)))
+    csum = c[:-1] + c[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(csum > 1e-12, 1.0 / csum, np.inf)
+    note("time_epigraph", np.maximum(inv - d, 0.0) / (1.0 + np.abs(d)))
+    nodes = np.minimum(np.arange(K + 1), K - 1)
+    note("speed_nonneg", np.maximum(-b, 0.0), nodes)
+    root = np.sqrt(np.maximum(b, 0.0))
+    note("speed_aux", np.maximum(np.maximum(c - root, -c), 0.0) / (1.0 + root), nodes)
 
     sdot0, sdotT = scenario.boundary_sdot
     if sdot0 is not None:
-        note("boundary_speed", 0, abs(b[0] - sdot0**2) / (1.0 + sdot0**2))
+        note("boundary_speed", [abs(b[0] - sdot0**2) / (1.0 + sdot0**2)], [0])
     if sdotT is not None:
-        note("boundary_speed", K - 1, abs(b[-1] - sdotT**2) / (1.0 + sdotT**2))
+        note("boundary_speed", [abs(b[-1] - sdotT**2) / (1.0 + sdotT**2)], [K - 1])
 
     # contact cone families, straight from the cone models
     for sc in scene.contacts:
         desc, fz_cap = sc.cone, sc.spec.fz_max
-        W = profile.wrenches[sc.cid]
-        for k in range(K):
-            F = W[k]
-            scale = 1.0 + float(np.max(np.abs(F)))
-            margin = cone_margin(desc, F)
-            note("cone_membership", k, max(-margin, 0.0) / scale)
-            pin_err = max((abs(F[idx]) for idx in desc.pinned), default=0.0)
-            note("pinned_components", k, pin_err / scale)
-            if fz_cap is not None:
-                note("normal_force_cap", k, max(F[desc.head_index] - fz_cap, 0.0) / (1.0 + fz_cap))
+        F = W[sc.cid]
+        scale = 1.0 + np.max(np.abs(F), axis=1)
+        note("cone_membership", np.maximum(-cone_margin(desc, F), 0.0) / scale)
+        note("pinned_components", np.max(np.abs(F[:, list(desc.pinned)]), axis=1, initial=0.0) / scale)
+        if fz_cap is not None:
+            note("normal_force_cap", np.maximum(F[:, desc.head_index] - fz_cap, 0.0) / (1.0 + fz_cap))
 
-    return AuditReport(families=families, flagged={k: tuple(v) for k, v in flagged.items()}, tolerance=tolerance)
+    flagged = {f: tuple(flagged[f]) for f in families if f in flagged}
+    return AuditReport(families=families, flagged=flagged, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

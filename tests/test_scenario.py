@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contact_topp import cli as cli_module
 from contact_topp import scenario as scenario_module
 from contact_topp.cli import main
 from contact_topp.liegroup import Pose, Twist
@@ -702,6 +703,19 @@ def ragged_torque(dump):
     return dump
 
 
+def grid_intervals_of(value):
+    def spoil(dump):
+        dump["grid_intervals"] = value
+        return dump
+
+    return spoil
+
+
+def wrenches_list(dump):
+    dump["profile"]["wrenches"] = []
+    return dump
+
+
 @pytest.mark.parametrize(
     "spoil, message",
     [
@@ -711,6 +725,13 @@ def ragged_torque(dump):
         (without_profile, "trajectory has no field 'profile'"),
         (ragged_torque, "trajectory has a malformed field: setting an array element"),
         (lambda dump: [dump], "trajectory: expected an object, got list"),
+        # grid_intervals is read by the grid_points rule
+        (grid_intervals_of(500.7), "malformed field: grid_intervals: must be a whole number, got 500.7"),
+        (grid_intervals_of("500"), "malformed field: grid_intervals: must be a whole number, got '500'"),
+        (grid_intervals_of(math.inf), "malformed field: grid_intervals: must be a whole number, got inf"),  # as 1e400 reads
+        (grid_intervals_of(True), "malformed field: grid_intervals: must be a whole number, got True"),
+        (grid_intervals_of(10**400), "profile accel has shape (500,); scenario 'pickup' at K = 1000"),
+        (wrenches_list, "malformed field: profile.wrenches: expected an object, got list"),
     ],
 )
 def test_cli_verify_spoiled_trajectory_exit(tmp_path, capsys, spoil, message):
@@ -874,6 +895,25 @@ def test_cli_out_is_a_file_exit(tmp_path, capsys):
     out.write_text("")
     assert main(["solve", str(SCENARIOS / "double_integrator.json"), "--grid", "4", "--out", str(out)]) == 4
     assert f"input error: --out {str(out)!r} cannot be made a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+@pytest.mark.parametrize("kind", ["directory", "missing_parent"])
+def test_cli_unwritable_out_file_exit(tmp_path, capsys, monkeypatch, command, kind):
+    # an --out file that cannot be written is bad input found before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before --out was checked")
+
+    monkeypatch.setattr(cli_module, "sweep", no_work)
+    monkeypatch.setattr(cli_module, "verification_ledger", no_work)
+    out = tmp_path if kind == "directory" else tmp_path / "absent" / "out.json"
+    if command == "sweep":
+        argv = ["sweep", str(SCENARIOS / "double_integrator.json"), "--param", "grid_points", "--values", "4"]
+    else:
+        argv = ["verify", str(SCENARIOS / "pivoting.json"), str(PROFILES / "pivoting.k500.json")]
+    assert main(argv + ["--out", str(out)]) == 4
+    assert f"input error: --out {str(out)!r}" in capsys.readouterr().err
+    assert not (tmp_path / "absent").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

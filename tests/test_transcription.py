@@ -286,6 +286,20 @@ class TestRecoverTime:
         with pytest.raises(ValueError, match="interval 1"):
             recover_time(b, build_grid(3))
 
+    @pytest.mark.parametrize("K", [1, 2, 16, 250, 500, 2000])
+    def test_node_times_match_running_total(self, K):
+        # the cumsum adds in the order of a running total, so every bit agrees
+        rng = np.random.default_rng(K)
+        b = rng.uniform(0.0, 3.0, K + 1) ** 3
+        grid = build_grid(K)
+        roots = np.sqrt(b)
+        times = [0.0]
+        for k in range(K):
+            times.append(times[-1] + 2.0 * grid.spacing / (roots[k] + roots[k + 1]))
+        timing = recover_time(b, grid)
+        assert timing.node_times.tobytes() == np.array(times).tobytes()
+        assert timing.total == times[-1]
+
     def test_time_map_round_trip(self):
         rng = np.random.default_rng(3)
         b = np.abs(rng.normal(size=9)) + 0.05
