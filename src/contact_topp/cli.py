@@ -35,7 +35,7 @@ from .scenario import (
     sweep,
 )
 from .solver import MAX_ITERATIONS, NUMERICAL_FAILURE, TOL
-from .transcription import build_grid
+from .transcription import MAX_INTERVALS, build_grid
 from .verification import verification_ledger
 
 EXIT_OK = 0
@@ -52,9 +52,11 @@ def _check_positive(option: str, value: float) -> None:
         raise ScenarioError(f"{option} must be a positive finite number, got {value!r}")
 
 
-def _check_count(option: str, value: int | None) -> None:
+def _check_count(option: str, value: int | None, most: float = math.inf) -> None:
     if value is not None and value < 1:
         raise ScenarioError(f"{option} must be at least 1, got {value}")
+    if value is not None and value > most:
+        raise ScenarioError(f"{option} must be at most {most}, got {value}")
 
 
 def _check_out_file(path: str | None) -> None:
@@ -70,7 +72,7 @@ def _check_out_file(path: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     _check_positive("--tol", args.tol)
-    _check_count("--grid", args.grid)
+    _check_count("--grid", args.grid, MAX_INTERVALS)
     scenario = load_scenario(args.scenario)
     out_dir = args.out or "."
     try:
@@ -114,7 +116,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _check_positive("--tol", args.tol)
-    _check_count("--grid", args.grid)
+    _check_count("--grid", args.grid, MAX_INTERVALS)
     _check_count("--threads", args.threads)
     _check_out_file(args.out)
     scenario = load_scenario(args.scenario)

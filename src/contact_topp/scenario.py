@@ -33,6 +33,7 @@ from .paths import BOUNDARY_KINDS, JointPath
 from .robot import _inertia_from_six, _pose_from_json, robot_from_json
 from .solver import DUAL_INFEASIBLE, OPTIMAL, PRIMAL_INFEASIBLE, TOL, solve_conic_program
 from .transcription import (
+    MAX_INTERVALS,
     ConicProgram,
     Grid,
     ScalingVariables,
@@ -220,6 +221,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         raise ScenarioError(f"{where}.format: unsupported {fmt!r}, expected {SCENARIO_FORMAT!r}")
     name = _name(data, where)
     grid_points = _whole(_need(data, "grid_points", where), f"{where}.grid_points", "a positive whole interval count", 1)
+    if grid_points > MAX_INTERVALS:
+        raise ScenarioError(f"{where}.grid_points: must be at most {MAX_INTERVALS}, got {grid_points}")
 
     with _reading(f"{where}.boundary_sdot"):
         boundary = tuple(None if v is None else float(v) for v in data.get("boundary_sdot", (0.0, 0.0)))

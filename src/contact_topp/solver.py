@@ -10,31 +10,34 @@ with K a product of a nonnegative orthant and small second-order cones.
 The solver embeds the primal-dual pair in the homogeneous self-dual model,
 so infeasible problems terminate with a Farkas certificate instead of
 diverging.  Search directions come from a Mehrotra predictor-corrector with
-Nesterov-Todd scaling; the sparse KKT system is factored with SuperLU plus
-static regularization.  Each iteration factors once and solves three times
-with that factor.  The two solves a step is built from, the tau direction
-u1 (it enters every dtau) and the corrector, are refined against the
-exact matrix.  The predictor is one plain triangular solve: it only sets
-the predictor step length, the centering sigma and the corrector's
-second-order term, none of which needs the last digits.  Cone operations
-work on groups of equal-size cones at once, and the KKT matrix keeps one
-sparsity pattern per solve, whose values each iteration refills.
+Nesterov-Todd scaling.  The KKT system in (x, y, z) is solved by
+eliminating its cone block and factoring the (x, y) system that is left,
+with static regularization, by SuperLU; z follows from x.  Each iteration
+factors once and solves three times with that factor.  The two solves a
+step is built from, the tau direction u1 (it enters every dtau) and the
+corrector, are refined against the exact full matrix.  The predictor is
+one plain solve: it only sets the predictor step length, the centering
+sigma and the corrector's second-order term, none of which needs the last
+digits.  Cone operations work on groups of equal-size cones at once, and
+the KKT matrices keep one sparsity pattern per solve, whose values each
+iteration refills.
 
 `solve` runs in named phases.  Once per solve: `_Scaled` (equilibration
 and the scalar normalization of the data), `_KKTSystem` (the fixed KKT
-pattern and its ordering) and `_row_conflict` (below).  Each iteration:
-`Scaling` at the iterate; `_KKTSystem.refill` and `factor`; `_Newton`,
-the residuals and the tau direction u1 at the iterate; its `direction`
-for the predictor and then the corrector, each sized by `_step_length`;
-`_Point.step`; and the convergence and certificate checks on the
-unscaled iterate.
+patterns and the ordering of the factored one) and `_row_conflict`
+(below).  Each iteration: `Scaling` at the iterate; `_KKTSystem.refill`
+and `factor`; `_Newton`, the residuals and the tau direction u1 at the
+iterate; its `direction` for the predictor and then the corrector, each
+sized by `_step_length`; `_Point.step`; and the convergence and
+certificate checks on the unscaled iterate.
 
 Before iterating, `solve` looks for two equality rows with the same
 pattern and proportional values that disagree: they give a Farkas ray
 before any iteration, which the iteration would otherwise have to find
-through a rank-deficient A.  The KKT pattern is relabelled once per solve
-by reverse Cuthill-McKee, which gives the path-structured matrix a narrow
-band, and factored in that order with partial pivoting.
+through a rank-deficient A.  The pattern of the factored matrix is
+relabelled once per solve by reverse Cuthill-McKee, which gives the
+path-structured matrix a narrow band, and factored in that order with
+partial pivoting.
 
 Convergence and infeasibility decisions are made on the original problem
 data, from the unscaled iterate.  Ruiz equilibration (uniform across each
@@ -176,6 +179,9 @@ TOL = 1e-8
 MAX_ITER = 200
 # static regularization of the KKT diagonal
 REG = 1e-11
+# floor of each x diagonal entry of the factored reduced matrix, relative to
+# that entry: REG alone rounds away next to a large one (see `_KKTSystem`)
+REG_COLUMN = 1e-14
 # iterative-refinement passes per KKT solve, at most
 REFINE_STEPS = 8
 # fraction of the distance to the cone boundary that a step may cover
@@ -423,13 +429,16 @@ class Scaling:
         return self._apply(v, v[: self.spec.orthant] / self.w_orth, inverse=True)
 
     def w_inv_matrix(self) -> sp.csc_matrix:
-        """Sparse W^{-1}, used to fold the scaling into the KKT matrix.
+        """Sparse W^{-1}, used to fold the scaling into the KKT matrices.
 
-        Factoring with W^{-1}G and an identity (3,3) block instead of G and
-        W^2 halves the exponent range of the matrix, which is what keeps the
-        factorization usable when the barrier parameter gets small.  The
-        pattern is the same at every iterate, so `data` lines up with the
-        maps that `_KKTSystem` builds once per solve.
+        The full matrix holds W^{-1}G and an identity (3,3) block instead
+        of G and W^2, which halves its exponent range: refinement residuals
+        on it stay accurate when the barrier parameter gets small.  The
+        factored reduced matrix holds (W^{-1}G)'(W^{-1}G) = G'W^{-2}G, with
+        the full range; refinement against the full matrix recovers what
+        its factor loses.  The pattern is the same at every iterate, so
+        `data` lines up with the maps that `_KKTSystem` builds once per
+        solve.
         """
         indptr, indices, _, positions = self.spec.block_diag
         data = np.empty(indices.size)
@@ -441,121 +450,197 @@ class Scaling:
 
 
 class _KKTSystem:
-    """The KKT matrix of one solve, with a sparsity pattern built once.
+    """The KKT system of one solve, factored with the cone block eliminated.
+
+    The full matrix of a Newton step is
 
             [ 0        A'   (W^{-1}G)' ]
         M = [ A        0    0          ]
             [ W^{-1}G  0    -I         ]
 
+    and the factored one is what is left of M + diag(REG, -REG, -REG) once
+    its third block row, dz = (W^{-1}G dx - r_z) / (1 + REG), is
+    substituted into the others:
+
+        R = [ H + diag(max(REG, REG_COLUMN h_jj))  A'   ]
+            [ A                                    -REG ]
+
+    with H = (W^{-1}G)'(W^{-1}G) / (1 + REG) and h_jj its diagonal.  This
+    is the system CVXOPT's `chol2` factors (Vandenberghe, "The CVXOPT linear
+    and quadratic cone program solvers", 2010): it has n + p rows instead
+    of n + p + m, and its factor about half the fill.  The diagonal floor
+    is relative because REG alone rounds away next to a large h_jj: when
+    [A; G] lacks full column rank, R would then be singular to working
+    precision.  Refinement stays on M, as ECOS refines against its expanded
+    system (Domahidi, Chu & Boyd, ECC 2013): R holds G'W^{-2}G, whose
+    exponent range is twice that of W^{-1}G, and the residuals on the
+    exact M give back the digits that its factor loses.
+
     Row i of W^{-1}G combines the rows of G in the block of i, so its
-    pattern is, per cone, the union of the columns its rows touch.  The
-    constructor records each product W^{-1}[i, k] G[k, j] as a (W^{-1} data
-    position, G value, W^{-1}G entry) triple and where each W^{-1}G entry
-    sits in both triangles of M.  `refill` then writes only those values, in
-    place, into `exact` (M in extended precision, for refinement residuals)
-    and `regularized` (M + diag(REG, -REG, -REG), the matrix that is
-    factored).  The diagonal is in the pattern, so the two share it.
+    pattern is, per cone, the union of the columns its rows touch; H's
+    pattern is the union of the column pairs within each row of W^{-1}G.
+    The constructor records each product W^{-1}[i, k] G[k, j] as a (W^{-1}
+    data position, G value, W^{-1}G entry) triple, and each pair of entries
+    of one W^{-1}G row as an H entry.  `refill` then writes only those
+    values, in place, into `exact` (M in extended precision, for refinement
+    residuals) and `reduced` (R, the matrix that is factored).  Every sum
+    is an `np.bincount`, whose order is fixed and which never reaches BLAS.
 
     Both matrices are stored symmetrically permuted, P M P' with
-    P M P'[i, j] = M[perm[i], perm[j]]: `perm` is the reverse Cuthill-McKee
-    order of the fixed pattern (George & Liu, 1981).  Each grid interval
-    couples only to its neighbours, so in that order M is narrowly banded
-    and SuperLU factors it as it stands (natural column order, partial
-    pivoting kept), with no fill-reducing ordering recomputed per factor.
-    `refined_solve` takes and returns vectors in the original order.
+    P M P'[i, j] = M[perm[i], perm[j]], and R in the order perm[:n + p].
+    That is the reverse Cuthill-McKee order of R's fixed pattern (George &
+    Liu, 1981), followed by the rows of z, each placed by the first x it
+    reaches.  Each grid interval couples only to its neighbours, so in that
+    order R is narrowly banded and SuperLU factors it as it stands (natural
+    column order, partial pivoting kept), with no fill-reducing ordering
+    recomputed per factor, and the products with M read their vectors
+    nearly in order.  `solve` and `refined_solve` take and return (x, y, z)
+    vectors in the original order.
     """
 
     def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, spec: ConeSpec):
         p, n = A.shape
         m = G.shape[0]
+        R = self._R = n + p
         w_indptr, _, first, _ = spec.block_diag
         row = np.repeat(np.arange(m), np.diff(G.indptr))
         size = np.diff(w_indptr)[row]
         entry = np.repeat(np.arange(G.nnz), size)
         offset = np.arange(entry.size) - np.repeat(np.cumsum(size) - size, size)
         k = row[entry]
-        self._w_at = w_indptr[k] + offset
+        self._w_at = (w_indptr[k] + offset).astype(np.int32)
         self._g_vals = G.data[entry]
-        keys, self._target = np.unique((first[k] + offset) * n + G.indices[entry], return_inverse=True)
-        self._nnz = keys.size
-        wg_row, wg_col = n + p + keys // n, keys % n
+        keys, target = np.unique((first[k] + offset) * n + G.indices[entry], return_inverse=True)
+        # keys sort by row, then column
+        wg_row, wg_col = keys // n, keys % n
+        del row, size, entry, offset, k, keys
+
+        # each W^{-1}G entry pairs with itself and the entries after it in
+        # its row; H's diagonal is in the pattern whether a pair reaches it
+        # or not
+        count = np.searchsorted(wg_row, wg_row, side="right") - np.arange(wg_row.size)
+        a = np.repeat(np.arange(wg_row.size), count)
+        b = a + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+        diag = np.arange(n) * (n + 1)
+        h_keys, h_target = np.unique(np.concatenate((wg_col[a] * n + wg_col[b], diag)), return_inverse=True)
+        self._h_target = h_target[: a.size].astype(np.int32)
+        self._h_diag = np.searchsorted(h_keys, diag).astype(np.int32)
+        h_row, h_col = h_keys // n, h_keys % n
+        off = np.flatnonzero(h_row != h_col)
+        self._h_off = off.astype(np.int32)
+        del count, h_target, diag
 
         A = A.tocoo()
-        N = n + p + m
-        diag = np.arange(N)
-        rows = np.concatenate((diag, n + A.row, A.col, wg_row, wg_col))
-        cols = np.concatenate((diag, A.col, n + A.row, wg_col, wg_row))
-        exact = np.concatenate((np.zeros(n + p), -np.ones(m), A.data, A.data, np.zeros(2 * keys.size)))
-        shift = np.concatenate((np.full(n, REG), np.full(p, -REG), np.full(m, -REG)))
-
-        if N:
+        y_diag = n + np.arange(p)
+        rows = np.concatenate((h_row, h_col[off], y_diag, n + A.row, A.col))
+        cols = np.concatenate((h_col, h_row[off], y_diag, A.col, n + A.row))
+        if R:
             # imported here: the package is imported by `topp verify` too,
             # which never solves, and csgraph adds about 1.3 MB to its RSS
             from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-            pattern = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(N, N))
-            self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
+            pattern = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(R, R))
+            perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
+            del pattern
         else:
-            self.perm = np.zeros(0, dtype=np.intp)
-        label = np.empty(N, dtype=np.intp)
-        label[self.perm] = diag
-        rows, cols = label[rows], label[cols]
-        order = np.lexsort((rows, cols))
-        slot = np.empty_like(order)
-        slot[order] = np.arange(order.size)
-        self._slots = slot[N + 2 * A.nnz :]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=N))))
-        regularized = exact.copy()
-        regularized[:N] += shift
-        self.regularized = sp.csc_matrix((regularized[order], rows[order], indptr), shape=(N, N))
+            perm = np.zeros(0, dtype=np.intp)
+        label = np.empty(R + m, dtype=np.intp)
+        label[perm] = np.arange(R)
+        first_x = np.full(m, R)
+        np.minimum.at(first_x, wg_row, label[wg_col])
+        self.perm = np.concatenate((perm, R + np.argsort(first_x, kind="stable")))
+        label[self.perm] = np.arange(R + m)
+        del perm, first_x
+
+        # W^{-1}G's entries in CSR order of its stored rows and columns; the
+        # maps into its data are renumbered to match
+        wg_row, wg_col = label[R + wg_row] - R, label[wg_col]
+        order = np.argsort(wg_row * R + wg_col)
+        at = np.empty(order.size, dtype=np.int32)
+        at[order] = np.arange(order.size)
+        self._target = at[target]
+        self._h_a, self._h_b = at[a], at[b]
+        wg_row, wg_col = wg_row[order], wg_col[order]
+        del target, a, b, order, at
+        self._wg = sp.csr_matrix(
+            (np.zeros(wg_row.size), wg_col, np.searchsorted(wg_row, np.arange(m + 1))), shape=(m, R)
+        )
+        self._wg_t = self._wg.T  # shares the data array
+
+        values = np.concatenate((np.zeros(h_keys.size + off.size), np.full(p, -REG), A.data, A.data))
+        arrays, slot = _csc_arrays(label[rows], label[cols], values, R)
+        self.reduced = sp.csc_matrix(arrays, shape=(R, R))
+        self._h_slots = slot[: h_keys.size]
+        self._h_mirror = slot[h_keys.size : h_keys.size + off.size]
+        del h_keys, h_row, h_col, off, rows, cols, values, slot
+
         # M is symmetric, so its CSC arrays read as CSR are M again; the
         # row-wise CSR product is the faster one
-        self.exact = sp.csr_matrix((exact[order].astype(np.longdouble), rows[order], indptr), shape=(N, N))
+        z_diag, a_row, a_col = R + np.arange(m), label[n + A.row], label[A.col]
+        rows = np.concatenate((R + wg_row, wg_col, z_diag, a_row, a_col))
+        cols = np.concatenate((wg_col, R + wg_row, z_diag, a_col, a_row))
+        values = np.concatenate((np.zeros(2 * wg_row.size), -np.ones(m), A.data, A.data))
+        arrays, slot = _csc_arrays(rows, cols, values.astype(np.longdouble), R + m)
+        self.exact = sp.csr_matrix(arrays, shape=(R + m, R + m))
+        self._wg_slots = slot[: 2 * wg_row.size]
 
     def refill(self, w_inv: sp.csc_matrix):
-        """Write the W^{-1}G values of the current scaling into both matrices."""
-        wg = np.bincount(self._target, weights=w_inv.data[self._w_at] * self._g_vals, minlength=self._nnz)
-        both = np.concatenate((wg, wg))
-        self.regularized.data[self._slots] = both
-        self.exact.data[self._slots] = both
+        """Write the W^{-1}G values of the current scaling into M, and the
+        values they give into R."""
+        wg = np.bincount(self._target, weights=w_inv.data[self._w_at] * self._g_vals, minlength=self._wg.nnz)
+        self._wg.data[:] = wg
+        self.exact.data[self._wg_slots] = np.concatenate((wg, wg))
+        pairs = wg[self._h_a] * wg[self._h_b]
+        h = np.bincount(self._h_target, weights=pairs, minlength=self._h_slots.size) / (1.0 + REG)
+        diag = h[self._h_diag]
+        h[self._h_diag] = diag + np.maximum(REG, REG_COLUMN * diag)
+        self.reduced.data[self._h_slots] = h
+        self.reduced.data[self._h_mirror] = h[self._h_off]
 
     def factor(self):
-        """Factor the regularized matrix; SuperLU raises RuntimeError when
-        it is singular."""
+        """Factor R; SuperLU raises RuntimeError when it is singular."""
         # One-column panels: on these narrowly banded matrices the default
         # multi-column panel fills dense work arrays it barely uses, which
         # costs a quarter of the factor time.
-        self._lu = splu(self.regularized, permc_spec="NATURAL", panel_size=1)
+        self._lu = splu(self.reduced, permc_spec="NATURAL", panel_size=1)
+
+    def _solve_stored(self, rhs: np.ndarray) -> np.ndarray:
+        """The regularized system's solution through the factor of R, both
+        in the stored order."""
+        R = self._R
+        rz = rhs[R:]
+        xy = self._lu.solve(rhs[:R] + self._wg_t @ rz / (1.0 + REG))
+        return np.concatenate((xy, (self._wg @ xy - rz) / (1.0 + REG)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M v = rhs by one triangular solve with the last factor, unrefined."""
+        """M v = rhs by one solve with the last factor, unrefined."""
         out = np.empty(rhs.size)
-        out[self.perm] = self._lu.solve(rhs[self.perm])
+        out[self.perm] = self._solve_stored(rhs[self.perm])
         return out
 
     def refined_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M v = rhs by the last factor, refined against the exact matrix.
+        """M v = rhs by the last factor, refined against the exact M.
 
         Near convergence mu falls toward the regularization level and the
-        raw solve is too inaccurate to step with.  Residuals are formed in
-        extended precision: the refinement plateau sits at the residual
-        roundoff times the KKT condition number, and the handful of extra
-        digits is what lets the gap reach tolerance on problems whose cones
-        are all active at the optimum.  The iteration refines the two
+        raw solve is too inaccurate to step with.  Residuals are formed on
+        the full M in extended precision: the refinement plateau sits at
+        the residual roundoff times the KKT condition number, and the
+        handful of extra digits is what lets the gap reach tolerance on
+        problems whose cones are all active at the optimum.  Each step
+        corrects the whole (x, y, z).  The iteration refines the two
         directions a step is made of, u1 and the corrector; the predictor,
         which only sizes the centering, takes the plain `_KKTSystem.solve`.
         """
-        perm, lu = self.perm, self._lu
-        rhs = rhs[perm]
+        rhs = rhs[self.perm]
         rhs_ld = rhs.astype(np.longdouble)
-        sol = lu.solve(rhs).astype(np.longdouble)
+        sol = self._solve_stored(rhs).astype(np.longdouble)
         resid = rhs_ld - self.exact @ sol
         best, best_res = sol, _norm(resid.astype(np.float64))
         floor = 1e-16 * (_norm(rhs) + 1.0)
         for _ in range(REFINE_STEPS):
             if best_res <= floor:
                 break
-            sol = sol + lu.solve(resid.astype(np.float64))
+            sol = sol + self._solve_stored(resid.astype(np.float64))
             resid = rhs_ld - self.exact @ sol
             res = _norm(resid.astype(np.float64))
             if res < best_res:
@@ -563,8 +648,19 @@ class _KKTSystem:
             else:
                 break
         out = np.empty(rhs.size)
-        out[perm] = best
+        out[self.perm] = best
         return out
+
+
+def _csc_arrays(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, size: int) -> tuple:
+    """((data, indices, indptr), slot): the CSC arrays of the size x size
+    matrix with entries (rows, cols, values), none repeated, and the data
+    position of each entry."""
+    order = np.argsort(cols * size + rows)
+    slot = np.empty(order.size, dtype=np.int32)
+    slot[order] = np.arange(order.size)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=size))))
+    return (values[order], rows[order], indptr), slot
 
 
 def _inverse_sqrt(v: np.ndarray) -> np.ndarray:
@@ -924,9 +1020,11 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
             break
         lam = scal.apply(point.z)
         mu = point.mu(nu)
-        # The scaling is folded in as W^{-1}G with an identity third block
-        # rather than G with a W^2 block: W^2 squares the boundary-induced
-        # dynamic range and makes the factorization unusable at small mu.
+        # The scaling is folded in as W^{-1}G.  The factored reduced matrix
+        # holds G'W^{-2}G, whose range W^2 squares near the cone boundary,
+        # so the directions that steps are made of are refined against the
+        # full matrix, where W^{-1}G and an identity block keep that range
+        # halved.
         kkt.refill(scal.w_inv_matrix())
         try:
             kkt.factor()

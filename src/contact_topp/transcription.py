@@ -55,6 +55,11 @@ class Grid:
     spacing: float
 
 
+# the most intervals a grid can have: its intervals + 1 points are one numpy
+# array, whose length must fit an intp
+MAX_INTERVALS = int(np.iinfo(np.intp).max) - 1
+
+
 def build_grid(intervals: int) -> Grid:
     if intervals < 1:
         raise ValueError("grid needs at least one interval")

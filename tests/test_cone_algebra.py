@@ -5,10 +5,11 @@ solver used before its cone layer was batched by cone size.  It is kept
 here only as an independent reference: every batched operation must agree
 with it to 1e-12 relative on random specs (orthant 0-4, cone sizes 1-5 in
 any order) at strictly interior points, including points close to the
-cone boundary.  The KKT system stores its matrices in its own ordering, so
-the block-by-block oracle is permuted by that ordering before comparing,
-and a solve through the permuted factor is held to a dense solve in the
-original order.
+cone boundary.  The KKT system factors the reduced matrix left after the
+cone block is eliminated, in its own ordering, so a dense reduced oracle is
+permuted by that ordering before comparing; the full exact matrix is held
+to the block-by-block oracle, and a solve through the permuted factor is
+held to a dense solve of the full system in the original order.
 
 The equilibration is checked the same way against the loop it replaced,
 which rebuilt the stacked matrix and rescaled it by sparse products on every
@@ -21,11 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contact_topp.solver import (
     EQUILIBRATE_ITERS,
+    REG_COLUMN,
     ConeSpec,
     Scaling,
     StandardConicForm,
@@ -187,11 +189,11 @@ class OracleScaling:
         return out
 
 
-def oracle_kkt(A, G, w_inv, reg):
-    """Exact and regularized KKT matrices, assembled block by block."""
+def oracle_kkt(A, G, w_inv):
+    """The exact KKT matrix, assembled block by block."""
     n, p, m = A.shape[1], A.shape[0], G.shape[0]
     Gt = sp.csr_matrix(w_inv) @ G
-    M0 = sp.bmat(
+    return sp.bmat(
         [
             [sp.csc_matrix((n, n)), A.T, Gt.T],
             [A, sp.csc_matrix((p, p)), None],
@@ -199,8 +201,18 @@ def oracle_kkt(A, G, w_inv, reg):
         ],
         format="csc",
     ).toarray()
-    shift = np.concatenate([np.full(n, reg), np.full(p, -reg), np.full(m, -reg)])
-    return M0, M0 + np.diag(shift)
+
+
+def oracle_reduced(A, G, w_inv, reg):
+    """The reduced matrix [[H + diag(max(reg, REG_COLUMN h_jj)), A'], [A, -reg I]],
+    H = (W^{-1}G)'(W^{-1}G) / (1 + reg): the regularized KKT matrix with its
+    cone block eliminated, plus the per-column diagonal floor."""
+    n, p = A.shape[1], A.shape[0]
+    Gt = w_inv @ G.toarray()
+    H = Gt.T @ Gt / (1.0 + reg)
+    d = np.diag(H).copy()
+    H[range(n), range(n)] = d + np.maximum(reg, REG_COLUMN * d)
+    return np.block([[H, A.toarray().T], [A.toarray(), -reg * np.eye(p)]])
 
 
 # -- random instances ---------------------------------------------------------
@@ -324,6 +336,10 @@ class TestAgainstOracle:
 
     @settings(max_examples=60)
     @given(cases, st.integers(0, 3), st.integers(1, 6))
+    # p + m < n: [A; G] lacks full column rank, and only the diagonal floor
+    # keeps the reduced matrix's x block from being singular
+    @example((ConeSpec(orthant=1, socs=(2,)), 7, False), 1, 6)
+    @example((ConeSpec(orthant=1, socs=(2,)), 8, True), 1, 6)
     def test_kkt_refill(self, case, p, n):
         spec, seed, near = case
         rng = np.random.default_rng(seed)
@@ -333,19 +349,23 @@ class TestAgainstOracle:
 
 
 def assert_kkt_matches_oracle(spec, A, G, rng, near=False):
-    """The refilled matrices equal a block-by-block assembly around the same
-    W^{-1} (test_scaling checks W^{-1} itself against the oracle), permuted
-    symmetrically by the system's recorded ordering."""
+    """The refilled matrices equal an assembly around the same W^{-1}
+    (test_scaling checks W^{-1} itself against the oracle), permuted
+    symmetrically by the system's recorded ordering: the exact full matrix
+    the block-by-block one, and the factored reduced matrix the dense
+    reduced one, in the ordering's first n + p entries, which order x and y
+    alone."""
     kkt = _KKTSystem(A, G, spec)
-    N = A.shape[1] + A.shape[0] + G.shape[0]
-    assert np.array_equal(np.sort(kkt.perm), np.arange(N))
-    at = np.ix_(kkt.perm, kkt.perm)
+    R, N = A.shape[1] + A.shape[0], A.shape[1] + A.shape[0] + G.shape[0]
+    assert np.array_equal(np.sort(kkt.perm[:R]), np.arange(R))
+    assert np.array_equal(np.sort(kkt.perm[R:]), np.arange(R, N))
     for _ in range(2):  # the second refill writes over the first
         w_inv = Scaling(spec, interior_point(spec, rng, near), interior_point(spec, rng, near)).w_inv_matrix()
         kkt.refill(w_inv)
-        M0, Mreg = oracle_kkt(A, G, w_inv.toarray(), 1e-11)
-        assert_close(kkt.exact.toarray().astype(float), M0[at])
-        assert_close(kkt.regularized.toarray(), Mreg[at])
+        M0 = oracle_kkt(A, G, w_inv.toarray())
+        assert_close(kkt.exact.toarray().astype(float), M0[np.ix_(kkt.perm, kkt.perm)])
+        reduced = oracle_reduced(A, G, w_inv.toarray(), 1e-11)
+        assert_close(kkt.reduced.toarray(), reduced[np.ix_(kkt.perm[:R], kkt.perm[:R])])
 
 
 def bandwidth(M):
@@ -355,8 +375,9 @@ def bandwidth(M):
 
 def test_refined_solve_in_original_order():
     """On a path-structured KKT (pivoting at K=10), the factor of the
-    permuted matrix, refined and mapped back, solves M v = rhs as a dense
-    solve in the original order does; the permutation narrows the band."""
+    permuted reduced matrix, refined against the full matrix and mapped
+    back, solves M v = rhs as a dense solve in the original order does; the
+    factored matrix has a far narrower band than M."""
     prob = canonicalize(assemble_scenario(load_scenario(SCENARIOS / "pivoting.json"), build_grid(10)))
     spec = prob.cones
     rng = np.random.default_rng(4)
@@ -364,12 +385,12 @@ def test_refined_solve_in_original_order():
     w_inv = Scaling(spec, interior_point(spec, rng, False), interior_point(spec, rng, False)).w_inv_matrix()
     kkt.refill(w_inv)
     kkt.factor()
-    M0, _ = oracle_kkt(prob.A, prob.G, w_inv.toarray(), 1e-11)
+    M0 = oracle_kkt(prob.A, prob.G, w_inv.toarray())
     rhs = rng.normal(size=M0.shape[0])
     want = np.linalg.solve(M0, rhs)
     got = kkt.refined_solve(rhs)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
-    assert 4 * bandwidth(kkt.regularized.toarray()) < bandwidth(M0)
+    assert 4 * bandwidth(kkt.reduced.toarray()) < bandwidth(M0)
 
 
 # -- edge shapes ------------------------------------------------------------------

@@ -441,9 +441,10 @@ def test_sweep_bad_points_get_their_own_status(threads):
 def test_sweep_malformed_value_is_input_error():
     # a value of the wrong shape for its field is the point's bad input
     sc = scenario_from_dict(slider_scenario(grid_points=8))
-    pts = sweep(sc, "grid_points", [8, 2.5], threads=1)
-    assert [p.status for p in pts] == ["Optimal", SWEEP_INPUT_ERROR]
+    pts = sweep(sc, "grid_points", [8, 2.5, 2**63], threads=1)
+    assert [p.status for p in pts] == ["Optimal", SWEEP_INPUT_ERROR, SWEEP_INPUT_ERROR]
     assert "scenario.grid_points: must be a positive whole interval count, got 2.5" in pts[1].message
+    assert pts[2].message == f"scenario.grid_points: must be at most {2**63 - 2}, got {2**63}"
     (pt,) = sweep(sc, "boundary_sdot", [5.0], threads=1)
     assert pt.status == SWEEP_INPUT_ERROR and pt.message.startswith("scenario.boundary_sdot: ")
 
@@ -606,6 +607,19 @@ def test_cli_count_below_one_exit(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("count", [10**400, 2**63], ids=["1e400", "2e63"])
+def test_cli_grid_too_large_to_size_exit(tmp_path, capsys, command, count):
+    # np.linspace cannot size count + 1 points; neither count allocates
+    argv = [command, write_scenario(tmp_path, slider_scenario(grid_points=8)), "--grid", str(count)]
+    if command == "sweep":
+        argv += ["--param", "robots.0.model.joints.0.accel_max", "--values", "1.0"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert f"input error: --grid must be at most {2**63 - 2}, got {count}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_override_zero_is_not_the_scenario_grid():
     sc = scenario_from_dict(slider_scenario(grid_points=8))
     with pytest.raises(ValueError, match="at least one interval"):
@@ -757,6 +771,9 @@ def test_cli_verify_bad_tolerance_exit(tmp_path, capsys, tolerance):
         pytest.param("grid_points", "ten", "grid_points", id="grid_points_text"),
         pytest.param("grid_points", 2.5, "grid_points", id="grid_points_fraction"),
         pytest.param("grid_points", True, "grid_points", id="grid_points_bool"),
+        # counts whose intervals + 1 points numpy cannot size; neither allocates
+        pytest.param("grid_points", 10**400, "grid_points", id="grid_points_1e400"),
+        pytest.param("grid_points", 2**63, "grid_points", id="grid_points_2e63"),
         pytest.param("boundary_sdot", ["a", 0], "boundary_sdot", id="boundary_sdot_text"),
         pytest.param("boundary_sdot", 5, "boundary_sdot", id="boundary_sdot_number"),
         pytest.param("limit_scale", 3, "limit_scale", id="limit_scale_number"),

@@ -916,6 +916,39 @@ class TestEarlyCertificates:
         assert point.iterations <= 8
 
 
+# Status and iteration count of planted forms whose [A; G] lacks full column
+# rank, by (seed, margin, scale).  With REG as its only regularization, the
+# reduced KKT matrix is singular to working precision on these once W^{-2}
+# grows: REG rounds away next to a large diagonal entry, and half of these
+# solves end in NumericalFailure.  REG_COLUMN prevents that.
+PLANTED_RANK_DEFICIENT = {
+    (2, 1.0, "none"): ("Optimal", 5),
+    (2, 1.0, "cost"): ("Optimal", 7),
+    (2, -1.0, "none"): ("PrimalInfeasible", 6),
+    (2, -1.0, "cost"): ("PrimalInfeasible", 7),
+    (3, 1.0, "none"): ("Optimal", 6),
+    (3, 1.0, "cost"): ("Optimal", 6),
+    (3, -1.0, "none"): ("PrimalInfeasible", 5),
+    (3, -1.0, "cost"): ("PrimalInfeasible", 5),
+    (22, 1.0, "none"): ("Optimal", 6),
+    (22, 1.0, "cost"): ("Optimal", 7),
+    (22, -1.0, "none"): ("PrimalInfeasible", 6),
+    (22, -1.0, "cost"): ("PrimalInfeasible", 6),
+    (29, 1.0, "none"): ("Optimal", 7),
+    (29, 1.0, "cost"): ("Optimal", 8),
+    (29, -1.0, "none"): ("PrimalInfeasible", 6),
+    (29, -1.0, "cost"): ("PrimalInfeasible", 7),
+}
+
+
+@pytest.mark.parametrize("seed,margin,scale", sorted(PLANTED_RANK_DEFICIENT))
+def test_rank_deficient_planted_forms(seed, margin, scale):
+    prob = badly_scaled(planted_form(seed, margin), scale)
+    assert np.linalg.matrix_rank(sp.vstack([prob.A, prob.G]).toarray()) < prob.c.size
+    report = solve(prob)
+    assert (report.status, report.iterations) == PLANTED_RANK_DEFICIENT[seed, margin, scale]
+
+
 # status and iteration count of every shipped scenario at K=16
 SHIPPED_K16 = {
     "arm_7dof": ("Optimal", 14),
