@@ -573,7 +573,8 @@ SWEEP_INPUT_ERROR = "InputError"
 @dataclass(frozen=True)
 class SweepPoint:
     """One point of a sweep.  `iterations` is the solver's iteration count,
-    None when the point never reached the solver (`SWEEP_INPUT_ERROR`)."""
+    None when the point never reached the solver (`SWEEP_INPUT_ERROR`).
+    `value` is the value as given when `float()` cannot take it."""
 
     value: float
     status: str
@@ -585,6 +586,10 @@ class SweepPoint:
 
 def _sweep_worker(payload):
     data, params, value, grid, tol = payload
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return SweepPoint(value, SWEEP_INPUT_ERROR, None, None, None, f"sweep value {value!r}: {exc}")
     data = copy.deepcopy(data)
     for p in params:
         set_by_path(data, p, value)
@@ -611,9 +616,10 @@ def sweep(
     """Re-solve the scenario at each parameter value.
 
     Each point gets its own status: the solver's, or `SWEEP_INPUT_ERROR`
-    with a message when the value makes the scenario invalid or its
-    assembly fails; the other points still solve.  A parameter path that
-    does not resolve aborts the sweep with `ScenarioError`.
+    with a message when `float()` cannot take the value, the value makes
+    the scenario invalid or its assembly fails; the other points still
+    solve.  A parameter path that does not resolve aborts the sweep with
+    `ScenarioError`.
 
     With `threads` None or 1 the points run serially in the calling
     process; with more, they run in a pool of up to that many worker
@@ -626,7 +632,6 @@ def sweep(
     if threads is not None and threads < 1:
         raise ScenarioError(f"threads must be at least 1, got {threads}")
     params = [param] if isinstance(param, str) else list(param)
-    values = [float(v) for v in values]
     jobs = [(scenario.source, params, v, grid, tol) for v in values]
     workers = min(threads or 1, len(jobs))
     if workers <= 1:

@@ -486,16 +486,14 @@ class _KKTSystem:
     residuals) and `reduced` (R, the matrix that is factored).  Every sum
     is an `np.bincount`, whose order is fixed and which never reaches BLAS.
 
-    Both matrices are stored symmetrically permuted, P M P' with
-    P M P'[i, j] = M[perm[i], perm[j]], and R in the order perm[:n + p].
-    That is the reverse Cuthill-McKee order of R's fixed pattern (George &
-    Liu, 1981), followed by the rows of z, each placed by the first x it
-    reaches.  Each grid interval couples only to its neighbours, so in that
-    order R is narrowly banded and SuperLU factors it as it stands (natural
-    column order, partial pivoting kept), with no fill-reducing ordering
-    recomputed per factor, and the products with M read their vectors
-    nearly in order.  `solve` and `refined_solve` take and return (x, y, z)
-    vectors in the original order.
+    Only R is stored permuted: R[i, j] holds the entry of rows perm[i] and
+    perm[j] of the (x, y) system, with perm the reverse Cuthill-McKee order
+    of R's fixed pattern (George & Liu, 1981).  Each grid interval couples
+    only to its neighbours, so in that order R is narrowly banded and
+    SuperLU factors it as it stands (natural column order, partial pivoting
+    kept), with no fill-reducing ordering recomputed per factor.  M, W^{-1}G
+    and every (x, y, z) vector stay in the problem's own order; the
+    permutation is applied only around the triangular solves.
     """
 
     def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, spec: ConeSpec):
@@ -511,9 +509,10 @@ class _KKTSystem:
         self._w_at = (w_indptr[k] + offset).astype(np.int32)
         self._g_vals = G.data[entry]
         keys, target = np.unique((first[k] + offset) * n + G.indices[entry], return_inverse=True)
-        # keys sort by row, then column
+        # keys sort by row, then column: W^{-1}G's CSR order
         wg_row, wg_col = keys // n, keys % n
-        del row, size, entry, offset, k, keys
+        self._target = target.astype(np.int32)
+        del row, size, entry, offset, k, keys, target
 
         # each W^{-1}G entry pairs with itself and the entries after it in
         # its row; H's diagonal is in the pattern whether a pair reaches it
@@ -523,12 +522,13 @@ class _KKTSystem:
         b = a + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
         diag = np.arange(n) * (n + 1)
         h_keys, h_target = np.unique(np.concatenate((wg_col[a] * n + wg_col[b], diag)), return_inverse=True)
+        self._h_a, self._h_b = a.astype(np.int32), b.astype(np.int32)
         self._h_target = h_target[: a.size].astype(np.int32)
         self._h_diag = np.searchsorted(h_keys, diag).astype(np.int32)
         h_row, h_col = h_keys // n, h_keys % n
         off = np.flatnonzero(h_row != h_col)
         self._h_off = off.astype(np.int32)
-        del count, h_target, diag
+        del count, a, b, h_target, diag
 
         A = A.tocoo()
         y_diag = n + np.arange(p)
@@ -540,45 +540,28 @@ class _KKTSystem:
             from scipy.sparse.csgraph import reverse_cuthill_mckee
 
             pattern = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(R, R))
-            perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
+            self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
             del pattern
         else:
-            perm = np.zeros(0, dtype=np.intp)
-        label = np.empty(R + m, dtype=np.intp)
-        label[perm] = np.arange(R)
-        first_x = np.full(m, R)
-        np.minimum.at(first_x, wg_row, label[wg_col])
-        self.perm = np.concatenate((perm, R + np.argsort(first_x, kind="stable")))
-        label[self.perm] = np.arange(R + m)
-        del perm, first_x
-
-        # W^{-1}G's entries in CSR order of its stored rows and columns; the
-        # maps into its data are renumbered to match
-        wg_row, wg_col = label[R + wg_row] - R, label[wg_col]
-        order = np.argsort(wg_row * R + wg_col)
-        at = np.empty(order.size, dtype=np.int32)
-        at[order] = np.arange(order.size)
-        self._target = at[target]
-        self._h_a, self._h_b = at[a], at[b]
-        wg_row, wg_col = wg_row[order], wg_col[order]
-        del target, a, b, order, at
-        self._wg = sp.csr_matrix(
-            (np.zeros(wg_row.size), wg_col, np.searchsorted(wg_row, np.arange(m + 1))), shape=(m, R)
-        )
-        self._wg_t = self._wg.T  # shares the data array
-
+            self.perm = np.zeros(0, dtype=np.intp)
+        label = np.empty(R, dtype=np.intp)
+        label[self.perm] = np.arange(R)
         values = np.concatenate((np.zeros(h_keys.size + off.size), np.full(p, -REG), A.data, A.data))
         arrays, slot = _csc_arrays(label[rows], label[cols], values, R)
         self.reduced = sp.csc_matrix(arrays, shape=(R, R))
         self._h_slots = slot[: h_keys.size]
         self._h_mirror = slot[h_keys.size : h_keys.size + off.size]
-        del h_keys, h_row, h_col, off, rows, cols, values, slot
+        del h_keys, h_row, h_col, off, rows, cols, values, slot, label
 
+        self._wg = sp.csr_matrix(
+            (np.zeros(wg_row.size), wg_col, np.searchsorted(wg_row, np.arange(m + 1))), shape=(m, R)
+        )
+        self._wg_t = self._wg.T  # shares the data array
         # M is symmetric, so its CSC arrays read as CSR are M again; the
         # row-wise CSR product is the faster one
-        z_diag, a_row, a_col = R + np.arange(m), label[n + A.row], label[A.col]
-        rows = np.concatenate((R + wg_row, wg_col, z_diag, a_row, a_col))
-        cols = np.concatenate((wg_col, R + wg_row, z_diag, a_col, a_row))
+        z_diag = R + np.arange(m)
+        rows = np.concatenate((R + wg_row, wg_col, z_diag, n + A.row, A.col))
+        cols = np.concatenate((wg_col, R + wg_row, z_diag, A.col, n + A.row))
         values = np.concatenate((np.zeros(2 * wg_row.size), -np.ones(m), A.data, A.data))
         arrays, slot = _csc_arrays(rows, cols, values.astype(np.longdouble), R + m)
         self.exact = sp.csr_matrix(arrays, shape=(R + m, R + m))
@@ -604,19 +587,17 @@ class _KKTSystem:
         # costs a quarter of the factor time.
         self._lu = splu(self.reduced, permc_spec="NATURAL", panel_size=1)
 
-    def _solve_stored(self, rhs: np.ndarray) -> np.ndarray:
-        """The regularized system's solution through the factor of R, both
-        in the stored order."""
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The regularized system's solution through the factor of R."""
         R = self._R
         rz = rhs[R:]
-        xy = self._lu.solve(rhs[:R] + self._wg_t @ rz / (1.0 + REG))
+        xy = np.empty(R)
+        xy[self.perm] = self._lu.solve((rhs[:R] + self._wg_t @ rz / (1.0 + REG))[self.perm])
         return np.concatenate((xy, (self._wg @ xy - rz) / (1.0 + REG)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M v = rhs by one solve with the last factor, unrefined."""
-        out = np.empty(rhs.size)
-        out[self.perm] = self._solve_stored(rhs[self.perm])
-        return out
+        return self._solve(rhs)
 
     def refined_solve(self, rhs: np.ndarray) -> np.ndarray:
         """M v = rhs by the last factor, refined against the exact M.
@@ -631,25 +612,22 @@ class _KKTSystem:
         directions a step is made of, u1 and the corrector; the predictor,
         which only sizes the centering, takes the plain `_KKTSystem.solve`.
         """
-        rhs = rhs[self.perm]
         rhs_ld = rhs.astype(np.longdouble)
-        sol = self._solve_stored(rhs).astype(np.longdouble)
+        sol = self._solve(rhs).astype(np.longdouble)
         resid = rhs_ld - self.exact @ sol
         best, best_res = sol, _norm(resid.astype(np.float64))
         floor = 1e-16 * (_norm(rhs) + 1.0)
         for _ in range(REFINE_STEPS):
             if best_res <= floor:
                 break
-            sol = sol + self._solve_stored(resid.astype(np.float64))
+            sol = sol + self._solve(resid.astype(np.float64))
             resid = rhs_ld - self.exact @ sol
             res = _norm(resid.astype(np.float64))
             if res < best_res:
                 best, best_res = sol, res
             else:
                 break
-        out = np.empty(rhs.size)
-        out[self.perm] = best
-        return out
+        return best.astype(np.float64)
 
 
 def _csc_arrays(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, size: int) -> tuple:

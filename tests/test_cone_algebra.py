@@ -7,9 +7,10 @@ with it to 1e-12 relative on random specs (orthant 0-4, cone sizes 1-5 in
 any order) at strictly interior points, including points close to the
 cone boundary.  The KKT system factors the reduced matrix left after the
 cone block is eliminated, in its own ordering, so a dense reduced oracle is
-permuted by that ordering before comparing; the full exact matrix is held
-to the block-by-block oracle, and a solve through the permuted factor is
-held to a dense solve of the full system in the original order.
+permuted by that ordering before comparing; the full exact matrix, kept in
+the problem's order, is held to the block-by-block oracle, and the plain and
+refined solves through the permuted factor are held to dense solves in the
+original order.
 
 The equilibration is checked the same way against the loop it replaced,
 which rebuilt the stacked matrix and rescaled it by sparse products on every
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 from contact_topp.solver import (
     EQUILIBRATE_ITERS,
+    REG,
     REG_COLUMN,
     ConeSpec,
     Scaling,
@@ -347,25 +349,74 @@ class TestAgainstOracle:
         G = sp.random(spec.total, n, density=0.5, random_state=rng, format="csr")
         assert_kkt_matches_oracle(spec, A, G, rng, near)
 
+    @settings(max_examples=60)
+    @given(cases, st.integers(0, 3), st.integers(1, 6))
+    @example((ConeSpec(orthant=1, socs=(2,)), 7, False), 1, 6)  # p + m < n
+    def test_kkt_plain_solve(self, case, p, n):
+        spec, seed, near = case
+        rng = np.random.default_rng(seed)
+        A = sp.random(p, n, density=0.6, random_state=rng, format="csr")
+        G = sp.random(spec.total, n, density=0.5, random_state=rng, format="csr")
+        got, want, reduced = plain_solve_and_dense(spec, A, G, rng, near)
+        # the forward error is at most cond(R) times the backward error; a
+        # rank-deficient A or [A; G] (as in the p + m < n example) or a
+        # scaling near the cone boundary takes cond(R) to 1e11 and beyond,
+        # where only refinement against M gives the last digits back
+        if np.linalg.cond(reduced) < 1e6:
+            assert_solve_close(got, want)
+
+
+def plain_solve_and_dense(spec, A, G, rng, near=False):
+    """(got, want, R): `solve` after refill and factor on a random
+    right-hand side, and the dense reference in the original order, (x, y)
+    from the dense reduced matrix R and z = (W^{-1}G x - r_z) / (1 + REG).
+
+    Whatever R's conditioning, got solves the dense reduced system to a
+    backward error of 1e-12, and its z follows from its x.
+    """
+    n, p = A.shape[1], A.shape[0]
+    kkt = _KKTSystem(A, G, spec)
+    w_inv = Scaling(spec, interior_point(spec, rng, near), interior_point(spec, rng, near)).w_inv_matrix()
+    kkt.refill(w_inv)
+    kkt.factor()
+    wg = w_inv.toarray() @ G.toarray()
+    rhs = rng.normal(size=n + p + G.shape[0])
+    rx, ry, rz = np.split(rhs, [n, n + p])
+    reduced = oracle_reduced(A, G, w_inv.toarray(), REG)
+    b = np.concatenate((rx + wg.T @ rz / (1.0 + REG), ry))
+    xy = np.linalg.solve(reduced, b)
+    want = np.concatenate((xy, (wg @ xy[:n] - rz) / (1.0 + REG)))
+    got = kkt.solve(rhs)
+    assert_backward(reduced, got[: n + p], b)
+    assert_backward(wg, got[:n], rz + (1.0 + REG) * got[n + p :])  # z follows from x
+    return got, want, reduced
+
+
+def assert_backward(matrix, v, r):
+    """matrix v = r to a backward error of 1e-12."""
+    scale = np.max(np.abs(matrix), initial=0.0) * np.max(np.abs(v), initial=0.0) + np.max(np.abs(r), initial=0.0)
+    assert np.max(np.abs(matrix @ v - r), initial=0.0) <= 1e-12 * scale
+
+
+def assert_solve_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
+
 
 def assert_kkt_matches_oracle(spec, A, G, rng, near=False):
     """The refilled matrices equal an assembly around the same W^{-1}
-    (test_scaling checks W^{-1} itself against the oracle), permuted
-    symmetrically by the system's recorded ordering: the exact full matrix
-    the block-by-block one, and the factored reduced matrix the dense
-    reduced one, in the ordering's first n + p entries, which order x and y
-    alone."""
+    (test_scaling checks W^{-1} itself against the oracle): the exact full
+    matrix the block-by-block one, in the problem's order, and the factored
+    reduced matrix the dense reduced one, permuted symmetrically by the
+    system's recorded ordering of its n + p rows."""
     kkt = _KKTSystem(A, G, spec)
-    R, N = A.shape[1] + A.shape[0], A.shape[1] + A.shape[0] + G.shape[0]
-    assert np.array_equal(np.sort(kkt.perm[:R]), np.arange(R))
-    assert np.array_equal(np.sort(kkt.perm[R:]), np.arange(R, N))
+    R = A.shape[1] + A.shape[0]
+    assert np.array_equal(np.sort(kkt.perm), np.arange(R))
     for _ in range(2):  # the second refill writes over the first
         w_inv = Scaling(spec, interior_point(spec, rng, near), interior_point(spec, rng, near)).w_inv_matrix()
         kkt.refill(w_inv)
-        M0 = oracle_kkt(A, G, w_inv.toarray())
-        assert_close(kkt.exact.toarray().astype(float), M0[np.ix_(kkt.perm, kkt.perm)])
+        assert_close(kkt.exact.toarray().astype(float), oracle_kkt(A, G, w_inv.toarray()))
         reduced = oracle_reduced(A, G, w_inv.toarray(), 1e-11)
-        assert_close(kkt.reduced.toarray(), reduced[np.ix_(kkt.perm[:R], kkt.perm[:R])])
+        assert_close(kkt.reduced.toarray(), reduced[np.ix_(kkt.perm, kkt.perm)])
 
 
 def bandwidth(M):
@@ -391,6 +442,14 @@ def test_refined_solve_in_original_order():
     got = kkt.refined_solve(rhs)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
     assert 4 * bandwidth(kkt.reduced.toarray()) < bandwidth(M0)
+
+
+def test_plain_solve_in_original_order():
+    """The unrefined solve through the permuted factor, on the
+    path-structured KKT of pivoting at K=10, against the dense one."""
+    prob = canonicalize(assemble_scenario(load_scenario(SCENARIOS / "pivoting.json"), build_grid(10)))
+    got, want, _ = plain_solve_and_dense(prob.cones, prob.A, prob.G, np.random.default_rng(5))
+    assert_solve_close(got, want)
 
 
 # -- edge shapes ------------------------------------------------------------------

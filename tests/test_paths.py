@@ -65,7 +65,9 @@ def test_shipped_path_matches_cubic_spline(file):
 
 
 def test_import_leaves_out_interpolate_optimize_special():
-    heavy = ("scipy.interpolate", "scipy.optimize", "scipy.special")
+    # csgraph: the KKT system imports it when a solve starts, so `topp verify`,
+    # which never solves, does not load it
+    heavy = ("scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.sparse.csgraph")
     code = f"import sys, contact_topp; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)

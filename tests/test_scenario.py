@@ -439,12 +439,15 @@ def test_sweep_bad_points_get_their_own_status(threads):
 
 
 def test_sweep_malformed_value_is_input_error():
-    # a value of the wrong shape for its field is the point's bad input
+    # a value of the wrong shape for its field is the point's bad input, and
+    # so is one that `float()` cannot take: values are converted point by point
     sc = scenario_from_dict(slider_scenario(grid_points=8))
-    pts = sweep(sc, "grid_points", [8, 2.5, 2**63], threads=1)
-    assert [p.status for p in pts] == ["Optimal", SWEEP_INPUT_ERROR, SWEEP_INPUT_ERROR]
+    pts = sweep(sc, "grid_points", [8, 2.5, 2**63, 10**400, "eight"], threads=1)
+    assert [p.status for p in pts] == ["Optimal"] + [SWEEP_INPUT_ERROR] * 4
     assert "scenario.grid_points: must be a positive whole interval count, got 2.5" in pts[1].message
     assert pts[2].message == f"scenario.grid_points: must be at most {2**63 - 2}, got {2**63}"
+    assert pts[3].value == 10**400 and pts[3].message.startswith(f"sweep value {10**400}: ")
+    assert pts[4].message.startswith("sweep value 'eight': ")
     (pt,) = sweep(sc, "boundary_sdot", [5.0], threads=1)
     assert pt.status == SWEEP_INPUT_ERROR and pt.message.startswith("scenario.boundary_sdot: ")
 
