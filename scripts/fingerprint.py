@@ -26,6 +26,8 @@ no other oracle key.
 and for every shipped scenario (scenarios/*.json and scenarios/waiter/*.json)
 it solves at K intervals and records:
 
+  dump/<name>              sha256 of `json.dumps(program.to_json_dict())`,
+                           the bytes `topp solve --dump-program` writes
   form/<name>              sha256 of the canonical form the iteration runs
                            on (c, A, b, G, h, the cones and the row labels),
                            so a change to the transcription that leaves the
@@ -145,7 +147,7 @@ def form_hash(program) -> str:
     d = Digest().add(form.c, form.b, form.h)
     for M in (form.A, form.G):
         d.add(repr(M.shape), M.data, M.indices, M.indptr)
-    return d.add(repr((form.cones.orthant, form.cones.socs)), json.dumps(list(form.row_labels))).hexdigest()
+    return d.add(repr((form.cones.orthant, form.cones.socs)), json.dumps(form.ids.labels())).hexdigest()
 
 
 def solve_keys(name: str, K: int) -> dict:
@@ -153,6 +155,7 @@ def solve_keys(name: str, K: int) -> dict:
     program, report, solution = solve_scenario(sc, RunSettings(grid_override=K))
     T = None if solution is None else float(recover_time(solution.speed_sq, program.grid).total).hex()
     return {
+        f"dump/{name}": hashlib.sha256(json.dumps(program.to_json_dict()).encode()).hexdigest(),
         f"form/{name}": form_hash(program),
         f"solve/{name}/status": report.status,
         f"solve/{name}/iterations": report.iterations,

@@ -57,13 +57,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+
+from .transcription import RowIds
 
 OPTIMAL = "Optimal"
 PRIMAL_INFEASIBLE = "PrimalInfeasible"
@@ -170,7 +172,7 @@ class StandardConicForm:
     G: sp.csr_matrix
     h: np.ndarray
     cones: ConeSpec
-    row_labels: list = field(default_factory=list)
+    ids: RowIds | None = None  # of the rows of G
 
 
 # default tolerance on the relative primal and dual residuals, the relative
@@ -244,9 +246,10 @@ def canonicalize(program) -> StandardConicForm:
     G_bounds.data *= np.repeat(np.where(is_lower, -1.0, 1.0), np.diff(G_bounds.indptr))
     offset = bounds.offset[which]
     h_bounds = np.where(is_lower, offset - bounds.lower[which], bounds.upper[which] - offset)
-    labels = [f"{bounds.labels[i]}:{('upper', 'lower')[j]}" for i, j in zip(which.tolist(), side.tolist())]
     # slack equals the affine expression: G row = -vals, h = offset
     G = sp.vstack([G_bounds, -C], format="csr")
+    # each bound family splits in two by side, (name, owner, "upper") and (..., "lower")
+    bi, ci, nb = bounds.ids, cones.ids, len(bounds.ids.families)
 
     return StandardConicForm(
         c=program.objective.astype(float).copy(),
@@ -255,7 +258,12 @@ def canonicalize(program) -> StandardConicForm:
         G=G,
         h=np.concatenate((h_bounds, cones.offset)),
         cones=ConeSpec(orthant=which.size, socs=tuple(int(d) for d in cones.sizes)),
-        row_labels=labels + list(cones.labels),
+        ids=RowIds(
+            tuple(fam + (s,) for s in ("upper", "lower") for fam in bi.families) + ci.families,
+            np.concatenate((bi.family[which] + nb * side, ci.family + 2 * nb)),
+            np.concatenate((bi.k[which], ci.k)),
+            np.concatenate((bi.j[which], ci.j)),
+        ),
     )
 
 

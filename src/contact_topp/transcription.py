@@ -24,9 +24,9 @@ TOPP), so each interval gets one velocity row: that of the joint whose
 tie.  A joint with q'_i = 0 there bounds nothing and gets no row.
 
 The program holds three row sections (equalities, bounds, cone rows), each
-one sparse matrix with an offset vector and row labels.  `assemble` fills
-them family by family (torque, balance, ..., inv_epigraph) with array
-operations over the samples of all K midpoints.
+one sparse matrix with an offset vector and integer row identities (see
+`RowIds`).  `assemble` fills them family by family (torque, balance, ...,
+inv_head) with array operations over the samples of all K midpoints.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ STALL_TOLERANCE = 1e-9
 # slack allowed to a velocity or acceleration limit row whose value is a
 # constant (fixed boundary speeds) before assembly rejects it
 CONSTANT_TOL = 1e-9
+# a cone's name in the program dump, by the family of its head row
+CONE_NAMES = {"cone_head": "cone", "sqrt_head": "sqrt_epigraph", "inv_head": "inv_epigraph"}
 
 
 @dataclass(frozen=True)
@@ -69,25 +71,38 @@ def build_grid(intervals: int) -> Grid:
 
 
 @dataclass(frozen=True, eq=False)
+class RowIds:
+    """What each row is.  `family` indexes `families`: one (name, owner) pair
+    per family, the owner a contact id, an object name or None, and on the
+    canonical form a third entry, the bound side "upper" or "lower".  k is
+    the row's interval (its node for speed_sq_nonneg and sqrt_*), j its joint
+    or wrench component, -1 where it has none."""
+
+    families: tuple
+    family: np.ndarray
+    k: np.ndarray
+    j: np.ndarray
+
+    def labels(self, rows=slice(None), rename=None) -> list:
+        """`name[owner][k][j]` for each of `rows`, no [owner] for None and no [j] for -1,
+        then `:side` for a family with a side; `rename` maps a name to the one written."""
+        heads = [(rename or {}).get(name, name) + ("" if o is None else f"[{o}]") for name, o, *_ in self.families]
+        sides = [f":{side[0]}" if side else "" for _, _, *side in self.families]
+        ids = zip(self.family[rows].tolist(), self.k[rows].tolist(), self.j[rows].tolist())
+        return [f"{heads[f]}[{k}]{'' if j < 0 else f'[{j}]'}{sides[f]}" for f, k, j in ids]
+
+
+@dataclass(frozen=True, eq=False)
 class Rows:
-    """Affine rows `matrix @ x + offset`, one label per row.
+    """Affine rows `matrix @ x + offset` and what each row is.
 
     The matrix is `num_vars` columns wide and stores no zero; `canonicalize`
-    reads it as it is, and `row_dicts` writes it out for the program dump.
+    reads it as it is.
     """
 
     matrix: sp.csr_matrix
     offset: np.ndarray
-    labels: tuple
-
-    def row_dicts(self) -> list:
-        """One {cols, vals, offset, label} dict per row (the program-v1 layout)."""
-        m = self.matrix
-        ends = m.indptr.tolist()
-        return [
-            {"cols": m.indices[a:b].tolist(), "vals": m.data[a:b].tolist(), "offset": off, "label": lab}
-            for a, b, off, lab in zip(ends[:-1], ends[1:], self.offset.tolist(), self.labels)
-        ]
+    ids: RowIds
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +119,6 @@ class ConeRows(Rows):
     the first row bounds the norm of the others."""
 
     sizes: tuple
-    cone_labels: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,8 +186,18 @@ class ConicProgram:
         def bound_val(v):
             return None if not np.isfinite(v) else v
 
-        cone_rows = self.cones.row_dicts()
-        ends = np.cumsum(self.cones.sizes, dtype=np.intp).tolist()
+        def row_dicts(rows) -> list:
+            """One {cols, vals, offset, label} dict per row (the program-v1 layout)."""
+            m = rows.matrix
+            ends = m.indptr.tolist()
+            return [
+                {"cols": m.indices[a:b].tolist(), "vals": m.data[a:b].tolist(), "offset": off, "label": lab}
+                for a, b, off, lab in zip(ends[:-1], ends[1:], rows.offset.tolist(), rows.ids.labels())
+            ]
+
+        cone_rows = row_dicts(self.cones)
+        edges = np.cumsum((0,) + self.cones.sizes).tolist()
+        names = self.cones.ids.labels(edges[:-1], CONE_NAMES)
         nd = self.nodes
         return {
             "format": "contact-topp/program-v1",
@@ -182,15 +206,12 @@ class ConicProgram:
                 "cols": np.nonzero(self.objective)[0].tolist(),
                 "vals": self.objective[np.nonzero(self.objective)[0]].tolist(),
             },
-            "equalities": self.equalities.row_dicts(),
+            "equalities": row_dicts(self.equalities),
             "bounds": [
                 dict(row, lower=bound_val(lo), upper=bound_val(hi))
-                for row, lo, hi in zip(self.bounds.row_dicts(), self.bounds.lower.tolist(), self.bounds.upper.tolist())
+                for row, lo, hi in zip(row_dicts(self.bounds), self.bounds.lower.tolist(), self.bounds.upper.tolist())
             ],
-            "cones": [
-                {"label": label, "rows": cone_rows[end - size : end]}
-                for label, size, end in zip(self.cones.cone_labels, self.cones.sizes, ends)
-            ],
+            "cones": [{"label": name, "rows": cone_rows[a:b]} for name, a, b in zip(names, edges, edges[1:])],
             "slices": {k: [v.start, v.stop] for k, v in self.slices.items()},
             "nodes": [
                 {
@@ -217,26 +238,32 @@ class _Section:
     marks the grid points that get a row, numbered in C order.  Each term is
     (columns, values, present), broadcastable to the grid shape + (slots,),
     and only present entries are stored; `build` drops those whose value is
-    zero, so no matrix carries an explicit zero.  The offset and any other
-    per-row field (lower, upper) broadcast over the grid; `label` formats a
-    row from its grid index.
+    zero, so no matrix carries an explicit zero.  The offset, the other per-row
+    fields (lower, upper) and the row's `family` id, k and j broadcast over the
+    grid; k and j default to its first and last axis (j to -1 on one axis).
     """
 
     def __init__(self):
         self.size = 0
         self.entries: list = []
-        self.labels: list = []
+        self.families: dict = {}
         self.per_row: dict = defaultdict(list)
 
-    def add(self, keep: np.ndarray, terms, offset, label, **per_row):
-        ids = self.size + np.cumsum(keep).reshape(keep.shape) - 1
+    def family(self, name: str, owner=None) -> int:
+        """The id of the family (name, owner), added on first use."""
+        return self.families.setdefault((name, owner), len(self.families))
+
+    def add(self, keep: np.ndarray, terms, offset, family, k=None, j=None, **per_row):
+        row = self.size + np.cumsum(keep).reshape(keep.shape) - 1
         for cols, vals, present in terms:
             full = keep.shape + np.shape(cols)[-1:]
             on = np.broadcast_to(present, full) & keep[..., None]
-            self.entries.append([np.broadcast_to(a, full)[on] for a in (ids[..., None], cols, vals)])
-        for name, value in dict(per_row, offset=offset).items():
-            self.per_row[name].append(np.broadcast_to(value, keep.shape)[keep].astype(float))
-        self.labels += [label(*ix) for ix in zip(*np.nonzero(keep))]
+            self.entries.append([np.broadcast_to(a, full)[on] for a in (row[..., None], cols, vals)])
+        at = np.indices(keep.shape, sparse=True)
+        k = at[0] if k is None else k
+        j = (at[-1] if keep.ndim > 1 else -1) if j is None else j
+        for name, value in dict(per_row, offset=offset, family=family, k=k, j=j).items():
+            self.per_row[name].append(np.broadcast_to(value, keep.shape)[keep])
         self.size += int(np.count_nonzero(keep))
 
     def build(self, cls, width: int, **fields):
@@ -244,7 +271,8 @@ class _Section:
         matrix = sp.csr_matrix((vals, (rows, cols)), shape=(self.size, width))
         matrix.eliminate_zeros()
         per_row = {name: np.concatenate(parts) for name, parts in self.per_row.items()}
-        return cls(matrix, labels=tuple(self.labels), **per_row, **fields)
+        ids = RowIds(tuple(self.families), *(per_row.pop(name) for name in ("family", "k", "j")))
+        return cls(matrix, ids=ids, **per_row, **fields)
 
 
 def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> ConicProgram:
@@ -348,7 +376,7 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
             b_term,
         ],
         b_const - dyn.torque_gravity,
-        lambda kk, i: f"torque[{kk}][{i}]",
+        equalities.family("torque"),
     )
 
     # object wrench balance: sum sign G F - A a - B b_mid + f_ext = 0, on a
@@ -367,17 +395,16 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
             (b_cols, b_vals, b_present & mine),
         ]
         offset.append(b_const[:, 0] + obj.external)
-    names = [obj.name for obj in objects]
     equalities.add(
         every(K, len(objects), 6),
         terms,
         np.stack(offset, axis=1) if offset else 0.0,
-        lambda kk, o, r: f"balance[{names[o]}][{kk}][{r}]",
+        np.array([equalities.family("balance", obj.name) for obj in objects], dtype=np.intp)[:, None],
     )
 
     # chain-rule coupling b^{k+1} - b^k = 2 Delta a^k
     b_term, b_const = pair(nodes.b_col, nodes.b_value, np.full(K, -1.0), np.full(K, 1.0))
-    equalities.add(every(K), [b_term, (a_col[:, 0], -2.0 * grid.spacing, True)], b_const, lambda kk: f"coupling[{kk}]")
+    equalities.add(every(K), [b_term, (a_col[:, 0], -2.0 * grid.spacing, True)], b_const, equalities.family("coupling"))
 
     # an interval whose two end speeds are both fixed at zero is never
     # traversed: d^k >= 1/(c^k + c^{k+1}) has no solution (c_value is nan
@@ -388,7 +415,7 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
 
     # torque boxes
     boxed = np.broadcast_to(np.isfinite(tl) | np.isfinite(tu), (K, n))
-    bounds.add(boxed, [tau_term], 0.0, lambda kk, i: f"torque_box[{kk}][{i}]", lower=tl, upper=tu)
+    bounds.add(boxed, [tau_term], 0.0, bounds.family("torque_box"), lower=tl, upper=tu)
 
     # joint velocity: (q'_i)^2 b_mid <= vmax_i^2; squares go through libm pow,
     # which rounds as scalar `x ** 2` does (x * x can differ in the last bit).
@@ -408,7 +435,7 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
     ratio = np.divide(cap - const, half, out=np.full((K, n), np.inf), where=bounding)
     binding = bounding & (ratio == ratio.min(axis=1, keepdims=True, initial=np.inf))
     binding &= np.cumsum(binding, axis=1) == 1
-    bounds.add(binding, [b_term], const, lambda kk, i: f"velocity[{kk}][{i}]", lower=-np.inf, upper=cap)
+    bounds.add(binding, [b_term], const, bounds.family("velocity"), lower=-np.inf, upper=cap)
 
     # joint acceleration: q''_i b_mid + q'_i a in [lo, hi]
     b_term, const = mid_b(ddq)
@@ -419,21 +446,21 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
         kk, i = broken[0]
         raise ValueError(f"acceleration limit of joint {i} violated by constants at interval {kk}")
     a_term = (a_col, dq[..., None], dq[..., None] != 0.0)
-    bounds.add(finite & has_cols, [b_term, a_term], const, lambda kk, i: f"acceleration[{kk}][{i}]", lower=al, upper=au)
+    bounds.add(finite & has_cols, [b_term, a_term], const, bounds.family("acceleration"), lower=al, upper=au)
 
     # squared speed stays nonnegative at free nodes
     b_term = (nodes.b_col[:, None], 1.0, True)
-    bounds.add(free, [b_term], 0.0, lambda kk: f"speed_sq_nonneg[{kk}]", lower=0.0, upper=np.inf)
+    bounds.add(free, [b_term], 0.0, bounds.family("speed_sq_nonneg"), lower=0.0, upper=np.inf)
 
     # normal force caps
     for sc in scene.contacts:
         cid, fz_max = sc.cid, sc.spec.fz_max
         if fz_max is not None:
             head = (f_cols([cid])[:, [components[cid].index(sc.cone.head_index)]], 1.0, True)
-            bounds.add(every(K), [head], 0.0, lambda kk: f"normal_cap[{cid}][{kk}]", lower=-np.inf, upper=fz_max)
+            bounds.add(every(K), [head], 0.0, bounds.family("normal_cap", cid), lower=-np.inf, upper=fz_max)
 
     # contact friction cones, one per contact and interval
-    sizes, cone_labels = [], []
+    sizes = []
     for sc in scene.contacts:
         cid, desc = sc.cid, sc.cone
         idx = [desc.head_index] + [i for i, _ in desc.tail]
@@ -443,38 +470,37 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
             every(K, len(idx)),
             [(f_cols([cid])[:, pos, None], weights[:, None], True)],
             0.0,
-            lambda kk, j: f"cone_tail[{cid}][{kk}][{idx[j]}]" if j else f"cone_head[{cid}][{kk}]",
+            np.where(np.arange(len(idx)) == 0, cones.family("cone_head", cid), cones.family("cone_tail", cid)),
+            j=np.array([-1] + idx[1:]),
         )
         sizes += [len(idx)] * K
-        cone_labels += [f"cone[{cid}][{kk}]" for kk in range(K)]
 
     # epigraph linking c^k to sqrt(b^k): norm(2c, b - 1) <= b + 1
     at_free = np.flatnonzero(free)
-    parts = ("sqrt_head", "sqrt_tail_c", "sqrt_tail_b")
     b_free, c_free = nodes.b_col[free], nodes.c_col[free]
     cones.add(
         every(at_free.size, 3),
         [(np.stack((b_free, c_free, b_free), axis=-1)[..., None], np.array([[1.0], [2.0], [1.0]]), True)],
         np.array([1.0, 0.0, -1.0]),
-        lambda j, r: f"{parts[r]}[{at_free[j]}]",
+        [cones.family(name) for name in ("sqrt_head", "sqrt_tail_c", "sqrt_tail_b")],
+        k=at_free[:, None],
+        j=-1,
     )
     sizes += [3] * at_free.size
-    cone_labels += [f"sqrt_epigraph[{kk}]" for kk in at_free]
 
     # epigraph for d >= 1/(c^{k+1} + c^k): norm(2, u - d) <= u + d with
     # u = c^k + c^{k+1}, rows (head, constant two, difference)
     on = np.array([True, False, True])[:, None]
     (c_cols, c_vals, c_present), c_const = pair(nodes.c_col, nodes.c_value, np.ones((K, 1)), np.ones((K, 1)))
-    parts = ("inv_head", "inv_tail_two", "inv_tail_diff")
     d_term = ((slices["d"].start + k)[:, None, None], np.array([[1.0], [0.0], [-1.0]]), on)
     cones.add(
         every(K, 3),
         [(c_cols, c_vals, c_present & on), d_term],
         np.where(on[:, 0], c_const, 2.0),
-        lambda kk, r: f"{parts[r]}[{kk}]",
+        [cones.family(name) for name in ("inv_head", "inv_tail_two", "inv_tail_diff")],
+        j=-1,
     )
     sizes += [3] * K
-    cone_labels += [f"inv_epigraph[{kk}]" for kk in range(K)]
 
     objective = np.zeros(num_vars)
     objective[slices["d"]] = 2.0 * grid.spacing
@@ -484,7 +510,7 @@ def assemble(scene: Scene, grid: Grid, boundary_sdot: tuple = (0.0, 0.0)) -> Con
         objective=objective,
         equalities=equalities.build(Rows, num_vars),
         bounds=bounds.build(BoundRows, num_vars),
-        cones=cones.build(ConeRows, num_vars, sizes=tuple(sizes), cone_labels=tuple(cone_labels)),
+        cones=cones.build(ConeRows, num_vars, sizes=tuple(sizes)),
         slices=slices,
         nodes=nodes,
         grid=grid,

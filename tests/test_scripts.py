@@ -1,10 +1,13 @@
 """The scripts run end to end on a coarse grid."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from contact_topp.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -38,7 +41,7 @@ def test_run_sweeps_prints_three_tables():
     assert done.stdout.count("iterations") == 3
 
 
-def test_fingerprint_is_one_stable_json_line():
+def test_fingerprint_is_one_stable_json_line(tmp_path):
     def run():
         done = subprocess.run(
             [sys.executable, str(SCRIPTS / "fingerprint.py"), "--grid", "6"],
@@ -58,12 +61,15 @@ def test_fingerprint_is_one_stable_json_line():
         | {f"audit/{name}" for name in profiled}
         | {"phase_plane/arm_7dof"}
     )
-    forms = {f"form/{name}" for name in SHIPPED}
+    forms = {f"{kind}/{name}" for kind in ("dump", "form") for name in SHIPPED}
     solves = {f"solve/{name}/{field}" for name in SHIPPED for field in ("status", "iterations", "T", "x", "history")}
     assert set(first) == {"grid", "blas_threads"} | hashes | forms | solves
     assert first["grid"] == 6
     assert all(len(first[k]) == 64 and int(first[k], 16) >= 0 for k in hashes | forms)
     assert run() == first
+    # a dump key is the hash of the file `topp solve --dump-program` writes
+    assert main(["solve", str(ROOT / "scenarios" / "pickup.json"), "--grid", "6", "--out", str(tmp_path), "--dump-program"]) == 0
+    assert hashlib.sha256((tmp_path / "pickup.program.json").read_bytes()).hexdigest() == first["dump/pickup"]
 
 
 def test_fingerprint_check_names_each_changed_key(tmp_path):

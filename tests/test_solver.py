@@ -44,6 +44,7 @@ from contact_topp.transcription import (
     BoundRows,
     ConeRows,
     ConicProgram,
+    RowIds,
     Rows,
     assemble,
     build_grid,
@@ -431,7 +432,7 @@ class TestSolverProperties:
             G=prob.G,
             h=prob.h,
             cones=prob.cones,
-            row_labels=prob.row_labels,
+            ids=prob.ids,
         )
         r1 = solve(prob)
         r2 = solve(scaled)
@@ -1051,9 +1052,10 @@ def test_large_lp_bits_do_not_depend_on_blas_threads():
 def hand_program(num_vars, objective, equalities=(), bounds=(), cones=()):
     """A program written out row by row.
 
-    Equality rows are (cols, vals, offset, label); bound rows add (lower,
-    upper); cones are (label, rows).  A section's matrix is widened past
-    num_vars when a row names a column beyond it.
+    Equality rows are (cols, vals, offset, family); bound rows add (lower,
+    upper); a cone is a tuple of rows.  Each row's k is its place in its
+    section.  A section's matrix is widened past num_vars when a row names a
+    column beyond it.
     """
 
     def section(entries, cls, **fields):
@@ -1063,9 +1065,12 @@ def hand_program(num_vars, objective, equalities=(), bounds=(), cones=()):
         shape = (len(entries), max([num_vars] + [c + 1 for c in cols]))
         matrix = sp.csr_matrix((vals, (rows, cols)), shape=shape)
         offset = np.array([entry[2] for entry in entries], dtype=float)
-        return cls(matrix, offset, tuple(entry[3] for entry in entries), **fields)
+        families = tuple(dict.fromkeys((entry[3], None) for entry in entries))
+        family = np.array([families.index((entry[3], None)) for entry in entries], dtype=np.intp)
+        count = np.arange(len(entries))
+        return cls(matrix, offset, RowIds(families, family, count, np.full(len(entries), -1)), **fields)
 
-    cone_rows = [row for _, rows in cones for row in rows]
+    cone_rows = [row for rows in cones for row in rows]
     return ConicProgram(
         num_vars=num_vars,
         objective=np.asarray(objective, dtype=float),
@@ -1079,8 +1084,7 @@ def hand_program(num_vars, objective, equalities=(), bounds=(), cones=()):
         cones=section(
             cone_rows,
             ConeRows,
-            sizes=tuple(len(rows) for _, rows in cones),
-            cone_labels=tuple(label for label, _ in cones),
+            sizes=tuple(len(rows) for rows in cones),
         ),
         slices={},
         nodes=None,
@@ -1109,7 +1113,9 @@ class TestCanonicalize:
         assert prob.cones.socs == ()
         # two-sided box contributes two rows, one-sided bound one row
         assert prob.cones.orthant == 3
-        assert prob.row_labels == ["x0:upper", "x0:lower", "x1:lower"]
+        families = [prob.ids.families[f] for f in prob.ids.family]
+        assert families == [("x0", None, "upper"), ("x0", None, "lower"), ("x1", None, "lower")]
+        assert prob.ids.k.tolist() == [0, 0, 1]
         assert prob.A.shape == (1, 2)
         assert prob.b[0] == 1.0
 
@@ -1119,12 +1125,9 @@ class TestCanonicalize:
             [0.0, 0.0, 1.0],
             cones=(
                 (
-                    "cone",
-                    (
-                        ((2,), (1.0,), 0.0, "cone"),
-                        ((0,), (1.0,), 0.0, "cone"),
-                        ((1,), (1.0,), 0.0, "cone"),
-                    ),
+                    ((2,), (1.0,), 0.0, "cone"),
+                    ((0,), (1.0,), 0.0, "cone"),
+                    ((1,), (1.0,), 0.0, "cone"),
                 ),
             ),
         )
@@ -1144,7 +1147,7 @@ class TestCanonicalize:
             solve_conic_program(bad)
 
     def test_empty_cone_block_rejected(self):
-        bad = self.lp_only_program(cones=(("empty", ()),))
+        bad = self.lp_only_program(cones=((),))
         with pytest.raises(ValueError, match="cone sizes >= 1"):
             solve_conic_program(bad)
 
@@ -1184,7 +1187,8 @@ class TestTimingIntegration:
 
     def test_infinite_limits_drop_rows(self):
         prog, _ = slider_program(10, torque_cap=np.inf, accel_cap=1.0, vel=np.inf)
-        labels = prog.bounds.labels
-        assert not any(lbl.startswith("torque_box") for lbl in labels)
-        assert not any(lbl.startswith("velocity") for lbl in labels)
-        assert any(lbl.startswith("acceleration") for lbl in labels)
+        ids = prog.bounds.ids
+        names = {ids.families[f][0] for f in ids.family.tolist()}
+        assert "torque_box" not in names
+        assert "velocity" not in names
+        assert "acceleration" in names

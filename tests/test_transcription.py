@@ -13,6 +13,7 @@ import copy
 import dataclasses
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,18 @@ from contact_topp.dynamics import ObjectInstance, ObjectModel, RobotInstance, Sc
 from contact_topp.liegroup import Pose, Twist
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, JointLimits, Link, LinkInertia, RobotModel
-from contact_topp.scenario import RunSettings, assemble_scenario, load_scenario, scenario_from_dict, solve_scenario
+from contact_topp.scenario import (
+    RunSettings,
+    assemble_scenario,
+    load_scenario,
+    run,
+    scenario_from_dict,
+    solve_scenario,
+)
 from contact_topp.solver import canonicalize, cone_residual
 from contact_topp.transcription import (
     ConicProgram,
+    RowIds,
     assemble,
     build_grid,
     recover_time,
@@ -132,26 +141,35 @@ class TestVariableCounting:
             assert width.stop - width.start == 3 * 4
 
 
+def family_names(ids, rows=slice(None)):
+    """The family name of each of `rows`."""
+    return [ids.families[f][0] for f in ids.family[rows].tolist()]
+
+
+def cone_heads(cones):
+    """The family name of each cone's head row."""
+    sizes = np.array(cones.sizes, dtype=np.intp)
+    return family_names(cones.ids, np.cumsum(sizes) - sizes)
+
+
 class TestRowStructure:
     def test_equality_row_census(self):
         K = 3
         prog = assemble(grasped_scene(), build_grid(K))
         n = 4
-        labels = prog.equalities.labels
-        torque = sum(1 for label in labels if label.startswith("torque["))
-        balance = sum(1 for label in labels if label.startswith("balance["))
-        coupling = sum(1 for label in labels if label.startswith("coupling["))
-        assert torque == K * n
-        assert balance == K * 6
-        assert coupling == K
-        assert prog.equalities.matrix.shape[0] == len(labels) == torque + balance + coupling
+        names = family_names(prog.equalities.ids)
+        assert Counter(names) == {"torque": K * n, "balance": K * 6, "coupling": K}
+        assert prog.equalities.matrix.shape[0] == len(names)
 
     def test_row_order_is_deterministic(self):
         p1 = assemble(grasped_scene(), build_grid(3))
         p2 = assemble(grasped_scene(), build_grid(3))
-        assert p1.equalities.labels == p2.equalities.labels
-        assert p1.bounds.labels == p2.bounds.labels
-        assert p1.cones.cone_labels == p2.cones.cone_labels
+        for section in ("equalities", "bounds", "cones"):
+            a, b = getattr(p1, section).ids, getattr(p2, section).ids
+            assert a.families == b.families
+            for field in ("family", "k", "j"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert p1.cones.sizes == p2.cones.sizes
         m1, m2 = p1.equalities.matrix, p2.equalities.matrix
         assert np.array_equal(m1.indptr, m2.indptr)
         assert np.array_equal(m1.indices, m2.indices)
@@ -160,19 +178,12 @@ class TestRowStructure:
     def test_cone_census(self):
         K = 3
         prog = assemble(grasped_scene(), build_grid(K))
-        labels = prog.cones.cone_labels
-        contact = sum(1 for label in labels if label.startswith("cone["))
-        sqrtc = sum(1 for label in labels if label.startswith("sqrt_epigraph["))
-        invc = sum(1 for label in labels if label.startswith("inv_epigraph["))
-        assert contact == 2 * K
-        assert sqrtc == K - 1  # boundary nodes eliminated
-        assert invc == K
+        # boundary nodes eliminated: K - 1 sqrt epigraphs
+        assert Counter(cone_heads(prog.cones)) == {"cone_head": 2 * K, "sqrt_head": K - 1, "inv_head": K}
 
     def test_contact_free_scene_has_only_epigraph_cones(self):
         prog = assemble(slider_scene(), build_grid(4))
-        assert all(
-            label.startswith("sqrt_epigraph[") or label.startswith("inv_epigraph[") for label in prog.cones.cone_labels
-        )
+        assert set(cone_heads(prog.cones)) == {"sqrt_head", "inv_head"}
 
 
 class TestSliderBangSolution:
@@ -210,7 +221,7 @@ class TestSliderBangSolution:
         form = canonicalize(prog)
         slack = (form.h - form.G @ x)[: form.cones.orthant]
         worst = int(np.argmin(slack))
-        assert form.row_labels[worst].startswith("torque_box[")
+        assert form.ids.families[form.ids.family[worst]] == ("torque_box", None, "upper")
         assert slack[worst] < -0.1
 
 
@@ -367,11 +378,11 @@ class TestConstantRowChecks:
 
 def velocity_rows(program):
     """{interval: [joints]} of the program's velocity rows."""
+    ids = program.bounds.ids
+    mine = ids.family == ids.families.index(("velocity", None))
     rows = {}
-    for label in program.bounds.labels:
-        if label.startswith("velocity["):
-            k, i = (int(part.strip("[")) for part in label[len("velocity"):].split("]")[:2])
-            rows.setdefault(k, []).append(i)
+    for k, i in zip(ids.k[mine].tolist(), ids.j[mine].tolist()):
+        rows.setdefault(k, []).append(i)
     return rows
 
 
@@ -530,7 +541,7 @@ def test_shipped_wrench_columns_are_the_transmitted_components(path):
         width = {"pcwf": 3, "sfce": 4}[contact.cone.model]
         columns = program.slices[f"F:{contact.cid}"]
         assert columns.stop - columns.start == K * width
-    assert not any(label.startswith("pin[") for label in program.equalities.labels)
+    assert "pin" not in family_names(program.equalities.ids)
 
 
 @pytest.mark.parametrize("K", [2, 16])
@@ -549,7 +560,80 @@ def test_shipped_programs_store_no_zeros(path):
     program = assemble_scenario(load_scenario(str(path)), build_grid(16))
     for rows in (program.equalities, program.bounds, program.cones):
         assert rows.matrix.nnz > 0
-        assert np.count_nonzero(rows.matrix.data == 0.0) == 0, rows.labels[0]
+        zero = np.flatnonzero(rows.matrix.data == 0.0)
+        row = np.searchsorted(rows.matrix.indptr, zero[:1], side="right") - 1
+        assert zero.size == 0, (family_names(rows.ids, row), rows.ids.k[row], rows.ids.j[row])
+
+
+# the families whose k is a grid node; every other family's k is an interval
+NODE_FAMILIES = ("speed_sq_nonneg", "sqrt_head", "sqrt_tail_c", "sqrt_tail_b")
+INTERVAL_FAMILIES = (
+    "torque", "balance", "coupling", "torque_box", "velocity", "acceleration", "normal_cap",
+    "cone_head", "cone_tail", "inv_head", "inv_tail_two", "inv_tail_diff",
+)
+
+
+def column_map(program):
+    """Per column: its interval, its node, its joint (tau) or wrench
+    component (F), and its contact, each -1 or None where it has none."""
+    n = program.meta["dof"]
+    interval, node, slot = (np.full(program.num_vars, -1) for _ in range(3))
+    owner = np.full(program.num_vars, None, dtype=object)
+    blocks = [("a", range(1)), ("d", range(1)), ("tau", range(n))]
+    blocks += [(f"F:{cid}", program.components[cid]) for cid in program.contact_order]
+    for name, slots in blocks:
+        cols = np.arange(program.slices[name].start, program.slices[name].stop)
+        interval[cols] = (cols - cols[0]) // len(slots)
+        slot[cols] = np.asarray(slots)[(cols - cols[0]) % len(slots)]
+        if name.startswith("F:"):
+            owner[cols] = name[2:]
+    for col in (program.nodes.b_col, program.nodes.c_col):
+        node[col[col >= 0]] = np.flatnonzero(col >= 0)
+    return interval, node, slot, owner
+
+
+@pytest.mark.parametrize("K", [16, 80])
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_row_ids_match_the_columns_they_touch(path, K):
+    # the row identities against the variable layout alone, with no label text
+    program = assemble_scenario(load_scenario(str(path)), build_grid(K))
+    interval, node, slot, owner = column_map(program)
+    tau_start, n = program.slices["tau"].start, program.meta["dof"]
+    seen = set()
+    for rows in (program.equalities, program.bounds, program.cones):
+        ids = rows.ids
+        names = np.array([name for name, _ in ids.families] + [""])[ids.family]
+        owners = np.array([o for _, o in ids.families] + [None], dtype=object)[ids.family]
+        seen |= set(names)
+        coo = rows.matrix.tocoo()
+        r, c = coo.row, coo.col
+        k, j, name = ids.k[r], ids.j[r], names[r]
+        at_node = np.isin(name, NODE_FAMILIES)
+        # a node row touches only node k's b and c
+        assert np.all(node[c[at_node]] == k[at_node])
+        # an interval row touches interval k's a, d, tau and F and nodes k, k + 1
+        lag = np.where(node[c] >= 0, node[c] - k, interval[c] - k)
+        assert np.all(np.where(node[c] >= 0, (lag == 0) | (lag == 1), lag == 0)[~at_node])
+        # a torque row holds the tau column (k, j); a torque box is that column alone
+        hits = np.bincount(r[c == tau_start + n * k + j], minlength=rows.matrix.shape[0])
+        assert np.all(hits[np.isin(names, ("torque", "torque_box"))] == 1)
+        assert np.all(np.diff(rows.matrix.indptr)[names == "torque_box"] == 1)
+        # cone tails and normal caps touch their contact's wrench at k, a tail its component j
+        mine = np.isin(name, ("cone_tail", "normal_cap"))
+        assert np.all(owner[c[mine]] == owners[r[mine]])
+        assert np.all((slot[c] == j)[name == "cone_tail"])
+    assert seen <= set(NODE_FAMILIES + INTERVAL_FAMILIES)
+    assert {"torque", "torque_box", "speed_sq_nonneg", "sqrt_tail_b", "inv_head"} <= seen
+    assert ("cone_tail" in seen) == bool(program.contact_order)
+
+
+def test_run_formats_no_label(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row label was formatted")
+
+    monkeypatch.setattr(RowIds, "labels", refuse)
+    out = run(load_scenario(SCENARIOS / "pickup.json"), RunSettings(grid_override=16))
+    assert out.status == "Optimal"
 
 
 class TestGoldenDumps:
