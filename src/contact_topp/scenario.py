@@ -300,43 +300,33 @@ def set_by_path(data, path: str, value):
     if not parts:
         raise ScenarioError("empty parameter path")
     here = data
-    seen = []
-    for part in parts[:-1]:
-        here = _descend(here, part, seen)
-        seen.append(part)
-    last = parts[-1]
-    if isinstance(here, dict):
-        if last not in here:
-            raise ScenarioError(f"parameter path {path!r}: no field {last!r} at {'.'.join(seen) or 'root'}")
-        here[last] = value
-    elif isinstance(here, list):
-        idx = _list_index(here, last, path)
-        here[idx] = value
-    else:
-        raise ScenarioError(f"parameter path {path!r}: cannot assign into {type(here).__name__}")
+    for i, part in enumerate(parts):
+        try:
+            key = _path_key(here, part)
+        except LookupError as exc:
+            raise ScenarioError(f"parameter path {path!r} at {'.'.join(parts[:i]) or 'root'}: {exc}") from None
+        if i + 1 < len(parts):
+            here = here[key]
+    here[key] = value
 
 
-def _descend(node, part, seen):
-    where = ".".join(seen) or "root"
+def _path_key(node, part: str):
+    """The dict key or list index of node that one path segment names."""
     if isinstance(node, dict):
-        if part not in node:
-            raise ScenarioError(f"parameter path: no field {part!r} at {where}")
-        return node[part]
-    if isinstance(node, list):
-        return node[_list_index(node, part, where)]
-    raise ScenarioError(f"parameter path: cannot descend into {type(node).__name__} at {where}")
-
-
-def _list_index(entries, part, where):
+        if part in node:
+            return part
+        raise LookupError(f"no field {part!r}")
+    if not isinstance(node, list):
+        raise LookupError(f"cannot index into {type(node).__name__}")
     if part.lstrip("-").isdigit():
         idx = int(part)
-        if not -len(entries) <= idx < len(entries):
-            raise ScenarioError(f"parameter path: index {idx} out of range at {where}")
-        return idx
-    for i, entry in enumerate(entries):
+        if -len(node) <= idx < len(node):
+            return idx
+        raise LookupError(f"index {idx} out of range")
+    for i, entry in enumerate(node):
         if isinstance(entry, dict) and entry.get("name") == part:
             return i
-    raise ScenarioError(f"parameter path: no entry named {part!r} at {where}")
+    raise LookupError(f"no entry named {part!r}")
 
 
 def assemble_scenario(scenario: Scenario, grid: Grid | None = None) -> ConicProgram:

@@ -75,14 +75,14 @@ NUMERICAL_FAILURE = "NumericalFailure"
 
 
 class ConeGroup(NamedTuple):
-    """The second-order cones of one size d in a ConeSpec, as index arrays
-    into the stacked vector (all read-only)."""
+    """The second-order cones of one size d in a ConeSpec, as contiguous,
+    read-only index arrays into the stacked vector."""
 
     size: int
     index: np.ndarray  # (count, d): row i holds the positions of the i-th cone
-    tail: np.ndarray  # (count, d - 1): index[:, 1:], contiguous
-    columns: np.ndarray  # (d, count): index.T, contiguous
-    part: slice  # these cones in ConeSpec.heads order
+    head: np.ndarray  # (count,): index[:, 0]
+    tail: np.ndarray  # (count, d - 1): index[:, 1:]
+    columns: np.ndarray  # (d, count): index.T
 
 
 @dataclass(frozen=True)
@@ -108,33 +108,20 @@ class ConeSpec:
     def groups(self) -> tuple:
         """The second-order cones grouped by size, one `ConeGroup` per size.
 
-        Computed once per spec; cone operations gather and scatter through
-        these index arrays for a whole group at a time.
+        Computed once per spec; every cone operation loops over these groups
+        and gathers and scatters a whole group at a time through its index
+        arrays.
         """
         sizes = np.asarray(self.socs, dtype=np.intp)
         starts = self.orthant + np.cumsum(sizes) - sizes
         out = []
-        at = 0
         for d in np.unique(sizes).tolist():
             index = starts[sizes == d][:, None] + np.arange(d)
-            tail = np.ascontiguousarray(index[:, 1:])
-            arrays = index, tail, np.ascontiguousarray(index.T)
+            arrays = index, *(np.ascontiguousarray(a) for a in (index[:, 0], index[:, 1:], index.T))
             for arr in arrays:
                 arr.flags.writeable = False
-            out.append(ConeGroup(d, *arrays, slice(at, at + len(index))))
-            at += len(index)
+            out.append(ConeGroup(d, *arrays))
         return tuple(out)
-
-    @cached_property
-    def heads(self) -> np.ndarray:
-        """Position of every cone's first entry, group after group.
-
-        Per-cone scalars (norms, determinants, step roots) of all groups are
-        computed once, in one array in this order.
-        """
-        heads = np.concatenate([g.index[:, 0] for g in self.groups] or [np.zeros(0, dtype=np.intp)])
-        heads.flags.writeable = False
-        return heads
 
     @cached_property
     def block_diag(self) -> tuple:
@@ -178,6 +165,8 @@ class StandardConicForm:
 # default tolerance on the relative primal and dual residuals, the relative
 # gap, and the infeasibility certificate residuals
 TOL = 1e-8
+# how far s and z may sit outside K and still pass `verify_kkt`'s membership checks
+CONE_TOL = 1e-6
 MAX_ITER = 200
 # static regularization of the KKT diagonal
 REG = 1e-11
@@ -267,25 +256,13 @@ def canonicalize(program) -> StandardConicForm:
     )
 
 
-# Cone algebra on stacked slack vectors.  Nothing loops once per cone.  The
-# Jordan operations, the step length and the residual split each cone into
-# its head (gathered for all cones at once through ConeSpec.heads) and its
-# tail (gathered per group of equal-size cones), so the per-cone scalars are
-# computed once for all groups.  The scaling works on whole blocks, group by
-# group.  Inner products use np.vecdot on contiguous rows, which runs the
-# same dot kernel as `u @ v` on one cone: the results round exactly as a
-# per-cone loop would, and the step length and cone determinants near the
-# boundary are sensitive to the last bit.
-
-
-def _tails(spec: ConeSpec, *vectors) -> list:
-    """Per group, the (count, d - 1) tail blocks of each vector."""
-    return [tuple(v[g.tail] for v in vectors) for g in spec.groups]
-
-
-def _per_cone(parts: list) -> np.ndarray:
-    """Per-group arrays joined into one array in `heads` order."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+# Cone algebra on stacked slack vectors.  Nothing loops once per cone: every
+# operation takes the orthant in one slice and then loops over
+# ConeSpec.groups, gathering each group's heads, tails or whole blocks
+# through its index arrays.  Inner products use np.vecdot on contiguous
+# rows, which runs the same dot kernel as `u @ v` on one cone: the results
+# round exactly as a per-cone loop would, and the step length and cone
+# determinants near the boundary are sensitive to the last bit.
 
 
 def _det(x0: np.ndarray, tail_sq: np.ndarray) -> np.ndarray:
@@ -298,7 +275,8 @@ def _det(x0: np.ndarray, tail_sq: np.ndarray) -> np.ndarray:
 def cone_identity(spec: ConeSpec) -> np.ndarray:
     e = np.zeros(spec.total)
     e[: spec.orthant] = 1.0
-    e[spec.heads] = 1.0
+    for g in spec.groups:
+        e[g.head] = 1.0
     return e
 
 
@@ -307,9 +285,9 @@ def cone_residual(spec: ConeSpec, v: np.ndarray) -> float:
     worst = 0.0
     if spec.orthant:
         worst = max(worst, float(np.max(-v[: spec.orthant], initial=0.0)))
-    if spec.groups:
-        norm = np.sqrt(_per_cone([np.vecdot(vt, vt) for vt, in _tails(spec, v)]))
-        worst = max(worst, float((norm - v[spec.heads]).max()))
+    for g in spec.groups:
+        vt = v[g.tail]
+        worst = max(worst, float((np.sqrt(np.vecdot(vt, vt)) - v[g.head]).max()))
     return worst
 
 
@@ -317,13 +295,10 @@ def jordan_product(spec: ConeSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.empty(spec.total)
     o = spec.orthant
     out[:o] = u[:o] * v[:o]
-    if spec.groups:
-        heads = spec.heads
-        u0, v0 = u[heads], v[heads]
-        tails = _tails(spec, u, v)
-        out[heads] = u0 * v0 + _per_cone([np.vecdot(ut, vt) for ut, vt in tails])
-        for g, (ut, vt) in zip(spec.groups, tails):
-            out[g.tail] = u0[g.part, None] * vt + v0[g.part, None] * ut
+    for g in spec.groups:
+        u0, v0, ut, vt = u[g.head], v[g.head], u[g.tail], v[g.tail]
+        out[g.head] = u0 * v0 + np.vecdot(ut, vt)
+        out[g.tail] = u0[:, None] * vt + v0[:, None] * ut
     return out
 
 
@@ -332,15 +307,11 @@ def jordan_solve(spec: ConeSpec, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.empty(spec.total)
     o = spec.orthant
     out[:o] = v[:o] / lam[:o]
-    if spec.groups:
-        heads = spec.heads
-        l0, v0 = lam[heads], v[heads]
-        tails = _tails(spec, lam, v)
-        det = _det(l0, _per_cone([np.vecdot(lt, lt) for lt, _ in tails]))
-        u0 = (l0 * v0 - _per_cone([np.vecdot(lt, vt) for lt, vt in tails])) / det
-        out[heads] = u0
-        for g, (lt, vt) in zip(spec.groups, tails):
-            out[g.tail] = (vt - u0[g.part, None] * lt) / l0[g.part, None]
+    for g in spec.groups:
+        l0, v0, lt, vt = lam[g.head], v[g.head], lam[g.tail], v[g.tail]
+        u0 = (l0 * v0 - np.vecdot(lt, vt)) / _det(l0, np.vecdot(lt, lt))
+        out[g.head] = u0
+        out[g.tail] = (vt - u0[:, None] * lt) / l0[:, None]
     return out
 
 
@@ -356,29 +327,27 @@ def max_step(spec: ConeSpec, v: np.ndarray, dv: np.ndarray) -> float:
         rate = float((-dv[:o] / v[:o]).max())
         if rate > 0.0:
             t = 1.0 / rate
-    if not spec.groups:
-        return t
-    heads = spec.heads
-    v0, d0 = v[heads], dv[heads]
-    tails = _tails(spec, v, dv)
-    a = d0 * d0 - _per_cone([np.vecdot(dt, dt) for _, dt in tails])
-    bq = v0 * d0 - _per_cone([np.vecdot(vt, dt) for vt, dt in tails])
-    cq = _det(v0, _per_cone([np.vecdot(vt, vt) for vt, _ in tails]))
-    # roots of a t^2 + 2 bq t + cq = 0; cq > 0 strictly inside
-    disc = bq * bq - a * cq
-    linear = np.abs(a) < 1e-300
-    odd = linear | (disc < 0.0)
-    if odd.any():
-        hit = linear & (bq < 0.0)
-        if hit.any():
-            t = min(t, float((-cq[hit] / (2.0 * bq[hit])).min()))
-        # disc < 0 only by rounding: a quadratic that opens downward must
-        # cross eventually (disc clamped to 0), one that opens upward never.
-        # a = nan keeps a cone's roots from being candidates.
-        a = np.where(odd & (linear | ~(a < 0.0)), np.nan, a)
-    root = np.sqrt(np.maximum(disc, 0.0))
-    cand = (-bq - _PLUS_MINUS * root) / a
-    return min(t, float(np.where((cand > 0.0) & (v0 + cand * d0 >= 0.0), cand, np.inf).min()))
+    for g in spec.groups:
+        v0, d0, vt, dt = v[g.head], dv[g.head], v[g.tail], dv[g.tail]
+        a = d0 * d0 - np.vecdot(dt, dt)
+        bq = v0 * d0 - np.vecdot(vt, dt)
+        cq = _det(v0, np.vecdot(vt, vt))
+        # roots of a t^2 + 2 bq t + cq = 0; cq > 0 strictly inside
+        disc = bq * bq - a * cq
+        linear = np.abs(a) < 1e-300
+        odd = linear | (disc < 0.0)
+        if odd.any():
+            hit = linear & (bq < 0.0)
+            if hit.any():
+                t = min(t, float((-cq[hit] / (2.0 * bq[hit])).min()))
+            # disc < 0 only by rounding: a quadratic that opens downward must
+            # cross eventually (disc clamped to 0), one that opens upward never.
+            # a = nan keeps a cone's roots from being candidates.
+            a = np.where(odd & (linear | ~(a < 0.0)), np.nan, a)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        cand = (-bq - _PLUS_MINUS * root) / a
+        t = min(t, float(np.where((cand > 0.0) & (v0 + cand * d0 >= 0.0), cand, np.inf).min()))
+    return t
 
 
 class Scaling:
@@ -689,7 +658,7 @@ def _ruiz_equilibrate(form: StandardConicForm, iters: int = EQUILIBRATE_ITERS):
     return M[:p], M[p:], d_col, d_row[:p], d_row[p:]
 
 
-def verify_kkt(form: StandardConicForm, x, y, z, s, tol: float = 1e-6) -> dict:
+def verify_kkt(form: StandardConicForm, x, y, z, s) -> dict:
     """Recompute optimality residuals from scratch on the given data."""
     c, A, b, G, h = form.c, form.A, form.b, form.G, form.h
     pres_eq = _norm(A @ x - b)
@@ -705,8 +674,8 @@ def verify_kkt(form: StandardConicForm, x, y, z, s, tol: float = 1e-6) -> dict:
         "gap": gap / max(1.0, abs(pcost)),
         "pcost": pcost,
         "dcost": dcost,
-        "s_in_cone": cone_residual(form.cones, s) <= tol,
-        "z_in_cone": cone_residual(form.cones, z) <= tol,
+        "s_in_cone": cone_residual(form.cones, s) <= CONE_TOL,
+        "z_in_cone": cone_residual(form.cones, z) <= CONE_TOL,
         "comp": _dot(s, z),
     }
 

@@ -542,9 +542,8 @@ class TestEdgeShapes:
         assert (g2.size, g3.size) == (2, 3)
         assert g2.index.tolist() == [[1, 2], [6, 7]] and g3.index.tolist() == [[3, 4, 5]]
         assert g3.tail.tolist() == [[4, 5]] and g2.columns.tolist() == [[1, 6], [2, 7]]
-        assert spec.heads.tolist() == [1, 6, 3]
-        assert (g2.part, g3.part) == (slice(0, 2), slice(2, 3))
-        assert not g2.index.flags.writeable and not spec.heads.flags.writeable
+        assert g2.head.tolist() == [1, 6] and g3.head.tolist() == [3]
+        assert not g2.index.flags.writeable and not g2.head.flags.writeable and not g3.head.flags.writeable
         indptr, indices, first, _ = spec.block_diag
         assert first.tolist() == [0, 1, 1, 3, 3, 3, 6, 6]
         pattern = sp.csc_matrix((np.ones(indices.size), indices, indptr)).toarray()

@@ -44,7 +44,7 @@ from contact_topp.scenario import (
     solve_scenario,
     sweep,
 )
-from contact_topp.transcription import build_grid
+from contact_topp.transcription import build_grid, recover_time
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -227,6 +227,51 @@ def test_set_by_path_missing_leaf():
     data = slider_scenario()
     with pytest.raises(ScenarioError, match="no field"):
         set_by_path(data, "robots.0.paint", 1.0)
+
+
+@pytest.mark.parametrize(
+    "leaf,inner,prefix,problem",
+    [
+        ("robots.3", "robots.3.model", "robots", "index 3 out of range"),
+        ("objects.crate", "objects.crate.mass", "objects", "no entry named 'crate'"),
+        ("robots.0.paint", "robots.0.paint.red", "robots.0", "no field 'paint'"),
+        ("grid_points.x", "grid_points.x.y", "grid_points", "cannot index into int"),
+        ("colour", "colour.red", "root", "no field 'colour'"),
+    ],
+)
+def test_set_by_path_error_names_path_and_prefix(leaf, inner, prefix, problem):
+    """A bad segment is reported the same way whether it is the last one or not."""
+    data = json.loads((SCENARIOS / "pickup.json").read_text())
+    for path in (leaf, inner):
+        with pytest.raises(ScenarioError) as info:
+            set_by_path(data, path, 1.0)
+        assert str(info.value) == f"parameter path {path!r} at {prefix}: {problem}"
+
+
+# time reversal: the continuous problem is the same on the reversed path, and
+# the grid's midpoints mirror, so each grid's program has the same optimum
+
+SHIPPED = sorted(SCENARIOS.rglob("*.json"))
+
+
+def minimum_time(data, K):
+    program, report, solution = solve_scenario(scenario_from_dict(data), RunSettings(grid_override=K))
+    return report.status, None if solution is None else recover_time(solution.speed_sq, program.grid).total
+
+
+@pytest.mark.parametrize("K", [40, 41])
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: str(p.relative_to(SCENARIOS).with_suffix("")))
+def test_time_reversal(path, K):
+    data = json.loads(path.read_text())
+    mirrored = copy.deepcopy(data)
+    for robot in mirrored["robots"]:
+        robot["waypoints"] = robot["waypoints"][::-1]
+    mirrored["boundary_sdot"] = mirrored.get("boundary_sdot", [0.0, 0.0])[::-1]
+    status, T = minimum_time(data, K)
+    status_r, T_r = minimum_time(mirrored, K)
+    assert status_r == status
+    if T is not None:
+        assert abs(T_r - T) <= 1e-10 * T
 
 
 # waiter and other object stacks
