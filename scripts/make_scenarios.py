@@ -18,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from contact_topp.liegroup import Pose, Twist, forward_kinematics, rotation_exp
+from contact_topp.liegroup import Pose, forward_kinematics, rotation_exp
 from contact_topp.robot import (
     JointDef,
     JointLimits,
@@ -58,7 +58,7 @@ def limits(n, torque=None, velocity=None, accel=None):
 def slider_model():
     return RobotModel(
         name="slider",
-        joints=(JointDef("prismatic", Twist.prismatic([1.0, 0.0, 0.0])),),
+        joints=(JointDef.prismatic([1.0, 0.0, 0.0]),),
         links=(
             Link(
                 home_pose=Pose(np.eye(3), [0.0, 0.0, 0.0]),
@@ -81,7 +81,7 @@ def planar_model(name, lengths, masses, torque, velocity=None, accel=None):
     joints, links = [], []
     at = 0.0
     for l, m in zip(lengths, masses):
-        joints.append(JointDef("revolute", Twist.revolute([0.0, 1.0, 0.0], [at, 0.0, 0.0])))
+        joints.append(JointDef.revolute([0.0, 1.0, 0.0], [at, 0.0, 0.0]))
         links.append(
             Link(
                 home_pose=Pose(np.eye(3), [at + l / 2.0, 0.0, 0.0]),
@@ -119,7 +119,7 @@ def arm7_model(velocity=2.0):
         ([0.08, 0.0, 0.62], 1.4, [0.02, 0.0, 0.00], [0.008, 0.008, 0.004]),
         ([0.12, 0.0, 0.62], 0.6, [0.03, 0.0, 0.00], [0.002, 0.002, 0.002]),
     ]
-    joints = tuple(JointDef("revolute", Twist.revolute(a, p)) for a, p in axes_points)
+    joints = tuple(JointDef.revolute(a, p) for a, p in axes_points)
     links = tuple(
         Link(home_pose=Pose(np.eye(3), t), inertia=LinkInertia(m, c, np.diag(i)))
         for t, m, c, i in link_data

@@ -14,7 +14,7 @@ from .dynamics import (
     inverse_dynamics,
     sample_path_dynamics,
 )
-from .liegroup import Pose, Twist, body_jacobian, forward_kinematics, pose_exp
+from .liegroup import Pose, body_jacobian, forward_kinematics, pose_exp
 from .paths import JointPath
 from .robot import JointDef, JointLimits, Link, LinkInertia, RobotModel, robot_from_json, robot_to_json
 from .scenario import (
@@ -60,7 +60,6 @@ __all__ = [
     "Scene",
     "SolverFailureError",
     "TrajectoryOutput",
-    "Twist",
     "assemble",
     "assemble_scenario",
     "audit",

@@ -1,16 +1,17 @@
 """Friction cone models for point and patch contacts.
 
 Wrenches live in the contact frame, [fx, fy, fz, tx, ty, tz], with z the
-inward normal. Two models are supported:
+inward normal.  The normal force fz heads every cone; `CONE_TAILS` lists,
+per model, the components under the norm and the `FrictionParams` field
+that scales each:
 
-  "pcwf": point contact with friction; moments transmit nothing, so
-          components 3, 4, 5 are pinned (not transmitted) and the cone reads
+  "pcwf": point contact with friction,
           sqrt((fx/ex)^2 + (fy/ey)^2) / mu <= fz.
-  "sfce": soft finger patch; tangential moments (components 3, 4) are
-          pinned while torsion about the normal enters the cone with its own
+  "sfce": soft finger patch; torsion about the normal enters with its own
           scale, sqrt((fx/ex)^2 + (fy/ey)^2 + (tz/ez)^2) / mu <= fz.
 
-The transcription gives a pinned component no variable, so a solved wrench
+Every component that no cone reads is pinned (not transmitted).  The
+transcription gives a pinned component no variable, so a solved wrench
 holds an exact zero there; `verification.audit` checks the pinned
 components of a profile read from a file.
 """
@@ -22,7 +23,12 @@ import numpy as np
 
 from .liegroup import Pose
 
-CONE_MODELS = ("pcwf", "sfce")
+CONE_HEAD = 2  # fz
+CONE_TAILS = {
+    "pcwf": ((0, "ex"), (1, "ey")),
+    "sfce": ((0, "ex"), (1, "ey"), (5, "ez")),
+}
+CONE_MODELS = tuple(CONE_TAILS)
 
 
 @dataclass(frozen=True)
@@ -56,25 +62,11 @@ class ConeDescriptor:
 
 def emit_cone(model: str, params: FrictionParams) -> ConeDescriptor:
     """Cone descriptor for a friction model tag."""
-    if model == "pcwf":
-        return ConeDescriptor(
-            model=model,
-            head_index=2,
-            tail=((0, 1.0 / (params.mu * params.ex)), (1, 1.0 / (params.mu * params.ey))),
-            pinned=(3, 4, 5),
-        )
-    if model == "sfce":
-        return ConeDescriptor(
-            model=model,
-            head_index=2,
-            tail=(
-                (0, 1.0 / (params.mu * params.ex)),
-                (1, 1.0 / (params.mu * params.ey)),
-                (5, 1.0 / (params.mu * params.ez)),
-            ),
-            pinned=(3, 4),
-        )
-    raise ValueError(f"unknown friction model {model!r}")
+    if model not in CONE_TAILS:
+        raise ValueError(f"unknown friction model {model!r}")
+    tail = tuple((i, 1.0 / (params.mu * getattr(params, scale))) for i, scale in CONE_TAILS[model])
+    read = {CONE_HEAD, *(i for i, _ in tail)}
+    return ConeDescriptor(model, CONE_HEAD, tail, tuple(i for i in range(6) if i not in read))
 
 
 def cone_margin(descriptor: ConeDescriptor, wrench) -> float | np.ndarray:

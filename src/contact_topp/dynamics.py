@@ -39,7 +39,6 @@ import numpy as np
 from .contacts import ConeDescriptor, ContactSpec
 from .liegroup import (
     Pose,
-    Twist,
     _adjoint,
     _checked,
     _compose,
@@ -63,7 +62,7 @@ from .robot import RobotModel, build_chain_data
 
 
 def _ad(V: np.ndarray) -> np.ndarray:
-    """Twist commutator matrix: ad(V) W = [V, W], [linear; angular] ordering."""
+    """Commutator matrix of a twist: ad(V) W = [V, W], [linear; angular] ordering."""
     Sw = skew(V[3:])
     out = np.zeros((6, 6))
     out[:3, :3] = Sw
@@ -87,7 +86,7 @@ def _down_adjoints(chain, q) -> list[np.ndarray]:
     """Per joint, the checked adjoint taking twists from the parent link into the link frame at q."""
     ads = []
     for (A, B, _), qi in zip(chain, q):
-        R, p = _checked(*_exp_rp(A[3:], A[:3], -qi))
+        R, p = _checked(*_exp_rp(A, -qi))
         ads.append(_adjoint(*_checked(*_compose(R, p, B.rotation, B.translation))))
     return ads
 
@@ -491,7 +490,7 @@ def _path_torque_terms(model: RobotModel, q, dq, ddq, gravity) -> np.ndarray:
     Vd[2, :, :3] = -np.asarray(gravity, dtype=float)
     vel, acc, ads_down = [], [], []
     for i, (A, B, _) in enumerate(chain):
-        R, p = compose_many(*pose_exp_many(Twist.from_array(A), -q[:, i]), B.rotation, B.translation)
+        R, p = compose_many(*pose_exp_many(A, -q[:, i]), B.rotation, B.translation)
         Ad = adjoint_many(R, p)
         V = _apply(Ad, V) + A * qd[:, :, i]
         Vd = _apply(Ad, Vd) + _apply(_ad_many(V), A) * qd[:, :, i] + A * qdd[:, :, i]

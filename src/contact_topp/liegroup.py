@@ -22,7 +22,7 @@ sample and hands it to every frame it needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,39 +95,6 @@ def quaternion_to_rotation(q_wxyz) -> np.ndarray:
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
-
-
-@dataclass(frozen=True)
-class Twist:
-    """Joint or velocity screw, [linear; angular] ordering."""
-
-    linear: np.ndarray
-    angular: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "linear", np.asarray(self.linear, dtype=float).reshape(3))
-        object.__setattr__(self, "angular", np.asarray(self.angular, dtype=float).reshape(3))
-
-    @classmethod
-    def from_array(cls, xi) -> "Twist":
-        xi = np.asarray(xi, dtype=float).reshape(6)
-        return cls(linear=xi[:3], angular=xi[3:])
-
-    @classmethod
-    def revolute(cls, axis, point) -> "Twist":
-        """Unit revolute screw about `axis` through `point`."""
-        axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        point = np.asarray(point, dtype=float)
-        return cls(linear=-np.cross(axis, point), angular=axis)
-
-    @classmethod
-    def prismatic(cls, axis) -> "Twist":
-        axis = np.asarray(axis, dtype=float)
-        return cls(linear=axis / np.linalg.norm(axis), angular=np.zeros(3))
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.linear, self.angular])
 
 
 def twist_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,8 +192,9 @@ def _checked(R, p) -> tuple[np.ndarray, np.ndarray]:
     return R, p
 
 
-def _exp_rp(w: np.ndarray, v: np.ndarray, angle: float) -> tuple[np.ndarray, np.ndarray]:
-    """(R, p) of `pose_exp` for the twist with angular part w and linear part v."""
+def _exp_rp(twist: np.ndarray, angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """(R, p) of `pose_exp`."""
+    v, w = twist[:3], twist[3:]
     wn = _norm(w)
     if wn * abs(angle) < _EPS and wn < 1e-9:
         return np.eye(3), v * angle
@@ -238,13 +206,13 @@ def _exp_rp(w: np.ndarray, v: np.ndarray, angle: float) -> tuple[np.ndarray, np.
     return R, p
 
 
-def pose_exp(twist: Twist, angle: float) -> Pose:
-    """Exponential of a twist scaled by `angle`.
+def pose_exp(twist: np.ndarray, angle: float) -> Pose:
+    """Exponential of a twist (a 6-vector [linear; angular]) scaled by `angle`.
 
     Accepts any finite twist; a (near) zero angular part degenerates to a
     pure translation.
     """
-    return Pose(*_exp_rp(twist.angular, twist.linear, angle))
+    return Pose(*_exp_rp(twist, angle))
 
 
 def _joint_values(model, q) -> np.ndarray:
@@ -254,9 +222,9 @@ def _joint_values(model, q) -> np.ndarray:
     return q
 
 
-def _times_exp(R, p, twist: Twist, angle: float) -> tuple[np.ndarray, np.ndarray]:
+def _times_exp(R, p, twist: np.ndarray, angle: float) -> tuple[np.ndarray, np.ndarray]:
     """(R, p) of T exp(twist * angle) for T = (R, p); both new poses checked."""
-    return _checked(*_compose(R, p, *_checked(*_exp_rp(twist.angular, twist.linear, angle))))
+    return _checked(*_compose(R, p, *_checked(*_exp_rp(twist, angle))))
 
 
 def _space_chain(model, q, columns: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -268,7 +236,7 @@ def _space_chain(model, q, columns: bool = True) -> tuple[np.ndarray, np.ndarray
     R, p = np.eye(3), np.zeros(3)
     for i, (joint, qi) in enumerate(zip(model.joints, q)):
         if columns:
-            cols[:, i] = _adjoint(R, p) @ joint.twist.as_array()
+            cols[:, i] = _adjoint(R, p) @ joint.twist
         R, p = _times_exp(R, p, joint.twist, qi)
     R, p = _checked(*_compose(R, p, model.x_ref.rotation, model.x_ref.translation))
     return R, p, cols
@@ -387,10 +355,10 @@ def inverse_many(R, p) -> tuple[np.ndarray, np.ndarray]:
     return Rt, (-Rt @ p[..., None])[..., 0]
 
 
-def pose_exp_many(twist: Twist, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pose_exp_many(twist: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R, p) of `pose_exp(twist, angle)` for every angle in a 1-D array."""
     angles = np.asarray(angles, dtype=float)
-    w, v = twist.angular, twist.linear
+    v, w = twist[:3], twist[3:]
     wn = np.linalg.norm(w)
     R = np.broadcast_to(np.eye(3), angles.shape + (3, 3)).copy()
     p = v * angles[:, None]
@@ -425,7 +393,7 @@ def space_jacobian_many(model, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     p = np.zeros((K, 3))
     cols = np.zeros((K, 6, model.dof))
     for i, joint in enumerate(model.joints):
-        cols[:, :, i] = adjoint_many(R, p) @ joint.twist.as_array()
+        cols[:, :, i] = adjoint_many(R, p) @ joint.twist
         R, p = compose_many(R, p, *pose_exp_many(joint.twist, q[:, i]))
     R, p = compose_many(R, p, model.x_ref.rotation, model.x_ref.translation)
     return R, p, cols

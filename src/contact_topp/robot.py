@@ -6,21 +6,39 @@ from functools import cached_property
 
 import numpy as np
 
-from .liegroup import Pose, Twist, skew
+from .liegroup import Pose, skew
 
 JOINT_TYPES = ("revolute", "prismatic")
 
 
 @dataclass(frozen=True)
 class JointDef:
+    """One joint: its kind and its screw, a read-only 6-vector [linear; angular] in the base frame at q = 0."""
+
     kind: str
-    twist: Twist
+    twist: np.ndarray
 
     def __post_init__(self):
         if self.kind not in JOINT_TYPES:
             raise ValueError(f"unknown joint type {self.kind!r}")
-        if not np.isfinite(self.twist.as_array()).all():
-            raise ValueError(f"joint twist must be finite, got {self.twist.as_array()}")
+        twist = np.array(self.twist, dtype=float).reshape(6)
+        if not np.isfinite(twist).all():
+            raise ValueError(f"joint twist must be finite, got {twist}")
+        twist.setflags(write=False)
+        object.__setattr__(self, "twist", twist)
+
+    @classmethod
+    def revolute(cls, axis, point) -> "JointDef":
+        """Revolute joint: unit screw about `axis` through `point`."""
+        axis = np.asarray(axis, dtype=float)
+        axis = axis / np.linalg.norm(axis)
+        return cls("revolute", np.concatenate([-np.cross(axis, np.asarray(point, dtype=float)), axis]))
+
+    @classmethod
+    def prismatic(cls, axis) -> "JointDef":
+        """Prismatic joint: unit translation along `axis`."""
+        axis = np.asarray(axis, dtype=float)
+        return cls("prismatic", np.concatenate([axis / np.linalg.norm(axis), np.zeros(3)]))
 
 
 @dataclass(frozen=True)
@@ -129,7 +147,7 @@ def build_chain_data(model: RobotModel) -> tuple[tuple[np.ndarray, Pose, np.ndar
     prev_home = Pose.identity()
     for joint, link in zip(model.joints, model.links):
         inv_home = link.home_pose.inverse()
-        A = inv_home.adjoint() @ joint.twist.as_array()
+        A = inv_home.adjoint() @ joint.twist
         data.append((A, inv_home.compose(prev_home), link.inertia.spatial_inertia()))
         prev_home = link.home_pose
     return tuple(data)
@@ -181,9 +199,7 @@ def _limit_entry(j, key, sign):
 
 def robot_from_json(data: dict) -> RobotModel:
     try:
-        joints = tuple(
-            JointDef(j["type"], Twist.from_array(j["twist"])) for j in data["joints"]
-        )
+        joints = tuple(JointDef(j["type"], j["twist"]) for j in data["joints"])
         links = tuple(
             Link(
                 home_pose=_pose_from_json(l["home_pose"]),
@@ -219,7 +235,7 @@ def robot_to_json(model: RobotModel) -> dict:
         "joints": [
             {
                 "type": j.kind,
-                "twist": [float(v) for v in j.twist.as_array()],
+                "twist": j.twist.tolist(),
                 "torque_min": lim(model.limits.torque_lower[i]),
                 "torque_max": lim(model.limits.torque_upper[i]),
                 "velocity_max": lim(model.limits.velocity_max[i]),

@@ -48,6 +48,8 @@ B_CAP = 1e12
 # below this, a row's acceleration coefficient counts as zero (the row
 # constrains the squared speed only)
 SLOPE_TOL = 1e-11
+# random path points of `fd_suite`; every fourth of them also checks the body Jacobian
+FD_SAMPLES = 50
 
 
 def _stacked(samples, name) -> np.ndarray:
@@ -420,8 +422,8 @@ def _fd_jacobian_path_derivative(model, path, s: float) -> np.ndarray:
     return (J_hi - J_lo) / (hi - lo)
 
 
-def fd_suite(scenario, samples: int = 50, seed: int = 0) -> dict:
-    """Finite-difference cross-checks at fixed-seed random path points.
+def fd_suite(scenario, seed: int = 0) -> dict:
+    """Finite-difference cross-checks at `FD_SAMPLES` fixed-seed random path points.
 
     Returns a machine-readable ledger: one entry per check with its max
     error, tolerance, and verdict.  The maxima are taken with np.maximum,
@@ -430,7 +432,7 @@ def fd_suite(scenario, samples: int = 50, seed: int = 0) -> dict:
     """
     scene = scenario.scene
     rng = np.random.default_rng(seed)
-    s_vals = rng.uniform(0.02, 0.98, size=samples)
+    s_vals = rng.uniform(0.02, 0.98, size=FD_SAMPLES)
     checks: dict[str, dict] = {}
 
     def record(name, err, tol):
@@ -439,7 +441,7 @@ def fd_suite(scenario, samples: int = 50, seed: int = 0) -> dict:
     jac_err = 0.0
     path_err = 0.0
     for r in scene.robots:
-        for s in s_vals[:: max(1, samples // 12)]:
+        for s in s_vals[:: FD_SAMPLES // 12]:
             q = r.path.position(float(s))
             jac_err = np.maximum(jac_err, np.max(np.abs(body_jacobian(r.model, q) - _fd_body_jacobian(r.model, q))))
         for s in s_vals:
@@ -480,18 +482,15 @@ def fd_suite(scenario, samples: int = 50, seed: int = 0) -> dict:
 
     return {
         "seed": seed,
-        "samples": samples,
+        "samples": FD_SAMPLES,
         "checks": checks,
         "passed": all(c["passed"] for c in checks.values()),
     }
 
 
-def verification_ledger(scenario, profile: ScalingVariables | None = None, tolerance: float = 1e-6) -> dict:
-    """Combined machine-readable ledger: fd_suite plus (optionally) an audit."""
+def verification_ledger(scenario, profile: ScalingVariables, tolerance: float = 1e-6) -> dict:
+    """Combined machine-readable ledger: fd_suite plus the audit of `profile`."""
     ledger = {"scenario": scenario.name, "fd_suite": fd_suite(scenario)}
-    if profile is not None:
-        ledger["audit"] = audit(profile, scenario, tolerance).to_json_dict()
-    ledger["passed"] = ledger["fd_suite"]["passed"] and (
-        profile is None or ledger["audit"]["passed"]
-    )
+    ledger["audit"] = audit(profile, scenario, tolerance).to_json_dict()
+    ledger["passed"] = ledger["fd_suite"]["passed"] and ledger["audit"]["passed"]
     return ledger

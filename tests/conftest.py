@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import settings
 
-from contact_topp.liegroup import Pose, Twist
+from contact_topp.liegroup import Pose
 from contact_topp.robot import JointDef, JointLimits, Link, LinkInertia, RobotModel
 
 # Property tests draw a fixed sequence of examples and have no per-example
@@ -32,7 +32,7 @@ def planar_arm(lengths, masses, tool=None, limits=None):
     links = []
     at = 0.0
     for l, m in zip(lengths, masses):
-        joints.append(JointDef("revolute", Twist.revolute([0, 1, 0], [at, 0.0, 0.0])))
+        joints.append(JointDef.revolute([0, 1, 0], [at, 0.0, 0.0]))
         links.append(
             Link(
                 home_pose=Pose(np.eye(3), [at + l / 2.0, 0.0, 0.0]),
@@ -52,10 +52,10 @@ def planar_arm(lengths, masses, tool=None, limits=None):
 
 def spatial_arm():
     joints = (
-        JointDef("revolute", Twist.revolute([0, 0, 1], [0, 0, 0])),
-        JointDef("revolute", Twist.revolute([0, 1, 0], [0, 0, 0.3])),
-        JointDef("prismatic", Twist.prismatic([0, 0, 1])),
-        JointDef("revolute", Twist.revolute([1, 0, 0], [0.2, 0, 0.5])),
+        JointDef.revolute([0, 0, 1], [0, 0, 0]),
+        JointDef.revolute([0, 1, 0], [0, 0, 0.3]),
+        JointDef.prismatic([0, 0, 1]),
+        JointDef.revolute([1, 0, 0], [0.2, 0, 0.5]),
     )
     links = tuple(
         Link(

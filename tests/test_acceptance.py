@@ -238,7 +238,7 @@ def test_criterion_08_solver_analytic_suite():
 def test_criterion_09_fd_suite_all_scenarios():
     worst_fd, worst_sub = 0.0, 0.0
     for rel in SHIPPED:
-        ledger = fd_suite(scenario(rel), samples=50, seed=0)
+        ledger = fd_suite(scenario(rel), seed=0)
         assert ledger["passed"], (rel, ledger["checks"])
         sub = ledger["checks"]["rnea_substitution"]["max_error"]
         others = max(

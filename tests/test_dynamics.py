@@ -19,7 +19,7 @@ from contact_topp.dynamics import (
     sample_path_dynamics,
     stack_dynamics_in_s,
 )
-from contact_topp.liegroup import Pose, Twist, body_jacobian, forward_kinematics, pose_exp
+from contact_topp.liegroup import Pose, body_jacobian, forward_kinematics, pose_exp
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, Link, LinkInertia, RobotModel
 from contact_topp.scenario import load_scenario
@@ -149,7 +149,7 @@ class TestInverseDynamics:
 
 class TestGraspMap:
     def test_block_structure(self):
-        pose = pose_exp(Twist(linear=[0.1, 0.2, -0.1], angular=[0.3, -0.2, 0.5]), 1.0)
+        pose = pose_exp(np.array([0.1, 0.2, -0.1, 0.3, -0.2, 0.5]), 1.0)
         G = pose.wrench_map()
         R = pose.rotation
         assert np.allclose(G[:3, :3], R)
@@ -157,7 +157,7 @@ class TestGraspMap:
         assert np.allclose(G[:3, 3:], 0.0)
 
     def test_round_trip_with_inverse(self):
-        pose = pose_exp(Twist(linear=[0.1, 0.2, -0.1], angular=[0.3, -0.2, 0.5]), 0.7)
+        pose = pose_exp(np.array([0.1, 0.2, -0.1, 0.3, -0.2, 0.5]), 0.7)
         G = pose.wrench_map()
         G_inv = pose.inverse().wrench_map()
         assert np.allclose(G @ G_inv, np.eye(6), atol=1e-12)
@@ -459,10 +459,10 @@ def random_chain(rng, kinds):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         if kind == "revolute":
-            twist = Twist.revolute(axis, rng.uniform(-0.5, 0.5, size=3))
+            joint = JointDef.revolute(axis, rng.uniform(-0.5, 0.5, size=3))
         else:
-            twist = Twist.prismatic(axis)
-        joints.append(JointDef(kind, twist))
+            joint = JointDef.prismatic(axis)
+        joints.append(joint)
         L = rng.normal(size=(3, 3))
         links.append(
             Link(
@@ -488,7 +488,7 @@ def slider_box_scene(hint):
     """A prismatic slider carrying a box that never turns, with one world-normal contact."""
     slider = RobotModel(
         name="slider",
-        joints=(JointDef("prismatic", Twist.prismatic([1.0, 0.0, 0.0])),),
+        joints=(JointDef.prismatic([1.0, 0.0, 0.0]),),
         links=(Link(Pose.identity(), LinkInertia(1.0, np.zeros(3), np.eye(3) * 1e-3)),),
         x_ref=Pose.identity(),
         tool_offset=Pose.identity(),

@@ -5,7 +5,6 @@ from scipy.linalg import expm
 
 from contact_topp.liegroup import (
     Pose,
-    Twist,
     body_jacobian,
     forward_kinematics,
     jacobian_path_derivative,
@@ -29,14 +28,14 @@ def hat(xi):
 
 
 def expm_oracle(twist, angle):
-    return expm(hat(twist.as_array()) * angle)
+    return expm(hat(twist) * angle)
 
 
 class TestPoseExp:
     def test_revolute_about_axis_through_point(self):
         # Quarter and half turns about z through (1, 0, 0), checked against a
         # dense matrix exponential, with the half-turn values frozen.
-        tw = Twist.revolute([0, 0, 1], [1.0, 0.0, 0.0])
+        tw = JointDef.revolute([0, 0, 1], [1.0, 0.0, 0.0]).twist
         for angle in (0.3, np.pi / 2, np.pi, -1.2):
             P = pose_exp(tw, angle)
             M = expm_oracle(tw, angle)
@@ -46,20 +45,20 @@ class TestPoseExp:
         assert np.allclose(np.diag(half.rotation), [-1.0, -1.0, 1.0], atol=1e-12)
 
     def test_pure_translation(self):
-        tw = Twist.prismatic([0, 0, 1])
+        tw = JointDef.prismatic([0, 0, 1]).twist
         P = pose_exp(tw, 0.7)
         assert np.allclose(P.rotation, np.eye(3))
         assert np.allclose(P.translation, [0, 0, 0.7])
 
     def test_zero_angle_identity(self):
-        tw = Twist.revolute([0, 1, 0], [0.3, 0.2, -0.5])
+        tw = JointDef.revolute([0, 1, 0], [0.3, 0.2, -0.5]).twist
         P = pose_exp(tw, 0.0)
         assert np.allclose(P.as_matrix(), np.eye(4), atol=1e-15)
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_one_parameter_subgroup(self, t1, t2):
-        tw = Twist(linear=[0.2, -0.1, 0.4], angular=[0.36, 0.48, 0.8])
+        tw = np.array([0.2, -0.1, 0.4, 0.36, 0.48, 0.8])
         left = pose_exp(tw, t1).compose(pose_exp(tw, t2))
         right = pose_exp(tw, t1 + t2)
         assert np.allclose(left.as_matrix(), right.as_matrix(), atol=1e-9)
@@ -67,7 +66,7 @@ class TestPoseExp:
     @given(st.floats(-2.0, 2.0))
     @settings(max_examples=30, deadline=None)
     def test_general_screw_matches_expm(self, angle):
-        tw = Twist(linear=[0.3, 0.1, -0.2], angular=[0.5, -0.4, 0.7])
+        tw = np.array([0.3, 0.1, -0.2, 0.5, -0.4, 0.7])
         assert np.allclose(pose_exp(tw, angle).as_matrix(), expm_oracle(tw, angle), atol=1e-9)
 
 
@@ -102,14 +101,14 @@ class TestPose:
             Pose.from_quaternion([np.nan, 0.0, 0.0, 1.0], np.zeros(3))
 
     def test_compose_inverse(self):
-        a = pose_exp(Twist.revolute([0, 0, 1], [0.5, 0.2, 0]), 0.8)
-        b = pose_exp(Twist(linear=[0.1, 0, 0.2], angular=[0, 0.6, 0.8]), -0.4)
+        a = pose_exp(JointDef.revolute([0, 0, 1], [0.5, 0.2, 0]).twist, 0.8)
+        b = pose_exp(np.array([0.1, 0, 0.2, 0, 0.6, 0.8]), -0.4)
         ab = a.compose(b)
         assert np.allclose(ab.as_matrix(), a.as_matrix() @ b.as_matrix(), atol=1e-12)
         assert np.allclose(a.compose(a.inverse()).as_matrix(), np.eye(4), atol=1e-12)
 
     def test_adjoint_and_wrench_map_are_dual(self):
-        T = pose_exp(Twist(linear=[0.2, -0.3, 0.1], angular=[0.1, 0.7, -0.4]), 1.0)
+        T = pose_exp(np.array([0.2, -0.3, 0.1, 0.1, 0.7, -0.4]), 1.0)
         # Power invariance: F_a . V_a == F_b . V_b with V_a = Ad V_b, F_b arbitrary.
         Ad = T.adjoint()
         Wm = T.wrench_map()
@@ -159,7 +158,7 @@ class TestBodyJacobian:
             assert np.allclose(J[3:, i], w, atol=1e-5)
 
     def test_revolute_reporting_on_axis_has_zero_linear_part(self):
-        joints = (JointDef("revolute", Twist.revolute([0, 0, 1], [0, 0, 0])),)
+        joints = (JointDef.revolute([0, 0, 1], [0, 0, 0]),)
         links = (
             Link(
                 home_pose=Pose(np.eye(3), [0.2, 0, 0]),
@@ -179,7 +178,7 @@ class TestBodyJacobian:
         assert np.allclose(np.linalg.norm(J[3:, 0]), 1.0, atol=1e-12)
 
     def test_prismatic_aligned_with_tool(self):
-        joints = (JointDef("prismatic", Twist.prismatic([0, 0, 1])),)
+        joints = (JointDef.prismatic([0, 0, 1]),)
         links = (
             Link(
                 home_pose=Pose.identity(),
@@ -208,7 +207,7 @@ class TestJacobianPathDerivative:
             assert np.max(np.abs(dJ_a - dJ_fd)) < 1e-5
 
     def test_one_dof_derivative_is_zero(self):
-        joints = (JointDef("revolute", Twist.revolute([0, 1, 0], [0, 0, 0])),)
+        joints = (JointDef.revolute([0, 1, 0], [0, 0, 0]),)
         links = (
             Link(
                 home_pose=Pose(np.eye(3), [0.2, 0, 0]),

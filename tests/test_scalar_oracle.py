@@ -33,7 +33,6 @@ from contact_topp.dynamics import (
 )
 from contact_topp.liegroup import (
     Pose,
-    Twist,
     body_jacobian,
     forward_kinematics,
     object_path_kinematics,
@@ -54,7 +53,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def ref_pose_exp(twist, angle):
-    w, v = twist.angular, twist.linear
+    v, w = twist[:3], twist[3:]
     wn = np.linalg.norm(w)
     if wn * abs(angle) < 1e-12 and wn < 1e-9:
         return Pose(np.eye(3), v * angle)
@@ -78,7 +77,7 @@ def ref_body_jacobian(model, q, offset=None):
     cols = np.zeros((6, model.dof))
     T = Pose.identity()
     for i, (joint, qi) in enumerate(zip(model.joints, q)):
-        cols[:, i] = T.adjoint() @ joint.twist.as_array()
+        cols[:, i] = T.adjoint() @ joint.twist
         T = T.compose(ref_pose_exp(joint.twist, qi))
     return T.compose(model.x_ref).compose(offset).inverse().adjoint() @ cols
 
@@ -97,7 +96,7 @@ def ref_inverse_dynamics(model, q, qd, qdd, gravity):
     prev_home = Pose.identity()
     for joint, link in zip(model.joints, model.links):
         inv_home = link.home_pose.inverse()
-        A = inv_home.adjoint() @ joint.twist.as_array()
+        A = inv_home.adjoint() @ joint.twist
         chain.append((A, inv_home.compose(prev_home), link.inertia.spatial_inertia()))
         prev_home = link.home_pose
     n = model.dof
@@ -105,7 +104,7 @@ def ref_inverse_dynamics(model, q, qd, qdd, gravity):
     Vd = np.concatenate([-gravity, np.zeros(3)])
     vel, acc, ads_down = [], [], []
     for i, (A, B, _) in enumerate(chain):
-        Ad = ref_pose_exp(Twist.from_array(A), -q[i]).compose(B).adjoint()
+        Ad = ref_pose_exp(A, -q[i]).compose(B).adjoint()
         V = Ad @ V + A * qd[i]
         Vd = Ad @ Vd + (ref_ad(V) @ A) * qd[i] + A * qdd[i]
         vel.append(V)
@@ -180,10 +179,10 @@ def random_arm(rng, kinds):
     for i, kind in enumerate(kinds):
         axis = rng.normal(size=3)
         if kind == "revolute":
-            twist = Twist.revolute(axis, rng.uniform(-0.3, 0.3, size=3) + [0.0, 0.0, 0.2 * i])
+            joint = JointDef.revolute(axis, rng.uniform(-0.3, 0.3, size=3) + [0.0, 0.0, 0.2 * i])
         else:
-            twist = Twist.prismatic(axis)
-        joints.append(JointDef(kind, twist))
+            joint = JointDef.prismatic(axis)
+        joints.append(joint)
         links.append(
             Link(
                 home_pose=random_pose(rng),

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from conftest import make_limits
 from contact_topp.dynamics import RobotInstance, Scene
-from contact_topp.liegroup import Pose, Twist
+from contact_topp.liegroup import Pose
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, JointLimits, Link, LinkInertia, RobotModel
 from contact_topp import solver
@@ -298,7 +298,7 @@ def slider_robot(torque_cap=np.inf, accel_cap=1.0, vel=np.inf):
     inertia = LinkInertia(mass=1.0, com=np.zeros(3), inertia=np.eye(3) * 1e-6)
     return RobotModel(
         name="slider",
-        joints=(JointDef(kind="prismatic", twist=Twist.prismatic(np.array([1.0, 0.0, 0.0]))),),
+        joints=(JointDef.prismatic([1.0, 0.0, 0.0]),),
         links=(Link(home_pose=Pose.identity(), inertia=inertia),),
         x_ref=Pose.identity(),
         tool_offset=Pose.identity(),
@@ -499,6 +499,15 @@ def assert_primal_certificate(prob, cert):
     assert np.linalg.norm(prob.A.T @ y + prob.G.T @ z, ord=np.inf) <= 1e-7
     assert float(prob.b @ y + prob.h @ z) <= -1e-8
     assert cone_residual(prob.cones, z) <= 1e-9
+
+
+def assert_dual_certificate(prob, cert):
+    """Unboundedness check on the given data: A x ~ 0, G x + s ~ 0, s in K, c'x < 0."""
+    x, s = cert["x"], cert["s"]
+    assert np.max(np.abs(prob.A @ x), initial=0.0) <= 1e-7
+    assert np.max(np.abs(prob.G @ x + s), initial=0.0) <= 1e-7
+    assert cone_residual(prob.cones, s) <= 1e-9
+    assert float(prob.c @ x) < 0.0
 
 
 def assert_verified(prob, report):
@@ -817,6 +826,27 @@ def planted_form(seed, margin):
     return form(c, G=G, h=G @ x0 + margin * interior_point(rng, o, socs), A=A, b=A @ x0, orthant=o, socs=socs)
 
 
+def planted_unbounded_form(seed):
+    """The mirror of `planted_form`: an LP or SOCP with a strictly feasible
+    x0 and a planted ray d with A d = 0, G d = -s_ray for an interior s_ray
+    and c'd = -1, so c'x falls without bound along d."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    p = int(rng.integers(0, n))
+    o = int(rng.integers(2, 6))
+    socs = tuple(int(d) for d in rng.integers(2, 5, size=rng.integers(0, 3)))
+    d = rng.normal(size=n)
+    A = rng.normal(size=(p, n))
+    A -= np.outer(A @ d, d) / (d @ d)
+    s_ray = interior_point(rng, o, socs)
+    G = rng.normal(size=(s_ray.size, n))
+    G -= np.outer(G @ d + s_ray, d) / (d @ d)
+    c = rng.normal(size=n)
+    c -= (c @ d + 1.0) * d / (d @ d)
+    x0 = rng.normal(size=n)
+    return form(c, G=G, h=G @ x0 + interior_point(rng, o, socs), A=A, b=A @ x0, orthant=o, socs=socs)
+
+
 def badly_scaled(prob, scale):
     """prob with its cost or its right-hand sides blown up, per `scale`."""
     c_scale, rhs_scale = {"none": (1.0, 1.0), "cost": (1e4, 1.0), "rhs": (1.0, 1e8)}[scale]
@@ -915,6 +945,28 @@ class TestEarlyCertificates:
         (point,) = sweep(sc, "objects.box.mass", [1.75], grid=80)
         assert point.status == "PrimalInfeasible"
         assert point.iterations <= 8
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [
+        "none",
+        "cost",
+        # seeds 8, 10, 17, 22, 26, 30, 34 and 44 are certified
+        # PrimalInfeasible by a ray that passes `assert_primal_certificate`
+        # (ROADMAP direction 1)
+        pytest.param("rhs", marks=pytest.mark.xfail(strict=True, raises=AssertionError)),
+    ],
+)
+def test_planted_unbounded_forms(scale):
+    # DualInfeasible and NumericalFailure are the only right answers for a
+    # feasible form that is unbounded below
+    for seed in range(50):
+        prob = badly_scaled(planted_unbounded_form(seed), scale)
+        report = solve(prob)
+        assert report.status in ("DualInfeasible", "NumericalFailure"), (seed, report.status)
+        if report.status == "DualInfeasible":
+            assert_dual_certificate(prob, report.certificate)
 
 
 # Status and iteration count of planted forms whose [A; G] lacks full column

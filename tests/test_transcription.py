@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from conftest import make_limits, planar_arm, spatial_arm
 from contact_topp.contacts import ContactSpec, FrictionParams
 from contact_topp.dynamics import ObjectInstance, ObjectModel, RobotInstance, Scene, sample_path_dynamics
-from contact_topp.liegroup import Pose, Twist
+from contact_topp.liegroup import Pose
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, JointLimits, Link, LinkInertia, RobotModel
 from contact_topp.scenario import (
@@ -54,7 +54,7 @@ def slider_robot(torque_cap=1.0):
     inertia = LinkInertia(mass=1.0, com=np.zeros(3), inertia=np.eye(3) * 1e-6)
     return RobotModel(
         name="slider",
-        joints=(JointDef(kind="prismatic", twist=Twist.prismatic(np.array([1.0, 0.0, 0.0]))),),
+        joints=(JointDef.prismatic([1.0, 0.0, 0.0]),),
         links=(Link(home_pose=Pose.identity(), inertia=inertia),),
         x_ref=Pose.identity(),
         tool_offset=Pose.identity(),
