@@ -18,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from contact_topp.liegroup import Pose, forward_kinematics, rotation_exp
+from contact_topp.liegroup import Pose, forward_kinematics, rotation_exp, skew
 from contact_topp.robot import (
     JointDef,
     JointLimits,
@@ -37,7 +37,8 @@ def pose_json(R=None, t=(0.0, 0.0, 0.0)):
 
 
 def rot_y(angle):
-    return rotation_exp(np.array([0.0, 1.0, 0.0]), angle)
+    K = skew(np.array([0.0, 1.0, 0.0]))
+    return rotation_exp(K, K @ K, angle)
 
 
 def limits(n, torque=None, velocity=None, accel=None):

@@ -51,7 +51,6 @@ from .liegroup import (
     body_jacobian_many,
     compose_many,
     pose_exp_many,
-    skew,
     skew_many,
     space_jacobian_many,
     twist_bracket_many,
@@ -62,13 +61,18 @@ from .robot import RobotModel, build_chain_data
 
 
 def _ad(V: np.ndarray) -> np.ndarray:
-    """Commutator matrix of a twist: ad(V) W = [V, W], [linear; angular] ordering."""
-    Sw = skew(V[3:])
-    out = np.zeros((6, 6))
-    out[:3, :3] = Sw
-    out[:3, 3:] = skew(V[:3])
-    out[3:, 3:] = Sw
-    return out
+    """Commutator matrix [[S(w), S(v)], [0, S(w)]] of a twist V = (v, w): ad(V) W = [V, W]."""
+    v0, v1, v2, w0, w1, w2 = V.tolist()
+    return np.array(
+        [
+            [0.0, -w2, w1, 0.0, -v2, v1],
+            [w2, 0.0, -w0, v2, 0.0, -v0],
+            [-w1, w0, 0.0, -v1, v0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, -w2, w1],
+            [0.0, 0.0, 0.0, w2, 0.0, -w0],
+            [0.0, 0.0, 0.0, -w1, w0, 0.0],
+        ]
+    )
 
 
 def inverse_dynamics(model: RobotModel, q, qd, qdd, gravity) -> np.ndarray:
@@ -78,15 +82,14 @@ def inverse_dynamics(model: RobotModel, q, qd, qdd, gravity) -> np.ndarray:
     qdd = np.asarray(qdd, dtype=float).reshape(-1)
     if not (q.shape[0] == qd.shape[0] == qdd.shape[0] == model.dof):
         raise ValueError("q, qd, qdd must all have length dof")
-    chain = model.chain_data
-    return _newton_euler(chain, _down_adjoints(chain, q), qd, qdd, gravity)
+    return _newton_euler(model.chain_data, _down_adjoints(model, q), qd, qdd, gravity)
 
 
-def _down_adjoints(chain, q) -> list[np.ndarray]:
+def _down_adjoints(model: RobotModel, q) -> list[np.ndarray]:
     """Per joint, the checked adjoint taking twists from the parent link into the link frame at q."""
     ads = []
-    for (A, B, _), qi in zip(chain, q):
-        R, p = _checked(*_exp_rp(A, -qi))
+    for (_, B, _), screw, qi in zip(model.chain_data, model.link_screws, q):
+        R, p = _checked(*_exp_rp(screw, -qi))
         ads.append(_adjoint(*_checked(*_compose(R, p, B.rotation, B.translation))))
     return ads
 
@@ -397,7 +400,7 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamics:
         rates.append((dqi, ddqi))
         zeros = np.zeros(r.model.dof)
         chain = r.model.chain_data
-        ads = _down_adjoints(chain, qi)
+        ads = _down_adjoints(r.model, qi)
         acc[sl] = _newton_euler(chain, ads, zeros, dqi, np.zeros(3))
         velsq[sl] = _newton_euler(chain, ads, dqi, ddqi, np.zeros(3))
         grav[sl] = _newton_euler(chain, ads, zeros, zeros, scene.gravity)

@@ -9,7 +9,16 @@ rotation/translation pairs rather than `Pose` objects, with the same
 arithmetic as `Pose.compose`, `Pose.inverse`, `Pose.adjoint` and
 `pose_exp`, so they round alike.  Every rotation such a loop produces still
 passes `check_pose`, the orthonormality, determinant and finiteness test
-of every `Pose`.
+of every `Pose`, which runs on Python floats from one `tolist()` of the
+rotation and one of the translation.
+
+What a joint's exponential needs besides the joint value, its
+`ExpConstants` (|w|, the skew matrix K of the unit axis and K @ K, and
+the two translation terms), depends on the twist alone: each `RobotModel`
+builds them once per joint, for its space twists (`space_screws`) and its
+link-frame screws (`link_screws`), and `_exp_rp` evaluates only the sine,
+cosine and products that depend on the angle.  `pose_exp` builds them on
+the fly.  The batched forms below build their own.
 
 One pass over the joints, `_space_chain`, gives the end-effector pose and
 the space Jacobian columns at q; `_reporting_frame` maps those columns
@@ -23,18 +32,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 _EPS = 1e-12
 _ORTHO_TOL = 1e-10
-_I3 = np.eye(3)
-_I3.setflags(write=False)
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
+
+
+_I3 = _read_only(np.eye(3))
+_FLOAT = np.dtype(float)
 
 
 def skew(v: np.ndarray) -> np.ndarray:
     """3x3 matrix S(v) with S(v) @ u == cross(v, u)."""
-    x, y, z = np.asarray(v, dtype=float).tolist()
+    if type(v) is not np.ndarray or v.dtype is not _FLOAT:
+        v = np.asarray(v, dtype=float)
+    x, y, z = v.tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -51,34 +70,29 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x @ x)
 
 
-def _det3(R: np.ndarray) -> float:
-    """det R by cofactors along the first row."""
-    r0, r1, r2 = R.tolist()
-    return (
-        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
-    )
-
-
 def check_pose(R: np.ndarray, p: np.ndarray) -> None:
     """Raise ValueError unless R is a proper rotation and R and p are finite.
 
-    The test of every `Pose`: |R^T R - I|_F within 1e-10 (false for a NaN
-    or infinite R) and det R >= 0.  Past the first test det R is +-1 to
-    within about 1e-10, so the cofactor sum has the sign of any rounding of it.
+    The test of every `Pose`, on Python floats: |R^T R - I|_F within 1e-10
+    (false for a NaN or infinite R) and det R >= 0.  Past the first test
+    det R is +-1 to within about 1e-10, so the cofactor sum along the first
+    row has the sign of any rounding of it.
     """
-    err = _norm(R.T @ R - _I3)
-    if not err <= _ORTHO_TOL or _det3(R) < 0.0:
+    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    # R^T R - I, its diagonal and (twice counted) upper triangle
+    d0, d1, d2 = a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0, c * c + f * f + i * i - 1.0
+    u0, u1, u2 = a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i
+    err = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (u0 * u0 + u1 * u1 + u2 * u2))
+    if not err <= _ORTHO_TOL or a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
         raise ValueError(f"rotation is not a finite proper rotation (|R^T R - I|_F = {err:.3e})")
     if not all(map(math.isfinite, p.tolist())):
         raise ValueError(f"translation is not finite: {p}")
 
 
-def rotation_exp(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
-    K = skew(axis)
-    return _I3 + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+def rotation_exp(K: np.ndarray, K2: np.ndarray, angle: float) -> np.ndarray:
+    """Rodrigues' formula I + sin(angle) K + (1 - cos(angle)) K2, the rotation by
+    `angle` about a unit axis a, for K = skew(a) and K2 = K @ K."""
+    return _I3 + np.sin(angle) * K + (1.0 - np.cos(angle)) * K2
 
 
 def quaternion_to_rotation(q_wxyz) -> np.ndarray:
@@ -121,11 +135,12 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        p = np.asarray(self.translation, dtype=float).reshape(3)
+        # read-only copies: the caller's arrays cannot change a checked pose
+        R = np.array(self.rotation, dtype=float).reshape(3, 3)
+        p = np.array(self.translation, dtype=float).reshape(3)
         check_pose(R, p)
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", p)
+        object.__setattr__(self, "rotation", _read_only(R))
+        object.__setattr__(self, "translation", _read_only(p))
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -192,18 +207,47 @@ def _checked(R, p) -> tuple[np.ndarray, np.ndarray]:
     return R, p
 
 
-def _exp_rp(twist: np.ndarray, angle: float) -> tuple[np.ndarray, np.ndarray]:
-    """(R, p) of `pose_exp`."""
-    v, w = twist[:3], twist[3:]
+class ExpConstants(NamedTuple):
+    """What the exponential of one twist (v, w) needs besides the angle.
+
+    With wn = |w| > 0 and axis a = w / wn: K = skew(a), K2 = K @ K,
+    `cross` = a x (v / wn) and `along` = a (a . v / wn).  With wn == 0 only
+    the pure translation is possible, and those four are None.  Every
+    array is read-only.
+    """
+
+    v: np.ndarray
+    wn: float
+    K: np.ndarray | None
+    K2: np.ndarray | None
+    cross: np.ndarray | None
+    along: np.ndarray | None
+
+
+def exp_constants(twist: np.ndarray) -> ExpConstants:
+    """The `ExpConstants` of a twist given as a 6-vector [linear; angular]."""
+    v, w = np.array(twist[:3]), twist[3:]
     wn = _norm(w)
-    if wn * abs(angle) < _EPS and wn < 1e-9:
-        return np.eye(3), v * angle
+    if wn == 0.0:
+        return ExpConstants(_read_only(v), wn, None, None, None, None)
     axis = w / wn
     vn = v / wn
+    K = skew(axis)
+    K2, cross, along = K @ K, _cross3(axis, vn), axis * (axis @ vn)
+    return ExpConstants(_read_only(v), wn, *map(_read_only, (K, K2, cross, along)))
+
+
+def _exp_rp(screw: ExpConstants, angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """(R, p) of `pose_exp`, from the twist's `ExpConstants`."""
+    v, wn, K, K2, cross, along = screw
+    if wn * abs(angle) < _EPS and wn < 1e-9:
+        return np.eye(3), v * angle
+    if K is None:
+        # wn == 0, so only a NaN or infinite angle gets here
+        raise ValueError(f"exponential angle must be finite, got {angle}")
     phi = wn * angle
-    R = rotation_exp(axis, phi)
-    p = (_I3 - R) @ _cross3(axis, vn) + axis * (axis @ vn) * phi
-    return R, p
+    R = rotation_exp(K, K2, phi)
+    return R, (_I3 - R) @ cross + along * phi
 
 
 def pose_exp(twist: np.ndarray, angle: float) -> Pose:
@@ -212,7 +256,7 @@ def pose_exp(twist: np.ndarray, angle: float) -> Pose:
     Accepts any finite twist; a (near) zero angular part degenerates to a
     pure translation.
     """
-    return Pose(*_exp_rp(twist, angle))
+    return Pose(*_exp_rp(exp_constants(twist), angle))
 
 
 def _joint_values(model, q) -> np.ndarray:
@@ -222,9 +266,9 @@ def _joint_values(model, q) -> np.ndarray:
     return q
 
 
-def _times_exp(R, p, twist: np.ndarray, angle: float) -> tuple[np.ndarray, np.ndarray]:
-    """(R, p) of T exp(twist * angle) for T = (R, p); both new poses checked."""
-    return _checked(*_compose(R, p, *_checked(*_exp_rp(twist, angle))))
+def _times_exp(R, p, screw: ExpConstants, angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """(R, p) of T exp(twist * angle) for T = (R, p) and the twist's constants; both new poses checked."""
+    return _checked(*_compose(R, p, *_checked(*_exp_rp(screw, angle))))
 
 
 def _space_chain(model, q, columns: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -234,10 +278,10 @@ def _space_chain(model, q, columns: bool = True) -> tuple[np.ndarray, np.ndarray
     """
     cols = np.zeros((6, model.dof)) if columns else None
     R, p = np.eye(3), np.zeros(3)
-    for i, (joint, qi) in enumerate(zip(model.joints, q)):
+    for i, (joint, screw, qi) in enumerate(zip(model.joints, model.space_screws, q)):
         if columns:
             cols[:, i] = _adjoint(R, p) @ joint.twist
-        R, p = _times_exp(R, p, joint.twist, qi)
+        R, p = _times_exp(R, p, screw, qi)
     R, p = _checked(*_compose(R, p, model.x_ref.rotation, model.x_ref.translation))
     return R, p, cols
 

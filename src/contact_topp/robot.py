@@ -6,7 +6,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .liegroup import Pose, skew
+from .liegroup import ExpConstants, Pose, exp_constants, skew
 
 JOINT_TYPES = ("revolute", "prismatic")
 
@@ -138,6 +138,17 @@ class RobotModel:
         The scalar Newton-Euler recursion reads it three times per path point.
         """
         return build_chain_data(self)
+
+    @cached_property
+    def space_screws(self) -> tuple[ExpConstants, ...]:
+        """Per joint, the `ExpConstants` of its twist, for the scalar forward kinematics."""
+        return tuple(exp_constants(joint.twist) for joint in self.joints)
+
+    @cached_property
+    def link_screws(self) -> tuple[ExpConstants, ...]:
+        """Per link, the `ExpConstants` of its joint screw in the link frame (the
+        first entry of `chain_data`), for the scalar Newton-Euler recursion."""
+        return tuple(exp_constants(A) for A, _, _ in self.chain_data)
 
 
 def build_chain_data(model: RobotModel) -> tuple[tuple[np.ndarray, Pose, np.ndarray], ...]:

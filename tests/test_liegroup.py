@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,9 @@ from scipy.linalg import expm
 
 from contact_topp.liegroup import (
     Pose,
+    _norm,
     body_jacobian,
+    check_pose,
     forward_kinematics,
     jacobian_path_derivative,
     object_path_kinematics,
@@ -117,6 +121,83 @@ class TestPose:
             Vb = rng.normal(size=6)
             Fb = rng.normal(size=6)
             assert np.isclose((Wm @ Fb) @ (Ad @ Vb), Fb @ Vb, atol=1e-10)
+
+
+def numpy_check_pose(R, p):
+    """`check_pose` in its numpy form, before it moved to Python floats."""
+    err = _norm(R.T @ R - np.eye(3))
+    r0, r1, r2 = R.tolist()
+    det = (
+        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
+    )
+    if not err <= 1e-10 or det < 0.0:
+        raise ValueError(f"rotation is not a finite proper rotation (|R^T R - I|_F = {err:.3e})")
+    if not all(map(math.isfinite, p.tolist())):
+        raise ValueError(f"translation is not finite: {p}")
+
+
+def verdict(check, R, p):
+    """None if `check` accepts (R, p), else the part of its message before any number."""
+    try:
+        with np.errstate(all="ignore"):
+            check(R, p)
+    except ValueError as exc:
+        return str(exc).split(" (")[0].split(":")[0]
+    return None
+
+
+ROTATION = "rotation is not a finite proper rotation"
+
+
+@settings(max_examples=400)
+@given(
+    case=st.sampled_from(["inside", "outside", "reflection", "bad_rotation", "bad_translation", "negative_zeros"]),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float_check_pose_decides_as_numpy(case, bad, seed):
+    rng = np.random.default_rng(seed)
+    R = Pose.from_quaternion(rng.normal(size=4), np.zeros(3)).rotation.copy()
+    p = rng.normal(size=3)
+    expected = ROTATION
+    if case in ("inside", "outside"):
+        # R (I + E/2) with E symmetric, |E|_F = t: |R^T R - I|_F = t + O(t^2),
+        # t a factor 1.001 to 2 to either side of the 1e-10 bound
+        E = rng.normal(size=(3, 3))
+        E = E + E.T
+        factor = rng.uniform(1.001, 2.0)
+        t = 1e-10 * (1.0 / factor if case == "inside" else factor)
+        R = R @ (np.eye(3) + 0.5 * t * E / np.linalg.norm(E))
+        expected = None if case == "inside" else ROTATION
+    elif case == "reflection":
+        R = R @ np.diag(rng.permutation([1.0, 1.0, -1.0]))
+    elif case == "bad_rotation":
+        R[divmod(int(rng.integers(9)), 3)] = bad
+    elif case == "bad_translation":
+        p[rng.integers(3)] = bad
+        expected = "translation is not finite"
+    else:
+        # a signed permutation with det +1, every zero of R and some of p negative
+        R = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
+        if np.linalg.det(R) < 0.0:
+            R[0] = -R[0]
+        R[R == 0.0] = -0.0
+        p[rng.random(3) < 0.5] = -0.0
+        expected = None
+    assert verdict(check_pose, R, p) == verdict(numpy_check_pose, R, p) == expected
+
+
+def test_checked_pose_cannot_change():
+    R, p = np.eye(3), np.zeros(3)
+    P = Pose(R, p)
+    R[0, 0] = 5.0
+    p[1] = np.nan
+    assert P.rotation[0, 0] == 1.0 and not np.isnan(P.translation).any()
+    for x in (P.rotation, P.translation):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 2.0
 
 
 class TestForwardKinematics:

@@ -12,6 +12,7 @@
 """
 import ast
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,11 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # reference: the same formulas on `Pose` objects
 
 
+def ref_rotation_exp(axis, angle):
+    K = skew(axis)
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
 def ref_pose_exp(twist, angle):
     v, w = twist[:3], twist[3:]
     wn = np.linalg.norm(w)
@@ -60,7 +66,7 @@ def ref_pose_exp(twist, angle):
     axis = w / wn
     vn = v / wn
     phi = wn * angle
-    R = rotation_exp(axis, phi)
+    R = ref_rotation_exp(axis, phi)
     p = (np.eye(3) - R) @ np.cross(axis, vn) + axis * (axis @ vn) * phi
     return Pose(R, p)
 
@@ -415,13 +421,95 @@ def test_chain_data_built_once_per_model():
     arm = random_arm(np.random.default_rng(3), ["revolute", "prismatic", "revolute"])
     assert arm.chain_data is arm.chain_data
     assert len(arm.chain_data) == arm.dof
+    for screws in (arm.space_screws, arm.link_screws):
+        assert len(screws) == arm.dof
+        assert all(not x.flags.writeable for c in screws for x in c if isinstance(x, np.ndarray))
+    assert arm.space_screws is arm.space_screws and arm.link_screws is arm.link_screws
+    # the prismatic joint keeps only its translation
+    assert arm.space_screws[1].wn == 0.0 and arm.space_screws[1].K is None
+
+
+def old_exp_rp(twist, angle):
+    """`liegroup._exp_rp` as it was when it derived everything from the twist on every call."""
+    v, w = twist[:3], twist[3:]
+    wn = liegroup._norm(w)
+    if wn * abs(angle) < 1e-12 and wn < 1e-9:
+        return np.eye(3), v * angle
+    axis = w / wn
+    vn = v / wn
+    phi = wn * angle
+    R = ref_rotation_exp(axis, phi)
+    p = (np.eye(3) - R) @ liegroup._cross3(axis, vn) + axis * (axis @ vn) * phi
+    return R, p
+
+
+@settings(max_examples=300)
+@given(
+    kind=st.sampled_from(["revolute", "prismatic", "zero", "tiny", "general"]),
+    angle=st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-2 * np.pi, 2 * np.pi),
+        st.floats(1e3, 1e8).map(lambda a: a if a > 5e5 else -a),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exponential_from_constants_keeps_every_bit(kind, angle, seed):
+    # 0 < |w| < 1e-9 turns only at a large angle; a zero twist never does
+    rng = np.random.default_rng(seed)
+    axis, point = rng.normal(size=3), rng.uniform(-1.0, 1.0, size=3)
+    twist = {
+        "revolute": lambda: JointDef.revolute(axis, point).twist,
+        "prismatic": lambda: JointDef.prismatic(axis).twist,
+        "zero": lambda: np.zeros(6),
+        "tiny": lambda: np.concatenate([rng.normal(size=3), axis / np.linalg.norm(axis) * 10 ** rng.uniform(-15, -9.1)]),
+        "general": lambda: rng.normal(size=6),
+    }[kind]()
+    screw = liegroup.exp_constants(twist)
+    R, p = liegroup._exp_rp(screw, angle)
+    R_old, p_old = old_exp_rp(twist, angle)
+    assert same_bits(R, R_old) and same_bits(p, p_old)
+    assert same_bits(liegroup.pose_exp(twist, angle).translation, p_old)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["revolute", "prismatic", "zero", "tiny"])
+def test_non_finite_angle_raises(kind, bad):
+    twist = {
+        "revolute": JointDef.revolute([0.3, -0.2, 0.9], [0.1, 0.0, 0.2]).twist,
+        "prismatic": JointDef.prismatic([0.3, -0.2, 0.9]).twist,
+        "zero": np.zeros(6),
+        "tiny": np.array([0.1, 0.2, 0.3, 1e-12, 0.0, 0.0]),
+    }[kind]
+    with pytest.raises(ValueError, match="finite"):
+        liegroup._checked(*liegroup._exp_rp(liegroup.exp_constants(twist), bad))
+    with pytest.raises(ValueError, match="finite"):
+        liegroup.pose_exp(twist, bad)
+
+
+@pytest.mark.parametrize("name", ["pivoting", "pickup", "arm_7dof"])
+def test_joint_exponentials_build_no_skew_matrix(monkeypatch, name):
+    # the skew matrices of a joint's exponential are built once per model;
+    # per sample, skew builds only the adjoints and wrench maps
+    scene = load_scenario(SCENARIOS / f"{name}.json").scene
+    sample_path_dynamics(scene, 0.37)
+    callers = []
+    skew_ = liegroup.skew
+
+    def counted(v):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return skew_(v)
+
+    monkeypatch.setattr(liegroup, "skew", counted)
+    sample_path_dynamics(scene, 0.37)
+    assert "_adjoint" in callers and set(callers) <= {"_adjoint", "wrench_map"}
 
 
 def test_every_joint_rotation_is_checked(monkeypatch):
     arm = random_arm(np.random.default_rng(7), ["revolute", "prismatic", "revolute"])
     q = np.array([0.4, 0.1, -0.7])
     arm.chain_data  # built from valid home poses before the patch
-    monkeypatch.setattr(liegroup, "rotation_exp", lambda axis, angle: 1.001 * rotation_exp(axis, angle))
+    monkeypatch.setattr(liegroup, "rotation_exp", lambda K, K2, angle: 1.001 * rotation_exp(K, K2, angle))
     with pytest.raises(ValueError, match="finite proper rotation"):
         forward_kinematics(arm, q)
     with pytest.raises(ValueError, match="finite proper rotation"):

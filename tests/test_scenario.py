@@ -19,6 +19,7 @@ import pytest
 from contact_topp import cli as cli_module
 from contact_topp import scenario as scenario_module
 from contact_topp.cli import main
+from contact_topp.dynamics import sample_path_dynamics
 from contact_topp.liegroup import Pose
 from contact_topp.robot import (
     JointDef,
@@ -324,6 +325,84 @@ def test_mass_homogeneity_lightened_waiter():
     _, T = minimum_time(data, 40)
     _, T_a = minimum_time(mass_scaled(data, 2.0**-10), 40)
     assert abs(T_a - T) <= 1e-8 * T
+
+
+# rigid motion of the world: turning gravity, every robot base and every
+# world-fixed direction by one rotation turns every body with them and
+# leaves every constraint, written in body frames, as it was
+
+
+def quaternion_product(a, b):
+    """Hamilton product a b of two wxyz quaternions."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return [
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ]
+
+
+def world_rotated(data, q_wxyz):
+    """The scenario dict in a world turned by the rotation of a wxyz quaternion.
+
+    Turned: gravity, both halves of every joint twist, every link's
+    `home_pose` and each model's `x_ref` (the base-frame poses at q = 0),
+    and every `world_axis`.  Left alone, as given in a body's own frame:
+    tool offsets, object offsets, contact poses, `pose_in_other`,
+    external wrenches; and the waypoints, which are joint values.
+    """
+    Q = Pose.from_quaternion(q_wxyz, np.zeros(3)).rotation
+    turned = copy.deepcopy(data)
+
+    def turn(vector):
+        return (Q @ np.asarray(vector, dtype=float)).tolist()
+
+    def turn_pose(pose):
+        pose["quaternion_wxyz"] = quaternion_product(q_wxyz, pose["quaternion_wxyz"])
+        pose["translation"] = turn(pose["translation"])
+
+    turned["gravity"] = turn(data.get("gravity", [0.0, 0.0, -9.81]))
+    for robot in turned["robots"]:
+        model = robot["model"]
+        for joint in model["joints"]:
+            joint["twist"] = turn(joint["twist"][:3]) + turn(joint["twist"][3:])
+        for link in model["links"]:
+            turn_pose(link["home_pose"])
+        turn_pose(model["x_ref"])
+    for obj in turned.get("objects", []):
+        for contact in obj.get("contacts", []):
+            if contact.get("frame_mode") == "world_normal":
+                contact["world_axis"] = turn(contact.get("world_axis", [0.0, 0.0, 1.0]))
+    return turned
+
+
+WORLD_TURNS = {"turn_a": [0.8, 0.2, -0.5, 0.26], "turn_b": [-0.3, 0.7, 0.6, -0.1]}
+
+
+@pytest.mark.parametrize("turn", WORLD_TURNS, ids=str)
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: str(p.relative_to(SCENARIOS).with_suffix("")))
+def test_rigid_motion_of_the_world(path, turn):
+    data = json.loads(path.read_text())
+    status, T = minimum_time(data, 40)
+    status_r, T_r = minimum_time(world_rotated(data, np.array(WORLD_TURNS[turn]) / np.linalg.norm(WORLD_TURNS[turn])), 40)
+    assert status_r == status
+    if T is not None:
+        assert abs(T_r - T) <= 1e-10 * T
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: str(p.relative_to(SCENARIOS).with_suffix("")))
+def test_rigid_motion_of_the_world_in_the_oracle(path):
+    # the joint torques do not see the turn; the scalar oracle's agree to rounding
+    data = json.loads(path.read_text())
+    q = np.array(WORLD_TURNS["turn_a"]) / np.linalg.norm(WORLD_TURNS["turn_a"])
+    scene, turned = (scenario_from_dict(d).scene for d in (data, world_rotated(data, q)))
+    for s in (0.0, 0.37, 1.0):
+        a, b = sample_path_dynamics(scene, s), sample_path_dynamics(turned, s)
+        got = np.stack([b.torque_accel_coeff, b.torque_velsq_coeff, b.torque_gravity])
+        want = np.stack([a.torque_accel_coeff, a.torque_velsq_coeff, a.torque_gravity])
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), np.max(np.abs(got)))
 
 
 # waiter and other object stacks
