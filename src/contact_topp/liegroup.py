@@ -46,14 +46,9 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 
 _I3 = _read_only(np.eye(3))
-_FLOAT = np.dtype(float)
-
-
 def skew(v: np.ndarray) -> np.ndarray:
     """3x3 matrix S(v) with S(v) @ u == cross(v, u)."""
-    if type(v) is not np.ndarray or v.dtype is not _FLOAT:
-        v = np.asarray(v, dtype=float)
-    x, y, z = v.tolist()
+    x, y, z = np.asarray(v, dtype=float).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
