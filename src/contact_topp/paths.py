@@ -50,6 +50,9 @@ class JointPath:
 
     def _check(self, s):
         """s clipped to [0, 1]; ValueError if it, or any entry of it, is NaN or more than 1e-12 outside."""
+        # a float stays off numpy here and in `_piece`: the scalar oracle
+        # passes one s at a time, and without it verify-k500 ran 13 % slower
+        # (2-vCPU Xeon)
         if isinstance(s, float):
             if not -1e-12 <= s <= 1.0 + 1e-12:
                 raise ValueError(f"path parameter {s} outside [0, 1]")

@@ -62,15 +62,6 @@ class JointLimits:
         if not np.all(self.accel_lower <= self.accel_upper):
             raise ValueError("acceleration bounds must be numbers with accel_min <= accel_max")
 
-    def scaled(self, torque: float = 1.0, velocity: float = 1.0, acceleration: float = 1.0) -> "JointLimits":
-        return JointLimits(
-            self.torque_lower * torque,
-            self.torque_upper * torque,
-            self.velocity_max * velocity,
-            self.accel_lower * acceleration,
-            self.accel_upper * acceleration,
-        )
-
 
 @dataclass(frozen=True)
 class LinkInertia:

@@ -21,7 +21,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
@@ -214,69 +214,62 @@ def _object_from_dict(entry, where) -> ObjectInstance:
         )
 
 
-def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
+def scenario_from_dict(data: dict) -> Scenario:
     """Validate a raw scenario dict and build the scene it describes."""
-    fmt = _need(data, "format", where)
+    fmt = _need(data, "format", "scenario")
     if fmt != SCENARIO_FORMAT:
-        raise ScenarioError(f"{where}.format: unsupported {fmt!r}, expected {SCENARIO_FORMAT!r}")
-    name = _name(data, where)
-    grid_points = _whole(_need(data, "grid_points", where), f"{where}.grid_points", "a positive whole interval count", 1)
+        raise ScenarioError(f"scenario.format: unsupported {fmt!r}, expected {SCENARIO_FORMAT!r}")
+    name = _name(data, "scenario")
+    grid_points = _whole(_need(data, "grid_points", "scenario"), "scenario.grid_points", "a positive whole interval count", 1)
     if grid_points > MAX_INTERVALS:
-        raise ScenarioError(f"{where}.grid_points: must be at most {MAX_INTERVALS}, got {grid_points}")
+        raise ScenarioError(f"scenario.grid_points: must be at most {MAX_INTERVALS}, got {grid_points}")
 
-    with _reading(f"{where}.boundary_sdot"):
+    with _reading("scenario.boundary_sdot"):
         boundary = tuple(None if v is None else float(v) for v in data.get("boundary_sdot", (0.0, 0.0)))
     if len(boundary) != 2:
-        raise ScenarioError(f"{where}.boundary_sdot: expected two entries (null leaves an end free)")
+        raise ScenarioError("scenario.boundary_sdot: expected two entries (null leaves an end free)")
     # the transcription fixes b = sdot^2 at a given end; NaN fails both tests
     if not all(v is None or (v >= 0.0 and math.isfinite(v * v)) for v in boundary):
         raise ScenarioError(
-            f"{where}.boundary_sdot: each entry must be null or a number >= 0 with a finite square, got {list(boundary)}"
+            f"scenario.boundary_sdot: each entry must be null or a number >= 0 with a finite square, got {list(boundary)}"
         )
 
     path_boundary = data.get("path_boundary", "clamped")
     if path_boundary not in BOUNDARY_KINDS:
-        raise ScenarioError(f"{where}.path_boundary: unknown kind {path_boundary!r}")
+        raise ScenarioError(f"scenario.path_boundary: unknown kind {path_boundary!r}")
 
-    scale = _object(data.get("limit_scale", {}), f"{where}.limit_scale")
-    unknown = set(scale) - {"torque", "velocity", "acceleration"}
-    if unknown:
-        raise ScenarioError(f"{where}.limit_scale: unknown keys {sorted(unknown)}")
-    factors = {}
-    for key in ("torque", "velocity", "acceleration"):
-        with _reading(f"{where}.limit_scale.{key}"):
-            factors[key] = float(scale.get(key, 1.0))
+    # limits are written in each robot model; a file that still scales them
+    # would get an answer the file does not describe
+    if "limit_scale" in data:
+        raise ScenarioError("scenario.limit_scale: not supported, write the scaled limits into each robot model")
 
-    robots_raw = _list(_need(data, "robots", where), f"{where}.robots")
+    robots_raw = _list(_need(data, "robots", "scenario"), "scenario.robots")
     if not robots_raw:
-        raise ScenarioError(f"{where}.robots: need at least one robot")
+        raise ScenarioError("scenario.robots: need at least one robot")
     robots = []
     for i, entry in enumerate(robots_raw):
-        rwhere = f"{where}.robots[{i}]"
+        rwhere = f"scenario.robots[{i}]"
         with _reading(f"{rwhere}.model"):
             model = robot_from_json(_need(entry, "model", rwhere))
-        if scale:
-            with _reading(f"{where}.limit_scale"):
-                model = replace(model, limits=model.limits.scaled(**factors))
         waypoints = _need(entry, "waypoints", rwhere)
         with _reading(f"{rwhere}.waypoints"):
             robots.append(RobotInstance(model=model, path=JointPath(waypoints, boundary=path_boundary)))
 
     if all(np.all(r.path.waypoints == r.path.waypoints[0]) for r in robots):
-        raise ScenarioError(f"{where}.robots: stationary path, every robot's waypoints are all equal")
+        raise ScenarioError("scenario.robots: stationary path, every robot's waypoints are all equal")
 
-    objects_raw = _list(data.get("objects", []), f"{where}.objects")
-    objects = tuple(_object_from_dict(entry, f"{where}.objects[{i}]") for i, entry in enumerate(objects_raw))
+    objects_raw = _list(data.get("objects", []), "scenario.objects")
+    objects = tuple(_object_from_dict(entry, f"scenario.objects[{i}]") for i, entry in enumerate(objects_raw))
 
-    with _reading(f"{where}.gravity"):
+    with _reading("scenario.gravity"):
         gravity = np.asarray(data.get("gravity", (0.0, 0.0, -9.81)), dtype=float)
     if gravity.shape != (3,):
-        raise ScenarioError(f"{where}.gravity: expected 3 entries")
+        raise ScenarioError("scenario.gravity: expected 3 entries")
     # path derivatives of the Jacobian are analytic; files may still name that
     method = data.get("jacobian_derivative", "analytic")
     if method != "analytic":
-        raise ScenarioError(f"{where}.jacobian_derivative: only 'analytic' is supported, got {method!r}")
-    with _reading(where):
+        raise ScenarioError(f"scenario.jacobian_derivative: only 'analytic' is supported, got {method!r}")
+    with _reading("scenario"):
         scene = Scene(robots=tuple(robots), objects=objects, gravity=gravity)
     return Scenario(
         name=name,

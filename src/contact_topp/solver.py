@@ -623,7 +623,7 @@ def _inverse_sqrt(v: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.where(v > 0, v, 1.0))
 
 
-def _ruiz_equilibrate(form: StandardConicForm, iters: int = EQUILIBRATE_ITERS):
+def _ruiz_equilibrate(form: StandardConicForm):
     """Row/column scaling of the stacked constraint matrix.
 
     Rows belonging to one second-order cone share a single scale so the
@@ -639,7 +639,7 @@ def _ruiz_equilibrate(form: StandardConicForm, iters: int = EQUILIBRATE_ITERS):
     d_col = np.ones(n)
     d_row = np.ones(M.shape[0])
     spec = form.cones
-    for _ in range(iters):
+    for _ in range(EQUILIBRATE_ITERS):
         mag = np.abs(M.data)
         col_max = np.zeros(n)
         np.maximum.at(col_max, M.indices, mag)
@@ -734,24 +734,6 @@ def _check_dual_infeasibility_certificate(form, x, s, tol, relative: bool = Fals
     return None
 
 
-def _parallel_keys(M: sp.csr_matrix) -> tuple:
-    """(rows, pivots, keys) of the nonempty rows of M, whose column indices
-    must be sorted: a pivot is a row's first stored entry, and a key hashes
-    the row's columns and its entries divided by the pivot, cut to 24
-    significant bits.  Rows with the same nonzero pattern and values
-    proportional up to rounding share a key; the key only proposes such
-    rows, and a collision must be caught by whatever acts on them.
-    """
-    nnz = np.diff(M.indptr)
-    rows = np.flatnonzero(nnz)
-    first = M.indptr[rows]
-    pivots = M.data[first]
-    ratios = (M.data / np.repeat(pivots, nnz[rows])).view(np.uint64) & _TOP_24_BITS
-    weights = np.random.default_rng(0).integers(1, 2**63, size=M.shape[1], dtype=np.uint64)
-    keys = np.add.reduceat(weights[M.indices] * (ratios + np.uint64(1)), first)
-    return rows, pivots, keys
-
-
 def _row_conflict(A: sp.csr_matrix, b: np.ndarray, tol: float) -> np.ndarray | None:
     """y with A'y = 0 and b'y < 0 from two equality rows a x = b_r and
     (k a) x = b_r' that disagree: of all rows with the same nonzero pattern
@@ -761,12 +743,21 @@ def _row_conflict(A: sp.csr_matrix, b: np.ndarray, tol: float) -> np.ndarray | N
     tol (1 + |value|) apart, a gap the iteration could close within its
     feasibility tolerance.
 
-    Rows are matched by `_parallel_keys`; a collision only offers a ray
-    that the certificate check then refuses.
+    Rows are matched by a key that hashes a row's columns and its entries
+    divided by its pivot (its first stored entry), cut to 24 significant
+    bits.  Rows proportional up to rounding share a key; a collision only
+    offers a ray that the certificate check then refuses.
     """
-    rows, pivots, keys = _parallel_keys(A.sorted_indices())
+    A = A.sorted_indices()
+    nnz = np.diff(A.indptr)
+    rows = np.flatnonzero(nnz)
     if rows.size < 2:
         return None
+    first = A.indptr[rows]
+    pivots = A.data[first]
+    ratios = (A.data / np.repeat(pivots, nnz[rows])).view(np.uint64) & _TOP_24_BITS
+    weights = np.random.default_rng(0).integers(1, 2**63, size=A.shape[1], dtype=np.uint64)
+    keys = np.add.reduceat(weights[A.indices] * (ratios + np.uint64(1)), first)
     values = b[rows] / pivots
     order = np.lexsort((values, keys))
     rows, keys, pivots, values = (a[order] for a in (rows, keys, pivots, values))

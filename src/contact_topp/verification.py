@@ -50,6 +50,8 @@ B_CAP = 1e12
 SLOPE_TOL = 1e-11
 # random path points of `fd_suite`; every fourth of them also checks the body Jacobian
 FD_SAMPLES = 50
+# step of every central difference in `fd_suite`
+FD_STEP = 1e-6
 
 
 def _stacked(samples, name) -> np.ndarray:
@@ -152,16 +154,16 @@ def _max_velocity_curve(box: _AccelBox) -> np.ndarray:
             "dynamic singularity: no feasible path acceleration at zero speed "
             f"around samples {bad[0]}..{bad[-1]} of {P}"
         )
-    hi = box.velocity_cap.copy()
-    good_hi = box.feasible(hi)
-    lo = np.where(good_hi, hi, 0.0)
-    hi_work = hi.copy()
+    # a sample whose cap is feasible starts at lo = hi = cap and stays
+    # there, since 0.5 (cap + cap) = cap
+    hi = box.velocity_cap
+    lo = np.where(box.feasible(hi), hi, 0.0)
     for _ in range(64):
-        mid = 0.5 * (lo + hi_work)
+        mid = 0.5 * (lo + hi)
         good = box.feasible(mid)
-        lo = np.where(good_hi, lo, np.where(good, mid, lo))
-        hi_work = np.where(good_hi, hi_work, np.where(good, hi_work, mid))
-    return np.where(good_hi, hi, lo)
+        lo = np.where(good, mid, lo)
+        hi = np.where(good, hi, mid)
+    return lo
 
 
 def topp_phase_plane(scenario, resolution: int | None = None) -> PhasePlaneProfile:
@@ -385,7 +387,7 @@ def audit(profile: ScalingVariables, scenario, tolerance: float = 1e-6) -> Audit
 # finite-difference suite
 
 
-def _fd_body_jacobian(model, q, h=1e-6) -> np.ndarray:
+def _fd_body_jacobian(model, q) -> np.ndarray:
     """Central-difference body Jacobian from forward kinematics alone.
 
     Differentiates the tool pose, matching the default reporting frame of
@@ -400,9 +402,9 @@ def _fd_body_jacobian(model, q, h=1e-6) -> np.ndarray:
     Xinv = np.linalg.inv(tool(q))
     for i in range(n):
         qp, qm = q.copy(), q.copy()
-        qp[i] += h
-        qm[i] -= h
-        E = Xinv @ (tool(qp) - tool(qm)) / (2 * h)
+        qp[i] += FD_STEP
+        qm[i] -= FD_STEP
+        E = Xinv @ (tool(qp) - tool(qm)) / (2 * FD_STEP)
         W = 0.5 * (E[:3, :3] - E[:3, :3].T)
         J[:3, i] = E[:3, 3]
         J[3:, i] = (W[2, 1], W[0, 2], W[1, 0])
@@ -412,11 +414,10 @@ def _fd_body_jacobian(model, q, h=1e-6) -> np.ndarray:
 def _fd_jacobian_path_derivative(model, path, s: float) -> np.ndarray:
     """Central-difference d/ds of the tool-frame body Jacobian along a joint path.
 
-    The step of 1e-6 is cut at the ends of [0, 1], where the difference
+    The step `FD_STEP` is cut at the ends of [0, 1], where the difference
     turns one-sided.
     """
-    h = 1e-6
-    lo, hi = max(0.0, s - h), min(1.0, s + h)
+    lo, hi = max(0.0, s - FD_STEP), min(1.0, s + FD_STEP)
     J_hi = body_jacobian(model, path.position(hi))
     J_lo = body_jacobian(model, path.position(lo))
     return (J_hi - J_lo) / (hi - lo)
@@ -453,7 +454,7 @@ def fd_suite(scenario, seed: int = 0) -> dict:
 
     if scene.objects:
         dir_err = 0.0
-        h = 1e-6
+        h = FD_STEP
         for robot, offset in scene.grasp.values():
             holder = scene.robots[robot]
             for s in s_vals:

@@ -19,6 +19,7 @@ pass: scalings and scaled matrices must agree exactly.
 
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contact_topp import solver
 from contact_topp.solver import (
     EQUILIBRATE_ITERS,
     REG,
@@ -555,11 +557,13 @@ class TestEdgeShapes:
         with pytest.raises(ValueError, match="cone spec"):
             ConeSpec(orthant=orthant, socs=socs)
 
-    def test_equilibration_shares_scale_per_cone(self):
+    def test_equilibration_shares_scale_per_cone(self, monkeypatch):
         spec = ConeSpec(orthant=1, socs=(2, 3, 2))
         G = sp.csr_matrix(np.diag([1.0, 4.0, 0.01, 9.0, 1.0, 0.25, 100.0, 1.0]))
         prob = form(np.ones(8), G=G.toarray(), h=np.ones(8), orthant=1, socs=spec.socs)
-        _, _, _, _, d_in = _ruiz_equilibrate(prob, 1)
+        # one pass, whose scales are the closed-form inverse square roots
+        monkeypatch.setattr(solver, "EQUILIBRATE_ITERS", 1)
+        _, _, _, _, d_in = _ruiz_equilibrate(prob)
         for at, d in oracle_blocks(spec):
             assert np.all(d_in[at : at + d] == d_in[at])
         assert d_in[1] == 0.5 and d_in[3] == 1.0 / 3.0 and d_in[6] == 0.1
@@ -602,7 +606,9 @@ def oracle_ruiz_equilibrate(form, iters):
 
 
 def assert_same_equilibration(prob, iters):
-    got = _ruiz_equilibrate(prob, iters)
+    # hypothesis runs many examples per test call, so the pass count is set here rather than by a fixture
+    with mock.patch.object(solver, "EQUILIBRATE_ITERS", iters):
+        got = _ruiz_equilibrate(prob)
     want = oracle_ruiz_equilibrate(prob, iters)
     for g, w in zip(got[2:], want[2:]):
         assert g.tobytes() == w.tobytes()
