@@ -6,12 +6,17 @@ results as one JSON line.
     python scripts/fingerprint.py --grid 10           # quick run (K >= 2)
     python scripts/fingerprint.py --check saved.json  # compare with a saved line
 
-For pivoting, pickup, arm_7dof and waiter/tilt_10 it hashes, bit for bit:
+For every shipped scenario (scenarios/*.json and scenarios/waiter/*.json)
+it hashes, bit for bit:
 
   samples/<name>      `sample_path_dynamics` at the K interval midpoints
   fd_suite/<name>     the `fd_suite` ledger, seed 0
 
-and for pivoting, pickup and arm_7dof, which have a shipped profile:
+so every robot, path, object and contact kind that ships guards the scalar
+oracle: the two contact-free scenarios, planar_2dof and double_integrator,
+the one-object scenes, and the waiter tilts, whose cube rides on the tray,
+with contact reactions and a grasp chain through an object parent.  For
+pivoting, pickup and arm_7dof, which have a shipped profile, it also hashes:
 
   audit/<name>        the `audit` report of the shipped K=500 profile in
                       perfbench/profiles (with --grid, of its first K intervals)
@@ -19,12 +24,7 @@ and for pivoting, pickup and arm_7dof, which have a shipped profile:
                       field, the total included; with --grid below 500, at
                       resolution K)
 
-waiter/tilt_10 is there for its object riding on another object: its
-contact reactions and its grasp chain through an object parent appear in
-no other oracle key.
-
-and for every shipped scenario (scenarios/*.json and scenarios/waiter/*.json)
-it solves at K intervals and records:
+and for every shipped scenario it solves at K intervals and records:
 
   dump/<name>              sha256 of `json.dumps(program.to_json_dict())`,
                            the bytes `topp solve --dump-program` writes
@@ -69,8 +69,7 @@ from contact_topp.solver import canonicalize  # noqa: E402
 from contact_topp.transcription import ScalingVariables, build_grid, recover_time  # noqa: E402
 from contact_topp.verification import audit, fd_suite, topp_phase_plane  # noqa: E402
 
-SCENARIOS = ("pivoting", "pickup", "arm_7dof")
-SAMPLED = SCENARIOS + ("waiter/tilt_10",)
+PROFILED = ("pivoting", "pickup", "arm_7dof")
 PROFILE_K = 500
 
 
@@ -167,17 +166,16 @@ def solve_keys(name: str, K: int) -> dict:
 
 def fingerprint(K: int) -> dict:
     out = {"grid": K, "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
-    for name in SAMPLED:
+    for name in shipped_scenarios():
         sc = load_scenario(os.path.join(ROOT, "scenarios", f"{name}.json"))
         out[f"samples/{name}"] = samples_hash(sc.scene, K)
         out[f"fd_suite/{name}"] = json_hash(fd_suite(sc, seed=0))
-        if name in SCENARIOS:
+        if name in PROFILED:
             out[f"audit/{name}"] = json_hash(audit(shipped_profile(name, K), sc).to_json_dict())
-        if not sc.scene.objects:
-            # at K=500 the phase plane keeps its own default resolution, so
-            # "grid" names one line whether or not --grid 500 was given
-            out[f"phase_plane/{name}"] = phase_plane_hash(sc, None if K == PROFILE_K else K)
-    for name in shipped_scenarios():
+            if not sc.scene.objects:
+                # at K=500 the phase plane keeps its own default resolution, so
+                # "grid" names one line whether or not --grid 500 was given
+                out[f"phase_plane/{name}"] = phase_plane_hash(sc, None if K == PROFILE_K else K)
         out.update(solve_keys(name, K))
     return out
 

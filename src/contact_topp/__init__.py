@@ -14,7 +14,14 @@ from .dynamics import (
     inverse_dynamics,
     sample_path_dynamics,
 )
-from .liegroup import Pose, body_jacobian, forward_kinematics, pose_exp
+from .liegroup import (
+    Pose,
+    body_jacobian,
+    forward_kinematics,
+    jacobian_path_derivative,
+    object_path_kinematics,
+    pose_exp,
+)
 from .paths import JointPath
 from .robot import JointDef, JointLimits, Link, LinkInertia, RobotModel, robot_from_json, robot_to_json
 from .scenario import (
@@ -71,7 +78,9 @@ __all__ = [
     "fd_suite",
     "forward_kinematics",
     "inverse_dynamics",
+    "jacobian_path_derivative",
     "load_scenario",
+    "object_path_kinematics",
     "pose_exp",
     "recover_time",
     "robot_from_json",

@@ -29,6 +29,14 @@ contact its "<object>/<contact>" id, its owner and its friction cone,
 and `Scene.ee_offsets` the end-effector frame of each manipulator contact.
 Both samplers, the transcription, the trajectory output and the audit read
 that table; the scalar and the batched numerics stay two implementations.
+
+The constants of a contact whose frame turns with its object (a body-fixed
+contact) are resolved there too, for the scalar sampler: its wrench map
+(`Scene.contact_maps`), a manipulator contact's frame in its robot's
+end-effector frame (`Scene.ee_frames`) and an object contact's reaction map
+(`Scene.reaction_maps`), the maps read-only.  A sample hands out the same
+read-only maps at every point and builds a `Pose` only for a world-normal
+contact, whose frame it turns with the object.
 """
 from __future__ import annotations
 
@@ -45,6 +53,7 @@ from .liegroup import (
     _cross3,
     _direction_terms,
     _exp_rp,
+    _read_only,
     _reporting_frame,
     _space_chain,
     adjoint_many,
@@ -102,7 +111,9 @@ def _newton_euler(chain, ads_down, qd, qdd, gravity) -> np.ndarray:
     change a bit of the sum it enters: the first is added to a
     matrix-vector product, which numpy and BLAS sum from +0 and so never
     give -0, and the second is such a product, a +0 that is subtracted.
-    The recursion then leaves both out.
+    The recursion then leaves both out.  A moving pass builds each link's
+    commutator ad(V) once, in the velocity recursion, and the force
+    recursion reuses it.
     """
     n = len(chain)
     g = np.asarray(gravity, dtype=float).reshape(3)
@@ -111,12 +122,12 @@ def _newton_euler(chain, ads_down, qd, qdd, gravity) -> np.ndarray:
     moving = bool(qd.any())
     V = np.zeros(6)
     Vd = np.concatenate([-g, np.zeros(3)])
-    vel = []
-    acc = []
+    vel, acc, ad_vel = [], [], []
     for (A, _, _), Ad, qdi, qddi in zip(chain, ads_down, qd, qdd):
         if moving:
             V = Ad @ V + A * qdi
-            Vd = Ad @ Vd + (_ad(V) @ A) * qdi + A * qddi
+            ad_vel.append(_ad(V))
+            Vd = Ad @ Vd + (ad_vel[-1] @ A) * qdi + A * qddi
         else:
             Vd = Ad @ Vd + A * qddi
         vel.append(V)
@@ -132,7 +143,7 @@ def _newton_euler(chain, ads_down, qd, qdd, gravity) -> np.ndarray:
             F = np.zeros(6)
         F = F + G @ acc[i]
         if moving:
-            F = F - _ad(vel[i]).T @ (G @ vel[i])
+            F = F - ad_vel[i].T @ (G @ vel[i])
         tau[i] = A @ F
     return tau
 
@@ -231,8 +242,8 @@ class SceneContact:
 class Scene:
     """Everything the transcription needs: robots, objects, gravity.
 
-    Construction checks the contact topology and resolves it once, into four
-    derived fields:
+    Construction checks the contact topology and resolves it once, into
+    these derived fields:
 
       grasp       object name -> (index of the robot that carries the object,
                   through any chain of object parents; constant pose of the
@@ -243,6 +254,17 @@ class Scene:
       ee_offsets  manipulator contact id -> the frame its pose is given in,
                   in its robot's end-effector frame: the owner's grasp offset
                   when that robot carries the owner, else its tool offset
+
+    and the constants of the contacts whose frame turns with their object
+    (frame_mode "body_fixed"), which the scalar sampler reads at every point:
+
+      contact_maps   body-fixed contact id -> the read-only wrench map of its
+                     pose, contact to owning object
+      ee_frames      body-fixed manipulator contact id -> its contact frame in
+                     its robot's end-effector frame, ee_offsets[cid] composed
+                     with its pose
+      reaction_maps  object contact id -> the read-only wrench map of its
+                     `pose_in_other`, contact to the object it presses against
     """
 
     robots: tuple[RobotInstance, ...]
@@ -252,6 +274,9 @@ class Scene:
     contacts: tuple[SceneContact, ...] = field(init=False, compare=False)
     carriers: tuple[int, ...] = field(init=False, compare=False)
     ee_offsets: dict[str, Pose] = field(init=False, compare=False)
+    contact_maps: dict[str, np.ndarray] = field(init=False, compare=False)
+    ee_frames: dict[str, Pose] = field(init=False, compare=False)
+    reaction_maps: dict[str, np.ndarray] = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float).reshape(3))
@@ -285,7 +310,7 @@ class Scene:
                 offset = offset.compose(rider.offset)
             grasp[obj.model.name] = (root.parent_robot, offset)
 
-        contacts, ee_offsets = [], {}
+        contacts, ee_offsets, contact_maps, ee_frames, reaction_maps = [], {}, {}, {}, {}
         carriers = {robot for robot, _ in grasp.values()}
         for obj in self.objects:
             for c in obj.model.contacts:
@@ -303,11 +328,19 @@ class Scene:
                         raise ValueError(f"object contact {c.name!r} needs pose_in_other")
                     if c.against == obj.model.name:
                         raise ValueError(f"object contact {c.name!r} presses against its own object {c.against!r}")
+                    reaction_maps[cid] = _read_only(c.pose_in_other.wrench_map())
+                if c.frame_mode == "body_fixed":
+                    contact_maps[cid] = _read_only(c.pose.wrench_map())
+                    if c.kind == "manipulator":
+                        ee_frames[cid] = ee_offsets[cid].compose(c.pose)
                 contacts.append(SceneContact(cid, obj.model.name, c, c.descriptor()))
         object.__setattr__(self, "grasp", grasp)
         object.__setattr__(self, "contacts", tuple(contacts))
         object.__setattr__(self, "carriers", tuple(sorted(carriers)))
         object.__setattr__(self, "ee_offsets", ee_offsets)
+        object.__setattr__(self, "contact_maps", contact_maps)
+        object.__setattr__(self, "ee_frames", ee_frames)
+        object.__setattr__(self, "reaction_maps", reaction_maps)
 
     @property
     def dof(self) -> int:
@@ -347,6 +380,7 @@ class PathDynamics:
     `sample_path_dynamics` returns the one-point form: s a float, (n,)
     joint and torque terms, a (6, n) body Jacobian at the contact frame per
     manipulator contact id and one `ObjectPathTerms` per object.
+    Its body-fixed contact maps are the scene's read-only arrays.
     `stack_dynamics_in_s` returns the same fields with a leading K axis,
     where constant contact maps may be read-only broadcast views, and
     `len()` counts its points.
@@ -430,13 +464,18 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamics:
     contact_jacs: dict[str, np.ndarray] = {}
     for sc in scene.contacts:
         c = sc.spec
-        pose_c = contact_pose_at(c, frames[sc.owner])
-        contact_terms[sc.owner].append((sc.cid, 1.0, pose_c.wrench_map()))
+        if c.frame_mode == "body_fixed":
+            G, ee_frame = scene.contact_maps[sc.cid], scene.ee_frames.get(sc.cid)
+        else:
+            pose_c = contact_pose_at(c, frames[sc.owner])
+            G = pose_c.wrench_map()
+            ee_frame = scene.ee_offsets[sc.cid].compose(pose_c) if c.kind == "manipulator" else None
+        contact_terms[sc.owner].append((sc.cid, 1.0, G))
         if c.kind == "object":
-            reactions[c.against].append((sc.cid, -1.0, c.pose_in_other.wrench_map()))
+            reactions[c.against].append((sc.cid, -1.0, scene.reaction_maps[sc.cid]))
         if c.kind == "manipulator":
             full = np.zeros((6, n))
-            full[:, slices[c.robot]] = _reporting_frame(*space[c.robot], scene.ee_offsets[sc.cid].compose(pose_c))
+            full[:, slices[c.robot]] = _reporting_frame(*space[c.robot], ee_frame)
             contact_jacs[sc.cid] = full
 
     return PathDynamics(

@@ -24,9 +24,10 @@ One pass over the joints, `_space_chain`, gives the end-effector pose and
 the space Jacobian columns at q; `_reporting_frame` maps those columns
 into any tool frame.  `forward_kinematics`, `body_jacobian` and
 `object_path_kinematics` each run the chain once (`forward_kinematics`
-without the columns, which it would drop), and
-`dynamics.sample_path_dynamics` builds and checks it once per robot per
-sample and hands it to every frame it needs.
+without the columns, which it would drop).  `dynamics.sample_path_dynamics`
+builds and checks it once per robot per sample, and `verification.fd_suite`
+once per robot, point and finite-difference step, and each hands it to
+every frame it needs.
 """
 from __future__ import annotations
 
@@ -106,20 +107,18 @@ def quaternion_to_rotation(q_wxyz) -> np.ndarray:
     )
 
 
-def twist_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lie bracket [a, b] of two twists given as 6-arrays."""
-    va0, va1, va2, wa0, wa1, wa2 = a.tolist()
-    vb0, vb1, vb2, wb0, wb1, wb2 = b.tolist()
-    return np.array(
-        [
-            (wa1 * vb2 - wa2 * vb1) + (va1 * wb2 - va2 * wb1),
-            (wa2 * vb0 - wa0 * vb2) + (va2 * wb0 - va0 * wb2),
-            (wa0 * vb1 - wa1 * vb0) + (va0 * wb1 - va1 * wb0),
-            wa1 * wb2 - wa2 * wb1,
-            wa2 * wb0 - wa0 * wb2,
-            wa0 * wb1 - wa1 * wb0,
-        ]
-    )
+def _twist_bracket(a, b) -> list[float]:
+    """Lie bracket [a, b] of two twists, each given as six Python floats, as a list."""
+    va0, va1, va2, wa0, wa1, wa2 = a
+    vb0, vb1, vb2, wb0, wb1, wb2 = b
+    return [
+        (wa1 * vb2 - wa2 * vb1) + (va1 * wb2 - va2 * wb1),
+        (wa2 * vb0 - wa0 * vb2) + (va2 * wb0 - va0 * wb2),
+        (wa0 * vb1 - wa1 * vb0) + (va0 * wb1 - va1 * wb0),
+        wa1 * wb2 - wa2 * wb1,
+        wa2 * wb0 - wa0 * wb2,
+        wa0 * wb1 - wa1 * wb0,
+    ]
 
 
 @dataclass(frozen=True)
@@ -307,14 +306,18 @@ def _body_jacobian_q_derivative(J: np.ndarray) -> np.ndarray:
     """All partials dJ[:, i]/dq_j for a body Jacobian, via column brackets.
 
     Returns an (n, 6, n) array D with D[j, :, i] = dJ[:, i]/dq_j; the partial
-    vanishes for j < i and equals the bracket [J_i, J_j] otherwise.
+    vanishes for j < i and equals the bracket [J_i, J_j] otherwise.  The
+    brackets run on Python floats from one `tolist()` of J and become one
+    array, laid out C-contiguous as D.
     """
     n = J.shape[1]
-    D = np.zeros((n, 6, n))
-    for i in range(n):
-        for j in range(i, n):
-            D[j, :, i] = twist_bracket(J[:, i], J[:, j])
-    return D
+    cols = J.T.tolist()
+    zero = [0.0] * 6
+    brackets = []  # entry j * n + i is D[j, :, i]
+    for j, col_j in enumerate(cols):
+        brackets += [_twist_bracket(col_i, col_j) for col_i in cols[: j + 1]]
+        brackets += [zero] * (n - j - 1)
+    return np.ascontiguousarray(np.array(brackets).reshape(n, n, 6).transpose(0, 2, 1))
 
 
 def _jacobian_rate(J: np.ndarray, dq: np.ndarray) -> np.ndarray:
@@ -327,12 +330,7 @@ def jacobian_path_derivative(model, path, s: float) -> np.ndarray:
     return _jacobian_rate(body_jacobian(model, path.position(s)), path.derivative(s))
 
 
-def object_path_kinematics(
-    model,
-    path,
-    s: float,
-    offset: Pose | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def object_path_kinematics(model, path, s: float, offset: Pose) -> tuple[np.ndarray, np.ndarray]:
     """Direction and direction-rate of a grasped frame along the path.
 
     Returns (J_dir, J_dir_rate): the body velocity of the frame is
@@ -413,7 +411,7 @@ def pose_exp_many(twist: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np
 
 
 def twist_bracket_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lie brackets [a, b] of (..., 6) twists, as `twist_bracket`."""
+    """Lie brackets [a, b] of (..., 6) twists, as `_twist_bracket`."""
     va, wa = a[..., :3], a[..., 3:]
     vb, wb = b[..., :3], b[..., 3:]
     return np.concatenate([np.cross(wa, vb) + np.cross(va, wb), np.cross(wa, wb)], axis=-1)

@@ -303,13 +303,21 @@ def jordan_product(spec: ConeSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def jordan_solve(spec: ConeSpec, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u with lam o u = v."""
+    """u with lam o u = v, for lam interior to K.
+
+    Raises FloatingPointError, as `Scaling` does, when a cone's determinant
+    is not positive: rounding has put lam on or past the boundary, where
+    the inverse does not exist.
+    """
     out = np.empty(spec.total)
     o = spec.orthant
     out[:o] = v[:o] / lam[:o]
     for g in spec.groups:
         l0, v0, lt, vt = lam[g.head], v[g.head], lam[g.tail], v[g.tail]
-        u0 = (l0 * v0 - np.vecdot(lt, vt)) / _det(l0, np.vecdot(lt, lt))
+        det = _det(l0, np.vecdot(lt, lt))
+        if (det <= 0.0).any():
+            raise FloatingPointError("scaled point left the cone interior")
+        u0 = (l0 * v0 - np.vecdot(lt, vt)) / det
         out[g.head] = u0
         out[g.tail] = (vt - u0[:, None] * lt) / l0[:, None]
     return out
@@ -988,7 +996,12 @@ def solve(form: StandardConicForm, tol: float = TOL) -> SolveReport:
         # corrector
         corr = -jordan_product(spec, scal.apply_inverse(pred.s), pred_z_t)
         d_s = sigma * mu * e - jordan_product(spec, lam, lam) + corr
-        d, _ = newton.direction(sigma, jordan_solve(spec, lam, d_s), -pred.tau * pred.kappa)
+        try:
+            comp = jordan_solve(spec, lam, d_s)
+        except FloatingPointError:
+            status = NUMERICAL_FAILURE
+            break
+        d, _ = newton.direction(sigma, comp, -pred.tau * pred.kappa)
         alpha = _step_length(spec, point, d, STEP_FRACTION)
         if not np.isfinite(alpha) or alpha <= 0.0:
             status = NUMERICAL_FAILURE

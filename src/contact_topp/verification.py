@@ -12,20 +12,27 @@ code with the transcription:
     inverse-dynamics substitution identity.
 
 Independence contract: everything here evaluates the dynamics point by point
-through the scalar functions (`sample_path_dynamics`, `inverse_dynamics`,
-`forward_kinematics`, `body_jacobian`, `jacobian_path_derivative`,
-`object_path_kinematics`) and reaches no batched code: no `*_many` helper,
-no `stack_dynamics_in_s`, no `_path_torque_terms`.  The batched sampler that
-the solve uses is therefore checked against a second implementation, and
-`tests/test_scalar_oracle.py` holds this module to that by a static call
-graph of the package.  Sampled point by point, the fields are then stacked
-(`_stacked`) and each constraint family is measured over the whole grid at
-once, rounded as a loop over the points would be.  What the oracles do
-share with the solve is the scene's contact table (`Scene.grasp` and
-`Scene.contacts`): which robot carries each object, the contact ids and the
-friction cones.  The finite differences (`_fd_body_jacobian`,
-`_fd_jacobian_path_derivative`) live here, beside the one suite that uses
-them.
+through the scalar functions and reaches no batched code: no `*_many`
+helper, no `stack_dynamics_in_s`, no `_path_torque_terms`.  The batched
+sampler that the solve uses is therefore checked against a second
+implementation, and `tests/test_scalar_oracle.py` holds this module to that
+by a static call graph of the package.
+
+The audit and the phase-plane oracle sample through `sample_path_dynamics`.
+Sampled point by point, the fields are then stacked (`_stacked`) and each
+constraint family is measured over the whole grid at once, rounded as a
+loop over the points would be.  The finite-difference suite calls the
+scalar helpers beneath the public `body_jacobian`, `jacobian_path_derivative`,
+`object_path_kinematics` and `inverse_dynamics`, with the same operations,
+so that it builds each chain once per point and shares it:
+`liegroup._space_chain`, `_reporting_frame`, `_jacobian_rate` and
+`_direction_terms`, and `dynamics._down_adjoints` and `_newton_euler`.  Its
+finite-difference body Jacobian (`_fd_body_jacobian`) differentiates
+`forward_kinematics` and lives here, beside the one suite that uses it.
+
+What the oracles do share with the solve is the scene's contact table
+(`Scene.grasp` and `Scene.contacts`): which robot carries each object, the
+contact ids and the friction cones.
 """
 from __future__ import annotations
 
@@ -34,13 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contacts import cone_margin
-from .dynamics import inverse_dynamics, sample_path_dynamics
-from .liegroup import (
-    body_jacobian,
-    forward_kinematics,
-    jacobian_path_derivative,
-    object_path_kinematics,
-)
+from .dynamics import _down_adjoints, _newton_euler, sample_path_dynamics
+from .liegroup import _direction_terms, _jacobian_rate, _reporting_frame, _space_chain, forward_kinematics
 from .transcription import ScalingVariables, build_grid
 
 # squared-speed ceiling standing in for "no velocity limit applies"
@@ -411,18 +413,6 @@ def _fd_body_jacobian(model, q) -> np.ndarray:
     return J
 
 
-def _fd_jacobian_path_derivative(model, path, s: float) -> np.ndarray:
-    """Central-difference d/ds of the tool-frame body Jacobian along a joint path.
-
-    The step `FD_STEP` is cut at the ends of [0, 1], where the difference
-    turns one-sided.
-    """
-    lo, hi = max(0.0, s - FD_STEP), min(1.0, s + FD_STEP)
-    J_hi = body_jacobian(model, path.position(hi))
-    J_lo = body_jacobian(model, path.position(lo))
-    return (J_hi - J_lo) / (hi - lo)
-
-
 def fd_suite(scenario, seed: int = 0) -> dict:
     """Finite-difference cross-checks at `FD_SAMPLES` fixed-seed random path points.
 
@@ -430,57 +420,58 @@ def fd_suite(scenario, seed: int = 0) -> dict:
     error, tolerance, and verdict.  The maxima are taken with np.maximum,
     which keeps a NaN error, so it fails its check.  Deterministic for a
     given seed.
+
+    Each robot's chain is built once per point, at s, s - FD_STEP and
+    s + FD_STEP: its tool-frame body Jacobians there serve the body-Jacobian
+    check (every fourth point) and the Jacobian-rate check, and its Jacobians
+    at each object it carries serve the direction-rate check.  The points lie
+    in [0.02, 0.98], so neither step leaves [0, 1].  The four inverse-dynamics
+    passes of the substitution check share one set of down adjoints.
     """
     scene = scenario.scene
     rng = np.random.default_rng(seed)
     s_vals = rng.uniform(0.02, 0.98, size=FD_SAMPLES)
+    h = FD_STEP
+    carried = [[offset for robot, offset in scene.grasp.values() if robot == i] for i in range(len(scene.robots))]
+    jac_err = path_err = dir_err = sub_err = 0.0
+    for r, offsets in zip(scene.robots, carried):
+        model, path, chain = r.model, r.path, r.model.chain_data
+        zeros = np.zeros(model.dof)
+        for k, s in enumerate(s_vals.tolist()):
+            lo, hi = s - h, s + h
+            q, dq, ddq = path.position(s), path.derivative(s), path.second_derivative(s)
+            at_s, at_lo, at_hi = (_space_chain(model, qt) for qt in (q, path.position(lo), path.position(hi)))
+            J = _reporting_frame(*at_s, model.tool_offset)
+            if k % (FD_SAMPLES // 12) == 0:
+                jac_err = np.maximum(jac_err, np.max(np.abs(J - _fd_body_jacobian(model, q))))
+            dJ_fd = (_reporting_frame(*at_hi, model.tool_offset) - _reporting_frame(*at_lo, model.tool_offset)) / (hi - lo)
+            path_err = np.maximum(path_err, np.max(np.abs(_jacobian_rate(J, dq) - dJ_fd)))
+
+            for offset in offsets:
+                _, rate = _direction_terms(_reporting_frame(*at_s, offset), dq, ddq)
+                d_hi = _reporting_frame(*at_hi, offset) @ path.derivative(hi)
+                d_lo = _reporting_frame(*at_lo, offset) @ path.derivative(lo)
+                dir_err = np.maximum(dir_err, np.max(np.abs((d_hi - d_lo) / (2 * h) - rate)))
+
+            ads = _down_adjoints(model, q)
+            sd, sdd = rng.uniform(0.1, 2.0), rng.uniform(-2.0, 2.0)
+            direct = _newton_euler(chain, ads, dq * sd, ddq * sd * sd + dq * sdd, scene.gravity)
+            acc = _newton_euler(chain, ads, zeros, dq, np.zeros(3))
+            velsq = _newton_euler(chain, ads, dq, ddq, np.zeros(3))
+            grav = _newton_euler(chain, ads, zeros, zeros, scene.gravity)
+            stitched = acc * sdd + velsq * sd * sd + grav
+            sub_err = np.maximum(sub_err, np.max(np.abs(direct - stitched)))
+
     checks: dict[str, dict] = {}
 
     def record(name, err, tol):
         checks[name] = {"max_error": float(err), "tolerance": tol, "passed": bool(err <= tol)}
 
-    jac_err = 0.0
-    path_err = 0.0
-    for r in scene.robots:
-        for s in s_vals[:: FD_SAMPLES // 12]:
-            q = r.path.position(float(s))
-            jac_err = np.maximum(jac_err, np.max(np.abs(body_jacobian(r.model, q) - _fd_body_jacobian(r.model, q))))
-        for s in s_vals:
-            dJ_an = jacobian_path_derivative(r.model, r.path, float(s))
-            dJ_fd = _fd_jacobian_path_derivative(r.model, r.path, float(s))
-            path_err = np.maximum(path_err, np.max(np.abs(dJ_an - dJ_fd)))
     record("body_jacobian_fd", jac_err, 1e-5)
     record("jacobian_path_derivative_fd", path_err, 1e-5)
-
     if scene.objects:
-        dir_err = 0.0
-        h = FD_STEP
-        for robot, offset in scene.grasp.values():
-            holder = scene.robots[robot]
-            for s in s_vals:
-                s = float(np.clip(s, h, 1.0 - h))
-                _, rate = object_path_kinematics(holder.model, holder.path, s, offset)
-                d_hi, _ = object_path_kinematics(holder.model, holder.path, s + h, offset)
-                d_lo, _ = object_path_kinematics(holder.model, holder.path, s - h, offset)
-                dir_err = np.maximum(dir_err, np.max(np.abs((d_hi - d_lo) / (2 * h) - rate)))
         record("object_direction_rate_fd", dir_err, 1e-5)
-
-    sub_err = 0.0
-    for r in scene.robots:
-        zeros = np.zeros(r.model.dof)
-        for s in s_vals:
-            q = r.path.position(float(s))
-            dq = r.path.derivative(float(s))
-            ddq = r.path.second_derivative(float(s))
-            sd, sdd = rng.uniform(0.1, 2.0), rng.uniform(-2.0, 2.0)
-            direct = inverse_dynamics(r.model, q, dq * sd, ddq * sd * sd + dq * sdd, scene.gravity)
-            acc = inverse_dynamics(r.model, q, zeros, dq, np.zeros(3))
-            velsq = inverse_dynamics(r.model, q, dq, ddq, np.zeros(3))
-            grav = inverse_dynamics(r.model, q, zeros, zeros, scene.gravity)
-            stitched = acc * sdd + velsq * sd * sd + grav
-            sub_err = np.maximum(sub_err, np.max(np.abs(direct - stitched)))
     record("rnea_substitution", sub_err, 1e-9)
-
     return {
         "seed": seed,
         "samples": FD_SAMPLES,

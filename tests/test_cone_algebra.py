@@ -285,6 +285,15 @@ class TestAgainstOracle:
         v = rng.normal(size=spec.total)
         assert_close(jordan_solve(spec, lam, v), oracle_jordan_solve(spec, lam, v))
 
+    @pytest.mark.parametrize("head", [1.0, 0.5, 0.0])
+    def test_jordan_solve_refuses_a_boundary_point(self, head):
+        # a determinant that is zero or negative has no inverse: the solve
+        # raises, as Scaling does, rather than divide by it
+        spec = ConeSpec(orthant=1, socs=(3,))
+        lam = np.array([1.0, head, 0.6, 0.8])
+        with pytest.raises(FloatingPointError, match="cone interior"):
+            jordan_solve(spec, lam, np.ones(4))
+
     @settings(max_examples=200)
     @given(cases)
     def test_max_step(self, case):

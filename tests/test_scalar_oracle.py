@@ -5,7 +5,11 @@
   with `np.cross` in the exponential.
 * `sample_path_dynamics` builds each robot's chain once and shares it, and
   still matches, bit for bit, a reference that rebuilds the chain for every
-  torque term, object term and contact Jacobian.
+  torque term, object term and contact Jacobian.  It reads the constants of
+  body-fixed contacts from the scene, read-only.
+* `fd_suite` builds each robot's chain once per point and step, and its
+  ledger still matches, float for float, the suite it replaced, which
+  called the public functions and rebuilt the chain for every check.
 * They check every rotation they build, as the `Pose` constructor does.
 * `verification.py` and the scalar sampler share no code with the batched
   sampler, so comparing the two compares two implementations.
@@ -14,6 +18,7 @@ import ast
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +41,7 @@ from contact_topp.liegroup import (
     Pose,
     body_jacobian,
     forward_kinematics,
+    jacobian_path_derivative,
     object_path_kinematics,
     rotation_exp,
     skew,
@@ -43,11 +49,12 @@ from contact_topp.liegroup import (
 from contact_topp.paths import JointPath
 from contact_topp.robot import JointDef, Link, LinkInertia, RobotModel
 from contact_topp.scenario import load_scenario
-from contact_topp.verification import fd_suite
+from contact_topp.verification import FD_SAMPLES, FD_STEP, _fd_body_jacobian, fd_suite
 
 from conftest import make_limits
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SHIPPED = sorted(p.relative_to(SCENARIOS).with_suffix("").as_posix() for p in SCENARIOS.rglob("*.json"))
 
 # ---------------------------------------------------------------------------
 # reference: the same formulas on `Pose` objects
@@ -257,6 +264,8 @@ def test_scalar_functions_round_like_pose_products(kinds, zero_joints, seed):
     assert same_bits(fk.rotation, ref_fk.rotation) and same_bits(fk.translation, ref_fk.translation)
     assert same_bits(body_jacobian(arm, q), ref_body_jacobian(arm, q))
     assert same_bits(body_jacobian(arm, q, offset), ref_body_jacobian(arm, q, offset))
+    J = body_jacobian(arm, q, offset)
+    assert same_bits(liegroup._jacobian_rate(J, qd), ref_jacobian_rate(J, qd))
     assert same_bits(inverse_dynamics(arm, q, qd, qdd, gravity), ref_inverse_dynamics(arm, q, qd, qdd, gravity))
     # a second call reads the cached chain data and rounds the same
     assert same_bits(inverse_dynamics(arm, q, qd, qdd, gravity), ref_inverse_dynamics(arm, q, qd, qdd, gravity))
@@ -382,7 +391,8 @@ def test_one_chain_per_robot_per_sample(monkeypatch, name, count):
 @pytest.mark.parametrize("name,dof", [("pivoting", 3), ("pickup", 7), ("arm_7dof", 7)])
 def test_velocity_products_only_in_the_moving_pass(monkeypatch, name, dof):
     # of the three Newton-Euler passes per sample only the velocity-squared
-    # one has a nonzero joint rate; it builds two commutators per joint
+    # one has a nonzero joint rate; it builds one commutator per joint, which
+    # its velocity and force recursions share
     scene = load_scenario(SCENARIOS / f"{name}.json").scene
     calls = []
     ad = dynamics._ad
@@ -393,14 +403,16 @@ def test_velocity_products_only_in_the_moving_pass(monkeypatch, name, dof):
 
     monkeypatch.setattr(dynamics, "_ad", counted)
     sample_path_dynamics(scene, 0.37)
-    assert len(calls) == 2 * dof
+    assert len(calls) == dof
 
 
 def test_fd_suite_adjoint_count(monkeypatch):
-    # arm_7dof, 50 points, 13 of them for the Jacobian check: 8 adjoints per
-    # body Jacobian (7 columns and the reporting frame), none in forward
-    # kinematics, 7 per inverse-dynamics call
-    #   13 * 8 (body_jacobian_fd) + 50 * 3 * 8 (jacobian_path_derivative_fd) + 50 * 4 * 7 (rnea_substitution)
+    # arm_7dof, 50 points and no object: per point 3 chains (at s and s -/+ the
+    # step) of 7 column adjoints and one tool reporting frame each, which the
+    # body-Jacobian check at every fourth point reuses (its finite difference
+    # runs forward kinematics, which builds none), and 7 down adjoints shared
+    # by the 4 inverse-dynamics passes
+    #   50 * 3 * 8 (both Jacobian checks) + 50 * 7 (rnea_substitution)
     # (the chain data, 7 more once per model, is built before counting)
     sc = load_scenario(SCENARIOS / "arm_7dof.json")
     sc.scene.robots[0].model.chain_data
@@ -414,7 +426,129 @@ def test_fd_suite_adjoint_count(monkeypatch):
     monkeypatch.setattr(liegroup, "_adjoint", counted)
     monkeypatch.setattr(dynamics, "_adjoint", counted)
     assert fd_suite(sc, seed=0)["passed"]
-    assert len(calls) == 13 * 8 + 50 * 3 * 8 + 50 * 4 * 7 == 2704
+    assert len(calls) == 50 * 3 * 8 + 50 * 7 == 1550
+
+
+def ref_fd_suite(scenario, seed=0):
+    """`fd_suite` as it was when every check called the public scalar functions,
+    each building its own chain, and the four inverse-dynamics passes each
+    built their own down adjoints."""
+    scene = scenario.scene
+    rng = np.random.default_rng(seed)
+    s_vals = rng.uniform(0.02, 0.98, size=FD_SAMPLES)
+    checks = {}
+
+    def record(name, err, tol):
+        checks[name] = {"max_error": float(err), "tolerance": tol, "passed": bool(err <= tol)}
+
+    def fd_jacobian_path_derivative(model, path, s):
+        lo, hi = max(0.0, s - FD_STEP), min(1.0, s + FD_STEP)
+        return (body_jacobian(model, path.position(hi)) - body_jacobian(model, path.position(lo))) / (hi - lo)
+
+    jac_err = 0.0
+    path_err = 0.0
+    for r in scene.robots:
+        for s in s_vals[:: FD_SAMPLES // 12]:
+            q = r.path.position(float(s))
+            jac_err = np.maximum(jac_err, np.max(np.abs(body_jacobian(r.model, q) - _fd_body_jacobian(r.model, q))))
+        for s in s_vals:
+            dJ_an = jacobian_path_derivative(r.model, r.path, float(s))
+            dJ_fd = fd_jacobian_path_derivative(r.model, r.path, float(s))
+            path_err = np.maximum(path_err, np.max(np.abs(dJ_an - dJ_fd)))
+    record("body_jacobian_fd", jac_err, 1e-5)
+    record("jacobian_path_derivative_fd", path_err, 1e-5)
+
+    if scene.objects:
+        dir_err = 0.0
+        h = FD_STEP
+        for robot, offset in scene.grasp.values():
+            holder = scene.robots[robot]
+            for s in s_vals:
+                s = float(np.clip(s, h, 1.0 - h))
+                _, rate = object_path_kinematics(holder.model, holder.path, s, offset)
+                d_hi, _ = object_path_kinematics(holder.model, holder.path, s + h, offset)
+                d_lo, _ = object_path_kinematics(holder.model, holder.path, s - h, offset)
+                dir_err = np.maximum(dir_err, np.max(np.abs((d_hi - d_lo) / (2 * h) - rate)))
+        record("object_direction_rate_fd", dir_err, 1e-5)
+
+    sub_err = 0.0
+    for r in scene.robots:
+        zeros = np.zeros(r.model.dof)
+        for s in s_vals:
+            q = r.path.position(float(s))
+            dq = r.path.derivative(float(s))
+            ddq = r.path.second_derivative(float(s))
+            sd, sdd = rng.uniform(0.1, 2.0), rng.uniform(-2.0, 2.0)
+            direct = inverse_dynamics(r.model, q, dq * sd, ddq * sd * sd + dq * sdd, scene.gravity)
+            acc = inverse_dynamics(r.model, q, zeros, dq, np.zeros(3))
+            velsq = inverse_dynamics(r.model, q, dq, ddq, np.zeros(3))
+            grav = inverse_dynamics(r.model, q, zeros, zeros, scene.gravity)
+            stitched = acc * sdd + velsq * sd * sd + grav
+            sub_err = np.maximum(sub_err, np.max(np.abs(direct - stitched)))
+    record("rnea_substitution", sub_err, 1e-9)
+
+    return {"seed": seed, "samples": FD_SAMPLES, "checks": checks, "passed": all(c["passed"] for c in checks.values())}
+
+
+def assert_same_ledger(got, ref):
+    # the same checks in the same order, each error the same float
+    assert list(got["checks"]) == list(ref["checks"])
+    assert {k: float.hex(c["max_error"]) for k, c in got["checks"].items()} == {
+        k: float.hex(c["max_error"]) for k, c in ref["checks"].items()
+    }
+    assert got == ref
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_fd_suite_matches_the_suite_it_replaced(name, seed):
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    assert_same_ledger(fd_suite(sc, seed), ref_fd_suite(sc, seed))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    kinds=st.lists(st.lists(st.sampled_from(["revolute", "prismatic"]), min_size=1, max_size=5), min_size=2, max_size=2),
+    grasp=st.integers(0, 1),
+    tool_offset=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fd_suite_matches_the_suite_it_replaced_on_random_scenes(kinds, grasp, tool_offset, seed):
+    # two robots, one of them carrying the box: the direction-rate check runs
+    # on one robot's chains only
+    scenario = SimpleNamespace(scene=two_robot_box_scene(np.random.default_rng(seed), kinds, grasp, tool_offset))
+    assert_same_ledger(fd_suite(scenario, seed % 7), ref_fd_suite(scenario, seed % 7))
+
+
+@pytest.mark.parametrize("name", ["pivoting", "pickup", "waiter/tilt_10"])
+def test_fixed_contact_maps_come_from_the_scene_read_only(monkeypatch, name):
+    scene = load_scenario(SCENARIOS / f"{name}.json").scene
+    sample_path_dynamics(scene, 0.37)  # builds the models' chain data first
+    poses = []
+    post_init = Pose.__post_init__
+
+    def counted(self):
+        poses.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Pose, "__post_init__", counted)
+    smp = sample_path_dynamics(scene, 0.37)
+    world_normal = [sc for sc in scene.contacts if sc.spec.frame_mode == "world_normal"]
+    # a sample builds a pose for each world-normal contact, and one more for
+    # its end-effector frame when a robot holds it
+    assert len(poses) == sum(1 + (sc.spec.kind == "manipulator") for sc in world_normal)
+    fixed = 0
+    for osmp in smp.objects:
+        for cid, sign, G in osmp.contact_terms:
+            shared = scene.contact_maps.get(cid) if sign > 0 else scene.reaction_maps[cid]
+            if shared is None:
+                assert G.flags.writeable
+                continue
+            fixed += 1
+            assert G is shared and not G.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                G[0, 0] = 1.0
+    assert fixed == len(scene.contacts) - len(world_normal) + len(scene.reaction_maps)
 
 
 def test_chain_data_built_once_per_model():

@@ -357,6 +357,15 @@ def time_scaled(data, lam):
     return scaled
 
 
+def test_lightened_slowed_waiter_fails_without_a_warning():
+    # masses / 8 and time x 16 drive the scaled iterate onto a cone boundary
+    # at K=16; the corrector's Jordan solve used to divide by a zero
+    # determinant there (a RuntimeWarning, an error under tier-1's filter)
+    data = json.loads((SCENARIOS / "waiter" / "tilt_15.json").read_text())
+    status, T = minimum_time(time_scaled(mass_scaled(data, 1 / 8), 16), 16)
+    assert status == "NumericalFailure" and T is None
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="T moves under a change of time units (ROADMAP direction 1)")
 @pytest.mark.parametrize("name", ["pickup", "planar_2dof", "arm_7dof"])
 def test_time_scaling(name):

@@ -195,13 +195,13 @@ def test_fd_suite_passes_and_is_deterministic():
 
 def test_fd_suite_catches_corrupted_dynamics(monkeypatch):
     sc = load_scenario(str(SCENARIOS / "planar_2dof.json"))
-    true_id = verification.inverse_dynamics
+    true_ne = verification._newton_euler
 
-    def crooked(model, q, qd, qdd, gravity):
+    def crooked(chain, ads_down, qd, qdd, gravity):
         # velocity-linear corruption: survives none of the substitution algebra
-        return true_id(model, q, qd, qdd, gravity) + 1e-3 * np.sum(np.abs(qd))
+        return true_ne(chain, ads_down, qd, qdd, gravity) + 1e-3 * np.sum(np.abs(qd))
 
-    monkeypatch.setattr(verification, "inverse_dynamics", crooked)
+    monkeypatch.setattr(verification, "_newton_euler", crooked)
     led = fd_suite(sc, seed=0)
     assert not led["checks"]["rnea_substitution"]["passed"]
 
