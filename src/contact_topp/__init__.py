@@ -23,7 +23,7 @@ from .liegroup import (
     pose_exp,
 )
 from .paths import JointPath
-from .robot import JointDef, JointLimits, Link, LinkInertia, RobotModel, robot_from_json, robot_to_json
+from .robot import JointDef, JointLimits, Link, LinkInertia, RobotModel, robot_to_json
 from .scenario import (
     InfeasibleScenarioError,
     RunSettings,
@@ -33,6 +33,7 @@ from .scenario import (
     TrajectoryOutput,
     assemble_scenario,
     load_scenario,
+    robot_from_json,
     run,
     scenario_from_dict,
     solve_scenario,

@@ -200,7 +200,7 @@ class RobotInstance:
 
     def __post_init__(self):
         if self.path.dof != self.model.dof:
-            raise ValueError("path and robot dof mismatch")
+            raise ValueError(f"path and robot dof mismatch: {self.path.dof} and {self.model.dof} for robot {self.model.name!r}")
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,8 @@ class Pose:
         return cls(np.eye(3), np.zeros(3))
 
     @classmethod
-    def from_quaternion(cls, q_wxyz, translation) -> "Pose":
-        return cls(quaternion_to_rotation(q_wxyz), np.asarray(translation, dtype=float))
+    def from_quaternion(cls, quaternion_wxyz, translation) -> "Pose":
+        return cls(quaternion_to_rotation(quaternion_wxyz), np.asarray(translation, dtype=float))
 
     def compose(self, other: "Pose") -> "Pose":
         return Pose(*_compose(self.rotation, self.translation, other.rotation, other.translation))

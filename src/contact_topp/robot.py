@@ -1,4 +1,5 @@
-"""Serial-chain robot model: joint screws, link inertias, actuation limits."""
+"""Serial-chain robot model: joint screws, link inertias, actuation limits.  `robot_to_json` writes a
+model as a scenario file's "model" object, which `scenario.SCHEMA` declares and `robot_from_json` reads."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -155,10 +156,6 @@ def build_chain_data(model: RobotModel) -> tuple[tuple[np.ndarray, Pose, np.ndar
     return tuple(data)
 
 
-def _pose_from_json(entry) -> Pose:
-    return Pose.from_quaternion(entry["quaternion_wxyz"], entry["translation"])
-
-
 def _pose_to_json(pose: Pose) -> dict:
     R = pose.rotation
     # Shepperd's method, stable for all rotation matrices.
@@ -184,48 +181,8 @@ def _pose_to_json(pose: Pose) -> dict:
     }
 
 
-def _inertia_from_six(entries) -> np.ndarray:
-    ixx, iyy, izz, ixy, ixz, iyz = [float(v) for v in entries]
-    return np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
-
-
 def _inertia_to_six(I: np.ndarray) -> list[float]:
     return [float(I[0, 0]), float(I[1, 1]), float(I[2, 2]), float(I[0, 1]), float(I[0, 2]), float(I[1, 2])]
-
-
-def _limit_entry(j, key, sign):
-    """Limit value from JSON; null means unbounded on that side."""
-    v = j[key]
-    return sign * np.inf if v is None else float(v)
-
-
-def robot_from_json(data: dict) -> RobotModel:
-    try:
-        joints = tuple(JointDef(j["type"], j["twist"]) for j in data["joints"])
-        links = tuple(
-            Link(
-                home_pose=_pose_from_json(l["home_pose"]),
-                inertia=LinkInertia(float(l["mass"]), l["com"], _inertia_from_six(l["inertia"])),
-            )
-            for l in data["links"]
-        )
-        limits = JointLimits(
-            torque_lower=[_limit_entry(j, "torque_min", -1.0) for j in data["joints"]],
-            torque_upper=[_limit_entry(j, "torque_max", +1.0) for j in data["joints"]],
-            velocity_max=[_limit_entry(j, "velocity_max", +1.0) for j in data["joints"]],
-            accel_lower=[_limit_entry(j, "accel_min", -1.0) for j in data["joints"]],
-            accel_upper=[_limit_entry(j, "accel_max", +1.0) for j in data["joints"]],
-        )
-        return RobotModel(
-            name=data.get("name", "robot"),
-            joints=joints,
-            links=links,
-            x_ref=_pose_from_json(data["x_ref"]),
-            tool_offset=_pose_from_json(data["tool_offset"]),
-            limits=limits,
-        )
-    except KeyError as exc:
-        raise ValueError(f"robot model missing field {exc.args[0]!r}") from exc
 
 
 def robot_to_json(model: RobotModel) -> dict:

@@ -8,10 +8,12 @@ and per-contact force series; `sweep` fans out runs over a scalar
 parameter (object mass, friction coefficient, ...), serially or over a
 pool of worker processes.
 
-One place turns a bad field into a `ScenarioError`: `_reading(where)`
-wraps each read of a field, and the model classes' own checks raise in
-its block, so the error names the field's path ("scenario.robots[0].model:
-...").  `read_json` reads both file kinds, scenarios and trajectory dumps.
+The file format is one table, `SCHEMA`: for each level of the file its
+keys, each key's rule and default, and the builder of its model object.
+`_read` walks it for every level, robot models (`robot_from_json`)
+included; a bad field, an unknown key among them, is a `ScenarioError`
+naming its path ("scenario.robots[0].model.x_ref: ...").  `read_json`
+reads both file kinds, scenarios and trajectory dumps.
 """
 from __future__ import annotations
 
@@ -20,17 +22,16 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
-from .contacts import ContactSpec, FrictionParams, cone_margin
+from .contacts import CONE_MODELS, CONTACT_KINDS, FRAME_MODES, ContactSpec, FrictionParams, cone_margin
 from .dynamics import ObjectInstance, ObjectModel, RobotInstance, Scene
 from .liegroup import Pose
 from .paths import BOUNDARY_KINDS, JointPath
-from .robot import _inertia_from_six, _pose_from_json, robot_from_json
+from .robot import JOINT_TYPES, JointDef, JointLimits, Link, LinkInertia, RobotModel
 from .solver import DUAL_INFEASIBLE, OPTIMAL, PRIMAL_INFEASIBLE, TOL, solve_conic_program
 from .transcription import (
     MAX_INTERVALS,
@@ -76,59 +77,32 @@ class Scenario:
     source: dict
 
 
-@contextmanager
-def _reading(where):
-    """Raise a bad field read or converted in the block as ScenarioError naming `where`.
-
-    A KeyError, TypeError, ValueError (UnicodeDecodeError and JSON decode
-    errors included), OverflowError or OSError becomes
-    ScenarioError(f"{where}: {exc}"), a KeyError reading "missing field
-    'key'"; a ScenarioError passes unchanged.
-    """
-    try:
-        yield
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
-        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise ScenarioError(f"{where}: {detail}") from exc
-
-
 def read_json(path, what: str):
     """The JSON value in file `path`; ScenarioError naming the `what` file if
     it does not exist, cannot be read as UTF-8 text, or is not valid JSON."""
     where = f"{what} file {path!r}"
     if not os.path.exists(path):
         raise ScenarioError(f"{where} does not exist")
-    with _reading(f"{where} is not readable"):
+    try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    with _reading(f"{where} is not valid JSON"):
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"{where} is not readable: {exc}") from exc
+    try:
         return json.loads(text)
+    except ValueError as exc:
+        raise ScenarioError(f"{where} is not valid JSON: {exc}") from exc
 
 
-def _need(mapping, key, where):
-    if key not in _object(mapping, where):
-        raise ScenarioError(f"{where}: missing field {key!r}")
-    return mapping[key]
-
-
-def _name(mapping, where) -> str:
-    """mapping["name"], a non-empty string with no path separator: it names
-    output files and joins object and contact names into contact ids."""
-    name = _need(mapping, "name", where)
-    if not isinstance(name, str) or not name or any(c in name for c in "/\\\0"):
-        raise ScenarioError(f"{where}.name: must be a non-empty string without '/', '\\' or NUL, got {name!r}")
-    return name
-
-
-def _whole(value, where, what="a whole number", least=-math.inf) -> int:
-    """`value` as an int; a bool, text, fraction or value below `least` raised as ScenarioError naming `where`."""
+def _whole(value, what="a whole number", least=-math.inf, most=math.inf) -> int:
+    """`value` as an int; ValueError for a bool, text, fraction or value out of [least, most]."""
     # an int too large for a float is whole, and math.isfinite cannot take it
     if isinstance(value, Real) and not isinstance(value, bool) and (isinstance(value, int) or math.isfinite(value)):
         if value == int(value) and value >= least:
+            if value > most:
+                raise ValueError(f"must be at most {most}, got {int(value)}")
             return int(value)
-    raise ScenarioError(f"{where}: must be {what}, got {value!r}")
+    raise ValueError(f"must be {what}, got {value!r}")
 
 
 def _object(value, where) -> dict:
@@ -137,147 +111,210 @@ def _object(value, where) -> dict:
     return value
 
 
-def _list(value, where) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError(f"{where}: expected a list, got {type(value).__name__}")
+def _number(value) -> float:
+    # a type test, not numbers.Real, which costs about 1 us a call
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"expected a number, got {value!r}")
+
+
+def _vector(size):
+    """The rule for a list of `size` numbers, read as a tuple of floats."""
+    def rule(value) -> tuple:
+        if not (isinstance(value, list) and len(value) == size):
+            raise ValueError(f"expected a list of {size} numbers, got {value!r}")
+        return tuple(map(_number, value))
+    return rule
+
+
+def _waypoints(value) -> tuple:
+    """At least two rows of joint values, each as long as the first."""
+    if not (isinstance(value, list) and len(value) >= 2 and isinstance(value[0], list)):
+        raise ValueError("expected a list of at least two rows of joint values")
+    return tuple(map(_vector(len(value[0])), value))
+
+
+def _bound(sign):
+    """The rule for a limit: a number, or null for none on that side (sign * inf)."""
+    return lambda value: sign * math.inf if value is None else _number(value)
+
+
+def _name(value) -> str:
+    """Non-empty text without a path separator: it names output files and
+    joins object and contact names into contact ids."""
+    if not isinstance(value, str) or not value or any(c in value for c in "/\\\0"):
+        raise ValueError(f"must be a non-empty string without '/', '\\' or NUL, got {value!r}")
     return value
 
 
-def _pose(entry, where) -> Pose:
-    with _reading(where):
-        return _pose_from_json(entry)
+def _one_of(*allowed):
+    def rule(value):
+        if value not in allowed:
+            raise ValueError(f"only {' or '.join(map(repr, allowed))} is supported, got {value!r}")
+        return value
+    return rule
 
 
-def _contact_from_dict(entry, where) -> ContactSpec:
-    name = _name(entry, where)
-    kind = _need(entry, "kind", where)
-    model = _need(entry, "model", where)
-    pose = _pose(_need(entry, "pose", where), f"{where}.pose")
-    fr = _need(entry, "friction", where)
-    fz_max = entry.get("fz_max")
-    pose_in_other = entry.get("pose_in_other")
-    with _reading(where):
-        return ContactSpec(
-            name=name,
-            kind=kind,
-            model=model,
-            pose=pose,
-            params=FrictionParams(
-                mu=float(_need(fr, "mu", f"{where}.friction")),
-                ex=float(fr.get("ex", 1.0)),
-                ey=float(fr.get("ey", 1.0)),
-                ez=float(fr.get("ez", 1.0)),
-            ),
-            fz_max=None if fz_max is None else float(fz_max),
-            robot=_whole(entry.get("robot", 0), f"{where}.robot"),
-            against=entry.get("against"),
-            pose_in_other=None if pose_in_other is None else _pose(pose_in_other, f"{where}.pose_in_other"),
-            frame_mode=entry.get("frame_mode", "body_fixed"),
-            world_axis=np.asarray(entry.get("world_axis", (0.0, 0.0, 1.0)), dtype=float),
-        )
+def _boundary_sdot(value) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError("expected two entries (null leaves an end free)")
+    ends = tuple(None if v is None else _number(v) for v in value)
+    # the transcription fixes b = sdot^2 at a given end; NaN fails both tests
+    if not all(v is None or (v >= 0.0 and math.isfinite(v * v)) for v in ends):
+        raise ValueError(f"each entry must be null or a number >= 0 with a finite square, got {list(ends)}")
+    return ends
 
 
-def _object_from_dict(entry, where) -> ObjectInstance:
-    name = _name(entry, where)
-    parent = _need(entry, "parent", where)
-    contacts = tuple(
-        _contact_from_dict(c, f"{where}.contacts[{i}]")
-        for i, c in enumerate(_list(entry.get("contacts", []), f"{where}.contacts"))
-    )
-    with _reading(where):
-        model = ObjectModel(
-            name=name,
-            mass=float(_need(entry, "mass", where)),
-            inertia=_inertia_from_six(_need(entry, "inertia", where)),
-            contacts=contacts,
-        )
-
-    kind, _, ref = str(parent).partition(":")
+def _parent(value) -> tuple:
+    """(robot index, None) from "robot:<index>", (None, object name) from "object:<name>"."""
+    kind, _, ref = str(value).partition(":")
     if kind == "robot" and ref.lstrip("-").isdigit():
-        parent_robot, parent_object = int(ref), None
-    elif kind == "object" and ref:
-        parent_robot, parent_object = None, ref
-    else:
-        raise ScenarioError(f"{where}.parent: expected 'robot:<index>' or 'object:<name>', got {parent!r}")
-    offset = entry.get("offset")
-    with _reading(f"{where}.external_wrench"):
-        ext = np.asarray(entry.get("external_wrench", np.zeros(6)), dtype=float)
-    if ext.shape != (6,):
-        raise ScenarioError(f"{where}.external_wrench: expected 6 entries")
-    with _reading(where):
-        return ObjectInstance(
-            model=model,
-            parent_robot=parent_robot,
-            parent_object=parent_object,
-            offset=None if offset is None else _pose(offset, f"{where}.offset"),
-            external_wrench=ext,
-        )
+        return int(ref), None
+    if kind == "object" and ref:
+        return None, ref
+    raise ValueError(f"expected 'robot:<index>' or 'object:<name>', got {value!r}")
+
+
+def _inertia(six) -> np.ndarray:
+    """The 3x3 inertia of [ixx, iyy, izz, ixy, ixz, iyz]."""
+    ixx, iyy, izz, ixy, ixz, iyz = six
+    return np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
+
+
+def _scenario(name, grid_points, boundary_sdot, path_boundary, robots, objects, gravity, **checked):
+    """(name, scene, grid_points, boundary_sdot); `checked` holds the fields only their rule reads."""
+    robots = tuple(RobotInstance(r["model"], JointPath(r["waypoints"], boundary=path_boundary)) for r in robots)
+    scene = Scene(robots=robots, objects=objects, gravity=gravity)
+    if all(np.all(r.path.waypoints == r.path.waypoints[0]) for r in scene.robots):
+        raise _FieldError(".robots", "stationary path, every robot's waypoints are all equal")
+    return name, scene, grid_points, boundary_sdot
+
+
+def _model(name, joints, links, x_ref, tool_offset) -> RobotModel:
+    """Each joint comes as the dict of its fields; JointLimits takes each limit as one array."""
+    limits = ([j[key] for j in joints] for key in ("torque_min", "torque_max", "velocity_max", "accel_min", "accel_max"))
+    joint_defs = tuple(JointDef(j["type"], j["twist"]) for j in joints)
+    return RobotModel(name, joint_defs, links, x_ref, tool_offset, JointLimits(*limits))
+
+
+def _placed_object(name, parent, mass, inertia, contacts, offset, external_wrench) -> ObjectInstance:
+    model = ObjectModel(name=name, mass=mass, inertia=_inertia(inertia), contacts=contacts)
+    return ObjectInstance(model, *parent, offset=offset, external_wrench=external_wrench)
+
+
+REQUIRED = object()  # the default of a key that the file must give
+
+# The scenario file format.  Each level, one kind of JSON object in the file, maps to (builder, fields),
+# and each key to (rule, default).  A rule is a function of the JSON value, raising TypeError or ValueError
+# on a bad one, or a nested level's name, or [level] for a list.  A key left out or given as its default is
+# taken as the default.  The builder takes the fields by key; the model classes' own checks raise in it.
+SCHEMA = {
+    "scenario": (_scenario, {
+        "format": (_one_of(SCENARIO_FORMAT), REQUIRED), "name": (_name, REQUIRED),
+        "grid_points": (lambda count: _whole(count, "a positive whole interval count", 1, MAX_INTERVALS), REQUIRED),
+        "boundary_sdot": (_boundary_sdot, (0.0, 0.0)), "path_boundary": (_one_of(*BOUNDARY_KINDS), "clamped"),
+        "robots": (["robot"], REQUIRED), "objects": (["object"], ()), "gravity": (_vector(3), (0.0, 0.0, -9.81)),
+        # path derivatives of the Jacobian are analytic; files may still name that
+        "jacobian_derivative": (_one_of("analytic"), "analytic"),
+    }),
+    # the scenario builds each robot's path, with its path_boundary
+    "robot": (dict, {"model": ("model", REQUIRED), "waypoints": (_waypoints, REQUIRED)}),
+    "model": (_model, {
+        "name": (_name, "robot"), "joints": (["joint"], REQUIRED), "links": (["link"], REQUIRED),
+        "x_ref": ("pose", REQUIRED), "tool_offset": ("pose", REQUIRED),
+    }),
+    "joint": (dict, {
+        "type": (_one_of(*JOINT_TYPES), REQUIRED), "twist": (_vector(6), REQUIRED),
+        "torque_min": (_bound(-1.0), REQUIRED), "torque_max": (_bound(1.0), REQUIRED),
+        "velocity_max": (_bound(1.0), REQUIRED), "accel_min": (_bound(-1.0), REQUIRED), "accel_max": (_bound(1.0), REQUIRED),
+    }),
+    "link": (lambda home_pose, mass, com, inertia: Link(home_pose, LinkInertia(mass, com, _inertia(inertia))), {
+        "home_pose": ("pose", REQUIRED), "mass": (_number, REQUIRED),
+        "com": (_vector(3), REQUIRED), "inertia": (_vector(6), REQUIRED),
+    }),
+    "object": (_placed_object, {
+        "name": (_name, REQUIRED), "parent": (_parent, REQUIRED),
+        "mass": (_number, REQUIRED), "inertia": (_vector(6), REQUIRED),
+        "contacts": (["contact"], ()), "offset": ("pose", None), "external_wrench": (_vector(6), (0.0,) * 6),
+    }),
+    "contact": (lambda friction, **fields: ContactSpec(params=friction, **fields), {
+        "name": (_name, REQUIRED), "kind": (_one_of(*CONTACT_KINDS), REQUIRED), "model": (_one_of(*CONE_MODELS), REQUIRED),
+        "pose": ("pose", REQUIRED), "friction": ("friction", REQUIRED), "fz_max": (_number, None), "robot": (_whole, 0),
+        "against": (_name, None), "pose_in_other": ("pose", None), "frame_mode": (_one_of(*FRAME_MODES), "body_fixed"),
+        "world_axis": (_vector(3), (0.0, 0.0, 1.0)),
+    }),
+    "friction": (FrictionParams, {
+        "mu": (_number, REQUIRED), "ex": (_number, 1.0), "ey": (_number, 1.0), "ez": (_number, 1.0),
+    }),
+    "pose": (Pose.from_quaternion, {"quaternion_wxyz": (_vector(4), REQUIRED), "translation": (_vector(3), REQUIRED)}),
+}
+
+
+class _FieldError(Exception):
+    """A bad field met in reading a level, `path` leading from that level to it ("" for the level
+    itself); each enclosing level puts its own step in front, so no good field's path is written."""
+
+    def __init__(self, path, message):
+        super().__init__(message)
+        self.path = path
+
+
+def _read(level, data):
+    """What the builder of `SCHEMA[level]` makes of the JSON object `data`;
+    for a `level` of [name], the tuple it makes of each object of a list."""
+    if type(level) is list:
+        if not isinstance(data, list):
+            raise _FieldError("", f"expected a list, got {type(data).__name__}")
+        read = []
+        try:
+            for item in data:
+                read.append(_read(level[0], item))
+        except _FieldError as exc:
+            exc.path = f"[{len(read)}]{exc.path}"
+            raise
+        return tuple(read)
+    build, fields = SCHEMA[level]
+    if not isinstance(data, dict):
+        raise _FieldError("", f"expected an object, got {type(data).__name__}")
+    for key in data:
+        if key not in fields:
+            raise _FieldError(f".{key}", "unknown field")
+    values = {}
+    for key, (rule, default) in fields.items():
+        value = data.get(key, default)
+        if value is REQUIRED:
+            raise _FieldError("", f"missing field {key!r}")
+        try:
+            if value is not default:
+                value = rule(value) if callable(rule) else _read(rule, value)
+        except _FieldError as exc:
+            exc.path = f".{key}{exc.path}"
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _FieldError(f".{key}", str(exc)) from exc
+        values[key] = value
+    try:
+        return build(**values)
+    except (TypeError, ValueError) as exc:
+        raise _FieldError("", str(exc)) from exc
+
+
+def _load(level, data):
+    """`_read(level, data)`, a bad field raised as ScenarioError("<level>.key[i]...: why")."""
+    try:
+        return _read(level, data)
+    except _FieldError as exc:
+        raise ScenarioError(f"{level}{exc.path}: {exc}") from exc.__cause__
+
+
+def robot_from_json(data: dict) -> RobotModel:
+    """The robot model of a JSON object laid out as a scenario's robot "model"."""
+    return _load("model", data)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Validate a raw scenario dict and build the scene it describes."""
-    fmt = _need(data, "format", "scenario")
-    if fmt != SCENARIO_FORMAT:
-        raise ScenarioError(f"scenario.format: unsupported {fmt!r}, expected {SCENARIO_FORMAT!r}")
-    name = _name(data, "scenario")
-    grid_points = _whole(_need(data, "grid_points", "scenario"), "scenario.grid_points", "a positive whole interval count", 1)
-    if grid_points > MAX_INTERVALS:
-        raise ScenarioError(f"scenario.grid_points: must be at most {MAX_INTERVALS}, got {grid_points}")
-
-    with _reading("scenario.boundary_sdot"):
-        boundary = tuple(None if v is None else float(v) for v in data.get("boundary_sdot", (0.0, 0.0)))
-    if len(boundary) != 2:
-        raise ScenarioError("scenario.boundary_sdot: expected two entries (null leaves an end free)")
-    # the transcription fixes b = sdot^2 at a given end; NaN fails both tests
-    if not all(v is None or (v >= 0.0 and math.isfinite(v * v)) for v in boundary):
-        raise ScenarioError(
-            f"scenario.boundary_sdot: each entry must be null or a number >= 0 with a finite square, got {list(boundary)}"
-        )
-
-    path_boundary = data.get("path_boundary", "clamped")
-    if path_boundary not in BOUNDARY_KINDS:
-        raise ScenarioError(f"scenario.path_boundary: unknown kind {path_boundary!r}")
-
-    # limits are written in each robot model; a file that still scales them
-    # would get an answer the file does not describe
-    if "limit_scale" in data:
-        raise ScenarioError("scenario.limit_scale: not supported, write the scaled limits into each robot model")
-
-    robots_raw = _list(_need(data, "robots", "scenario"), "scenario.robots")
-    if not robots_raw:
-        raise ScenarioError("scenario.robots: need at least one robot")
-    robots = []
-    for i, entry in enumerate(robots_raw):
-        rwhere = f"scenario.robots[{i}]"
-        with _reading(f"{rwhere}.model"):
-            model = robot_from_json(_need(entry, "model", rwhere))
-        waypoints = _need(entry, "waypoints", rwhere)
-        with _reading(f"{rwhere}.waypoints"):
-            robots.append(RobotInstance(model=model, path=JointPath(waypoints, boundary=path_boundary)))
-
-    if all(np.all(r.path.waypoints == r.path.waypoints[0]) for r in robots):
-        raise ScenarioError("scenario.robots: stationary path, every robot's waypoints are all equal")
-
-    objects_raw = _list(data.get("objects", []), "scenario.objects")
-    objects = tuple(_object_from_dict(entry, f"scenario.objects[{i}]") for i, entry in enumerate(objects_raw))
-
-    with _reading("scenario.gravity"):
-        gravity = np.asarray(data.get("gravity", (0.0, 0.0, -9.81)), dtype=float)
-    if gravity.shape != (3,):
-        raise ScenarioError("scenario.gravity: expected 3 entries")
-    # path derivatives of the Jacobian are analytic; files may still name that
-    method = data.get("jacobian_derivative", "analytic")
-    if method != "analytic":
-        raise ScenarioError(f"scenario.jacobian_derivative: only 'analytic' is supported, got {method!r}")
-    with _reading("scenario"):
-        scene = Scene(robots=tuple(robots), objects=objects, gravity=gravity)
-    return Scenario(
-        name=name,
-        scene=scene,
-        grid_points=grid_points,
-        boundary_sdot=boundary,
-        source=copy.deepcopy(data),
-    )
+    """Validate a raw scenario dict against `SCHEMA` and build the scene it describes."""
+    return Scenario(*_load("scenario", data), source=copy.deepcopy(data))
 
 
 def load_scenario(path) -> Scenario:
@@ -431,7 +468,11 @@ def profile_from_json_dict(data: dict) -> tuple[ScalingVariables, int, tuple]:
             wrenches={cid: np.asarray(w, dtype=float) for cid, w in _object(p["wrenches"], "profile.wrenches").items()},
         )
         boundary = tuple(None if v is None else float(v) for v in data["boundary_sdot"])
-        return profile, _whole(data["grid_intervals"], "grid_intervals"), boundary
+        try:
+            intervals = _whole(data["grid_intervals"])
+        except ValueError as exc:
+            raise ValueError(f"grid_intervals: {exc}") from None
+        return profile, intervals, boundary
     except KeyError as exc:
         raise ScenarioError(f"trajectory has no field {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -19,7 +19,7 @@ from contact_topp.contacts import ContactSpec, FrictionParams
 from contact_topp.dynamics import ObjectInstance, ObjectModel, RobotInstance, Scene
 from contact_topp.liegroup import Pose
 from contact_topp.paths import JointPath
-from contact_topp.robot import robot_from_json
+from contact_topp.scenario import robot_from_json
 from contact_topp.scenario import (
     InfeasibleScenarioError,
     RunSettings,

@@ -1078,10 +1078,10 @@ NAN = float("nan")
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        ("robots.0.model", [1, 2], "scenario.robots[0].model: list indices must be integers"),
-        ("robots.0.model.joints", 3, "scenario.robots[0].model: 'int' object is not iterable"),
-        ("robots.0.model.joints.0", "x", "scenario.robots[0].model: string indices must be integers"),
-        ("robots.0.model.x_ref", 5, "scenario.robots[0].model: 'int' object is not subscriptable"),
+        ("robots.0.model", [1, 2], "scenario.robots[0].model: expected an object, got list"),
+        ("robots.0.model.joints", 3, "scenario.robots[0].model.joints: expected a list, got int"),
+        ("robots.0.model.joints.0", "x", "scenario.robots[0].model.joints[0]: expected an object, got str"),
+        ("robots.0.model.x_ref", 5, "scenario.robots[0].model.x_ref: expected an object, got int"),
         ("objects.0.name", ["a"], "scenario.objects[0].name: must be a non-empty string"),
         ("objects.0.contacts.1.name", "a/b", "scenario.objects[0].contacts[1].name: must be a non-empty string"),
         ("name", "../escaped", "scenario.name: must be a non-empty string without '/'"),
@@ -1100,12 +1100,12 @@ NAN = float("nan")
         ("objects.0.mass", math.inf, "scenario.objects[0]: object mass must be positive and finite"),
         ("objects.0.inertia.0", NAN, "scenario.objects[0]: object inertia must be finite"),
         ("objects.0.external_wrench.0", NAN, "scenario.objects[0]: external_wrench must be finite"),
-        ("objects.0.contacts.0.friction.mu", NAN, "scenario.objects[0].contacts[0]: mu must be positive and finite"),
-        ("objects.0.contacts.0.friction.mu", math.inf, "scenario.objects[0].contacts[0]: mu must be positive and finite"),
-        ("objects.0.contacts.0.friction.ex", NAN, "scenario.objects[0].contacts[0]: ex must be positive and finite"),
+        ("objects.0.contacts.0.friction.mu", NAN, "scenario.objects[0].contacts[0].friction: mu must be positive and finite"),
+        ("objects.0.contacts.0.friction.mu", math.inf, "scenario.objects[0].contacts[0].friction: mu must be positive and finite"),
+        ("objects.0.contacts.0.friction.ex", NAN, "scenario.objects[0].contacts[0].friction: ex must be positive and finite"),
         ("objects.0.contacts.0.world_axis.0", NAN, "scenario.objects[0].contacts[0]: world_axis must be finite and nonzero"),
-        ("robots.0.model.links.0.mass", NAN, "scenario.robots[0].model: link mass must be positive and finite"),
-        ("robots.0.model.links.0.com.0", NAN, "scenario.robots[0].model: link com and inertia must be finite"),
+        ("robots.0.model.links.0.mass", NAN, "scenario.robots[0].model.links[0]: link mass must be positive and finite"),
+        ("robots.0.model.links.0.com.0", NAN, "scenario.robots[0].model.links[0]: link com and inertia must be finite"),
         ("robots.0.model.joints.0.twist.5", NAN, "scenario.robots[0].model: joint twist must be finite"),
         ("boundary_sdot.0", NAN, "scenario.boundary_sdot: each entry must be null or a number >= 0"),
         ("boundary_sdot.1", 1e308, "scenario.boundary_sdot: each entry must be null or a number >= 0"),
@@ -1122,6 +1122,74 @@ def test_cli_bad_field_exit(tmp_path, capsys, path, value, message):
     err = capsys.readouterr().err
     assert f"input error: {message}" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["case.json"]
+
+
+# text of Python or numpy errors that a bad value once leaked into the message
+LEAKED = ("reshape", "unpack", "object is not", "indices must be")
+
+
+def node_at(data, path):
+    """The value at a dotted path of keys and list indices ("" for `data` itself)."""
+    for part in filter(None, path.split(".")):
+        data = data[int(part) if part.isdigit() else part]
+    return data
+
+
+def solve_bad_input(tmp_path, capsys, data):
+    """The stderr of `topp solve` on `data`, which must exit 4 without a traceback."""
+    assert main(["solve", write_scenario(tmp_path, data), "--grid", "4", "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and not any(text in err for text in LEAKED)
+    return err
+
+
+@pytest.mark.parametrize(
+    "where, key, value, path",
+    [
+        ("", "gravty", [0, 0, 0], "scenario.gravty"),
+        ("robots.0.model.joints.0", "torque_mx", 5.0, "scenario.robots[0].model.joints[0].torque_mx"),
+        ("robots.0.model.joints.2", "velocity_maxx", 1.0, "scenario.robots[0].model.joints[2].velocity_maxx"),
+        ("robots.0.model.links.3", "mas", 2.0, "scenario.robots[0].model.links[3].mas"),
+        ("objects.0", "mas", 2.0, "scenario.objects[0].mas"),
+        ("objects.0.contacts.1", "fz_mx", 5.0, "scenario.objects[0].contacts[1].fz_mx"),
+        ("objects.0.contacts.0.friction", "muu", 0.1, "scenario.objects[0].contacts[0].friction.muu"),
+        ("robots.0", "waypoint", [[0.0] * 7] * 2, "scenario.robots[0].waypoint"),
+    ],
+)
+def test_cli_unknown_key_exit(tmp_path, capsys, where, key, value, path):
+    # a misspelt key would otherwise drop the field it means without a word
+    data = json.loads((SCENARIOS / "pickup.json").read_text())
+    node_at(data, where)[key] = value
+    assert f"input error: {path}: unknown field" in solve_bad_input(tmp_path, capsys, data)
+
+
+def drop_last(values):
+    return values[:-1]
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        ("objects.0.inertia", drop_last, "scenario.objects[0].inertia"),
+        ("robots.0.model.links.0.com", [0.0, 0.0], "scenario.robots[0].model.links[0].com"),
+        ("objects.0.contacts.0.pose.quaternion_wxyz", drop_last, "scenario.objects[0].contacts[0].pose.quaternion_wxyz"),
+        ("robots.0.waypoints", lambda rows: [rows[0], rows[1][:-1], *rows[2:]], "scenario.robots[0].waypoints"),
+        ("robots.0.model.name", 5, "scenario.robots[0].model.name"),
+        ("gravity", drop_last, "scenario.gravity"),
+        ("objects.0.external_wrench", lambda w: w + [0.0], "scenario.objects[0].external_wrench"),
+        ("robots.0.model.joints.0.twist", drop_last, "scenario.robots[0].model.joints[0].twist"),
+        ("objects.0.contacts.0.world_axis", drop_last, "scenario.objects[0].contacts[0].world_axis"),
+        ("robots.0.model.x_ref.translation", lambda t: t + [0.0], "scenario.robots[0].model.x_ref.translation"),
+        ("robots.0.model.links.1.home_pose.translation", "origin", "scenario.robots[0].model.links[1].home_pose.translation"),
+    ],
+)
+def test_cli_bad_shape_exit(tmp_path, capsys, path, value, field):
+    # a vector of the wrong length or kind is named by its own key
+    data = pickup_with_every_field()
+    if callable(value):
+        value = value(node_at(data, path))
+    set_by_path(data, path, value)
+    assert f"input error: {field}: " in solve_bad_input(tmp_path, capsys, data)
 
 
 def test_infinite_and_null_limits_are_unbounded():
