@@ -1,8 +1,13 @@
-"""Joint-space geometric paths q(s) on the unit interval."""
+"""Joint-space geometric paths q(s) on the unit interval.
+
+numpy only: the spline's tridiagonal system is solved here in the order of
+operations of LAPACK's dgtsv, so the slopes are those of
+`scipy.linalg.solve_banded` bit for bit, and a process that loads and
+verifies a scenario never imports scipy.
+"""
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 BOUNDARY_KINDS = ("clamped", "natural")
 
@@ -26,6 +31,8 @@ class JointPath:
         W = np.asarray(waypoints, dtype=float)
         if W.ndim != 2 or W.shape[0] < 2:
             raise ValueError("waypoints must be an (m >= 2, n) array")
+        if not np.isfinite(W).all():
+            raise ValueError("waypoints must be finite")
         if boundary not in BOUNDARY_KINDS:
             raise ValueError(f"unknown boundary kind {boundary!r}")
         self.waypoints = W
@@ -88,21 +95,38 @@ class JointPath:
 
 
 def _slopes(W, clamped: bool):
-    """dq/dt at each waypoint, t in breakpoint steps: the C2 cubic's tridiagonal system (de Boor, ch. IV)."""
+    """dq/dt at each waypoint, t in breakpoint steps: the C2 cubic's tridiagonal system (de Boor, ch. IV).
+
+    Elimination without row swaps, then back substitution, each operation
+    as LAPACK's dgtsv does it, one waypoint at a time and all joints at
+    once.  The matrix is diagonally dominant, so dgtsv swaps no rows either:
+    it swaps only where |diagonal| < |subdiagonal|, and the closest case is
+    the clamped first row, where both are 1.
+    """
     m = W.shape[0]
-    band = np.ones((3, m))
-    band[1] = 4.0
-    rhs = np.empty_like(W)
-    rhs[1:-1] = 3.0 * (W[2:] - W[:-2])
+    # the end rows: clamped, q' = 0; natural, q'' = 0
+    end, edge = (1.0, 0.0) if clamped else (2.0, 1.0)
+    diag = [end] + [4.0] * (m - 2) + [end]
+    upper = [edge] + [1.0] * (m - 2)
+    lower = [1.0] * (m - 2) + [edge]
+    x = np.empty_like(W)
+    x[1:-1] = 3.0 * (W[2:] - W[:-2])
     if clamped:
-        band[1, [0, -1]] = 1.0
-        band[0, 1] = band[2, -2] = 0.0
-        rhs[[0, -1]] = 0.0
+        x[[0, -1]] = 0.0
     else:
-        band[1, [0, -1]] = 2.0
-        rhs[0] = 3.0 * (W[1] - W[0])
-        rhs[-1] = 3.0 * (W[-1] - W[-2])
-    return solve_banded((1, 1), band, rhs)
+        x[0] = 3.0 * (W[1] - W[0])
+        x[-1] = 3.0 * (W[-1] - W[-2])
+    for i in range(m - 1):
+        fact = lower[i] / diag[i]
+        diag[i + 1] -= fact * upper[i]
+        x[i + 1] -= fact * x[i]
+    x[-1] /= diag[-1]
+    x[-2] = (x[-2] - upper[-1] * x[-1]) / diag[-2]
+    for i in range(m - 3, -1, -1):
+        # dgtsv still subtracts its second superdiagonal, zero without swaps:
+        # 0 * x[i + 2] can turn a -0.0 into +0.0
+        x[i] = (x[i] - upper[i] * x[i + 1] - 0.0 * x[i + 2]) / diag[i]
+    return x
 
 
 def _horner(table, i, t):

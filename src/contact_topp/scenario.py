@@ -21,7 +21,6 @@ import copy
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from numbers import Real
 
@@ -326,18 +325,36 @@ def load_scenario(path) -> Scenario:
 
 
 def set_by_path(data, path: str, value):
+    """Write `value` into `data` at `path`, in place."""
+    *outer, last = _path_keys(data, path)
+    for key in outer:
+        data = data[key]
+    data[last] = value
+
+
+def _copy_along(data, path: str):
+    """A copy of `data` in which the containers on `path` are new and all else is shared."""
+    root = here = copy.copy(data)
+    for key in _path_keys(data, path)[:-1]:
+        here[key] = copy.copy(here[key])
+        here = here[key]
+    return root
+
+
+def _path_keys(data, path: str) -> list:
+    """The dict key or list index of each segment of `path`, walked from `data`."""
     parts = [p for p in str(path).split(".") if p]
     if not parts:
         raise ScenarioError("empty parameter path")
-    here = data
+    keys = []
     for i, part in enumerate(parts):
         try:
-            key = _path_key(here, part)
+            keys.append(_path_key(data, part))
         except LookupError as exc:
             raise ScenarioError(f"parameter path {path!r} at {'.'.join(parts[:i]) or 'root'}: {exc}") from None
         if i + 1 < len(parts):
-            here = here[key]
-    here[key] = value
+            data = data[keys[-1]]
+    return keys
 
 
 def _path_key(node, part: str):
@@ -448,15 +465,33 @@ class TrajectoryOutput:
         }
 
 
+# the keys `TrajectoryOutput.to_json_dict` writes, at the top level and in "profile"
+_TRAJECTORY_KEYS = ("format", "scenario", "status", "grid_intervals", "boundary_sdot", "objective", "total_time",
+                    "solver", "profile", "series")
+_PROFILE_KEYS = ("accel", "speed_sq", "speed_aux", "inverse_avg", "torque", "wrenches")
+
+
+def _known_keys(data: dict, keys, where: str):
+    """ScenarioError "<where>.<key>: unknown field" for the first key of `data` not in `keys`."""
+    for key in data:
+        if key not in keys:
+            raise ScenarioError(f"{where}.{key}: unknown field")
+
+
 def profile_from_json_dict(data: dict) -> tuple[ScalingVariables, int, tuple]:
     """Rebuild the raw solve profile from a trajectory JSON dump.
 
-    `grid_intervals` is read by the `grid_points` rule (a whole number, not
-    a bool, text or fraction) and `profile.wrenches` must be an object; a
-    field that breaks its rule is reported as malformed.
+    A key that `TrajectoryOutput.to_json_dict` does not write, at the top
+    level or in `profile`, is an unknown field.  `grid_intervals` is read
+    by the `grid_points` rule (a whole number, not a bool, text or
+    fraction) and `profile.wrenches` must be an object; a field that breaks
+    its rule is reported as malformed.
     """
     if _object(data, "trajectory").get("format") != TRAJECTORY_FORMAT:
         raise ScenarioError(f"unsupported trajectory format {data.get('format')!r}")
+    _known_keys(data, _TRAJECTORY_KEYS, "trajectory")
+    if isinstance(data.get("profile"), dict):
+        _known_keys(data["profile"], _PROFILE_KEYS, "trajectory.profile")
     try:
         p = data["profile"]
         profile = ScalingVariables(
@@ -614,8 +649,9 @@ def _sweep_worker(payload):
         value = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         return SweepPoint(value, SWEEP_INPUT_ERROR, None, None, None, f"sweep value {value!r}: {exc}")
-    data = copy.deepcopy(data)
+    # the source is shared, not copied: `scenario_from_dict` copies what it keeps
     for p in params:
+        data = _copy_along(data, p)
         set_by_path(data, p, value)
     settings = RunSettings(grid_override=grid, tol=tol)
     try:
@@ -660,5 +696,8 @@ def sweep(
     workers = min(threads or 1, len(jobs))
     if workers <= 1:
         return [_sweep_worker(job) for job in jobs]
+    # imported here: a process that never sweeps in a pool never loads it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_worker, jobs))

@@ -59,13 +59,17 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .transcription import RowIds
+
+# scipy is imported by the functions that build or factor a sparse matrix:
+# `topp verify` imports this module too and never solves, and importing
+# scipy.sparse and its linalg took 0.3 s and 32 MB of RSS (2-vCPU Xeon)
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 OPTIMAL = "Optimal"
 PRIMAL_INFEASIBLE = "PrimalInfeasible"
@@ -223,6 +227,8 @@ def canonicalize(program) -> StandardConicForm:
     the second-order cone slices of (G, h).  Each section's matrix is used
     as it is; `solve` checks the sizes of the form.
     """
+    import scipy.sparse as sp
+
     eq, bounds, cones = program.equalities, program.bounds, program.cones
     A, B, C = eq.matrix, bounds.matrix, cones.matrix
 
@@ -425,6 +431,8 @@ class Scaling:
         `data` lines up with the maps that `_KKTSystem` builds once per
         solve.
         """
+        import scipy.sparse as sp
+
         indptr, indices, _, positions = self.spec.block_diag
         data = np.empty(indices.size)
         data[: self.spec.orthant] = 1.0 / self.w_orth
@@ -432,6 +440,13 @@ class Scaling:
             data[at] = w_inv
         m = self.spec.total
         return sp.csc_matrix((data, indices, indptr), shape=(m, m))
+
+
+def splu(matrix, **options):
+    """scipy's sparse LU factor of `matrix`, with scipy's `splu` options."""
+    from scipy.sparse import linalg
+
+    return linalg.splu(matrix, **options)
 
 
 class _KKTSystem:
@@ -482,6 +497,9 @@ class _KKTSystem:
     """
 
     def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, spec: ConeSpec):
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
         p, n = A.shape
         m = G.shape[0]
         R = self._R = n + p
@@ -520,10 +538,6 @@ class _KKTSystem:
         rows = np.concatenate((h_row, h_col[off], y_diag, n + A.row, A.col))
         cols = np.concatenate((h_col, h_row[off], y_diag, A.col, n + A.row))
         if R:
-            # imported here: the package is imported by `topp verify` too,
-            # which never solves, and csgraph adds about 1.3 MB to its RSS
-            from scipy.sparse.csgraph import reverse_cuthill_mckee
-
             pattern = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(R, R))
             self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
             del pattern
@@ -640,6 +654,8 @@ def _ruiz_equilibrate(form: StandardConicForm):
     scale, which rounds as the product diag(e) [A; G] diag(c) does; like
     that product, the result keeps no explicit zeros.
     """
+    import scipy.sparse as sp
+
     p, n = form.A.shape
     M = sp.vstack([form.A, form.G], format="csr")
     M.eliminate_zeros()

@@ -33,11 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import defaultdict
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dynamics import Scene, stack_dynamics_in_s
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 STALL_TOLERANCE = 1e-9
 # slack allowed to a velocity or acceleration limit row whose value is a
@@ -267,6 +270,9 @@ class _Section:
         self.size += int(np.count_nonzero(keep))
 
     def build(self, cls, width: int, **fields):
+        # imported here, as the solver imports it: a process that never assembles never loads scipy
+        import scipy.sparse as sp
+
         rows, cols, vals = (np.concatenate(part) for part in zip(*self.entries))
         matrix = sp.csr_matrix((vals, (rows, cols)), shape=(self.size, width))
         matrix.eliminate_zeros()

@@ -6,6 +6,7 @@ double integrator with T = 2/sqrt(accel cap), which makes every end-to-end
 assertion closed-form.
 """
 
+import concurrent.futures
 import copy
 import dataclasses
 import json
@@ -686,6 +687,23 @@ def test_sweep_bad_points_same_serial_and_pool():
     assert serial == pooled
 
 
+def test_sweep_leaves_the_source_as_it_was():
+    # each point copies only the containers on its parameter paths, here two
+    # that share the path down to the object's contacts
+    sc = load_scenario(SCENARIOS / "pivoting.json")
+    before = copy.deepcopy(sc.source)
+    params = ["objects.box.contacts.edge_front.friction.mu", "objects.box.contacts.edge_back.friction.mu"]
+    pts = sweep(sc, params, [0.3, "x", 0.5], grid=8, threads=1)
+    assert [p.status for p in pts] == ["Optimal", SWEEP_INPUT_ERROR, "Optimal"]
+    assert sc.source == before
+    # the point solved is the scenario with both values written in
+    data = copy.deepcopy(before)
+    for p in params:
+        set_by_path(data, p, 0.5)
+    _, report, _ = solve_scenario(scenario_from_dict(data), RunSettings(grid_override=8))
+    assert pts[2].objective == float(report.objective)
+
+
 def test_sweep_bad_parameter_path_aborts():
     sc = scenario_from_dict(slider_scenario(grid_points=8))
     with pytest.raises(ScenarioError, match="no field 'velocity_cap'"):
@@ -711,7 +729,8 @@ def test_sweep_parallelism_env(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("TOPP_THREADS", "5")
-    monkeypatch.setattr(scenario_module, "ProcessPoolExecutor", no_pool)
+    # `sweep` imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     sc = scenario_from_dict(slider_scenario(grid_points=8))
     for threads in (None, 1):
         pts = sweep(sc, "robots.0.model.joints.0.accel_max", [0.5, 2.0], threads=threads)
@@ -959,6 +978,16 @@ def wrenches_list(dump):
     return dump
 
 
+def misspelt(key):
+    """A key that `topp solve` does not write, at the top level or under "profile"."""
+    def spoil(dump):
+        where, _, field = key.rpartition(".")
+        (dump[where] if where else dump)[field] = 3
+        return dump
+
+    return spoil
+
+
 @pytest.mark.parametrize(
     "spoil, message",
     [
@@ -975,6 +1004,9 @@ def wrenches_list(dump):
         (grid_intervals_of(True), "malformed field: grid_intervals: must be a whole number, got True"),
         (grid_intervals_of(10**400), "profile accel has shape (500,); scenario 'pickup' at K = 1000"),
         (wrenches_list, "malformed field: profile.wrenches: expected an object, got list"),
+        # each once verified with exit 0: the reader looked only at the keys it read
+        (misspelt("grid_intervalz"), "trajectory.grid_intervalz: unknown field"),
+        (misspelt("profile.acel"), "trajectory.profile.acel: unknown field"),
     ],
 )
 def test_cli_verify_spoiled_trajectory_exit(tmp_path, capsys, spoil, message):
@@ -1107,6 +1139,7 @@ NAN = float("nan")
         ("robots.0.model.links.0.mass", NAN, "scenario.robots[0].model.links[0]: link mass must be positive and finite"),
         ("robots.0.model.links.0.com.0", NAN, "scenario.robots[0].model.links[0]: link com and inertia must be finite"),
         ("robots.0.model.joints.0.twist.5", NAN, "scenario.robots[0].model: joint twist must be finite"),
+        ("robots.0.waypoints.1.0", NAN, "scenario: waypoints must be finite"),
         ("boundary_sdot.0", NAN, "scenario.boundary_sdot: each entry must be null or a number >= 0"),
         ("boundary_sdot.1", 1e308, "scenario.boundary_sdot: each entry must be null or a number >= 0"),
         ("boundary_sdot.0", -1.0, "scenario.boundary_sdot: each entry must be null or a number >= 0"),
