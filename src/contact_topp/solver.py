@@ -15,12 +15,14 @@ eliminating its cone block and factoring the (x, y) system that is left,
 with static regularization, by SuperLU; z follows from x.  Each iteration
 factors once and solves three times with that factor.  The two solves a
 step is built from, the tau direction u1 (it enters every dtau) and the
-corrector, are refined against the exact full matrix.  The predictor is
-one plain solve: it only sets the predictor step length, the centering
-sigma and the corrector's second-order term, none of which needs the last
-digits.  Cone operations work on groups of equal-size cones at once, and
-the KKT matrices keep one sparsity pattern per solve, whose values each
-iteration refills.
+corrector, are refined against the exact full matrix, each only until its
+residual is a fraction REFINE_ETA of the complementarity mu: the early
+iterations step with the raw solve, and the last ones refine again as mu
+falls.  The predictor is one plain solve: it only sets the predictor step
+length, the centering sigma and the corrector's second-order term, none
+of which needs the last digits.  Cone operations work on groups of
+equal-size cones at once, and the KKT matrices keep one sparsity pattern
+per solve, whose values each iteration refills.
 
 `solve` runs in named phases.  Once per solve: `_Scaled` (equilibration
 and the scalar normalization of the data), `_KKTSystem` (the fixed KKT
@@ -179,6 +181,12 @@ REG = 1e-11
 REG_COLUMN = 1e-14
 # iterative-refinement passes per KKT solve, at most
 REFINE_STEPS = 8
+# refinement stops once the residual is at most max(1e-16, REFINE_ETA mu)
+# (|rhs| + 1): a Newton direction needs a residual only a fraction of the
+# complementarity mu to keep its step (Gondzio, SIAM J. Optim., 2013).
+# 1e-2 keeps it two decades below mu.  At tol 1e-8 the shipped scenarios'
+# last iterations have mu from 5e-13 to 3e-9 (K = 16 and 250)
+REFINE_ETA = 1e-2
 # fraction of the distance to the cone boundary that a step may cover
 STEP_FRACTION = 0.98
 # tau below this multiple of max(1, kappa) ends the iteration
@@ -509,7 +517,12 @@ class _KKTSystem:
         entry = np.repeat(np.arange(G.nnz), size)
         offset = np.arange(entry.size) - np.repeat(np.cumsum(size) - size, size)
         k = row[entry]
-        self._w_at = (w_indptr[k] + offset).astype(np.int32)
+        # The maps `refill` gathers through stay np.intp, as numpy builds
+        # them: it gathers through an int32 index array 1.8 times slower.
+        # The bincount targets and the write slots are int32, which costs
+        # little there; int64 ones raised solve-k250's peak RSS by 1 MB
+        # (2-vCPU Xeon).
+        self._w_at = w_indptr[k] + offset
         self._g_vals = G.data[entry]
         keys, target = np.unique((first[k] + offset) * n + G.indices[entry], return_inverse=True)
         # keys sort by row, then column: W^{-1}G's CSR order
@@ -525,12 +538,12 @@ class _KKTSystem:
         b = a + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
         diag = np.arange(n) * (n + 1)
         h_keys, h_target = np.unique(np.concatenate((wg_col[a] * n + wg_col[b], diag)), return_inverse=True)
-        self._h_a, self._h_b = a.astype(np.int32), b.astype(np.int32)
+        self._h_a, self._h_b = a, b
         self._h_target = h_target[: a.size].astype(np.int32)
-        self._h_diag = np.searchsorted(h_keys, diag).astype(np.int32)
+        self._h_diag = np.searchsorted(h_keys, diag)
         h_row, h_col = h_keys // n, h_keys % n
         off = np.flatnonzero(h_row != h_col)
-        self._h_off = off.astype(np.int32)
+        self._h_off = off
         del count, a, b, h_target, diag
 
         A = A.tocoo()
@@ -548,8 +561,9 @@ class _KKTSystem:
         values = np.concatenate((np.zeros(h_keys.size + off.size), np.full(p, -REG), A.data, A.data))
         arrays, slot = _csc_arrays(label[rows], label[cols], values, R)
         self.reduced = sp.csc_matrix(arrays, shape=(R, R))
-        self._h_slots = slot[: h_keys.size]
-        self._h_mirror = slot[h_keys.size : h_keys.size + off.size]
+        # copied out of `slot`, so that the rest of it is freed
+        self._h_slots = slot[: h_keys.size].copy()
+        self._h_mirror = slot[h_keys.size : h_keys.size + off.size].copy()
         del h_keys, h_row, h_col, off, rows, cols, values, slot, label
 
         self._wg = sp.csr_matrix(
@@ -562,16 +576,19 @@ class _KKTSystem:
         rows = np.concatenate((R + wg_row, wg_col, z_diag, n + A.row, A.col))
         cols = np.concatenate((wg_col, R + wg_row, z_diag, A.col, n + A.row))
         values = np.concatenate((np.zeros(2 * wg_row.size), -np.ones(m), A.data, A.data))
-        arrays, slot = _csc_arrays(rows, cols, values.astype(np.longdouble), R + m)
-        self.exact = sp.csr_matrix(arrays, shape=(R + m, R + m))
-        self._wg_slots = slot[: 2 * wg_row.size]
+        (data, indices, indptr), slot = _csc_arrays(rows, cols, values, R + m)
+        del rows, cols, values
+        # widened once sorted: the extended copy is twice the size
+        self.exact = sp.csr_matrix((data.astype(np.longdouble), indices, indptr), shape=(R + m, R + m))
+        self._wg_slots = slot[: wg_row.size].copy(), slot[wg_row.size : 2 * wg_row.size].copy()
 
     def refill(self, w_inv: sp.csc_matrix):
         """Write the W^{-1}G values of the current scaling into M, and the
         values they give into R."""
         wg = np.bincount(self._target, weights=w_inv.data[self._w_at] * self._g_vals, minlength=self._wg.nnz)
         self._wg.data[:] = wg
-        self.exact.data[self._wg_slots] = np.concatenate((wg, wg))
+        for slots in self._wg_slots:  # M holds W^{-1}G and its transpose
+            self.exact.data[slots] = wg
         pairs = wg[self._h_a] * wg[self._h_b]
         h = np.bincount(self._h_target, weights=pairs, minlength=self._h_slots.size) / (1.0 + REG)
         diag = h[self._h_diag]
@@ -598,30 +615,36 @@ class _KKTSystem:
         """M v = rhs by one solve with the last factor, unrefined."""
         return self._solve(rhs)
 
-    def refined_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M v = rhs by the last factor, refined against the exact M.
+    def refined_solve(self, rhs: np.ndarray, mu: float) -> np.ndarray:
+        """M v = rhs by the last factor, refined against the exact M only as
+        far as a Newton step at complementarity mu needs.
 
-        Near convergence mu falls toward the regularization level and the
-        raw solve is too inaccurate to step with.  Residuals are formed on
-        the full M in extended precision: the refinement plateau sits at
-        the residual roundoff times the KKT condition number, and the
-        handful of extra digits is what lets the gap reach tolerance on
-        problems whose cones are all active at the optimum.  Each step
-        corrects the whole (x, y, z).  The iteration refines the two
-        directions a step is made of, u1 and the corrector; the predictor,
-        which only sizes the centering, takes the plain `_KKTSystem.solve`.
+        Residuals are formed on the full M in extended precision: the
+        refinement plateau sits at the residual roundoff times the KKT
+        condition number, and the handful of extra digits is what lets the
+        gap reach tolerance on problems whose cones are all active at the
+        optimum.  Each step corrects the whole (x, y, z).  Refinement stops
+        once the residual is at most max(1e-16, REFINE_ETA mu) (|rhs| + 1),
+        after REFINE_STEPS steps, or at a step that does not lower it.  An
+        inexact Newton direction keeps its convergence while its residual
+        is a fraction of mu (Gondzio, SIAM J. Optim., 2013), so early
+        iterations keep the raw solve, and as mu falls the target tightens
+        with it until, near tol, the solve is refined again.  mu = 0 refines
+        to the 1e-16 floor alone.  The iteration refines the two directions
+        a step is made of, u1 and the corrector; the predictor, which only
+        sizes the centering, takes the plain `_KKTSystem.solve`.
         """
         rhs_ld = rhs.astype(np.longdouble)
         sol = self._solve(rhs).astype(np.longdouble)
-        resid = rhs_ld - self.exact @ sol
-        best, best_res = sol, _norm(resid.astype(np.float64))
-        floor = 1e-16 * (_norm(rhs) + 1.0)
+        resid = (rhs_ld - self.exact @ sol).astype(np.float64)
+        best, best_res = sol, _norm(resid)
+        target = max(1e-16, REFINE_ETA * mu) * (_norm(rhs) + 1.0)
         for _ in range(REFINE_STEPS):
-            if best_res <= floor:
+            if best_res <= target:
                 break
-            sol = sol + self._solve(resid.astype(np.float64))
-            resid = rhs_ld - self.exact @ sol
-            res = _norm(resid.astype(np.float64))
+            sol = sol + self._solve(resid)
+            resid = (rhs_ld - self.exact @ sol).astype(np.float64)
+            res = _norm(resid)
             if res < best_res:
                 best, best_res = sol, res
             else:
@@ -889,7 +912,7 @@ class _Newton:
 
     def _solve(self, vx, vy, vz, refine=True) -> tuple:
         rhs = np.concatenate([vx, vy, vz])
-        out = self.kkt.refined_solve(rhs) if refine else self.kkt.solve(rhs)
+        out = self.kkt.refined_solve(rhs, self.mu) if refine else self.kkt.solve(rhs)
         n, p = self.data.c.size, self.data.b.size
         return out[:n], out[n : n + p], out[n + p :]
 
@@ -901,8 +924,9 @@ class _Newton:
         """(d, W dz) for centering sigma, d a `_Point` direction.
 
         comp_t solves lam o comp_t = d_s, where d_s is the right-hand side
-        of the complementarity row lam o (W^{-1} ds + W dz) = d_s.  With
-        refine=False the solve is one plain triangular solve.
+        of the complementarity row lam o (W^{-1} ds + W dz) = d_s.  The
+        solve is refined to the iterate's mu (`_KKTSystem.refined_solve`);
+        with refine=False it is one plain triangular solve.
         """
         data, tau, kappa = self.data, self.point.tau, self.point.kappa
         d_k = sigma * self.mu - tau * kappa + dkappa_extra

@@ -27,8 +27,9 @@ scalar helpers beneath the public `body_jacobian`, `jacobian_path_derivative`,
 so that it builds each chain once per point and shares it:
 `liegroup._space_chain`, `_reporting_frame`, `_jacobian_rate` and
 `_direction_terms`, and `dynamics._down_adjoints` and `_newton_euler`.  Its
-finite-difference body Jacobian (`_fd_body_jacobian`) differentiates
-`forward_kinematics` and lives here, beside the one suite that uses it.
+finite-difference body Jacobian (`_fd_body_jacobian`) differentiates the
+tool pose of `forward_kinematics`, built with its operations from
+`_times_exp`, and lives here, beside the one suite that uses it.
 
 What the oracles do share with the solve is the scene's contact table
 (`Scene.grasp` and `Scene.contacts`): which robot carries each object, the
@@ -42,7 +43,16 @@ import numpy as np
 
 from .contacts import cone_margin
 from .dynamics import _down_adjoints, _newton_euler, sample_path_dynamics
-from .liegroup import _direction_terms, _jacobian_rate, _reporting_frame, _space_chain, forward_kinematics
+from .liegroup import (
+    Pose,
+    _checked,
+    _compose,
+    _direction_terms,
+    _jacobian_rate,
+    _reporting_frame,
+    _space_chain,
+    _times_exp,
+)
 from .transcription import ScalingVariables, build_grid
 
 # squared-speed ceiling standing in for "no velocity limit applies"
@@ -393,20 +403,35 @@ def _fd_body_jacobian(model, q) -> np.ndarray:
     """Central-difference body Jacobian from forward kinematics alone.
 
     Differentiates the tool pose, matching the default reporting frame of
-    the analytic Jacobian.
+    the analytic Jacobian.  The tool poses are `forward_kinematics`'s, with
+    the same operations: its product of joint exponentials runs left to
+    right, and the factors before joint i are the same at q and at q with
+    joint i moved, so the poses moved at joint i go on from the product at
+    q up to joint i.  A 7-joint arm takes 63 exponentials instead of 105.
     """
     n = q.size
     J = np.zeros((6, n))
+    screws = model.space_screws
+    # prefix[i]: the checked product of the first i joint exponentials at q
+    prefix = [(np.eye(3), np.zeros(3))]
+    for screw, qi in zip(screws, q):
+        prefix.append(_times_exp(*prefix[-1], screw, qi))
 
-    def tool(qv):
-        return forward_kinematics(model, qv).compose(model.tool_offset).as_matrix()
+    def tool(R, p):
+        """The tool pose as a matrix, from a product of all n exponentials."""
+        R, p = _checked(*_compose(R, p, model.x_ref.rotation, model.x_ref.translation))
+        return Pose(R, p).compose(model.tool_offset).as_matrix()
 
-    Xinv = np.linalg.inv(tool(q))
+    def moved(i, angle):
+        """`tool` with joint i at `angle` and the joints after it at q."""
+        R, p = prefix[i]
+        for screw, qj in zip(screws[i:], (angle, *q[i + 1 :])):
+            R, p = _times_exp(R, p, screw, qj)
+        return tool(R, p)
+
+    Xinv = np.linalg.inv(tool(*prefix[n]))
     for i in range(n):
-        qp, qm = q.copy(), q.copy()
-        qp[i] += FD_STEP
-        qm[i] -= FD_STEP
-        E = Xinv @ (tool(qp) - tool(qm)) / (2 * FD_STEP)
+        E = Xinv @ (moved(i, q[i] + FD_STEP) - moved(i, q[i] - FD_STEP)) / (2 * FD_STEP)
         W = 0.5 * (E[:3, :3] - E[:3, :3].T)
         J[:3, i] = E[:3, 3]
         J[3:, i] = (W[2, 1], W[0, 2], W[1, 0])

@@ -450,7 +450,7 @@ def test_refined_solve_in_original_order():
     M0 = oracle_kkt(prob.A, prob.G, w_inv.toarray())
     rhs = rng.normal(size=M0.shape[0])
     want = np.linalg.solve(M0, rhs)
-    got = kkt.refined_solve(rhs)
+    got = kkt.refined_solve(rhs, 0.0)  # mu = 0: refined to the floor alone
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
     assert 4 * bandwidth(kkt.reduced.toarray()) < bandwidth(M0)
 

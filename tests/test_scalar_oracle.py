@@ -506,6 +506,39 @@ def test_fd_suite_matches_the_suite_it_replaced(name, seed):
     assert_same_ledger(fd_suite(sc, seed), ref_fd_suite(sc, seed))
 
 
+def ref_fd_body_jacobian(model, q):
+    """`_fd_body_jacobian` as it was when each tool pose was a whole
+    `forward_kinematics`, all n joint exponentials at every pose."""
+
+    def tool(qv):
+        return forward_kinematics(model, qv).compose(model.tool_offset).as_matrix()
+
+    J = np.zeros((6, q.size))
+    Xinv = np.linalg.inv(tool(q))
+    for i in range(q.size):
+        qp, qm = q.copy(), q.copy()
+        qp[i] += FD_STEP
+        qm[i] -= FD_STEP
+        E = Xinv @ (tool(qp) - tool(qm)) / (2 * FD_STEP)
+        W = 0.5 * (E[:3, :3] - E[:3, :3].T)
+        J[:3, i] = E[:3, 3]
+        J[3:, i] = (W[2, 1], W[0, 2], W[1, 0])
+    return J
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["revolute", "prismatic"]), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fd_body_jacobian_matches_whole_chains(kinds, seed):
+    # the joints before the moved one keep their product from q, bit for bit
+    rng = np.random.default_rng(seed)
+    arm = random_arm(rng, kinds)
+    q = rng.uniform(-3.0, 3.0, size=len(kinds))
+    assert same_bits(_fd_body_jacobian(arm, q), ref_fd_body_jacobian(arm, q))
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     kinds=st.lists(st.lists(st.sampled_from(["revolute", "prismatic"]), min_size=1, max_size=5), min_size=2, max_size=2),

@@ -1027,26 +1027,73 @@ def test_shipped_k16_status_and_iterations(name):
     assert (report.status, report.iterations) == SHIPPED_K16[name]
 
 
+@pytest.fixture(scope="module")
+def counted_pivoting_k16():
+    """pivoting at K=16, solved with every `_KKTSystem` call counted.
+
+    Returns (report, calls, refined): `calls` counts the factors, the
+    refined and plain solves and the triangular solves (`_solve`, which
+    both kinds of solve call); `refined` holds, per refined solve, the
+    factor count at the time (its iteration), the triangular solves it made
+    and its residual on the exact M over its target.
+    """
+    kkt = solver._KKTSystem
+    originals = {name: getattr(kkt, name) for name in ("factor", "refined_solve", "solve", "_solve")}
+    calls = dict.fromkeys(originals, 0)
+    refined = []
+
+    def counting(name):
+        def wrapper(*args):
+            calls[name] += 1
+            return originals[name](*args)
+
+        return wrapper
+
+    def refined_solve(system, rhs, mu):
+        before = calls["_solve"]
+        out = counting("refined_solve")(system, rhs, mu)
+        resid = rhs.astype(np.longdouble) - system.exact @ out.astype(np.longdouble)
+        target = max(1e-16, solver.REFINE_ETA * mu) * (solver._norm(rhs) + 1.0)
+        refined.append((calls["factor"], calls["_solve"] - before, solver._norm(resid.astype(float)) / target))
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("factor", "solve", "_solve"):
+            m.setattr(kkt, name, counting(name))
+        m.setattr(kkt, "refined_solve", refined_solve)
+        report = solve(shipped_form("pivoting", 16))
+    assert report.status == "Optimal"
+    return report, calls, refined
+
+
 class TestKKTSolves:
-    def test_one_factor_two_refined_one_plain_solve_per_iteration(self):
-        calls = {"factor": 0, "refined_solve": 0, "solve": 0}
-
-        def counting(name):
-            original = getattr(solver._KKTSystem, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-
-            return wrapper
-
-        with pytest.MonkeyPatch.context() as m:
-            for name in calls:
-                m.setattr(solver._KKTSystem, name, counting(name))
-            report = solve(shipped_form("pivoting", 16))
-        assert report.status == "Optimal"
+    def test_one_factor_two_refined_one_plain_solve_per_iteration(self, counted_pivoting_k16):
+        report, calls, _ = counted_pivoting_k16
         k = report.iterations
-        assert calls == {"factor": k, "refined_solve": 2 * k, "solve": k}
+        assert {name: calls[name] for name in ("factor", "refined_solve", "solve")} == {
+            "factor": k, "refined_solve": 2 * k, "solve": k
+        }
+
+    def test_fewer_than_five_triangular_solves_per_iteration(self, counted_pivoting_k16):
+        # one each for the predictor, u1 and the corrector, and refinement
+        # steps only where mu asks for them (83 with every solve refined to
+        # the 1e-16 floor)
+        report, calls, _ = counted_pivoting_k16
+        assert calls["_solve"] < 5 * report.iterations
+
+    def test_refinement_meets_its_target_and_resumes_near_convergence(self, counted_pivoting_k16):
+        report, _, refined = counted_pivoting_k16
+        assert all(ratio <= 1.0 for _, _, ratio in refined)
+        # the early iterations keep the raw solve; as mu falls the target
+        # tightens and the last two iterations refine every solve again
+        assert all(solves == 1 for it, solves, _ in refined if it == 1)
+        assert all(solves >= 2 for it, solves, _ in refined if it >= report.iterations - 1)
+
+    def test_gather_maps_are_native_integers(self):
+        # numpy gathers through an index array of any other type on a slower path
+        form = shipped_form("pivoting", 4)
+        kkt = solver._KKTSystem(form.A, form.G, form.cones)
+        assert all(getattr(kkt, name).dtype == np.intp for name in ("_w_at", "_h_a", "_h_b", "_h_diag", "_h_off"))
 
     def test_factor_uses_one_column_panels(self, monkeypatch):
         # perfbench's trace times the factor through this module-level name
