@@ -39,6 +39,10 @@ and for every shipped scenario it solves at K intervals and records:
   solve/<name>/history     sha256 of the solver's iteration history (every
                            iteration's mu, sigma, alpha, tau, kappa, costs and
                            residuals), each float written as `float.hex`
+  kkt/<name>/lu_nnz        the nonzeros of L plus U in the solver's first
+                           factor of its reduced KKT matrix, at the first
+                           iterate (s = z = e), an exact count: a change to
+                           the order of that matrix shows here as numbers
 
 The line also carries `blas_threads`, the OPENBLAS_NUM_THREADS setting it
 was taken under ("unset" when there is none): the last bits of long dot
@@ -65,7 +69,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from contact_topp.dynamics import sample_path_dynamics  # noqa: E402
 from contact_topp.scenario import RunSettings, load_scenario, profile_from_json_dict, solve_scenario  # noqa: E402
-from contact_topp.solver import canonicalize  # noqa: E402
+from contact_topp.solver import Scaling, _KKTSystem, _Scaled, canonicalize, cone_identity  # noqa: E402
 from contact_topp.transcription import ScalingVariables, build_grid, recover_time  # noqa: E402
 from contact_topp.verification import audit, fd_suite, topp_phase_plane  # noqa: E402
 
@@ -141,26 +145,37 @@ def shipped_scenarios() -> list:
     return sorted(os.path.relpath(p, base)[: -len(".json")].replace(os.sep, "/") for p in paths)
 
 
-def form_hash(program) -> str:
-    form = canonicalize(program)
+def form_hash(form) -> str:
     d = Digest().add(form.c, form.b, form.h)
     for M in (form.A, form.G):
         d.add(repr(M.shape), M.data, M.indices, M.indptr)
     return d.add(repr((form.cones.orthant, form.cones.socs)), json.dumps(form.ids.labels())).hexdigest()
 
 
+def lu_nnz(form) -> int:
+    """L + U nonzeros of the first factor a solve of form makes."""
+    data = _Scaled(form)
+    kkt = _KKTSystem(data.A, data.G, form.cones)
+    e = cone_identity(form.cones)
+    kkt.refill(Scaling(form.cones, e, e).w_inv_matrix())
+    kkt.factor()
+    return int(kkt._lu.L.nnz + kkt._lu.U.nnz)
+
+
 def solve_keys(name: str, K: int) -> dict:
     sc = load_scenario(os.path.join(ROOT, "scenarios", f"{name}.json"))
     program, report, solution = solve_scenario(sc, RunSettings(grid_override=K))
     T = None if solution is None else float(recover_time(solution.speed_sq, program.grid).total).hex()
+    form = canonicalize(program)
     return {
         f"dump/{name}": hashlib.sha256(json.dumps(program.to_json_dict()).encode()).hexdigest(),
-        f"form/{name}": form_hash(program),
+        f"form/{name}": form_hash(form),
         f"solve/{name}/status": report.status,
         f"solve/{name}/iterations": report.iterations,
         f"solve/{name}/T": T,
         f"solve/{name}/x": Digest().add(report.x).hexdigest(),
         f"solve/{name}/history": history_hash(report.history),
+        f"kkt/{name}/lu_nnz": lu_nnz(form),
     }
 
 

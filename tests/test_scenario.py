@@ -19,6 +19,7 @@ import pytest
 
 from contact_topp import cli as cli_module
 from contact_topp import scenario as scenario_module
+from contact_topp import solver as solver_module
 from contact_topp.cli import main
 from contact_topp.dynamics import sample_path_dynamics
 from contact_topp.liegroup import Pose
@@ -361,10 +362,18 @@ def time_scaled(data, lam):
 def test_lightened_slowed_waiter_fails_without_a_warning():
     # masses / 8 and time x 16 drive the scaled iterate onto a cone boundary
     # at K=16; the corrector's Jordan solve used to divide by a zero
-    # determinant there (a RuntimeWarning, an error under tier-1's filter)
+    # determinant there (a RuntimeWarning, an error under tier-1's filter).
+    # Which way the iteration then ends hangs on the last bits of its path:
+    # a failure to converge, or the optimum 16 T(1).  Never a certificate,
+    # and never an Optimal off by more than 1e-8, the wrong Optimal of
+    # ROADMAP direction 1
     data = json.loads((SCENARIOS / "waiter" / "tilt_15.json").read_text())
     status, T = minimum_time(time_scaled(mass_scaled(data, 1 / 8), 16), 16)
-    assert status == "NumericalFailure" and T is None
+    if status == "Optimal":
+        _, T1 = minimum_time(data, 16)
+        assert abs(T - 16 * T1) <= 1e-8 * 16 * T1
+    else:
+        assert status in ("NumericalFailure", "MaxIterations") and T is None
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="T moves under a change of time units (ROADMAP direction 1)")
@@ -480,11 +489,51 @@ def on_two_feet(data):
     data["objects"][1]["contacts"] = data["objects"][1]["contacts"][:2]
 
 
-@pytest.mark.parametrize("variant", [without_grasp, on_two_feet], ids=lambda f: f.__name__)
-def test_waiter_variant_certified_infeasible(variant):
+def relabelled_rcm(seed):
+    """`solver.reverse_cuthill_mckee` run on the pattern relabelled by a
+    fixed random permutation, its order mapped back: another RCM order of
+    the same pattern, and so other pivots."""
+    rcm = solver_module.reverse_cuthill_mckee
+
+    def order(pattern):
+        relabel = np.random.default_rng(seed).permutation(pattern.shape[0])
+        return relabel[rcm(pattern[relabel][:, relabel])]
+
+    return order
+
+
+def waiter_variant_case(variant, K, seed=None, **kwargs):
+    # the K=40 cells in the shipped order keep the variant's name alone
+    tags = [variant.__name__] + ([] if K == 40 else [f"K{K}"]) + ([] if seed is None else [f"rcm_seed{seed}"])
+    return pytest.param(variant, K, seed, id="-".join(tags), **kwargs)
+
+
+# a certificate is a property of the scene, not of the pivot order: before
+# short steps were refined to the floor, without_grasp ended NumericalFailure
+# under the RCM orders relabelled by seeds 2 (K=80), 4 (K=16, 40 and 80) and
+# 5 (K=40 and 80)
+@pytest.mark.parametrize(
+    "variant, K, seed",
+    [
+        *(waiter_variant_case(without_grasp, K, seed) for K in (16, 40, 80) for seed in (None, 2, 4, 5)),
+        waiter_variant_case(on_two_feet, 16),
+        waiter_variant_case(on_two_feet, 40),
+        waiter_variant_case(
+            on_two_feet, 80,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="ends NumericalFailure after 3 steps of 1e-8 to 8e-8 from the start (ROADMAP standing defects)",
+            ),
+        ),
+    ],
+)
+def test_waiter_variant_certified_infeasible(variant, K, seed, monkeypatch):
+    if seed is not None:
+        monkeypatch.setattr(solver_module, "reverse_cuthill_mckee", relabelled_rcm(seed))
     data = waiter_dict()
     variant(data)
-    program, report, _ = solve_scenario(scenario_from_dict(data), RunSettings(grid_override=40))
+    program, report, _ = solve_scenario(scenario_from_dict(data), RunSettings(grid_override=K))
     assert report.status == "PrimalInfeasible"
     assert report.certificate["kind"] == "primal"
 

@@ -63,7 +63,9 @@ def test_fingerprint_is_one_stable_json_line(tmp_path):
     )
     forms = {f"{kind}/{name}" for kind in ("dump", "form") for name in SHIPPED}
     solves = {f"solve/{name}/{field}" for name in SHIPPED for field in ("status", "iterations", "T", "x", "history")}
-    assert set(first) == {"grid", "blas_threads"} | hashes | forms | solves
+    fill = {f"kkt/{name}/lu_nnz" for name in SHIPPED}
+    assert set(first) == {"grid", "blas_threads"} | hashes | forms | solves | fill
+    assert all(isinstance(first[k], int) and first[k] > 0 for k in fill)
     assert first["grid"] == 6
     assert all(len(first[k]) == 64 and int(first[k], 16) >= 0 for k in hashes | forms)
     assert run() == first
