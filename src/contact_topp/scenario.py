@@ -8,12 +8,14 @@ and per-contact force series; `sweep` fans out runs over a scalar
 parameter (object mass, friction coefficient, ...), serially or over a
 pool of worker processes.
 
-The file format is one table, `SCHEMA`: for each level of the file its
-keys, each key's rule and default, and the builder of its model object.
-`_read` walks it for every level, robot models (`robot_from_json`)
-included; a bad field, an unknown key among them, is a `ScenarioError`
-naming its path ("scenario.robots[0].model.x_ref: ...").  `read_json`
-reads both file kinds, scenarios and trajectory dumps.
+One table, `SCHEMA`, declares both file kinds, scenarios and the
+trajectory files that `run` writes: for each level of a file its keys,
+each key's rule and default, and the builder of its model object.
+`_read` walks it for every level, robot models (`robot_from_json`) and
+trajectory profiles (`profile_from_json_dict`) included; a bad field, an
+unknown key among them, is a `ScenarioError` naming its path
+("scenario.robots[0].model.x_ref: ...", "trajectory.profile.torque: ...").
+`read_json` reads both file kinds.
 """
 from __future__ import annotations
 
@@ -104,12 +106,6 @@ def _whole(value, what="a whole number", least=-math.inf, most=math.inf) -> int:
     raise ValueError(f"must be {what}, got {value!r}")
 
 
-def _object(value, where) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{where}: expected an object, got {type(value).__name__}")
-    return value
-
-
 def _number(value) -> float:
     # a type test, not numbers.Real, which costs about 1 us a call
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -152,6 +148,33 @@ def _one_of(*allowed):
             raise ValueError(f"only {' or '.join(map(repr, allowed))} is supported, got {value!r}")
         return value
     return rule
+
+
+def _intervals(value) -> int:
+    return _whole(value, "a positive whole interval count", 1, MAX_INTERVALS)
+
+
+def _array(value) -> np.ndarray:
+    """A number or nested lists of numbers as a float array, every entry finite."""
+    array = np.array(value)  # text, null, or an int too large for int64 gives a dtype of kind U or O
+    if array.dtype.kind not in "iuf":
+        raise ValueError("expected numbers or nested lists of numbers")
+    if not np.isfinite(array).all():
+        raise ValueError("has a non-finite entry")
+    return array.astype(float, copy=False)
+
+
+def _arrays(value) -> dict:
+    """An object of `_array`s, each by its name; a bad one is named by its key."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object, got {type(value).__name__}")
+    arrays = {}
+    for key, entry in value.items():
+        try:
+            arrays[key] = _array(entry)
+        except ValueError as exc:
+            raise _FieldError(f"[{key!r}]", str(exc)) from exc
+    return arrays
 
 
 def _boundary_sdot(value) -> tuple:
@@ -203,14 +226,14 @@ def _placed_object(name, parent, mass, inertia, contacts, offset, external_wrenc
 
 REQUIRED = object()  # the default of a key that the file must give
 
-# The scenario file format.  Each level, one kind of JSON object in the file, maps to (builder, fields),
+# The scenario and trajectory file formats.  Each level, one kind of JSON object in a file, maps to (builder, fields),
 # and each key to (rule, default).  A rule is a function of the JSON value, raising TypeError or ValueError
 # on a bad one, or a nested level's name, or [level] for a list.  A key left out or given as its default is
 # taken as the default.  The builder takes the fields by key; the model classes' own checks raise in it.
 SCHEMA = {
     "scenario": (_scenario, {
         "format": (_one_of(SCENARIO_FORMAT), REQUIRED), "name": (_name, REQUIRED),
-        "grid_points": (lambda count: _whole(count, "a positive whole interval count", 1, MAX_INTERVALS), REQUIRED),
+        "grid_points": (_intervals, REQUIRED),
         "boundary_sdot": (_boundary_sdot, (0.0, 0.0)), "path_boundary": (_one_of(*BOUNDARY_KINDS), "clamped"),
         "robots": (["robot"], REQUIRED), "objects": (["object"], ()), "gravity": (_vector(3), (0.0, 0.0, -9.81)),
         # path derivatives of the Jacobian are analytic; files may still name that
@@ -246,6 +269,26 @@ SCHEMA = {
         "mu": (_number, REQUIRED), "ex": (_number, 1.0), "ey": (_number, 1.0), "ez": (_number, 1.0),
     }),
     "pose": (Pose.from_quaternion, {"quaternion_wxyz": (_vector(4), REQUIRED), "translation": (_vector(3), REQUIRED)}),
+    # the trajectory file, as `TrajectoryOutput.to_json_dict` writes it.  The builder keeps what `topp verify`
+    # reads; the rest is only checked, and a stored profile may leave out the keys that default to null
+    "trajectory": (lambda grid_intervals, boundary_sdot, profile, **checked: (profile, grid_intervals, boundary_sdot), {
+        "format": (_one_of(TRAJECTORY_FORMAT), REQUIRED), "scenario": (_name, REQUIRED),
+        "status": (_one_of(OPTIMAL), REQUIRED), "grid_intervals": (_intervals, REQUIRED),
+        "boundary_sdot": (_boundary_sdot, REQUIRED), "objective": (_number, None), "total_time": (_number, REQUIRED),
+        "solver": ("solver", None), "profile": ("profile", REQUIRED), "series": ("series", None),
+    }),
+    "solver": (dict, {
+        "iterations": (_whole, REQUIRED), "wall_time": (_number, REQUIRED),
+        "residuals": (_arrays, REQUIRED), "free_scalars": (_whole, REQUIRED),
+    }),
+    "profile": (ScalingVariables, {
+        **dict.fromkeys(("accel", "speed_sq", "speed_aux", "inverse_avg", "torque"), (_array, REQUIRED)),
+        "wrenches": (_arrays, REQUIRED),
+    }),
+    "series": (dict, {
+        **dict.fromkeys(("t", "s", "sdot", "q", "qd", "qdd", "tau"), (_array, REQUIRED)),
+        "wrench": (_arrays, REQUIRED), "margin": (_arrays, REQUIRED),
+    }),
 }
 
 
@@ -465,74 +508,25 @@ class TrajectoryOutput:
         }
 
 
-# the keys `TrajectoryOutput.to_json_dict` writes, at the top level and in "profile"
-_TRAJECTORY_KEYS = ("format", "scenario", "status", "grid_intervals", "boundary_sdot", "objective", "total_time",
-                    "solver", "profile", "series")
-_PROFILE_KEYS = ("accel", "speed_sq", "speed_aux", "inverse_avg", "torque", "wrenches")
-
-
-def _known_keys(data: dict, keys, where: str):
-    """ScenarioError "<where>.<key>: unknown field" for the first key of `data` not in `keys`."""
-    for key in data:
-        if key not in keys:
-            raise ScenarioError(f"{where}.{key}: unknown field")
-
-
 def profile_from_json_dict(data: dict) -> tuple[ScalingVariables, int, tuple]:
-    """Rebuild the raw solve profile from a trajectory JSON dump.
-
-    A key that `TrajectoryOutput.to_json_dict` does not write, at the top
-    level or in `profile`, is an unknown field.  `grid_intervals` is read
-    by the `grid_points` rule (a whole number, not a bool, text or
-    fraction) and `profile.wrenches` must be an object; a field that breaks
-    its rule is reported as malformed.
-    """
-    if _object(data, "trajectory").get("format") != TRAJECTORY_FORMAT:
-        raise ScenarioError(f"unsupported trajectory format {data.get('format')!r}")
-    _known_keys(data, _TRAJECTORY_KEYS, "trajectory")
-    if isinstance(data.get("profile"), dict):
-        _known_keys(data["profile"], _PROFILE_KEYS, "trajectory.profile")
-    try:
-        p = data["profile"]
-        profile = ScalingVariables(
-            accel=np.asarray(p["accel"], dtype=float),
-            speed_sq=np.asarray(p["speed_sq"], dtype=float),
-            speed_aux=np.asarray(p["speed_aux"], dtype=float),
-            inverse_avg=np.asarray(p["inverse_avg"], dtype=float),
-            torque=np.asarray(p["torque"], dtype=float),
-            wrenches={cid: np.asarray(w, dtype=float) for cid, w in _object(p["wrenches"], "profile.wrenches").items()},
-        )
-        boundary = tuple(None if v is None else float(v) for v in data["boundary_sdot"])
-        try:
-            intervals = _whole(data["grid_intervals"])
-        except ValueError as exc:
-            raise ValueError(f"grid_intervals: {exc}") from None
-        return profile, intervals, boundary
-    except KeyError as exc:
-        raise ScenarioError(f"trajectory has no field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"trajectory has a malformed field: {exc}") from exc
+    """(profile, grid_intervals, boundary_sdot) of a trajectory file's JSON value, read by `SCHEMA`."""
+    return _load("trajectory", data)
 
 
 def check_profile(profile: ScalingVariables, intervals: int, scenario: Scenario) -> None:
     """Raise ScenarioError naming the first field of a solve profile that does not fit the scenario.
 
-    At K = `intervals` (at least 1): accel and inverse_avg hold K values,
-    speed_sq and speed_aux K + 1, torque is (K, dof), and the wrenches are
-    keyed by exactly the scenario's contact ids, each (K, 6).  Every entry
-    is finite.
+    At K = `intervals`: accel and inverse_avg hold K values, speed_sq and
+    speed_aux K + 1, torque is (K, dof), and the wrenches are keyed by
+    exactly the scenario's contact ids, each (K, 6).
     """
     K = intervals
-    if K < 1:
-        raise ScenarioError(f"trajectory grid_intervals must be at least 1, got {K}")
 
     def fit(name, value, shape):
         if value.shape != shape:
             raise ScenarioError(
                 f"trajectory profile {name} has shape {value.shape}; scenario {scenario.name!r} at K = {K} needs {shape}"
             )
-        if not np.isfinite(value).all():
-            raise ScenarioError(f"trajectory profile {name} has a non-finite entry")
 
     for name, size in (("accel", K), ("speed_sq", K + 1), ("speed_aux", K + 1), ("inverse_avg", K)):
         fit(name, getattr(profile, name), (size,))

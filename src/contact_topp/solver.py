@@ -169,6 +169,12 @@ class StandardConicForm:
     cones: ConeSpec
     ids: RowIds | None = None  # of the rows of G
 
+    @cached_property
+    def transposes(self) -> tuple:
+        """(A', G') in CSR, built once for `verify_kkt`, which reads them at every iteration;
+        A and G are not replaced after its first call."""
+        return self.A.T.tocsr(), self.G.T.tocsr()
+
 
 # default tolerance on the relative primal and dual residuals, the relative
 # gap, and the infeasibility certificate residuals
@@ -764,9 +770,10 @@ def _ruiz_equilibrate(form: StandardConicForm):
 def verify_kkt(form: StandardConicForm, x, y, z, s) -> dict:
     """Recompute optimality residuals from scratch on the given data."""
     c, A, b, G, h = form.c, form.A, form.b, form.G, form.h
+    AT, GT = form.transposes
     pres_eq = _norm(A @ x - b)
     pres_in = _norm(G @ x + s - h)
-    dres = _norm(A.T @ y + G.T @ z + c)
+    dres = _norm(AT @ y + GT @ z + c)
     pcost = _dot(c, x)
     dcost = -_dot(b, y) - _dot(h, z)
     gap = abs(pcost - dcost)

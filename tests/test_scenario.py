@@ -1042,17 +1042,28 @@ def misspelt(key):
     [
         (short_speed_sq, "profile speed_sq has shape (500,); scenario 'pickup' at K = 500 needs (501,)"),
         (short_wrench, "profile wrenches['box/finger_right'] has shape (499, 6); scenario 'pickup' at K = 500 needs (500, 6)"),
-        (empty_grid, "trajectory grid_intervals must be at least 1, got 0"),
-        (without_profile, "trajectory has no field 'profile'"),
-        (ragged_torque, "trajectory has a malformed field: setting an array element"),
+        # each id below is the case's name from before its message named the field by its path
+        pytest.param(empty_grid, "trajectory.grid_intervals: must be a positive whole interval count, got 0",
+                     id="empty_grid-trajectory grid_intervals must be at least 1, got 0"),
+        pytest.param(without_profile, "trajectory: missing field 'profile'",
+                     id="without_profile-trajectory has no field 'profile'"),
+        pytest.param(ragged_torque, "trajectory.profile.torque: setting an array element",
+                     id="ragged_torque-trajectory has a malformed field: setting an array element"),
         (lambda dump: [dump], "trajectory: expected an object, got list"),
         # grid_intervals is read by the grid_points rule
-        (grid_intervals_of(500.7), "malformed field: grid_intervals: must be a whole number, got 500.7"),
-        (grid_intervals_of("500"), "malformed field: grid_intervals: must be a whole number, got '500'"),
-        (grid_intervals_of(math.inf), "malformed field: grid_intervals: must be a whole number, got inf"),  # as 1e400 reads
-        (grid_intervals_of(True), "malformed field: grid_intervals: must be a whole number, got True"),
-        (grid_intervals_of(10**400), "profile accel has shape (500,); scenario 'pickup' at K = 1000"),
-        (wrenches_list, "malformed field: profile.wrenches: expected an object, got list"),
+        pytest.param(grid_intervals_of(500.7), "trajectory.grid_intervals: must be a positive whole interval count, got 500.7",
+                     id="spoil-malformed field: grid_intervals: must be a whole number, got 500.7"),
+        pytest.param(grid_intervals_of("500"), "trajectory.grid_intervals: must be a positive whole interval count, got '500'",
+                     id="spoil-malformed field: grid_intervals: must be a whole number, got '500'"),
+        # as 1e400 reads
+        pytest.param(grid_intervals_of(math.inf), "trajectory.grid_intervals: must be a positive whole interval count, got inf",
+                     id="spoil-malformed field: grid_intervals: must be a whole number, got inf"),
+        pytest.param(grid_intervals_of(True), "trajectory.grid_intervals: must be a positive whole interval count, got True",
+                     id="spoil-malformed field: grid_intervals: must be a whole number, got True"),
+        pytest.param(grid_intervals_of(10**400), "trajectory.grid_intervals: must be at most ",
+                     id="spoil-profile accel has shape (500,); scenario 'pickup' at K = 1000"),
+        pytest.param(wrenches_list, "trajectory.profile.wrenches: expected an object, got list",
+                     id="wrenches_list-malformed field: profile.wrenches: expected an object, got list"),
         # each once verified with exit 0: the reader looked only at the keys it read
         (misspelt("grid_intervalz"), "trajectory.grid_intervalz: unknown field"),
         (misspelt("profile.acel"), "trajectory.profile.acel: unknown field"),
@@ -1376,4 +1387,4 @@ def test_cli_verify_nan_profile_exit(tmp_path, capsys, field):
     path.write_text(json.dumps(dump))
     assert main(["verify", str(SCENARIOS / "pickup.json"), str(path)]) == 4
     name = "wrenches['box/finger_left']" if field == "wrenches" else field
-    assert f"input error: trajectory profile {name} has a non-finite entry" in capsys.readouterr().err
+    assert f"input error: trajectory.profile.{name}: has a non-finite entry" in capsys.readouterr().err
