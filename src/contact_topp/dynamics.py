@@ -31,12 +31,12 @@ Both samplers, the transcription, the trajectory output and the audit read
 that table; the scalar and the batched numerics stay two implementations.
 
 The constants of a contact whose frame turns with its object (a body-fixed
-contact) are resolved there too, for the scalar sampler: its wrench map
-(`Scene.contact_maps`), a manipulator contact's frame in its robot's
-end-effector frame (`Scene.ee_frames`) and an object contact's reaction map
-(`Scene.reaction_maps`), the maps read-only.  A sample hands out the same
-read-only maps at every point and builds a `Pose` only for a world-normal
-contact, whose frame it turns with the object.
+contact) are resolved there too: its wrench map (`Scene.contact_maps`), a
+manipulator contact's frame in its robot's end-effector frame
+(`Scene.ee_frames`) and an object contact's reaction map
+(`Scene.reaction_maps`), the maps read-only and read by both samplers.  A
+scalar sample builds a `Pose` only for a world-normal contact, whose frame
+it turns with the object.
 """
 from __future__ import annotations
 
@@ -255,8 +255,8 @@ class Scene:
                   in its robot's end-effector frame: the owner's grasp offset
                   when that robot carries the owner, else its tool offset
 
-    and the constants of the contacts whose frame turns with their object
-    (frame_mode "body_fixed"), which the scalar sampler reads at every point:
+    and the constants that the samplers read instead of building them, the
+    two maps by both and `ee_frames` by the scalar one:
 
       contact_maps   body-fixed contact id -> the read-only wrench map of its
                      pose, contact to owning object
@@ -535,8 +535,8 @@ def _path_torque_terms(model: RobotModel, q, dq, ddq, gravity) -> np.ndarray:
     Vd = np.zeros((3, K, 6))
     Vd[2, :, :3] = -np.asarray(gravity, dtype=float)
     vel, acc, ads_down = [], [], []
-    for i, (A, B, _) in enumerate(chain):
-        R, p = compose_many(*pose_exp_many(A, -q[:, i]), B.rotation, B.translation)
+    for i, ((A, B, _), screw) in enumerate(zip(chain, model.link_screws)):
+        R, p = compose_many(*pose_exp_many(screw, -q[:, i]), B.rotation, B.translation)
         Ad = adjoint_many(R, p)
         V = _apply(Ad, V) + A * qd[:, :, i]
         Vd = _apply(Ad, Vd) + _apply(_ad_many(V), A) * qd[:, :, i] + A * qdd[:, :, i]
@@ -630,13 +630,13 @@ def stack_dynamics_in_s(scene: Scene, s_values) -> PathDynamics:
         p_c = c.pose.translation
         if c.frame_mode == "body_fixed":
             R_c = c.pose.rotation
-            G = np.broadcast_to(c.pose.wrench_map(), (K, 6, 6))
+            G = np.broadcast_to(scene.contact_maps[sc.cid], (K, 6, 6))
         else:
             R_c = _world_normal_rotation_many(frames[sc.owner], c.world_axis, c.pose.rotation[:, 0])
             G = wrench_map_many(R_c, p_c)
         contact_terms[sc.owner].append((sc.cid, 1.0, G))
         if c.kind == "object":
-            reactions[c.against].append((sc.cid, -1.0, np.broadcast_to(c.pose_in_other.wrench_map(), (K, 6, 6))))
+            reactions[c.against].append((sc.cid, -1.0, np.broadcast_to(scene.reaction_maps[sc.cid], (K, 6, 6))))
         if c.kind == "manipulator":
             base = scene.ee_offsets[sc.cid]
             R_off, p_off = compose_many(base.rotation, base.translation, R_c, p_c)

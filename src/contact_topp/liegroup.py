@@ -17,8 +17,8 @@ What a joint's exponential needs besides the joint value, its
 the two translation terms), depends on the twist alone: each `RobotModel`
 builds them once per joint, for its space twists (`space_screws`) and its
 link-frame screws (`link_screws`), and `_exp_rp` evaluates only the sine,
-cosine and products that depend on the angle.  `pose_exp` builds them on
-the fly.  The batched forms below build their own.
+cosine and products that depend on the angle, as does its batched form
+`pose_exp_many`.  `pose_exp` builds them on the fly.
 
 One pass over the joints, `_space_chain`, gives the end-effector pose and
 the space Jacobian columns at q; `_reporting_frame` maps those columns
@@ -392,21 +392,17 @@ def inverse_many(R, p) -> tuple[np.ndarray, np.ndarray]:
     return Rt, (-Rt @ p[..., None])[..., 0]
 
 
-def pose_exp_many(twist: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R, p) of `pose_exp(twist, angle)` for every angle in a 1-D array."""
+def pose_exp_many(screw: ExpConstants, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, p) of `_exp_rp(screw, angle)` for every angle in a 1-D array."""
+    v, wn, K, K2, cross, along = screw
     angles = np.asarray(angles, dtype=float)
-    v, w = twist[:3], twist[3:]
-    wn = np.linalg.norm(w)
-    R = np.broadcast_to(np.eye(3), angles.shape + (3, 3)).copy()
+    R = np.broadcast_to(_I3, angles.shape + (3, 3)).copy()
     p = v * angles[:, None]
     turning = ~((wn * np.abs(angles) < _EPS) & (wn < 1e-9))
     if turning.any():
-        axis = w / wn
-        vn = v / wn
         phi = wn * angles[turning]
-        K = skew(axis)
-        R[turning] = np.eye(3) + np.sin(phi)[:, None, None] * K + (1.0 - np.cos(phi))[:, None, None] * (K @ K)
-        p[turning] = (np.eye(3) - R[turning]) @ np.cross(axis, vn) + axis * (axis @ vn) * phi[:, None]
+        R[turning] = rotation_exp(K, K2, phi[:, None, None])
+        p[turning] = (_I3 - R[turning]) @ cross + along * phi[:, None]
     return R, p
 
 
@@ -429,9 +425,9 @@ def space_jacobian_many(model, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     R = np.broadcast_to(np.eye(3), (K, 3, 3))
     p = np.zeros((K, 3))
     cols = np.zeros((K, 6, model.dof))
-    for i, joint in enumerate(model.joints):
+    for i, (joint, screw) in enumerate(zip(model.joints, model.space_screws)):
         cols[:, :, i] = adjoint_many(R, p) @ joint.twist
-        R, p = compose_many(R, p, *pose_exp_many(joint.twist, q[:, i]))
+        R, p = compose_many(R, p, *pose_exp_many(screw, q[:, i]))
     R, p = compose_many(R, p, model.x_ref.rotation, model.x_ref.translation)
     return R, p, cols
 

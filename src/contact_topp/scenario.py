@@ -15,16 +15,19 @@ each key's rule and default, and the builder of its model object.
 trajectory profiles (`profile_from_json_dict`) included; a bad field, an
 unknown key among them, is a `ScenarioError` naming its path
 ("scenario.robots[0].model.x_ref: ...", "trajectory.profile.torque: ...").
-`read_json` reads both file kinds.
+`read_json` reads both file kinds; `_write` writes a trajectory file
+(`TrajectoryOutput.to_json_dict`) by the same table, in its key order.
 """
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
 from numbers import Real
+from typing import ClassVar
 
 import numpy as np
 
@@ -101,7 +104,10 @@ def _whole(value, what="a whole number", least=-math.inf, most=math.inf) -> int:
     if isinstance(value, Real) and not isinstance(value, bool) and (isinstance(value, int) or math.isfinite(value)):
         if value == int(value) and value >= least:
             if value > most:
-                raise ValueError(f"must be at most {most}, got {int(value)}")
+                got = str(int(value))
+                if len(got) > 20:  # a count of 10**400 would fill the message with digits
+                    got = f"a number of {len(got)} digits"
+                raise ValueError(f"must be at most {most}, got {got}")
             return int(value)
     raise ValueError(f"must be {what}, got {value!r}")
 
@@ -157,7 +163,11 @@ def _intervals(value) -> int:
 def _array(value) -> np.ndarray:
     """A number or nested lists of numbers as a float array, every entry finite."""
     array = np.array(value)  # text, null, or an int too large for int64 gives a dtype of kind U or O
-    if array.dtype.kind not in "iuf":
+    # np.array reads a true among numbers as 1, so the type of each entry is looked at too
+    entries = [value]
+    for _ in range(array.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if array.dtype.kind not in "iuf" or bool in set(map(type, entries)):
         raise ValueError("expected numbers or nested lists of numbers")
     if not np.isfinite(array).all():
         raise ValueError("has a non-finite entry")
@@ -269,7 +279,7 @@ SCHEMA = {
         "mu": (_number, REQUIRED), "ex": (_number, 1.0), "ey": (_number, 1.0), "ez": (_number, 1.0),
     }),
     "pose": (Pose.from_quaternion, {"quaternion_wxyz": (_vector(4), REQUIRED), "translation": (_vector(3), REQUIRED)}),
-    # the trajectory file, as `TrajectoryOutput.to_json_dict` writes it.  The builder keeps what `topp verify`
+    # the trajectory file, which `_write` writes from a `TrajectoryOutput`.  The builder keeps what `topp verify`
     # reads; the rest is only checked, and a stored profile may leave out the keys that default to null
     "trajectory": (lambda grid_intervals, boundary_sdot, profile, **checked: (profile, grid_intervals, boundary_sdot), {
         "format": (_one_of(TRAJECTORY_FORMAT), REQUIRED), "scenario": (_name, REQUIRED),
@@ -339,6 +349,24 @@ def _read(level, data):
         return build(**values)
     except (TypeError, ValueError) as exc:
         raise _FieldError("", str(exc)) from exc
+
+
+def _write(level, value):
+    """`value` as the JSON object of `SCHEMA[level]`, as `json.loads` would give it back: each key in table
+    order, taken by name (by key from a dict), a nested level written alike, arrays and tuples as lists."""
+    data = {}
+    for key, (rule, _) in SCHEMA[level][1].items():
+        item = value[key] if isinstance(value, dict) else getattr(value, key)
+        if isinstance(rule, str) and item is not None:
+            item = _write(rule, item)
+        elif isinstance(item, dict):
+            item = {name: entry.tolist() if isinstance(entry, np.ndarray) else entry for name, entry in item.items()}
+        elif isinstance(item, np.ndarray):
+            item = item.tolist()
+        elif isinstance(item, tuple):
+            item = list(item)
+        data[key] = item
+    return data
 
 
 def _load(level, data):
@@ -441,9 +469,10 @@ class RunSettings:
 
 @dataclass
 class TrajectoryOutput:
-    """Resampled trajectories and forces of one optimal solve."""
+    """Resampled trajectories and forces of one optimal solve; `_write` reads its file's keys by name."""
 
-    scenario_name: str
+    format: ClassVar[str] = TRAJECTORY_FORMAT
+    scenario: str
     status: str
     grid_intervals: int
     boundary_sdot: tuple
@@ -475,37 +504,11 @@ class TrajectoryOutput:
         header = ",".join(cols)
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.12g")
 
+    solver = property(lambda self: self.meta)
+    series = property(lambda self: self)
+
     def to_json_dict(self) -> dict:
-        p = self.profile
-        return {
-            "format": TRAJECTORY_FORMAT,
-            "scenario": self.scenario_name,
-            "status": self.status,
-            "grid_intervals": self.grid_intervals,
-            "boundary_sdot": list(self.boundary_sdot),
-            "objective": self.objective,
-            "total_time": self.total_time,
-            "solver": self.meta,
-            "profile": {
-                "accel": p.accel.tolist(),
-                "speed_sq": p.speed_sq.tolist(),
-                "speed_aux": p.speed_aux.tolist(),
-                "inverse_avg": p.inverse_avg.tolist(),
-                "torque": p.torque.tolist(),
-                "wrenches": {cid: p.wrenches[cid].tolist() for cid in self.contact_order},
-            },
-            "series": {
-                "t": self.t.tolist(),
-                "s": self.s.tolist(),
-                "sdot": self.sdot.tolist(),
-                "q": self.q.tolist(),
-                "qd": self.qd.tolist(),
-                "qdd": self.qdd.tolist(),
-                "tau": self.tau.tolist(),
-                "wrench": {cid: self.wrench[cid].tolist() for cid in self.contact_order},
-                "margin": {cid: self.margin[cid].tolist() for cid in self.contact_order},
-            },
-        }
+        return _write("trajectory", self)
 
 
 def profile_from_json_dict(data: dict) -> tuple[ScalingVariables, int, tuple]:
@@ -589,7 +592,7 @@ def run(scenario: Scenario, settings: RunSettings = RunSettings()) -> Trajectory
     margin = {sc.cid: cone_margin(sc.cone, wrench[sc.cid]) for sc in scene.contacts}
 
     return TrajectoryOutput(
-        scenario_name=scenario.name,
+        scenario=scenario.name,
         status=report.status,
         grid_intervals=K,
         boundary_sdot=scenario.boundary_sdot,

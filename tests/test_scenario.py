@@ -728,6 +728,13 @@ def test_sweep_malformed_value_is_input_error():
     assert pt.status == SWEEP_INPUT_ERROR and pt.message.startswith("scenario.boundary_sdot: ")
 
 
+def test_too_large_count_message_gives_its_digit_count():
+    # 19 digits are written out (above), a count of 401 only by its length
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(slider_scenario(grid_points=10**400))
+    assert str(info.value) == f"scenario.grid_points: must be at most {2**63 - 2}, got a number of 401 digits"
+
+
 def test_sweep_bad_points_same_serial_and_pool():
     sc = scenario_from_dict(slider_scenario(grid_points=8, velocity=1.0))
     values = [2.0, -1.0, 0.0, 1.0]
@@ -1014,6 +1021,19 @@ def ragged_torque(dump):
     return dump
 
 
+def true_in(field, *index):
+    """A JSON true at `index` of the profile array `field`, among its numbers."""
+    def spoil(dump):
+        *outer, last = index
+        row = dump["profile"][field]
+        for i in outer:
+            row = row[i]
+        row[last] = True
+        return dump
+
+    return spoil
+
+
 def grid_intervals_of(value):
     def spoil(dump):
         dump["grid_intervals"] = value
@@ -1064,6 +1084,9 @@ def misspelt(key):
                      id="spoil-profile accel has shape (500,); scenario 'pickup' at K = 1000"),
         pytest.param(wrenches_list, "trajectory.profile.wrenches: expected an object, got list",
                      id="wrenches_list-malformed field: profile.wrenches: expected an object, got list"),
+        # np.array would read each true as 1.0
+        (true_in("accel", 2), "trajectory.profile.accel: expected numbers or nested lists of numbers"),
+        (true_in("torque", 3, 1), "trajectory.profile.torque: expected numbers or nested lists of numbers"),
         # each once verified with exit 0: the reader looked only at the keys it read
         (misspelt("grid_intervalz"), "trajectory.grid_intervalz: unknown field"),
         (misspelt("profile.acel"), "trajectory.profile.acel: unknown field"),

@@ -7,10 +7,12 @@ named as missing.  An optional scenario key written out at its table
 default reads as if it were left out, and a written trajectory reads back
 its profile bit for bit.  The README's lists of keys are held to the
 table, and so are every key the shipped files use and every key a
-trajectory file is written with.
+trajectory file is written with; a key added to the table is written and
+read back with no other change.
 """
 
 import copy
+import dataclasses
 import functools
 import json
 import re
@@ -122,6 +124,20 @@ def test_trajectory_reads_back_its_profile(name):
 def test_trajectory_is_written_with_the_schema_keys(name):
     for path, level, node in objects_of(file_of("trajectory", name), "trajectory", "trajectory"):
         assert list(node) == list(SCHEMA[level][1]), path
+    # what is written is already the JSON value, with no array or tuple left for the reader to meet
+    out, text = solved(name)
+    assert out.to_json_dict() == json.loads(text)
+
+
+def test_a_key_added_to_the_table_is_written_and_read_back(monkeypatch):
+    # one table row declares a key: the writer writes it at its place in the table, the reader reads it
+    monkeypatch.setitem(SCHEMA["solver"][1], "timings", (SCHEMA["solver"][1]["residuals"][0], None))
+    out, _ = solved("pickup")
+    out = dataclasses.replace(out, meta={"timings": {"solve": np.array([0.5, 0.25])}, **out.meta})
+    data = json.loads(json.dumps(out.to_json_dict()))
+    assert list(data["solver"]) == list(SCHEMA["solver"][1]) and data["solver"]["timings"] == {"solve": [0.5, 0.25]}
+    profile, intervals, _ = profile_from_json_dict(data)
+    assert intervals == 16 and np.array_equal(profile.torque, out.profile.torque)
 
 
 @pytest.mark.parametrize("name", NAMES)
