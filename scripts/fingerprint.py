@@ -10,10 +10,13 @@ For every shipped scenario (scenarios/*.json and scenarios/waiter/*.json)
 it hashes, bit for bit:
 
   samples/<name>      `sample_path_dynamics` at the K interval midpoints
+  stack/<name>        `stack_dynamics_in_s` at the same K midpoints, in one
+                      call: every field, the contact Jacobians in dict order
+                      and each object's contact terms in order
   fd_suite/<name>     the `fd_suite` ledger, seed 0
 
-so every robot, path, object and contact kind that ships guards the scalar
-oracle: the two contact-free scenarios, planar_2dof and double_integrator,
+so every robot, path, object and contact kind that ships guards both
+samplers: the two contact-free scenarios, planar_2dof and double_integrator,
 the one-object scenes, and the waiter tilts, whose cube rides on the tray,
 with contact reactions and a grasp chain through an object parent.  For
 pivoting, pickup and arm_7dof, which have a shipped profile, it also hashes:
@@ -67,7 +70,7 @@ import numpy as np
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from contact_topp.dynamics import sample_path_dynamics  # noqa: E402
+from contact_topp.dynamics import sample_path_dynamics, stack_dynamics_in_s  # noqa: E402
 from contact_topp.scenario import RunSettings, load_scenario, profile_from_json_dict, solve_scenario  # noqa: E402
 from contact_topp.solver import Scaling, _KKTSystem, _Scaled, canonicalize, cone_identity  # noqa: E402
 from contact_topp.transcription import ScalingVariables, build_grid, recover_time  # noqa: E402
@@ -97,18 +100,29 @@ class Digest:
         return self.h.hexdigest()
 
 
+def add_dynamics(d: Digest, dyn, cids) -> Digest:
+    """Add every field of a `PathDynamics` to d, its contact Jacobians in the order of cids."""
+    d.add(dyn.s, dyn.q, dyn.dq, dyn.ddq, dyn.torque_accel_coeff, dyn.torque_velsq_coeff, dyn.torque_gravity)
+    for cid in cids:
+        d.add(cid, dyn.contact_jacobians[cid])
+    for terms in dyn.objects:
+        d.add(terms.name, terms.accel_coeff, terms.velsq_coeff, terms.external)
+        for cid, sign, G in terms.contact_terms:
+            d.add(cid, sign, G)
+    return d
+
+
 def samples_hash(scene, K: int) -> str:
     d = Digest()
     for s in build_grid(K).midpoints:
         smp = sample_path_dynamics(scene, float(s))
-        d.add(smp.s, smp.q, smp.dq, smp.ddq, smp.torque_accel_coeff, smp.torque_velsq_coeff, smp.torque_gravity)
-        for cid in sorted(smp.contact_jacobians):
-            d.add(cid, smp.contact_jacobians[cid])
-        for osmp in smp.objects:
-            d.add(osmp.name, osmp.accel_coeff, osmp.velsq_coeff, osmp.external)
-            for cid, sign, G in osmp.contact_terms:
-                d.add(cid, sign, G)
+        add_dynamics(d, smp, sorted(smp.contact_jacobians))
     return d.hexdigest()
+
+
+def stack_hash(scene, K: int) -> str:
+    stk = stack_dynamics_in_s(scene, build_grid(K).midpoints)
+    return add_dynamics(Digest(), stk, stk.contact_jacobians).hexdigest()
 
 
 def json_hash(data) -> str:
@@ -184,6 +198,7 @@ def fingerprint(K: int) -> dict:
     for name in shipped_scenarios():
         sc = load_scenario(os.path.join(ROOT, "scenarios", f"{name}.json"))
         out[f"samples/{name}"] = samples_hash(sc.scene, K)
+        out[f"stack/{name}"] = stack_hash(sc.scene, K)
         out[f"fd_suite/{name}"] = json_hash(fd_suite(sc, seed=0))
         if name in PROFILED:
             out[f"audit/{name}"] = json_hash(audit(shipped_profile(name, K), sc).to_json_dict())

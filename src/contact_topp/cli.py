@@ -36,7 +36,7 @@ from .scenario import (
 )
 from .solver import MAX_ITERATIONS, NUMERICAL_FAILURE, TOL
 from .transcription import MAX_INTERVALS, build_grid
-from .verification import verification_ledger
+from .verification import AUDIT_TOL, verification_ledger
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="audit a trajectory output against its scenario")
     p_verify.add_argument("scenario", help="scenario JSON file")
     p_verify.add_argument("output", help="trajectory JSON written by 'topp solve'")
-    p_verify.add_argument("--tolerance", type=float, default=1e-6, help="audit tolerance")
+    p_verify.add_argument("--tolerance", type=float, default=AUDIT_TOL, help="audit tolerance (default: %(default)g)")
     p_verify.add_argument("--out", default=None, help="write the ledger to a file instead of stdout")
     p_verify.set_defaults(func=_cmd_verify)
     return parser

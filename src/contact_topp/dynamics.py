@@ -23,20 +23,20 @@ exact zeros that change no bit of the torques.
 
 The contact topology is resolved once, when a `Scene` is built:
 `Scene.grasp` gives each object the robot that carries it and its constant
-pose in that robot's end-effector frame, `Scene.contacts` gives each
-contact its "<object>/<contact>" id, its owner and its friction cone,
-`Scene.carriers` names the robots whose end-effector chain a sample needs
-and `Scene.ee_offsets` the end-effector frame of each manipulator contact.
-Both samplers, the transcription, the trajectory output and the audit read
-that table; the scalar and the batched numerics stay two implementations.
+pose in that robot's end-effector frame, `Scene.carriers` names the robots
+whose end-effector chain a sample needs, and `Scene.contacts` holds one
+`SceneContact` per contact: its "<object>/<contact>" id, owner and friction
+cone, a manipulator contact's end-effector offset, and the read-only
+constants of a contact whose frame turns with its object (a body-fixed
+contact): its wrench map and a manipulator contact's frame in its robot's
+end-effector frame, next to an object contact's reaction map.  The
+transcription, the trajectory output and the audit read that record too.
 
-The constants of a contact whose frame turns with its object (a body-fixed
-contact) are resolved there too: its wrench map (`Scene.contact_maps`), a
-manipulator contact's frame in its robot's end-effector frame
-(`Scene.ee_frames`) and an object contact's reaction map
-(`Scene.reaction_maps`), the maps read-only and read by both samplers.  A
-scalar sample builds a `Pose` only for a world-normal contact, whose frame
-it turns with the object.
+The scalar and the batched numerics stay two implementations; both hand
+their torque terms, object balances, contact maps and robot Jacobians to
+`_path_dynamics`, which adds the topology (signs, reactions, zero-padded
+Jacobians) and builds the record.  A scalar sample builds a `Pose` only
+for a world-normal contact, which turns with its object.
 """
 from __future__ import annotations
 
@@ -228,14 +228,30 @@ class ObjectInstance:
             raise ValueError("object needs exactly one parent (robot or object)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneContact:
-    """One contact of a scene: its id, the object that owns it, its spec and friction cone."""
+    """One contact of a scene, resolved once: id, owner, spec, friction cone and
+    the constants a sample reads instead of building them, None where unused:
+
+      ee_offset     manipulator contact: the frame its pose is given in, in its
+                    robot's end-effector frame: the owner's grasp offset when
+                    that robot carries the owner, else its tool offset
+      wrench_map    body-fixed contact: the read-only wrench map of its pose,
+                    contact to owning object
+      ee_frame      body-fixed manipulator contact: its contact frame in its
+                    robot's end-effector frame, ee_offset composed with its pose
+      reaction_map  object contact: the read-only wrench map of its
+                    `pose_in_other`, contact to the object it presses against
+    """
 
     cid: str  # "<object>/<contact>", the key of its wrench in programs and trajectories
     owner: str  # name of the object the contact belongs to
     spec: ContactSpec
     cone: ConeDescriptor
+    ee_offset: Pose | None
+    wrench_map: np.ndarray | None
+    ee_frame: Pose | None
+    reaction_map: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -245,26 +261,13 @@ class Scene:
     Construction checks the contact topology and resolves it once, into
     these derived fields:
 
-      grasp       object name -> (index of the robot that carries the object,
-                  through any chain of object parents; constant pose of the
-                  object frame in that robot's end-effector frame)
-      contacts    every contact of every object, in file order
-      carriers    the robots whose end-effector chain a sample needs, each
-                  object's carrier and each manipulator contact's robot
-      ee_offsets  manipulator contact id -> the frame its pose is given in,
-                  in its robot's end-effector frame: the owner's grasp offset
-                  when that robot carries the owner, else its tool offset
-
-    and the constants that the samplers read instead of building them, the
-    two maps by both and `ee_frames` by the scalar one:
-
-      contact_maps   body-fixed contact id -> the read-only wrench map of its
-                     pose, contact to owning object
-      ee_frames      body-fixed manipulator contact id -> its contact frame in
-                     its robot's end-effector frame, ee_offsets[cid] composed
-                     with its pose
-      reaction_maps  object contact id -> the read-only wrench map of its
-                     `pose_in_other`, contact to the object it presses against
+      grasp     object name -> (index of the robot that carries the object,
+                through any chain of object parents; constant pose of the
+                object frame in that robot's end-effector frame)
+      contacts  every contact of every object, in file order, each a
+                resolved `SceneContact`
+      carriers  the robots whose end-effector chain a sample needs, each
+                object's carrier and each manipulator contact's robot
     """
 
     robots: tuple[RobotInstance, ...]
@@ -273,10 +276,6 @@ class Scene:
     grasp: dict[str, tuple[int, Pose]] = field(init=False, compare=False)
     contacts: tuple[SceneContact, ...] = field(init=False, compare=False)
     carriers: tuple[int, ...] = field(init=False, compare=False)
-    ee_offsets: dict[str, Pose] = field(init=False, compare=False)
-    contact_maps: dict[str, np.ndarray] = field(init=False, compare=False)
-    ee_frames: dict[str, Pose] = field(init=False, compare=False)
-    reaction_maps: dict[str, np.ndarray] = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float).reshape(3))
@@ -310,17 +309,17 @@ class Scene:
                 offset = offset.compose(rider.offset)
             grasp[obj.model.name] = (root.parent_robot, offset)
 
-        contacts, ee_offsets, contact_maps, ee_frames, reaction_maps = [], {}, {}, {}, {}
+        contacts = []
         carriers = {robot for robot, _ in grasp.values()}
         for obj in self.objects:
             for c in obj.model.contacts:
-                cid = f"{obj.model.name}/{c.name}"
+                ee_offset = wrench_map = ee_frame = reaction_map = None
                 if c.kind == "manipulator":
                     if not (0 <= c.robot < len(self.robots)):
                         raise ValueError(f"contact {c.name!r} references missing robot")
                     carrier, offset = grasp[obj.model.name]
                     carriers.add(c.robot)
-                    ee_offsets[cid] = offset if c.robot == carrier else self.robots[c.robot].model.tool_offset
+                    ee_offset = offset if c.robot == carrier else self.robots[c.robot].model.tool_offset
                 if c.kind == "object":
                     if c.against not in by_name:
                         raise ValueError(f"contact {c.name!r} references missing object {c.against!r}")
@@ -328,19 +327,16 @@ class Scene:
                         raise ValueError(f"object contact {c.name!r} needs pose_in_other")
                     if c.against == obj.model.name:
                         raise ValueError(f"object contact {c.name!r} presses against its own object {c.against!r}")
-                    reaction_maps[cid] = _read_only(c.pose_in_other.wrench_map())
+                    reaction_map = _read_only(c.pose_in_other.wrench_map())
                 if c.frame_mode == "body_fixed":
-                    contact_maps[cid] = _read_only(c.pose.wrench_map())
-                    if c.kind == "manipulator":
-                        ee_frames[cid] = ee_offsets[cid].compose(c.pose)
-                contacts.append(SceneContact(cid, obj.model.name, c, c.descriptor()))
+                    wrench_map = _read_only(c.pose.wrench_map())
+                    if ee_offset is not None:
+                        ee_frame = ee_offset.compose(c.pose)
+                cid = f"{obj.model.name}/{c.name}"
+                contacts.append(SceneContact(cid, obj.model.name, c, c.descriptor(), ee_offset, wrench_map, ee_frame, reaction_map))
         object.__setattr__(self, "grasp", grasp)
         object.__setattr__(self, "contacts", tuple(contacts))
         object.__setattr__(self, "carriers", tuple(sorted(carriers)))
-        object.__setattr__(self, "ee_offsets", ee_offsets)
-        object.__setattr__(self, "contact_maps", contact_maps)
-        object.__setattr__(self, "ee_frames", ee_frames)
-        object.__setattr__(self, "reaction_maps", reaction_maps)
 
     @property
     def dof(self) -> int:
@@ -380,10 +376,9 @@ class PathDynamics:
     `sample_path_dynamics` returns the one-point form: s a float, (n,)
     joint and torque terms, a (6, n) body Jacobian at the contact frame per
     manipulator contact id and one `ObjectPathTerms` per object.
-    Its body-fixed contact maps are the scene's read-only arrays.
     `stack_dynamics_in_s` returns the same fields with a leading K axis,
-    where constant contact maps may be read-only broadcast views, and
-    `len()` counts its points.
+    and `len()` counts its points.  In both, a constant contact map is the
+    contact record's read-only array or a read-only view of it.
     """
 
     s: float | np.ndarray
@@ -398,6 +393,38 @@ class PathDynamics:
 
     def __len__(self) -> int:
         return self.s.shape[0]
+
+
+def _path_dynamics(scene: Scene, s, q, dq, ddq, torques, balance, maps, jacobians) -> PathDynamics:
+    """The record of a sample from its numerics, at one s or at K values of s.
+
+    A sampler hands in the (accel, velsq, gravity) torque terms, each
+    object's (A, B, external), each contact's own wrench map (`maps`) and
+    each manipulator contact's Jacobian in its robot's joint columns
+    (`jacobians`), both keyed by contact id.  Only the topology is added
+    here: each map enters its owner's balance with sign +1, an object
+    contact's reaction map enters, negated, the body it presses against,
+    through that body's own frame, and each Jacobian is padded with zeros
+    to all n joints.
+    """
+    slices = scene.robot_slices()
+    terms = {name: [] for name in balance}
+    reactions = {name: [] for name in balance}
+    padded = {}
+    for sc in scene.contacts:
+        G = maps[sc.cid]
+        terms[sc.owner].append((sc.cid, 1.0, G))
+        if sc.reaction_map is not None:
+            reactions[sc.spec.against].append((sc.cid, -1.0, np.broadcast_to(sc.reaction_map, G.shape)))
+        if sc.cid in jacobians:
+            J = jacobians[sc.cid]
+            padded[sc.cid] = np.zeros(J.shape[:-1] + (scene.dof,))
+            padded[sc.cid][..., slices[sc.spec.robot]] = J
+    objects = tuple(
+        ObjectPathTerms(name, A, B, external, tuple(terms[name] + reactions[name]))
+        for name, (A, B, external) in balance.items()
+    )
+    return PathDynamics(s, q, dq, ddq, *torques, contact_jacobians=padded, objects=objects)
 
 
 def _world_normal_rotation(R_obj: np.ndarray, world_axis: np.ndarray, hint: np.ndarray) -> np.ndarray:
@@ -457,41 +484,18 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamics:
         weight = np.concatenate([frames[name].T @ (obj.model.mass * scene.gravity), np.zeros(3)])
         balance[name] = (A, B, weight + obj.external_wrench)
 
-    # an object contact also enters, negated, the body it presses against,
-    # through that body's own frame
-    contact_terms = {name: [] for name in balance}
-    reactions = {name: [] for name in balance}
-    contact_jacs: dict[str, np.ndarray] = {}
+    maps, jacobians = {}, {}
     for sc in scene.contacts:
         c = sc.spec
         if c.frame_mode == "body_fixed":
-            G, ee_frame = scene.contact_maps[sc.cid], scene.ee_frames.get(sc.cid)
+            maps[sc.cid], ee_frame = sc.wrench_map, sc.ee_frame
         else:
             pose_c = contact_pose_at(c, frames[sc.owner])
-            G = pose_c.wrench_map()
-            ee_frame = scene.ee_offsets[sc.cid].compose(pose_c) if c.kind == "manipulator" else None
-        contact_terms[sc.owner].append((sc.cid, 1.0, G))
-        if c.kind == "object":
-            reactions[c.against].append((sc.cid, -1.0, scene.reaction_maps[sc.cid]))
+            maps[sc.cid] = pose_c.wrench_map()
+            ee_frame = sc.ee_offset.compose(pose_c) if c.kind == "manipulator" else None
         if c.kind == "manipulator":
-            full = np.zeros((6, n))
-            full[:, slices[c.robot]] = _reporting_frame(*space[c.robot], ee_frame)
-            contact_jacs[sc.cid] = full
-
-    return PathDynamics(
-        s=s,
-        q=q,
-        dq=dq,
-        ddq=ddq,
-        torque_accel_coeff=acc,
-        torque_velsq_coeff=velsq,
-        torque_gravity=grav,
-        contact_jacobians=contact_jacs,
-        objects=tuple(
-            ObjectPathTerms(name, A, B, external, tuple(contact_terms[name] + reactions[name]))
-            for name, (A, B, external) in balance.items()
-        ),
-    )
+            jacobians[sc.cid] = _reporting_frame(*space[c.robot], ee_frame)
+    return _path_dynamics(scene, s, q, dq, ddq, (acc, velsq, grav), balance, maps, jacobians)
 
 
 # ---------------------------------------------------------------------------
@@ -620,41 +624,17 @@ def stack_dynamics_in_s(scene: Scene, s_values) -> PathDynamics:
         weight[:, :3] = np.swapaxes(frames[name], 1, 2) @ (obj.model.mass * scene.gravity)
         balance[name] = (_apply(M, J_dir), _apply(M, J_rate) + gyro, weight + obj.external_wrench)
 
-    # an object contact also enters, negated, the body it presses against,
-    # through that body's own frame
-    contact_terms = {name: [] for name in balance}
-    reactions = {name: [] for name in balance}
-    contact_jacs: dict[str, np.ndarray] = {}
+    maps, jacobians = {}, {}
     for sc in scene.contacts:
         c = sc.spec
         p_c = c.pose.translation
         if c.frame_mode == "body_fixed":
             R_c = c.pose.rotation
-            G = np.broadcast_to(scene.contact_maps[sc.cid], (K, 6, 6))
+            maps[sc.cid] = np.broadcast_to(sc.wrench_map, (K, 6, 6))
         else:
             R_c = _world_normal_rotation_many(frames[sc.owner], c.world_axis, c.pose.rotation[:, 0])
-            G = wrench_map_many(R_c, p_c)
-        contact_terms[sc.owner].append((sc.cid, 1.0, G))
-        if c.kind == "object":
-            reactions[c.against].append((sc.cid, -1.0, np.broadcast_to(scene.reaction_maps[sc.cid], (K, 6, 6))))
+            maps[sc.cid] = wrench_map_many(R_c, p_c)
         if c.kind == "manipulator":
-            base = scene.ee_offsets[sc.cid]
-            R_off, p_off = compose_many(base.rotation, base.translation, R_c, p_c)
-            full = np.zeros((K, 6, n))
-            full[:, :, slices[c.robot]] = body_jacobian_many(*fk[c.robot], R_off, p_off)
-            contact_jacs[sc.cid] = full
-
-    return PathDynamics(
-        s=s,
-        q=q,
-        dq=dq,
-        ddq=ddq,
-        torque_accel_coeff=terms[0],
-        torque_velsq_coeff=terms[1],
-        torque_gravity=terms[2],
-        contact_jacobians=contact_jacs,
-        objects=tuple(
-            ObjectPathTerms(name, A, B, external, tuple(contact_terms[name] + reactions[name]))
-            for name, (A, B, external) in balance.items()
-        ),
-    )
+            R_off, p_off = compose_many(sc.ee_offset.rotation, sc.ee_offset.translation, R_c, p_c)
+            jacobians[sc.cid] = body_jacobian_many(*fk[c.robot], R_off, p_off)
+    return _path_dynamics(scene, s, q, dq, ddq, terms, balance, maps, jacobians)

@@ -171,8 +171,8 @@ class StandardConicForm:
 
     @cached_property
     def transposes(self) -> tuple:
-        """(A', G') in CSR, built once for `verify_kkt`, which reads them at every iteration;
-        A and G are not replaced after its first call."""
+        """(A', G') in CSR, built once for `verify_kkt`, which reads them at every iteration,
+        and the primal certificate check; A and G are not replaced after its first call."""
         return self.A.T.tocsr(), self.G.T.tocsr()
 
 
@@ -640,17 +640,13 @@ class _KKTSystem:
         # costs a quarter of the factor time.
         self._lu = splu(self.reduced, permc_spec="NATURAL", panel_size=1)
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The regularized system's solution through the factor of R."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M v = rhs by one solve with the last factor of R, unrefined."""
         R = self._R
         rz = rhs[R:]
         xy = np.empty(R)
         xy[self.perm] = self._lu.solve((rhs[:R] + self._wg_t @ rz / (1.0 + REG))[self.perm])
         return np.concatenate((xy, (self._wg @ xy - rz) / (1.0 + REG)))
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M v = rhs by one solve with the last factor, unrefined."""
-        return self._solve(rhs)
 
     def refined_solve(self, rhs: np.ndarray, mu: float) -> np.ndarray:
         """M v = rhs by the last factor, refined against the exact M only as
@@ -672,14 +668,14 @@ class _KKTSystem:
         sizes the centering, takes the plain `_KKTSystem.solve`.
         """
         rhs_ld = rhs.astype(np.longdouble)
-        sol = self._solve(rhs).astype(np.longdouble)
+        sol = self.solve(rhs).astype(np.longdouble)
         resid = (rhs_ld - self.exact @ sol).astype(np.float64)
         best, best_res = sol, _norm(resid)
         target = max(1e-16, REFINE_ETA * mu) * (_norm(rhs) + 1.0)
         for _ in range(REFINE_STEPS):
             if best_res <= target:
                 break
-            sol = sol + self._solve(resid)
+            sol = sol + self.solve(resid)
             resid = (rhs_ld - self.exact @ sol).astype(np.float64)
             res = _norm(resid)
             if res < best_res:
@@ -813,11 +809,12 @@ def _check_primal_infeasibility_certificate(form, y, z, tol, relative: bool = Fa
     if -pot <= _rounding_bound((form.b, y), (form.h, z)):
         return None
     yc, zc = y / -pot, z / -pot
-    res = float(np.linalg.norm(form.A.T @ yc + form.G.T @ zc, ord=np.inf))
+    AT, GT = form.transposes
+    res = float(np.linalg.norm(AT @ yc + GT @ zc, ord=np.inf))
     scale = max(1.0, float(abs(form.A).max() if form.A.nnz else 1.0), float(abs(form.G).max() if form.G.nnz else 1.0))
     bound = scale
     if relative:
-        bound = min(bound, float(np.max(abs(form.A.T) @ np.abs(yc) + abs(form.G.T) @ np.abs(zc), initial=0.0)))
+        bound = min(bound, float(np.max(abs(AT) @ np.abs(yc) + abs(GT) @ np.abs(zc), initial=0.0)))
     cone_err = cone_residual(form.cones, zc)
     if res <= tol * bound and cone_err <= tol * scale:
         return {"kind": "primal", "y": yc, "z": zc, "residual": res, "cone_residual": cone_err}

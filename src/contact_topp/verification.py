@@ -64,6 +64,8 @@ SLOPE_TOL = 1e-11
 FD_SAMPLES = 50
 # step of every central difference in `fd_suite`
 FD_STEP = 1e-6
+# default bound on every audited violation (`audit`, `verification_ledger`, `topp verify`)
+AUDIT_TOL = 1e-6
 
 
 def _stacked(samples, name) -> np.ndarray:
@@ -293,7 +295,7 @@ class AuditReport:
         }
 
 
-def audit(profile: ScalingVariables, scenario, tolerance: float = 1e-6) -> AuditReport:
+def audit(profile: ScalingVariables, scenario, tolerance: float = AUDIT_TOL) -> AuditReport:
     """Re-derive every constraint family from the raw models and measure it.
 
     Each violation is normalized by 1 plus the magnitudes of the terms in
@@ -505,7 +507,7 @@ def fd_suite(scenario, seed: int = 0) -> dict:
     }
 
 
-def verification_ledger(scenario, profile: ScalingVariables, tolerance: float = 1e-6) -> dict:
+def verification_ledger(scenario, profile: ScalingVariables, tolerance: float = AUDIT_TOL) -> dict:
     """Combined machine-readable ledger: fd_suite plus the audit of `profile`."""
     ledger = {"scenario": scenario.name, "fd_suite": fd_suite(scenario)}
     ledger["audit"] = audit(profile, scenario, tolerance).to_json_dict()

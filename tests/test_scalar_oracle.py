@@ -36,6 +36,7 @@ from contact_topp.dynamics import (
     inverse_dynamics,
     object_net_wrench_coefficients,
     sample_path_dynamics,
+    stack_dynamics_in_s,
 )
 from contact_topp.liegroup import (
     Pose,
@@ -570,18 +571,25 @@ def test_fixed_contact_maps_come_from_the_scene_read_only(monkeypatch, name):
     # a sample builds a pose for each world-normal contact, and one more for
     # its end-effector frame when a robot holds it
     assert len(poses) == sum(1 + (sc.spec.kind == "manipulator") for sc in world_normal)
-    fixed = 0
-    for osmp in smp.objects:
-        for cid, sign, G in osmp.contact_terms:
-            shared = scene.contact_maps.get(cid) if sign > 0 else scene.reaction_maps[cid]
-            if shared is None:
-                assert G.flags.writeable
-                continue
-            fixed += 1
-            assert G is shared and not G.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                G[0, 0] = 1.0
-    assert fixed == len(scene.contacts) - len(world_normal) + len(scene.reaction_maps)
+    records = {sc.cid: sc for sc in scene.contacts}
+    reacting = [sc for sc in scene.contacts if sc.reaction_map is not None]
+    # every fixed map either sampler returns is read-only and shares the
+    # record's memory; the scalar sample's own maps are the record's arrays
+    for dyn in (smp, stack_dynamics_in_s(scene, [0.1, 0.37, 0.9])):
+        fixed = 0
+        for terms in dyn.objects:
+            for cid, sign, G in terms.contact_terms:
+                shared = records[cid].wrench_map if sign > 0 else records[cid].reaction_map
+                if shared is None:
+                    assert G.flags.writeable
+                    continue
+                fixed += 1
+                assert np.shares_memory(G, shared) and not G.flags.writeable
+                if dyn is smp and sign > 0:
+                    assert G is shared
+                with pytest.raises(ValueError, match="read-only"):
+                    G[..., 0, 0] = 1.0
+        assert fixed == len(scene.contacts) - len(world_normal) + len(reacting)
 
 
 def test_chain_data_built_once_per_model():

@@ -57,7 +57,7 @@ def test_fingerprint_is_one_stable_json_line(tmp_path):
     first = run()
     profiled = ("pivoting", "pickup", "arm_7dof")
     hashes = (
-        {f"{kind}/{name}" for kind in ("samples", "fd_suite") for name in SHIPPED}
+        {f"{kind}/{name}" for kind in ("samples", "stack", "fd_suite") for name in SHIPPED}
         | {f"audit/{name}" for name in profiled}
         | {"phase_plane/arm_7dof"}
     )
