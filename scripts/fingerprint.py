@@ -23,9 +23,12 @@ pivoting, pickup and arm_7dof, which have a shipped profile, it also hashes:
 
   audit/<name>        the `audit` report of the shipped K=500 profile in
                       perfbench/profiles (with --grid, of its first K intervals)
-  phase_plane/<name>  `topp_phase_plane` of a contact-free scenario (every
-                      field, the total included; with --grid below 500, at
-                      resolution K)
+
+and for each contact-free scenario (arm_7dof, double_integrator and
+planar_2dof), which needs no stored profile:
+
+  phase_plane/<name>  `topp_phase_plane` (every field, the total included;
+                      with --grid below 500, at resolution K)
 
 and for every shipped scenario it solves at K intervals and records:
 
@@ -202,10 +205,10 @@ def fingerprint(K: int) -> dict:
         out[f"fd_suite/{name}"] = json_hash(fd_suite(sc, seed=0))
         if name in PROFILED:
             out[f"audit/{name}"] = json_hash(audit(shipped_profile(name, K), sc).to_json_dict())
-            if not sc.scene.objects:
-                # at K=500 the phase plane keeps its own default resolution, so
-                # "grid" names one line whether or not --grid 500 was given
-                out[f"phase_plane/{name}"] = phase_plane_hash(sc, None if K == PROFILE_K else K)
+        if not sc.scene.objects:
+            # at K=500 the phase plane keeps its own default resolution, so
+            # "grid" names one line whether or not --grid 500 was given
+            out[f"phase_plane/{name}"] = phase_plane_hash(sc, None if K == PROFILE_K else K)
         out.update(solve_keys(name, K))
     return out
 

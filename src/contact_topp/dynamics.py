@@ -21,16 +21,18 @@ contact Jacobian.  The acceleration (qd, qdd) = (0, q') and gravity (0, 0)
 passes run at rest, where `_newton_euler` leaves out the velocity products,
 exact zeros that change no bit of the torques.
 
-The contact topology is resolved once, when a `Scene` is built:
-`Scene.grasp` gives each object the robot that carries it and its constant
-pose in that robot's end-effector frame, `Scene.carriers` names the robots
-whose end-effector chain a sample needs, and `Scene.contacts` holds one
-`SceneContact` per contact: its "<object>/<contact>" id, owner and friction
-cone, a manipulator contact's end-effector offset, and the read-only
-constants of a contact whose frame turns with its object (a body-fixed
-contact): its wrench map and a manipulator contact's frame in its robot's
-end-effector frame, next to an object contact's reaction map.  The
-transcription, the trajectory output and the audit read that record too.
+The joint layout and the contact topology are resolved once, when a
+`Scene` is built: `Scene.slices` gives each robot's joint columns, in
+which `Scene.path` stacks every robot's path, `Scene.grasp` gives each
+object the robot that carries it and its constant pose in that robot's
+end-effector frame, `Scene.carriers` names the robots whose end-effector
+chain a sample needs, and `Scene.contacts` holds one `SceneContact` per
+contact: its "<object>/<contact>" id, owner and friction cone, a
+manipulator contact's end-effector offset, and the read-only constants of
+a contact whose frame turns with its object (a body-fixed contact): its
+wrench map and a manipulator contact's frame in its robot's end-effector
+frame, next to an object contact's reaction map.  The transcription, the
+trajectory output and the audit read that record too.
 
 The scalar and the batched numerics stay two implementations; both hand
 their torque terms, object balances, contact maps and robot Jacobians to
@@ -268,6 +270,8 @@ class Scene:
                 resolved `SceneContact`
       carriers  the robots whose end-effector chain a sample needs, each
                 object's carrier and each manipulator contact's robot
+      slices    each robot's scene joint columns, in robot order
+      dof       the scene's joint count
     """
 
     robots: tuple[RobotInstance, ...]
@@ -276,6 +280,8 @@ class Scene:
     grasp: dict[str, tuple[int, Pose]] = field(init=False, compare=False)
     contacts: tuple[SceneContact, ...] = field(init=False, compare=False)
     carriers: tuple[int, ...] = field(init=False, compare=False)
+    slices: tuple[slice, ...] = field(init=False, compare=False)
+    dof: int = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float).reshape(3))
@@ -337,10 +343,15 @@ class Scene:
         object.__setattr__(self, "grasp", grasp)
         object.__setattr__(self, "contacts", tuple(contacts))
         object.__setattr__(self, "carriers", tuple(sorted(carriers)))
+        ends = np.cumsum([0] + [r.model.dof for r in self.robots]).tolist()
+        object.__setattr__(self, "slices", tuple(slice(a, b) for a, b in zip(ends, ends[1:])))
+        object.__setattr__(self, "dof", ends[-1])
 
-    @property
-    def dof(self) -> int:
-        return sum(r.model.dof for r in self.robots)
+    def path(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(q, q', q'') of every robot's path, stacked in scene joint order:
+        each (dof,) at a float s, (K, dof) at K values of s."""
+        evals = [(r.path.position(s), r.path.derivative(s), r.path.second_derivative(s)) for r in self.robots]
+        return tuple(np.concatenate(parts, axis=-1) for parts in zip(*evals))
 
     def limit_arrays(self) -> tuple:
         """(torque_lower, torque_upper, velocity_max, accel_lower, accel_upper),
@@ -348,14 +359,6 @@ class Scene:
         limits = [r.model.limits for r in self.robots]
         names = ("torque_lower", "torque_upper", "velocity_max", "accel_lower", "accel_upper")
         return tuple(np.concatenate([getattr(lim, name) for lim in limits]) for name in names)
-
-    def robot_slices(self) -> list[slice]:
-        out = []
-        at = 0
-        for r in self.robots:
-            out.append(slice(at, at + r.model.dof))
-            at += r.model.dof
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,7 +410,6 @@ def _path_dynamics(scene: Scene, s, q, dq, ddq, torques, balance, maps, jacobian
     through that body's own frame, and each Jacobian is padded with zeros
     to all n joints.
     """
-    slices = scene.robot_slices()
     terms = {name: [] for name in balance}
     reactions = {name: [] for name in balance}
     padded = {}
@@ -419,7 +421,7 @@ def _path_dynamics(scene: Scene, s, q, dq, ddq, torques, balance, maps, jacobian
         if sc.cid in jacobians:
             J = jacobians[sc.cid]
             padded[sc.cid] = np.zeros(J.shape[:-1] + (scene.dof,))
-            padded[sc.cid][..., slices[sc.spec.robot]] = J
+            padded[sc.cid][..., scene.slices[sc.spec.robot]] = J
     objects = tuple(
         ObjectPathTerms(name, A, B, external, tuple(terms[name] + reactions[name]))
         for name, (A, B, external) in balance.items()
@@ -448,36 +450,25 @@ def contact_pose_at(contact: ContactSpec, R_obj_world: np.ndarray) -> Pose:
 
 def sample_path_dynamics(scene: Scene, s: float) -> PathDynamics:
     """Evaluate every path-dependent coefficient of the dynamics at one s."""
-    n = scene.dof
-    slices = scene.robot_slices()
-    q = np.zeros(n)
-    dq = np.zeros(n)
-    ddq = np.zeros(n)
-    acc = np.zeros(n)
-    velsq = np.zeros(n)
-    grav = np.zeros(n)
-    rates = []
-    for r, sl in zip(scene.robots, slices):
-        qi = r.path.position(s)
-        dqi = r.path.derivative(s)
-        ddqi = r.path.second_derivative(s)
-        q[sl], dq[sl], ddq[sl] = qi, dqi, ddqi
-        rates.append((dqi, ddqi))
+    q, dq, ddq = scene.path(s)
+    torques = np.zeros((3, scene.dof))
+    for r, sl in zip(scene.robots, scene.slices):
         zeros = np.zeros(r.model.dof)
         chain = r.model.chain_data
-        ads = _down_adjoints(r.model, qi)
-        acc[sl] = _newton_euler(chain, ads, zeros, dqi, np.zeros(3))
-        velsq[sl] = _newton_euler(chain, ads, dqi, ddqi, np.zeros(3))
-        grav[sl] = _newton_euler(chain, ads, zeros, zeros, scene.gravity)
+        ads = _down_adjoints(r.model, q[sl])
+        torques[0, sl] = _newton_euler(chain, ads, zeros, dq[sl], np.zeros(3))
+        torques[1, sl] = _newton_euler(chain, ads, dq[sl], ddq[sl], np.zeros(3))
+        torques[2, sl] = _newton_euler(chain, ads, zeros, zeros, scene.gravity)
 
-    space = {i: _space_chain(scene.robots[i].model, q[slices[i]]) for i in scene.carriers}
+    space = {i: _space_chain(scene.robots[i].model, q[scene.slices[i]]) for i in scene.carriers}
 
     frames, balance = {}, {}
     for obj in scene.objects:
         name = obj.model.name
         grasp, offset = scene.grasp[name]
         R_ee, p_ee, cols = space[grasp]
-        J_dir, J_rate = _direction_terms(_reporting_frame(R_ee, p_ee, cols, offset), *rates[grasp])
+        sl = scene.slices[grasp]
+        J_dir, J_rate = _direction_terms(_reporting_frame(R_ee, p_ee, cols, offset), dq[sl], ddq[sl])
         # the object pose, checked as the reporting frame of the Jacobian above
         frames[name], _ = _compose(R_ee, p_ee, offset.rotation, offset.translation)
         A, B = object_net_wrench_coefficients(obj.model, J_dir, J_rate)
@@ -495,7 +486,7 @@ def sample_path_dynamics(scene: Scene, s: float) -> PathDynamics:
             ee_frame = sc.ee_offset.compose(pose_c) if c.kind == "manipulator" else None
         if c.kind == "manipulator":
             jacobians[sc.cid] = _reporting_frame(*space[c.robot], ee_frame)
-    return _path_dynamics(scene, s, q, dq, ddq, (acc, velsq, grav), balance, maps, jacobians)
+    return _path_dynamics(scene, s, q, dq, ddq, torques, balance, maps, jacobians)
 
 
 # ---------------------------------------------------------------------------
@@ -597,18 +588,13 @@ def stack_dynamics_in_s(scene: Scene, s_values) -> PathDynamics:
     """
     s = np.asarray(s_values, dtype=float).reshape(-1)
     K = s.size
-    n = scene.dof
-    slices = scene.robot_slices()
-    q, dq, ddq = np.zeros((K, n)), np.zeros((K, n)), np.zeros((K, n))
-    terms = np.zeros((3, K, n))
-    for r, sl in zip(scene.robots, slices):
-        q[:, sl] = r.path.position(s)
-        dq[:, sl] = r.path.derivative(s)
-        ddq[:, sl] = r.path.second_derivative(s)
+    q, dq, ddq = scene.path(s)
+    terms = np.zeros((3, K, scene.dof))
+    for r, sl in zip(scene.robots, scene.slices):
         terms[:, :, sl] = _path_torque_terms(r.model, q[:, sl], dq[:, sl], ddq[:, sl], scene.gravity)
 
     # (R_ee, p_ee, space Jacobian columns) of each carrier robot at every point
-    fk = {i: space_jacobian_many(scene.robots[i].model, q[:, slices[i]]) for i in scene.carriers}
+    fk = {i: space_jacobian_many(scene.robots[i].model, q[:, scene.slices[i]]) for i in scene.carriers}
     frames, balance = {}, {}
     for obj in scene.objects:
         name = obj.model.name
@@ -616,7 +602,8 @@ def stack_dynamics_in_s(scene: Scene, s_values) -> PathDynamics:
         R_ee, p_ee, _ = fk[grasp]
         frames[name], _ = compose_many(R_ee, p_ee, offset.rotation, offset.translation)
 
-        J_dir, J_rate = _direction_terms_many(dq[:, slices[grasp]], ddq[:, slices[grasp]], fk[grasp], offset)
+        sl = scene.slices[grasp]
+        J_dir, J_rate = _direction_terms_many(dq[:, sl], ddq[:, sl], fk[grasp], offset)
         M = obj.model.spatial_mass()
         v, w = J_dir[:, :3], J_dir[:, 3:]
         gyro = np.concatenate([np.cross(w, obj.model.mass * v), np.cross(w, _apply(obj.model.inertia, w))], axis=1)

@@ -581,9 +581,7 @@ def run(scenario: Scenario, settings: RunSettings = RunSettings()) -> Trajectory
     sdot = np.sqrt(np.maximum(b, 0.0))
     sddot = solution.accel[k_idx]
 
-    q = np.hstack([r.path.position(s) for r in scene.robots])
-    dq = np.hstack([r.path.derivative(s) for r in scene.robots])
-    ddq = np.hstack([r.path.second_derivative(s) for r in scene.robots])
+    q, dq, ddq = scene.path(s)
     qd = dq * sdot[:, None]
     qdd = ddq * b[:, None] + dq * sddot[:, None]
     tau = solution.torque[k_idx]

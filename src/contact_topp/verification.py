@@ -31,9 +31,11 @@ finite-difference body Jacobian (`_fd_body_jacobian`) differentiates the
 tool pose of `forward_kinematics`, built with its operations from
 `_times_exp`, and lives here, beside the one suite that uses it.
 
-What the oracles do share with the solve is the scene's contact table
-(`Scene.grasp` and `Scene.contacts`): which robot carries each object, the
-contact ids and the friction cones.
+What the oracles do share with the solve is the scene's joint layout and
+contact table (`Scene.slices`, `Scene.path`, `Scene.grasp` and
+`Scene.contacts`): each robot's joint columns and path, which robot carries
+each object, the contact ids and the friction cones; and the clock,
+`transcription.recover_time`, which times the phase-plane profile.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ from .liegroup import (
     _space_chain,
     _times_exp,
 )
-from .transcription import ScalingVariables, build_grid
+from .transcription import ScalingVariables, build_grid, recover_time
 
 # squared-speed ceiling standing in for "no velocity limit applies"
 B_CAP = 1e12
@@ -185,12 +187,12 @@ def topp_phase_plane(scenario, resolution: int | None = None) -> PhasePlaneProfi
 
     Integrates the bang-bang extremal fields db/ds = 2*beta (forward) and
     db/ds = 2*alpha (backward) with RK4, clips both at the maximum-velocity
-    curve, and takes the pointwise minimum.
+    curve, takes the pointwise minimum and times it with `recover_time`.
     """
     scene = scenario.scene
     if scene.objects:
         raise ValueError("phase-plane oracle covers contact-free scenarios only")
-    N = int(resolution) if resolution else 10 * scenario.grid_points
+    N = 10 * scenario.grid_points if resolution is None else int(resolution)
     if N < 2:
         raise ValueError("resolution must give at least two integration steps")
     # samples at nodes and interval midpoints: index 2j is node j
@@ -248,21 +250,13 @@ def topp_phase_plane(scenario, resolution: int | None = None) -> PhasePlaneProfi
 
     mvc = mvc_all[::2]
     profile = np.minimum(np.minimum(forward, backward), mvc)
-    roots = np.sqrt(np.maximum(profile, 0.0))
-    scale = max(1.0, float(roots.max()))
-    denom = roots[:-1] + roots[1:]
-    stalled = np.flatnonzero(denom <= 1e-9 * scale)
-    if stalled.size:
-        raise ValueError(f"profile stalls near s = {stalled[0] * h:.6g}; the path is not traversable")
-    # cumsum adds in order, as a running total does
-    total = np.cumsum(2.0 * h / denom)[-1]
     return PhasePlaneProfile(
         s=s_all[::2],
         limit_curve=mvc,
         forward=forward,
         backward=backward,
         profile=profile,
-        total=float(total),
+        total=recover_time(profile, build_grid(N)).total,
     )
 
 

@@ -147,7 +147,7 @@ def ref_jacobian_rate(J, dq):
 def ref_sample_path_dynamics(scene, s):
     """(torque terms, contact Jacobians, object samples) of one sample, each
     robot's chain rebuilt for every term, objects carried by robots only."""
-    n, slices = scene.dof, scene.robot_slices()
+    n, slices = scene.dof, scene.slices
     q, dq, ddq, acc, velsq, grav = (np.zeros(n) for _ in range(6))
     for r, sl in zip(scene.robots, slices):
         qi, dqi, ddqi = r.path.position(s), r.path.derivative(s), r.path.second_derivative(s)
@@ -368,6 +368,34 @@ def test_sample_at_path_ends_bit_for_bit(kinds, grasp, gravity_zero, seed):
         assert not end.dq.any() and not end.torque_accel_coeff.any()
         if gravity_zero:
             assert not end.torque_gravity.any()
+
+
+@settings(max_examples=10)
+@given(
+    kinds=st.lists(st.lists(st.sampled_from(["revolute", "prismatic"]), min_size=1, max_size=5), min_size=2, max_size=2),
+    grasp=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scene_stacks_robot_paths_in_joint_order(kinds, grasp, seed):
+    # the scene's joint layout is the one both samplers read
+    rng = np.random.default_rng(seed)
+    scene = two_robot_box_scene(rng, kinds, grasp, False)
+    columns = [list(range(scene.dof))[sl] for sl in scene.slices]
+    assert [len(cols) for cols in columns] == [len(k) for k in kinds]
+    assert sum(columns, []) == list(range(scene.dof))
+
+    s_values = np.sort(rng.uniform(0.0, 1.0, size=4))
+    fields = ("position", "derivative", "second_derivative")
+    for s in (float(s_values[0]), s_values):
+        want = [np.hstack([getattr(r.path, f)(s) for r in scene.robots]) for f in fields]
+        got = scene.path(s)
+        assert len(got) == 3 and all(same_bits(g, w) for g, w in zip(got, want))
+
+    stk = stack_dynamics_in_s(scene, s_values)
+    assert all(same_bits(g, w) for g, w in zip((stk.q, stk.dq, stk.ddq), scene.path(s_values)))
+    for s in s_values.tolist():
+        smp = sample_path_dynamics(scene, s)
+        assert all(same_bits(g, w) for g, w in zip((smp.q, smp.dq, smp.ddq), scene.path(s)))
 
 
 @pytest.mark.parametrize("name,count", [("pivoting", 6), ("pickup", 14), ("arm_7dof", 7)])

@@ -59,7 +59,7 @@ def test_fingerprint_is_one_stable_json_line(tmp_path):
     hashes = (
         {f"{kind}/{name}" for kind in ("samples", "stack", "fd_suite") for name in SHIPPED}
         | {f"audit/{name}" for name in profiled}
-        | {"phase_plane/arm_7dof"}
+        | {f"phase_plane/{name}" for name in ("arm_7dof", "double_integrator", "planar_2dof")}
     )
     forms = {f"{kind}/{name}" for kind in ("dump", "form") for name in SHIPPED}
     solves = {f"solve/{name}/{field}" for name in SHIPPED for field in ("status", "iterations", "T", "x", "history")}

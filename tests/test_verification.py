@@ -8,6 +8,7 @@ its arithmetic.
 """
 
 import copy
+import json
 import math
 from pathlib import Path
 
@@ -111,6 +112,22 @@ def test_oracle_boundary_speed_errors():
     data["boundary_sdot"] = [0.0, 3.0]
     with pytest.raises(ValueError, match="terminal speed"):
         topp_phase_plane(scenario_from_dict(data), resolution=200)
+
+
+@pytest.mark.parametrize("resolution", [0, 1])
+def test_oracle_needs_two_integration_steps(resolution):
+    # 0 is a resolution too, not "use the default"
+    sc = load_scenario(str(SCENARIOS / "double_integrator.json"))
+    with pytest.raises(ValueError, match="at least two integration steps"):
+        topp_phase_plane(sc, resolution=resolution)
+
+
+def test_oracle_reports_a_stalled_profile():
+    # a velocity cap of 1e-12 pins the squared speed far below the stall scale
+    data = json.loads((SCENARIOS / "double_integrator.json").read_text())
+    data["robots"][0]["model"]["joints"][0]["velocity_max"] = 1e-12
+    with pytest.raises(ValueError, match="stall"):
+        topp_phase_plane(scenario_from_dict(data), resolution=40)
 
 
 # resubstitution audit
