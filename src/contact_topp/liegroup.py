@@ -23,11 +23,10 @@ cosine and products that depend on the angle, as does its batched form
 One pass over the joints, `_space_chain`, gives the end-effector pose and
 the space Jacobian columns at q; `_reporting_frame` maps those columns
 into any tool frame.  `forward_kinematics`, `body_jacobian` and
-`object_path_kinematics` each run the chain once (`forward_kinematics`
-without the columns, which it would drop).  `dynamics.sample_path_dynamics`
-builds and checks it once per robot per sample, and `verification.fd_suite`
-once per robot, point and finite-difference step, and each hands it to
-every frame it needs.
+`object_path_kinematics` each run the chain once.
+`dynamics.sample_path_dynamics` builds and checks it once per robot per
+sample, and `verification.fd_suite` once per robot, point and
+finite-difference step, and each hands it to every frame it needs.
 """
 from __future__ import annotations
 
@@ -265,16 +264,12 @@ def _times_exp(R, p, screw: ExpConstants, angle: float) -> tuple[np.ndarray, np.
     return _checked(*_compose(R, p, *_checked(*_exp_rp(screw, angle))))
 
 
-def _space_chain(model, q, columns: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(R, p, cols): the checked end-effector pose after `x_ref` and the space Jacobian columns at q.
-
-    With `columns` false the columns are not built and `cols` is None.
-    """
-    cols = np.zeros((6, model.dof)) if columns else None
+def _space_chain(model, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, p, cols): the checked end-effector pose after `x_ref` and the space Jacobian columns at q."""
+    cols = np.zeros((6, model.dof))
     R, p = np.eye(3), np.zeros(3)
     for i, (joint, screw, qi) in enumerate(zip(model.joints, model.space_screws, q)):
-        if columns:
-            cols[:, i] = _adjoint(R, p) @ joint.twist
+        cols[:, i] = _adjoint(R, p) @ joint.twist
         R, p = _times_exp(R, p, screw, qi)
     R, p = _checked(*_compose(R, p, model.x_ref.rotation, model.x_ref.translation))
     return R, p, cols
@@ -288,7 +283,7 @@ def _reporting_frame(R, p, cols, offset: Pose) -> np.ndarray:
 
 def forward_kinematics(model, q) -> Pose:
     """End-effector pose: product of per-joint exponentials times the reference pose."""
-    R, p, _ = _space_chain(model, _joint_values(model, q), columns=False)
+    R, p, _ = _space_chain(model, _joint_values(model, q))
     return Pose(R, p)
 
 

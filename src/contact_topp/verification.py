@@ -122,37 +122,30 @@ class _AccelBox:
             ratio = np.where(dq2 > 0.0, np.float_power(vmax[capped], 2.0) / np.maximum(dq2, 1e-300), B_CAP)
         self.velocity_cap = np.min(ratio, axis=1, initial=B_CAP)
 
-    @staticmethod
-    def _bounds(M, C, G, LB, UB, b):
-        """(lower, upper, zero_row_ok) for row arrays at squared speed b."""
-        if M.shape[-1] == 0:
-            shape = np.shape(b)
-            return np.full(shape, -np.inf), np.full(shape, np.inf), np.full(shape, True)
-        r = C * b + G
+    def _bounds(self, at, b):
+        """(lower, upper, non-empty) of the acceleration intervals at samples `at` and squared speeds b."""
+        M = self.M[at]
+        r = self.C[at] * b + self.G[at]
         big = np.inf
         pos = M > SLOPE_TOL
         neg = M < -SLOPE_TOL
         stiff = ~(pos | neg)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lo_cand = np.where(pos, (LB - r) / M, np.where(neg, (UB - r) / M, -big))
-            hi_cand = np.where(pos, (UB - r) / M, np.where(neg, (LB - r) / M, big))
-        lo_cand = np.where(np.isnan(lo_cand), -big, lo_cand)
-        hi_cand = np.where(np.isnan(hi_cand), big, hi_cand)
+            lo_cand = np.where(pos, (self.LB - r) / M, np.where(neg, (self.UB - r) / M, -big))
+            hi_cand = np.where(pos, (self.UB - r) / M, np.where(neg, (self.LB - r) / M, big))
+        lo = np.where(np.isnan(lo_cand), -big, lo_cand).max(axis=-1, initial=-big)
+        hi = np.where(np.isnan(hi_cand), big, hi_cand).min(axis=-1, initial=big)
         slack = 1e-9 * np.maximum(1.0, np.abs(r))
-        ok = ~stiff | ((r >= LB - slack) & (r <= UB + slack))
-        return lo_cand.max(axis=-1), hi_cand.min(axis=-1), ok.all(axis=-1)
+        ok = (~stiff | ((r >= self.LB - slack) & (r <= self.UB + slack))).all(axis=-1)
+        return lo, hi, ok & (lo <= hi + 1e-9 * np.maximum(1.0, np.minimum(np.abs(lo), np.abs(hi))))
 
     def feasible(self, b_vec: np.ndarray) -> np.ndarray:
-        lo, hi, ok = self._bounds(self.M, self.C, self.G, self.LB, self.UB, b_vec[:, None])
-        gap_tol = 1e-9 * np.maximum(1.0, np.minimum(np.abs(lo), np.abs(hi)))
-        return ok & (lo <= hi + gap_tol)
+        return self._bounds(slice(None), b_vec[:, None])[2]
 
     def interval(self, j: int, b: float):
         """Acceleration interval at sample j, or None when empty."""
-        lo, hi, ok = self._bounds(self.M[j], self.C[j], self.G[j], self.LB, self.UB, max(b, 0.0))
-        if not ok or lo > hi + 1e-9 * max(1.0, min(abs(lo), abs(hi))):
-            return None
-        return float(lo), float(hi)
+        lo, hi, ok = self._bounds(j, max(b, 0.0))
+        return (float(lo), float(hi)) if ok else None
 
 
 def _max_velocity_curve(box: _AccelBox) -> np.ndarray:
@@ -208,35 +201,31 @@ def topp_phase_plane(scenario, resolution: int | None = None) -> PhasePlaneProfi
     b_start = mvc_all[0] if sdot0 is None else float(sdot0) ** 2
     b_end = mvc_all[-1] if sdotT is None else float(sdotT) ** 2
 
-    def clipped_rate(j2: int, b: float, want_max: bool) -> float:
-        iv = box.interval(j2, min(max(b, 0.0), mvc_all[j2]))
+    def clip(j2: int, b: float) -> float:
+        return min(max(b, 0.0), mvc_all[j2])
+
+    def clipped_rate(j2: int, b: float, sign: int) -> float:
+        iv = box.interval(j2, clip(j2, b))
         if iv is None:
             # ridden above the limit curve between nodes; steer back down
             iv = box.interval(j2, mvc_all[j2])
             if iv is None:
                 return 0.0
-        return 2.0 * (iv[1] if want_max else iv[0])
+        return 2.0 * (iv[1] if sign > 0 else iv[0])
 
-    def rk4_step(j2_from: int, b: float, sign: float, want_max: bool) -> float:
-        j_mid = j2_from + int(sign)
-        j_to = j2_from + 2 * int(sign)
-        k1 = clipped_rate(j2_from, b, want_max)
-        k2 = clipped_rate(j_mid, b + sign * 0.5 * h * k1, want_max)
-        k3 = clipped_rate(j_mid, b + sign * 0.5 * h * k2, want_max)
-        k4 = clipped_rate(j_to, b + sign * h * k3, want_max)
+    def rk4_step(j2_from: int, b: float, sign: int) -> float:
+        k1 = clipped_rate(j2_from, b, sign)
+        k2 = clipped_rate(j2_from + sign, b + sign * 0.5 * h * k1, sign)
+        k3 = clipped_rate(j2_from + sign, b + sign * 0.5 * h * k2, sign)
+        k4 = clipped_rate(j2_from + 2 * sign, b + sign * h * k3, sign)
         return b + sign * h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
-    forward = np.zeros(N + 1)
-    forward[0] = min(b_start, mvc_all[0])
-    for j in range(N):
-        b = rk4_step(2 * j, forward[j], +1.0, want_max=True)
-        forward[j + 1] = min(max(b, 0.0), mvc_all[2 * (j + 1)])
-
-    backward = np.zeros(N + 1)
-    backward[N] = min(b_end, mvc_all[-1])
-    for j in range(N, 0, -1):
-        b = rk4_step(2 * j, backward[j], -1.0, want_max=False)
-        backward[j - 1] = min(max(b, 0.0), mvc_all[2 * (j - 1)])
+    # forward from node 0 at maximal, backward from node N at minimal acceleration
+    forward, backward = np.zeros(N + 1), np.zeros(N + 1)
+    for curve, first, sign, b_first in ((forward, 0, 1, b_start), (backward, N, -1, b_end)):
+        curve[first] = clip(2 * first, b_first)
+        for j in range(first, N - first, sign):
+            curve[j + sign] = clip(2 * (j + sign), rk4_step(2 * j, curve[j], sign))
 
     tol = 1e-6 * max(1.0, b_start, b_end)
     if forward[N] < b_end - tol:
@@ -292,10 +281,13 @@ class AuditReport:
 def audit(profile: ScalingVariables, scenario, tolerance: float = AUDIT_TOL) -> AuditReport:
     """Re-derive every constraint family from the raw models and measure it.
 
-    Each violation is normalized by 1 plus the magnitudes of the terms in
-    its row, so the report is scale-free.  A NaN violation, from a NaN in
-    the profile, counts as an infinite one.  Nothing here touches the
-    assembled matrices; agreement is evidence both sides are right.
+    One rule, `note`'s, reads every family: the excess over its limit,
+    clamped at 0, divided by 1 plus the magnitudes of the terms in its row
+    (`speed_nonneg` by 1 alone).  The floor of 1 makes a reading absolute
+    where those terms are small, so the report is not scale-free.  A NaN
+    excess, from a NaN in the profile, counts as an infinite one.  Nothing
+    here touches the assembled matrices; agreement is evidence both sides
+    are right.
 
     Sampled point by point at the K interval midpoints, each family is then
     measured on all intervals at once, node k booked on interval min(k, K - 1).
@@ -314,9 +306,15 @@ def audit(profile: ScalingVariables, scenario, tolerance: float = AUDIT_TOL) -> 
     families: dict[str, float] = {}
     flagged: dict[str, list] = {}
 
-    def note(family, violations, intervals=None):
-        """Book row i's violation (a 2-D row's worst entry) on interval intervals[i], by default i."""
-        v = np.asarray(violations, dtype=float).reshape(len(violations), -1).max(axis=1)
+    def note(family, excess, *terms, intervals=None):
+        """Book row i's excess, clamped at 0 and divided by 1 plus `terms` (added
+        left to right), on interval intervals[i], by default i.  A 2-D row books
+        its worst entry; a NaN reads as infinite."""
+        scale = 1.0
+        for term in terms:
+            scale = scale + term
+        v = np.maximum(np.asarray(excess, dtype=float), 0.0) / scale
+        v = v.reshape(len(v), -1).max(axis=1)
         v = np.where(np.isnan(v), np.inf, v)
         families[family] = max(families.get(family, 0.0), float(v.max()))
         hit = (np.arange(v.size) if intervals is None else np.asarray(intervals))[v > tolerance]
@@ -330,8 +328,7 @@ def audit(profile: ScalingVariables, scenario, tolerance: float = AUDIT_TOL) -> 
         pull += np.array([smp.contact_jacobians[cid].T @ w for smp, w in zip(samples, W[cid])])
     inertial = _stacked(samples, "torque_accel_coeff") * a_k + _stacked(samples, "torque_velsq_coeff") * b_k
     inertial = inertial + _stacked(samples, "torque_gravity")
-    scale = 1.0 + np.abs(T) + np.abs(pull) + np.abs(inertial)
-    note("torque_dynamics", np.abs(T + pull - inertial) / scale)
+    note("torque_dynamics", np.abs(T + pull - inertial), np.abs(T), np.abs(pull), np.abs(inertial))
     del pull, inertial  # freed here, the (K, n) arrays add little to the samples' memory
 
     for j, name in enumerate(o.name for o in samples[0].objects):
@@ -342,50 +339,49 @@ def audit(profile: ScalingVariables, scenario, tolerance: float = AUDIT_TOL) -> 
             term = sign * np.array([o.contact_terms[t][2] @ w for o, w in zip(terms, W[cid])])
             total = total + term
             mag = mag + np.abs(term)
-        note(f"balance[{name}]", np.abs(total) / (1.0 + mag))
+        note(f"balance[{name}]", np.abs(total), mag)
 
     def bounded(limit, value):
         """`value` where `limit` is finite, 0 where it leaves a side open."""
         return np.where(np.isfinite(limit), value, 0.0)
 
-    viol = np.maximum(T - tu, tl - T)
-    note("torque_limits", np.maximum(viol, 0.0) / (1.0 + (bounded(tu, np.abs(tu)) + bounded(tl, np.abs(tl)))))
+    def cap(lower, upper):
+        """Per joint, |lower| + |upper| over their finite sides, to divide both sides' excess by."""
+        return (bounded(upper, np.abs(upper)) + bounded(lower, np.abs(lower)))[:, None]
 
+    note("torque_limits", np.stack([T - tu, tl - T], axis=-1), cap(tl, tu))
     dq = _stacked(samples, "dq")
-    viol = bounded(vmax, dq**2 * b_k - vmax**2)
-    note("velocity_limits", np.maximum(viol, 0.0) / (1.0 + bounded(vmax, vmax**2)))
-
+    note("velocity_limits", bounded(vmax, dq**2 * b_k - vmax**2), bounded(vmax, vmax**2))
     acc = _stacked(samples, "ddq") * b_k + dq * a_k
-    viol = np.maximum(bounded(au, acc - au), bounded(al, al - acc))
-    note("acceleration_limits", np.maximum(viol, 0.0) / (1.0 + (bounded(au, np.abs(au)) + bounded(al, np.abs(al)))))
+    note("acceleration_limits", np.stack([bounded(au, acc - au), bounded(al, al - acc)], axis=-1), cap(al, au))
 
     # speed-profile families
     step = 2.0 * grid.spacing
-    note("speed_coupling", np.abs(b[1:] - b[:-1] - step * a) / (1.0 + np.abs(b[1:]) + np.abs(b[:-1]) + step * np.abs(a)))
+    note("speed_coupling", np.abs(b[1:] - b[:-1] - step * a), np.abs(b[1:]), np.abs(b[:-1]), step * np.abs(a))
     csum = c[:-1] + c[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(csum > 1e-12, 1.0 / csum, np.inf)
-    note("time_epigraph", np.maximum(inv - d, 0.0) / (1.0 + np.abs(d)))
+    note("time_epigraph", inv - d, np.abs(d))
     nodes = np.minimum(np.arange(K + 1), K - 1)
-    note("speed_nonneg", np.maximum(-b, 0.0), nodes)
-    root = np.sqrt(np.maximum(b, 0.0))
-    note("speed_aux", np.maximum(np.maximum(c - root, -c), 0.0) / (1.0 + root), nodes)
+    note("speed_nonneg", -b, intervals=nodes)
+    root = np.sqrt(b.clip(0.0))
+    note("speed_aux", np.stack([c - root, -c], axis=-1), root[:, None], intervals=nodes)
 
     sdot0, sdotT = scenario.boundary_sdot
     if sdot0 is not None:
-        note("boundary_speed", [abs(b[0] - sdot0**2) / (1.0 + sdot0**2)], [0])
+        note("boundary_speed", [abs(b[0] - sdot0**2)], sdot0**2, intervals=[0])
     if sdotT is not None:
-        note("boundary_speed", [abs(b[-1] - sdotT**2) / (1.0 + sdotT**2)], [K - 1])
+        note("boundary_speed", [abs(b[-1] - sdotT**2)], sdotT**2, intervals=[K - 1])
 
     # contact cone families, straight from the cone models
     for sc in scene.contacts:
         desc, fz_cap = sc.cone, sc.spec.fz_max
         F = W[sc.cid]
-        scale = 1.0 + np.max(np.abs(F), axis=1)
-        note("cone_membership", np.maximum(-cone_margin(desc, F), 0.0) / scale)
-        note("pinned_components", np.max(np.abs(F[:, list(desc.pinned)]), axis=1, initial=0.0) / scale)
+        mag = np.max(np.abs(F), axis=1)
+        note("cone_membership", -cone_margin(desc, F), mag)
+        note("pinned_components", np.max(np.abs(F[:, list(desc.pinned)]), axis=1, initial=0.0), mag)
         if fz_cap is not None:
-            note("normal_force_cap", np.maximum(F[:, desc.head_index] - fz_cap, 0.0) / (1.0 + fz_cap))
+            note("normal_force_cap", F[:, desc.head_index] - fz_cap, fz_cap)
 
     flagged = {f: tuple(flagged[f]) for f in families if f in flagged}
     return AuditReport(families=families, flagged=flagged, tolerance=tolerance)

@@ -977,6 +977,39 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
     assert ledger["audit"]["worst"] <= 1e-6
 
 
+def test_cli_verify_fail_exit(tmp_path, capsys):
+    # the slider's acceleration binds, so a limit 1e-3 tighter fails the audit there alone
+    path = write_scenario(tmp_path, slider_scenario(grid_points=12, accel=1.0))
+    assert main(["solve", path, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    tight = write_scenario(tmp_path, slider_scenario(grid_points=12, accel=1.0 - 1e-3), name="tight.json")
+    assert main(["verify", tight, str(tmp_path / "slider_case.trajectory.json")]) == 1
+    ledger = json.loads(capsys.readouterr().out)
+    assert ledger["passed"] is False and ledger["fd_suite"]["passed"] is True
+    assert list(ledger["audit"]["flagged"]) == ["acceleration_limits"]
+
+
+@pytest.mark.parametrize("status", [solver_module.MAX_ITERATIONS, solver_module.NUMERICAL_FAILURE])
+def test_cli_solver_failure_exit(tmp_path, capsys, monkeypatch, status):
+    # every shipped scene solves, so the solver's report is given the failing status
+    solve = scenario_module.solve_conic_program
+
+    def failing(program, tol):
+        report, _ = solve(program, tol)
+        return dataclasses.replace(report, status=status), None
+
+    monkeypatch.setattr(scenario_module, "solve_conic_program", failing)
+    path = write_scenario(tmp_path, slider_scenario(grid_points=8))
+    assert main(["solve", path, "--out", str(tmp_path)]) == 3
+    assert f"solver failure: solver ended with {status}" in capsys.readouterr().err
+    assert not (tmp_path / "slider_case.trajectory.json").exists()
+    out_json = tmp_path / "sweep.json"
+    argv = ["sweep", path, "--param", "robots.0.model.joints.0.accel_max", "--values", "1", "--out", str(out_json)]
+    assert main(argv) == 3
+    assert status in capsys.readouterr().out
+    assert [p["status"] for p in json.loads(out_json.read_text())["points"]] == [status]
+
+
 PROFILES = Path(__file__).resolve().parents[1] / "perfbench" / "profiles"
 
 

@@ -114,6 +114,16 @@ def test_oracle_boundary_speed_errors():
         topp_phase_plane(scenario_from_dict(data), resolution=200)
 
 
+def test_oracle_terminal_speed_short_by_1e_4():
+    # accel 1 from rest over unit length reaches b = 2 exactly; 1e-4 more is out of reach
+    data = json.loads((SCENARIOS / "double_integrator.json").read_text())
+    data["boundary_sdot"] = [0.0, math.sqrt(2.0 * (1.0 + 1e-4))]
+    with pytest.raises(ValueError, match="terminal speed unreachable"):
+        topp_phase_plane(scenario_from_dict(data), resolution=200)
+    data["boundary_sdot"] = [0.0, math.sqrt(2.0)]
+    assert topp_phase_plane(scenario_from_dict(data), resolution=200).total == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
 @pytest.mark.parametrize("resolution", [0, 1])
 def test_oracle_needs_two_integration_steps(resolution):
     # 0 is a resolution too, not "use the default"
@@ -181,6 +191,38 @@ def test_audit_flags_boundary_mismatch(solved_slider):
     bad.speed_sq[0] = 0.05
     rep = audit(bad, sc)
     assert "boundary_speed" in rep.flagged
+
+
+def tightened(data, robot_fields=(), contact_fields=()):
+    """`data` with the named joint and contact limits scaled by 1 - 1e-3."""
+    for joint in (j for r in data["robots"] for j in r["model"]["joints"]):
+        for field in robot_fields:
+            joint[field] *= 1.0 - 1e-3
+    for contact in (c for o in data["objects"] for c in o["contacts"]):
+        for field in contact_fields:
+            contact[field] *= 1.0 - 1e-3
+    return data
+
+
+@pytest.mark.parametrize(
+    "name, limits, family, worst, count",
+    [
+        # where the limit binds, the excess is 1e-3 of it over 1 + the tightened limits
+        ("double_integrator", {"robot_fields": ("accel_min", "accel_max")}, "acceleration_limits", 1e-3 / (1 + 2 * 0.999), 16),
+        ("planar_2dof", {"robot_fields": ("torque_min", "torque_max")}, "torque_limits", 40e-3 / (1 + 2 * 39.96), 15),
+        ("pickup", {"contact_fields": ("fz_max",)}, "normal_force_cap", 12e-3 / (1 + 11.988), 15),
+    ],
+    ids=["acceleration", "torque", "normal_cap"],
+)
+def test_audit_flags_a_limit_tightened_by_1e_3(name, limits, family, worst, count):
+    data = json.loads((SCENARIOS / f"{name}.json").read_text())
+    sc = scenario_from_dict(data)
+    _, rep, sol = solve_scenario(sc, RunSettings(grid_override=16))
+    assert rep.status == "Optimal" and audit(sol, sc).passed()
+    report = audit(sol, scenario_from_dict(tightened(data, **limits)))
+    assert list(report.flagged) == [family]
+    assert len(report.flagged[family]) == count
+    assert report.families[family] == pytest.approx(worst, rel=1e-4)
 
 
 def test_audit_is_deterministic(solved_slider):
