@@ -93,7 +93,12 @@ def rotation_exp(K: np.ndarray, K2: np.ndarray, angle: float) -> np.ndarray:
 def quaternion_to_rotation(q_wxyz) -> np.ndarray:
     """Rotation matrix from a wxyz quaternion (normalized here)."""
     q = np.asarray(q_wxyz, dtype=float)
-    nrm = np.linalg.norm(q)
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(q)
+    if np.isinf(nrm):
+        # the sum of squares left the float range: divide by the largest |entry| first
+        q = q / np.max(np.abs(q))
+        nrm = np.linalg.norm(q)
     if nrm < _EPS:
         raise ValueError("zero quaternion")
     w, x, y, z = q / nrm

@@ -18,13 +18,17 @@ sampler that the solve uses is therefore checked against a second
 implementation, and `tests/test_scalar_oracle.py` holds this module to that
 by a static call graph of the package.
 
-The audit and the phase-plane oracle sample through `sample_path_dynamics`.
-Sampled point by point, the fields are then stacked (`_stacked`) and each
-constraint family is measured over the whole grid at once, rounded as a
-loop over the points would be.  The finite-difference suite calls the
-scalar helpers beneath the public `body_jacobian`, `jacobian_path_derivative`,
-`object_path_kinematics` and `inverse_dynamics`, with the same operations,
-so that it builds each chain once per point and shares it:
+The audit and the phase-plane oracle sample through `sample_path_dynamics`,
+one point at a time: each record's fields (and the audit's per-interval J'F
+and G F products) are written into row k of preallocated (points, ·) arrays
+and the record is dropped, so no per-point record outlives its iteration.
+Each constraint family is then measured over the whole grid at once,
+rounded as a loop over the points would be.
+
+The finite-difference suite calls the scalar helpers beneath the public
+`body_jacobian`, `jacobian_path_derivative`, `object_path_kinematics` and
+`inverse_dynamics`, with the same operations, so that it builds each chain
+once per point and shares it:
 `liegroup._space_chain`, `_reporting_frame`, `_jacobian_rate` and
 `_direction_terms`, and `dynamics._down_adjoints` and `_newton_euler`.  Its
 finite-difference body Jacobian (`_fd_body_jacobian`) differentiates the
@@ -39,6 +43,7 @@ each object, the contact ids and the friction cones; and the clock,
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +75,8 @@ FD_STEP = 1e-6
 AUDIT_TOL = 1e-6
 
 
-def _stacked(samples, name) -> np.ndarray:
-    """Field `name` of every sample, stacked on a leading axis."""
-    return np.array([getattr(smp, name) for smp in samples])
+# the joint fields of a `sample_path_dynamics` record that `_AccelBox` and `audit` read
+JOINT_FIELDS = ("dq", "ddq", "torque_accel_coeff", "torque_velsq_coeff", "torque_gravity")
 
 
 # ---------------------------------------------------------------------------
@@ -96,22 +100,23 @@ class _AccelBox:
 
     Every torque and joint-acceleration limit is an affine condition
     lb <= m*a + c*b + g <= ub at a sample; rows with |m| below SLOPE_TOL
-    constrain b alone.  Arrays are (points, rows).
+    constrain b alone.  Arrays are (points, rows).  `joints` maps each of
+    `JOINT_FIELDS` to its (points, n) array, one sample per row.
     """
 
-    def __init__(self, samples, limits):
+    def __init__(self, joints, limits):
         tl, tu, vmax, al, au = limits
         # joint i owns a torque row (2i) and an acceleration row (2i + 1),
         # kept when either of its limits is finite
         rows = np.column_stack([np.isfinite(tl) | np.isfinite(tu), np.isfinite(al) | np.isfinite(au)]).ravel()
+        dq = joints["dq"]
 
         def pick(torque_term, accel_term):
-            return np.stack([torque_term, accel_term], axis=-1).reshape(len(samples), -1)[:, rows]
+            return np.stack([torque_term, accel_term], axis=-1).reshape(len(dq), -1)[:, rows]
 
-        dq = _stacked(samples, "dq")
-        self.M = pick(_stacked(samples, "torque_accel_coeff"), dq)
-        self.C = pick(_stacked(samples, "torque_velsq_coeff"), _stacked(samples, "ddq"))
-        self.G = pick(_stacked(samples, "torque_gravity"), np.zeros_like(dq))
+        self.M = pick(joints["torque_accel_coeff"], dq)
+        self.C = pick(joints["torque_velsq_coeff"], joints["ddq"])
+        self.G = pick(joints["torque_gravity"], np.zeros_like(dq))
         self.LB = np.column_stack([tl, al]).ravel()[rows]
         self.UB = np.column_stack([tu, au]).ravel()[rows]
 
@@ -190,8 +195,12 @@ def topp_phase_plane(scenario, resolution: int | None = None) -> PhasePlaneProfi
         raise ValueError("resolution must give at least two integration steps")
     # samples at nodes and interval midpoints: index 2j is node j
     s_all = np.linspace(0.0, 1.0, 2 * N + 1)
-    samples = [sample_path_dynamics(scene, float(s)) for s in s_all]
-    box = _AccelBox(samples, scene.limit_arrays())
+    joints = {name: np.empty((s_all.size, scene.dof)) for name in JOINT_FIELDS}
+    for k, s in enumerate(s_all):
+        smp = sample_path_dynamics(scene, float(s))
+        for name, rows in joints.items():
+            rows[k] = getattr(smp, name)
+    box = _AccelBox(joints, scene.limit_arrays())
     if box.LB.size == 0:
         raise ValueError("no torque or acceleration limits; the extremal fields are unbounded")
     mvc_all = _max_velocity_curve(box)
@@ -296,7 +305,6 @@ def audit(profile: ScalingVariables, scenario, tolerance: float = AUDIT_TOL) -> 
     scene = scenario.scene
     K = profile.accel.size
     grid = build_grid(K)
-    samples = [sample_path_dynamics(scene, float(s)) for s in grid.midpoints]
     tl, tu, vmax, al, au = scene.limit_arrays()
 
     a, b, c, d = profile.accel, profile.speed_sq, profile.speed_aux, profile.inverse_avg
@@ -321,22 +329,37 @@ def audit(profile: ScalingVariables, scenario, tolerance: float = AUDIT_TOL) -> 
         if hit.size:
             flagged.setdefault(family, []).extend(hit.tolist())
 
-    # J'F and G F stay one matrix-vector product per interval, whose rounding
-    # a stacked product need not keep
+    # Row k of each (K, ·) array below is written from interval k's sample,
+    # which is then dropped.  J'F and G F stay one matrix-vector product per
+    # interval, whose rounding a stacked product need not keep.  Per object:
+    # its name, the signs of its contact terms, its (external, accel, velsq)
+    # rows and each contact term's G F rows.
+    joints = {name: np.empty((K, scene.dof)) for name in JOINT_FIELDS}
     pull = np.zeros(T.shape)
-    for cid in samples[0].contact_jacobians:
-        pull += np.array([smp.contact_jacobians[cid].T @ w for smp, w in zip(samples, W[cid])])
-    inertial = _stacked(samples, "torque_accel_coeff") * a_k + _stacked(samples, "torque_velsq_coeff") * b_k
-    inertial = inertial + _stacked(samples, "torque_gravity")
-    note("torque_dynamics", np.abs(T + pull - inertial), np.abs(T), np.abs(pull), np.abs(inertial))
-    del pull, inertial  # freed here, the (K, n) arrays add little to the samples' memory
+    for k, s in enumerate(grid.midpoints):
+        smp = sample_path_dynamics(scene, float(s))
+        for name, rows in joints.items():
+            rows[k] = getattr(smp, name)
+        for cid, J in smp.contact_jacobians.items():
+            pull[k] += J.T @ W[cid][k]
+        if k == 0:
+            bodies = [
+                (o.name, [sign for _, sign, _ in o.contact_terms], np.empty((3, K, 6)), np.empty((len(o.contact_terms), K, 6)))
+                for o in smp.objects
+            ]
+        for (_, _, coeffs, products), o in zip(bodies, smp.objects):
+            coeffs[:, k] = o.external, o.accel_coeff, o.velsq_coeff
+            for t, (cid, _, G) in enumerate(o.contact_terms):
+                products[t, k] = G @ W[cid][k]
 
-    for j, name in enumerate(o.name for o in samples[0].objects):
-        terms = [smp.objects[j] for smp in samples]
-        total = _stacked(terms, "external") - _stacked(terms, "accel_coeff") * a_k - _stacked(terms, "velsq_coeff") * b_k
+    inertial = joints["torque_accel_coeff"] * a_k + joints["torque_velsq_coeff"] * b_k + joints["torque_gravity"]
+    note("torque_dynamics", np.abs(T + pull - inertial), np.abs(T), np.abs(pull), np.abs(inertial))
+
+    for name, signs, (external, accel, velsq), products in bodies:
+        total = external - accel * a_k - velsq * b_k
         mag = np.abs(total)
-        for t, (cid, sign, _) in enumerate(terms[0].contact_terms):
-            term = sign * np.array([o.contact_terms[t][2] @ w for o, w in zip(terms, W[cid])])
+        for sign, product in zip(signs, products):
+            term = sign * product
             total = total + term
             mag = mag + np.abs(term)
         note(f"balance[{name}]", np.abs(total), mag)
@@ -350,9 +373,9 @@ def audit(profile: ScalingVariables, scenario, tolerance: float = AUDIT_TOL) -> 
         return (bounded(upper, np.abs(upper)) + bounded(lower, np.abs(lower)))[:, None]
 
     note("torque_limits", np.stack([T - tu, tl - T], axis=-1), cap(tl, tu))
-    dq = _stacked(samples, "dq")
+    dq = joints["dq"]
     note("velocity_limits", bounded(vmax, dq**2 * b_k - vmax**2), bounded(vmax, vmax**2))
-    acc = _stacked(samples, "ddq") * b_k + dq * a_k
+    acc = joints["ddq"] * b_k + dq * a_k
     note("acceleration_limits", np.stack([bounded(au, acc - au), bounded(al, al - acc)], axis=-1), cap(al, au))
 
     # speed-profile families
@@ -436,7 +459,9 @@ def fd_suite(scenario, seed: int = 0) -> dict:
     Returns a machine-readable ledger: one entry per check with its max
     error, tolerance, and verdict.  The maxima are taken with np.maximum,
     which keeps a NaN error, so it fails its check.  Deterministic for a
-    given seed.
+    given seed: the path points, then a (sdot, sddot) pair per robot and
+    point, are drawn from the standard library's `random.Random(seed)`, so
+    a process that only verifies never imports `numpy.random`.
 
     Each robot's chain is built once per point, at s, s - FD_STEP and
     s + FD_STEP: its tool-frame body Jacobians there serve the body-Jacobian
@@ -446,15 +471,15 @@ def fd_suite(scenario, seed: int = 0) -> dict:
     passes of the substitution check share one set of down adjoints.
     """
     scene = scenario.scene
-    rng = np.random.default_rng(seed)
-    s_vals = rng.uniform(0.02, 0.98, size=FD_SAMPLES)
+    rng = random.Random(seed)
+    s_vals = [rng.uniform(0.02, 0.98) for _ in range(FD_SAMPLES)]
     h = FD_STEP
     carried = [[offset for robot, offset in scene.grasp.values() if robot == i] for i in range(len(scene.robots))]
     jac_err = path_err = dir_err = sub_err = 0.0
     for r, offsets in zip(scene.robots, carried):
         model, path, chain = r.model, r.path, r.model.chain_data
         zeros = np.zeros(model.dof)
-        for k, s in enumerate(s_vals.tolist()):
+        for k, s in enumerate(s_vals):
             lo, hi = s - h, s + h
             q, dq, ddq = path.position(s), path.derivative(s), path.second_derivative(s)
             at_s, at_lo, at_hi = (_space_chain(model, qt) for qt in (q, path.position(lo), path.position(hi)))

@@ -15,6 +15,7 @@ from contact_topp.liegroup import (
     jacobian_path_derivative,
     object_path_kinematics,
     pose_exp,
+    quaternion_to_rotation,
     skew,
 )
 from contact_topp.paths import JointPath
@@ -102,6 +103,20 @@ class TestPose:
     def test_rejects_non_finite_quaternion(self):
         with pytest.raises(ValueError, match="finite proper rotation"):
             Pose.from_quaternion([np.nan, 0.0, 0.0, 1.0], np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "huge,unit",
+        [
+            ([1.0, 0.0, 0.0, 1e300], [1e-300, 0.0, 0.0, 1.0]),  # a half turn about z
+            ([1e200, 0.0, 0.0, 1e200], [math.sqrt(0.5), 0.0, 0.0, math.sqrt(0.5)]),  # a quarter turn about z
+        ],
+    )
+    def test_quaternion_whose_norm_overflows(self, huge, unit):
+        # the sum of squares leaves the float range; the rotation is still the
+        # normalized quaternion's, not the identity, and no warning is raised
+        R = quaternion_to_rotation(huge)
+        np.testing.assert_allclose(R, quaternion_to_rotation(unit), rtol=0.0, atol=1e-15)
+        assert not np.allclose(R, np.eye(3))
 
     def test_compose_inverse(self):
         a = pose_exp(JointDef.revolute([0, 0, 1], [0.5, 0.2, 0]).twist, 0.8)

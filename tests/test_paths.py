@@ -147,6 +147,7 @@ assert verification.audit(profile, pickup).passed
 assert verification.fd_suite(pickup)["passed"]
 assert cli.main(["verify", str(root / "scenarios" / "pickup.json"), spoiled]) == 4
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps("numpy.random" in sys.modules))
 scenario.run(scenario.load_scenario(root / "scenarios" / "double_integrator.json"), scenario.RunSettings(grid_override=16))
 print(json.dumps("scipy.sparse.linalg" in sys.modules))
 """
@@ -164,6 +165,8 @@ def test_import_leaves_out_interpolate_optimize_special(tmp_path):
     argv = [sys.executable, "-c", VERIFY_THEN_SOLVE, str(ROOT), str(spoiled)]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=300, env=env)
     assert done.returncode == 0, done.stderr
-    loaded_by_verify, solve_loaded_splu = map(json.loads, done.stdout.splitlines())
+    loaded_by_verify, verify_loaded_random, solve_loaded_splu = map(json.loads, done.stdout.splitlines())
     assert loaded_by_verify == []
+    # nor numpy.random: fd_suite draws its points from the standard library
+    assert verify_loaded_random is False
     assert solve_loaded_splu is True

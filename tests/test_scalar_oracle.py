@@ -15,6 +15,7 @@
   sampler, so comparing the two compares two implementations.
 """
 import ast
+import random
 import re
 import sys
 from pathlib import Path
@@ -463,8 +464,8 @@ def ref_fd_suite(scenario, seed=0):
     each building its own chain, and the four inverse-dynamics passes each
     built their own down adjoints."""
     scene = scenario.scene
-    rng = np.random.default_rng(seed)
-    s_vals = rng.uniform(0.02, 0.98, size=FD_SAMPLES)
+    rng = random.Random(seed)
+    s_vals = [rng.uniform(0.02, 0.98) for _ in range(FD_SAMPLES)]
     checks = {}
 
     def record(name, err, tol):

@@ -10,6 +10,7 @@ its arithmetic.
 import copy
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -530,7 +531,8 @@ def test_accel_box_matches_per_joint_construction(seed):
     model = planar_arm(rng.uniform(0.2, 1.0, n), rng.uniform(0.5, 3.0, n), limits=limits)
     sc = scenario_of(model, rng.uniform(-1.5, 1.5, (4, n)))
     samples = [verification.sample_path_dynamics(sc.scene, float(s)) for s in np.linspace(0.0, 1.0, 41)]
-    box = verification._AccelBox(samples, sc.scene.limit_arrays())
+    joints = {name: np.array([getattr(smp, name) for smp in samples]) for name in verification.JOINT_FIELDS}
+    box = verification._AccelBox(joints, sc.scene.limit_arrays())
     ref = reference_accel_box(samples, sc.scene.limit_arrays())
     assert box.velocity_cap.tobytes() == ref.velocity_cap.tobytes()
     for name in ("M", "C", "G", "LB", "UB"):
@@ -538,3 +540,34 @@ def test_accel_box_matches_per_joint_construction(seed):
     for b in (np.zeros(41), rng.uniform(0.0, 3.0, 41), ref.velocity_cap):
         assert np.array_equal(box.feasible(b), ref.feasible(b))
         assert [box.interval(j, bj) for j, bj in enumerate(b)] == [ref.interval(j, bj) for j, bj in enumerate(b)]
+
+
+def test_referees_keep_no_per_point_records(monkeypatch):
+    # the audit and the phase-plane oracle write each sample's fields into
+    # arrays and drop the record, so a call finds at most its predecessor alive
+    alive, counts = weakref.WeakSet(), []
+    sample = verification.sample_path_dynamics
+
+    def tracked(scene, s):
+        counts.append(len(alive))
+        smp = sample(scene, s)
+        alive.add(smp)
+        return smp
+
+    monkeypatch.setattr(verification, "sample_path_dynamics", tracked)
+    pickup = load_scenario(str(SCENARIOS / "pickup.json"))
+    rng = np.random.default_rng(6)
+    K = 40
+    prof = ScalingVariables(
+        accel=rng.normal(size=K),
+        speed_sq=rng.uniform(0.0, 2.0, size=K + 1),
+        speed_aux=rng.normal(size=K + 1),
+        inverse_avg=rng.normal(size=K),
+        torque=rng.normal(size=(K, pickup.scene.dof)),
+        wrenches={c.cid: rng.normal(size=(K, 6)) for c in pickup.scene.contacts},
+    )
+    audit(prof, pickup)
+    assert len(counts) == K and max(counts) <= 2
+    counts.clear()
+    topp_phase_plane(load_scenario(str(SCENARIOS / "arm_7dof.json")), resolution=50)
+    assert len(counts) == 2 * 50 + 1 and max(counts) <= 2
