@@ -45,8 +45,10 @@ and for every shipped scenario it solves at K intervals and records:
   solve/<name>/history     sha256 of the solver's iteration history (every
                            iteration's mu, sigma, alpha, tau, kappa, costs and
                            residuals), each float written as `float.hex`
+  kkt/<name>/rows          the order of the matrix the solver factors: its
+                           reduced KKT matrix condensed by the pivot pairs
   kkt/<name>/lu_nnz        the nonzeros of L plus U in the solver's first
-                           factor of its reduced KKT matrix, at the first
+                           factor of that condensed matrix, at the first
                            iterate (s = z = e), an exact count: a change to
                            the order of that matrix shows here as numbers
 
@@ -169,14 +171,14 @@ def form_hash(form) -> str:
     return d.add(repr((form.cones.orthant, form.cones.socs)), json.dumps(form.ids.labels())).hexdigest()
 
 
-def lu_nnz(form) -> int:
-    """L + U nonzeros of the first factor a solve of form makes."""
+def factored(form) -> tuple:
+    """(rows, L + U nonzeros) of the first factor a solve of form makes."""
     data = _Scaled(form)
     kkt = _KKTSystem(data.A, data.G, form.cones)
     e = cone_identity(form.cones)
     kkt.refill(Scaling(form.cones, e, e).w_inv_matrix())
     kkt.factor()
-    return int(kkt._lu.L.nnz + kkt._lu.U.nnz)
+    return kkt.reduced.shape[0], int(kkt._lu.L.nnz + kkt._lu.U.nnz)
 
 
 def solve_keys(name: str, K: int) -> dict:
@@ -184,6 +186,7 @@ def solve_keys(name: str, K: int) -> dict:
     program, report, solution = solve_scenario(sc, RunSettings(grid_override=K))
     T = None if solution is None else float(recover_time(solution.speed_sq, program.grid).total).hex()
     form = canonicalize(program)
+    rows, lu_nnz = factored(form)
     return {
         f"dump/{name}": hashlib.sha256(json.dumps(program.to_json_dict()).encode()).hexdigest(),
         f"form/{name}": form_hash(form),
@@ -192,7 +195,8 @@ def solve_keys(name: str, K: int) -> dict:
         f"solve/{name}/T": T,
         f"solve/{name}/x": Digest().add(report.x).hexdigest(),
         f"solve/{name}/history": history_hash(report.history),
-        f"kkt/{name}/lu_nnz": lu_nnz(form),
+        f"kkt/{name}/rows": rows,
+        f"kkt/{name}/lu_nnz": lu_nnz,
     }
 
 

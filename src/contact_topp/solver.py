@@ -12,7 +12,8 @@ so infeasible problems terminate with a Farkas certificate instead of
 diverging.  Search directions come from a Mehrotra predictor-corrector with
 Nesterov-Todd scaling.  The KKT system in (x, y, z) is solved by
 eliminating its cone block and factoring the (x, y) system that is left,
-with static regularization, by SuperLU; z follows from x.  Each iteration
+with static regularization and its pivot pairs condensed out (below), by
+SuperLU; z follows from x.  Each iteration
 factors once and solves three times with that factor.  The two solves a
 step is built from, the tau direction u1 (it enters every dtau) and the
 corrector, are refined against the exact full matrix, each only until its
@@ -27,21 +28,22 @@ sparsity pattern per solve, whose values each iteration refills.
 
 `solve` runs in named phases.  Once per solve: `_Scaled` (equilibration
 and the scalar normalization of the data), `_KKTSystem` (the fixed KKT
-patterns and the ordering of the factored one) and `_row_conflict`
-(below).  Each iteration: `Scaling` at the iterate; `_KKTSystem.refill`
-and `factor`; `_Newton`, the residuals and the tau direction u1 at the
-iterate; its `direction` for the predictor and then the corrector, each
-sized by `_step_length`; `_Point.step`; and the convergence and
-certificate checks on the unscaled iterate.
+patterns, the pivot pairs and the ordering of the factored matrix) and
+`_row_conflict` (below).  Each iteration: `Scaling` at the iterate;
+`_KKTSystem.refill` and `factor`; `_Newton`, the residuals and the tau
+direction u1 at the iterate; its `direction` for the predictor and then
+the corrector, each sized by `_step_length`; `_Point.step`; and the
+convergence and certificate checks on the unscaled iterate.
 
 Before iterating, `solve` looks for two equality rows with the same
 pattern and proportional values that disagree: they give a Farkas ray
 before any iteration, which the iteration would otherwise have to find
-through a rank-deficient A.  The pattern of the factored matrix is
-relabelled once per solve by reverse Cuthill-McKee, which gives the
-path-structured matrix a narrow band, with each leaf of the pattern moved
-next to its one neighbour, and factored in that order with partial
-pivoting.
+through a rank-deficient A.  Each leaf column of the (x, y) system whose
+one neighbour is an equality row with no other leaf (each torque column
+and its torque row) is taken out before the factor by one 2x2 pivot.  The
+pattern of the condensed matrix left is relabelled once per solve by
+reverse Cuthill-McKee, which gives the path-structured matrix a narrow
+band, and factored in that order with partial pivoting.
 
 Convergence and infeasibility decisions are made on the original problem
 data, from the unscaled iterate.  Ruiz equilibration (uniform across each
@@ -505,41 +507,53 @@ class _KKTSystem:
     exponent range is twice that of W^{-1}G, and the residuals on the
     exact M give back the digits that its factor loses.
 
+    A pivot pair is a leaf x column j of R, one that meets no other x
+    column in H and has one entry alpha in A, with the equality row i of
+    that entry, where no other leaf has its entry.  Each torque column, which
+    meets only its own box rows (H's diagonal) and its torque row, makes one
+    with that row.  Each pair is taken out before the factor with the 2x2
+    pivot [[h_j, alpha], [alpha, -REG]], h_j the column's floored diagonal.
+    Its determinant -(alpha^2 + h_j REG) stays away from 0 whatever h_j is:
+    R is quasi-definite (its x block positive definite, its y block negative
+    definite), and such a matrix can be factored in any order (Vanderbei,
+    SIAM J. Optim. 5(1), 1995).  A pivot on h_j alone fails: once a
+    torque's box is slack, h_j sits at the REG floor.  The pairs leave the
+    condensed matrix
+
+        S = R_kept + V' diag(h_j / (alpha^2 + h_j REG)) V
+
+    behind, V holding the pair rows of A on the kept columns.  `solve`
+    condenses the right-hand side, solves S with its factor and
+    back-substitutes each pair through its 2x2 inverse.  At K=250 S has
+    6 248 rows where R has 7 748 on pivoting, 4 748 where it has 8 248 on
+    pickup and 1 248 where it has 4 748 on arm_7dof.
+
     Row i of W^{-1}G combines the rows of G in the block of i, so its
     pattern is, per cone, the union of the columns its rows touch; H's
     pattern is the union of the column pairs within each row of W^{-1}G.
     The constructor records each product W^{-1}[i, k] G[k, j] as a (W^{-1}
-    data position, G value, W^{-1}G entry) triple, and each pair of entries
-    of one W^{-1}G row as an H entry.  `refill` then writes only those
-    values, in place, into `exact` (M in extended precision, for refinement
-    residuals) and `reduced` (R, the matrix that is factored).  Every sum
-    is an `np.bincount`, whose order is fixed and which never reaches BLAS.
+    data position, G value, W^{-1}G entry) triple, each pair of entries of
+    one W^{-1}G row as an H entry, and the product of each pair of entries
+    of one V row, which is fixed, as a column of `_vv`.  `refill` then
+    writes only those values, in place, into `exact` (M in extended
+    precision, for refinement residuals) and `reduced` (S, the matrix that
+    is factored): H's, then one weight per pair times its column of `_vv`.
+    Every sum is an `np.bincount` or a sparse product, whose order is fixed
+    and which never reaches BLAS.
 
-    Only R is stored permuted: R[i, j] holds the entry of rows perm[i] and
+    Only S is stored permuted: S[i, j] holds the entry of rows perm[i] and
     perm[j] of the (x, y) system, with perm the reverse Cuthill-McKee order
-    of R's fixed pattern (George & Liu, 1981) with its leaves paired
-    (`_leaf_pairs`).  Each grid interval couples only to its neighbours, so
-    in that order R is narrowly banded and SuperLU factors it as it stands
-    (natural column order, partial pivoting kept), with no fill-reducing
-    ordering recomputed per factor.  M, W^{-1}G and every (x, y, z) vector
-    stay in the problem's own order; the permutation is applied only around
-    the triangular solves.
-
-    A leaf is a row with one off-diagonal entry: a torque column, which
-    meets only its own box rows (H's diagonal) and one torque row of A, is
-    one.  RCM puts the leaf first and its torque row up to tens of rows
-    later.  Once the torque's box is slack, its diagonal h_jj is smaller
-    than its entry in the torque row, and partial pivoting swaps that row
-    up into the leaf's place (in the middle of a solve, at nearly every
-    leaf): all that the torque row holds between the two places then fills
-    U.  With the neighbour moved up to just after its leaf the swap is
-    local.  Moving the leaf down to its neighbour instead takes more fill
-    than RCM alone.  Over a solve at K=250 the most L + U nonzeros fell from 148 018
-    to 138 313 on pivoting, 176 999 to 155 973 on pickup, 74 831 to 46 730
-    on arm_7dof and 202 883 to 195 363 on waiter tilt_15.  At the first
-    iterate (s = z = e), where every h_jj is large and no leaf swaps, the
-    order gains nothing: pickup's and the waiter's first factors take
-    2 % more.
+    of S's fixed pattern (George & Liu, 1981).  Each grid interval couples
+    only to its neighbours, so in that order S is narrowly banded and
+    SuperLU factors it as it stands (natural column order, partial pivoting
+    kept), with no fill-reducing ordering recomputed per factor.  M, W^{-1}G
+    and every (x, y, z) vector stay in the problem's own order; the
+    permutation is applied only around the triangular solves.  Over a solve
+    at K=250 the most L + U nonzeros fell from 138 313 (R, its leaves moved
+    next to their neighbours) to 107 424 on pivoting, 155 973 to 106 011 on
+    pickup, 46 730 to 14 418 on arm_7dof and 195 363 to 181 086 on waiter
+    tilt_15.  S keeps two leaves, and moving each next to its neighbour no
+    longer lowers that count on any shipped scene at K=40 or K=250.
     """
 
     def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, spec: ConeSpec):
@@ -554,11 +568,11 @@ class _KKTSystem:
         entry = np.repeat(np.arange(G.nnz), size)
         offset = np.arange(entry.size) - np.repeat(np.cumsum(size) - size, size)
         k = row[entry]
-        # The maps `refill` gathers through stay np.intp, as numpy builds
-        # them: it gathers through an int32 index array 1.8 times slower.
-        # The bincount targets and the write slots are int32, which costs
-        # little there; int64 ones raised solve-k250's peak RSS by 1 MB
-        # (2-vCPU Xeon).
+        # The maps `refill` and `solve` gather through stay np.intp, as numpy
+        # builds them: it gathers through an int32 index array 1.8 times
+        # slower.  The bincount targets and the write slots are int32, which
+        # costs little there; int64 ones raised solve-k250's peak RSS by
+        # 1 MB (2-vCPU Xeon).
         self._w_at = w_indptr[k] + offset
         self._g_vals = G.data[entry]
         keys, target = np.unique((first[k] + offset) * n + G.indices[entry], return_inverse=True)
@@ -569,68 +583,146 @@ class _KKTSystem:
 
         # each W^{-1}G entry pairs with itself and the entries after it in
         # its row; H's diagonal is in the pattern whether a pair reaches it
-        # or not
-        count = np.searchsorted(wg_row, wg_row, side="right") - np.arange(wg_row.size)
-        a = np.repeat(np.arange(wg_row.size), count)
-        b = a + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+        # or not, and a column in no pair with another is alone in H
+        a, b = self._h_a, self._h_b = _row_pairs(wg_row)
         diag = np.arange(n) * (n + 1)
         h_keys, h_target = np.unique(np.concatenate((wg_col[a] * n + wg_col[b], diag)), return_inverse=True)
-        self._h_a, self._h_b = a, b
-        self._h_target = h_target[: a.size].astype(np.int32)
-        self._h_diag = np.searchsorted(h_keys, diag)
         h_row, h_col = h_keys // n, h_keys % n
+        alone = np.ones(n, dtype=bool)
+        alone[h_row[h_row != h_col]] = alone[h_col[h_row != h_col]] = False
+
+        # the pivot pairs: a leaf x column (alone in H, one entry in A) and
+        # the equality row of that entry, where no other leaf has its entry
+        A = A.sorted_indices().tocoo()  # by row, then column
+        leaf = alone & (np.bincount(A.col, minlength=n) == 1)
+        at = np.flatnonzero(leaf[A.col])
+        at = at[np.bincount(A.row[at], minlength=p)[A.row[at]] == 1]
+        self.pairs = np.stack((A.col[at], n + A.row[at])).astype(np.intp)
+        self._alpha = A.data[at]
+        eliminated = np.zeros(R, dtype=bool)
+        eliminated[self.pairs] = True
+        # V, the rest of each pivot row, couples its pair to the kept columns
+        pivot_row = eliminated[n + A.row]
+        v_at = np.flatnonzero(pivot_row & ~eliminated[A.col])
+        which = np.searchsorted(A.row[at], A.row[v_at])
+        v_col, v_val = A.col[v_at].astype(np.intp), A.data[v_at]
+        self._v = sp.csr_matrix((v_val, v_col, np.searchsorted(which, np.arange(at.size + 1))), shape=(at.size, R))
+        self._v_t = self._v.T  # shares the data array
+        del leaf, at, v_at
+
+        # H's values go into h: the keys of the condensed matrix's x block
+        # (H's, and V'V's, which holds no pivot column), then the pivots'
+        # diagonal entries in pair order
+        va, vb = _row_pairs(which)
+        vv_keys = v_col[va] * n + v_col[vb]  # each V row's columns are sorted
+        vv_vals = v_val[va] * v_val[vb]
+        del va, vb
+        pivot = (h_row == h_col) & eliminated[h_row]
+        keys = np.sort(np.concatenate((h_keys[~pivot], vv_keys)))
+        keys = np.concatenate((keys[:1], keys[1:][np.diff(keys) != 0]))  # np.unique took 20 times as long
+        keep = keys.size
+        label = np.searchsorted(keys, h_keys)
+        pivot = np.flatnonzero(pivot)
+        pair = np.empty(n, dtype=np.intp)
+        pair[self.pairs[0]] = np.arange(self.pairs.shape[1])
+        label[pivot] = keep + pair[h_row[pivot]]
+        self._h_size = keep + self.pairs.shape[1]
+        self._h_target = label[h_target[: a.size]].astype(np.int32)
+        self._h_diag = label[h_target[a.size :]]
+        # the products of each V row's entries, fixed per solve, are the
+        # columns of a (keep, pairs) matrix: `refill` weighs them by each
+        # pair's Schur complement entry in one product
+        count = np.diff(self._v.indptr)
+        self._vv = sp.csc_matrix(
+            (vv_vals, np.searchsorted(keys, vv_keys).astype(np.int32), np.cumsum(np.r_[0, count * (count + 1) // 2])),
+            shape=(keep, self.pairs.shape[1]),
+        )
+        h_row, h_col = keys // n, keys % n
         off = np.flatnonzero(h_row != h_col)
         self._h_off = off
-        del count, a, b, h_target, diag
+        del a, b, diag, h_keys, h_target, keys, label, pivot, pair, vv_keys, vv_vals, count, which, v_col, v_val
 
-        A = A.tocoo()
-        y_diag = n + np.arange(p)
-        rows = np.concatenate((h_row, h_col[off], y_diag, n + A.row, A.col))
-        cols = np.concatenate((h_col, h_row[off], y_diag, A.col, n + A.row))
-        if R:
-            pattern = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(R, R))
-            self.perm = _leaf_pairs(pattern, reverse_cuthill_mckee(pattern))
+        # the condensed matrix: the kept rows of R, with its y block's rows
+        # that are no pivot row
+        kept = np.flatnonzero(~eliminated)
+        at = np.empty(R, dtype=np.intp)
+        at[kept] = np.arange(kept.size)
+        y = kept[kept >= n]
+        a_row, a_col, a_val = (v[~pivot_row] for v in (n + A.row, A.col, A.data))
+        rows = at[np.concatenate((h_row, h_col[off], y, a_row, a_col))]
+        cols = at[np.concatenate((h_col, h_row[off], y, a_col, a_row))]
+        values = np.concatenate((np.zeros(keep + off.size), np.full(y.size, -REG), a_val, a_val))
+        S = kept.size
+        if S:
+            pattern = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(S, S))
+            order = reverse_cuthill_mckee(pattern)
             del pattern
         else:
-            self.perm = np.zeros(0, dtype=np.intp)
-        label = np.empty(R, dtype=np.intp)
-        label[self.perm] = np.arange(R)
-        values = np.concatenate((np.zeros(h_keys.size + off.size), np.full(p, -REG), A.data, A.data))
-        arrays, slot = _csc_arrays(label[rows], label[cols], values, R)
-        self.reduced = sp.csc_matrix(arrays, shape=(R, R))
+            order = np.zeros(0, dtype=np.intp)
+        self.perm = kept[order]
+        label = np.empty(S, dtype=np.intp)
+        label[order] = np.arange(S)
+        arrays, slot = _csc_arrays(label[rows], label[cols], values, S)
+        self.reduced = sp.csc_matrix(arrays, shape=(S, S))
         # copied out of `slot`, so that the rest of it is freed
-        self._h_slots = slot[: h_keys.size].copy()
-        self._h_mirror = slot[h_keys.size : h_keys.size + off.size].copy()
-        del h_keys, h_row, h_col, off, rows, cols, values, slot, label
+        self._h_slots = slot[:keep].copy()
+        self._h_mirror = slot[keep : keep + off.size].copy()
+        del h_row, h_col, off, y, a_row, a_col, a_val, rows, cols, values, slot, label, at, kept, pivot_row
 
         self._wg = sp.csr_matrix(
             (np.zeros(wg_row.size), wg_col, np.searchsorted(wg_row, np.arange(m + 1))), shape=(m, R)
         )
         self._wg_t = self._wg.T  # shares the data array
-        # M is symmetric, so its CSC arrays read as CSR are M again; the
-        # row-wise CSR product is the faster one
-        z_diag = R + np.arange(m)
-        rows = np.concatenate((R + wg_row, wg_col, z_diag, n + A.row, A.col))
-        cols = np.concatenate((wg_col, R + wg_row, z_diag, A.col, n + A.row))
-        values = np.concatenate((np.zeros(2 * wg_row.size), -np.ones(m), A.data, A.data))
-        (data, indices, indptr), slot = _csc_arrays(rows, cols, values, R + m)
-        del rows, cols, values
-        # widened once sorted: the extended copy is twice the size
-        self.exact = sp.csr_matrix((data.astype(np.longdouble), indices, indptr), shape=(R + m, R + m))
-        self._wg_slots = slot[: wg_row.size].copy(), slot[wg_row.size : 2 * wg_row.size].copy()
+        # M in CSR, each row in column order: row j of x holds column j of A
+        # (at n + i), then of W^{-1}G (at R + i); row i of y row i of A; and
+        # row i of z row i of W^{-1}G, then the diagonal.  Each entry's place
+        # is its row's start plus its rank in its part, so nothing is sorted.
+        wg_indptr = self._wg.indptr
+        a_indptr = np.searchsorted(A.row, np.arange(p + 1))
+        a_order, a_starts = _column_order(a_indptr, A.col, n)
+        wg_order, wg_starts = _column_order(wg_indptr, wg_col, n)
+        a_count = np.diff(a_starts)
+        count = np.concatenate((a_count + np.diff(wg_starts), np.diff(a_indptr), np.diff(wg_indptr) + 1))
+        indptr = np.concatenate(([0], np.cumsum(count)))
+        start = indptr[:-1]
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.zeros(indptr[-1], dtype=np.longdouble)
+        at = start[n + A.row] + np.arange(A.nnz) - a_indptr[A.row]
+        indices[at], data[at] = A.col, A.data
+        col = A.col[a_order]
+        at = start[col] + np.arange(A.nnz) - a_starts[col]
+        indices[at], data[at] = n + A.row[a_order], A.data[a_order]
+        col = wg_col[wg_order]
+        below = np.empty(wg_col.size, dtype=np.int32)
+        below[wg_order] = start[col] + a_count[col] + np.arange(wg_col.size) - wg_starts[col]
+        right = (start[R + wg_row] + np.arange(wg_col.size) - wg_indptr[wg_row]).astype(np.int32)
+        indices[below], indices[right] = R + wg_row, wg_col
+        self._wg_slots = below, right
+        at = indptr[R + 1 :] - 1
+        indices[at], data[at] = R + np.arange(m), -1.0
+        self.exact = sp.csr_matrix((data, indices, indptr), shape=(R + m, R + m))
+        del a_indptr, a_order, a_starts, wg_order, wg_starts, a_count, count, start, at, col
 
     def refill(self, w_inv: sp.csc_matrix):
         """Write the W^{-1}G values of the current scaling into M, and the
-        values they give into R."""
+        values they give into the condensed matrix."""
         wg = np.bincount(self._target, weights=w_inv.data[self._w_at] * self._g_vals, minlength=self._wg.nnz)
         self._wg.data[:] = wg
+        wg_ld = wg.astype(np.longdouble)
         for slots in self._wg_slots:  # M holds W^{-1}G and its transpose
-            self.exact.data[slots] = wg
+            self.exact.data[slots] = wg_ld
         pairs = wg[self._h_a] * wg[self._h_b]
-        h = np.bincount(self._h_target, weights=pairs, minlength=self._h_slots.size) / (1.0 + REG)
+        h = np.bincount(self._h_target, weights=pairs, minlength=self._h_size) / (1.0 + REG)
         diag = h[self._h_diag]
         h[self._h_diag] = diag + np.maximum(REG, REG_COLUMN * diag)
-        self.reduced.data[self._h_slots] = h
+        # the pivot [[h_j, alpha], [alpha, -REG]] of each pair leaves
+        # h_j / (alpha^2 + h_j REG) times its row of V' V behind
+        keep = self._h_slots.size
+        h_j = h[keep:]
+        det = self._alpha * self._alpha + h_j * REG
+        self._pivot = h_j, det
+        h[:keep] += self._vv @ (h_j / det)
+        self.reduced.data[self._h_slots] = h[:keep]
         self.reduced.data[self._h_mirror] = h[self._h_off]
 
     def factor(self):
@@ -641,11 +733,20 @@ class _KKTSystem:
         self._lu = splu(self.reduced, permc_spec="NATURAL", panel_size=1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M v = rhs by one solve with the last factor of R, unrefined."""
+        """M v = rhs by one solve with the last factor, unrefined."""
         R = self._R
         rz = rhs[R:]
+        r = rhs[:R] + self._wg_t @ rz / (1.0 + REG)
+        # condense the pairs out of the right-hand side, solve the kept rows
+        # and back-substitute each pair through its 2x2 inverse
+        r_x, r_y = r[self.pairs]
+        h_j, det = self._pivot
+        alpha = self._alpha
+        r += self._v_t @ ((h_j * r_y - alpha * r_x) / det)
         xy = np.empty(R)
-        xy[self.perm] = self._lu.solve((rhs[:R] + self._wg_t @ rz / (1.0 + REG))[self.perm])
+        xy[self.perm] = self._lu.solve(r[self.perm])
+        t = r_y - self._v @ xy
+        xy[self.pairs] = (REG * r_x + alpha * t) / det, (alpha * r_x - h_j * t) / det
         return np.concatenate((xy, (self._wg @ xy - rz) / (1.0 + REG)))
 
     def refined_solve(self, rhs: np.ndarray, mu: float) -> np.ndarray:
@@ -685,40 +786,37 @@ class _KKTSystem:
         return best.astype(np.float64)
 
 
-def _leaf_pairs(pattern: sp.csr_matrix, order: np.ndarray) -> np.ndarray:
-    """`order` with each leaf of the symmetric `pattern` (a row with one
-    off-diagonal entry; every diagonal entry is stored) moved, with its one
-    neighbour, to the earlier of their two places, the leaf first.
-
-    Leaves that share a neighbour go together, in their order, at the
-    earliest place of the group; a leaf whose neighbour is a leaf as well
-    keeps its place, as does every row that is neither.
-    """
-    where = np.empty(order.size, dtype=np.intp)
-    where[order] = np.arange(order.size)
-    starts = pattern.indptr[:-1]
-    leaf = np.flatnonzero(np.diff(pattern.indptr) == 2)
-    # the two entries of a leaf's row are its diagonal and its neighbour
-    nbr = pattern.indices[starts[leaf]] + pattern.indices[starts[leaf] + 1] - leaf
-    paired = np.diff(pattern.indptr)[nbr] != 2
-    leaf, nbr = leaf[paired], nbr[paired]
-    # key 2 place + 1 for every row; a leaf's is one less than its neighbour's
-    place = where.copy()
-    np.minimum.at(place, nbr, where[leaf])
-    key = 2 * place + 1
-    key[leaf] = 2 * place[nbr]
-    return order[np.argsort(key[order], kind="stable")]
+def _row_pairs(row: np.ndarray) -> tuple:
+    """(a, b): every pair of positions a <= b that hold the same value of
+    the sorted `row`, by a, then b."""
+    count = np.searchsorted(row, row, side="right") - np.arange(row.size)
+    a = np.repeat(np.arange(row.size), count)
+    b = a + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+    return a, b
 
 
 def _csc_arrays(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, size: int) -> tuple:
     """((data, indices, indptr), slot): the CSC arrays of the size x size
     matrix with entries (rows, cols, values), none repeated, and the data
     position of each entry."""
-    order = np.argsort(cols * size + rows)
-    slot = np.empty(order.size, dtype=np.int32)
-    slot[order] = np.arange(order.size)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=size))))
-    return (values[order], rows[order], indptr), slot
+    import scipy.sparse as sp
+
+    # scipy groups the entries by column in one counting pass, then sorts
+    # each column, which is short
+    at = sp.csc_matrix((np.arange(rows.size), (rows, cols)), shape=(size, size))
+    slot = np.empty(rows.size, dtype=np.int32)
+    slot[at.data] = np.arange(rows.size)
+    return (values[at.data], at.indices, at.indptr), slot
+
+
+def _column_order(indptr: np.ndarray, indices: np.ndarray, ncols: int) -> tuple:
+    """(order, col_indptr): the entries of a CSR pattern column by column,
+    each column top to bottom, and where each column starts in that order."""
+    import scipy.sparse as sp
+
+    # scipy's CSR-to-CSC conversion is one counting pass
+    t = sp.csr_matrix((np.arange(indices.size), indices, indptr), shape=(indptr.size - 1, ncols)).tocsc()
+    return t.data, t.indptr
 
 
 def _inverse_sqrt(v: np.ndarray) -> np.ndarray:

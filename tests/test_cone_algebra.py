@@ -6,8 +6,9 @@ here only as an independent reference: every batched operation must agree
 with it to 1e-12 relative on random specs (orthant 0-4, cone sizes 1-5 in
 any order) at strictly interior points, including points close to the
 cone boundary.  The KKT system factors the reduced matrix left after the
-cone block is eliminated, in its own ordering, so a dense reduced oracle is
-permuted by that ordering before comparing; the full exact matrix, kept in
+cone block is eliminated, less its pivot pairs, in its own ordering, so the
+Schur complement of those pairs in a dense reduced oracle is permuted by
+that ordering before comparing; the full exact matrix, kept in
 the problem's order, is held to the block-by-block oracle, and the plain and
 refined solves through the permuted factor are held to dense solves in the
 original order.
@@ -219,6 +220,32 @@ def oracle_reduced(A, G, w_inv, reg):
     return np.block([[H, A.toarray().T], [A.toarray(), -reg * np.eye(p)]])
 
 
+def oracle_pairs(spec, A, G):
+    """The pivot pairs (j, n + i) read off the structural pattern of the
+    reduced matrix: a leaf x column j, with no H entry off the diagonal and
+    one A entry, in row i, where no other leaf has an entry."""
+    n = A.shape[1]
+    block = np.eye(spec.total, dtype=bool)
+    for at, d in oracle_blocks(spec):
+        block[at : at + d, at : at + d] = True
+    wg = (block.astype(int) @ (G.toarray() != 0)) > 0
+    h = (wg.T.astype(int) @ wg) > 0
+    a = A.toarray() != 0
+    leaf = (h.sum(axis=0) == np.diag(h)) & (a.sum(axis=0) == 1)
+    return sorted((j, n + i) for j in np.flatnonzero(leaf) for i in np.flatnonzero(a[:, j]) if a[i, leaf].sum() == 1)
+
+
+def oracle_condensed(reduced, pairs, rows):
+    """The Schur complement of the pairs' rows and columns in the dense
+    reduced matrix, on `rows`."""
+    out = reduced[np.ix_(rows, rows)]
+    gone = pairs.ravel()
+    if gone.size:
+        coupling = reduced[np.ix_(rows, gone)]
+        out = out - coupling @ np.linalg.solve(reduced[np.ix_(gone, gone)], coupling.T)
+    return out
+
+
 # -- random instances ---------------------------------------------------------
 
 
@@ -377,17 +404,19 @@ class TestAgainstOracle:
             assert_solve_close(got, want)
 
 
-def plain_solve_and_dense(spec, A, G, rng, near=False):
+def plain_solve_and_dense(spec, A, G, rng, near=False, point=None):
     """(got, want, R): `solve` after refill and factor on a random
     right-hand side, and the dense reference in the original order, (x, y)
     from the dense reduced matrix R and z = (W^{-1}G x - r_z) / (1 + REG).
+    The scaling is taken at `point`, an (s, z) pair, or else at random.
 
     Whatever R's conditioning, got solves the dense reduced system to a
     backward error of 1e-12, and its z follows from its x.
     """
     n, p = A.shape[1], A.shape[0]
     kkt = _KKTSystem(A, G, spec)
-    w_inv = Scaling(spec, interior_point(spec, rng, near), interior_point(spec, rng, near)).w_inv_matrix()
+    s, z = point or (interior_point(spec, rng, near), interior_point(spec, rng, near))
+    w_inv = Scaling(spec, s, z).w_inv_matrix()
     kkt.refill(w_inv)
     kkt.factor()
     wg = w_inv.toarray() @ G.toarray()
@@ -417,17 +446,18 @@ def assert_kkt_matches_oracle(spec, A, G, rng, near=False):
     """The refilled matrices equal an assembly around the same W^{-1}
     (test_scaling checks W^{-1} itself against the oracle): the exact full
     matrix the block-by-block one, in the problem's order, and the factored
-    reduced matrix the dense reduced one, permuted symmetrically by the
-    system's recorded ordering of its n + p rows."""
+    matrix the Schur complement of the pivot pairs in the dense reduced
+    one, on the rest of its n + p rows in the system's recorded order."""
     kkt = _KKTSystem(A, G, spec)
     R = A.shape[1] + A.shape[0]
-    assert np.array_equal(np.sort(kkt.perm), np.arange(R))
+    assert sorted(map(tuple, kkt.pairs.T.tolist())) == oracle_pairs(spec, A, G)
+    assert np.array_equal(np.sort(np.concatenate((kkt.perm, kkt.pairs.ravel()))), np.arange(R))
     for _ in range(2):  # the second refill writes over the first
         w_inv = Scaling(spec, interior_point(spec, rng, near), interior_point(spec, rng, near)).w_inv_matrix()
         kkt.refill(w_inv)
         assert_close(kkt.exact.toarray().astype(float), oracle_kkt(A, G, w_inv.toarray()))
         reduced = oracle_reduced(A, G, w_inv.toarray(), 1e-11)
-        assert_close(kkt.reduced.toarray(), reduced[np.ix_(kkt.perm, kkt.perm)])
+        assert_close(kkt.reduced.toarray(), oracle_condensed(reduced, kkt.pairs, kkt.perm))
 
 
 def bandwidth(M):
@@ -463,78 +493,64 @@ def test_plain_solve_in_original_order():
     assert_solve_close(got, want)
 
 
-# -- the order of the factored matrix: reverse Cuthill-McKee, leaves paired ----
+# -- the pivot pairs: each leaf x column with its one equality row ------------
 
 
-def test_leaf_pairs_on_a_small_pattern():
-    # 0 - 1 - 2 - 3 - 4 - 5 and 6 - 7, 8 alone: 0 and 5 are leaves of 1 and
-    # 4, and 6 and 7 are leaves of each other
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7)]
-    rows = [i for e in edges for i in e] + [i for e in edges for i in e[::-1]] + list(range(9))
-    cols = [i for e in edges for i in e[::-1]] + [i for e in edges for i in e] + list(range(9))
-    pattern = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(9, 9))
-    order = np.array([8, 0, 2, 7, 4, 6, 3, 1, 5])
-    # 1 moves up to just after its leaf 0, and 5 to just before its
-    # neighbour 4; 6 and 7 keep their places
-    assert solver._leaf_pairs(pattern, order).tolist() == [8, 0, 1, 2, 7, 5, 4, 6, 3]
-    # two leaves of one neighbour go together, in order, at the earliest place
-    star = sp.csr_matrix((np.ones(7), ([0, 1, 2, 0, 0, 1, 2], [0, 1, 2, 1, 2, 0, 0])), shape=(3, 3))
-    assert solver._leaf_pairs(star, np.array([2, 0, 1])).tolist() == [2, 1, 0]
+@st.composite
+def planted(draw):
+    """Planted pairs, each (log10 of its leaf's H diagonal, None for a leaf
+    in no cone row, whose h_j is the REG floor; log10 |alpha|; alpha < 0)."""
+    h = st.one_of(st.none(), st.floats(-11.0, 12.0))
+    return draw(st.lists(st.tuples(h, st.floats(-3.0, 3.0), st.booleans()), min_size=1, max_size=4))
 
 
-def rcm_alone():
-    """A patch that leaves the reverse Cuthill-McKee order as it is."""
-    return mock.patch.object(solver, "_leaf_pairs", lambda pattern, order: order)
-
-
-@pytest.mark.parametrize("name", ["pivoting", "pickup", "arm_7dof"])
-def test_each_leaf_is_factored_just_before_its_neighbour(name):
-    prob = canonicalize(assemble_scenario(load_scenario(SCENARIOS / f"{name}.json"), build_grid(16)))
-    kkt = _KKTSystem(prob.A, prob.G, prob.cones)
-    with rcm_alone():
-        rcm = _KKTSystem(prob.A, prob.G, prob.cones).perm
-    # in the factored order, row i is row perm[i] of the (x, y) system
-    pattern = kkt.reduced
-    degree = np.diff(pattern.indptr) - 1
-    leaf = np.flatnonzero(degree == 1)
-    nbr = pattern.indices[pattern.indptr[leaf]] + pattern.indices[pattern.indptr[leaf] + 1] - leaf
-    assert leaf.size >= 16 and (degree[nbr] > 1).all()
-    assert (nbr == leaf + 1).all()
-    # every other row keeps its RCM order, a neighbour taking the earlier
-    # of its own RCM place and its leaf's
-    where = np.empty_like(rcm)
-    where[rcm] = np.arange(rcm.size)
-    place = where[kkt.perm]
-    place[nbr] = np.minimum(place[nbr], place[leaf])
-    rest = np.setdiff1d(np.arange(rcm.size), leaf)
-    assert (np.diff(place[rest]) > 0).all()
-
-
-def most_lu_fill(form):
-    """The largest L + U count of the factors of a solve of form."""
-    counts = []
-    factor = _KKTSystem.factor
-
-    def counting(kkt):
-        factor(kkt)
-        counts.append(kkt._lu.L.nnz + kkt._lu.U.nnz)
-
-    with mock.patch.object(_KKTSystem, "factor", counting):
-        assert solve(form).status == "Optimal"
-    return max(counts)
+@settings(max_examples=100)
+@given(cases, st.integers(0, 3), st.integers(1, 6), planted())
+# a leaf at the REG floor with a small alpha: a pivot on h_j alone is 1e-11
+@example((ConeSpec(orthant=1, socs=(2,)), 7, False), 1, 6, [(None, -3.0, False), (12.0, -3.0, True)])
+@example((ConeSpec(orthant=2, socs=(3,)), 1, True), 2, 4, [(None, 3.0, True), (-11.0, 0.0, False)])
+def test_plain_solve_with_planted_pairs(case, p, n, pairs):
+    """Each planted leaf column has alpha as its one A entry, in a row of
+    its own that reaches only columns with another A entry, so each is a
+    pivot pair; with a cone row, an orthant row of its own, s = z = 1 there,
+    gives it h_j = 10^e / (1 + REG) plus the floor.  Whatever h_j and alpha,
+    the plain solve holds its backward error on the whole reduced matrix."""
+    spec, seed, near = case
+    rng = np.random.default_rng(seed)
+    k = len(pairs)
+    boxed = [i for i, (log_h, _, _) in enumerate(pairs) if log_h is not None]
+    A = np.zeros((p + k, n + k))
+    A[:p, :n] = sp.random(p, n, density=0.6, random_state=rng).toarray()
+    G = np.zeros((len(boxed) + spec.total, n + k))
+    G[len(boxed) :, :n] = sp.random(spec.total, n, density=0.5, random_state=rng).toarray()
+    reach = A[:p, :n].any(axis=0)
+    for i, (_, log_alpha, negative) in enumerate(pairs):
+        A[p + i, n + i] = (-1.0 if negative else 1.0) * 10.0**log_alpha
+        A[p + i, :n] = np.where(reach & (rng.random(n) < 0.6), rng.normal(size=n), 0.0)
+    for row, i in enumerate(boxed):
+        G[row, n + i] = 10.0 ** (pairs[i][0] / 2.0)
+    A, G = sp.csr_matrix(A), sp.csr_matrix(G)
+    big = ConeSpec(orthant=len(boxed) + spec.orthant, socs=spec.socs)
+    point = tuple(np.concatenate((np.ones(len(boxed)), interior_point(spec, rng, near))) for _ in range(2))
+    found = set(map(tuple, _KKTSystem(A, G, big).pairs.T.tolist()))
+    assert {(n + i, n + k + p + i) for i in range(k)} <= found
+    plain_solve_and_dense(big, A, G, rng, point=point)
 
 
 @pytest.mark.parametrize("name", ["pivoting", "pickup", "arm_7dof"])
-def test_leaf_pairs_take_less_fill_than_rcm(name):
-    # exact counts; at K=40 the leaf pairs' most fill over a solve is
-    # 19 562 / 24 930 / 7 216 against RCM's 20 315 / 27 998 / 11 626.  At
-    # the first iterate (s = z = e) it is not lower everywhere: pickup's
-    # first factor takes 21 437 against 20 961
-    form = canonicalize(assemble_scenario(load_scenario(SCENARIOS / f"{name}.json"), build_grid(40)))
-    paired = most_lu_fill(form)
-    with rcm_alone():
-        rcm = most_lu_fill(form)
-    assert paired < rcm
+def test_pivot_pairs_are_the_torque_columns_and_rows(name):
+    K = 16
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    program = assemble_scenario(scenario, build_grid(K))
+    form = canonicalize(program)
+    kkt = _KKTSystem(form.A, form.G, form.cones)
+    (p, n), dof = form.A.shape, scenario.scene.dof
+    ids = program.equalities.ids
+    torque_rows = np.flatnonzero(ids.family == [family for family, _ in ids.families].index("torque"))
+    assert np.array_equal(np.sort(kkt.pairs[0]), np.arange(n)[program.slices["tau"]])
+    assert np.array_equal(np.sort(kkt.pairs[1]), n + torque_rows)
+    assert kkt.pairs.shape[1] == K * dof
+    assert kkt.reduced.shape == (n + p - 2 * K * dof,) * 2
 
 
 # -- edge shapes ------------------------------------------------------------------

@@ -1089,10 +1089,16 @@ class TestKKTSolves:
         assert all(solves >= 2 for it, solves, _ in refined if it >= report.iterations - 1)
 
     def test_gather_maps_are_native_integers(self):
-        # numpy gathers through an index array of any other type on a slower path
+        # numpy gathers through an index array of any other type on a slower
+        # path; the bincount targets and write slots stay int32, which costs
+        # less memory there
         form = shipped_form("pivoting", 4)
         kkt = solver._KKTSystem(form.A, form.G, form.cones)
-        assert all(getattr(kkt, name).dtype == np.intp for name in ("_w_at", "_h_a", "_h_b", "_h_diag", "_h_off"))
+        gathers = ("_w_at", "_h_a", "_h_b", "_h_diag", "_h_off", "pairs", "perm")
+        assert all(getattr(kkt, name).dtype == np.intp for name in gathers)
+        assert kkt.pairs.shape[1] > 0
+        targets = (kkt._target, kkt._h_target, kkt._h_slots, kkt._h_mirror, *kkt._wg_slots, kkt._vv.indices)
+        assert all(target.dtype == np.int32 for target in targets)
 
     def test_factor_uses_one_column_panels(self, monkeypatch):
         # perfbench's trace times the factor through this module-level name
